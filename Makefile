@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race bench bench-json bench-scaling bench-gate profile repro chaos-smoke shim-gate
+.PHONY: check build fmt vet test race bench bench-repo bench-json bench-scaling bench-gate profile repro chaos-smoke shim-gate
 
 ## check: the full quality gate — formatting, build, vet, race-enabled
 ## tests, the retired-shim grep gate, and a fixed-seed chaos campaign.
@@ -27,6 +27,13 @@ race:
 
 bench:
 	$(GO) test -run xxx -bench=. -benchmem
+
+## bench-repo: the repository benchmark's headline pass (BENCHMARK.json;
+## bench/README.md says what each number means): host cost per simulated
+## record on the four workloads, written to bench/out/head.json. Compare
+## two result sets with `go run ./bench -agree a.json b.json`.
+bench-repo:
+	$(GO) run ./bench -trace 0 -o bench/out/head.json
 
 ## bench-json: the observability benchmarks (obs overhead, timeline,
 ## exprun scaling, fleet) as a machine-readable artefact. EXPERIMENTS.md

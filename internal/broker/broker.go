@@ -46,12 +46,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// partitionKey identifies a topic partition on this broker.
-type partitionKey struct {
-	topic     string
-	partition int32
-}
-
 // producerState supports idempotent de-duplication per producer ID.
 // recent is a ring of the last wire.SeqCacheSize appended batches: with
 // pipelining (max-in-flight > 1) batches can arrive out of sequence
@@ -169,13 +163,21 @@ type Stats struct {
 // Broker is one node. It is driven by the shared simulator and is not
 // safe for concurrent use.
 type Broker struct {
-	id    int32
-	sim   *des.Simulator
-	cfg   Config
-	parts map[partitionKey]*part
-	up    bool
-	slow  float64 // service-time multiplier; <= 1 means nominal
-	stats Stats
+	id  int32
+	sim *des.Simulator
+	cfg Config
+	// topics indexes the hosted partitions by topic, then by partition
+	// number (nil where this broker holds no replica); parts lists them in
+	// creation order. lastTopic/lastParts memoise the previous lookup:
+	// requests overwhelmingly hit one topic in a row, and comparing the
+	// name is far cheaper than hashing it on every fetch and append.
+	topics    map[string][]*part
+	parts     []*part
+	lastTopic string
+	lastParts []*part
+	up        bool
+	slow      float64 // service-time multiplier; <= 1 means nominal
+	stats     Stats
 
 	cProduce    *obs.Counter
 	cAppends    *obs.Counter
@@ -206,7 +208,7 @@ func New(id int32, sim *des.Simulator, cfg Config) (*Broker, error) {
 		id:          id,
 		sim:         sim,
 		cfg:         cfg,
-		parts:       make(map[partitionKey]*part),
+		topics:      make(map[string][]*part),
 		up:          true,
 		cProduce:    o.Counter(obs.MBrokerProduce),
 		cAppends:    o.Counter(obs.MBrokerAppends),
@@ -284,22 +286,45 @@ func (b *Broker) Stats() Stats { return b.stats }
 // CreatePartition provisions an empty log for the topic partition.
 // Creating an existing partition is a no-op.
 func (b *Broker) CreatePartition(topic string, partition int32) {
-	k := partitionKey{topic, partition}
-	if _, ok := b.parts[k]; !ok {
-		b.parts[k] = &part{
-			log:         storage.NewLog(b.cfg.SegmentRecords),
-			prod:        make(map[uint64]*producerState),
-			flushedProd: make(map[uint64]producerState),
-			txn:         newTxnState(),
-			flushedTxn:  newTxnState(),
-		}
+	if partition < 0 || b.resolve(topic, partition) != nil {
+		return
 	}
+	ps := b.topics[topic]
+	for int(partition) >= len(ps) {
+		ps = append(ps, nil)
+	}
+	ps[partition] = &part{
+		log:         storage.NewLog(b.cfg.SegmentRecords),
+		prod:        make(map[uint64]*producerState),
+		flushedProd: make(map[uint64]producerState),
+		txn:         newTxnState(),
+		flushedTxn:  newTxnState(),
+	}
+	b.topics[topic] = ps
+	b.parts = append(b.parts, ps[partition])
+	b.lastParts = nil // ps may have moved
+}
+
+// resolve finds a topic partition hosted on this broker, nil if absent.
+// Every request path (Append, HandleFetch, Log) resolves through here.
+func (b *Broker) resolve(topic string, partition int32) *part {
+	if b.lastParts == nil || topic != b.lastTopic {
+		ps := b.topics[topic]
+		if ps == nil {
+			return nil
+		}
+		b.lastTopic, b.lastParts = topic, ps
+	}
+	if partition < 0 || int(partition) >= len(b.lastParts) {
+		return nil
+	}
+	return b.lastParts[partition]
 }
 
 // Log exposes the partition log (nil if absent), used by replication and
 // by the consumer-side reconciliation in tests.
 func (b *Broker) Log(topic string, partition int32) *storage.Log {
-	p := b.parts[partitionKey{topic, partition}]
+	p := b.resolve(topic, partition)
 	if p == nil {
 		return nil
 	}
@@ -309,7 +334,7 @@ func (b *Broker) Log(topic string, partition int32) *storage.Log {
 // ProducerStateSnapshot exports the partition's live producer-sequence
 // state (nil if the partition is absent).
 func (b *Broker) ProducerStateSnapshot(topic string, partition int32) map[uint64]SeqState {
-	p := b.parts[partitionKey{topic, partition}]
+	p := b.resolve(topic, partition)
 	if p == nil {
 		return nil
 	}
@@ -332,7 +357,7 @@ func (b *Broker) ProducerStateSnapshot(topic string, partition int32) map[uint64
 // a catch-up: the replica's log now mirrors the leader's, so its dedupe
 // state and durability checkpoint must too.
 func (b *Broker) RestoreProducerState(topic string, partition int32, st map[uint64]SeqState) {
-	p := b.parts[partitionKey{topic, partition}]
+	p := b.resolve(topic, partition)
 	if p == nil {
 		return
 	}
@@ -411,8 +436,8 @@ func (b *Broker) serviceTime(batch wire.RecordBatch) time.Duration {
 // then log append. It returns the base offset, whether the batch was a
 // duplicate, and an error code.
 func (b *Broker) Append(topic string, partition int32, batch wire.RecordBatch, idempotent bool) (int64, bool, wire.ErrorCode) {
-	p, ok := b.parts[partitionKey{topic, partition}]
-	if !ok {
+	p := b.resolve(topic, partition)
+	if p == nil {
 		return 0, false, wire.ErrUnknownTopicOrPartition
 	}
 	// Flush schedule first: a crossed boundary persists the pre-append
@@ -535,8 +560,9 @@ func (b *Broker) putJob(j *produceJob) {
 // done and arg replace a per-request closure: callers pass a stable
 // function plus a context value, keeping the hot path allocation-free.
 // The request (batch records included) is retained until the service
-// time elapses, so the records must not alias a buffer the caller reuses
-// in the meantime.
+// time elapses and the partition log then takes ownership of the payload
+// bytes (see storage.Log.Append), so they must never change after the
+// call.
 func (b *Broker) Produce(req wire.ProduceRequest, idempotent bool, done func(arg any, resp wire.ProduceResponse), arg any) {
 	if !b.up {
 		return
@@ -614,8 +640,8 @@ func (b *Broker) HandleFetch(req wire.FetchRequest, done func(wire.FetchResponse
 		Partition:     req.Partition,
 		NextOffset:    req.Offset,
 	}
-	p, ok := b.parts[partitionKey{req.Topic, req.Partition}]
-	if !ok {
+	p := b.resolve(req.Topic, req.Partition)
+	if p == nil {
 		resp.Err = wire.ErrUnknownTopicOrPartition
 		done(resp)
 		return

@@ -84,6 +84,9 @@ func (ts *txnState) applyMarker(pid uint64, offset int64, commit bool) {
 
 // lso returns the last stable offset: everything below it is decided.
 func (ts *txnState) lso(logEnd int64) int64 {
+	if len(ts.ongoing) == 0 {
+		return logEnd // every fetch asks; skip starting a map iteration
+	}
 	lso := logEnd
 	for _, rng := range ts.ongoing {
 		if rng.First < lso {
@@ -146,7 +149,7 @@ type TxnSnapshot struct {
 // TxnStateSnapshot exports the partition's live transaction state (zero
 // value if the partition is absent).
 func (b *Broker) TxnStateSnapshot(topic string, partition int32) TxnSnapshot {
-	p := b.parts[partitionKey{topic, partition}]
+	p := b.resolve(topic, partition)
 	if p == nil || p.txn == nil {
 		return TxnSnapshot{}
 	}
@@ -159,7 +162,7 @@ func (b *Broker) TxnStateSnapshot(topic string, partition int32) TxnSnapshot {
 // (the snapshot and log copy are taken together, so clipping is a
 // safety net, not an expected path).
 func (b *Broker) RestoreTxnState(topic string, partition int32, snap TxnSnapshot) {
-	p := b.parts[partitionKey{topic, partition}]
+	p := b.resolve(topic, partition)
 	if p == nil {
 		return
 	}
@@ -198,7 +201,7 @@ func (b *Broker) RestoreTxnState(topic string, partition int32, snap TxnSnapshot
 // LastStable returns the partition's last stable offset, for tests and
 // the cluster's recovery bookkeeping.
 func (b *Broker) LastStable(topic string, partition int32) int64 {
-	p := b.parts[partitionKey{topic, partition}]
+	p := b.resolve(topic, partition)
 	if p == nil {
 		return 0
 	}

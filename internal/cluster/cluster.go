@@ -61,6 +61,10 @@ type Cluster struct {
 	cfg     Config
 	brokers []*broker.Broker
 	topics  map[string]*topicMeta
+	// lastTopic/lastMeta memoise the previous partition lookup, as
+	// broker.Broker does: comparing the name beats hashing it per request.
+	lastTopic string
+	lastMeta  *topicMeta
 
 	cReplications   *obs.Counter
 	gReplication    *obs.Gauge
@@ -77,8 +81,10 @@ type Cluster struct {
 // prodJob carries one produce request through the cluster's asynchronous
 // routing pipeline (leader append, replication fan-out, ack counting)
 // without per-request closures. The request — batch records included —
-// is retained until the pipeline completes, so records must not alias
-// caller-reused buffers (the wire server deep-copies them at decode).
+// is retained until the pipeline completes and its payload bytes end up
+// owned by every replica's log, so they must be immutable from here on
+// (the wire server makes the one copy at decode; in-sim callers hand
+// over fresh or already-stored bytes).
 type prodJob struct {
 	c          *Cluster
 	pm         *partitionMeta
@@ -290,11 +296,17 @@ func (c *Cluster) Leader(topic string, partition int32) *broker.Broker {
 }
 
 func (c *Cluster) partition(topic string, partition int32) *partitionMeta {
-	tm, ok := c.topics[topic]
-	if !ok || partition < 0 || int(partition) >= len(tm.partitions) {
+	if c.lastMeta == nil || topic != c.lastTopic {
+		tm := c.topics[topic]
+		if tm == nil {
+			return nil
+		}
+		c.lastTopic, c.lastMeta = topic, tm
+	}
+	if partition < 0 || int(partition) >= len(c.lastMeta.partitions) {
 		return nil
 	}
-	return tm.partitions[partition]
+	return c.lastMeta.partitions[partition]
 }
 
 // liveReplicasInto appends the running replicas of a partition to dst,

@@ -501,67 +501,3 @@ func TestPropertyReplicationPrefixConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// The server's produce path decodes requests zero-copy (payloads alias
-// the connection's reused splitter buffer) and clones the batch before
-// handing it to the cluster. This test replays that sequence and then
-// scribbles over the wire buffer *before* the simulated append runs:
-// the stored log must still hold the original payloads.
-func TestProduceSurvivesSourceBufferReuse(t *testing.T) {
-	sim := des.New()
-	c := newCluster(t, sim)
-	orig := [][]byte{[]byte("alpha"), []byte("beta-beta"), nil}
-	req := wire.ProduceRequest{
-		CorrelationID: 1, Topic: "t", Partition: 0, Acks: wire.AcksAll,
-	}
-	for i, p := range orig {
-		req.Batch.Records = append(req.Batch.Records, wire.Record{Key: uint64(i + 1), Payload: p})
-	}
-	buf := req.Encode(nil)
-
-	var dec wire.Decoder
-	decoded, err := dec.ProduceRequest(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded.Batch.Records = wire.CloneRecords(decoded.Batch.Records)
-	var resp wire.ProduceResponse
-	c.HandleProduce(decoded, func(r wire.ProduceResponse) { resp = r })
-
-	// Simulate the connection reusing its read buffer for the next frame
-	// while the produce is still in flight in sim time.
-	for i := range buf {
-		buf[i] = 0xAA
-	}
-	sim.Run()
-	if resp.Err != wire.ErrNone {
-		t.Fatalf("produce failed: %v", resp.Err)
-	}
-
-	var fetched wire.FetchResponse
-	c.HandleFetch(wire.FetchRequest{Topic: "t", Partition: 0, Offset: 0, MaxRecords: 10},
-		func(r wire.FetchResponse) {
-			fetched = r
-			fetched.Records = wire.CloneRecords(r.Records)
-		})
-	if fetched.Err != wire.ErrNone || len(fetched.Records) != len(orig) {
-		t.Fatalf("fetch = %+v", fetched)
-	}
-	for i, r := range fetched.Records {
-		if !bytesEqual(r.Payload, orig[i]) {
-			t.Errorf("record %d payload = %q, want %q", i, r.Payload, orig[i])
-		}
-	}
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

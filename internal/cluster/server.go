@@ -77,9 +77,12 @@ func (s *Server) dispatch(f wire.FramePart) {
 		if s.dec.Topic == "" {
 			s.dec.Topic = req.Topic
 		}
-		// The cluster defers the append past this frame's lifetime (the
-		// splitter buffer and the decoder's record scratch are both
-		// reused), so the batch needs its own storage.
+		// The splitter buffer and the decoder's record scratch are both
+		// reused after this frame, so the batch gets its own storage here.
+		// This is the only copy a produced payload ever gets: the leader
+		// log and every follower log store these bytes as they are
+		// (storage.Log.Append takes ownership), so nothing downstream may
+		// write to them.
 		req.Batch.Records = wire.CloneRecords(req.Batch.Records)
 		if req.Acks == wire.AcksNone {
 			s.cluster.HandleProduce(req, nil)

@@ -8,7 +8,6 @@
 package des
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"time"
@@ -20,18 +19,16 @@ import (
 // before the event queue drained.
 var ErrStopped = errors.New("des: simulation stopped")
 
-// Event is a scheduled callback. It is returned by the scheduling methods
-// so callers can cancel it before it fires.
+// Event is the cancelable handle returned by Schedule and After.
 type Event struct {
 	at       time.Duration
-	seq      uint64
 	fn       func()
-	fnA      func(any) // hot-path form: fnA(arg) avoids a closure allocation
-	arg      any
-	index    int // position in the heap, -1 once removed
+	slot     int32 // index into Simulator.slots while pending, else noSlot
 	canceled bool
-	pooled   bool // recycled through the Simulator free list after firing
 }
+
+// noSlot marks a handle (Event, Timer, Ticker) with nothing pending.
+const noSlot = -1
 
 // At reports the virtual time the event is (or was) scheduled to fire.
 func (e *Event) At() time.Duration { return e.at }
@@ -42,22 +39,70 @@ func (e *Event) Canceled() bool { return e.canceled }
 
 // Simulator owns the virtual clock and the pending-event queue.
 // The zero value is ready to use.
+//
+// The queue is deliberately pointer-free. Pending events are split in
+// two: heap is a 4-ary min-heap of plain-integer items ordered by
+// (at, seq), and slots holds each pending event's callback, addressed
+// by the item's slot number. Sifting, popping and recycling therefore
+// compare and move integers only — no interface dispatch, no pointer
+// chasing in the comparison, and above all no GC write barriers and
+// nothing for the collector to scan: with a []*Event heap the barriers
+// on every swap were the simulator's largest single cost whenever a GC
+// cycle was in flight (EXPERIMENTS.md, "GC-quiet simulator core").
+// Do not fold the callback (or any other pointer) back into item, and
+// do not reintroduce container/heap.
 type Simulator struct {
 	now     time.Duration
 	seq     uint64
-	queue   eventQueue
 	stopped bool
 	fired   uint64
 
-	// free is a free list of pooled events. Only events scheduled through
-	// the internal pooled paths (ScheduleFunc/AfterFunc and the Timer /
-	// Ticker machinery) are recycled: their handles are never exposed, so
-	// a stale pointer can never Cancel a reused event. Events returned by
-	// Schedule/After are ordinary garbage-collected allocations.
-	free []*Event
+	heap  []item  // pending events in heap order
+	pos   []int32 // slot -> index in heap (meaningful while pending)
+	slots []slot  // slot -> callback
+	// free lists the slots not in use. A slot is released the moment its
+	// event is popped or canceled, so the callback's own rescheduling
+	// reuses it and a steady-state run allocates nothing.
+	free []int32
 
 	cFired    *obs.Counter
 	gQueueMax *obs.Gauge
+}
+
+// item is one heap entry. It must stay free of pointers (see Simulator).
+type item struct {
+	at   time.Duration
+	seq  uint64
+	slot int32
+}
+
+// before reports whether a fires before b: earlier time first, then
+// scheduling order. It is the branching form, for the tests whose outcome
+// is predictable (a sift-up that stops at once, a sift-down's exit).
+func (a item) before(b item) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// beforeBit is before as 0 or 1, computed without branches: which of a
+// node's children is the smallest is a coin toss to the branch predictor,
+// and mispredicting it on every level was most of a pop's cost.
+func (a item) beforeBit(b item) int {
+	return b2i(a.at < b.at) | b2i(a.at == b.at)&b2i(a.seq < b.seq)
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// slot is a pending event's callback. arg doubles as the owner check of
+// the cancelable forms: an *Event, *Timer or *Ticker is pending in a
+// slot exactly while the slot's arg is that handle.
+type slot struct {
+	fn  func(any)
+	arg any
 }
 
 // New returns an empty simulator whose clock starts at zero.
@@ -78,23 +123,20 @@ func (s *Simulator) Now() time.Duration { return s.now }
 func (s *Simulator) Fired() uint64 { return s.fired }
 
 // Pending returns the number of events currently scheduled.
-func (s *Simulator) Pending() int { return len(s.queue) }
+func (s *Simulator) Pending() int { return len(s.heap) }
 
 // Reset returns the simulator to its initial state — clock at zero, empty
 // queue, sequence counter rewound — while keeping allocated capacity (the
-// event heap's backing array and the event free list). A worker can
-// therefore reuse one Simulator across many trials without re-paying the
-// warm-up allocations. Instrument handles are detached; call Instrument
-// again for the next run.
+// heap, the slot table and its free list). A worker can therefore reuse
+// one Simulator across many trials without re-paying the warm-up
+// allocations. Handles to events that were still pending go stale: Cancel
+// and Timer.Stop on them do nothing. Instrument handles are detached; call
+// Instrument again for the next run.
 func (s *Simulator) Reset() {
-	for i, e := range s.queue {
-		e.index = -1
-		if e.pooled {
-			s.put(e)
-		}
-		s.queue[i] = nil
+	for _, it := range s.heap {
+		s.release(it.slot)
 	}
-	s.queue = s.queue[:0]
+	s.heap = s.heap[:0]
 	s.now = 0
 	s.seq = 0
 	s.fired = 0
@@ -103,37 +145,135 @@ func (s *Simulator) Reset() {
 	s.gQueueMax = nil
 }
 
-func (s *Simulator) get() *Event {
-	if n := len(s.free); n > 0 {
-		e := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		return e
-	}
-	return &Event{pooled: true}
+// release returns a slot to the free list. Only arg is cleared: it is
+// the per-event context and would keep a finished job reachable, whereas
+// fn is a long-lived function that the slot's next use overwrites.
+func (s *Simulator) release(sl int32) {
+	s.slots[sl].arg = nil
+	s.free = append(s.free, sl)
 }
 
-func (s *Simulator) put(e *Event) {
-	e.fn = nil
-	e.fnA = nil
-	e.arg = nil
-	e.canceled = false
-	s.free = append(s.free, e)
+// schedule queues fn(arg) at the absolute virtual time at and returns
+// the slot holding it. Scheduling in the past (before Now) is a
+// programming error and panics: it would silently reorder causality.
+func (s *Simulator) schedule(at time.Duration, fn func(any), arg any) int32 {
+	if at < s.now {
+		panic(fmt.Sprintf("des: schedule at %v before now %v", at, s.now))
+	}
+	var sl int32
+	if n := len(s.free); n > 0 {
+		sl = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.slots[sl] = slot{fn, arg}
+	} else {
+		sl = int32(len(s.slots))
+		s.slots = append(s.slots, slot{fn, arg})
+		s.pos = append(s.pos, 0)
+	}
+	it := item{at: at, seq: s.seq, slot: sl}
+	s.seq++
+	s.heap = append(s.heap, it)
+	s.siftUp(len(s.heap)-1, it)
+	return sl
+}
+
+// cancel removes the event pending in slot sl on behalf of owner and
+// reports whether it did. A handle whose event already fired, was
+// canceled, or was dropped by Reset no longer owns its slot (the slot is
+// free or belongs to a later event), so a stale cancel is a no-op.
+func (s *Simulator) cancel(sl int32, owner any) bool {
+	if sl < 0 || int(sl) >= len(s.slots) || s.slots[sl].arg != owner {
+		return false
+	}
+	s.removeAt(int(s.pos[sl]))
+	s.release(sl)
+	return true
+}
+
+// removeAt takes heap[i] out by moving the last item into its place.
+func (s *Simulator) removeAt(i int) {
+	n := len(s.heap) - 1
+	last := s.heap[n]
+	s.heap = s.heap[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && last.before(s.heap[(i-1)/4]) {
+		s.siftUp(i, last)
+	} else {
+		s.siftDown(i, last)
+	}
+}
+
+// siftUp places it at index i or above; i is a hole.
+func (s *Simulator) siftUp(i int, it item) {
+	h := s.heap
+	for i > 0 {
+		p := (i - 1) / 4
+		if !it.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		s.pos[h[i].slot] = int32(i)
+		i = p
+	}
+	h[i] = it
+	s.pos[it.slot] = int32(i)
+}
+
+// siftDown places it at index i or below; i is a hole.
+func (s *Simulator) siftDown(i int, it item) {
+	h := s.heap
+	for {
+		c := 4*i + 1
+		if c >= len(h) {
+			break
+		}
+		m := c
+		if c+4 <= len(h) {
+			// Full node, the common case: pick the smallest child with
+			// arithmetic instead of branches.
+			ch := h[c : c+4 : c+4]
+			a := ch[1].beforeBit(ch[0])
+			b := 2 + ch[3].beforeBit(ch[2])
+			a += (b - a) * ch[b&3].beforeBit(ch[a&3])
+			m = c + a
+		} else {
+			for k := c + 1; k < len(h); k++ {
+				if h[k].before(h[m]) {
+					m = k
+				}
+			}
+		}
+		if !h[m].before(it) {
+			break
+		}
+		h[i] = h[m]
+		s.pos[h[i].slot] = int32(i)
+		i = m
+	}
+	h[i] = it
+	s.pos[it.slot] = int32(i)
+}
+
+// fireEvent runs a Schedule/After event. The handle gives up its slot
+// first, so a Cancel from inside the callback (or any time later)
+// reports false.
+func fireEvent(a any) {
+	e := a.(*Event)
+	e.slot = noSlot
+	e.fn()
 }
 
 // Schedule runs fn at the absolute virtual time at. Scheduling in the past
 // (before Now) is a programming error and panics: it would silently
 // reorder causality.
 func (s *Simulator) Schedule(at time.Duration, fn func()) *Event {
-	if at < s.now {
-		panic(fmt.Sprintf("des: schedule at %v before now %v", at, s.now))
-	}
 	if fn == nil {
 		panic("des: schedule with nil callback")
 	}
-	e := &Event{at: at, seq: s.seq, fn: fn}
-	s.seq++
-	heap.Push(&s.queue, e)
+	e := &Event{at: at, fn: fn}
+	e.slot = s.schedule(at, fireEvent, e)
 	return e
 }
 
@@ -146,21 +286,22 @@ func (s *Simulator) After(d time.Duration, fn func()) *Event {
 	return s.Schedule(s.now+d, fn)
 }
 
-// ScheduleFunc runs fn(arg) at the absolute virtual time at. The event is
-// drawn from the simulator's free list and recycled after it fires, so a
-// steady-state caller allocates nothing; in exchange there is no handle to
-// Cancel. Passing a pointer-shaped arg (a pointer or a func value) avoids
-// boxing. Use Schedule when the event may need to be canceled.
+// ScheduleFunc runs fn(arg) at the absolute virtual time at. Nothing is
+// allocated in steady state; in exchange there is no handle to Cancel.
+// Passing a pointer-shaped arg (a pointer or a func value) avoids boxing.
+// fn should be a function that outlives the run (a package-level function,
+// not a per-event closure): a recycled slot keeps its last fn until reuse.
+// Use Schedule when the event may need to be canceled.
 func (s *Simulator) ScheduleFunc(at time.Duration, fn func(any), arg any) {
 	if fn == nil {
 		panic("des: schedule with nil callback")
 	}
-	s.schedulePooled(at, fn, arg)
+	s.schedule(at, fn, arg)
 }
 
 // AfterFunc runs fn(arg) d after the current virtual time, with the same
-// pooled, non-cancelable semantics as ScheduleFunc. Negative d is clamped
-// to zero.
+// allocation-free, non-cancelable semantics as ScheduleFunc. Negative d is
+// clamped to zero.
 func (s *Simulator) AfterFunc(d time.Duration, fn func(any), arg any) {
 	if fn == nil {
 		panic("des: schedule with nil callback")
@@ -168,25 +309,7 @@ func (s *Simulator) AfterFunc(d time.Duration, fn func(any), arg any) {
 	if d < 0 {
 		d = 0
 	}
-	s.schedulePooled(s.now+d, fn, arg)
-}
-
-// schedulePooled is the pooled scheduling core. The returned event is
-// owned by the timer machinery that requested it: the owner must drop its
-// pointer no later than when the event fires or is canceled, because the
-// event is recycled at that point.
-func (s *Simulator) schedulePooled(at time.Duration, fn func(any), arg any) *Event {
-	if at < s.now {
-		panic(fmt.Sprintf("des: schedule at %v before now %v", at, s.now))
-	}
-	e := s.get()
-	e.at = at
-	e.seq = s.seq
-	e.fnA = fn
-	e.arg = arg
-	s.seq++
-	heap.Push(&s.queue, e)
-	return e
+	s.schedule(s.now+d, fn, arg)
 }
 
 // Cancel removes a pending event and reports whether it did. Canceling an
@@ -194,15 +317,11 @@ func (s *Simulator) schedulePooled(at time.Duration, fn func(any), arg any) *Eve
 // leaves the event unmarked, so Canceled() faithfully reports only events
 // that were removed before firing.
 func (s *Simulator) Cancel(e *Event) bool {
-	if e == nil || e.index < 0 {
+	if e == nil || !s.cancel(e.slot, e) {
 		return false
 	}
-	heap.Remove(&s.queue, e.index)
-	e.index = -1
+	e.slot = noSlot
 	e.canceled = true
-	if e.pooled {
-		s.put(e)
-	}
 	return true
 }
 
@@ -233,10 +352,10 @@ func (s *Simulator) run(deadline time.Duration, limit uint64) error {
 	// Track the queue high-water mark in a local and publish it once at
 	// the end: Gauge.SetMax is a CAS loop and does not belong in the
 	// per-event inner loop.
-	qmax := len(s.queue)
+	qmax := len(s.heap)
 	var err error
-	for len(s.queue) > 0 {
-		if n := len(s.queue); n > qmax {
+	for len(s.heap) > 0 {
+		if n := len(s.heap); n > qmax {
 			qmax = n
 		}
 		if s.stopped {
@@ -247,63 +366,24 @@ func (s *Simulator) run(deadline time.Duration, limit uint64) error {
 			err = ErrStopped
 			break
 		}
-		next := s.queue[0]
+		next := s.heap[0]
 		if deadline >= 0 && next.at > deadline {
 			s.now = deadline
 			break
 		}
-		heap.Pop(&s.queue)
-		next.index = -1
+		s.removeAt(0)
+		sl := &s.slots[next.slot]
+		fn, arg := sl.fn, sl.arg
+		s.release(next.slot)
 		s.now = next.at
 		s.fired++
 		executed++
 		s.cFired.Inc()
-		if next.fnA != nil {
-			next.fnA(next.arg)
-		} else {
-			next.fn()
-		}
-		if next.pooled {
-			s.put(next)
-		}
+		fn(arg)
 	}
 	if err == nil && deadline >= 0 && deadline > s.now {
 		s.now = deadline
 	}
 	s.gQueueMax.SetMax(int64(qmax))
 	return err
-}
-
-// eventQueue is a min-heap ordered by (time, sequence number).
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
 }

@@ -2,6 +2,7 @@ package des
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -547,5 +548,32 @@ func BenchmarkScheduleRun(b *testing.B) {
 		if err := sim.Run(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFire is the unit behind the repository benchmark's
+// des.fire_ns_d64 / _d4096: one pop plus one push at a steady queue depth.
+func BenchmarkFire(b *testing.B) {
+	delays := make([]time.Duration, 1024)
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := range delays {
+		delays[i] = time.Duration(1+rng.IntN(1000)) * time.Microsecond
+	}
+	for _, depth := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			sim := New()
+			next := 0
+			var fire func(any)
+			fire = func(any) {
+				sim.AfterFunc(delays[next&1023], fire, nil)
+				next++
+			}
+			for i := 0; i < depth; i++ {
+				fire(nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			_ = sim.RunLimit(uint64(b.N))
+		})
 	}
 }

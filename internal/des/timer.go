@@ -6,12 +6,11 @@ import "time"
 // time.Timer but in virtual time. The zero value is not usable; create
 // timers with NewTimer.
 //
-// Timers schedule through the simulator's pooled event path: arming and
-// firing a timer allocates nothing in steady state.
+// Arming and firing a timer allocates nothing in steady state.
 type Timer struct {
-	sim *Simulator
-	fn  func()
-	ev  *Event
+	sim  *Simulator
+	fn   func()
+	slot int32 // the pending expiry's slot, noSlot when unarmed
 }
 
 // NewTimer returns a stopped timer that will invoke fn when it fires.
@@ -22,16 +21,14 @@ func NewTimer(sim *Simulator, fn func()) *Timer {
 	if fn == nil {
 		panic("des: NewTimer with nil callback")
 	}
-	return &Timer{sim: sim, fn: fn}
+	return &Timer{sim: sim, fn: fn, slot: noSlot}
 }
 
-// timerFire clears the timer's event pointer before invoking the callback
-// so the pooled event can be recycled safely: by the time run() returns
-// it to the free list, the timer no longer references it (and fn may have
-// re-armed the timer with a fresh event).
+// timerFire disarms the timer before invoking the callback: the slot was
+// released when the expiry was popped, and fn may re-arm the timer.
 func timerFire(a any) {
 	t := a.(*Timer)
-	t.ev = nil
+	t.slot = noSlot
 	t.fn()
 }
 
@@ -42,27 +39,28 @@ func (t *Timer) Reset(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	t.ev = t.sim.schedulePooled(t.sim.now+d, timerFire, t)
+	t.slot = t.sim.schedule(t.sim.now+d, timerFire, t)
 }
 
 // Stop cancels a pending expiry. Stopping an unarmed timer is a no-op.
 func (t *Timer) Stop() {
-	if t.ev != nil {
-		t.sim.Cancel(t.ev)
-		t.ev = nil
+	if t.slot != noSlot {
+		t.sim.cancel(t.slot, t)
+		t.slot = noSlot
 	}
 }
 
 // Armed reports whether the timer has a pending expiry.
-func (t *Timer) Armed() bool { return t.ev != nil }
+func (t *Timer) Armed() bool { return t.slot != noSlot }
 
 // Ticker repeatedly invokes a callback at a fixed virtual-time period
 // until stopped.
 type Ticker struct {
-	sim    *Simulator
-	period time.Duration
-	fn     func()
-	ev     *Event
+	sim     *Simulator
+	period  time.Duration
+	fn      func()
+	slot    int32 // the pending tick's slot
+	stopped bool
 }
 
 // NewTicker returns a started ticker firing every period. A non-positive
@@ -81,24 +79,21 @@ func NewTicker(sim *Simulator, period time.Duration, fn func()) *Ticker {
 
 func tickerFire(a any) {
 	t := a.(*Ticker)
-	t.ev = nil
+	t.slot = noSlot
 	t.fn()
-	if t.ev == nil { // fn may have called Stop; only rearm if it did not
+	if !t.stopped { // fn may have called Stop
 		t.schedule()
 	}
 }
 
 func (t *Ticker) schedule() {
-	t.ev = t.sim.schedulePooled(t.sim.now+t.period, tickerFire, t)
+	t.slot = t.sim.schedule(t.sim.now+t.period, tickerFire, t)
 }
 
 // Stop cancels future ticks. It may be called from inside the tick
 // callback.
 func (t *Ticker) Stop() {
-	if t.ev != nil {
-		t.sim.Cancel(t.ev)
-	}
-	// Leave a sentinel so the in-callback rearm check sees a non-nil event
-	// and does not reschedule.
-	t.ev = &Event{canceled: true, index: -1}
+	t.sim.cancel(t.slot, t)
+	t.slot = noSlot
+	t.stopped = true
 }

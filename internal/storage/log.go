@@ -25,9 +25,7 @@ type Entry struct {
 	Record wire.Record
 }
 
-// segment holds a contiguous run of records starting at base. Payload
-// bytes live in the log's arena blocks (see Log.arena), so stored
-// records never alias caller-owned (possibly reused) buffers.
+// segment holds a contiguous run of records starting at base.
 type segment struct {
 	base    int64
 	records []wire.Record
@@ -41,18 +39,7 @@ type Log struct {
 	flushed    int64 // offsets below this survived the last fsync
 	maxSegment int
 	bytes      uint64
-	// arena is the current payload block. Payloads are copied here at
-	// append time; when the block fills, a fresh one replaces it rather
-	// than growing in place, so existing payload aliases are never
-	// invalidated by a copy-on-grow and no block is ever written twice.
-	// Retired blocks stay reachable through the records that alias them
-	// and are reclaimed when truncation drops those records.
-	arena []byte
 }
-
-// arenaBlockSize is the allocation unit for payload storage. Oversized
-// payloads get a dedicated block.
-const arenaBlockSize = 64 << 10
 
 // DefaultSegmentRecords is the roll threshold when NewLog is given a
 // non-positive one.
@@ -71,39 +58,33 @@ func NewLog(maxSegmentRecords int) *Log {
 // returning the base offset of the batch. Appending zero records returns
 // the current log end.
 //
-// The log copies payload bytes into its own arena blocks, so callers
-// may reuse or mutate the source buffers (for example records decoded
-// zero-copy from a network buffer) as soon as Append returns.
+// The log takes ownership of the payload bytes and stores them without
+// copying: they must never change after Append returns. The records slice
+// itself is copied and may be reused. Any number of logs (a partition's
+// replicas) may own the same immutable bytes; a caller holding records
+// decoded zero-copy from a reused buffer clones them once
+// (wire.CloneRecords) before the first Append.
 func (l *Log) Append(records []wire.Record) int64 {
 	base := l.end
-	for _, r := range records {
-		l.appendOne(r)
+	for len(records) > 0 {
+		n := len(l.segments)
+		if n == 0 || len(l.segments[n-1].records) >= l.maxSegment {
+			l.segments = append(l.segments, &segment{base: l.end})
+			n++
+		}
+		seg := l.segments[n-1]
+		fit := records
+		if room := l.maxSegment - len(seg.records); len(fit) > room {
+			fit = fit[:room]
+		}
+		seg.records = append(seg.records, fit...)
+		for i := range fit {
+			l.bytes += uint64(fit[i].EncodedSize())
+		}
+		l.end += int64(len(fit))
+		records = records[len(fit):]
 	}
 	return base
-}
-
-func (l *Log) appendOne(r wire.Record) {
-	n := len(l.segments)
-	if n == 0 || len(l.segments[n-1].records) >= l.maxSegment {
-		l.segments = append(l.segments, &segment{base: l.end})
-		n++
-	}
-	seg := l.segments[n-1]
-	if pn := len(r.Payload); pn > 0 {
-		if len(l.arena)+pn > cap(l.arena) {
-			size := arenaBlockSize
-			if pn > size {
-				size = pn
-			}
-			l.arena = make([]byte, 0, size)
-		}
-		start := len(l.arena)
-		l.arena = append(l.arena, r.Payload...)
-		r.Payload = l.arena[start : start+pn : start+pn]
-	}
-	seg.records = append(seg.records, r)
-	l.end++
-	l.bytes += uint64(r.EncodedSize())
 }
 
 // End returns the log end offset (the offset the next record will get).
@@ -162,15 +143,22 @@ func (l *Log) ReadInto(offset int64, max int, dst []Entry) ([]Entry, error) {
 		out = make([]Entry, 0, max)
 	}
 	for _, seg := range l.findSegments(offset) {
-		for i, r := range seg.records {
-			o := seg.base + int64(i)
-			if o < offset {
-				continue
-			}
-			out = append(out, Entry{Offset: o, Record: r})
-			if len(out) == max {
-				return out, nil
-			}
+		// Only the first segment starts mid-way; later ones start at
+		// their base, where offset has already been passed.
+		first := 0
+		if offset > seg.base {
+			first = int(offset - seg.base)
+		}
+		recs := seg.records[first:]
+		if room := max - len(out); len(recs) > room {
+			recs = recs[:room]
+		}
+		o := seg.base + int64(first)
+		for i := range recs {
+			out = append(out, Entry{Offset: o + int64(i), Record: recs[i]})
+		}
+		if len(out) == max {
+			break
 		}
 	}
 	return out, nil

@@ -109,10 +109,22 @@ func (c Calibration) FullLoadRate(m int) float64 {
 type costModel struct {
 	cal Calibration
 	rng *rand.Rand
+	// lastBytes/lastMicros memoise ioMeanMicros: the payload size is
+	// constant within a run and math.Pow per record is not cheap. The
+	// same input gives the same float, so results are bit-identical.
+	lastBytes  int
+	lastMicros float64
 }
 
 func newCostModel(cal Calibration, rng *rand.Rand) *costModel {
-	return &costModel{cal: cal, rng: rng}
+	return &costModel{cal: cal, rng: rng, lastBytes: -1}
+}
+
+func (cm *costModel) ioMeanMicros(m int) float64 {
+	if m != cm.lastBytes {
+		cm.lastBytes, cm.lastMicros = m, cm.cal.ioMeanMicros(m)
+	}
+	return cm.lastMicros
 }
 
 func (cm *costModel) jitter() float64 {
@@ -124,13 +136,13 @@ func (cm *costModel) jitter() float64 {
 
 // IOTime implements producer.CostModel.
 func (cm *costModel) IOTime(payloadBytes int) time.Duration {
-	us := cm.cal.ioMeanMicros(payloadBytes) * cm.jitter()
+	us := cm.ioMeanMicros(payloadBytes) * cm.jitter()
 	return time.Duration(us * float64(time.Microsecond))
 }
 
 // SerTime implements producer.CostModel.
 func (cm *costModel) SerTime(payloadBytes int) time.Duration {
-	us := cm.cal.ioMeanMicros(payloadBytes) * cm.cal.SerFactor * cm.jitter()
+	us := cm.ioMeanMicros(payloadBytes) * cm.cal.SerFactor * cm.jitter()
 	d := time.Duration(us * float64(time.Microsecond))
 	if cm.cal.StallProb > 0 && cm.rng.Float64() < cm.cal.StallProb {
 		stall := cm.cal.StallMinMs + (cm.cal.StallMaxMs-cm.cal.StallMinMs)*cm.rng.Float64()
