@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race bench bench-repo bench-json bench-scaling bench-gate profile repro chaos-smoke shim-gate
+.PHONY: check build fmt vet test race bench bench-repo bench-seeds bench-json bench-scaling bench-gate profile repro chaos-smoke shim-gate
 
 ## check: the full quality gate — formatting, build, vet, race-enabled
 ## tests, the retired-shim grep gate, and a fixed-seed chaos campaign.
@@ -34,6 +34,26 @@ bench:
 ## two result sets with `go run ./bench -agree a.json b.json`.
 bench-repo:
 	$(GO) run ./bench -trace 0 -o bench/out/head.json
+
+## bench-seeds: the repository benchmark as a correctness sweep over
+## seeds — one untimed repeat each, so a seed-dependent failure (a chaos
+## verifier tripping on one generated plan in thirty) is found here and
+## not by whoever next runs the benchmark at a seed nobody tried.
+## chaos_mix, whose fault plans the seed generates, runs at every seed of
+## CHAOS_SEEDS; the other three workloads at 1, 2 and 45798949 (the seed
+## that exposed the recovered-replica bug). Fails on any correct=false
+## and, at seed 1, on a fingerprint that left bench/golden.json.
+CHAOS_SEEDS = 1 2 45798949 3 5 7 11 13 17 101 202 4242 65537 20260806 271828182 3141592653
+bench-seeds:
+	@mkdir -p bench/out && $(GO) build -o bench/out/bench-seeds ./bench
+	@fail=0; \
+	run() { out="$$(bench/out/bench-seeds -workload $$1 -seed $$2 -trace 0 -repeats 1 2>&1)"; \
+		echo "$$out" | grep -E '^workload|FAILED' | sed "s/^/seed $$2: /"; \
+		if echo "$$out" | grep -qE 'correct=false|sim_stats_changed: true' || ! echo "$$out" | grep -q 'correct=true'; then \
+			echo "bench-seeds: $$1 at seed $$2 failed"; fail=1; fi; }; \
+	for s in $(CHAOS_SEEDS); do run chaos_mix $$s; done; \
+	for w in fig7_sweep ingest_steady fleet_fanout; do for s in 1 2 45798949; do run $$w $$s; done; done; \
+	exit $$fail
 
 ## bench-json: the observability benchmarks (obs overhead, timeline,
 ## exprun scaling, fleet) as a machine-readable artefact. EXPERIMENTS.md
@@ -85,11 +105,17 @@ bench-gate:
 	$(GO) run ./cmd/benchgate -baseline BENCH_obs.json -fresh BENCH_fresh.json -match Rebalance \
 		-max-regression 0.60
 
-## profile: CPU + heap profiles of a fixed-seed sequential Fig. 7
-## reproduction (cpu.pprof / heap.pprof). Inspect with
-## `go tool pprof -top cpu.pprof`.
+## profile: CPU + heap profiles (cpu.pprof / heap.pprof) of one
+## repository-benchmark workload — make profile WORKLOAD=ingest_steady;
+## fig7_sweep when not given — run sequentially at GOMAXPROCS=1 as the
+## benchmark's headline pass is, at a fixed seed and run count, plus the
+## top-40 tables of CPU time and allocated bytes (cpu-top.txt /
+## alloc-top.txt).
+WORKLOAD ?= fig7_sweep
 profile:
-	$(GO) run ./cmd/profile
+	GOMAXPROCS=1 $(GO) run ./cmd/profile -workload $(WORKLOAD)
+	$(GO) tool pprof -top -nodecount 40 cpu.pprof > cpu-top.txt
+	$(GO) tool pprof -top -nodecount 40 -sample_index=alloc_space heap.pprof > alloc-top.txt
 
 repro:
 	$(GO) run ./cmd/repro -n 20000 all

@@ -1,36 +1,117 @@
-// Command profile runs a fixed-seed Fig. 7 reproduction under the Go
-// profiler and writes cpu.pprof and heap.pprof. It exists so hot-path
-// work (issue 5's allocation overhaul) is measured against a stable,
-// deterministic workload instead of ad-hoc one-off runs:
+// Command profile runs one of the repository benchmark's four workloads
+// (BENCHMARK.json) under the Go profiler and writes cpu.pprof and
+// heap.pprof, so hot-path work is measured against the workload the
+// benchmark gates on instead of an ad-hoc one-off run:
 //
-//	make profile
+//	make profile WORKLOAD=ingest_steady   # also writes cpu-top.txt, alloc-top.txt
 //	go tool pprof -top cpu.pprof
 //	go tool pprof -top -sample_index=alloc_space heap.pprof
 //
-// The workload is the same 88-experiment Fig. 7 grid the scaling
-// benchmarks time (Messages=600, Seed=1), run sequentially so profiles
-// attribute cost to the simulation stack rather than pool scheduling.
+// The workload inputs mirror bench/workloads.go (that package is a
+// command and cannot be imported); seed and run count are constants, and
+// everything runs sequentially — `make profile` pins GOMAXPROCS=1 as the
+// benchmark's headline pass does — so profiles attribute cost to the
+// simulation stack rather than pool scheduling.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sort"
+	"strings"
 	"time"
 
-	"kafkarel"
+	"kafkarel/internal/chaos/campaign"
+	"kafkarel/internal/features"
+	"kafkarel/internal/figures"
+	"kafkarel/internal/testbed"
 )
 
+const (
+	// seed is the held-out seed perf claims are measured at (seed 1 is
+	// pinned in bench/golden.json).
+	seed = 2
+	// runs is how many times the workload repeats under the profiler: at
+	// ≈0.5–1 s a run, enough samples for a stable top.
+	runs = 8
+)
+
+var workloads = map[string]func() error{
+	"fig7_sweep": func() error {
+		_, err := figures.Fig7(figures.Options{Messages: 4000, Seed: seed, Workers: 1})
+		return err
+	},
+	"ingest_steady": func() error {
+		_, err := testbed.Run(testbed.Experiment{
+			Features: features.Vector{
+				MessageSize:    200,
+				Timeliness:     5 * time.Second,
+				DelayMs:        1,
+				Semantics:      features.SemanticsAtLeastOnce,
+				BatchSize:      10,
+				MessageTimeout: 1500 * time.Millisecond,
+			},
+			Messages:          300000,
+			Seed:              seed,
+			Partitions:        4,
+			ReplicationFactor: 3,
+		})
+		return err
+	},
+	"fleet_fanout": func() error {
+		_, err := testbed.RunFleetContext(context.Background(), testbed.Fleet{
+			Features: features.Vector{
+				MessageSize:    200,
+				Timeliness:     5 * time.Second,
+				DelayMs:        5,
+				LossRate:       0.02,
+				Semantics:      features.SemanticsAtLeastOnce,
+				BatchSize:      2,
+				MessageTimeout: 1500 * time.Millisecond,
+			},
+			Producers:         32,
+			Topics:            8,
+			Partitions:        8,
+			Messages:          44800,
+			Seed:              seed,
+			ConsumersPerTopic: 2,
+			Groups:            2,
+		}, 1)
+		return err
+	},
+	"chaos_mix": func() error {
+		for _, cfg := range []campaign.Config{
+			{Mode: campaign.ModeExactlyOnce, E2E: true, Trials: 100},
+			{Mode: campaign.ModeTxn, Trials: 100},
+			{Mode: campaign.ModeCoop, Trials: 10},
+		} {
+			cfg.Seed, cfg.Messages, cfg.Workers = seed, 300, 1
+			if _, err := campaign.Run(context.Background(), cfg); err != nil {
+				return err
+			}
+		}
+		return nil
+	},
+}
+
 func run() error {
+	name := flag.String("workload", "fig7_sweep", "benchmark workload to profile")
 	cpuOut := flag.String("cpu", "cpu.pprof", "CPU profile output path")
 	heapOut := flag.String("heap", "heap.pprof", "heap profile output path")
-	messages := flag.Int("n", 600, "messages per experiment")
-	seed := flag.Uint64("seed", 1, "workload seed")
-	workers := flag.Int("workers", 1, "worker-pool size")
-	rounds := flag.Int("rounds", 10, "times to repeat the Fig. 7 grid")
 	flag.Parse()
+	workload, ok := workloads[*name]
+	if !ok {
+		names := make([]string, 0, len(workloads))
+		for n := range workloads {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		return fmt.Errorf("unknown workload %q (have %s)", *name, strings.Join(names, ", "))
+	}
 
 	f, err := os.Create(*cpuOut)
 	if err != nil {
@@ -40,24 +121,18 @@ func run() error {
 	if err := pprof.StartCPUProfile(f); err != nil {
 		return err
 	}
-
 	start := time.Now()
-	var points int
-	for r := 0; r < *rounds; r++ {
-		ps, err := kafkarel.Fig7(kafkarel.FigureOptions{
-			Messages: *messages, Seed: *seed, Workers: *workers,
-		})
-		if err != nil {
+	for r := 0; r < runs; r++ {
+		if err := workload(); err != nil {
 			pprof.StopCPUProfile()
 			return err
 		}
-		points = len(ps)
 	}
 	elapsed := time.Since(start)
 	pprof.StopCPUProfile()
 
-	// Heap profile after the run: with the hot paths pooled this shows
-	// retained working-set, and alloc_space shows cumulative churn.
+	// Heap profile after the run: inuse shows the retained working set,
+	// alloc_space the cumulative churn.
 	runtime.GC()
 	h, err := os.Create(*heapOut)
 	if err != nil {
@@ -70,17 +145,11 @@ func run() error {
 
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	fmt.Printf("fig7 x%d: %d points, %v (%v/round), %d cumulative allocs, %s\n",
-		*rounds, points, elapsed.Round(time.Millisecond),
-		(elapsed / time.Duration(*rounds)).Round(time.Millisecond),
-		ms.Mallocs, byteCount(ms.TotalAlloc))
+	fmt.Printf("%s x%d at seed %d, GOMAXPROCS=%d: %v (%v/run), %d cumulative allocs, %.1f MiB\n",
+		*name, runs, seed, runtime.GOMAXPROCS(0), elapsed.Round(time.Millisecond),
+		(elapsed / runs).Round(time.Millisecond), ms.Mallocs, float64(ms.TotalAlloc)/(1<<20))
 	fmt.Printf("wrote %s and %s\n", *cpuOut, *heapOut)
 	return nil
-}
-
-func byteCount(b uint64) string {
-	const mb = 1 << 20
-	return fmt.Sprintf("%.1f MiB", float64(b)/mb)
 }
 
 func main() {

@@ -187,9 +187,8 @@ type Broker struct {
 	cUnclean    *obs.Counter
 	trace       *obs.Tracer
 
-	freeJobs     []*produceJob   // recycled produce-service jobs
-	fetchEntries []storage.Entry // HandleFetch read scratch
-	fetchRecords []wire.Record   // HandleFetch response scratch
+	freeJobs     []*produceJob // recycled produce-service jobs
+	fetchRecords []wire.Record // HandleFetch scratch for a fetch that spans segments
 }
 
 // New creates a running broker with the given node ID.
@@ -625,10 +624,12 @@ func (b *Broker) HandleProduce(req wire.ProduceRequest, idempotent bool, done fu
 // past the whole filtered run, so readers keep per-record offsets as
 // req.Offset+i and resume from NextOffset.
 //
-// The response's Records slice is scratch owned by the broker, reused by
-// the next HandleFetch: consume or copy it inside done. The record
-// payloads alias the partition log and stay valid for the life of the
-// log.
+// The response's Records slice is a view, valid only inside done: it is
+// the partition log's own slots (storage.Log.View) or, when the fetch
+// crosses a segment boundary, scratch the next HandleFetch reuses. An
+// unclean crash that truncates the log followed by new appends overwrites
+// those slots, so consume or copy the records before done returns. The
+// record payloads are immutable and stay valid for the life of the log.
 func (b *Broker) HandleFetch(req wire.FetchRequest, done func(wire.FetchResponse)) {
 	if !b.up || done == nil {
 		return
@@ -678,23 +679,25 @@ func (b *Broker) HandleFetch(req wire.FetchRequest, done func(wire.FetchResponse
 		done(resp)
 		return
 	}
-	entries, err := log.ReadInto(pos, max, b.fetchEntries[:0])
+	// Cut at the first filtered offset, then take the run where it lies.
+	max = int(ts.firstFiltered(pos, pos+int64(max), req.Isolation) - pos)
+	recs, err := log.View(pos, max)
+	if err == nil && len(recs) < max {
+		// The run ended at a segment boundary with more to serve: stitch
+		// the pieces together in scratch.
+		recs = append(b.fetchRecords[:0], recs...)
+		for len(recs) < max && err == nil {
+			var run []wire.Record
+			run, err = log.View(pos+int64(len(recs)), max-len(recs))
+			recs = append(recs, run...)
+		}
+		b.fetchRecords = recs
+	}
 	if err != nil {
 		resp.Err = wire.ErrRequestTimedOut
 		done(resp)
 		return
 	}
-	if entries != nil {
-		b.fetchEntries = entries
-	}
-	recs := b.fetchRecords[:0]
-	for _, e := range entries {
-		if ts.filtered(e.Offset, req.Isolation) {
-			break
-		}
-		recs = append(recs, e.Record)
-	}
-	b.fetchRecords = recs
 	resp.Records = recs
 	next := pos + int64(len(recs))
 	for next < limit && ts.filtered(next, req.Isolation) {

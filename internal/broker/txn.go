@@ -119,6 +119,26 @@ func (ts *txnState) filtered(offset int64, iso wire.IsolationLevel) bool {
 	return iso == wire.ReadCommitted && ts.isAborted(offset)
 }
 
+// firstFiltered returns the lowest offset in [from, to) that filtered
+// would hide at the isolation level, or to when there is none.
+func (ts *txnState) firstFiltered(from, to int64, iso wire.IsolationLevel) int64 {
+	if i := sort.Search(len(ts.control), func(i int) bool { return ts.control[i] >= from }); i < len(ts.control) && ts.control[i] < to {
+		to = ts.control[i]
+	}
+	if iso == wire.ReadCommitted {
+		// The first aborted range ending beyond from: it hides from, or
+		// starts later.
+		if i := sort.Search(len(ts.aborted), func(i int) bool { return ts.aborted[i].Next > from }); i < len(ts.aborted) {
+			if first := ts.aborted[i].First; first <= from {
+				to = from
+			} else if first < to {
+				to = first
+			}
+		}
+	}
+	return to
+}
+
 // clone deep-copies the state for flush snapshots.
 func (ts *txnState) clone() *txnState {
 	cp := &txnState{

@@ -410,3 +410,26 @@ func TestCoopCampaignHoldsInvariantsAndBeatsEager(t *testing.T) {
 		}
 	}
 }
+
+// TestCoopPlansThatLostAnAckedCommit replays the three generated plans
+// (one from the benchmark's seed 45798949, two from `-coop -trials 300
+// -seed 101`) that used to fail with "committed offsets regressed despite
+// offsets replication 3": a broker recovered while an acks=all offsets-log
+// batch sat in a slowed leader's service time, never received the batch,
+// and later led the partition without it (cluster.joinRecovered). They
+// must pass with nothing flagged.
+func TestCoopPlansThatLostAnAckedCommit(t *testing.T) {
+	for _, seeds := range [][2]uint64{
+		{2105870271889066440, 1815732687596387917},
+		{6945454717920826184, 4383270858743804780},
+		{13940118944754626741, 13434040110859652870},
+	} {
+		row, err := RunTrial(Config{Mode: ModeCoop}, seeds[0], seeds[1])
+		if err != nil {
+			t.Fatalf("plan %d: %v", seeds[0], err)
+		}
+		if !row.Pass || len(row.Violations) > 0 || len(row.Classified) > 0 {
+			t.Errorf("plan %d: pass=%v violations=%v classified=%v", seeds[0], row.Pass, row.Violations, row.Classified)
+		}
+	}
+}

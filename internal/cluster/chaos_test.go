@@ -184,3 +184,60 @@ func TestStatsAll(t *testing.T) {
 		t.Errorf("cluster-wide appends = %d, want 3 (leader + 2 replicas)", total.RecordsAppended)
 	}
 }
+
+// A replica recovered while an acks=all batch sits in the (slowed)
+// leader's service time catches up from a leader log that does not hold
+// the batch yet, and was down when the batch's follower set was captured.
+// It must still receive the batch: otherwise it is live, one record
+// short, and drops an acknowledged record the day it is elected leader —
+// with nothing but clean stops at RF 3.
+func TestRecoveredReplicaJoinsInflightAcksAllBatch(t *testing.T) {
+	sim := des.New()
+	c := newCluster(t, sim)
+	leader := c.Leader("t", 0)
+	late := c.Broker((leader.ID() + 1) % 3) // next in line for leadership
+	at := func(us int, fn func()) { sim.Schedule(time.Duration(us)*time.Microsecond, fn) }
+
+	var acks []wire.ProduceResponse
+	done := func(r wire.ProduceResponse) { acks = append(acks, r) }
+	at(0, func() { c.HandleProduce(produceReq(1, wire.AcksAll, 1, 2), done) })
+	at(1000, func() {
+		if err := c.FailBroker(late.ID()); err != nil {
+			t.Error(err)
+		}
+		leader.SetSlowdown(5) // service time 50us -> 250us
+	})
+	// Routed at 2000us with late down; the leader appends at about 2250us.
+	at(2000, func() { c.HandleProduce(produceReq(2, wire.AcksAll, 3), done) })
+	at(2100, func() {
+		if err := c.RecoverBroker(late.ID()); err != nil {
+			t.Error(err)
+		}
+		if got := late.Log("t", 0).End(); got != 2 {
+			t.Errorf("catch-up mid-service copied %d records, want the 2 the leader held", got)
+		}
+	})
+	at(10000, func() {
+		if len(acks) != 2 || acks[1].Err != wire.ErrNone || acks[1].BaseOffset != 2 {
+			t.Fatalf("acks before failover = %+v", acks)
+		}
+		if err := c.FailBroker(leader.ID()); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Leader("t", 0); got != late {
+		t.Fatalf("new leader = broker %d, want the recovered replica %d", got.ID(), late.ID())
+	}
+	entries, err := late.Log("t", 0).Read(0, 10)
+	if err != nil || len(entries) != 3 || entries[2].Record.Key != 3 {
+		t.Fatalf("new leader's log = %v, %v; the acknowledged record at offset 2 is gone", entries, err)
+	}
+	for id := int32(0); id < 3; id++ {
+		if !bytes.Equal(logDump(c.Broker(id).Log("t", 0)), logDump(late.Log("t", 0))) {
+			t.Errorf("broker %d log differs from the new leader's", id)
+		}
+	}
+}

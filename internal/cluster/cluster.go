@@ -7,6 +7,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -411,14 +412,14 @@ func (c *Cluster) RecoverBroker(id int32) error {
 			if dst.End() > src.End() {
 				dst.TruncateTo(src.End())
 			}
-			if dst.End() < src.End() {
-				entries, err := src.Read(dst.End(), int(src.End()-dst.End()))
+			for dst.End() < src.End() {
+				// One leader segment's worth at a time, straight from the
+				// leader's slots into the replica's.
+				run, err := src.View(dst.End(), int(src.End()-dst.End()))
 				if err != nil {
 					return fmt.Errorf("cluster: catch-up read: %w", err)
 				}
-				for _, e := range entries {
-					dst.Append([]wire.Record{e.Record})
-				}
+				dst.Append(run)
 			}
 			// The log now mirrors the leader's, so the idempotent dedupe
 			// state must too — otherwise a retry routed here after a later
@@ -565,6 +566,7 @@ func allLeaderDone(a any, resp wire.ProduceResponse) {
 	c := j.c
 	if resp.Err == wire.ErrNone {
 		c.observeSpan(c.hSpanAppend, &j.req)
+		c.joinRecovered(j)
 	}
 	if resp.Err != wire.ErrNone || len(j.followers) <= 1 {
 		if resp.Err == wire.ErrNone {
@@ -587,6 +589,22 @@ func allLeaderDone(a any, resp wire.ProduceResponse) {
 		s := c.getSend()
 		s.j, s.f = j, f
 		c.sim.AfterFunc(c.cfg.InterBrokerDelay, allSendFire, s)
+	}
+}
+
+// joinRecovered adds to an acks=all batch's follower set every replica
+// that is up now but was down when the batch was routed. Such a replica
+// was recovered while the batch sat in the leader's service time: its
+// catch-up copied a leader log that did not hold the batch yet, so unless
+// it is sent the batch now it stays one record short for good — and drops
+// an acknowledged record the day it is elected leader. Followers captured
+// at routing time stay in the set even if they have died since: their
+// dropped send leaves the request un-acked, as it always has.
+func (c *Cluster) joinRecovered(j *prodJob) {
+	for _, id := range j.pm.replicas {
+		if b := c.brokers[id]; b.Up() && !slices.Contains(j.followers, b) {
+			j.followers = append(j.followers, b)
+		}
 	}
 }
 

@@ -199,3 +199,122 @@ func TestUncleanCrashCatchUpKeepsReplicasIdentical(t *testing.T) {
 		}
 	}
 }
+
+// The slab hands out a batch's storage from chunks it keeps replacing;
+// neither a batch that lands on a chunk boundary nor one larger than any
+// chunk (which gets its own) may be disturbed by later batches or by the
+// network buffers being reused — and at RF 3 the three logs still share
+// the one copy.
+func TestSlabChunksKeepBatchesApartAcrossBoundaries(t *testing.T) {
+	sim := des.New()
+	c := newCluster(t, sim)
+	var resps []wire.ProduceResponse
+	s := ownedServer(c, &resps)
+
+	// One request every 100us: each is still in flight (acks=all takes
+	// ~600us) when the next arrives and when its frame is scribbled over,
+	// yet the leader appends them in send order.
+	var want []string
+	var prev []byte
+	corr := uint32(0)
+	send := func(payloads ...string) {
+		corr++
+		f := produceFrame(corr, wire.AcksAll, payloads...)
+		want = append(want, payloads...)
+		sim.Schedule(time.Duration(corr)*100*time.Microsecond, func() {
+			for i := range prev {
+				prev[i] = 0xEE // the sender recycles its last chunk
+			}
+			s.onBytes(f)
+			prev = f
+		})
+	}
+	// 40 batches of ~330 payload bytes and 3 headers cross the 1, 2, 4 and
+	// 8 KiB byte chunks and the 16- and 32-record header chunks.
+	pad := string(bytes.Repeat([]byte("x"), 100))
+	for i := 0; i < 40; i++ {
+		tag := string(rune('A' + i%26))
+		send(tag+pad, tag+tag+pad, tag+tag+tag+pad)
+	}
+	// Oversized: more bytes than the largest chunk, more records than the
+	// largest header chunk.
+	huge := string(bytes.Repeat([]byte("H"), 40<<10))
+	many := make([]string, 600)
+	for i := range many {
+		many[i] = string(rune('a' + i%26))
+	}
+	send(huge, "after-huge")
+	send(many...)
+	send("tail-1", "tail-2")
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(resps) != 43 {
+		t.Fatalf("%d responses, want 43", len(resps))
+	}
+	for _, r := range resps {
+		if r.Err != wire.ErrNone {
+			t.Fatalf("response %+v", r)
+		}
+	}
+	leader, err := c.Leader("t", 0).Log("t", 0).Read(0, len(want))
+	if err != nil || len(leader) != len(want) {
+		t.Fatalf("leader holds %d records (%v), want %d", len(leader), err, len(want))
+	}
+	for id := int32(0); id < 3; id++ {
+		got, err := c.Broker(id).Log("t", 0).Read(0, len(want)+1)
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("broker %d holds %d records (%v), want %d", id, len(got), err, len(want))
+		}
+		for i := range want {
+			if string(got[i].Record.Payload) != want[i] {
+				t.Fatalf("broker %d record %d = %.20q, want %.20q", id, i, got[i].Record.Payload, want[i])
+			}
+			if !sameBytes(got[i].Record.Payload, leader[i].Record.Payload) {
+				t.Fatalf("broker %d record %d has its own payload copy", id, i)
+			}
+		}
+	}
+}
+
+// Steady-state ingest allocates (almost) nothing per record: a produce
+// request is decoded into reused scratch, cloned into the server's slab,
+// appended into fixed-capacity segments on three replicas and acked
+// through pooled jobs. What is left is the slab's and the logs' chunk
+// allocations, a few per thousand records.
+func TestSteadyStateProduceAllocatesPerChunkNotPerRecord(t *testing.T) {
+	sim := des.New()
+	c := newCluster(t, sim)
+	acked := 0
+	s := &Server{cluster: c}
+	s.onProduce = func(r wire.ProduceResponse) {
+		if r.Err == wire.ErrNone {
+			acked++
+		}
+	}
+	const perRequest = 4
+	payloads := []string{"0123456789abcdef", "0123456789abcdef", "0123456789abcdef", "0123456789abcdef"}
+	frame := produceFrame(1, wire.AcksAll, payloads...)
+	// AllocsPerRun reports whole allocations per run, so a run is a
+	// thousand records, not one request.
+	const perRun = 250
+	requests := func() {
+		for i := 0; i < perRun; i++ {
+			s.onBytes(frame)
+			if err := sim.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 12; i++ { // past the small first chunks and segments
+		requests()
+	}
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, requests)
+	if want := (12 + runs + 1) * perRun; acked != want {
+		t.Fatalf("%d requests acked, want %d", acked, want)
+	}
+	if perRecord := allocs / (perRun * perRequest); perRecord > 0.05 {
+		t.Errorf("%.4f allocations per record on the produce path, want at most 0.05", perRecord)
+	}
+}

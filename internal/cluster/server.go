@@ -16,6 +16,8 @@ type Server struct {
 	ep       *transport.Endpoint
 	splitter wire.Splitter
 	dec      wire.Decoder
+	// slab owns the one copy every produced batch gets.
+	slab     wire.Slab
 	bodyBuf  []byte // response-encoding scratch
 	frameBuf []byte // frame-encoding scratch; Endpoint.Send copies
 	// onProduce and onFetch are created once so the per-request dispatch
@@ -78,12 +80,12 @@ func (s *Server) dispatch(f wire.FramePart) {
 			s.dec.Topic = req.Topic
 		}
 		// The splitter buffer and the decoder's record scratch are both
-		// reused after this frame, so the batch gets its own storage here.
-		// This is the only copy a produced payload ever gets: the leader
-		// log and every follower log store these bytes as they are
-		// (storage.Log.Append takes ownership), so nothing downstream may
-		// write to them.
-		req.Batch.Records = wire.CloneRecords(req.Batch.Records)
+		// reused after this frame, so the batch gets its own storage here,
+		// carved from the server's slab. This is the only copy a produced
+		// payload ever gets: the leader log and every follower log store
+		// these bytes as they are (storage.Log.Append takes ownership), so
+		// nothing downstream may write to them.
+		req.Batch.Records = s.slab.Clone(req.Batch.Records)
 		if req.Acks == wire.AcksNone {
 			s.cluster.HandleProduce(req, nil)
 			return

@@ -24,6 +24,8 @@ type Client struct {
 
 	splitter wire.Splitter
 	dec      wire.Decoder
+	// slab owns the payloads of the retained records.
+	slab     wire.Slab
 	bodyBuf  []byte // request-encoding scratch
 	frameBuf []byte // frame-encoding scratch; Endpoint.Send copies
 	corr     uint32
@@ -179,7 +181,7 @@ func (c *Client) onFetchResponse(resp wire.FetchResponse) {
 	// The response's records alias the splitter buffer and the decoder's
 	// record scratch, both reused by the next network delivery; clone them
 	// before retaining across simulated time.
-	c.records = append(c.records, wire.CloneRecords(resp.Records)...)
+	c.records = append(c.records, c.slab.Clone(resp.Records)...)
 	c.offset += int64(len(resp.Records))
 	if len(resp.Records) == 0 && c.offset >= resp.HighWatermark {
 		c.finish(nil)

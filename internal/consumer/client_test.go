@@ -84,7 +84,7 @@ func TestClientConsumeAllCleanNetwork(t *testing.T) {
 			t.Fatalf("record %d key = %d", i, r.Key)
 		}
 	}
-	rep := Reconcile(500, got)
+	rep := reconcile(500, got)
 	if rep.NLost != 0 || rep.NDuplicated != 0 {
 		t.Errorf("report = %+v", rep)
 	}

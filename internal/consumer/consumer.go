@@ -42,9 +42,11 @@ func New(c *cluster.Cluster, topic string, partition int32) (*Consumer, error) {
 	return &Consumer{cluster: c, topic: topic, partition: partition, fetchMax: 4096}, nil
 }
 
-// ConsumeAll fetches every record currently in the partition.
-func (c *Consumer) ConsumeAll() ([]wire.Record, error) {
-	var out []wire.Record
+// Consume fetches every record currently in the partition and hands each
+// fetched run to fn, in offset order. A run is a view into the broker's
+// log (see broker.HandleFetch): fn must consume or copy it before
+// returning and must not retain the slice.
+func (c *Consumer) Consume(fn func([]wire.Record)) error {
 	offset := int64(0)
 	for {
 		var resp wire.FetchResponse
@@ -55,20 +57,24 @@ func (c *Consumer) ConsumeAll() ([]wire.Record, error) {
 			Offset:     offset,
 			MaxRecords: c.fetchMax,
 			Isolation:  c.isolation,
-		}, func(r wire.FetchResponse) { resp = r; got = true })
+		}, func(r wire.FetchResponse) {
+			if r.Err == wire.ErrNone && len(r.Records) > 0 {
+				fn(r.Records)
+			}
+			resp, got = r, true
+		})
 		if !got {
-			return nil, fmt.Errorf("consumer: no response (leaderless partition?)")
+			return fmt.Errorf("consumer: no response (leaderless partition?)")
 		}
 		if resp.Err != wire.ErrNone {
-			return nil, fmt.Errorf("consumer: fetch at offset %d: %s", offset, resp.Err)
+			return fmt.Errorf("consumer: fetch at offset %d: %s", offset, resp.Err)
 		}
-		out = append(out, resp.Records...)
 		if len(resp.Records) == 0 && resp.NextOffset <= offset {
 			if offset >= resp.HighWatermark ||
 				(c.isolation == wire.ReadCommitted && offset >= resp.LastStable) {
-				return out, nil
+				return nil
 			}
-			return nil, fmt.Errorf("consumer: empty fetch below high watermark %d at %d", resp.HighWatermark, offset)
+			return fmt.Errorf("consumer: empty fetch below high watermark %d at %d", resp.HighWatermark, offset)
 		}
 		offset = resp.NextOffset
 	}
@@ -108,26 +114,6 @@ func (r Report) Pd() float64 {
 	return float64(r.NDuplicated) / float64(r.SourceCount)
 }
 
-// ConsumeAllPartitions drains every partition of a topic and returns all
-// records (partition order, offset order within a partition). Key-set
-// reconciliation is order-agnostic, so this suffices for multi-partition
-// experiments.
-func ConsumeAllPartitions(c *cluster.Cluster, topic string, partitions int32) ([]wire.Record, error) {
-	var out []wire.Record
-	for p := int32(0); p < partitions; p++ {
-		cons, err := New(c, topic, p)
-		if err != nil {
-			return nil, err
-		}
-		recs, err := cons.ConsumeAll()
-		if err != nil {
-			return nil, fmt.Errorf("partition %d: %w", p, err)
-		}
-		out = append(out, recs...)
-	}
-	return out, nil
-}
-
 // KeyRange is one producer's key span within a shared topic: the
 // producer emitted keys Base+1 .. Base+Count (see producer.Config's
 // KeyBase). Count is how many keys the producer actually acquired, so
@@ -139,7 +125,7 @@ type KeyRange struct {
 }
 
 // ReconcileRanges reconciles records produced by several producers into
-// one topic, each owning a disjoint KeyRange. It is Reconcile
+// one topic, each owning a disjoint KeyRange. It is Tally
 // generalised from the single span 1..N to a union of spans: a key
 // inside some range counts toward Distinct/NDuplicated, a key outside
 // every range is Foreign, and NLost is the total range size minus the
@@ -201,25 +187,43 @@ func ReconcileRangesKeys(ranges []KeyRange, keys [][]uint64) Report {
 	return rep
 }
 
-// Reconcile compares consumed records against the contiguous source key
-// space 1..sourceCount.
-func Reconcile(sourceCount uint64, records []wire.Record) Report {
-	rep := Report{SourceCount: sourceCount}
-	seen := make(map[uint64]uint64, len(records))
-	for _, rec := range records {
-		if rec.Key == 0 || rec.Key > sourceCount {
-			rep.Foreign++
-			continue
+// Tally reconciles a stream of consumed records against the contiguous
+// source key space 1..sourceCount without holding the records: one
+// counter per source key, so verifying a run costs four bytes per message
+// produced however many copies the topic holds.
+type Tally struct {
+	copies  []uint32 // copies[k-1] counts deliveries of source key k
+	foreign uint64
+}
+
+// NewTally creates an empty tally over source keys 1..sourceCount.
+func NewTally(sourceCount uint64) *Tally {
+	return &Tally{copies: make([]uint32, sourceCount)}
+}
+
+// Add counts a run of consumed records.
+func (t *Tally) Add(records []wire.Record) {
+	for i := range records {
+		if k := records[i].Key - 1; k < uint64(len(t.copies)) { // key 0 wraps past the end
+			t.copies[k]++
+		} else {
+			t.foreign++
 		}
-		seen[rec.Key]++
 	}
-	rep.Distinct = uint64(len(seen))
-	rep.NLost = sourceCount - rep.Distinct
-	for _, n := range seen {
+}
+
+// Report returns the reconciliation of everything added so far.
+func (t *Tally) Report() Report {
+	rep := Report{SourceCount: uint64(len(t.copies)), Foreign: t.foreign}
+	for _, n := range t.copies {
+		if n > 0 {
+			rep.Distinct++
+		}
 		if n > 1 {
 			rep.NDuplicated++
-			rep.ExtraCopies += n - 1
+			rep.ExtraCopies += uint64(n - 1)
 		}
 	}
+	rep.NLost = rep.SourceCount - rep.Distinct
 	return rep
 }

@@ -1,6 +1,7 @@
 package consumer
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"kafkarel/internal/cluster"
@@ -26,13 +27,28 @@ func seededCluster(t *testing.T, keys []uint64) *cluster.Cluster {
 	return c
 }
 
+// consumeAll drains the partition, copying each fetched run out of the
+// callback as a retaining caller must.
+func consumeAll(cons *Consumer) ([]wire.Record, error) {
+	var out []wire.Record
+	err := cons.Consume(func(run []wire.Record) { out = append(out, run...) })
+	return out, err
+}
+
+// reconcile tallies records against source keys 1..sourceCount.
+func reconcile(sourceCount uint64, records []wire.Record) Report {
+	tally := NewTally(sourceCount)
+	tally.Add(records)
+	return tally.Report()
+}
+
 func TestConsumeAll(t *testing.T) {
 	c := seededCluster(t, []uint64{1, 2, 3, 4, 5})
 	cons, err := New(c, "t", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cons.ConsumeAll()
+	got, err := consumeAll(cons)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +67,7 @@ func TestConsumeAllPaginates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cons.ConsumeAll()
+	got, err := consumeAll(cons)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +87,7 @@ func TestConsumeEmptyTopic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cons.ConsumeAll()
+	got, err := consumeAll(cons)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +102,7 @@ func TestConsumeUnknownTopic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cons.ConsumeAll(); err == nil {
+	if _, err := consumeAll(cons); err == nil {
 		t.Error("unknown topic accepted")
 	}
 }
@@ -103,7 +119,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestReconcileCleanDelivery(t *testing.T) {
 	recs := []wire.Record{{Key: 1}, {Key: 2}, {Key: 3}}
-	rep := Reconcile(3, recs)
+	rep := reconcile(3, recs)
 	if rep.NLost != 0 || rep.NDuplicated != 0 || rep.Distinct != 3 {
 		t.Errorf("report = %+v", rep)
 	}
@@ -118,7 +134,7 @@ func TestReconcileLossAndDuplicates(t *testing.T) {
 	for _, k := range []uint64{1, 2, 2, 2, 4, 5, 5, 6, 8, 9, 10} {
 		recs = append(recs, wire.Record{Key: k})
 	}
-	rep := Reconcile(10, recs)
+	rep := reconcile(10, recs)
 	if rep.NLost != 2 {
 		t.Errorf("NLost = %d, want 2", rep.NLost)
 	}
@@ -135,7 +151,7 @@ func TestReconcileLossAndDuplicates(t *testing.T) {
 
 func TestReconcileForeignKeys(t *testing.T) {
 	recs := []wire.Record{{Key: 0}, {Key: 11}, {Key: 1}}
-	rep := Reconcile(10, recs)
+	rep := reconcile(10, recs)
 	if rep.Foreign != 2 {
 		t.Errorf("Foreign = %d, want 2", rep.Foreign)
 	}
@@ -145,8 +161,103 @@ func TestReconcileForeignKeys(t *testing.T) {
 }
 
 func TestReconcileEmptySource(t *testing.T) {
-	rep := Reconcile(0, nil)
+	rep := reconcile(0, nil)
 	if rep.Pl() != 0 || rep.Pd() != 0 {
 		t.Error("zero source produced nonzero rates")
+	}
+}
+
+// reconcileByMap is the reference the dense Tally replaced: count every
+// in-range key in a map.
+func reconcileByMap(sourceCount uint64, records []wire.Record) Report {
+	rep := Report{SourceCount: sourceCount}
+	seen := make(map[uint64]uint64, len(records))
+	for _, rec := range records {
+		if rec.Key == 0 || rec.Key > sourceCount {
+			rep.Foreign++
+			continue
+		}
+		seen[rec.Key]++
+	}
+	rep.Distinct = uint64(len(seen))
+	rep.NLost = sourceCount - rep.Distinct
+	for _, n := range seen {
+		if n > 1 {
+			rep.NDuplicated++
+			rep.ExtraCopies += n - 1
+		}
+	}
+	return rep
+}
+
+// Property: on random key multisets — lost keys, keys duplicated many
+// times, key 0, keys past the source range, the range's two ends — a
+// Tally fed in arbitrary runs reports exactly what the map does.
+func TestPropertyTallyMatchesMapReconcile(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 9))
+		n := uint64(rng.IntN(60)) // 0 is a legal source size
+		var recs []wire.Record
+		for i := rng.IntN(300); i > 0; i-- {
+			var k uint64
+			switch r := rng.IntN(20); {
+			case r == 0:
+				k = 0
+			case r == 1:
+				k = n + 1 + uint64(rng.IntN(5))
+			case r == 2:
+				k = ^uint64(0) - uint64(rng.IntN(2))
+			case r == 3:
+				k = n // the last source key (or 0 when the source is empty)
+			case r < 8 && len(recs) > 0:
+				k = recs[rng.IntN(len(recs))].Key // duplicate an earlier delivery
+			default:
+				k = 1 + uint64(rng.IntN(int(n)+1))
+			}
+			recs = append(recs, wire.Record{Key: k})
+		}
+		tally := NewTally(n)
+		for rest := recs; len(rest) > 0; {
+			cut := rng.IntN(len(rest)) + 1
+			tally.Add(rest[:cut])
+			rest = rest[cut:]
+		}
+		if got, want := tally.Report(), reconcileByMap(n, recs); got != want {
+			t.Fatalf("seed %d (n=%d, %d records): tally %+v, map %+v", seed, n, len(recs), got, want)
+		}
+	}
+}
+
+// Consume hands out views of the leader's log, not copies, one per fetch.
+func TestConsumeHandsOutLogViews(t *testing.T) {
+	keys := make([]uint64, 5000) // two fetches of up to 4096
+	for i := range keys {
+		keys[i] = uint64(i + 1)
+	}
+	c := seededCluster(t, keys)
+	cons, err := New(c, "t", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := c.Leader("t", 0).Log("t", 0)
+	runs, next := 0, int64(0)
+	err = cons.Consume(func(run []wire.Record) {
+		runs++
+		stored, err := log.View(next, 1)
+		if err != nil || len(stored) != 1 {
+			t.Fatalf("view at %d: %v", next, err)
+		}
+		// A run that spans log segments is stitched in broker scratch;
+		// one that does not is the log's own memory.
+		if whole, _ := log.View(next, len(run)); len(whole) == len(run) && &run[0] != &stored[0] {
+			t.Errorf("run at offset %d is a copy, not a view", next)
+		}
+		next += int64(len(run))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs != 2 || next != 5000 {
+		t.Errorf("%d runs covering %d records, want 2 covering 5000", runs, next)
 	}
 }

@@ -1,8 +1,14 @@
 package consumer
 
 import (
+	"slices"
 	"testing"
 	"time"
+
+	"kafkarel/internal/cluster"
+	"kafkarel/internal/coordinator"
+	"kafkarel/internal/des"
+	"kafkarel/internal/wire"
 )
 
 // TestGroupEagerRejoinFlushPinsRedelivery pins the commit-on-revocation
@@ -119,5 +125,91 @@ func TestGroupLagProbeFencedToLiveOwnership(t *testing.T) {
 	}
 	if lag, err := g.Lag(); err != nil || lag != 2*perPart {
 		t.Fatalf("post-rebalance lag = %d (err=%v), want %d — the inherited backlog vanished", lag, err, 2*perPart)
+	}
+}
+
+// TestParkedCooperativeAssignmentDoesNotPollRevokedPartition pins the one
+// place where the dense per-partition state deliberately departs from the
+// maps it replaced. A cooperative assignment that revokes one partition
+// and adds another revokes first, then needs the new partition's
+// committed offset; with the offsets log leaderless it parks and retries,
+// leaving the old partition list in place. The old map read the revoked
+// partition's missing position as 0, so every poll round until the retry
+// re-read the partition from the start — redelivering what the member had
+// already consumed, from a partition it no longer owned, and dirtying a
+// position it would then try to commit. A revoked partition is skipped.
+func TestParkedCooperativeAssignmentDoesNotPollRevokedPartition(t *testing.T) {
+	sim := des.New()
+	clst, err := cluster.New(sim, cluster.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := clst.CreateTopic("t", 3, 3); err != nil {
+		t.Fatal(err)
+	}
+	for p := int32(0); p < 3; p++ {
+		recs := make([]wire.Record, 20)
+		for i := range recs {
+			recs[i] = wire.Record{Key: uint64(p)*20 + uint64(i) + 1}
+		}
+		for b := int32(0); b < 3; b++ {
+			clst.Broker(b).Log("t", p).Append(recs)
+		}
+	}
+	// The offsets log lives on broker 0 alone; the data survives its loss.
+	co, err := coordinator.New(sim, clst, coordinator.Config{OffsetsReplication: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGroup(sim, co, clst, GroupConfig{Topic: "t", Cooperative: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Join("c0"); err != nil {
+		t.Fatal(err)
+	}
+	pump := func(d time.Duration) {
+		t.Helper()
+		if err := sim.RunUntil(sim.Now() + d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pump(50 * time.Millisecond)
+	m := g.members["c0"]
+	m.applyAssignment([]int32{0, 1}) // hand partition 2 back
+	if _, err := g.Poll("c0", 10); err != nil {
+		t.Fatal(err)
+	}
+	if m.position[0] != 10 {
+		t.Fatalf("position[0] = %d after a 10-record poll, want 10", m.position[0])
+	}
+	if err := g.Commit("c0"); err != nil {
+		t.Fatal(err)
+	}
+	pump(50 * time.Millisecond)
+
+	if err := clst.FailBroker(0); err != nil {
+		t.Fatal(err)
+	}
+	m.applyAssignment([]int32{1, 2}) // revoke 0, acquire 2: parks on the offset fetch
+	if m.pendingAssign == nil || m.position[0] != notOwned || !slices.Equal(m.assigned, []int32{0, 1}) {
+		t.Fatalf("assignment not parked as expected: pending=%v position[0]=%d assigned=%v",
+			m.pendingAssign, m.position[0], m.assigned)
+	}
+	before := g.Evidence()
+	m.pollOnce(100, nil)
+	m.commitDirty()
+	after := g.Evidence()
+	if after.Redelivered != before.Redelivered {
+		t.Errorf("parked member redelivered %d records from the partition it had revoked", after.Redelivered-before.Redelivered)
+	}
+	if m.position[0] != notOwned || m.ackedTo[0] != notOwned {
+		t.Errorf("revoked partition regained state: position %d, ackedTo %d", m.position[0], m.ackedTo[0])
+	}
+	if g.deliveredNext[0] != 10 {
+		t.Errorf("partition 0 delivered up to %d while revoked, want it left at 10", g.deliveredNext[0])
+	}
+	if m.position[1] != 20 {
+		t.Errorf("retained partition 1 at %d, want it polled to its end (20)", m.position[1])
 	}
 }

@@ -3,6 +3,7 @@ package consumer
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"kafkarel/internal/cluster"
@@ -289,8 +290,11 @@ type Member struct {
 	state memberState
 
 	assigned []int32
-	position map[int32]int64 // next offset to fetch
-	ackedTo  map[int32]int64 // durably acknowledged commit watermarks
+	// position (next offset to fetch) and ackedTo (durably acknowledged
+	// commit watermark) are indexed by partition; both hold notOwned
+	// where the member has no position, and are set and cleared together.
+	position []int64
+	ackedTo  []int64
 
 	hbT, pollT, commitT, retryT *des.Timer
 	hbCB                        func(wire.HeartbeatResponse)
@@ -316,6 +320,19 @@ type Member struct {
 	// openSpan maps an owned partition to its open ownership-span index
 	// in Evidence.OwnershipSpans (CaptureEvidence only).
 	openSpan map[int32]int
+}
+
+// notOwned marks a partition a member holds no position (or commit
+// watermark) for.
+const notOwned = -1
+
+// newPartitionState returns n entries of notOwned.
+func newPartitionState(n int32) []int64 {
+	s := make([]int64, n)
+	for p := range s {
+		s[p] = notOwned
+	}
+	return s
 }
 
 // commitReq is one in-flight offset commit, pooled so the steady-state
@@ -417,8 +434,8 @@ func (g *Group) Join(name string) error {
 	m := &Member{
 		g:        g,
 		name:     name,
-		position: make(map[int32]int64),
-		ackedTo:  make(map[int32]int64),
+		position: newPartitionState(g.partitions),
+		ackedTo:  newPartitionState(g.partitions),
 		hbPhase:  time.Duration(len(g.order)%8) * g.cfg.HeartbeatInterval / 8,
 	}
 	m.hbT = des.NewTimer(g.sim, m.heartbeatTick)
@@ -678,11 +695,11 @@ func (m *Member) onSync(resp wire.SyncGroupResponse) {
 // again (the redelivery window the cooperative protocol avoids).
 func (m *Member) applyAssignment(assigned []int32) {
 	g := m.g
-	kept := make(map[int32]bool, len(assigned))
-	for _, p := range assigned {
-		kept[p] = true
-	}
-	for p := range m.position {
+	for i := range m.position {
+		p := int32(i)
+		if m.position[p] == notOwned {
+			continue
+		}
 		if !g.cfg.Cooperative {
 			// Eager revoke-all: no position survives the barrier. The
 			// dirty positions were flushed before the join (onHeartbeat);
@@ -690,11 +707,10 @@ func (m *Member) applyAssignment(assigned []int32) {
 			// old generation is gone.
 			m.endOwnership(p)
 			m.pausePartition(p)
-			delete(m.position, p)
-			delete(m.ackedTo, p)
+			m.position[p], m.ackedTo[p] = notOwned, notOwned
 			continue
 		}
-		if !kept[p] {
+		if !slices.Contains(assigned, p) {
 			// Commit-before-revoke: a cooperative member kept consuming
 			// right through the join barrier, so progress since the last
 			// commit round must become durable before the partition moves
@@ -704,12 +720,11 @@ func (m *Member) applyAssignment(assigned []int32) {
 			}
 			m.endOwnership(p)
 			m.pausePartition(p)
-			delete(m.position, p)
-			delete(m.ackedTo, p)
+			m.position[p], m.ackedTo[p] = notOwned, notOwned
 		}
 	}
 	for _, p := range assigned {
-		if _, ok := m.position[p]; ok {
+		if m.position[p] != notOwned {
 			continue
 		}
 		var fr wire.OffsetFetchResponse
@@ -887,79 +902,93 @@ func (m *Member) pollOnce(max int, collect *[]wire.Record) {
 			break
 		}
 		pos := m.position[p]
-		var fr wire.FetchResponse
-		got := false
+		if pos == notOwned {
+			// Revoked, but still listed in assigned: a cooperative
+			// assignment that revoked p is parked behind a leaderless
+			// offsets log (applyAssignment) and has not replaced the list
+			// yet. The partition is no longer this member's to read.
+			continue
+		}
+		// The fetched records are a view into the leader's log, valid only
+		// inside the callback, so delivery happens there. A leaderless
+		// partition never calls back: retry next round.
 		g.clst.HandleFetch(wire.FetchRequest{
 			Topic: g.cfg.Topic, Partition: p,
 			Offset: pos, MaxRecords: int32(budget),
 			Isolation: g.cfg.Isolation,
-		}, func(r wire.FetchResponse) { fr = r; got = true })
-		if !got {
-			continue // leaderless: retry next round
-		}
-		if fr.Err != wire.ErrNone {
-			// Only the broker's out-of-range signal carries a
-			// trustworthy high watermark: the position outran the log
-			// because an unclean restart truncated it. Rewind and
-			// re-consume the rewritten suffix (at-least-once
-			// redelivery). Leaderless errors report HighWatermark 0 and
-			// must not touch positions or the drain watermark.
-			if fr.Err == wire.ErrRequestTimedOut && fr.HighWatermark < pos {
-				g.hwm[p] = fr.HighWatermark
-				m.position[p] = fr.HighWatermark
-				if m.ackedTo[p] > fr.HighWatermark {
-					m.ackedTo[p] = fr.HighWatermark
-				}
-				g.ev.Rewinds++
-				// The truncated suffix will be refetched: its re-appended
-				// records arrive at already-delivered offsets. Charge the
-				// window to the redelivery budget.
-				if w := g.deliveredNext[p] - fr.HighWatermark; w > 0 {
-					g.ev.RedeliveryBudget += uint64(w)
-				}
-			}
-			continue
-		}
-		g.hwm[p] = fr.HighWatermark
-		for i, rec := range fr.Records {
-			off := pos + int64(i)
-			fresh := off >= g.deliveredNext[p]
-			if fresh {
-				g.deliveredNext[p] = off + 1
-				g.ev.Delivered++
-				g.cDelivered.Inc()
-				// End-to-end span: exactly one sample per offset the
-				// application accepts, timed from producer enqueue.
-				g.hSpanE2E.Observe(int64(g.sim.Now() - rec.Timestamp))
-			} else {
-				g.ev.Redelivered++
-				g.cRedelivered.Inc()
-				if g.cfg.Dedup {
-					continue // exactly-once: suppress the redelivery
-				}
-			}
-			g.consumed[p] = append(g.consumed[p], rec.Key)
-			g.lastProgress = g.sim.Now()
-			if g.cfg.CaptureEvidence {
-				g.ev.Deliveries = append(g.ev.Deliveries, Delivery{
-					Partition: p, Offset: off, Key: rec.Key,
-					Member: m.name, Generation: m.gen,
-				})
-			}
-			if collect != nil {
-				*collect = append(*collect, rec)
-			}
-		}
-		// Resume from the broker's NextOffset, which steps over filtered
-		// runs (control markers, aborted transactions) the records slice
-		// never contained; the dedup watermark follows, since a filtered
-		// offset can never be delivered at this isolation level.
-		m.position[p] = fr.NextOffset
-		if fr.NextOffset > g.deliveredNext[p] {
-			g.deliveredNext[p] = fr.NextOffset
-		}
-		budget -= len(fr.Records)
+		}, func(fr wire.FetchResponse) {
+			budget -= m.deliver(p, pos, fr, collect)
+		})
 	}
+}
+
+// deliver handles the response to a fetch of partition p at pos and
+// returns the number of records it consumed from the poll budget.
+func (m *Member) deliver(p int32, pos int64, fr wire.FetchResponse, collect *[]wire.Record) int {
+	g := m.g
+	if fr.Err != wire.ErrNone {
+		// Only the broker's out-of-range signal carries a
+		// trustworthy high watermark: the position outran the log
+		// because an unclean restart truncated it. Rewind and
+		// re-consume the rewritten suffix (at-least-once
+		// redelivery). Leaderless errors report HighWatermark 0 and
+		// must not touch positions or the drain watermark.
+		if fr.Err == wire.ErrRequestTimedOut && fr.HighWatermark < pos {
+			g.hwm[p] = fr.HighWatermark
+			m.position[p] = fr.HighWatermark
+			if m.ackedTo[p] > fr.HighWatermark {
+				m.ackedTo[p] = fr.HighWatermark
+			}
+			g.ev.Rewinds++
+			// The truncated suffix will be refetched: its re-appended
+			// records arrive at already-delivered offsets. Charge the
+			// window to the redelivery budget.
+			if w := g.deliveredNext[p] - fr.HighWatermark; w > 0 {
+				g.ev.RedeliveryBudget += uint64(w)
+			}
+		}
+		return 0
+	}
+	g.hwm[p] = fr.HighWatermark
+	for i := range fr.Records {
+		rec := &fr.Records[i]
+		off := pos + int64(i)
+		fresh := off >= g.deliveredNext[p]
+		if fresh {
+			g.deliveredNext[p] = off + 1
+			g.ev.Delivered++
+			g.cDelivered.Inc()
+			// End-to-end span: exactly one sample per offset the
+			// application accepts, timed from producer enqueue.
+			g.hSpanE2E.Observe(int64(g.sim.Now() - rec.Timestamp))
+		} else {
+			g.ev.Redelivered++
+			g.cRedelivered.Inc()
+			if g.cfg.Dedup {
+				continue // exactly-once: suppress the redelivery
+			}
+		}
+		g.consumed[p] = append(g.consumed[p], rec.Key)
+		g.lastProgress = g.sim.Now()
+		if g.cfg.CaptureEvidence {
+			g.ev.Deliveries = append(g.ev.Deliveries, Delivery{
+				Partition: p, Offset: off, Key: rec.Key,
+				Member: m.name, Generation: m.gen,
+			})
+		}
+		if collect != nil {
+			*collect = append(*collect, *rec)
+		}
+	}
+	// Resume from the broker's NextOffset, which steps over filtered
+	// runs (control markers, aborted transactions) the records slice
+	// never contained; the dedup watermark follows, since a filtered
+	// offset can never be delivered at this isolation level.
+	m.position[p] = fr.NextOffset
+	if fr.NextOffset > g.deliveredNext[p] {
+		g.deliveredNext[p] = fr.NextOffset
+	}
+	return len(fr.Records)
 }
 
 // drainedAndCommitted reports whether the member may leave cleanly:
@@ -978,7 +1007,7 @@ func (m *Member) drainedAndCommitted() bool {
 		}
 	}
 	for _, p := range m.assigned {
-		if m.position[p] > 0 && m.ackedTo[p] < m.position[p] {
+		if pos := m.position[p]; pos > 0 && m.ackedTo[p] < pos {
 			return false
 		}
 	}
@@ -1067,7 +1096,7 @@ func (j *commitReq) done(resp wire.OffsetCommitResponse) {
 	case wire.ErrNone:
 		// Guarded update: a commit for a since-revoked partition must not
 		// resurrect its ackedTo entry (the new owner tracks it now).
-		if cur, ok := m.ackedTo[p]; ok && off > cur {
+		if cur := m.ackedTo[p]; cur != notOwned && off > cur {
 			m.ackedTo[p] = off
 		}
 	case wire.ErrIllegalGeneration, wire.ErrUnknownMemberID:
@@ -1344,10 +1373,7 @@ func (m *Member) resetLocal() {
 	}
 	m.assigned = m.assigned[:0]
 	for p := range m.position {
-		delete(m.position, p)
-	}
-	for p := range m.ackedTo {
-		delete(m.ackedTo, p)
+		m.position[p], m.ackedTo[p] = notOwned, notOwned
 	}
 	m.pendingAssign = nil
 	m.commitEpoch++

@@ -15,13 +15,13 @@ func keysOf(keys ...uint64) []wire.Record {
 }
 
 // TestReconcileRangesMatchesReconcile pins the degenerate case: one
-// range based at zero must reproduce plain Reconcile exactly.
+// range based at zero must reproduce the plain Tally exactly.
 func TestReconcileRangesMatchesReconcile(t *testing.T) {
 	recs := keysOf(1, 2, 2, 4, 9)
 	got := ReconcileRanges([]KeyRange{{Base: 0, Count: 5}}, recs)
-	want := Reconcile(5, recs)
+	want := reconcile(5, recs)
 	if got != want {
-		t.Errorf("ReconcileRanges = %+v, Reconcile = %+v", got, want)
+		t.Errorf("ReconcileRanges = %+v, Tally = %+v", got, want)
 	}
 }
 

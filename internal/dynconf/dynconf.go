@@ -168,12 +168,8 @@ func GenerateSchedule(s *Searcher, trace netem.Trace, stream features.Vector, ta
 			continue
 		}
 		forecast := cur
-		if seg.Delay != nil {
-			forecast.DelayMs = seg.Delay.Sample()
-		}
-		if seg.Loss != nil {
-			forecast.LossRate = seg.Loss.Rate()
-		}
+		forecast.DelayMs = seg.DelayMs
+		forecast.LossRate = seg.LossRate
 		next, score, err := s.Improve(forecast, target)
 		if err != nil {
 			return nil, fmt.Errorf("dynconf: at %v: %w", at, err)

@@ -10,7 +10,6 @@ import (
 	"kafkarel/internal/kpi"
 	"kafkarel/internal/netem"
 	"kafkarel/internal/perfmodel"
-	"kafkarel/internal/stats"
 	"kafkarel/internal/testbed"
 	"kafkarel/internal/workload"
 )
@@ -173,22 +172,10 @@ func TestImproveSkipsUnmodelledSemantics(t *testing.T) {
 
 func testTrace(t *testing.T) netem.Trace {
 	t.Helper()
-	mkLoss := func(p float64) stats.LossModel {
-		if p == 0 {
-			return stats.NoLoss{}
-		}
-		l, err := stats.NewBernoulli(p, nil)
-		if err == nil {
-			return l
-		}
-		// Bernoulli with p>0 needs an RNG only for Drop; Rate is static.
-		l2 := &stats.Bernoulli{P: p}
-		return l2
-	}
 	return netem.Trace{
-		{Start: 0, Delay: stats.Constant{Value: 20}, Loss: mkLoss(0)},
-		{Start: 2 * time.Minute, Delay: stats.Constant{Value: 150}, Loss: mkLoss(0.16)},
-		{Start: 4 * time.Minute, Delay: stats.Constant{Value: 30}, Loss: mkLoss(0)},
+		{Start: 0, DelayMs: 20},
+		{Start: 2 * time.Minute, DelayMs: 150, LossRate: 0.16},
+		{Start: 4 * time.Minute, DelayMs: 30},
 	}
 }
 
@@ -304,7 +291,10 @@ func TestDefaultVector(t *testing.T) {
 // TestTableIIEndToEnd runs the full pipeline with a pre-trained
 // predictor and a short trace: the dynamic schedule must cut the loss
 // rate substantially versus the static default (the paper's headline
-// Table II result).
+// Table II result). Every seed generates a different network and a
+// different loss realisation, so the claim is checked on eight of them:
+// the trace is lossy enough (a third of the time in bursts of ~20 %)
+// that the margins hold on each, not on a lucky one.
 func TestTableIIEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline; skipped in -short")
@@ -314,35 +304,67 @@ func TestTableIIEndToEnd(t *testing.T) {
 		Interval:     10 * time.Second,
 		DelayScaleMs: 20,
 		DelayShape:   1.5,
-		GEGoodToBad:  0.25,
+		GEGoodToBad:  0.4,
 		GEBadToGood:  0.3,
 		GoodLoss:     0.005,
-		BadLoss:      0.17,
+		BadLoss:      0.2,
 	}
-	outcomes, err := TableII([]workload.Profile{workload.WebLogs}, Options{
-		Messages:  6000,
-		Seed:      5,
-		TraceSpec: spec,
+	pred := trainedPredictor(t)
+	for seed := uint64(1); seed <= 8; seed++ {
+		outcomes, err := TableII([]workload.Profile{workload.WebLogs}, Options{
+			Messages:  6000,
+			Seed:      seed,
+			TraceSpec: spec,
+			Interval:  30 * time.Second,
+			Predictor: pred,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(outcomes) != 1 {
+			t.Fatalf("outcomes = %d", len(outcomes))
+		}
+		o := outcomes[0]
+		t.Logf("seed %d web-logs: default Rl=%.3f Rd=%.4f; dynamic Rl=%.3f Rd=%.4f (%d reconfigs)",
+			seed, o.DefaultRl, o.DefaultRd, o.DynamicRl, o.DynamicRd, o.Reconfigurations)
+		if o.DefaultRl < 0.05 {
+			t.Errorf("seed %d: default config suspiciously reliable (Rl=%v); trace too mild", seed, o.DefaultRl)
+		}
+		if o.DynamicRl >= o.DefaultRl {
+			t.Errorf("seed %d: dynamic Rl %v did not beat default %v", seed, o.DynamicRl, o.DefaultRl)
+		}
+		if o.Reconfigurations == 0 {
+			t.Errorf("seed %d: no reconfigurations happened", seed)
+		}
+	}
+}
+
+// TestTableIISharedTraceRunsAreIndependent pins the root cause of the old
+// flake: a Trace is a pure description, so the static-default and dynamic
+// evaluations TableII runs concurrently over one trace share no random
+// state, and repeating the whole pipeline in one process reproduces every
+// number (go test -race covers the sharing half).
+func TestTableIISharedTraceRunsAreIndependent(t *testing.T) {
+	opts := Options{
+		Messages:  3000,
+		Seed:      3,
+		TraceSpec: netem.TraceSpec{Duration: 2 * time.Minute, Interval: 10 * time.Second, DelayScaleMs: 20, DelayShape: 1.5, GEGoodToBad: 0.4, GEBadToGood: 0.3, GoodLoss: 0.005, BadLoss: 0.2},
 		Interval:  30 * time.Second,
 		Predictor: trainedPredictor(t),
-	})
+		Workers:   2,
+	}
+	first, err := TableII([]workload.Profile{workload.WebLogs}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outcomes) != 1 {
-		t.Fatalf("outcomes = %d", len(outcomes))
-	}
-	o := outcomes[0]
-	t.Logf("web-logs: default Rl=%.3f Rd=%.4f; dynamic Rl=%.3f Rd=%.4f (%d reconfigs)",
-		o.DefaultRl, o.DefaultRd, o.DynamicRl, o.DynamicRd, o.Reconfigurations)
-	if o.DefaultRl < 0.05 {
-		t.Errorf("default config suspiciously reliable (Rl=%v); trace too mild", o.DefaultRl)
-	}
-	if o.DynamicRl >= o.DefaultRl {
-		t.Errorf("dynamic Rl %v did not beat default %v", o.DynamicRl, o.DefaultRl)
-	}
-	if o.Reconfigurations == 0 {
-		t.Error("no reconfigurations happened")
+	for i := 0; i < 3; i++ {
+		again, err := TableII([]workload.Profile{workload.WebLogs}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again[0] != first[0] {
+			t.Fatalf("repeat %d differs:\n got %+v\nwant %+v", i, again[0], first[0])
+		}
 	}
 }
 

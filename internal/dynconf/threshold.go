@@ -45,12 +45,8 @@ func ThresholdSchedule(trace netem.Trace, stream, protective features.Vector, in
 		if !ok {
 			continue
 		}
-		rate := 0.0
-		if seg.Loss != nil {
-			rate = seg.Loss.Rate()
-		}
 		cur := stream
-		if rate >= lossBar {
+		if seg.LossRate >= lossBar {
 			cur.Semantics = protective.Semantics
 			cur.BatchSize = protective.BatchSize
 			cur.PollInterval = protective.PollInterval

@@ -1,13 +1,11 @@
 package dynconf
 
 import (
-	"math/rand/v2"
 	"testing"
 	"time"
 
 	"kafkarel/internal/features"
 	"kafkarel/internal/netem"
-	"kafkarel/internal/stats"
 	"kafkarel/internal/workload"
 )
 
@@ -15,18 +13,9 @@ import (
 // rates, one per 30 s segment.
 func thresholdTrace(t *testing.T, rates []float64) netem.Trace {
 	t.Helper()
-	rng := rand.New(rand.NewPCG(1, 1))
 	trace := make(netem.Trace, len(rates))
 	for i, r := range rates {
-		loss, err := stats.NewBernoulli(r, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trace[i] = netem.Segment{
-			Start: time.Duration(i) * 30 * time.Second,
-			Delay: stats.Constant{Value: 20},
-			Loss:  loss,
-		}
+		trace[i] = netem.Segment{Start: time.Duration(i) * 30 * time.Second, DelayMs: 20, LossRate: r}
 	}
 	return trace
 }

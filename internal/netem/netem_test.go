@@ -339,10 +339,10 @@ func TestTraceApplySwitchesConditions(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := Trace{
-		{Start: 0, Delay: stats.Constant{Value: 10}, Loss: stats.NoLoss{}},
-		{Start: time.Second, Delay: stats.Constant{Value: 100}, Loss: stats.NoLoss{}},
+		{Start: 0, DelayMs: 10},
+		{Start: time.Second, DelayMs: 100},
 	}
-	if err := tr.Apply(sim, p); err != nil {
+	if err := tr.Apply(sim, p, 1); err != nil {
 		t.Fatal(err)
 	}
 	var times []time.Duration
@@ -368,26 +368,26 @@ func TestTraceApplyRejectsUnsorted(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := Trace{{Start: time.Second}, {Start: 0}}
-	if err := tr.Apply(sim, p); err == nil {
+	if err := tr.Apply(sim, p, 1); err == nil {
 		t.Error("unsorted trace accepted")
 	}
 	var empty Trace
-	if err := empty.Apply(nil, p); err == nil {
+	if err := empty.Apply(nil, p, 1); err == nil {
 		t.Error("nil simulator accepted")
 	}
 }
 
 func TestConditionAt(t *testing.T) {
 	tr := Trace{
-		{Start: 0, Delay: stats.Constant{Value: 1}},
-		{Start: time.Minute, Delay: stats.Constant{Value: 2}},
+		{Start: 0, DelayMs: 1},
+		{Start: time.Minute, DelayMs: 2},
 	}
 	seg, ok := tr.ConditionAt(30 * time.Second)
-	if !ok || seg.Delay.Sample() != 1 {
+	if !ok || seg.DelayMs != 1 {
 		t.Errorf("ConditionAt(30s) = %+v, %v", seg, ok)
 	}
 	seg, ok = tr.ConditionAt(2 * time.Minute)
-	if !ok || seg.Delay.Sample() != 2 {
+	if !ok || seg.DelayMs != 2 {
 		t.Errorf("ConditionAt(2m) = %+v, %v", seg, ok)
 	}
 	early := Trace{{Start: time.Second}}
@@ -408,8 +408,8 @@ func TestTraceSpecGenerate(t *testing.T) {
 	}
 	var delays, losses []float64
 	for _, seg := range tr {
-		delays = append(delays, seg.Delay.Sample())
-		losses = append(losses, seg.Loss.Rate())
+		delays = append(delays, seg.DelayMs)
+		losses = append(losses, seg.LossRate)
 	}
 	// Delay draws respect the Pareto scale floor and the 500 ms cap.
 	for _, d := range delays {
@@ -466,7 +466,7 @@ func TestTraceSpecValidation(t *testing.T) {
 
 func TestSeries(t *testing.T) {
 	tr := Trace{
-		{Start: 0, Delay: stats.Constant{Value: 12}, Loss: stats.NoLoss{}},
+		{Start: 0, DelayMs: 12},
 		{Start: time.Second},
 	}
 	s := tr.Series()
@@ -476,7 +476,7 @@ func TestSeries(t *testing.T) {
 	if s[0].DelayMs != 12 || s[0].Loss != 0 {
 		t.Errorf("point 0 = %+v", s[0])
 	}
-	if s[1].DelayMs != 0 { // nil delay → 0
+	if s[1].DelayMs != 0 {
 		t.Errorf("point 1 = %+v", s[1])
 	}
 }

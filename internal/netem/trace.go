@@ -11,11 +11,14 @@ import (
 )
 
 // Segment is one piece of a time-varying network condition: from Start
-// onward the path uses the given delay sampler and loss model.
+// onward the path has the given constant one-way delay and independent
+// packet-loss rate. It is a pure description — no sampler, no random
+// state — so a Trace can be shared by any number of runs, concurrent ones
+// included, and each run draws its own loss realisation (see Apply).
 type Segment struct {
-	Start time.Duration
-	Delay stats.Sampler
-	Loss  stats.LossModel
+	Start    time.Duration
+	DelayMs  float64
+	LossRate float64
 }
 
 // Trace is a piecewise-constant network condition schedule, ordered by
@@ -23,19 +26,27 @@ type Segment struct {
 type Trace []Segment
 
 // Apply schedules every segment switch on the simulator. Segments whose
-// Start is in the simulator's past are applied immediately in order.
-func (tr Trace) Apply(sim *des.Simulator, p *Path) error {
+// Start is in the simulator's past are applied immediately in order. The
+// loss samplers are built here, over one random stream derived from seed:
+// the same trace applied with the same seed loses the same packets, and
+// nothing the run draws outlives it.
+func (tr Trace) Apply(sim *des.Simulator, p *Path, seed uint64) error {
 	if sim == nil || p == nil {
 		return fmt.Errorf("netem: Trace.Apply with nil simulator or path")
 	}
 	if !sort.SliceIsSorted(tr, func(i, j int) bool { return tr[i].Start < tr[j].Start }) {
 		return fmt.Errorf("netem: trace segments not sorted by start time")
 	}
+	rng := rand.New(rand.NewPCG(seed, 0x7ace10555eed))
 	for _, seg := range tr {
-		seg := seg
+		delay := stats.Constant{Value: seg.DelayMs}
+		loss, err := stats.NewBernoulli(seg.LossRate, rng)
+		if err != nil {
+			return fmt.Errorf("netem: trace segment at %v: %w", seg.Start, err)
+		}
 		apply := func() {
-			p.SetDelay(seg.Delay)
-			p.SetLoss(seg.Loss)
+			p.SetDelay(delay)
+			p.SetLoss(loss)
 		}
 		if seg.Start <= sim.Now() {
 			apply()
@@ -101,8 +112,8 @@ func DefaultTraceSpec() TraceSpec {
 
 // Generate builds a concrete Trace from the spec using the given seed.
 // Each segment gets a constant delay (the Pareto draw, capped at 500 ms
-// like NetEm practice) and a Bernoulli loss model whose rate comes from
-// the Gilbert-Elliot state with ±30 % multiplicative jitter.
+// like NetEm practice) and an independent-loss rate that comes from the
+// Gilbert-Elliot state with ±30 % multiplicative jitter.
 func (spec TraceSpec) Generate(seed uint64) (Trace, error) {
 	if spec.Duration <= 0 || spec.Interval <= 0 {
 		return nil, fmt.Errorf("netem: trace spec needs positive duration and interval")
@@ -136,18 +147,14 @@ func (spec TraceSpec) Generate(seed uint64) (Trace, error) {
 		if rate > 1 {
 			rate = 1
 		}
-		loss, err := stats.NewBernoulli(rate, rng)
-		if err != nil {
-			return nil, fmt.Errorf("netem: trace loss model: %w", err)
-		}
 		delayMs := pareto.Sample()
 		if delayMs > 500 {
 			delayMs = 500
 		}
 		tr = append(tr, Segment{
-			Start: time.Duration(i) * spec.Interval,
-			Delay: stats.Constant{Value: delayMs},
-			Loss:  loss,
+			Start:    time.Duration(i) * spec.Interval,
+			DelayMs:  delayMs,
+			LossRate: rate,
 		})
 	}
 	return tr, nil
@@ -166,14 +173,7 @@ type Point struct {
 func (tr Trace) Series() []Point {
 	out := make([]Point, 0, len(tr))
 	for _, seg := range tr {
-		p := Point{At: seg.Start}
-		if seg.Delay != nil {
-			p.DelayMs = seg.Delay.Sample()
-		}
-		if seg.Loss != nil {
-			p.Loss = seg.Loss.Rate()
-		}
-		out = append(out, p)
+		out = append(out, Point{At: seg.Start, DelayMs: seg.DelayMs, Loss: seg.LossRate})
 	}
 	return out
 }

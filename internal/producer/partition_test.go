@@ -5,6 +5,7 @@ import (
 
 	"kafkarel/internal/consumer"
 	"kafkarel/internal/producer"
+	"kafkarel/internal/wire"
 )
 
 // consumePartition drains one partition of the rig's topic.
@@ -14,13 +15,14 @@ func consumePartition(t *testing.T, r *rig, p int32) []uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := cons.ConsumeAll()
+	keys := []uint64{}
+	err = cons.Consume(func(run []wire.Record) {
+		for _, rec := range run {
+			keys = append(keys, rec.Key)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	keys := make([]uint64, len(recs))
-	for i, rec := range recs {
-		keys[i] = rec.Key
 	}
 	return keys
 }
@@ -105,9 +107,15 @@ func (r *rig) runMulti(t testing.TB, partitions int32) consumer.Report {
 	if !r.prod.Done() {
 		t.Fatalf("producer not done: counts=%+v", r.prod.Counts())
 	}
-	recs, err := consumer.ConsumeAllPartitions(r.clst, r.prod.Config().Topic, partitions)
-	if err != nil {
-		t.Fatal(err)
+	tally := consumer.NewTally(uint64(r.count))
+	for p := int32(0); p < partitions; p++ {
+		cons, err := consumer.New(r.clst, r.prod.Config().Topic, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cons.Consume(tally.Add); err != nil {
+			t.Fatalf("partition %d: %v", p, err)
+		}
 	}
-	return consumer.Reconcile(uint64(r.count), recs)
+	return tally.Report()
 }

@@ -110,11 +110,11 @@ func (r *rig) run(t testing.TB) consumer.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := cons.ConsumeAll()
-	if err != nil {
+	tally := consumer.NewTally(uint64(r.count))
+	if err := cons.Consume(tally.Add); err != nil {
 		t.Fatal(err)
 	}
-	return consumer.Reconcile(uint64(r.count), recs)
+	return tally.Report()
 }
 
 func baseConfig() producer.Config {

@@ -369,3 +369,218 @@ func TestPropertyReadIntoMatchesModelFromAnyOffset(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// checkSegments asserts the fixed-capacity invariants: segments tile
+// [start, end) without gaps, every segment but the last is full, no
+// segment is empty, and capacities stay inside the schedule's bounds.
+func checkSegments(t *testing.T, l *Log) {
+	t.Helper()
+	next := l.start()
+	for i := range l.segments {
+		seg := &l.segments[i]
+		if seg.base != next {
+			t.Fatalf("segment %d base = %d, want %d", i, seg.base, next)
+		}
+		if len(seg.records) == 0 {
+			t.Fatalf("segment %d is empty", i)
+		}
+		if i < len(l.segments)-1 && len(seg.records) != cap(seg.records) {
+			t.Fatalf("inner segment %d holds %d of %d", i, len(seg.records), cap(seg.records))
+		}
+		if c := cap(seg.records); c > l.maxSegment || (c < minSegmentRecords && c != l.maxSegment) {
+			t.Fatalf("segment %d capacity %d outside the schedule (max %d)", i, c, l.maxSegment)
+		}
+		next += int64(len(seg.records))
+	}
+	if next != l.end {
+		t.Fatalf("segments end at %d, log end %d", next, l.end)
+	}
+}
+
+// Model-based property: random Append / TruncateTo / Flush interleavings
+// on logs whose segments have mixed capacities (64, 64, 128, then the
+// maximum) agree with a flat slice on every ReadInto and View — including
+// appends that refill a segment a truncate cut short, and reads that
+// straddle a segment boundary — and a stored record never moves: the slot
+// a record was appended into is the slot every later read finds it in.
+func TestPropertyFixedSegmentsMatchFlatModel(t *testing.T) {
+	type stored struct {
+		key  uint64
+		slot *wire.Record
+	}
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 11))
+		l := NewLog([]int{5, 64, 100, 300}[rng.IntN(4)])
+		var model []stored
+		var bytes uint64
+		flushed := int64(0)
+		key := uint64(0)
+		var scratch []Entry
+		for op := 0; op < 400; op++ {
+			switch r := rng.IntN(20); {
+			case r < 14: // append, now and then a batch larger than any segment
+				n := rng.IntN(12) + 1
+				if rng.IntN(25) == 0 {
+					n = 150 + rng.IntN(400)
+				}
+				batch := make([]wire.Record, n)
+				for i := range batch {
+					key++
+					batch[i] = wire.Record{Key: key, Payload: make([]byte, key%7)}
+				}
+				if base := l.Append(batch); base != int64(len(model)) {
+					t.Fatalf("seed %d: append base %d, want %d", seed, base, len(model))
+				}
+				for i := range batch {
+					bytes += uint64(batch[i].EncodedSize())
+					model = append(model, stored{key: batch[i].Key})
+				}
+				// Record where each new record landed.
+				for off := len(model) - n; off < len(model); {
+					run, err := l.View(int64(off), len(model)-off)
+					if err != nil || len(run) == 0 {
+						t.Fatalf("seed %d: view of fresh append at %d: %v", seed, off, err)
+					}
+					for i := range run {
+						model[off+i].slot = &run[i]
+					}
+					off += len(run)
+				}
+			case r < 17 && len(model) > 0: // truncate, usually into a segment
+				cut := rng.IntN(len(model) + 1)
+				l.TruncateTo(int64(cut))
+				for _, s := range model[cut:] {
+					bytes -= uint64(wire.Record{Payload: make([]byte, s.key%7)}.EncodedSize())
+				}
+				model = model[:cut]
+				if flushed > int64(cut) {
+					flushed = int64(cut)
+				}
+			case r < 18:
+				l.Flush()
+				flushed = int64(len(model))
+			}
+			checkSegments(t, l)
+			if l.End() != int64(len(model)) || l.Len() != int64(len(model)) || l.Flushed() != flushed || l.Bytes() != bytes {
+				t.Fatalf("seed %d op %d: end/len/flushed/bytes = %d/%d/%d/%d, model %d/%d/%d",
+					seed, op, l.End(), l.Len(), l.Flushed(), l.Bytes(), len(model), flushed, bytes)
+			}
+			// One random window through both read paths.
+			off := rng.IntN(len(model) + 1)
+			max := rng.IntN(200) + 1
+			want := model[off:]
+			if len(want) > max {
+				want = want[:max]
+			}
+			got, err := l.ReadInto(int64(off), max, scratch)
+			if err != nil || len(got) != len(want) {
+				t.Fatalf("seed %d op %d: ReadInto(%d, %d) = %d entries, %v; want %d", seed, op, off, max, len(got), err, len(want))
+			}
+			for i, e := range got {
+				if e.Offset != int64(off+i) || e.Record.Key != want[i].key {
+					t.Fatalf("seed %d op %d: entry %d = {%d, key %d}, want {%d, key %d}", seed, op, i, e.Offset, e.Record.Key, off+i, want[i].key)
+				}
+			}
+			if got != nil {
+				scratch = got
+			}
+			for seen := 0; seen < len(want); {
+				run, err := l.View(int64(off+seen), max-seen)
+				if err != nil || len(run) == 0 || len(run) > len(want)-seen || cap(run) != len(run) {
+					t.Fatalf("seed %d op %d: View(%d, %d) = len %d cap %d, %v", seed, op, off+seen, max-seen, len(run), cap(run), err)
+				}
+				for i := range run {
+					if run[i].Key != want[seen+i].key || &run[i] != want[seen+i].slot {
+						t.Fatalf("seed %d op %d: offset %d moved or changed (key %d, want %d)", seed, op, off+seen+i, run[i].Key, want[seen+i].key)
+					}
+				}
+				seen += len(run)
+			}
+		}
+		if l.maxSegment > minSegmentRecords && l.Segments() > 3 {
+			caps := map[int]bool{}
+			for i := range l.segments {
+				caps[cap(l.segments[i].records)] = true
+			}
+			if len(caps) < 2 {
+				t.Errorf("seed %d: %d segments all of one capacity", seed, l.Segments())
+			}
+		}
+	}
+}
+
+// The two cases the schedule exists for, spelled out: a truncate into a
+// segment followed by an append overwrites the vacated slots in place
+// (same backing array, no new segment), and a read across the boundary of
+// two differently sized segments returns one contiguous window.
+func TestTruncateIntoSegmentThenAppendReusesSlots(t *testing.T) {
+	l := NewLog(0)
+	batch := make([]wire.Record, 150) // segments of 64, 64, 128
+	for i := range batch {
+		batch[i] = wire.Record{Key: uint64(i)}
+	}
+	l.Append(batch)
+	if l.Segments() != 3 || cap(l.segments[2].records) != 128 {
+		t.Fatalf("segments = %d, third capacity %d; want 3 and 128", l.Segments(), cap(l.segments[2].records))
+	}
+	before, err := l.View(100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.TruncateTo(100)
+	l.Append([]wire.Record{{Key: 1000}, {Key: 1001}})
+	after, err := l.View(100, 2)
+	if err != nil || len(after) != 2 {
+		t.Fatalf("view after re-append = %v, %v", after, err)
+	}
+	if &after[0] != &before[0] || after[0].Key != 1000 || after[1].Key != 1001 {
+		t.Error("re-append after truncate did not overwrite the vacated slots in place")
+	}
+	if l.Segments() != 2 || l.End() != 102 {
+		t.Errorf("segments/end = %d/%d, want 2/102", l.Segments(), l.End())
+	}
+	// Straddle the 64|64 boundary: View stops at it, ReadInto crosses it.
+	run, err := l.View(60, 10)
+	if err != nil || len(run) != 4 {
+		t.Fatalf("View(60, 10) = %d records, %v; want the 4 left in the first segment", len(run), err)
+	}
+	got, err := l.Read(60, 10)
+	if err != nil || len(got) != 10 {
+		t.Fatalf("Read(60, 10) = %d entries, %v", len(got), err)
+	}
+	for i, e := range got {
+		if e.Offset != int64(60+i) || e.Record.Key != uint64(60+i) {
+			t.Errorf("entry %d = {%d, key %d}", i, e.Offset, e.Record.Key)
+		}
+	}
+	if _, err := l.View(103, 1); !errors.Is(err, ErrOffsetOutOfRange) {
+		t.Errorf("view past the end: %v", err)
+	}
+	if run, err := l.View(102, 1); err != nil || len(run) != 0 {
+		t.Errorf("view at the end = %v, %v", run, err)
+	}
+}
+
+// Appending never regrows a segment: filling one with small appends
+// allocates its backing array and nothing else.
+func TestAppendAllocatesOncePerSegment(t *testing.T) {
+	l := NewLog(0)
+	batch := recs(1, 2, 3, 4)
+	fillSegment := func() {
+		for i := 0; i < DefaultSegmentRecords/len(batch); i++ {
+			l.Append(batch)
+		}
+	}
+	fillSegment() // past the small first segments
+	fillSegment()
+	segments := l.Segments()
+	const runs = 10
+	// AllocsPerRun reports whole allocations per run: one array per
+	// segment filled, plus a share of the segment list's own regrowth.
+	if allocs := testing.AllocsPerRun(runs, fillSegment); allocs > 1 {
+		t.Errorf("%v allocations per %d-record segment, want 1", allocs, DefaultSegmentRecords)
+	}
+	if rolled := l.Segments() - segments; rolled != runs+1 {
+		t.Errorf("%d segments rolled during %d fills", rolled, runs+1)
+	}
+}

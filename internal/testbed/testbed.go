@@ -362,7 +362,7 @@ func buildRig(sim *des.Simulator, e Experiment, cal Calibration) (*rig, error) {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
 	if len(e.Trace) > 0 {
-		if err := e.Trace.Apply(sim, path); err != nil {
+		if err := e.Trace.Apply(sim, path, e.Seed); err != nil {
 			return nil, fmt.Errorf("testbed: %w", err)
 		}
 	}
@@ -584,6 +584,14 @@ func producerConfig(e Experiment, topic string) (producer.Config, error) {
 	return cfg, nil
 }
 
+// appendKeys appends the keys of a fetched run to keys.
+func appendKeys(keys []uint64, run []wire.Record) []uint64 {
+	for i := range run {
+		keys = append(keys, run[i].Key)
+	}
+	return keys
+}
+
 // collect verifies and aggregates the run.
 func (r *rig) collect(sim *des.Simulator, e Experiment) (Result, error) {
 	if r.cfgErr != nil {
@@ -608,22 +616,23 @@ func (r *rig) collect(sim *des.Simulator, e Experiment) (Result, error) {
 	if r.doneAt >= 0 {
 		res.Duration = r.doneAt
 	}
-	var recs []wire.Record
+	tally := consumer.NewTally(res.Acquired)
 	for p := int32(0); p < int32(exprun.DefInt(e.Partitions, 1)); p++ {
 		cons, err := consumer.New(r.clst, r.prod.Config().Topic, p)
 		if err != nil {
 			return Result{}, fmt.Errorf("testbed: %w", err)
 		}
-		part, err := cons.ConsumeAll()
+		keys := []uint64{} // non-nil: evidence renders an empty partition as [], not null
+		err = cons.Consume(func(run []wire.Record) {
+			tally.Add(run)
+			if e.CaptureEvidence {
+				keys = appendKeys(keys, run)
+			}
+		})
 		if err != nil {
 			return Result{}, fmt.Errorf("testbed: partition %d: %w", p, err)
 		}
-		recs = append(recs, part...)
 		if e.CaptureEvidence {
-			keys := make([]uint64, len(part))
-			for i, rec := range part {
-				keys[i] = rec.Key
-			}
 			res.ConsumedKeys = append(res.ConsumedKeys, keys)
 		}
 	}
@@ -671,7 +680,7 @@ func (r *rig) collect(sim *des.Simulator, e Experiment) (Result, error) {
 		res.Coordinator = &st
 		res.OffsetRegressions = r.co.Regressions()
 	}
-	res.Report = consumer.Reconcile(res.Acquired, recs)
+	res.Report = tally.Report()
 	res.Pl = res.Report.Pl()
 	res.Pd = res.Report.Pd()
 	if r.reg != nil {

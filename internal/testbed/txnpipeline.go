@@ -300,13 +300,10 @@ func (r *txnRig) collect(parts int) (TxnResult, error) {
 				return nil, err
 			}
 			cons.SetIsolation(iso)
-			recs, err := cons.ConsumeAll()
+			keys := []uint64{}
+			err = cons.Consume(func(run []wire.Record) { keys = appendKeys(keys, run) })
 			if err != nil {
 				return nil, fmt.Errorf("output partition %d at %d: %w", p, iso, err)
-			}
-			keys := make([]uint64, len(recs))
-			for i, rec := range recs {
-				keys[i] = rec.Key
 			}
 			return keys, nil
 		}
@@ -537,17 +534,22 @@ func (in *procInstance) loop() {
 		in.doneFlag = true
 		return
 	}
-	var fr wire.FetchResponse
-	got := false
+	// The fetched records are a view valid only inside the callback, and
+	// the transaction outlives it: take the copy there.
+	var recs []wire.Record
 	in.proc.rig.clst.HandleFetch(wire.FetchRequest{
 		Topic: TxnInTopic, Partition: in.proc.part,
 		Offset: in.pos, MaxRecords: int32(in.proc.rig.batch),
-	}, func(r wire.FetchResponse) { fr = r; got = true })
-	if !got || fr.Err != wire.ErrNone || len(fr.Records) == 0 {
+	}, func(fr wire.FetchResponse) {
+		if fr.Err == wire.ErrNone {
+			recs = append(recs, fr.Records...)
+		}
+	})
+	if len(recs) == 0 {
 		in.after(txnPollDelay, in.loop)
 		return
 	}
-	in.attempt(append([]wire.Record(nil), fr.Records...))
+	in.attempt(recs)
 }
 
 func (in *procInstance) attempt(recs []wire.Record) {

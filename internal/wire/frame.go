@@ -46,7 +46,7 @@ type Splitter struct {
 // internal buffer, which is REUSED — bodies (and anything decoded from
 // them, such as record payloads) are valid only until the next Push.
 // Consumers that retain decoded data across Pushes (in particular across
-// simulated time) must deep-copy it first; see wire.CloneRecords. The
+// simulated time) must deep-copy it first; see wire.Slab. The
 // returned []FramePart slice itself is also reused by the next Push.
 func (s *Splitter) Push(chunk []byte) ([]FramePart, error) {
 	// Reclaim space consumed by frames returned from the previous Push.

@@ -142,7 +142,7 @@ func decodeString(b []byte) (string, []byte, error) {
 //
 // Ownership: the Records slice of a ProduceRequest or FetchResponse
 // decoded through the same Decoder reuses one backing array — consume or
-// copy (CloneRecords) the records before the next decode on this
+// copy (Slab.Clone) the records before the next decode on this
 // Decoder. Payloads follow the DecodeRecordBatch aliasing contract. A
 // nil *Decoder is valid and decodes without any reuse.
 type Decoder struct {

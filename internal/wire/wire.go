@@ -232,23 +232,63 @@ func (b RecordBatch) Encode(dst []byte) []byte {
 	return dst
 }
 
-// CloneRecords deep-copies the payloads of recs into a single freshly
-// allocated buffer and returns records aliasing it. Consumers that retain
-// decoded records beyond the lifetime of the decode source buffer (for
-// example across simulated time, or past the next Splitter.Push) must
-// clone them; see DecodeRecordBatch for the ownership contract.
-func CloneRecords(recs []Record) []Record {
-	total := 0
-	for _, r := range recs {
-		total += len(r.Payload)
+// Slab is run-lifetime storage for cloned record batches: Clone carves
+// payload bytes and Record headers out of chunks the slab allocates as it
+// fills, so a long-lived decoder pays a couple of allocations per few
+// hundred records, not per request. Storage handed out is never reused
+// or written again, and a chunk is garbage once nothing cloned from it is
+// referenced. The zero value is ready to use.
+type Slab struct {
+	bytes []byte   // current payload chunk; len is what has been handed out
+	recs  []Record // current header chunk, likewise
+}
+
+// Slab chunk sizes. The first chunk is small because most slabs belong to
+// short runs (a 300-message chaos trial must not pay for zeroing a large
+// chunk it never fills); chunks then double up to a ceiling that keeps
+// them inside the allocator's small-object classes.
+const (
+	slabMinBytes   = 1 << 10
+	slabMaxBytes   = 32 << 10
+	slabMinRecords = 16
+	slabMaxRecords = 512
+)
+
+// carve takes n fresh elements from the current chunk. When too few are
+// left it starts a new chunk — twice the last one's size, within [lo, hi]
+// — and abandons the old tail; a request beyond hi gets a chunk of its
+// own and leaves the current one in place.
+func carve[T any](chunk *[]T, n, lo, hi int) []T {
+	c := *chunk
+	if cap(c)-len(c) < n {
+		if n > hi {
+			return make([]T, n)
+		}
+		c = make([]T, 0, min(max(2*cap(c), 2*n, lo), hi))
 	}
-	buf := make([]byte, 0, total)
-	out := make([]Record, len(recs))
-	for i, r := range recs {
-		start := len(buf)
-		buf = append(buf, r.Payload...)
-		r.Payload = buf[start:len(buf):len(buf)]
-		out[i] = r
+	used := len(c)
+	*chunk = c[:used+n]
+	return c[used : used+n : used+n]
+}
+
+// Clone deep-copies recs — payloads and headers — into the slab and
+// returns the copy. Consumers that retain decoded records beyond the
+// lifetime of the decode source buffer (for example across simulated
+// time, or past the next Splitter.Push) must clone them; see
+// DecodeRecordBatch for the ownership contract. The returned bytes are
+// immutable from here on: they may end up owned by any number of logs.
+func (s *Slab) Clone(recs []Record) []Record {
+	total := 0
+	for i := range recs {
+		total += len(recs[i].Payload)
+	}
+	buf := carve(&s.bytes, total, slabMinBytes, slabMaxBytes)
+	out := carve(&s.recs, len(recs), slabMinRecords, slabMaxRecords)
+	for i := range recs {
+		n := copy(buf, recs[i].Payload)
+		out[i] = recs[i]
+		out[i].Payload = buf[:n:n]
+		buf = buf[n:]
 	}
 	return out
 }
@@ -259,7 +299,7 @@ func CloneRecords(recs []Record) []Record {
 // Ownership: record payloads are zero-copy aliases into b. They remain
 // valid exactly as long as b's bytes do — callers that decode from a
 // reused or recycled buffer and retain the records must copy them first
-// (CloneRecords). In particular, frame bodies returned by Splitter.Push
+// (Slab.Clone). In particular, frame bodies returned by Splitter.Push
 // are valid only until the next Push, so records decoded from split
 // frames and retained past the current callback must be cloned.
 func DecodeRecordBatch(b []byte) (RecordBatch, []byte, error) {

@@ -459,7 +459,7 @@ func TestDecoderSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// CloneRecords must sever every alias into the decode source: after
+// Slab.Clone must sever every alias into the decode source: after
 // cloning, scribbling over the source buffer cannot reach the records.
 func TestCloneRecordsSeversSourceAliases(t *testing.T) {
 	enc := sampleBatch().Encode(nil)
@@ -467,7 +467,8 @@ func TestCloneRecordsSeversSourceAliases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cloned := CloneRecords(batch.Records)
+	var slab Slab
+	cloned := slab.Clone(batch.Records)
 	want := make([][]byte, len(cloned))
 	for i, r := range cloned {
 		want[i] = append([]byte(nil), r.Payload...)
