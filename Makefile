@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race bench bench-repo bench-seeds bench-json bench-scaling bench-gate profile repro chaos-smoke shim-gate
+.PHONY: check build fmt vet test race bench bench-repo bench-pairs bench-seeds bench-json bench-scaling bench-gate profile repro chaos-smoke shim-gate
 
 ## check: the full quality gate — formatting, build, vet, race-enabled
 ## tests, the retired-shim grep gate, and a fixed-seed chaos campaign.
@@ -31,9 +31,48 @@ bench:
 ## bench-repo: the repository benchmark's headline pass (BENCHMARK.json;
 ## bench/README.md says what each number means): host cost per simulated
 ## record on the four workloads, written to bench/out/head.json. Compare
-## two result sets with `go run ./bench -agree a.json b.json`.
+## two result sets with `go run ./bench -agree a.json b.json`. A perf claim
+## is measured with `make bench-pairs`, below, not with one run of this.
 bench-repo:
 	$(GO) run ./bench -trace 0 -o bench/out/head.json
+
+## bench-pairs: the standing rule for a perf claim as one command —
+## make bench-pairs WORKLOAD=fleet_fanout PARENT=<git ref> [PAIRS=10] [REPEATS=n]
+## builds ./bench from a clean export of PARENT and from this tree (into
+## bench/out/pairs/), runs the two binaries alternately at `-seed 2 -trace 0`
+## — odd pairs parent first, even pairs change first — and prints every run
+## (its full output stays in bench/out/pairs/<pair>-<side>.txt), then each
+## side's quartiles (nearest rank) and how many pairs each side won. Fails
+## if a run is not correct=true or the fingerprints differ. cpu_s is the
+## process's user+system time: at the default run length (a fixed 20 s of
+## repeats) it says nothing; give REPEATS to compare it.
+PAIRS ?= 10
+bench-pairs: SHELL := /bin/bash
+bench-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pairs WORKLOAD=<name> PARENT=<git ref> [PAIRS=10] [REPEATS=n]"; exit 2; }
+	@out=bench/out/pairs; rm -rf $$out && mkdir -p $$out/src && git archive $(PARENT) | tar -x -C $$out/src && \
+	(cd $$out/src && $(GO) build -o ../parent ./bench) && $(GO) build -o $$out/change ./bench || exit 1; \
+	TIMEFORMAT='%U %S'; fail=0; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi; \
+		for side in $$order; do \
+			cpu=$$( { time $$out/$$side -workload $(WORKLOAD) -seed 2 -trace 0 $(if $(REPEATS),-repeats $(REPEATS)) > $$out/$$i-$$side.txt 2>&1; } 2>&1 | awk '{print $$1 + $$2}'); \
+			wall=$$(sed -n 's/^  wall_ns_per_record *\([0-9.]*\) .*/\1/p' $$out/$$i-$$side.txt); \
+			fp=$$(sed -n 's/^  sim_fingerprint //p' $$out/$$i-$$side.txt); \
+			ok=$$(grep -o -m1 'correct=[a-z]*' $$out/$$i-$$side.txt); \
+			echo "pair $$i $$side wall_ns_per_record=$$wall cpu_s=$$cpu $$ok sim_fingerprint=$$fp"; \
+			echo "$$i $$side $$wall $$cpu $$fp" >> $$out/runs.txt; \
+			[ "$$ok" = correct=true ] || { echo "bench-pairs: $$side run of pair $$i is not correct=true"; fail=1; }; \
+		done; \
+	done; \
+	quart() { sort -n | awk '{a[NR] = $$1} END {print "q1=" a[int((NR + 3) / 4)], "median=" (NR % 2 ? a[(NR + 1) / 2] : (a[NR / 2] + a[NR / 2 + 1]) / 2), "q3=" a[int((3 * NR + 3) / 4)]}'; }; \
+	for side in parent change; do \
+		echo "$$side wall_ns_per_record $$(awk -v s=$$side '$$2 == s {print $$3}' $$out/runs.txt | quart)"; \
+		echo "$$side cpu_s $$(awk -v s=$$side '$$2 == s {print $$4}' $$out/runs.txt | quart)"; \
+	done; \
+	awk '{w[$$2, $$1] = $$3} END {for (i = 1; i <= NR / 2; i++) {c += w["change", i] < w["parent", i]; p += w["parent", i] < w["change", i]}; print "pairs won on wall_ns_per_record: change " c + 0 ", parent " p + 0 ", of " NR / 2}' $$out/runs.txt; \
+	[ "$$(awk '{print $$5}' $$out/runs.txt | sort -u | wc -l)" = 1 ] || { echo "bench-pairs: sim_fingerprint differs between runs"; fail=1; }; \
+	exit $$fail
 
 ## bench-seeds: the repository benchmark as a correctness sweep over
 ## seeds — one untimed repeat each, so a seed-dependent failure (a chaos

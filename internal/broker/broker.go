@@ -613,8 +613,86 @@ func (b *Broker) HandleProduce(req wire.ProduceRequest, idempotent bool, done fu
 	b.Produce(req, idempotent, callPlainDone, done)
 }
 
+// Partition is a handle to one topic partition hosted on this broker,
+// resolved once (Broker.Partition) so a reader that returns to the same
+// partition every few milliseconds does not pay a topic-name lookup each
+// time. The handle is good for the broker's life — a hosted partition is
+// never dropped or moved — and caches nothing about the log: every method
+// reads the log and the transaction view as they are now (an unclean
+// crash and a catch-up both replace the transaction view).
+type Partition struct {
+	b *Broker
+	p *part
+}
+
+// Partition returns the handle of a hosted partition; ok is false when
+// this broker holds no replica of it.
+func (b *Broker) Partition(topic string, partition int32) (h Partition, ok bool) {
+	p := b.resolve(topic, partition)
+	return Partition{b: b, p: p}, p != nil
+}
+
+// Up reports whether the hosting broker is serving requests.
+func (h Partition) Up() bool { return h.b.up }
+
+// End returns the partition's log end offset.
+func (h Partition) End() int64 { return h.p.log.End() }
+
+// LastStable returns the partition's last stable offset.
+func (h Partition) LastStable() int64 { return h.p.txn.lso(h.p.log.End()) }
+
 // HandleFetch services a fetch request immediately (fetch cost is
-// dominated by the network in the experiments).
+// dominated by the network in the experiments): it resolves the
+// partition and hands the request to Partition.Fetch, which documents
+// the response.
+func (b *Broker) HandleFetch(req wire.FetchRequest, done func(wire.FetchResponse)) {
+	if h, ok := b.Partition(req.Topic, req.Partition); ok {
+		h.Fetch(req, done)
+		return
+	}
+	if !b.up || done == nil {
+		return
+	}
+	b.stats.FetchRequests++
+	done(wire.FetchResponse{
+		CorrelationID: req.CorrelationID,
+		Topic:         req.Topic,
+		Partition:     req.Partition,
+		NextOffset:    req.Offset,
+		Err:           wire.ErrUnknownTopicOrPartition,
+	})
+}
+
+// FetchIsNoOp reports whether a fetch at pos, by a reader that already
+// holds high watermark hwm, is the one whose answer is known without
+// asking: Fetch would call back with ErrNone, no records, NextOffset ==
+// pos and HighWatermark == hwm, so the reader learns nothing and moves
+// nowhere. That is the case when the broker is up, nothing was appended
+// or truncated since the reader saw hwm, and pos sits where data would
+// arrive next: at the log end, or — at read_committed — at or past the
+// last stable offset, parked behind an open transaction. Everything else
+// (broker down, hwm stale in either direction, data or a filtered run at
+// pos, pos out of range) is false, and the reader must ask. A reader that
+// skips the request on true accounts for it with CountFetch.
+//
+// It mirrors Fetch top to bottom and holds no state of its own, so there
+// is nothing to invalidate: the answer is computed from the log as it is.
+func (h Partition) FetchIsNoOp(pos, hwm int64, iso wire.IsolationLevel) bool {
+	end := h.p.log.End()
+	if !h.b.up || hwm != end || pos > end {
+		return false
+	}
+	return pos == end || (iso == wire.ReadCommitted && pos >= h.p.txn.lso(end))
+}
+
+// CountFetch records a fetch that was answered without being issued: the
+// reader established FetchIsNoOp and skipped the call. It is a simulated
+// fetch all the same, so Stats.FetchRequests counts it.
+func (h Partition) CountFetch() { h.b.stats.FetchRequests++ }
+
+// Fetch services a fetch of this partition; req's topic and partition
+// are only echoed into the response. A broker that is down never calls
+// done.
 //
 // Isolation semantics: read_committed fetches are bounded by the last
 // stable offset and never see records from aborted transactions;
@@ -626,11 +704,12 @@ func (b *Broker) HandleProduce(req wire.ProduceRequest, idempotent bool, done fu
 //
 // The response's Records slice is a view, valid only inside done: it is
 // the partition log's own slots (storage.Log.View) or, when the fetch
-// crosses a segment boundary, scratch the next HandleFetch reuses. An
+// crosses a segment boundary, scratch the next Fetch reuses. An
 // unclean crash that truncates the log followed by new appends overwrites
 // those slots, so consume or copy the records before done returns. The
 // record payloads are immutable and stay valid for the life of the log.
-func (b *Broker) HandleFetch(req wire.FetchRequest, done func(wire.FetchResponse)) {
+func (h Partition) Fetch(req wire.FetchRequest, done func(wire.FetchResponse)) {
+	b := h.b
 	if !b.up || done == nil {
 		return
 	}
@@ -641,14 +720,8 @@ func (b *Broker) HandleFetch(req wire.FetchRequest, done func(wire.FetchResponse
 		Partition:     req.Partition,
 		NextOffset:    req.Offset,
 	}
-	p := b.resolve(req.Topic, req.Partition)
-	if p == nil {
-		resp.Err = wire.ErrUnknownTopicOrPartition
-		done(resp)
-		return
-	}
-	log := p.log
-	ts := p.txn
+	log := h.p.log
+	ts := h.p.txn
 	resp.HighWatermark = log.End()
 	lso := ts.lso(log.End())
 	resp.LastStable = lso

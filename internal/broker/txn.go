@@ -221,12 +221,9 @@ func (b *Broker) RestoreTxnState(topic string, partition int32, snap TxnSnapshot
 // LastStable returns the partition's last stable offset, for tests and
 // the cluster's recovery bookkeeping.
 func (b *Broker) LastStable(topic string, partition int32) int64 {
-	p := b.resolve(topic, partition)
-	if p == nil {
+	h, ok := b.Partition(topic, partition)
+	if !ok {
 		return 0
 	}
-	if p.txn == nil {
-		return p.log.End()
-	}
-	return p.txn.lso(p.log.End())
+	return h.LastStable()
 }

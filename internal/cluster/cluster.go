@@ -46,9 +46,52 @@ func DefaultConfig() Config {
 	}
 }
 
+// partitionMeta is one partition's placement. It is allocated once at
+// CreateTopic and never moves; only leader changes afterwards.
 type partitionMeta struct {
 	leader   int32
 	replicas []int32
+	// hosted is indexed by broker ID: the replica's handle on each broker
+	// that holds one (zero elsewhere), so routing to whichever replica
+	// leads now is an index, not a topic lookup on the broker.
+	hosted []broker.Partition
+}
+
+// Partition is a handle to one topic partition, resolved once
+// (Cluster.Partition) and good for the cluster's life. It holds the
+// placement, not a leader: every use reads the current leader, so a
+// failover needs no invalidation.
+type Partition struct {
+	pm *partitionMeta
+}
+
+// Partition returns the handle of a topic partition; ok is false when
+// the topic or partition is unknown.
+func (c *Cluster) Partition(topic string, partition int32) (h Partition, ok bool) {
+	pm := c.partition(topic, partition)
+	return Partition{pm: pm}, pm != nil
+}
+
+// Leader returns the current leader's replica; ok is false while the
+// partition is leaderless or its leader is down.
+func (h Partition) Leader() (lp broker.Partition, ok bool) {
+	if h.pm.leader < 0 {
+		return broker.Partition{}, false
+	}
+	lp = h.pm.hosted[h.pm.leader]
+	return lp, lp.Up()
+}
+
+// Fetch routes a fetch to the partition's current leader, as
+// Cluster.HandleFetch does: a leaderless partition answers with an
+// error, a leader that is down stays silent.
+func (h Partition) Fetch(req wire.FetchRequest, done func(wire.FetchResponse)) {
+	pm := h.pm
+	if pm.leader < 0 {
+		fetchUnroutable(req, done)
+		return
+	}
+	pm.hosted[pm.leader].Fetch(req, done)
 }
 
 type topicMeta struct {
@@ -242,11 +285,15 @@ func (c *Cluster) CreateTopic(name string, partitions, replicationFactor int) er
 	}
 	tm := &topicMeta{}
 	for p := 0; p < partitions; p++ {
-		pm := &partitionMeta{leader: int32(p % len(c.brokers))}
+		pm := &partitionMeta{
+			leader: int32(p % len(c.brokers)),
+			hosted: make([]broker.Partition, len(c.brokers)),
+		}
 		for r := 0; r < replicationFactor; r++ {
 			id := int32((p + r) % len(c.brokers))
 			pm.replicas = append(pm.replicas, id)
 			c.brokers[id].CreatePartition(name, int32(p))
+			pm.hosted[id], _ = c.brokers[id].Partition(name, int32(p))
 		}
 		tm.partitions = append(tm.partitions, pm)
 	}
@@ -677,19 +724,24 @@ func replicateFire(a any) {
 	f.Produce(req, idempotent, nil, nil)
 }
 
+// fetchUnroutable answers a fetch of an unknown or leaderless partition.
+func fetchUnroutable(req wire.FetchRequest, done func(wire.FetchResponse)) {
+	if done != nil {
+		done(wire.FetchResponse{
+			CorrelationID: req.CorrelationID,
+			Topic:         req.Topic,
+			Partition:     req.Partition,
+			Err:           wire.ErrUnknownTopicOrPartition,
+		})
+	}
+}
+
 // HandleFetch routes a fetch to the partition leader.
 func (c *Cluster) HandleFetch(req wire.FetchRequest, done func(wire.FetchResponse)) {
-	leader := c.Leader(req.Topic, req.Partition)
-	if leader == nil {
-		if done != nil {
-			done(wire.FetchResponse{
-				CorrelationID: req.CorrelationID,
-				Topic:         req.Topic,
-				Partition:     req.Partition,
-				Err:           wire.ErrUnknownTopicOrPartition,
-			})
-		}
+	h, ok := c.Partition(req.Topic, req.Partition)
+	if !ok {
+		fetchUnroutable(req, done)
 		return
 	}
-	leader.HandleFetch(req, done)
+	h.Fetch(req, done)
 }

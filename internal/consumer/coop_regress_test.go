@@ -197,9 +197,13 @@ func TestParkedCooperativeAssignmentDoesNotPollRevokedPartition(t *testing.T) {
 			m.pendingAssign, m.position[0], m.assigned)
 	}
 	before := g.Evidence()
+	fetches := fetchRequests(clst)
 	m.pollOnce(100, nil)
 	m.commitDirty()
 	after := g.Evidence()
+	if got := fetchRequests(clst) - fetches; got != 1 {
+		t.Errorf("parked member's poll counted %d fetches, want 1: partition 1 only, the revoked partition 0 is not visited", got)
+	}
 	if after.Redelivered != before.Redelivered {
 		t.Errorf("parked member redelivered %d records from the partition it had revoked", after.Redelivered-before.Redelivered)
 	}
@@ -211,5 +215,17 @@ func TestParkedCooperativeAssignmentDoesNotPollRevokedPartition(t *testing.T) {
 	}
 	if m.position[1] != 20 {
 		t.Errorf("retained partition 1 at %d, want it polled to its end (20)", m.position[1])
+	}
+	// The next round finds partition 1 idle and answers it without a fetch;
+	// the revoked partition is skipped before that question is even asked
+	// (its position, notOwned, is no offset to ask about).
+	elided, fetches := g.elided, fetchRequests(clst)
+	m.pollOnce(100, nil)
+	if g.elided-elided != 1 || fetchRequests(clst)-fetches != 1 {
+		t.Errorf("idle round while parked: %d visits elided, %d fetches counted, want 1 and 1 (partition 1 only)",
+			g.elided-elided, fetchRequests(clst)-fetches)
+	}
+	if m.position[0] != notOwned {
+		t.Errorf("revoked partition regained position %d on the idle round", m.position[0])
 	}
 }

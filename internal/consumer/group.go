@@ -40,16 +40,20 @@ var ErrNoCommit = errors.New("consumer: no committed offset")
 //
 // Not safe for concurrent use; the DES is single-threaded.
 type Group struct {
-	sim  *des.Simulator
-	co   *coordinator.Coordinator
-	clst *cluster.Cluster
-	cfg  GroupConfig
+	sim *des.Simulator
+	co  *coordinator.Coordinator
+	cfg GroupConfig
 
 	partitions int32
 	members    map[string]*Member
 	order      []string // member names in Join order
 	active     int      // members neither crashed nor left
 	started    int
+
+	// parts holds each partition's cluster handle, resolved once: a poll
+	// visits every assigned partition every tick, and all it needs from
+	// the cluster most of the time is the leader's log end.
+	parts []cluster.Partition
 
 	// consumed holds, per partition, the keys delivered to the
 	// application in delivery order (after dedup when Dedup is set) —
@@ -80,6 +84,10 @@ type Group struct {
 	gaveUp       bool
 
 	freeCommits []*commitReq
+
+	// elided counts the poll visits answered without a fetch (pollOnce).
+	// Tests read it; it is in no output.
+	elided uint64
 
 	// Observability handles, resolved once from GroupConfig.Obs (all
 	// nil-safe no-ops when unset).
@@ -380,9 +388,9 @@ func NewGroup(sim *des.Simulator, co *coordinator.Coordinator, clst *cluster.Clu
 	g := &Group{
 		sim:           sim,
 		co:            co,
-		clst:          clst,
 		cfg:           cfg,
 		partitions:    int32(n),
+		parts:         make([]cluster.Partition, n),
 		members:       make(map[string]*Member),
 		consumed:      make([][]uint64, n),
 		deliveredNext: make([]int64, n),
@@ -392,6 +400,7 @@ func NewGroup(sim *des.Simulator, co *coordinator.Coordinator, clst *cluster.Clu
 		pausedAt:      make([]time.Duration, n),
 	}
 	for p := range g.hwm {
+		g.parts[p], _ = clst.Partition(cfg.Topic, int32(p)) // the metadata above listed it
 		g.hwm[p] = -1
 		// Every partition starts uncovered; the first assignment closes
 		// the pause, so the initial join barrier is measured too.
@@ -894,6 +903,14 @@ func (m *Member) pollTick() {
 // pollOnce fetches up to max records across the member's assigned
 // partitions and delivers them. When collect is non-nil the delivered
 // records are also appended there (manual Poll).
+//
+// Most visits find nothing new: the member sits at the log end (or, at
+// read_committed, at the last stable offset) and the group already holds
+// the leader's high watermark. Such a fetch is answered without being
+// issued — broker.Partition.FetchIsNoOp says the response would be empty
+// with NextOffset == pos and the same high watermark, and with the dedup
+// watermark already at pos deliver would store back what is stored. It
+// uses no budget, as an empty response uses none.
 func (m *Member) pollOnce(max int, collect *[]wire.Record) {
 	g := m.g
 	budget := max
@@ -909,16 +926,53 @@ func (m *Member) pollOnce(max int, collect *[]wire.Record) {
 			// yet. The partition is no longer this member's to read.
 			continue
 		}
+		if g.deliveredNext[p] >= pos {
+			if lp, ok := g.parts[p].Leader(); ok && lp.FetchIsNoOp(pos, g.hwm[p], g.cfg.Isolation) {
+				g.elided++
+				if verifyElided {
+					m.checkElided(p, pos, budget)
+				} else {
+					lp.CountFetch()
+				}
+				continue
+			}
+		}
 		// The fetched records are a view into the leader's log, valid only
-		// inside the callback, so delivery happens there. A leaderless
-		// partition never calls back: retry next round.
-		g.clst.HandleFetch(wire.FetchRequest{
-			Topic: g.cfg.Topic, Partition: p,
-			Offset: pos, MaxRecords: int32(budget),
-			Isolation: g.cfg.Isolation,
-		}, func(fr wire.FetchResponse) {
+		// inside the callback, so delivery happens there. A partition whose
+		// leader is down never calls back: retry next round.
+		g.parts[p].Fetch(g.fetchRequest(p, pos, budget), func(fr wire.FetchResponse) {
 			budget -= m.deliver(p, pos, fr, collect)
 		})
+	}
+}
+
+// fetchRequest is a poll's fetch of partition p at pos.
+func (g *Group) fetchRequest(p int32, pos int64, budget int) wire.FetchRequest {
+	return wire.FetchRequest{
+		Topic: g.cfg.Topic, Partition: p,
+		Offset: pos, MaxRecords: int32(budget),
+		Isolation: g.cfg.Isolation,
+	}
+}
+
+// checkElided issues the fetch pollOnce has just decided to skip and
+// panics unless it is the no-op that decision rests on: answered, no
+// error, no records, and nothing deliver would move. Race builds run it
+// on every elided fetch (verifyElided); the request counts itself in the
+// broker's statistics, in place of CountFetch.
+func (m *Member) checkElided(p int32, pos int64, budget int) {
+	g := m.g
+	answered := false
+	g.parts[p].Fetch(g.fetchRequest(p, pos, budget), func(fr wire.FetchResponse) {
+		answered = true
+		if fr.Err != wire.ErrNone || len(fr.Records) != 0 || fr.NextOffset != pos ||
+			fr.HighWatermark != g.hwm[p] || g.deliveredNext[p] < fr.NextOffset {
+			panic(fmt.Sprintf("consumer: elided fetch of %s/%d at %d (hwm %d, delivered to %d) was not a no-op: err=%s records=%d next=%d hwm=%d",
+				g.cfg.Topic, p, pos, g.hwm[p], g.deliveredNext[p], fr.Err, len(fr.Records), fr.NextOffset, fr.HighWatermark))
+		}
+	})
+	if !answered {
+		panic(fmt.Sprintf("consumer: elided fetch of %s/%d at %d went unanswered", g.cfg.Topic, p, pos))
 	}
 }
 
@@ -1221,15 +1275,11 @@ func (g *Group) LagByPartition() ([]int64, error) {
 		if err != nil && !errors.Is(err, ErrNoCommit) {
 			return nil, err
 		}
-		var fr wire.FetchResponse
-		got := false
-		g.clst.HandleFetch(wire.FetchRequest{
-			Topic: g.cfg.Topic, Partition: p, Offset: committed,
-		}, func(r wire.FetchResponse) { fr = r; got = true })
-		if !got {
+		lp, ok := g.parts[p].Leader()
+		if !ok {
 			return nil, fmt.Errorf("consumer: partition %d leaderless", p)
 		}
-		lags[p] = fr.HighWatermark - committed
+		lags[p] = lp.End() - committed
 	}
 	return lags, nil
 }

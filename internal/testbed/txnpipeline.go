@@ -319,13 +319,11 @@ func (r *txnRig) collect(parts int) (TxnResult, error) {
 		res.OutputUncommitted = append(res.OutputUncommitted, uncommitted)
 
 		hwm, lso := int64(-1), int64(-1)
-		r.clst.HandleFetch(wire.FetchRequest{
-			Topic: TxnOutTopic, Partition: int32(p), Offset: 0, MaxRecords: 1,
-		}, func(fr wire.FetchResponse) {
-			if fr.Err == wire.ErrNone {
-				hwm, lso = fr.HighWatermark, fr.LastStable
+		if h, ok := r.clst.Partition(TxnOutTopic, int32(p)); ok {
+			if lp, ok := h.Leader(); ok {
+				hwm, lso = lp.End(), lp.LastStable()
 			}
-		})
+		}
 		res.OutputEnd = append(res.OutputEnd, hwm)
 		res.OutputLastStable = append(res.OutputLastStable, lso)
 	}
