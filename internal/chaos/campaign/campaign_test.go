@@ -3,6 +3,8 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"strings"
 	"testing"
@@ -430,6 +432,51 @@ func TestCoopPlansThatLostAnAckedCommit(t *testing.T) {
 		}
 		if !row.Pass || len(row.Violations) > 0 || len(row.Classified) > 0 {
 			t.Errorf("plan %d: pass=%v violations=%v classified=%v", seeds[0], row.Pass, row.Violations, row.Classified)
+		}
+	}
+}
+
+// TestSmokeScorecardsPinned pins SHA-256 of Scorecard.WriteJSON for the
+// three `make chaos-smoke` configurations (60 trials, seed 20260806):
+// -e2e (both delivery modes, one scorecard each, hashed in order), txn
+// and coop. It stands in for the generated scorecards that used to be
+// committed at the repo root: a hash moves only when a trial's simulated
+// behaviour or its verdict does, and the PR that means to move it re-pins
+// it and says why.
+func TestSmokeScorecardsPinned(t *testing.T) {
+	smoke := Config{Trials: 60, Seed: 20260806}
+	cases := []struct {
+		name  string
+		modes []string
+		cfg   func(Config) Config
+		want  string
+	}{
+		{"e2e", []string{ModeExactlyOnce, ModeAtLeastOnce},
+			func(c Config) Config { c.E2E, c.ConsumerMembers = true, 2; return c },
+			"8a1b313981b07447ebfa1b10a7f0f01c833ad7dde028c9e3c29a33435c63e64b"},
+		{"txn", []string{ModeTxn}, func(c Config) Config { return c },
+			"7ceb00fadba7f4c08cb64177014fc5e97881bdb9a5a6139db6be54066ad5c82d"},
+		{"coop", []string{ModeCoop}, func(c Config) Config { return c },
+			"d4c2ac5ef4ff9ccad57c6402d7408202cc466285fd5b3a82ea48f8ca57e652e6"},
+	}
+	for _, tc := range cases {
+		h := sha256.New()
+		for _, mode := range tc.modes {
+			cfg := tc.cfg(smoke)
+			cfg.Mode = mode
+			sc, err := Run(context.Background(), cfg)
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, mode, err)
+			}
+			if !sc.OK() {
+				t.Errorf("%s %s: %d trials violated invariants", tc.name, mode, sc.Failed)
+			}
+			if err := sc.WriteJSON(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("%s scorecard hash = %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }
