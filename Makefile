@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race bench bench-repo bench-pairs bench-seeds bench-json bench-scaling bench-gate profile repro chaos-smoke shim-gate
+.PHONY: check build fmt vet test race bench bench-repo bench-pairs bench-seeds bench-json bench-scaling bench-gate profile repro chaos-smoke
 
 ## check: the full quality gate — formatting, build, vet, race-enabled
-## tests, the retired-shim grep gate, and a fixed-seed chaos campaign.
-check: fmt build vet race shim-gate chaos-smoke
+## tests, and a fixed-seed chaos campaign.
+check: fmt build vet race chaos-smoke
 
 ## fmt: gofmt gate — fails listing any file that is not gofmt-clean.
 fmt:
@@ -173,16 +173,10 @@ repro:
 ## and paired with an identically-seeded eager control run). Exits
 ## non-zero on any violation; the JSON scorecards land in
 ## chaos-scorecard.json, chaos-txn-scorecard.json and
-## chaos-coop-scorecard.json (CI archives all three).
+## chaos-coop-scorecard.json (generated, git-ignored; CI archives all
+## three, and TestSmokeScorecardsPinned in internal/chaos/campaign pins
+## their content by hash).
 chaos-smoke:
 	$(GO) run ./cmd/chaos -trials 60 -seed 20260806 -e2e -out chaos-scorecard.json
 	$(GO) run ./cmd/chaos -txn -trials 60 -seed 20260806 -out chaos-txn-scorecard.json
 	$(GO) run ./cmd/chaos -coop -trials 60 -seed 20260806 -out chaos-coop-scorecard.json
-
-## shim-gate: issue 7 retired the consumer group's local committed-
-## offsets map in favour of the coordinator's durable offsets log; this
-## grep keeps the shim from quietly growing back.
-shim-gate:
-	@if grep -q 'committed map\[int32\]int64' internal/consumer/group.go; then \
-		echo "internal/consumer/group.go regrew a local committed-offsets map;"; \
-		echo "commits must flow through the coordinator's offsets log"; exit 1; fi

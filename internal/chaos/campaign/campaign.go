@@ -16,6 +16,7 @@ import (
 	"strings"
 	"time"
 
+	"kafkarel/internal/broker"
 	"kafkarel/internal/chaos"
 	"kafkarel/internal/exprun"
 	"kafkarel/internal/features"
@@ -276,6 +277,85 @@ func RunTrial(cfg Config, planSeed, workloadSeed uint64) (Row, error) {
 	return runTrial(context.Background(), cfg, planSeed, workloadSeed)
 }
 
+// trialExperiment is the testbed run every delivery-mode trial is a
+// variation of: a small-message stream over a 2 ms path, a producer
+// with tight retry plumbing so faults resolve inside the horizon, full
+// evidence capture, and the generated plan.
+func trialExperiment(cfg Config, plan chaos.Plan, workloadSeed uint64, semantics, partitions, rf int) testbed.Experiment {
+	return testbed.Experiment{
+		Features: features.Vector{
+			MessageSize:    100,
+			DelayMs:        2,
+			Semantics:      semantics,
+			BatchSize:      2,
+			PollInterval:   5 * time.Millisecond,
+			MessageTimeout: 2 * time.Second,
+		},
+		Messages:            cfg.Messages,
+		Seed:                workloadSeed,
+		Partitions:          partitions,
+		MaxSimTime:          cfg.Horizon + 10*time.Second,
+		FaultPlan:           plan,
+		ReplicationFactor:   rf,
+		BrokerFlushInterval: cfg.FlushInterval,
+		CaptureEvidence:     true,
+		MaxInFlight:         cfg.MaxInFlight,
+		MaxRetries:          8,
+		RequestTimeout:      250 * time.Millisecond,
+		RetryBackoff:        20 * time.Millisecond,
+		RetryBackoffMax:     200 * time.Millisecond,
+		QueueLimit:          64,
+	}
+}
+
+// newRow starts a trial's row with what every mode reports the same
+// way: the replay seeds, the plan's faults, the brokers' truncation and
+// unclean-restart sums, and the verdict.
+func newRow(cfg Config, planSeed, workloadSeed uint64, plan chaos.Plan, brokers []broker.Stats, verdict chaos.Verdict) Row {
+	row := Row{
+		Mode:         cfg.Mode,
+		PlanSeed:     planSeed,
+		WorkloadSeed: workloadSeed,
+		Classified:   verdict.Classified,
+		Violations:   verdict.Violations,
+		Pass:         verdict.OK(),
+	}
+	for _, f := range plan.Faults {
+		row.Faults = append(row.Faults, f.String())
+	}
+	for _, st := range brokers {
+		row.Truncated += st.RecordsTruncated
+		row.Unclean += st.UncleanCrashes
+	}
+	return row
+}
+
+// delivery adds a testbed run's producer- and log-side accounting.
+func (row *Row) delivery(res testbed.Result) {
+	row.Completed = res.Completed
+	row.Acquired = res.Acquired
+	row.Delivered = res.Producer.Delivered
+	row.Lost = res.Producer.Lost
+	row.Duplicated = res.Report.NDuplicated
+	row.Pl = res.Pl
+	row.Pd = res.Pd
+	row.OffsetRegressions = len(res.OffsetRegressions)
+}
+
+// groups adds what a run's consumer groups saw, summed over the groups.
+func (row *Row) groups(runs []testbed.GroupRun) {
+	row.Drained = len(runs) > 0
+	for _, gr := range runs {
+		for _, keys := range gr.ConsumedKeys {
+			row.Consumed += int64(len(keys))
+		}
+		row.Redelivered += gr.Evidence.Redelivered
+		row.Rebalances += gr.Evidence.Rebalances
+		row.Expirations += gr.Stats.SessionExpirations
+		row.Drained = row.Drained && gr.Evidence.Drained
+	}
+}
+
 // runTrial is RunTrial with a task context, so campaign workers reuse
 // their simulator across trials (see testbed.RunCtx).
 func runTrial(ctx context.Context, cfg Config, planSeed, workloadSeed uint64) (Row, error) {
@@ -283,19 +363,15 @@ func runTrial(ctx context.Context, cfg Config, planSeed, workloadSeed uint64) (R
 	if err != nil {
 		return Row{}, err
 	}
-	if cfg.Mode == ModeTxn {
+	switch cfg.Mode {
+	case ModeTxn:
 		return runTxnTrial(ctx, cfg, planSeed, workloadSeed)
-	}
-	if cfg.Mode == ModeCoop {
+	case ModeCoop:
 		return runCoopTrial(ctx, cfg, planSeed, workloadSeed)
 	}
-	sem := producer.ExactlyOnce
-	semCode := features.SemanticsExactlyOnce
-	rf := 3
+	sem, semCode, rf := producer.ExactlyOnce, features.SemanticsExactlyOnce, 3
 	if cfg.Mode == ModeAtLeastOnce {
-		sem = producer.AtLeastOnce
-		semCode = features.SemanticsAtLeastOnce
-		rf = 1
+		sem, semCode, rf = producer.AtLeastOnce, features.SemanticsAtLeastOnce, 1
 	}
 	gen := chaos.GenConfig{
 		Brokers:   3,
@@ -308,31 +384,8 @@ func runTrial(ctx context.Context, cfg Config, planSeed, workloadSeed uint64) (R
 		gen.ConsumerMembers = cfg.ConsumerMembers
 	}
 	plan := chaos.GeneratePlan(planSeed, gen)
-	e := testbed.Experiment{
-		Features: features.Vector{
-			MessageSize:    100,
-			DelayMs:        2,
-			Semantics:      semCode,
-			BatchSize:      2,
-			PollInterval:   5 * time.Millisecond,
-			MessageTimeout: 2 * time.Second,
-		},
-		Messages:            cfg.Messages,
-		Seed:                workloadSeed,
-		Partitions:          2,
-		MaxSimTime:          cfg.Horizon + 10*time.Second,
-		FaultPlan:           plan,
-		ReplicationFactor:   rf,
-		BrokerFlushInterval: cfg.FlushInterval,
-		CaptureEvidence:     true,
-		Timeline:            obs.NewTimeline(100 * time.Millisecond),
-		MaxInFlight:         cfg.MaxInFlight,
-		MaxRetries:          8,
-		RequestTimeout:      250 * time.Millisecond,
-		RetryBackoff:        20 * time.Millisecond,
-		RetryBackoffMax:     200 * time.Millisecond,
-		QueueLimit:          64,
-	}
+	e := trialExperiment(cfg, plan, workloadSeed, semCode, 2, rf)
+	e.Timeline = obs.NewTimeline(100 * time.Millisecond)
 	if cfg.E2E {
 		e.Consumers = cfg.ConsumerMembers
 		e.OffsetsReplication = rf
@@ -358,55 +411,18 @@ func runTrial(ctx context.Context, cfg Config, planSeed, workloadSeed uint64) (R
 		Retransmits: res.Metrics.Retransmits,
 	})
 	if cfg.E2E {
-		acked := make(map[uint64]bool, len(res.Outcomes))
+		in, _ := res.GroupRuns[0].VerifierInputs(sem, rf, plan, res.OffsetRegressions)
+		in.AckedKeys = make(map[uint64]bool, len(res.Outcomes))
 		for _, o := range res.Outcomes {
 			if o.State == producer.StateDelivered || o.State == producer.StateDuplicated {
-				acked[o.Key] = true
+				in.AckedKeys[o.Key] = true
 			}
 		}
-		verdict.Merge(chaos.VerifyE2E(chaos.E2EInput{
-			Semantics:          sem,
-			OffsetsReplication: rf,
-			Plan:               plan,
-			Evidence:           *res.GroupEvidence,
-			ConsumedKeys:       res.GroupConsumedKeys,
-			FinalCommitted:     res.GroupCommitted,
-			Regressions:        res.OffsetRegressions,
-			AckedKeys:          acked,
-		}))
+		verdict.Merge(chaos.VerifyE2E(in))
 	}
-	row := Row{
-		Mode:         cfg.Mode,
-		PlanSeed:     planSeed,
-		WorkloadSeed: workloadSeed,
-		Completed:    res.Completed,
-		Acquired:     res.Acquired,
-		Delivered:    res.Producer.Delivered,
-		Lost:         res.Producer.Lost,
-		Duplicated:   res.Report.NDuplicated,
-		Pl:           res.Pl,
-		Pd:           res.Pd,
-		Classified:   verdict.Classified,
-		Violations:   verdict.Violations,
-		Pass:         verdict.OK(),
-	}
-	for _, f := range plan.Faults {
-		row.Faults = append(row.Faults, f.String())
-	}
-	for _, st := range res.BrokerStats {
-		row.Truncated += st.RecordsTruncated
-		row.Unclean += st.UncleanCrashes
-	}
-	if cfg.E2E {
-		for _, keys := range res.GroupConsumedKeys {
-			row.Consumed += int64(len(keys))
-		}
-		row.Redelivered = res.GroupEvidence.Redelivered
-		row.Rebalances = res.GroupEvidence.Rebalances
-		row.Expirations = res.Coordinator.SessionExpirations
-		row.OffsetRegressions = len(res.OffsetRegressions)
-		row.Drained = res.GroupEvidence.Drained
-	}
+	row := newRow(cfg, planSeed, workloadSeed, plan, res.BrokerStats, verdict)
+	row.delivery(res)
+	row.groups(res.GroupRuns)
 	return row, nil
 }
 
@@ -423,77 +439,33 @@ func runCoopTrial(ctx context.Context, cfg Config, planSeed, workloadSeed uint64
 		Horizon:         cfg.Horizon,
 		MaxFaults:       cfg.MaxFaults,
 	})
-	run := func(coop bool) (testbed.Result, error) {
-		e := testbed.Experiment{
-			Features: features.Vector{
-				MessageSize:    100,
-				DelayMs:        2,
-				Semantics:      features.SemanticsAtLeastOnce,
-				BatchSize:      2,
-				PollInterval:   5 * time.Millisecond,
-				MessageTimeout: 2 * time.Second,
-			},
-			Messages:            cfg.Messages,
-			Seed:                workloadSeed,
-			Partitions:          12,
-			MaxSimTime:          cfg.Horizon + 10*time.Second,
-			FaultPlan:           plan,
-			ReplicationFactor:   3,
-			OffsetsReplication:  3,
-			MinISR:              2,
-			BrokerFlushInterval: cfg.FlushInterval,
-			CaptureEvidence:     true,
-			Consumers:           cfg.ConsumerMembers,
-			Groups:              cfg.Groups,
-			Cooperative:         coop,
-			MaxInFlight:         cfg.MaxInFlight,
-			MaxRetries:          8,
-			RequestTimeout:      250 * time.Millisecond,
-			RetryBackoff:        20 * time.Millisecond,
-			RetryBackoffMax:     200 * time.Millisecond,
-			QueueLimit:          64,
-		}
-		return testbed.RunCtx(ctx, e)
-	}
-	coopRes, err := run(true)
+	e := trialExperiment(cfg, plan, workloadSeed, features.SemanticsAtLeastOnce, 12, 3)
+	e.OffsetsReplication = 3
+	e.MinISR = 2
+	e.Consumers = cfg.ConsumerMembers
+	e.Groups = cfg.Groups
+	e.Cooperative = true
+	coopRes, err := testbed.RunCtx(ctx, e)
 	if err != nil {
 		return Row{}, fmt.Errorf("campaign: coop trial (plan %d, workload %d): %w", planSeed, workloadSeed, err)
 	}
-	eagerRes, err := run(false)
+	e.Cooperative = false
+	eagerRes, err := testbed.RunCtx(ctx, e)
 	if err != nil {
 		return Row{}, fmt.Errorf("campaign: coop trial eager control (plan %d, workload %d): %w", planSeed, workloadSeed, err)
 	}
 
 	var verdict chaos.Verdict
 	for _, gr := range coopRes.GroupRuns {
-		verdict.Merge(chaos.VerifyE2E(chaos.E2EInput{
-			Semantics:          producer.AtLeastOnce,
-			OffsetsReplication: 3,
-			Plan:               plan,
-			Evidence:           gr.Evidence,
-			ConsumedKeys:       gr.ConsumedKeys,
-			FinalCommitted:     gr.Committed,
-			Regressions:        coopRes.OffsetRegressions,
-		}))
-		verdict.Merge(chaos.VerifyCoop(chaos.CoopInput{
-			OffsetsReplication: 3,
-			Plan:               plan,
-			Evidence:           gr.Evidence,
-			Regressions:        coopRes.OffsetRegressions,
-		}))
+		e2e, coop := gr.VerifierInputs(producer.AtLeastOnce, 3, plan, coopRes.OffsetRegressions)
+		verdict.Merge(chaos.VerifyE2E(e2e))
+		verdict.Merge(chaos.VerifyCoop(coop))
 	}
 	// The eager control still has to deliver end-to-end — a control that
 	// breaks delivery invariants is not a usable baseline.
 	for _, gr := range eagerRes.GroupRuns {
-		v := chaos.VerifyE2E(chaos.E2EInput{
-			Semantics:          producer.AtLeastOnce,
-			OffsetsReplication: 3,
-			Plan:               plan,
-			Evidence:           gr.Evidence,
-			ConsumedKeys:       gr.ConsumedKeys,
-			FinalCommitted:     gr.Committed,
-			Regressions:        eagerRes.OffsetRegressions,
-		})
+		e2e, _ := gr.VerifierInputs(producer.AtLeastOnce, 3, plan, eagerRes.OffsetRegressions)
+		v := chaos.VerifyE2E(e2e)
 		for _, s := range v.Violations {
 			verdict.Violations = append(verdict.Violations, "eager control: "+s)
 		}
@@ -502,43 +474,15 @@ func runCoopTrial(ctx context.Context, cfg Config, planSeed, workloadSeed uint64
 		}
 	}
 
-	row := Row{
-		Mode:         cfg.Mode,
-		PlanSeed:     planSeed,
-		WorkloadSeed: workloadSeed,
-		Completed:    coopRes.Completed,
-		Acquired:     coopRes.Acquired,
-		Delivered:    coopRes.Producer.Delivered,
-		Lost:         coopRes.Producer.Lost,
-		Duplicated:   coopRes.Report.NDuplicated,
-		Pl:           coopRes.Pl,
-		Pd:           coopRes.Pd,
-		Groups:       cfg.Groups,
-		Drained:      true,
-		Classified:   verdict.Classified,
-		Violations:   verdict.Violations,
-		Pass:         verdict.OK(),
-	}
-	for _, f := range plan.Faults {
-		row.Faults = append(row.Faults, f.String())
-	}
-	for _, st := range coopRes.BrokerStats {
-		row.Truncated += st.RecordsTruncated
-		row.Unclean += st.UncleanCrashes
-	}
-	row.OffsetRegressions = len(coopRes.OffsetRegressions)
+	row := newRow(cfg, planSeed, workloadSeed, plan, coopRes.BrokerStats, verdict)
+	row.delivery(coopRes)
+	row.groups(coopRes.GroupRuns)
+	row.Groups = cfg.Groups
 	for _, gr := range coopRes.GroupRuns {
-		for _, keys := range gr.ConsumedKeys {
-			row.Consumed += int64(len(keys))
-		}
-		row.Redelivered += gr.Evidence.Redelivered
-		row.Rebalances += gr.Evidence.Rebalances
-		row.Expirations += gr.Stats.SessionExpirations
 		row.PausedNs += gr.Evidence.PausedNs
 		row.CoopFollowUps += gr.Stats.CoopFollowUps
 		row.GroupRebalances = append(row.GroupRebalances, gr.Evidence.Rebalances)
 		row.GroupExpirations = append(row.GroupExpirations, gr.Stats.SessionExpirations)
-		row.Drained = row.Drained && gr.Evidence.Drained
 	}
 	for _, gr := range eagerRes.GroupRuns {
 		row.EagerRedelivered += gr.Evidence.Redelivered
@@ -563,7 +507,7 @@ func runTxnTrial(ctx context.Context, cfg Config, planSeed, workloadSeed uint64)
 		MaxFaults:  cfg.MaxFaults,
 		Unclean:    true,
 	})
-	e := testbed.TxnExperiment{
+	res, err := testbed.RunTxnCtx(ctx, testbed.TxnExperiment{
 		Seed:                workloadSeed,
 		Messages:            cfg.Messages,
 		Partitions:          2,
@@ -575,8 +519,7 @@ func runTxnTrial(ctx context.Context, cfg Config, planSeed, workloadSeed uint64)
 		TxnTimeout:          250 * time.Millisecond,
 		MaxSimTime:          cfg.Horizon + 10*time.Second,
 		FaultPlan:           plan,
-	}
-	res, err := testbed.RunTxnCtx(ctx, e)
+	})
 	if err != nil {
 		return Row{}, fmt.Errorf("campaign: txn trial (plan %d, workload %d): %w", planSeed, workloadSeed, err)
 	}
@@ -590,25 +533,18 @@ func runTxnTrial(ctx context.Context, cfg Config, planSeed, workloadSeed uint64)
 		OutputUncommitted: res.OutputUncommitted,
 		Completed:         res.Completed,
 	})
-	row := Row{
-		Mode:          cfg.Mode,
-		PlanSeed:      planSeed,
-		WorkloadSeed:  workloadSeed,
-		Completed:     res.Completed,
-		Acquired:      uint64(cfg.Messages),
-		Isolation:     cfg.Isolation,
-		TxnAttempts:   len(res.Attempts),
-		TxnsCommitted: res.TxnStats.TxnsCommitted,
-		TxnsAborted:   res.TxnStats.TxnsAborted,
-		TimeoutAborts: res.TxnStats.TimeoutAborts,
-		Incarnations:  res.Incarnations,
-		Classified:    verdict.Classified,
-		Violations:    verdict.Violations,
-		Pass:          verdict.OK(),
-	}
+	row := newRow(cfg, planSeed, workloadSeed, plan, res.BrokerStats, verdict)
+	row.Completed = res.Completed
+	row.Acquired = uint64(cfg.Messages)
+	row.Isolation = cfg.Isolation
 	if row.Isolation == "" {
 		row.Isolation = "read_committed"
 	}
+	row.TxnAttempts = len(res.Attempts)
+	row.TxnsCommitted = res.TxnStats.TxnsCommitted
+	row.TxnsAborted = res.TxnStats.TxnsAborted
+	row.TimeoutAborts = res.TxnStats.TimeoutAborts
+	row.Incarnations = res.Incarnations
 	for _, a := range res.Attempts {
 		if a.Outcome == chaos.TxnFenced {
 			row.FencedAttempts++
@@ -617,13 +553,6 @@ func runTxnTrial(ctx context.Context, cfg Config, planSeed, workloadSeed uint64)
 	for p := range res.OutputCommitted {
 		row.Delivered += uint64(len(res.OutputCommitted[p]))
 		row.Consumed += int64(len(res.OutputCommitted[p]))
-	}
-	for _, f := range plan.Faults {
-		row.Faults = append(row.Faults, f.String())
-	}
-	for _, st := range res.BrokerStats {
-		row.Truncated += st.RecordsTruncated
-		row.Unclean += st.UncleanCrashes
 	}
 	return row, nil
 }

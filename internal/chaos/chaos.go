@@ -149,8 +149,7 @@ type Fault struct {
 	// partition index.
 	Member int32
 	// Group targets ConsumerCrash at one consumer group by index into
-	// Targets.Groups (multi-group fan-out); 0 also matches the single
-	// Targets.Group fallback.
+	// Targets.Groups (0 for a single group).
 	Group int32
 }
 
@@ -479,9 +478,7 @@ type Targets struct {
 	Cluster *cluster.Cluster
 	Path    *netem.Path
 	Conn    *transport.Conn
-	Group   *consumer.Group
-	// Groups is the multi-group fan-out target: Fault.Group indexes into
-	// it. When unset, faults with Group 0 fall back to the single Group.
+	// Groups are the ConsumerCrash targets: Fault.Group indexes into it.
 	Groups   []*consumer.Group
 	Procs    ProcessorSet
 	Timeline *obs.Timeline
@@ -493,9 +490,6 @@ type Targets struct {
 func (t Targets) consumerGroup(i int32) *consumer.Group {
 	if int(i) < len(t.Groups) {
 		return t.Groups[i]
-	}
-	if i == 0 {
-		return t.Group
 	}
 	return nil
 }

@@ -105,7 +105,7 @@ func TestScheduleConsumerCrash(t *testing.T) {
 		{Kind: ConsumerCrash, At: 10 * time.Millisecond, Duration: 200 * time.Millisecond, Member: 0},
 	}}
 	err = Schedule(plan, Targets{
-		Sim: sim, Cluster: clst, Group: g,
+		Sim: sim, Cluster: clst, Groups: []*consumer.Group{g},
 		OnError: func(err error) { t.Errorf("injection: %v", err) },
 	})
 	if err != nil {

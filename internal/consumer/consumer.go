@@ -98,6 +98,17 @@ type Report struct {
 	Foreign uint64
 }
 
+// Add sums o into r — reconciliations over disjoint key spaces (one per
+// independent simulation) add up field by field.
+func (r *Report) Add(o Report) {
+	r.SourceCount += o.SourceCount
+	r.Distinct += o.Distinct
+	r.NLost += o.NLost
+	r.NDuplicated += o.NDuplicated
+	r.ExtraCopies += o.ExtraCopies
+	r.Foreign += o.Foreign
+}
+
 // Pl returns the ground-truth probability of message loss.
 func (r Report) Pl() float64 {
 	if r.SourceCount == 0 {

@@ -7,8 +7,10 @@
 package producer
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"kafkarel/internal/des"
@@ -839,13 +841,17 @@ func (p *Producer) onBroken(error) {
 		return
 	}
 	p.reconnecting = true
-	// All in-flight requests are dead with the socket.
+	// All in-flight requests are dead with the socket. They fail in send
+	// order (ascending correlation id), not map order: each failure
+	// schedules a retry, and with several requests in flight the order of
+	// those events decides the rest of the run.
 	pending := make([]*request, 0, len(p.inFlight))
 	for _, rq := range p.inFlight {
 		rq.timer.Stop()
 		pending = append(pending, rq)
 	}
 	clear(p.inFlight)
+	slices.SortFunc(pending, func(a, b *request) int { return cmp.Compare(a.corr, b.corr) })
 	for _, rq := range pending {
 		b := rq.batch
 		p.putRequest(rq)

@@ -90,6 +90,16 @@ type Counts struct {
 	ByCase    [Case5 + 1]uint64
 }
 
+// Add sums o into c — the aggregate view of independent producers.
+func (c *Counts) Add(o Counts) {
+	c.Total += o.Total
+	c.Delivered += o.Delivered
+	c.Lost += o.Lost
+	for i, n := range o.ByCase {
+		c.ByCase[i] += n
+	}
+}
+
 // LossRate returns the producer-observed P_l.
 func (c Counts) LossRate() float64 {
 	if c.Total == 0 {

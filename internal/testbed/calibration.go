@@ -90,6 +90,15 @@ func (c Calibration) Validate() error {
 	}
 }
 
+// resolved returns the calibration a run uses — the defaults when c is
+// the zero value — or the first nonsensical constant.
+func (c Calibration) resolved() (Calibration, error) {
+	if c == (Calibration{}) {
+		c = DefaultCalibration()
+	}
+	return c, c.Validate()
+}
+
 // ioMeanMicros returns the mean acquisition cost in microseconds for a
 // message of m bytes.
 func (c Calibration) ioMeanMicros(m int) float64 {

@@ -2,7 +2,6 @@ package testbed
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand/v2"
 	"strconv"
@@ -10,18 +9,13 @@ import (
 	"time"
 
 	"kafkarel/internal/chaos"
-	"kafkarel/internal/cluster"
 	"kafkarel/internal/consumer"
-	"kafkarel/internal/coordinator"
 	"kafkarel/internal/des"
 	"kafkarel/internal/exprun"
 	"kafkarel/internal/features"
-	"kafkarel/internal/netem"
 	"kafkarel/internal/obs"
 	"kafkarel/internal/producer"
 	"kafkarel/internal/stats"
-	"kafkarel/internal/transport"
-	"kafkarel/internal/workload"
 )
 
 // Fleet describes a fleet-scale run: N producers spread over T topics,
@@ -354,11 +348,8 @@ func RunFleetContext(ctx context.Context, f Fleet, workers int) (FleetResult, er
 	if err := f.Validate(); err != nil {
 		return FleetResult{}, err
 	}
-	cal := f.Calibration
-	if cal == (Calibration{}) {
-		cal = DefaultCalibration()
-	}
-	if err := cal.Validate(); err != nil {
+	cal, err := f.Calibration.resolved()
+	if err != nil {
 		return FleetResult{}, err
 	}
 
@@ -415,18 +406,8 @@ func RunFleetContext(ctx context.Context, f Fleet, workers int) (FleetResult, er
 		res.Topics = append(res.Topics, tr)
 		res.Timelines = append(res.Timelines, out.timelines...)
 		res.Acquired += tr.Acquired
-		res.Report.SourceCount += tr.Report.SourceCount
-		res.Report.Distinct += tr.Report.Distinct
-		res.Report.NLost += tr.Report.NLost
-		res.Report.NDuplicated += tr.Report.NDuplicated
-		res.Report.ExtraCopies += tr.Report.ExtraCopies
-		res.Report.Foreign += tr.Report.Foreign
-		res.Producer.Total += tr.Producer.Total
-		res.Producer.Delivered += tr.Producer.Delivered
-		res.Producer.Lost += tr.Producer.Lost
-		for c, n := range tr.Producer.ByCase {
-			res.Producer.ByCase[c] += n
-		}
+		res.Report.Add(tr.Report)
+		res.Producer.Add(tr.Producer)
 		res.Latency.Merge(tr.Latency)
 		res.Throughput += tr.Throughput
 		if tr.Duration > res.Duration {
@@ -442,182 +423,46 @@ func RunFleetContext(ctx context.Context, f Fleet, workers int) (FleetResult, er
 		res.Metrics.Cases = res.Producer.ByCase
 		res.Metrics.Cases[producer.Case5] = res.Report.NDuplicated
 	}
-	if res.Acquired > 0 {
-		res.Pl = float64(res.Report.NLost) / float64(res.Acquired)
-		res.Pd = float64(res.Report.NDuplicated) / float64(res.Acquired)
-	}
+	res.Pl, res.Pd = res.Report.Pl(), res.Report.Pd()
 	return res, nil
 }
 
-// fleetEntity is one producer's wiring inside a shard.
-type fleetEntity struct {
-	prod     *producer.Producer
-	timeline *obs.Timeline
-	base     uint64
-	doneAt   time.Duration
-}
-
 // runFleetShard builds and runs one topic's simulation: a cluster, the
-// shard's producers (each with its own emulated path, transport
-// connection and server endpoint), optional entity timelines, then the
-// consumer-group drain and range reconciliation.
+// shard's consumer groups, its producers (each with its own emulated
+// path, transport connection and server endpoint), optional entity
+// timelines, then the per-group range reconciliation and verdicts.
 func runFleetShard(sim *des.Simulator, sh fleetShard, cal Calibration, reg *obs.Registry) (fleetShardOut, error) {
 	f := sh.f
-	o := &obs.Obs{Registry: reg}
-	sim.Instrument(o)
-
-	clstCfg := cluster.DefaultConfig()
-	clstCfg.Obs = o
-	clstCfg.Broker.Obs = o
-	clstCfg.Broker.FlushInterval = f.BrokerFlushInterval
-	clstCfg.MinISR = f.MinISR
-	clst, err := cluster.New(sim, clstCfg)
+	rf := exprun.DefInt(f.ReplicationFactor, 3)
+	r, err := newRig(sim, &obs.Obs{Registry: reg}, cal, f.BrokerFlushInterval, f.MinISR, f.Partitions, rf, sh.topic)
 	if err != nil {
 		return fleetShardOut{}, err
 	}
-	rf := exprun.DefInt(f.ReplicationFactor, 3)
-	if err := clst.CreateTopic(sh.topic, f.Partitions, rf); err != nil {
-		return fleetShardOut{}, err
-	}
-
-	// The shard's consumer groups run in-simulation: each polls alongside
-	// the producers, commits through the coordinator's replicated offsets
-	// log (same rf as the data topic), and drains once the producers are
-	// done. Fleet-wide broker faults hit their fetch and commit paths
-	// too. Every group independently consumes the whole topic; they share
-	// one coordinator and one offsets log.
+	// Fleet-wide broker faults hit the groups' fetch and commit paths
+	// too (the offsets log runs at the data topic's rf). Every group
+	// independently consumes the whole topic.
 	members := exprun.DefInt(f.ConsumersPerTopic, 1)
 	nGroups := exprun.DefInt(f.Groups, 1)
-	co, err := coordinator.New(sim, clst, coordinator.Config{OffsetsReplication: rf, Obs: o})
+	err = r.joinGroups(groupSpec{
+		topic:       sh.topic,
+		legacyID:    "fleet",
+		groups:      nGroups,
+		members:     members,
+		cooperative: f.Cooperative,
+		dedup:       f.Features.Semantics == features.SemanticsExactlyOnce,
+		offsetsRF:   rf,
+	})
 	if err != nil {
 		return fleetShardOut{}, err
-	}
-	groups := make([]*consumer.Group, nGroups)
-	for gi := range groups {
-		id := "fleet"
-		if nGroups > 1 {
-			id = fmt.Sprintf("g%02d", gi)
-		}
-		grp, err := consumer.NewGroup(sim, co, clst, consumer.GroupConfig{
-			ID:          id,
-			Topic:       sh.topic,
-			Auto:        true,
-			Cooperative: f.Cooperative,
-			Dedup:       f.Features.Semantics == features.SemanticsExactlyOnce,
-			IdleGiveUp:  time.Second,
-			Obs:         o,
-		})
-		if err != nil {
-			return fleetShardOut{}, err
-		}
-		for c := 0; c < members; c++ {
-			if err := grp.Join(fmt.Sprintf("c%02d", c)); err != nil {
-				return fleetShardOut{}, err
-			}
-		}
-		groups[gi] = grp
-	}
-	grp := groups[0]
-
-	var cfgErr error
-	onErr := func(err error) {
-		if cfgErr == nil {
-			cfgErr = err
-		}
-	}
-	var topicTL *obs.Timeline
-	var timelines []*obs.Timeline
-	var groupTLs []*obs.Timeline
-	if f.TimelineInterval > 0 {
-		topicTL = obs.NewTimeline(f.TimelineInterval)
-		topicTL.SetEntity(sh.topic)
-		topicTL.BindClock(sim)
-		timelines = append(timelines, topicTL)
-		if nGroups > 1 {
-			// Multi-group shards put each group's series (lag, deliveries,
-			// commits, rebalances, paused time) on its own tagged entity so
-			// the merged CSV separates the fan-out; the topic entity keeps
-			// only the broker side.
-			for gi, g := range groups {
-				tl := obs.NewTimeline(f.TimelineInterval)
-				tl.SetEntity(fmt.Sprintf("%s/g%02d", sh.topic, gi))
-				tl.BindClock(sim)
-				tl.SetGroupProbe(g.Probe)
-				groupTLs = append(groupTLs, tl)
-				timelines = append(timelines, tl)
-			}
-		}
-	}
-	plan := chaos.Plan{Faults: append([]chaos.Fault(nil), f.FaultPlan.Faults...)}
-	if f.ConsumerFaults {
-		plan.Faults = append(plan.Faults, fleetConsumerFaults(sh.seed, members, nGroups)...)
-	}
-	if len(plan.Faults) > 0 {
-		err := chaos.Schedule(plan, chaos.Targets{
-			Sim:      sim,
-			Cluster:  clst,
-			Group:    grp,
-			Groups:   groups,
-			Timeline: topicTL,
-			Seed:     sh.seed,
-			OnError:  onErr,
-		})
-		if err != nil {
-			return fleetShardOut{}, fmt.Errorf("fault plan: %w", err)
-		}
 	}
 
 	seedAt := exprun.LinearSeeds(sh.seed, scalingSeedStride)
-	entities := make([]*fleetEntity, sh.producers)
 	var base uint64
-	for j := range entities {
+	for j := 0; j < sh.producers; j++ {
 		global := sh.first + j
 		eSeed := seedAt(j)
 		msgs := splitCount(f.Messages, f.Producers, global)
-		ent := &fleetEntity{base: base, doneAt: -1}
-		entities[j] = ent
-
-		linkCfg := func(seed uint64) (netem.Config, error) {
-			cfg := netem.Config{Bandwidth: cal.Bandwidth, QueueLimit: 1000, Obs: o}
-			if f.Features.DelayMs > 0 {
-				cfg.Delay = stats.Constant{Value: f.Features.DelayMs}
-			}
-			if f.Features.LossRate > 0 {
-				loss, err := stats.NewBernoulli(f.Features.LossRate, rand.New(rand.NewPCG(seed, 0x01)))
-				if err != nil {
-					return cfg, err
-				}
-				cfg.Loss = loss
-			}
-			return cfg, nil
-		}
-		fwd, err := linkCfg(eSeed)
-		if err != nil {
-			return fleetShardOut{}, fmt.Errorf("producer %d forward link: %w", global, err)
-		}
-		rev, err := linkCfg(eSeed + 1)
-		if err != nil {
-			return fleetShardOut{}, fmt.Errorf("producer %d reverse link: %w", global, err)
-		}
-		path, err := netem.NewPath(sim, fwd, rev)
-		if err != nil {
-			return fleetShardOut{}, err
-		}
-		conn, err := transport.NewConn(sim, path, transport.Config{SendBufferLimit: cal.SocketBuffer, Obs: o})
-		if err != nil {
-			return fleetShardOut{}, err
-		}
-		srv, err := cluster.NewServer(clst, conn.Server)
-		if err != nil {
-			return fleetShardOut{}, err
-		}
-		conn.OnReset(srv.ResetParser)
-
-		src, err := workload.NewFixedSource(f.Features.MessageSize, msgs)
-		if err != nil {
-			return fleetShardOut{}, err
-		}
-		pe := Experiment{
+		pcfg, err := producerConfig(Experiment{
 			Features:        f.Features,
 			Seed:            eSeed,
 			Partitions:      f.Partitions,
@@ -628,213 +473,110 @@ func runFleetShard(sim *des.Simulator, sh fleetShard, cal Calibration, reg *obs.
 			RetryBackoff:    f.RetryBackoff,
 			RetryBackoffMax: f.RetryBackoffMax,
 			LingerTime:      f.LingerTime,
-		}
-		pcfg, err := producerConfig(pe, sh.topic)
+		}, sh.topic)
 		if err != nil {
 			return fleetShardOut{}, err
 		}
 		pcfg.PollInterval = sh.poll
 		pcfg.Partitioner = producer.PartitionKeyed
-		pcfg.KeyBase = ent.base
-		costs := newCostModel(cal, rand.New(rand.NewPCG(eSeed, 0x02)))
-		prod, err := producer.New(sim, pcfg, costs, conn, src,
-			producer.WithTimeliness(f.Features.Timeliness),
-			producer.WithCompletion(func() { ent.doneAt = sim.Now() }),
-			producer.WithObs(o),
-			producer.WithRetryRand(rand.New(rand.NewPCG(eSeed, 0x03))),
-		)
-		if err != nil {
-			return fleetShardOut{}, err
-		}
-		ent.prod = prod
-
-		if f.TimelineInterval > 0 {
-			tl := obs.NewTimeline(f.TimelineInterval)
-			tl.SetEntity(fmt.Sprintf("%s/p%04d", sh.topic, global))
-			tl.BindClock(sim)
-			transProbe := func() obs.TransportProbe {
-				p := conn.Client.Probe()
-				s := conn.Server.Probe()
-				p.SegmentsSent += s.SegmentsSent
-				p.Retransmits += s.Retransmits
-				p.RTOTimeouts += s.RTOTimeouts
-				return p
-			}
-			tl.SetProbes(path.Probe, transProbe, prod.Probe, nil)
-			tl.Sample()
-			var tick *des.Ticker
-			tick = des.NewTicker(sim, tl.Interval(), func() {
-				if prod.Done() {
-					tick.Stop()
-					return
-				}
-				tl.Sample()
-			})
-			ent.timeline = tl
-			timelines = append(timelines, tl)
+		pcfg.KeyBase = base
+		if _, err := r.addClient(clientSpec{v: f.Features, seed: eSeed, messages: msgs, cfg: pcfg}); err != nil {
+			return fleetShardOut{}, fmt.Errorf("producer %d: %w", global, err)
 		}
 		base += uint64(msgs)
 	}
 
-	allDone := func() bool {
-		for _, ent := range entities {
-			if !ent.prod.Done() {
-				return false
-			}
-		}
-		return true
+	var topicTL *obs.Timeline
+	if f.TimelineInterval > 0 {
+		topicTL = r.timeline(f.TimelineInterval, sh.topic)
 	}
-	for _, g := range groups {
-		g.SetDrainCheck(allDone)
+	plan := chaos.Plan{Faults: append([]chaos.Fault(nil), f.FaultPlan.Faults...)}
+	if f.ConsumerFaults {
+		plan.Faults = append(plan.Faults, fleetConsumerFaults(sh.seed, members, nGroups)...)
 	}
+	if err := r.injectFaults(plan, chaos.Targets{Timeline: topicTL, Seed: sh.seed}); err != nil {
+		return fleetShardOut{}, err
+	}
+
 	if topicTL != nil {
 		// The topic entity samples the broker side once per interval —
 		// per-producer appends are not separable at the broker, so the
 		// shard's broker series lives on the topic entity and the
 		// per-producer series carry the client-side probes.
-		topicTL.SetProbes(nil, nil, nil, func() obs.BrokerProbe { return clst.Probe(sh.topic) })
+		topicTL.SetProbes(nil, nil, nil, func() obs.BrokerProbe { return r.clst.Probe(sh.topic) })
 		if nGroups == 1 {
 			// The consumer-group series (per-partition lag, deliveries,
 			// commit acks, rebalances) also lives on the topic entity;
 			// multi-group shards move them to the per-group entities.
-			topicTL.SetGroupProbe(grp.Probe)
+			topicTL.SetGroupProbe(r.groups[0].Probe)
 		}
-		topicTL.Sample()
-		var tick *des.Ticker
-		tick = des.NewTicker(sim, topicTL.Interval(), func() {
-			if allDone() {
-				tick.Stop()
-				return
+		r.sample(topicTL, r.allDone)
+		if nGroups > 1 {
+			// Multi-group shards put each group's series (lag, deliveries,
+			// commits, rebalances, paused time) on its own tagged entity so
+			// the merged CSV separates the fan-out; the topic entity keeps
+			// only the broker side.
+			for gi, g := range r.groups {
+				tl := r.timeline(f.TimelineInterval, fmt.Sprintf("%s/g%02d", sh.topic, gi))
+				tl.SetGroupProbe(g.Probe)
+				r.sample(tl, r.allDone)
 			}
-			topicTL.Sample()
-		})
-	}
-	for _, tl := range groupTLs {
-		tl.Sample()
-		var tick *des.Ticker
-		tl := tl
-		tick = des.NewTicker(sim, tl.Interval(), func() {
-			if allDone() {
-				tick.Stop()
-				return
-			}
-			tl.Sample()
-		})
+		}
+		for j, c := range r.clients {
+			tl := r.timeline(f.TimelineInterval, fmt.Sprintf("%s/p%04d", sh.topic, sh.first+j))
+			c.probes(tl, nil)
+			r.sample(tl, c.prod.Done)
+		}
 	}
 
-	for _, ent := range entities {
-		ent.prod.Start()
-	}
-	const eventCap = 2_000_000_000
-	if f.MaxSimTime > 0 {
-		if err := sim.RunUntil(f.MaxSimTime); err != nil {
-			return fleetShardOut{}, fmt.Errorf("run: %w", err)
-		}
-	} else if err := sim.RunLimit(eventCap); err != nil {
-		return fleetShardOut{}, fmt.Errorf("event cap exceeded (runaway fleet shard?): %w", err)
-	}
-	if cfgErr != nil {
-		return fleetShardOut{}, fmt.Errorf("fault injection: %w", cfgErr)
-	}
-
-	// Final samples cover events past each ticker's stop, keeping the
-	// column-sums-equal-counters invariant.
-	for _, ent := range entities {
-		ent.timeline.Sample()
-	}
-	topicTL.Sample()
-	for _, tl := range groupTLs {
-		tl.Sample()
+	r.start()
+	if err := r.run(f.MaxSimTime); err != nil {
+		return fleetShardOut{}, err
 	}
 
 	tr := FleetTopicResult{
 		Topic:      sh.topic,
 		Producers:  sh.producers,
 		Partitions: f.Partitions,
-		Completed:  true,
+		Completed:  r.allDone(),
 	}
-	ranges := make([]consumer.KeyRange, len(entities))
-	for j, ent := range entities {
-		counts := ent.prod.Counts()
-		tr.Producer.Total += counts.Total
-		tr.Producer.Delivered += counts.Delivered
-		tr.Producer.Lost += counts.Lost
-		for c, n := range counts.ByCase {
-			tr.Producer.ByCase[c] += n
-		}
-		tr.Latency.Merge(ent.prod.Latency())
-		tr.Acquired += ent.prod.Acquired()
-		ranges[j] = consumer.KeyRange{Base: ent.base, Count: ent.prod.Acquired()}
-		done := ent.prod.Done()
-		tr.Completed = tr.Completed && done
-		if ent.doneAt > tr.Duration {
-			tr.Duration = ent.doneAt
+	ranges := make([]consumer.KeyRange, len(r.clients))
+	for j, c := range r.clients {
+		tr.Producer.Add(c.prod.Counts())
+		tr.Latency.Merge(c.prod.Latency())
+		tr.Acquired += c.prod.Acquired()
+		ranges[j] = consumer.KeyRange{Base: c.prod.Config().KeyBase, Count: c.prod.Acquired()}
+		if c.doneAt > tr.Duration {
+			tr.Duration = c.doneAt
 		}
 	}
 	if !tr.Completed {
 		tr.Duration = sim.Now()
 	}
 
-	sem := producer.AtLeastOnce
-	switch f.Features.Semantics {
-	case features.SemanticsAtMostOnce:
-		sem = producer.AtMostOnce
-	case features.SemanticsExactlyOnce:
-		sem = producer.ExactlyOnce
+	sem := r.clients[0].prod.Config().Semantics
+	regs := r.co.Regressions()
+	runs, err := r.groupRuns()
+	if err != nil {
+		return fleetShardOut{}, err
 	}
-	regs := co.Regressions()
 	tr.GroupDrained = true
-	for gi, g := range groups {
-		keys := g.ConsumedKeys()
-		gev := g.Evidence()
-		gst := co.GroupStats(gev.Group)
+	for gi, run := range runs {
 		gr := FleetGroupResult{
-			ID:            gev.Group,
-			GroupDrained:  gev.Drained,
-			Rebalances:    gev.Rebalances,
-			Expirations:   gst.SessionExpirations,
-			CoopFollowUps: gst.CoopFollowUps,
+			ID:            run.ID,
+			GroupDrained:  run.Evidence.Drained,
+			Rebalances:    run.Evidence.Rebalances,
+			Expirations:   run.Stats.SessionExpirations,
+			CoopFollowUps: run.Stats.CoopFollowUps,
+			Report:        consumer.ReconcileRangesKeys(ranges, run.ConsumedKeys),
+			Lag:           run.Lag,
 		}
-		for _, ks := range keys {
+		for _, ks := range run.ConsumedKeys {
 			gr.Drained += int64(len(ks))
 		}
-		gr.Report = consumer.ReconcileRangesKeys(ranges, keys)
-		final := make([]int64, f.Partitions)
-		for p := range final {
-			off, err := g.Committed(int32(p))
-			switch {
-			case err == nil:
-				final[p] = off
-			case errors.Is(err, consumer.ErrNoCommit):
-				final[p] = -1
-			default:
-				return fleetShardOut{}, fmt.Errorf("committed offset %s[%d] group %s: %w", sh.topic, p, gev.Group, err)
-			}
-		}
-		verdict := chaos.VerifyE2E(chaos.E2EInput{
-			Semantics:          sem,
-			OffsetsReplication: rf,
-			Plan:               plan,
-			Evidence:           gev,
-			ConsumedKeys:       keys,
-			FinalCommitted:     final,
-			Regressions:        regs,
-		})
-		gr.E2EViolations = len(verdict.Violations)
-		coop := chaos.VerifyCoop(chaos.CoopInput{
-			OffsetsReplication: rf,
-			Plan:               plan,
-			Evidence:           gev,
-			Regressions:        regs,
-		})
-		gr.CoopViolations = len(coop.Violations)
-		// Authoritative lag when the cluster can answer; the group's own
-		// durable view when a partition ended the shard leaderless.
-		if lags, err := g.LagByPartition(); err == nil {
-			gr.Lag = lags
-		} else {
-			gr.Lag = g.Probe().LagByPartition
-		}
+		e2e, coop := run.VerifierInputs(sem, rf, plan, regs)
+		gr.E2EViolations = len(chaos.VerifyE2E(e2e).Violations)
+		gr.CoopViolations = len(chaos.VerifyCoop(coop).Violations)
 		tr.Groups = append(tr.Groups, gr)
 		tr.Drained += gr.Drained
 		tr.Rebalances += gr.Rebalances
@@ -846,7 +588,7 @@ func runFleetShard(sim *des.Simulator, sh fleetShard, cal Calibration, reg *obs.
 			tr.Lag = gr.Lag
 		}
 	}
-	tr.Expirations = co.Stats().SessionExpirations
+	tr.Expirations = r.co.Stats().SessionExpirations
 	if reg != nil {
 		tr.Metrics = snapshotMetrics(reg.Snapshot())
 		tr.Metrics.Cases = tr.Producer.ByCase
@@ -855,7 +597,7 @@ func runFleetShard(sim *des.Simulator, sh fleetShard, cal Calibration, reg *obs.
 	if d := tr.Duration.Seconds(); d > 0 {
 		tr.Throughput = float64(tr.Report.Distinct) / d
 	}
-	return fleetShardOut{topic: tr, timelines: timelines}, nil
+	return fleetShardOut{topic: tr, timelines: r.timelines}, nil
 }
 
 // fleetConsumerFaults synthesizes the per-shard consumer crash/restart

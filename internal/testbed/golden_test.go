@@ -139,7 +139,10 @@ func TestGoldenFleet(t *testing.T) {
 	goldenCheck(t, "7341609610e1ce99148b0e385e45c79bb3cd4ae967a622b120270e717ae19c4d", res.Scorecard(), mergedCSV(t, res.Timelines), lag.Bytes())
 }
 
-func TestGoldenEverythingOn(t *testing.T) {
+// everythingOn is a single run with every optional rig step switched on.
+// Trace segments, scheduled reconfigurations, faults, the sampler and the
+// brokers' flush boundaries all share the 100 ms grid.
+func everythingOn() Experiment {
 	v := timelineVector()
 	v.LossRate = 0
 	v.PollInterval = 2 * time.Millisecond
@@ -148,9 +151,7 @@ func TestGoldenEverythingOn(t *testing.T) {
 	next.BatchSize = 4
 	last := next
 	last.BatchSize = 1
-	// Trace segments, scheduled reconfigurations, faults, the sampler and
-	// the brokers' flush ticker all share the 100 ms grid.
-	res, err := Run(Experiment{
+	return Experiment{
 		Features:   v,
 		Messages:   1200,
 		Seed:       24,
@@ -177,8 +178,15 @@ func TestGoldenEverythingOn(t *testing.T) {
 		Consumers:           2,
 		CaptureEvidence:     true,
 		Timeline:            obs.NewTimeline(100 * time.Millisecond),
-		MaxInFlight:         1,
-	})
+	}
+}
+
+func TestGoldenEverythingOn(t *testing.T) {
+	// One request in flight: the hash was captured before a connection
+	// reset under pipelining was deterministic (next test).
+	e := everythingOn()
+	e.MaxInFlight = 1
+	res, err := Run(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,6 +196,25 @@ func TestGoldenEverythingOn(t *testing.T) {
 	goldenCheck(t, "3e4e8d78df29cfb166d4ff09e9e750ac32ad806089bb2acb05a628819b39c160",
 		res.Metrics.Encode(), goldenJSON(t, res.ConsumedKeys), goldenJSON(t, res.GroupRuns),
 		timelineCSV(t, res.Timeline))
+}
+
+// A connection reset with several requests in flight fails them in send
+// order, never in map-iteration order: each failure schedules a retry,
+// so the order decides the rest of the run.
+func TestConnResetUnderPipeliningIsDeterministic(t *testing.T) {
+	var ref []byte
+	for i := 0; i < 8; i++ {
+		res, err := Run(everythingOn())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := append(res.Metrics.Encode(), goldenJSON(t, res.ConsumedKeys)...)
+		if ref == nil {
+			ref = got
+		} else if !bytes.Equal(ref, got) {
+			t.Fatalf("run %d differs from run 0 on identical input", i)
+		}
+	}
 }
 
 func TestGoldenTxn(t *testing.T) {

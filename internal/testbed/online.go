@@ -50,39 +50,28 @@ func RunOnline(e Experiment, interval time.Duration, ctrl Controller) (Result, e
 	if interval <= 0 {
 		return Result{}, fmt.Errorf("testbed: non-positive probe interval %v", interval)
 	}
-	if err := e.Features.Validate(); err != nil {
-		return Result{}, fmt.Errorf("testbed: %w", err)
-	}
-	if e.Messages <= 0 {
-		return Result{}, fmt.Errorf("testbed: message count %d <= 0", e.Messages)
-	}
-	cal := e.Calibration
-	if cal == (Calibration{}) {
-		cal = DefaultCalibration()
-	}
-	if err := cal.Validate(); err != nil {
-		return Result{}, err
-	}
-
 	sim := des.New()
-	rig, err := buildRig(sim, e, cal)
+	r, err := e.assemble(sim)
 	if err != nil {
 		return Result{}, err
 	}
-	rig.prod.Start()
+	r.start()
 
+	c := r.clients[0]
 	var prev transport.Stats
+	// The ticker stops itself at the first tick after the producer
+	// completes, so the event queue drains naturally.
 	var ticker *des.Ticker
 	ticker = des.NewTicker(sim, interval, func() {
-		if rig.prod.Done() {
+		if c.prod.Done() {
 			ticker.Stop()
 			return
 		}
-		cur := rig.conn.Client.Stats()
+		cur := c.conn.Client.Stats()
 		probe := NetworkProbe{
 			At:       sim.Now(),
 			SRTTMs:   float64(cur.SRTT) / float64(time.Millisecond),
-			QueueLen: rig.prod.QueueLen(),
+			QueueLen: c.prod.QueueLen(),
 			Timeouts: cur.Timeouts - prev.Timeouts,
 		}
 		probe.EstDelayMs = probe.SRTTMs / 2
@@ -102,17 +91,12 @@ func RunOnline(e Experiment, interval time.Duration, ctrl Controller) (Result, e
 		}
 		sub := e
 		sub.Features = next
-		ncfg, err := producerConfig(sub, rig.prod.Config().Topic)
-		if err != nil {
-			if rig.cfgErr == nil {
-				rig.cfgErr = err
-			}
-			return
+		ncfg, err := producerConfig(sub, streamTopic)
+		if err == nil {
+			err = c.prod.Reconfigure(ncfg)
 		}
-		if err := rig.prod.Reconfigure(ncfg); err != nil {
-			if rig.cfgErr == nil {
-				rig.cfgErr = err
-			}
+		if err != nil {
+			r.fail(err)
 			return
 		}
 		e.Timeline.Annotate(obs.AnnOnlineDecision, fmt.Sprintf(
@@ -120,16 +104,8 @@ func RunOnline(e Experiment, interval time.Duration, ctrl Controller) (Result, e
 			probe.EstDelayMs, probe.EstLoss, describeConfig(next)))
 	})
 
-	// The ticker stops itself at the first tick after the producer
-	// completes, so the event queue drains naturally.
-	const eventCap = 2_000_000_000
-	if e.MaxSimTime > 0 {
-		if err := sim.RunUntil(e.MaxSimTime); err != nil {
-			return Result{}, fmt.Errorf("testbed: run: %w", err)
-		}
-		ticker.Stop()
-	} else if err := sim.RunLimit(eventCap); err != nil {
-		return Result{}, fmt.Errorf("testbed: event cap exceeded: %w", err)
+	if err := r.run(e.MaxSimTime); err != nil {
+		return Result{}, fmt.Errorf("testbed: %w", err)
 	}
-	return rig.collect(sim, e)
+	return r.collect(e)
 }

@@ -47,9 +47,9 @@ func RunScaledContext(ctx context.Context, e Experiment, producers, workers int)
 	if e.Messages < producers {
 		return Result{}, fmt.Errorf("testbed: %d messages across %d producers", e.Messages, producers)
 	}
-	cal := e.Calibration
-	if cal == (Calibration{}) {
-		cal = DefaultCalibration()
+	cal, err := e.Calibration.resolved()
+	if err != nil {
+		return Result{}, err
 	}
 	// Per-producer arrival period is io + δ; scaling multiplies it by the
 	// producer count so the aggregate rate is unchanged.
@@ -94,31 +94,21 @@ func RunScaledContext(ctx context.Context, e Experiment, producers, workers int)
 	if err != nil {
 		return Result{}, err
 	}
-	var agg Result
+	agg := Result{Completed: true}
 	for _, res := range results {
-		agg = merge(agg, res)
+		agg.add(res)
 	}
-	if agg.Acquired > 0 {
-		agg.Pl = float64(agg.Report.NLost) / float64(agg.Acquired)
-		agg.Pd = float64(agg.Report.NDuplicated) / float64(agg.Acquired)
-	}
+	agg.Pl, agg.Pd = agg.Report.Pl(), agg.Report.Pd()
 	return agg, nil
 }
 
-func merge(a, b Result) Result {
-	a.Report.SourceCount += b.Report.SourceCount
-	a.Report.Distinct += b.Report.Distinct
-	a.Report.NLost += b.Report.NLost
-	a.Report.NDuplicated += b.Report.NDuplicated
-	a.Report.ExtraCopies += b.Report.ExtraCopies
-	a.Report.Foreign += b.Report.Foreign
+// add folds one independent sub-simulation into the scaled aggregate:
+// counts and rates sum, the duration is the slowest sub-run's, and the
+// aggregate completed only if every sub-run drained its source.
+func (a *Result) add(b Result) {
+	a.Report.Add(b.Report)
+	a.Producer.Add(b.Producer)
 	a.Acquired += b.Acquired
-	a.Producer.Total += b.Producer.Total
-	a.Producer.Delivered += b.Producer.Delivered
-	a.Producer.Lost += b.Producer.Lost
-	for c, n := range b.Producer.ByCase {
-		a.Producer.ByCase[c] += n
-	}
 	a.Metrics.Merge(b.Metrics)
 	a.Latency.Merge(b.Latency)
 	a.Timelines = append(a.Timelines, b.Timelines...)
@@ -126,6 +116,5 @@ func merge(a, b Result) Result {
 	if b.Duration > a.Duration {
 		a.Duration = b.Duration
 	}
-	a.Completed = a.Completed || b.Completed
-	return a
+	a.Completed = a.Completed && b.Completed
 }

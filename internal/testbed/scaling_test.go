@@ -165,3 +165,35 @@ func TestTracerScalingGuardAndNeutrality(t *testing.T) {
 		t.Errorf("trace missing lifecycle events (enqueue=%v send=%v)", sawEnqueue, sawSend)
 	}
 }
+
+// A scaled aggregate completed only if every sub-run drained its source
+// before the horizon. Three messages over two producers split 1 + 2 and
+// each producer polls about every two seconds: at a three-second horizon
+// the first producer has finished and the second still owes a message.
+func TestRunScaledCompletedNeedsEverySubRun(t *testing.T) {
+	e := Experiment{
+		Features: features.Vector{
+			MessageSize: 200, Timeliness: 5 * time.Second, DelayMs: 10,
+			Semantics: features.SemanticsAtLeastOnce, BatchSize: 1,
+			PollInterval: time.Second, MessageTimeout: 500 * time.Millisecond,
+		},
+		Messages:   3,
+		Seed:       7,
+		MaxSimTime: 3 * time.Second,
+	}
+	res, err := RunScaled(e, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Acquired != 2 || res.Producer.Delivered != 2 {
+		t.Fatalf("acquired=%d delivered=%d, want the first producer's one message and one of the second's two",
+			res.Acquired, res.Producer.Delivered)
+	}
+	if res.Completed {
+		t.Error("Completed = true although one producer was cut off mid-source")
+	}
+	e.MaxSimTime = time.Minute
+	if res, err = RunScaled(e, 2); err != nil || !res.Completed || res.Acquired != 3 {
+		t.Errorf("with room to finish: completed=%t acquired=%d err=%v", res.Completed, res.Acquired, err)
+	}
+}

@@ -8,14 +8,11 @@ package testbed
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math/rand/v2"
 	"time"
 
 	"kafkarel/internal/broker"
 	"kafkarel/internal/chaos"
-	"kafkarel/internal/cluster"
 	"kafkarel/internal/consumer"
 	"kafkarel/internal/coordinator"
 	"kafkarel/internal/des"
@@ -25,9 +22,7 @@ import (
 	"kafkarel/internal/obs"
 	"kafkarel/internal/producer"
 	"kafkarel/internal/stats"
-	"kafkarel/internal/transport"
 	"kafkarel/internal/wire"
-	"kafkarel/internal/workload"
 )
 
 // Experiment describes one testbed run. The Features vector carries the
@@ -277,256 +272,103 @@ func simFor(ctx context.Context) *des.Simulator {
 }
 
 func runOn(sim *des.Simulator, e Experiment) (Result, error) {
-	if err := e.Features.Validate(); err != nil {
+	r, err := e.assemble(sim)
+	if err != nil {
+		return Result{}, err
+	}
+	r.start()
+	if err := r.run(e.MaxSimTime); err != nil {
 		return Result{}, fmt.Errorf("testbed: %w", err)
 	}
+	return r.collect(e)
+}
+
+// streamTopic is the single-experiment data topic.
+const streamTopic = "stream"
+
+// assemble builds the single-producer rig of one experiment, up to but
+// not including start: cluster and topic, the optional consumer groups,
+// the one client, the fault plan, the scheduled reconfigurations, the
+// timeline sampler.
+func (e Experiment) assemble(sim *des.Simulator) (*rig, error) {
+	if err := e.Features.Validate(); err != nil {
+		return nil, fmt.Errorf("testbed: %w", err)
+	}
 	if e.Messages <= 0 {
-		return Result{}, fmt.Errorf("testbed: message count %d <= 0", e.Messages)
+		return nil, fmt.Errorf("testbed: message count %d <= 0", e.Messages)
 	}
-	cal := e.Calibration
-	if cal == (Calibration{}) {
-		cal = DefaultCalibration()
+	if e.Consumers > 0 && e.MaxSimTime <= 0 {
+		return nil, fmt.Errorf("testbed: Consumers > 0 requires MaxSimTime")
 	}
-	if err := cal.Validate(); err != nil {
-		return Result{}, err
-	}
-
-	rig, err := buildRig(sim, e, cal)
-	if err != nil {
-		return Result{}, err
-	}
-	rig.prod.Start()
-
-	const eventCap = 2_000_000_000
-	if e.MaxSimTime > 0 {
-		if err := sim.RunUntil(e.MaxSimTime); err != nil {
-			return Result{}, fmt.Errorf("testbed: run: %w", err)
-		}
-	} else if err := sim.RunLimit(eventCap); err != nil {
-		return Result{}, fmt.Errorf("testbed: event cap exceeded (runaway experiment?): %w", err)
-	}
-
-	return rig.collect(sim, e)
-}
-
-// rig is the assembled simulation.
-type rig struct {
-	path   *netem.Path
-	conn   *transport.Conn
-	clst   *cluster.Cluster
-	prod   *producer.Producer
-	co     *coordinator.Coordinator
-	group  *consumer.Group   // first group (legacy single-group surface)
-	groups []*consumer.Group // every group, in join order
-	reg    *obs.Registry
-	cfgErr error
-	doneAt time.Duration // virtual time the producer finished (-1 if cut off)
-}
-
-func buildRig(sim *des.Simulator, e Experiment, cal Calibration) (*rig, error) {
-	var reg *obs.Registry
-	if !e.DisableMetrics {
-		reg = obs.NewRegistry()
-	}
-	e.Tracer.BindClock(sim)
-	e.Timeline.BindClock(sim)
-	o := &obs.Obs{Registry: reg, Trace: e.Tracer}
-	sim.Instrument(o)
-
-	linkCfg := func(seed uint64) (netem.Config, error) {
-		cfg := netem.Config{Bandwidth: cal.Bandwidth, QueueLimit: 1000, Obs: o}
-		if len(e.Trace) == 0 {
-			if e.Features.DelayMs > 0 {
-				cfg.Delay = stats.Constant{Value: e.Features.DelayMs}
-			}
-			if e.Features.LossRate > 0 {
-				loss, err := stats.NewBernoulli(e.Features.LossRate, rand.New(rand.NewPCG(seed, 0x01)))
-				if err != nil {
-					return cfg, err
-				}
-				cfg.Loss = loss
-			}
-		}
-		return cfg, nil
-	}
-	fwd, err := linkCfg(e.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("testbed: forward link: %w", err)
-	}
-	rev, err := linkCfg(e.Seed + 1)
-	if err != nil {
-		return nil, fmt.Errorf("testbed: reverse link: %w", err)
-	}
-	path, err := netem.NewPath(sim, fwd, rev)
-	if err != nil {
-		return nil, fmt.Errorf("testbed: %w", err)
-	}
-	if len(e.Trace) > 0 {
-		if err := e.Trace.Apply(sim, path, e.Seed); err != nil {
-			return nil, fmt.Errorf("testbed: %w", err)
-		}
-	}
-
-	conn, err := transport.NewConn(sim, path, transport.Config{SendBufferLimit: cal.SocketBuffer, Obs: o})
-	if err != nil {
-		return nil, fmt.Errorf("testbed: %w", err)
-	}
-	clstCfg := cluster.DefaultConfig()
-	clstCfg.Obs = o
-	clstCfg.Broker.Obs = o
-	clstCfg.Broker.FlushInterval = e.BrokerFlushInterval
-	clstCfg.MinISR = e.MinISR
-	clst, err := cluster.New(sim, clstCfg)
-	if err != nil {
-		return nil, fmt.Errorf("testbed: %w", err)
-	}
-	const topic = "stream"
-	rf := exprun.DefInt(e.ReplicationFactor, 3)
-	if err := clst.CreateTopic(topic, exprun.DefInt(e.Partitions, 1), rf); err != nil {
-		return nil, fmt.Errorf("testbed: %w", err)
-	}
-	srv, err := cluster.NewServer(clst, conn.Server)
-	if err != nil {
-		return nil, fmt.Errorf("testbed: %w", err)
-	}
-	conn.OnReset(srv.ResetParser)
-
-	src, err := workload.NewFixedSource(e.Features.MessageSize, e.Messages)
-	if err != nil {
-		return nil, fmt.Errorf("testbed: %w", err)
-	}
-	pcfg, err := producerConfig(e, topic)
+	cal, err := e.Calibration.resolved()
 	if err != nil {
 		return nil, err
 	}
-	costs := newCostModel(cal, rand.New(rand.NewPCG(e.Seed, 0x02)))
-	r := &rig{path: path, conn: conn, clst: clst, reg: reg, doneAt: -1}
+	pcfg, err := producerConfig(e, streamTopic)
+	if err != nil {
+		return nil, err
+	}
+	o := &obs.Obs{Trace: e.Tracer}
+	if !e.DisableMetrics {
+		o.Registry = obs.NewRegistry()
+	}
+	e.Tracer.BindClock(sim)
+	e.Timeline.BindClock(sim)
+
+	r, err := newRig(sim, o, cal, e.BrokerFlushInterval, e.MinISR,
+		exprun.DefInt(e.Partitions, 1), exprun.DefInt(e.ReplicationFactor, 3), streamTopic)
+	if err != nil {
+		return nil, fmt.Errorf("testbed: %w", err)
+	}
 	if e.Consumers > 0 {
-		if e.MaxSimTime <= 0 {
-			return nil, fmt.Errorf("testbed: Consumers > 0 requires MaxSimTime")
-		}
-		co, err := coordinator.New(sim, clst, coordinator.Config{
-			OffsetsReplication: e.OffsetsReplication,
-			Obs:                o,
+		err := r.joinGroups(groupSpec{
+			topic:       streamTopic,
+			legacyID:    "testbed",
+			groups:      exprun.DefInt(e.Groups, 1),
+			members:     e.Consumers,
+			cooperative: e.Cooperative,
+			dedup:       e.Features.Semantics == features.SemanticsExactlyOnce,
+			evidence:    e.CaptureEvidence,
+			offsetsRF:   e.OffsetsReplication,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("testbed: %w", err)
 		}
-		nGroups := exprun.DefInt(e.Groups, 1)
-		for gi := 0; gi < nGroups; gi++ {
-			id := "testbed"
-			if nGroups > 1 {
-				id = fmt.Sprintf("g%02d", gi)
-			}
-			grp, err := consumer.NewGroup(sim, co, clst, consumer.GroupConfig{
-				ID:              id,
-				Topic:           topic,
-				Auto:            true,
-				Cooperative:     e.Cooperative,
-				Dedup:           e.Features.Semantics == features.SemanticsExactlyOnce,
-				CaptureEvidence: e.CaptureEvidence,
-				IdleGiveUp:      time.Second,
-				Obs:             o,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("testbed: %w", err)
-			}
-			for i := 0; i < e.Consumers; i++ {
-				if err := grp.Join(fmt.Sprintf("c%02d", i)); err != nil {
-					return nil, fmt.Errorf("testbed: %w", err)
-				}
-			}
-			r.groups = append(r.groups, grp)
-		}
-		r.co, r.group = co, r.groups[0]
 	}
-	if len(e.FaultPlan.Faults) > 0 {
-		plan := chaos.Plan{Faults: append([]chaos.Fault(nil), e.FaultPlan.Faults...)}
-		err := chaos.Schedule(plan, chaos.Targets{
-			Sim:      sim,
-			Cluster:  clst,
-			Path:     path,
-			Conn:     conn,
-			Group:    r.group,
-			Groups:   r.groups,
-			Timeline: e.Timeline,
-			Seed:     e.Seed,
-			OnError: func(err error) {
-				if r.cfgErr == nil {
-					r.cfgErr = err
-				}
-			},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("testbed: fault plan: %w", err)
-		}
-	}
-	opts := []producer.Option{
-		producer.WithTimeliness(e.Features.Timeliness),
-		producer.WithCompletion(func() { r.doneAt = sim.Now() }),
-		producer.WithObs(o),
-		producer.WithRetryRand(rand.New(rand.NewPCG(e.Seed, 0x03))),
-	}
-	if e.CaptureEvidence {
-		opts = append(opts, producer.WithOutcomeLog())
-	}
-	prod, err := producer.New(sim, pcfg, costs, conn, src, opts...)
+	c, err := r.addClient(clientSpec{
+		v: e.Features, seed: e.Seed, trace: e.Trace, messages: e.Messages,
+		cfg: pcfg, outcomes: e.CaptureEvidence,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
-	r.prod = prod
-	for _, grp := range r.groups {
-		grp.SetDrainCheck(prod.Done)
+	err = r.injectFaults(e.FaultPlan, chaos.Targets{Path: c.path, Conn: c.conn, Timeline: e.Timeline, Seed: e.Seed})
+	if err != nil {
+		return nil, fmt.Errorf("testbed: %w", err)
 	}
 	for i, change := range e.Schedule {
 		next := e
 		next.Features = change.Features
-		ncfg, err := producerConfig(next, topic)
+		ncfg, err := producerConfig(next, streamTopic)
 		if err != nil {
 			return nil, fmt.Errorf("testbed: schedule entry %d: %w", i, err)
 		}
 		sim.Schedule(change.At, func() {
 			// Reconfigure pins topic/partition/producer ID itself; a
 			// schedule entry can only carry tunable parameters.
-			if err := prod.Reconfigure(ncfg); err != nil {
-				if r.cfgErr == nil {
-					r.cfgErr = err
-				}
+			if err := c.prod.Reconfigure(ncfg); err != nil {
+				r.fail(err)
 				return
 			}
 			e.Timeline.Annotate(obs.AnnConfigSwitch, describeConfig(change.Features))
 		})
 	}
 	if e.Timeline != nil {
-		// The transport probe shows the client's gauges (cwnd, SRTT, RTO,
-		// in-flight) but sums the counters over both endpoints: they feed
-		// the same registry counters, and the cross-check against the
-		// metrics snapshot requires the timeline to match them.
-		transProbe := func() obs.TransportProbe {
-			p := conn.Client.Probe()
-			s := conn.Server.Probe()
-			p.SegmentsSent += s.SegmentsSent
-			p.Retransmits += s.Retransmits
-			p.RTOTimeouts += s.RTOTimeouts
-			return p
+		c.probes(e.Timeline, func() obs.BrokerProbe { return r.clst.Probe(streamTopic) })
+		if len(r.groups) > 0 {
+			e.Timeline.SetGroupProbe(r.groups[0].Probe)
 		}
-		e.Timeline.SetProbes(path.Probe, transProbe, prod.Probe,
-			func() obs.BrokerProbe { return clst.Probe(topic) })
-		if r.group != nil {
-			e.Timeline.SetGroupProbe(r.group.Probe)
-		}
-		// Row 0 anchors the series at t=0; the ticker adds one row per
-		// interval and stops itself once the producer finishes, so the
-		// event queue can drain (collect takes the final sample).
-		e.Timeline.Sample()
-		var tick *des.Ticker
-		tick = des.NewTicker(sim, e.Timeline.Interval(), func() {
-			if prod.Done() {
-				tick.Stop()
-				return
-			}
-			e.Timeline.Sample()
-		})
+		r.sample(e.Timeline, c.prod.Done)
 	}
 	return r, nil
 }
@@ -592,33 +434,26 @@ func appendKeys(keys []uint64, run []wire.Record) []uint64 {
 	return keys
 }
 
-// collect verifies and aggregates the run.
-func (r *rig) collect(sim *des.Simulator, e Experiment) (Result, error) {
-	if r.cfgErr != nil {
-		return Result{}, fmt.Errorf("testbed: scheduled reconfiguration: %w", r.cfgErr)
-	}
-	// Final sample after the simulation drained: the ticker stops at the
-	// first tick past producer completion, but late appends (a spurious
-	// retry's first copy landing after the last record resolved) must
-	// still fall inside a row for column sums to equal the counters.
-	e.Timeline.Sample()
+// collect reconciles and aggregates a single-client run.
+func (r *rig) collect(e Experiment) (Result, error) {
+	c := r.clients[0]
 	res := Result{
 		Timeline:  e.Timeline,
-		Producer:  r.prod.Counts(),
-		Latency:   r.prod.Latency(),
-		Acquired:  r.prod.Acquired(),
-		Duration:  sim.Now(),
-		Completed: r.prod.Done(),
+		Producer:  c.prod.Counts(),
+		Latency:   c.prod.Latency(),
+		Acquired:  c.prod.Acquired(),
+		Duration:  r.sim.Now(),
+		Completed: c.prod.Done(),
 	}
 	if e.Timeline != nil {
 		res.Timelines = []*obs.Timeline{e.Timeline}
 	}
-	if r.doneAt >= 0 {
-		res.Duration = r.doneAt
+	if c.doneAt >= 0 {
+		res.Duration = c.doneAt
 	}
 	tally := consumer.NewTally(res.Acquired)
 	for p := int32(0); p < int32(exprun.DefInt(e.Partitions, 1)); p++ {
-		cons, err := consumer.New(r.clst, r.prod.Config().Topic, p)
+		cons, err := consumer.New(r.clst, streamTopic, p)
 		if err != nil {
 			return Result{}, fmt.Errorf("testbed: %w", err)
 		}
@@ -637,41 +472,15 @@ func (r *rig) collect(sim *des.Simulator, e Experiment) (Result, error) {
 		}
 	}
 	if e.CaptureEvidence {
-		res.Outcomes = r.prod.Outcomes()
+		res.Outcomes = c.prod.Outcomes()
 	}
 	res.BrokerStats = r.clst.StatsAll()
-	for _, grp := range r.groups {
-		ev := grp.Evidence()
-		gr := GroupRun{
-			ID:           ev.Group,
-			Evidence:     ev,
-			ConsumedKeys: grp.ConsumedKeys(),
-			Stats:        r.co.GroupStats(ev.Group),
-		}
-		committed := make([]int64, grp.Partitions())
-		for p := range committed {
-			off, err := grp.Committed(int32(p))
-			switch {
-			case err == nil:
-				committed[p] = off
-			case errors.Is(err, consumer.ErrNoCommit):
-				committed[p] = -1
-			default:
-				return Result{}, fmt.Errorf("testbed: final committed offset: %w", err)
-			}
-		}
-		gr.Committed = committed
-		// Authoritative lag when the cluster can answer; the group's own
-		// durable view when a partition ended the run leaderless.
-		if lags, err := grp.LagByPartition(); err == nil {
-			gr.Lag = lags
-		} else {
-			gr.Lag = grp.Probe().LagByPartition
-		}
-		res.GroupRuns = append(res.GroupRuns, gr)
+	var err error
+	if res.GroupRuns, err = r.groupRuns(); err != nil {
+		return Result{}, fmt.Errorf("testbed: %w", err)
 	}
 	if len(res.GroupRuns) > 0 {
-		first := res.GroupRuns[0]
+		first := &res.GroupRuns[0]
 		res.GroupEvidence = &first.Evidence
 		res.GroupConsumedKeys = first.ConsumedKeys
 		res.GroupCommitted = first.Committed
@@ -683,22 +492,18 @@ func (r *rig) collect(sim *des.Simulator, e Experiment) (Result, error) {
 	res.Report = tally.Report()
 	res.Pl = res.Report.Pl()
 	res.Pd = res.Report.Pd()
-	if r.reg != nil {
-		res.Metrics = snapshotMetrics(r.reg.Snapshot())
+	if r.o.Registry != nil {
+		res.Metrics = snapshotMetrics(r.o.Registry.Snapshot())
 		res.Metrics.Cases = res.Producer.ByCase
 		// Case 5 (duplicated) is only observable at the consumer.
 		res.Metrics.Cases[producer.Case5] = res.Report.NDuplicated
 	}
 	if d := res.Duration.Seconds(); d > 0 {
 		res.Throughput = float64(res.Report.Distinct) / d
-		cal := e.Calibration
-		if cal == (Calibration{}) {
-			cal = DefaultCalibration()
-		}
-		res.BandwidthUtilization = float64(r.path.Fwd.Counters().BytesDelivery*8) / (cal.Bandwidth * d)
+		res.BandwidthUtilization = float64(c.path.Fwd.Counters().BytesDelivery*8) / (r.cal.Bandwidth * d)
 	}
 	if res.Producer.Delivered > 0 {
-		res.StaleRate = float64(r.prod.Stale()) / float64(res.Producer.Delivered)
+		res.StaleRate = float64(c.prod.Stale()) / float64(res.Producer.Delivered)
 	}
 	return res, nil
 }

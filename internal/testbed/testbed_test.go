@@ -218,11 +218,11 @@ func TestMultiPartitionSpreadsLoad(t *testing.T) {
 	v := cleanVector()
 	v.BatchSize = 2
 	sim := des.New()
-	r, err := buildRig(sim, Experiment{Features: v, Messages: 300, Seed: 7, Partitions: 3}, DefaultCalibration())
+	r, err := Experiment{Features: v, Messages: 300, Seed: 7, Partitions: 3}.assemble(sim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.prod.Start()
+	r.start()
 	if err := sim.RunLimit(10_000_000); err != nil {
 		t.Fatal(err)
 	}

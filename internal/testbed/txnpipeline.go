@@ -16,7 +16,6 @@ import (
 
 	"kafkarel/internal/broker"
 	"kafkarel/internal/chaos"
-	"kafkarel/internal/cluster"
 	"kafkarel/internal/consumer"
 	"kafkarel/internal/coordinator"
 	"kafkarel/internal/des"
@@ -128,24 +127,17 @@ func runTxnOn(sim *des.Simulator, e TxnExperiment) (TxnResult, error) {
 	rf := exprun.DefInt(e.ReplicationFactor, 3)
 	maxSim := exprun.DefDur(e.MaxSimTime, 5*time.Second)
 
-	clstCfg := cluster.DefaultConfig()
-	clstCfg.Broker.FlushInterval = e.BrokerFlushInterval
-	clstCfg.MinISR = e.MinISR
-	clst, err := cluster.New(sim, clstCfg)
+	// The rig's cluster and coordinator steps, with two topics and no
+	// consumer groups: the processors are the consumers here, and the
+	// pipeline runs unobserved (no registry, no tracer).
+	base, err := newRig(sim, nil, Calibration{}, e.BrokerFlushInterval, e.MinISR, parts, rf, TxnInTopic, TxnOutTopic)
 	if err != nil {
 		return TxnResult{}, fmt.Errorf("testbed: %w", err)
 	}
-	if err := clst.CreateTopic(TxnInTopic, parts, rf); err != nil {
+	if err := base.joinGroups(groupSpec{offsetsRF: rf}); err != nil {
 		return TxnResult{}, fmt.Errorf("testbed: %w", err)
 	}
-	if err := clst.CreateTopic(TxnOutTopic, parts, rf); err != nil {
-		return TxnResult{}, fmt.Errorf("testbed: %w", err)
-	}
-	co, err := coordinator.New(sim, clst, coordinator.Config{OffsetsReplication: rf})
-	if err != nil {
-		return TxnResult{}, fmt.Errorf("testbed: %w", err)
-	}
-	tc, err := coordinator.NewTxn(sim, clst, co, coordinator.TxnConfig{
+	tc, err := coordinator.NewTxn(sim, base.clst, base.co, coordinator.TxnConfig{
 		TxnReplication:    rf,
 		DefaultTxnTimeout: exprun.DefDur(e.TxnTimeout, 250*time.Millisecond),
 	})
@@ -154,7 +146,7 @@ func runTxnOn(sim *des.Simulator, e TxnExperiment) (TxnResult, error) {
 	}
 
 	r := &txnRig{
-		sim: sim, clst: clst, co: co, tc: tc, e: e,
+		rig: base, tc: tc, e: e,
 		batch:   exprun.DefInt(e.BatchSize, 5),
 		payload: make([]byte, 64),
 	}
@@ -188,22 +180,11 @@ func runTxnOn(sim *des.Simulator, e TxnExperiment) (TxnResult, error) {
 			tp.spawn()
 		}
 	})
-	if len(e.FaultPlan.Faults) > 0 {
-		plan := chaos.Plan{Faults: append([]chaos.Fault(nil), e.FaultPlan.Faults...)}
-		err := chaos.Schedule(plan, chaos.Targets{
-			Sim: sim, Cluster: clst, Procs: r, Seed: e.Seed,
-			OnError: func(err error) {
-				if r.cfgErr == nil {
-					r.cfgErr = err
-				}
-			},
-		})
-		if err != nil {
-			return TxnResult{}, fmt.Errorf("testbed: fault plan: %w", err)
-		}
+	if err := r.injectFaults(e.FaultPlan, chaos.Targets{Procs: r, Seed: e.Seed}); err != nil {
+		return TxnResult{}, fmt.Errorf("testbed: txn: %w", err)
 	}
-	if err := sim.RunUntil(maxSim); err != nil {
-		return TxnResult{}, fmt.Errorf("testbed: txn run: %w", err)
+	if err := r.run(maxSim); err != nil {
+		return TxnResult{}, fmt.Errorf("testbed: txn: %w", err)
 	}
 	return r.collect(parts)
 }
@@ -211,9 +192,7 @@ func runTxnOn(sim *des.Simulator, e TxnExperiment) (TxnResult, error) {
 // txnRig is the assembled transactional pipeline. It implements
 // chaos.ProcessorSet.
 type txnRig struct {
-	sim      *des.Simulator
-	clst     *cluster.Cluster
-	co       *coordinator.Coordinator
+	*rig
 	tc       *coordinator.TxnCoordinator
 	e        TxnExperiment
 	batch    int
@@ -222,7 +201,6 @@ type txnRig struct {
 	fillers  []*txnFiller
 	procs    []*txnProcessor
 	attempts []chaos.TxnAttempt
-	cfgErr   error
 }
 
 // Processors implements chaos.ProcessorSet.
@@ -271,9 +249,6 @@ func (r *txnRig) ZombieProcessor(i int) error {
 }
 
 func (r *txnRig) collect(parts int) (TxnResult, error) {
-	if r.cfgErr != nil {
-		return TxnResult{}, fmt.Errorf("testbed: txn fault plan: %w", r.cfgErr)
-	}
 	res := TxnResult{
 		Attempts:  r.attempts,
 		InputKeys: r.keys,

@@ -16,7 +16,8 @@
 //   - The weighted KPI γ of Eq. 2 combining reliability with predicted
 //     performance — see NewEvaluator.
 //   - The dynamic-configuration scheme of Sec. V: stepwise configuration
-//     search against a forecast network trace — see GenerateSchedule.
+//     search against a forecast network trace — see NewSearcher and
+//     EvaluateDynamicConfiguration.
 //
 // Every evaluation artefact is built from independent, seed-deterministic
 // simulated experiments, which execute on a bounded worker pool (the
@@ -37,7 +38,6 @@ import (
 	"time"
 
 	"kafkarel/internal/chaos"
-	"kafkarel/internal/chaos/campaign"
 	"kafkarel/internal/core"
 	"kafkarel/internal/dynconf"
 	"kafkarel/internal/features"
@@ -46,7 +46,6 @@ import (
 	"kafkarel/internal/netem"
 	"kafkarel/internal/obs"
 	"kafkarel/internal/perfmodel"
-	"kafkarel/internal/report"
 	"kafkarel/internal/sweep"
 	"kafkarel/internal/testbed"
 	"kafkarel/internal/workload"
@@ -58,8 +57,6 @@ type (
 	// timeliness S, network delay D, loss rate L, delivery semantics,
 	// batch size B, polling interval δ and message timeout T_o.
 	Features = features.Vector
-	// Sample pairs a feature vector with measured P_l / P_d.
-	Sample = features.Sample
 	// Dataset is a set of training samples with CSV persistence.
 	Dataset = features.Dataset
 )
@@ -83,23 +80,17 @@ type (
 	ConfigChange = testbed.ConfigChange
 	// Fleet describes a fleet-scale run: N producers over T topics of P
 	// partitions each, keyed routing, consumer groups draining every
-	// topic, aggregate load in users/sec — see RunFleet.
+	// topic, aggregate load in users/sec — see RunFleetContext.
 	Fleet = testbed.Fleet
 	// FleetResult aggregates a fleet run; its Scorecard is byte-identical
 	// for every worker count.
 	FleetResult = testbed.FleetResult
-	// FleetTopicResult is one topic's share of a fleet run.
-	FleetTopicResult = testbed.FleetTopicResult
 )
 
 // Observability (the internal/obs subsystem). A run's metrics come back
 // on Result.Metrics; the event timeline is captured by attaching a
 // Tracer to Experiment.Tracer.
 type (
-	// MetricsSnapshot is the per-run observability summary returned
-	// alongside P_l / P_d: retransmit counts, RTO maximum, queue-depth
-	// histogram, Table I case counts, broker and replication activity.
-	MetricsSnapshot = testbed.MetricsSnapshot
 	// Tracer records the structured per-run event stream (record
 	// lifecycle, transport, broker events) into a ring buffer and an
 	// optional JSONL sink.
@@ -113,30 +104,12 @@ type (
 	// switches, online decisions, broker failures). Attach it via
 	// Experiment.Timeline; it comes back on Result.Timeline.
 	Timeline = obs.Timeline
-	// TimelineRow is one fixed-schema timeline sample: gauges are
-	// instantaneous, counts are per-interval deltas.
-	TimelineRow = obs.TimelineRow
-	// TimelineAnnotation marks a discrete moment on the timeline.
-	TimelineAnnotation = obs.TimelineAnnotation
-	// RunReport is a rendered-ready run report: per-phase reliability,
-	// timeline sparklines and the first complete duplicate chain.
-	RunReport = report.Report
-	// RunReportOptions tunes run-report rendering.
-	RunReportOptions = report.Options
-)
-
-// Timeline annotation kinds.
-const (
-	AnnConfigSwitch   = obs.AnnConfigSwitch
-	AnnOnlineDecision = obs.AnnOnlineDecision
-	AnnBrokerEvent    = obs.AnnBrokerEvent
-	AnnFault          = obs.AnnFault
 )
 
 // Chaos engine (the internal/chaos subsystem): deterministic sim-time
 // fault plans, randomised campaign generation, and the delivery-
 // invariant checker. Attach a plan via Experiment.FaultPlan; run whole
-// campaigns with RunChaosCampaign or the cmd/chaos CLI.
+// campaigns with the cmd/chaos CLI (internal/chaos/campaign).
 type (
 	// Fault is one scheduled fault (broker crash, unclean restart,
 	// partition, loss burst, delay spike, connection reset, slowdown).
@@ -145,22 +118,9 @@ type (
 	FaultPlan = chaos.Plan
 	// FaultKind discriminates Fault entries.
 	FaultKind = chaos.Kind
-	// FaultGenConfig parameterises random plan generation.
-	FaultGenConfig = chaos.GenConfig
-	// TrialEvidence is the evidence bundle the invariant checker
-	// consumes (producer outcome log, consumed keys, broker stats, ...).
-	TrialEvidence = chaos.TrialInput
 	// TrialVerdict separates invariant violations from classified,
 	// expected-for-the-configuration anomalies.
 	TrialVerdict = chaos.Verdict
-	// ChaosCampaignConfig parameterises a randomised chaos campaign.
-	ChaosCampaignConfig = campaign.Config
-	// ChaosScorecard is a campaign's full result: one row per trial,
-	// reproducible byte-for-byte from (seed, config) at any worker count.
-	ChaosScorecard = campaign.Scorecard
-	// ChaosTrialRow is one scorecard row, replayable from its recorded
-	// (plan seed, workload seed) pair alone.
-	ChaosTrialRow = campaign.Row
 )
 
 // Fault kinds for FaultPlan entries.
@@ -178,19 +138,12 @@ const (
 	FaultProcessorZombie = chaos.ProcessorZombie
 )
 
-// Chaos campaign modes.
-const (
-	ChaosModeExactlyOnce = campaign.ModeExactlyOnce
-	ChaosModeAtLeastOnce = campaign.ModeAtLeastOnce
-	ChaosModeTxn         = campaign.ModeTxn
-)
-
 // Transactional pipeline (the exactly-once consume-process-produce
 // testbed): a broker-side transaction coordinator drives two-phase
 // commits over input offsets and output records, processors are fenced
 // by producer-epoch bumps, and the read_committed consumer sees only
 // decided transactions. Run single trials with RunTxnPipeline, whole
-// campaigns with RunChaosCampaign at ChaosModeTxn or cmd/chaos -txn.
+// campaigns with cmd/chaos -txn.
 type (
 	// TxnExperiment configures one transactional pipeline trial.
 	TxnExperiment = testbed.TxnExperiment
@@ -199,8 +152,6 @@ type (
 	TxnResult = testbed.TxnResult
 	// TxnEvidence is the evidence bundle VerifyTxnTrial consumes.
 	TxnEvidence = chaos.TxnInput
-	// TxnAttemptRecord is one consume-process-produce cycle's evidence.
-	TxnAttemptRecord = chaos.TxnAttempt
 	// TxnFaultGenConfig parameterises random transactional-plan
 	// generation (broker outages, processor crashes, zombie races).
 	TxnFaultGenConfig = chaos.TxnGenConfig
@@ -222,35 +173,9 @@ func RunTxnPipeline(ctx context.Context, e TxnExperiment) (TxnResult, error) {
 func VerifyTxnTrial(in TxnEvidence) TrialVerdict { return chaos.VerifyTxn(in) }
 
 // GenerateTxnFaultPlan samples a random fault plan for a transactional
-// trial; deterministic in (seed, config) like GenerateFaultPlan.
+// trial; the same (seed, config) always yields the same plan.
 func GenerateTxnFaultPlan(seed uint64, cfg TxnFaultGenConfig) FaultPlan {
 	return chaos.GenerateTxnPlan(seed, cfg)
-}
-
-// GenerateFaultPlan samples a random, Validate-clean fault plan from a
-// seed; the same (seed, config) always yields the same plan.
-func GenerateFaultPlan(seed uint64, cfg FaultGenConfig) FaultPlan {
-	return chaos.GeneratePlan(seed, cfg)
-}
-
-// VerifyTrial checks a finished trial's evidence against the delivery
-// invariants of its configuration (acked ⇒ appended, exactly-once
-// uniqueness, per-partition ordering at max-in-flight 1, conservation,
-// duplicate accounting, timeline consistency).
-func VerifyTrial(in TrialEvidence) TrialVerdict { return chaos.Verify(in) }
-
-// RunChaosCampaign runs a randomised fault-injection campaign: Trials
-// generated plans executed in parallel on the experiment worker pool,
-// each trial verified. The scorecard is identical for every worker
-// count.
-func RunChaosCampaign(ctx context.Context, cfg ChaosCampaignConfig) (ChaosScorecard, error) {
-	return campaign.Run(ctx, cfg)
-}
-
-// ReplayChaosTrial re-runs one campaign trial from its scorecard seeds;
-// the returned row is byte-identical to the campaign's.
-func ReplayChaosTrial(cfg ChaosCampaignConfig, planSeed, workloadSeed uint64) (ChaosTrialRow, error) {
-	return campaign.RunTrial(cfg, planSeed, workloadSeed)
 }
 
 // NewTracer returns an event tracer with the given ring capacity
@@ -262,20 +187,6 @@ func NewTracer(capacity int) *Tracer { return obs.NewTracer(capacity) }
 // scaled run uses it as a template and returns one entity-tagged
 // timeline per producer on Result.Timelines.
 func NewTimeline(interval time.Duration) *Timeline { return obs.NewTimeline(interval) }
-
-// WriteMergedTimelineCSV renders several entity-tagged timelines (a
-// fleet's, or a scaled run's) as one CSV stream ordered by virtual
-// time; the bytes are independent of worker count.
-func WriteMergedTimelineCSV(w io.Writer, timelines []*Timeline) error {
-	return obs.WriteMergedCSV(w, timelines)
-}
-
-// BuildRunReport assembles a run report from a result carrying a
-// timeline and (optionally) the tracer's events; render it with
-// Report.Render, cross-check its totals with Report.Verify.
-func BuildRunReport(res Result, events []TraceEvent, opts RunReportOptions) (*RunReport, error) {
-	return report.Build(res, events, opts)
-}
 
 // ReadTraceJSONL parses a JSONL trace written by a tracer sink.
 func ReadTraceJSONL(r io.Reader) ([]TraceEvent, error) { return obs.ReadJSONL(r) }
@@ -300,22 +211,12 @@ func RunScaledExperiment(e Experiment, producers int) (Result, error) {
 	return testbed.RunScaled(e, producers)
 }
 
-// RunScaledExperimentContext is RunScaledExperiment with cancellation
-// and an explicit worker bound (<= 0: GOMAXPROCS); the aggregate result
-// is identical for every worker count.
-func RunScaledExperimentContext(ctx context.Context, e Experiment, producers, workers int) (Result, error) {
-	return testbed.RunScaledContext(ctx, e, producers, workers)
-}
-
-// RunFleet executes a fleet-scale run: every topic is an independent
+// RunFleetContext executes a fleet-scale run under ctx with an explicit
+// worker bound (<= 0: GOMAXPROCS): every topic is an independent
 // simulation (fanned out over the worker pool) whose producers share
 // the topic under keyed routing; results merge in topic order, so
 // FleetResult.Scorecard and the merged timelines are byte-identical at
 // any worker count.
-func RunFleet(f Fleet) (FleetResult, error) { return testbed.RunFleet(f) }
-
-// RunFleetContext is RunFleet with cancellation and an explicit worker
-// bound (<= 0: GOMAXPROCS).
 func RunFleetContext(ctx context.Context, f Fleet, workers int) (FleetResult, error) {
 	return testbed.RunFleetContext(ctx, f, workers)
 }
@@ -328,10 +229,6 @@ func DefaultCalibration() Calibration { return testbed.DefaultCalibration() }
 type (
 	// SweepOptions tunes a training-data collection run.
 	SweepOptions = sweep.Options
-	// SensitivityOptions tunes the ±50 % feature-selection analysis.
-	SensitivityOptions = sweep.SensitivityOptions
-	// SensitivityResult is one parameter's perturbation impact.
-	SensitivityResult = sweep.SensitivityResult
 )
 
 // NormalGrid and AbnormalGrid enumerate the Fig. 3 training-data
@@ -346,19 +243,6 @@ func CollectDataset(grid []Features, opts SweepOptions) (Dataset, error) {
 	return sweep.Collect(grid, opts)
 }
 
-// CollectDatasetStream runs the sweep and yields each labelled sample
-// in grid order as soon as its prefix of the grid has completed, so
-// long collections can be persisted incrementally and cancelled via ctx
-// without losing the finished prefix.
-func CollectDatasetStream(ctx context.Context, grid []Features, opts SweepOptions, yield func(Sample) error) error {
-	return sweep.CollectStream(ctx, grid, opts, yield)
-}
-
-// Sensitivity reproduces the Sec. III-D ±50 % perturbation analysis.
-func Sensitivity(base Features, opts SensitivityOptions) ([]SensitivityResult, error) {
-	return sweep.Sensitivity(base, opts)
-}
-
 // ReadDatasetCSV parses a dataset written by Dataset.WriteCSV.
 func ReadDatasetCSV(r io.Reader) (Dataset, error) { return features.ReadCSV(r) }
 
@@ -366,18 +250,10 @@ func ReadDatasetCSV(r io.Reader) (Dataset, error) { return features.ReadCSV(r) }
 type (
 	// Predictor is the trained Eq. 1 model {P̂_l, P̂_d} = f(features).
 	Predictor = core.Predictor
-	// Prediction is one model output.
-	Prediction = core.Prediction
 	// TrainConfig controls predictor training.
 	TrainConfig = core.TrainConfig
 	// TrainMetrics reports held-out evaluation (the paper: MAE < 0.02).
 	TrainMetrics = core.Metrics
-)
-
-// Architectures for TrainConfig.
-const (
-	ArchitecturePaper   = core.ArchitecturePaper
-	ArchitectureCompact = core.ArchitectureCompact
 )
 
 // TrainPredictor fits one ANN per delivery semantics in the dataset.
@@ -385,17 +261,12 @@ func TrainPredictor(ds Dataset, cfg TrainConfig) (*Predictor, TrainMetrics, erro
 	return core.Train(ds, cfg)
 }
 
-// LoadPredictor reads a predictor written by Predictor.Save.
-func LoadPredictor(r io.Reader) (*Predictor, error) { return core.Load(r) }
-
 // KPI (Eq. 2).
 type (
 	// Weights are ω1..ω4 for φ, μ, (1-P_l), (1-P_d).
 	Weights = kpi.Weights
 	// Evaluator scores configurations with γ.
 	Evaluator = kpi.Evaluator
-	// Breakdown is a γ score with its components.
-	Breakdown = kpi.Breakdown
 	// PerfModel predicts φ and μ (the ref. [6] stand-in).
 	PerfModel = perfmodel.Model
 )
@@ -417,8 +288,6 @@ func NewEvaluator(p *Predictor, perf *PerfModel, w Weights) (*Evaluator, error) 
 type (
 	// Searcher walks configuration space until γ meets a requirement.
 	Searcher = dynconf.Searcher
-	// ScheduleEntry is one line of an offline configuration schedule.
-	ScheduleEntry = dynconf.ScheduleEntry
 	// StreamOutcome is one Table II row pair (default vs dynamic R_l/R_d).
 	StreamOutcome = dynconf.StreamOutcome
 	// DynConfOptions configures the Table II pipeline.
@@ -430,35 +299,9 @@ type (
 // NewSearcher builds a stepwise configuration searcher.
 func NewSearcher(eval *Evaluator) (*Searcher, error) { return dynconf.NewSearcher(eval) }
 
-// GenerateSchedule produces the offline configuration file for a
-// forecast network trace.
-func GenerateSchedule(s *Searcher, trace NetworkTrace, stream Features, target float64, interval time.Duration) ([]ScheduleEntry, error) {
-	return dynconf.GenerateSchedule(s, trace, stream, target, interval)
-}
-
-// ScheduleChanges converts schedule entries into testbed reconfiguration
-// events.
-func ScheduleChanges(entries []ScheduleEntry) []ConfigChange {
-	return dynconf.ToConfigChanges(entries)
-}
-
-// ThresholdSchedule builds a rule-based offline schedule without a
-// trained model: the protective configuration whenever the forecast
-// segment's loss rate is at or above lossBar, the stream's own
-// configuration otherwise.
-func ThresholdSchedule(trace NetworkTrace, stream, protective Features, interval time.Duration, lossBar float64) ([]ScheduleEntry, error) {
-	return dynconf.ThresholdSchedule(trace, stream, protective, interval, lossBar)
-}
-
 // EvaluateDynamicConfiguration runs the full Table II pipeline.
 func EvaluateDynamicConfiguration(profiles []StreamProfile, opts DynConfOptions) ([]StreamOutcome, error) {
 	return dynconf.TableII(profiles, opts)
-}
-
-// EvaluateDynamicConfigurationContext is EvaluateDynamicConfiguration
-// with cancellation.
-func EvaluateDynamicConfigurationContext(ctx context.Context, profiles []StreamProfile, opts DynConfOptions) ([]StreamOutcome, error) {
-	return dynconf.TableIIContext(ctx, profiles, opts)
 }
 
 // Online dynamic configuration — the paper's declared future work,
@@ -501,41 +344,22 @@ type (
 	TracePoint = netem.Point
 )
 
-// DefaultTraceSpec reproduces the character of the paper's Fig. 9
-// network.
-func DefaultTraceSpec() TraceSpec { return netem.DefaultTraceSpec() }
-
 // Figure regeneration (see EXPERIMENTS.md for paper-vs-measured).
 type (
-	FigureOptions  = figures.Options
-	Fig4Point      = figures.Fig4Point
-	Fig5Point      = figures.Fig5Point
-	Fig6Point      = figures.Fig6Point
-	Fig7Point      = figures.Fig7Point
-	Fig8Point      = figures.Fig8Point
-	Table1Result   = figures.Table1Result
-	AccuracyResult = figures.AccuracyResult
-	// ThroughputBatchPoint and ThroughputPartitionPoint form the
-	// throughput figure family (extension): delivered msg/s over batch
-	// size and over per-topic partition count.
-	ThroughputBatchPoint     = figures.ThroughputBatchPoint
-	ThroughputPartitionPoint = figures.ThroughputPartitionPoint
+	FigureOptions = figures.Options
+	Fig4Point     = figures.Fig4Point
+	Fig5Point     = figures.Fig5Point
+	Fig6Point     = figures.Fig6Point
+	Fig7Point     = figures.Fig7Point
+	Fig8Point     = figures.Fig8Point
+	Table1Result  = figures.Table1Result
 )
 
 // Figure generators, one per evaluation artefact in the paper.
-func Fig4(o FigureOptions) ([]Fig4Point, error)        { return figures.Fig4(o) }
-func Fig5(o FigureOptions) ([]Fig5Point, error)        { return figures.Fig5(o) }
-func Fig6(o FigureOptions) ([]Fig6Point, error)        { return figures.Fig6(o) }
-func Fig7(o FigureOptions) ([]Fig7Point, error)        { return figures.Fig7(o) }
-func Fig8(o FigureOptions) ([]Fig8Point, error)        { return figures.Fig8(o) }
-func Fig9(seed uint64) ([]TracePoint, error)           { return figures.Fig9(seed) }
-func Table1(o FigureOptions) (Table1Result, error)     { return figures.Table1(o) }
-func Accuracy(o FigureOptions) (AccuracyResult, error) { return figures.Accuracy(o) }
-
-// Throughput figure family (extension beyond the paper's figures).
-func ThroughputVsBatch(o FigureOptions) ([]ThroughputBatchPoint, error) {
-	return figures.ThroughputVsBatch(o)
-}
-func ThroughputVsPartitions(o FigureOptions) ([]ThroughputPartitionPoint, error) {
-	return figures.ThroughputVsPartitions(o)
-}
+func Fig4(o FigureOptions) ([]Fig4Point, error)    { return figures.Fig4(o) }
+func Fig5(o FigureOptions) ([]Fig5Point, error)    { return figures.Fig5(o) }
+func Fig6(o FigureOptions) ([]Fig6Point, error)    { return figures.Fig6(o) }
+func Fig7(o FigureOptions) ([]Fig7Point, error)    { return figures.Fig7(o) }
+func Fig8(o FigureOptions) ([]Fig8Point, error)    { return figures.Fig8(o) }
+func Fig9(seed uint64) ([]TracePoint, error)       { return figures.Fig9(seed) }
+func Table1(o FigureOptions) (Table1Result, error) { return figures.Table1(o) }
