@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race bench bench-repo bench-pairs bench-seeds bench-json bench-scaling bench-gate profile repro chaos-smoke
+.PHONY: check build fmt vet test race fuzz-smoke bench bench-repo bench-pairs bench-seeds bench-json bench-scaling bench-gate profile repro chaos-smoke
 
 ## check: the full quality gate — formatting, build, vet, race-enabled
 ## tests, and a fixed-seed chaos campaign.
@@ -24,6 +24,16 @@ test:
 ## pool and every parallelised call path must stay race-clean.
 race:
 	$(GO) test -race ./...
+
+## fuzz-smoke: a few seconds of native fuzzing on each target of the
+## byte-level protocol (internal/wire/fuzz_test.go) — one invocation per
+## target because `go test -fuzz` takes exactly one, nothing downloaded.
+## The seed corpus already runs in `make test`; this leg mutates it. A
+## crasher is written to internal/wire/testdata/fuzz/<target>/ and fails
+## the run: commit it with the fix, and it is a regression test from then on.
+fuzz-smoke:
+	@for t in FuzzSplitter FuzzDecode FuzzSlabClone; do \
+		$(GO) test ./internal/wire -run '^$$' -fuzz "^$$t\$$" -fuzztime 3s || exit 1; done
 
 bench:
 	$(GO) test -run xxx -bench=. -benchmem

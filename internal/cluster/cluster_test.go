@@ -8,6 +8,7 @@ import (
 
 	"kafkarel/internal/des"
 	"kafkarel/internal/netem"
+	"kafkarel/internal/stats"
 	"kafkarel/internal/transport"
 	"kafkarel/internal/wire"
 )
@@ -299,83 +300,128 @@ func TestValidationNew(t *testing.T) {
 
 // TestServerOverTransport exercises the full request path: client
 // endpoint → frames over lossy-capable transport → server dispatch →
-// cluster → response frames back.
+// cluster → response frames back. The lossy case is the only test that
+// drives the server's Fetch reply through a link that drops segments:
+// its reply spans some 45 of them, so at 5 % loss the transport has to
+// retransmit part of it and the frame must still reassemble intact.
 func TestServerOverTransport(t *testing.T) {
-	sim := des.New()
-	path, err := netem.NewPath(sim, netem.Config{}, netem.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := transport.NewConn(sim, path, transport.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newCluster(t, sim)
-	if _, err := NewServer(c, conn.Server); err != nil {
-		t.Fatal(err)
-	}
-
-	var produce wire.ProduceResponse
-	var fetch wire.FetchResponse
-	var md wire.MetadataResponse
-	var split wire.Splitter
-	conn.Client.OnReceive(func(b []byte) {
-		frames, err := split.Push(b)
-		if err != nil {
-			t.Errorf("client splitter: %v", err)
-			return
-		}
-		for _, f := range frames {
-			switch f.API {
-			case wire.APIProduce:
-				r, err := wire.DecodeProduceResponse(f.Body)
+	for _, tc := range []struct {
+		name    string
+		loss    float64 // per-packet, both directions
+		seed    uint64
+		records int
+		payload int
+	}{
+		{name: "clean", records: 2, payload: 1},
+		{name: "lossy", loss: 0.05, seed: 2, records: 300, payload: 200},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := des.New()
+			link := func(seed uint64) netem.Config {
+				if tc.loss == 0 {
+					return netem.Config{}
+				}
+				l, err := stats.NewBernoulli(tc.loss, rand.New(rand.NewPCG(seed, 5)))
 				if err != nil {
-					t.Errorf("decode produce response: %v", err)
-					continue
+					t.Fatal(err)
 				}
-				produce = r
-				// Chain a fetch once produce is acked.
-				fr := wire.FetchRequest{CorrelationID: 2, Topic: "t", Partition: 0, Offset: 0, MaxRecords: 10}
-				if err := conn.Client.Send(wire.EncodeFrame(wire.APIFetch, fr.Encode(nil))); err != nil {
-					t.Errorf("send fetch: %v", err)
-				}
-			case wire.APIFetch:
-				r, err := wire.DecodeFetchResponse(f.Body)
-				if err != nil {
-					t.Errorf("decode fetch response: %v", err)
-					continue
-				}
-				fetch = r
-			case wire.APIMetadata:
-				r, err := wire.DecodeMetadataResponse(f.Body)
-				if err != nil {
-					t.Errorf("decode metadata response: %v", err)
-					continue
-				}
-				md = r
+				return netem.Config{Delay: stats.Constant{Value: 10}, Loss: l, Bandwidth: 100e6}
 			}
-		}
-	})
+			path, err := netem.NewPath(sim, link(tc.seed), link(tc.seed+1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn, err := transport.NewConn(sim, path, transport.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := newCluster(t, sim)
+			if _, err := NewServer(c, conn.Server); err != nil {
+				t.Fatal(err)
+			}
 
-	mreq := wire.MetadataRequest{CorrelationID: 9, Topic: "t"}
-	if err := conn.Client.Send(wire.EncodeFrame(wire.APIMetadata, mreq.Encode(nil))); err != nil {
-		t.Fatal(err)
-	}
-	preq := produceReq(1, wire.AcksLeader, 100, 101)
-	if err := conn.Client.Send(wire.EncodeFrame(wire.APIProduce, preq.Encode(nil))); err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if md.CorrelationID != 9 || len(md.Partitions) != 1 {
-		t.Errorf("metadata = %+v", md)
-	}
-	if produce.CorrelationID != 1 || produce.Err != wire.ErrNone {
-		t.Errorf("produce = %+v", produce)
-	}
-	if fetch.CorrelationID != 2 || len(fetch.Records) != 2 || fetch.Records[0].Key != 100 {
-		t.Errorf("fetch = %+v", fetch)
+			var produce wire.ProduceResponse
+			var fetch wire.FetchResponse
+			var fetched []uint64 // keys, copied out: the records alias the splitter's buffer
+			var md wire.MetadataResponse
+			var split wire.Splitter
+			conn.Client.OnReceive(func(b []byte) {
+				frames, err := split.Push(b)
+				if err != nil {
+					t.Errorf("client splitter: %v", err)
+					return
+				}
+				for _, f := range frames {
+					switch f.API {
+					case wire.APIProduce:
+						r, err := (*wire.Decoder)(nil).ProduceResponse(f.Body)
+						if err != nil {
+							t.Errorf("decode produce response: %v", err)
+							continue
+						}
+						produce = r
+						// Chain a fetch once produce is acked.
+						fr := wire.FetchRequest{CorrelationID: 2, Topic: "t", Partition: 0, Offset: 0, MaxRecords: int32(tc.records)}
+						if err := conn.Client.Send(wire.EncodeFrame(wire.APIFetch, fr.Encode(nil))); err != nil {
+							t.Errorf("send fetch: %v", err)
+						}
+					case wire.APIFetch:
+						r, err := (*wire.Decoder)(nil).FetchResponse(f.Body)
+						if err != nil {
+							t.Errorf("decode fetch response: %v", err)
+							continue
+						}
+						fetch = r
+						for _, rec := range r.Records {
+							if len(rec.Payload) != tc.payload {
+								t.Errorf("record %d payload is %d bytes, want %d", rec.Key, len(rec.Payload), tc.payload)
+							}
+							fetched = append(fetched, rec.Key)
+						}
+					case wire.APIMetadata:
+						r, err := wire.DecodeMetadataResponse(f.Body)
+						if err != nil {
+							t.Errorf("decode metadata response: %v", err)
+							continue
+						}
+						md = r
+					}
+				}
+			})
+
+			mreq := wire.MetadataRequest{CorrelationID: 9, Topic: "t"}
+			if err := conn.Client.Send(wire.EncodeFrame(wire.APIMetadata, mreq.Encode(nil))); err != nil {
+				t.Fatal(err)
+			}
+			preq := wire.ProduceRequest{CorrelationID: 1, Topic: "t", Partition: 0, Acks: wire.AcksLeader}
+			for i := 0; i < tc.records; i++ {
+				preq.Batch.Records = append(preq.Batch.Records,
+					wire.Record{Key: uint64(100 + i), Payload: make([]byte, tc.payload)})
+			}
+			if err := conn.Client.Send(wire.EncodeFrame(wire.APIProduce, preq.Encode(nil))); err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.RunLimit(10_000_000); err != nil {
+				t.Fatal(err)
+			}
+			if md.CorrelationID != 9 || len(md.Partitions) != 1 {
+				t.Errorf("metadata = %+v", md)
+			}
+			if produce.CorrelationID != 1 || produce.Err != wire.ErrNone {
+				t.Errorf("produce = %+v", produce)
+			}
+			if fetch.CorrelationID != 2 || fetch.Err != wire.ErrNone || len(fetched) != tc.records {
+				t.Fatalf("fetch: correlation %d err %v, %d records, want %d", fetch.CorrelationID, fetch.Err, len(fetched), tc.records)
+			}
+			for i, k := range fetched {
+				if k != uint64(100+i) {
+					t.Fatalf("fetched record %d has key %d, want %d", i, k, 100+i)
+				}
+			}
+			if lost := path.Rev.Counters().LostRandom; tc.loss > 0 && lost == 0 {
+				t.Error("the reply link dropped nothing: the case did not exercise a lossy Fetch reply")
+			}
+		})
 	}
 }
 

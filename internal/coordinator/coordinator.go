@@ -302,16 +302,6 @@ func (co *Coordinator) GroupStats(groupID string) GroupStats {
 	return GroupStats{}
 }
 
-// GroupIDs returns the known group ids in sorted order.
-func (co *Coordinator) GroupIDs() []string {
-	ids := make([]string, 0, len(co.groups))
-	for id := range co.groups {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
 // Regressions returns every committed-offset regression observed when
 // re-materializing after topology changes, in detection order.
 func (co *Coordinator) Regressions() []OffsetRegression {

@@ -481,19 +481,3 @@ func Accuracy(o Options) (AccuracyResult, error) {
 	}
 	return out, nil
 }
-
-// HeldOutMAE computes the pooled P_l MAE over the overlay pairs.
-func (r AccuracyResult) HeldOutMAE() float64 {
-	if len(r.Pairs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range r.Pairs {
-		d := p.MeasuredPl - p.PredictedPl
-		if d < 0 {
-			d = -d
-		}
-		sum += d
-	}
-	return sum / float64(len(r.Pairs))
-}

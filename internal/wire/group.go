@@ -1,10 +1,6 @@
 package wire
 
-import (
-	"encoding/binary"
-	"fmt"
-	"time"
-)
+import "time"
 
 // Group-coordination messages, mirroring Kafka's consumer-group
 // protocol: JoinGroup/SyncGroup establish membership and partition
@@ -152,559 +148,4 @@ type LeaveGroupRequest struct {
 type LeaveGroupResponse struct {
 	CorrelationID uint32
 	Err           ErrorCode
-}
-
-// Encode serialises the request body.
-func (r OffsetCommitRequest) Encode(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
-	dst = appendString(dst, r.Group)
-	dst = appendString(dst, r.MemberID)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(r.Generation))
-	dst = appendString(dst, r.Topic)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(r.Partition))
-	return binary.BigEndian.AppendUint64(dst, uint64(r.Offset))
-}
-
-// EncodedSize returns the wire size of the request body.
-func (r OffsetCommitRequest) EncodedSize() int {
-	return 4 + 2 + len(r.Group) + 2 + len(r.MemberID) + 4 + 2 + len(r.Topic) + 4 + 8
-}
-
-// DecodeOffsetCommitRequest parses a request body produced by Encode.
-func DecodeOffsetCommitRequest(b []byte) (OffsetCommitRequest, error) {
-	return (*Decoder)(nil).OffsetCommitRequest(b)
-}
-
-// OffsetCommitRequest is DecodeOffsetCommitRequest with group, member
-// and topic interning; a primed decoder parses it with zero
-// allocations.
-func (d *Decoder) OffsetCommitRequest(b []byte) (OffsetCommitRequest, error) {
-	var r OffsetCommitRequest
-	if len(b) < 4 {
-		return r, fmt.Errorf("offset-commit correlation id: %w", ErrShortBuffer)
-	}
-	r.CorrelationID = binary.BigEndian.Uint32(b)
-	b = b[4:]
-	var err error
-	if r.Group, b, err = d.decodeInterned(b, d.groupIntern()); err != nil {
-		return r, fmt.Errorf("offset-commit group: %w", err)
-	}
-	if r.MemberID, b, err = d.decodeInterned(b, d.memberIntern()); err != nil {
-		return r, fmt.Errorf("offset-commit member: %w", err)
-	}
-	if len(b) < 4 {
-		return r, fmt.Errorf("offset-commit generation: %w", ErrShortBuffer)
-	}
-	r.Generation = int32(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	if r.Topic, b, err = d.decodeString(b); err != nil {
-		return r, fmt.Errorf("offset-commit topic: %w", err)
-	}
-	if len(b) != 12 {
-		return r, fmt.Errorf("offset-commit tail: %w", ErrBadFrame)
-	}
-	r.Partition = int32(binary.BigEndian.Uint32(b))
-	r.Offset = int64(binary.BigEndian.Uint64(b[4:]))
-	return r, nil
-}
-
-// Encode serialises the response body.
-func (r OffsetCommitResponse) Encode(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
-	dst = appendString(dst, r.Group)
-	dst = appendString(dst, r.Topic)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(r.Partition))
-	return binary.BigEndian.AppendUint16(dst, uint16(r.Err))
-}
-
-// EncodedSize returns the wire size of the response body.
-func (r OffsetCommitResponse) EncodedSize() int {
-	return 4 + 2 + len(r.Group) + 2 + len(r.Topic) + 4 + 2
-}
-
-// DecodeOffsetCommitResponse parses a response body produced by Encode.
-func DecodeOffsetCommitResponse(b []byte) (OffsetCommitResponse, error) {
-	return (*Decoder)(nil).OffsetCommitResponse(b)
-}
-
-// OffsetCommitResponse is DecodeOffsetCommitResponse with group and
-// topic interning.
-func (d *Decoder) OffsetCommitResponse(b []byte) (OffsetCommitResponse, error) {
-	var r OffsetCommitResponse
-	if len(b) < 4 {
-		return r, fmt.Errorf("offset-commit-response correlation id: %w", ErrShortBuffer)
-	}
-	r.CorrelationID = binary.BigEndian.Uint32(b)
-	b = b[4:]
-	var err error
-	if r.Group, b, err = d.decodeInterned(b, d.groupIntern()); err != nil {
-		return r, fmt.Errorf("offset-commit-response group: %w", err)
-	}
-	if r.Topic, b, err = d.decodeString(b); err != nil {
-		return r, fmt.Errorf("offset-commit-response topic: %w", err)
-	}
-	if len(b) != 6 {
-		return r, fmt.Errorf("offset-commit-response tail: %w", ErrBadFrame)
-	}
-	r.Partition = int32(binary.BigEndian.Uint32(b))
-	r.Err = ErrorCode(binary.BigEndian.Uint16(b[4:]))
-	return r, nil
-}
-
-// Encode serialises the request body.
-func (r OffsetFetchRequest) Encode(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
-	dst = appendString(dst, r.Group)
-	dst = appendString(dst, r.MemberID)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(r.Generation))
-	dst = appendString(dst, r.Topic)
-	return binary.BigEndian.AppendUint32(dst, uint32(r.Partition))
-}
-
-// EncodedSize returns the wire size of the request body.
-func (r OffsetFetchRequest) EncodedSize() int {
-	return 4 + 2 + len(r.Group) + 2 + len(r.MemberID) + 4 + 2 + len(r.Topic) + 4
-}
-
-// DecodeOffsetFetchRequest parses a request body produced by Encode.
-func DecodeOffsetFetchRequest(b []byte) (OffsetFetchRequest, error) {
-	return (*Decoder)(nil).OffsetFetchRequest(b)
-}
-
-// OffsetFetchRequest is DecodeOffsetFetchRequest with group, member and
-// topic interning.
-func (d *Decoder) OffsetFetchRequest(b []byte) (OffsetFetchRequest, error) {
-	var r OffsetFetchRequest
-	if len(b) < 4 {
-		return r, fmt.Errorf("offset-fetch correlation id: %w", ErrShortBuffer)
-	}
-	r.CorrelationID = binary.BigEndian.Uint32(b)
-	b = b[4:]
-	var err error
-	if r.Group, b, err = d.decodeInterned(b, d.groupIntern()); err != nil {
-		return r, fmt.Errorf("offset-fetch group: %w", err)
-	}
-	if r.MemberID, b, err = d.decodeInterned(b, d.memberIntern()); err != nil {
-		return r, fmt.Errorf("offset-fetch member: %w", err)
-	}
-	if len(b) < 4 {
-		return r, fmt.Errorf("offset-fetch generation: %w", ErrShortBuffer)
-	}
-	r.Generation = int32(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	if r.Topic, b, err = d.decodeString(b); err != nil {
-		return r, fmt.Errorf("offset-fetch topic: %w", err)
-	}
-	if len(b) != 4 {
-		return r, fmt.Errorf("offset-fetch tail: %w", ErrBadFrame)
-	}
-	r.Partition = int32(binary.BigEndian.Uint32(b))
-	return r, nil
-}
-
-// Encode serialises the response body.
-func (r OffsetFetchResponse) Encode(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
-	dst = appendString(dst, r.Group)
-	dst = appendString(dst, r.Topic)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(r.Partition))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(r.Offset))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(r.Generation))
-	return binary.BigEndian.AppendUint16(dst, uint16(r.Err))
-}
-
-// EncodedSize returns the wire size of the response body.
-func (r OffsetFetchResponse) EncodedSize() int {
-	return 4 + 2 + len(r.Group) + 2 + len(r.Topic) + 4 + 8 + 4 + 2
-}
-
-// DecodeOffsetFetchResponse parses a response body produced by Encode.
-func DecodeOffsetFetchResponse(b []byte) (OffsetFetchResponse, error) {
-	return (*Decoder)(nil).OffsetFetchResponse(b)
-}
-
-// OffsetFetchResponse is DecodeOffsetFetchResponse with group and topic
-// interning.
-func (d *Decoder) OffsetFetchResponse(b []byte) (OffsetFetchResponse, error) {
-	var r OffsetFetchResponse
-	if len(b) < 4 {
-		return r, fmt.Errorf("offset-fetch-response correlation id: %w", ErrShortBuffer)
-	}
-	r.CorrelationID = binary.BigEndian.Uint32(b)
-	b = b[4:]
-	var err error
-	if r.Group, b, err = d.decodeInterned(b, d.groupIntern()); err != nil {
-		return r, fmt.Errorf("offset-fetch-response group: %w", err)
-	}
-	if r.Topic, b, err = d.decodeString(b); err != nil {
-		return r, fmt.Errorf("offset-fetch-response topic: %w", err)
-	}
-	if len(b) != 18 {
-		return r, fmt.Errorf("offset-fetch-response tail: %w", ErrBadFrame)
-	}
-	r.Partition = int32(binary.BigEndian.Uint32(b))
-	r.Offset = int64(binary.BigEndian.Uint64(b[4:]))
-	r.Generation = int32(binary.BigEndian.Uint32(b[12:]))
-	r.Err = ErrorCode(binary.BigEndian.Uint16(b[16:]))
-	return r, nil
-}
-
-// Encode serialises the request body.
-func (r JoinGroupRequest) Encode(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
-	dst = appendString(dst, r.Group)
-	dst = appendString(dst, r.MemberID)
-	dst = appendString(dst, r.GroupInstanceID)
-	dst = appendString(dst, r.Topic)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(r.SessionTimeout))
-	dst = append(dst, r.Protocol)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.OwnedPartitions)))
-	for _, p := range r.OwnedPartitions {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(p))
-	}
-	return dst
-}
-
-// EncodedSize returns the wire size of the request body.
-func (r JoinGroupRequest) EncodedSize() int {
-	return 4 + 2 + len(r.Group) + 2 + len(r.MemberID) + 2 + len(r.GroupInstanceID) +
-		2 + len(r.Topic) + 8 + 1 + 4 + 4*len(r.OwnedPartitions)
-}
-
-// DecodeJoinGroupRequest parses a request body produced by Encode.
-func DecodeJoinGroupRequest(b []byte) (JoinGroupRequest, error) {
-	return (*Decoder)(nil).JoinGroupRequest(b)
-}
-
-// JoinGroupRequest is DecodeJoinGroupRequest with group, member and
-// topic interning.
-func (d *Decoder) JoinGroupRequest(b []byte) (JoinGroupRequest, error) {
-	var r JoinGroupRequest
-	if len(b) < 4 {
-		return r, fmt.Errorf("join-group correlation id: %w", ErrShortBuffer)
-	}
-	r.CorrelationID = binary.BigEndian.Uint32(b)
-	b = b[4:]
-	var err error
-	if r.Group, b, err = d.decodeInterned(b, d.groupIntern()); err != nil {
-		return r, fmt.Errorf("join-group group: %w", err)
-	}
-	if r.MemberID, b, err = d.decodeInterned(b, d.memberIntern()); err != nil {
-		return r, fmt.Errorf("join-group member: %w", err)
-	}
-	if r.GroupInstanceID, b, err = d.decodeString(b); err != nil {
-		return r, fmt.Errorf("join-group instance id: %w", err)
-	}
-	if r.Topic, b, err = d.decodeString(b); err != nil {
-		return r, fmt.Errorf("join-group topic: %w", err)
-	}
-	if len(b) < 13 {
-		return r, fmt.Errorf("join-group tail: %w", ErrBadFrame)
-	}
-	r.SessionTimeout = time.Duration(binary.BigEndian.Uint64(b))
-	r.Protocol = b[8]
-	count := int(binary.BigEndian.Uint32(b[9:]))
-	b = b[13:]
-	if len(b) != 4*count {
-		return r, fmt.Errorf("join-group owned partitions: %w", ErrBadFrame)
-	}
-	if count > 0 {
-		r.OwnedPartitions = make([]int32, count)
-		for i := range r.OwnedPartitions {
-			r.OwnedPartitions[i] = int32(binary.BigEndian.Uint32(b[4*i:]))
-		}
-	}
-	return r, nil
-}
-
-// Encode serialises the response body.
-func (r JoinGroupResponse) Encode(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
-	dst = appendString(dst, r.Group)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(r.Generation))
-	dst = appendString(dst, r.MemberID)
-	dst = appendString(dst, r.Leader)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(r.Err))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Members)))
-	for _, m := range r.Members {
-		dst = appendString(dst, m)
-	}
-	return dst
-}
-
-// EncodedSize returns the wire size of the response body.
-func (r JoinGroupResponse) EncodedSize() int {
-	n := 4 + 2 + len(r.Group) + 4 + 2 + len(r.MemberID) + 2 + len(r.Leader) + 2 + 4
-	for _, m := range r.Members {
-		n += 2 + len(m)
-	}
-	return n
-}
-
-// DecodeJoinGroupResponse parses a response body produced by Encode.
-func DecodeJoinGroupResponse(b []byte) (JoinGroupResponse, error) {
-	return (*Decoder)(nil).JoinGroupResponse(b)
-}
-
-// JoinGroupResponse is DecodeJoinGroupResponse with group and member
-// interning. The member list allocates; joins are the rebalance cold
-// path.
-func (d *Decoder) JoinGroupResponse(b []byte) (JoinGroupResponse, error) {
-	var r JoinGroupResponse
-	if len(b) < 4 {
-		return r, fmt.Errorf("join-group-response correlation id: %w", ErrShortBuffer)
-	}
-	r.CorrelationID = binary.BigEndian.Uint32(b)
-	b = b[4:]
-	var err error
-	if r.Group, b, err = d.decodeInterned(b, d.groupIntern()); err != nil {
-		return r, fmt.Errorf("join-group-response group: %w", err)
-	}
-	if len(b) < 4 {
-		return r, fmt.Errorf("join-group-response generation: %w", ErrShortBuffer)
-	}
-	r.Generation = int32(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	if r.MemberID, b, err = d.decodeInterned(b, d.memberIntern()); err != nil {
-		return r, fmt.Errorf("join-group-response member: %w", err)
-	}
-	if r.Leader, b, err = d.decodeString(b); err != nil {
-		return r, fmt.Errorf("join-group-response leader: %w", err)
-	}
-	if len(b) < 6 {
-		return r, fmt.Errorf("join-group-response tail: %w", ErrShortBuffer)
-	}
-	r.Err = ErrorCode(binary.BigEndian.Uint16(b))
-	count := int(binary.BigEndian.Uint32(b[2:]))
-	b = b[6:]
-	if count > 0 {
-		r.Members = make([]string, 0, count)
-	}
-	for i := 0; i < count; i++ {
-		var m string
-		if m, b, err = d.decodeString(b); err != nil {
-			return r, fmt.Errorf("join-group-response member %d: %w", i, err)
-		}
-		r.Members = append(r.Members, m)
-	}
-	if len(b) != 0 {
-		return r, fmt.Errorf("join-group-response trailing %d bytes: %w", len(b), ErrBadFrame)
-	}
-	return r, nil
-}
-
-// Encode serialises the request body.
-func (r SyncGroupRequest) Encode(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
-	dst = appendString(dst, r.Group)
-	dst = appendString(dst, r.MemberID)
-	return binary.BigEndian.AppendUint32(dst, uint32(r.Generation))
-}
-
-// EncodedSize returns the wire size of the request body.
-func (r SyncGroupRequest) EncodedSize() int {
-	return 4 + 2 + len(r.Group) + 2 + len(r.MemberID) + 4
-}
-
-// DecodeSyncGroupRequest parses a request body produced by Encode.
-func DecodeSyncGroupRequest(b []byte) (SyncGroupRequest, error) {
-	return (*Decoder)(nil).SyncGroupRequest(b)
-}
-
-// SyncGroupRequest is DecodeSyncGroupRequest with group and member
-// interning.
-func (d *Decoder) SyncGroupRequest(b []byte) (SyncGroupRequest, error) {
-	var r SyncGroupRequest
-	if len(b) < 4 {
-		return r, fmt.Errorf("sync-group correlation id: %w", ErrShortBuffer)
-	}
-	r.CorrelationID = binary.BigEndian.Uint32(b)
-	b = b[4:]
-	var err error
-	if r.Group, b, err = d.decodeInterned(b, d.groupIntern()); err != nil {
-		return r, fmt.Errorf("sync-group group: %w", err)
-	}
-	if r.MemberID, b, err = d.decodeInterned(b, d.memberIntern()); err != nil {
-		return r, fmt.Errorf("sync-group member: %w", err)
-	}
-	if len(b) != 4 {
-		return r, fmt.Errorf("sync-group tail: %w", ErrBadFrame)
-	}
-	r.Generation = int32(binary.BigEndian.Uint32(b))
-	return r, nil
-}
-
-// Encode serialises the response body.
-func (r SyncGroupResponse) Encode(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
-	dst = appendString(dst, r.Group)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(r.Generation))
-	dst = binary.BigEndian.AppendUint16(dst, uint16(r.Err))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Assigned)))
-	for _, p := range r.Assigned {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(p))
-	}
-	return dst
-}
-
-// EncodedSize returns the wire size of the response body.
-func (r SyncGroupResponse) EncodedSize() int {
-	return 4 + 2 + len(r.Group) + 4 + 2 + 4 + 4*len(r.Assigned)
-}
-
-// DecodeSyncGroupResponse parses a response body produced by Encode.
-func DecodeSyncGroupResponse(b []byte) (SyncGroupResponse, error) {
-	return (*Decoder)(nil).SyncGroupResponse(b)
-}
-
-// SyncGroupResponse is DecodeSyncGroupResponse with group interning.
-func (d *Decoder) SyncGroupResponse(b []byte) (SyncGroupResponse, error) {
-	var r SyncGroupResponse
-	if len(b) < 4 {
-		return r, fmt.Errorf("sync-group-response correlation id: %w", ErrShortBuffer)
-	}
-	r.CorrelationID = binary.BigEndian.Uint32(b)
-	b = b[4:]
-	var err error
-	if r.Group, b, err = d.decodeInterned(b, d.groupIntern()); err != nil {
-		return r, fmt.Errorf("sync-group-response group: %w", err)
-	}
-	if len(b) < 10 {
-		return r, fmt.Errorf("sync-group-response header: %w", ErrShortBuffer)
-	}
-	r.Generation = int32(binary.BigEndian.Uint32(b))
-	r.Err = ErrorCode(binary.BigEndian.Uint16(b[4:]))
-	count := int(binary.BigEndian.Uint32(b[6:]))
-	b = b[10:]
-	if len(b) != 4*count {
-		return r, fmt.Errorf("sync-group-response assignment: %w", ErrBadFrame)
-	}
-	if count > 0 {
-		r.Assigned = make([]int32, 0, count)
-	}
-	for i := 0; i < count; i++ {
-		r.Assigned = append(r.Assigned, int32(binary.BigEndian.Uint32(b)))
-		b = b[4:]
-	}
-	return r, nil
-}
-
-// Encode serialises the request body.
-func (r HeartbeatRequest) Encode(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
-	dst = appendString(dst, r.Group)
-	dst = appendString(dst, r.MemberID)
-	return binary.BigEndian.AppendUint32(dst, uint32(r.Generation))
-}
-
-// EncodedSize returns the wire size of the request body.
-func (r HeartbeatRequest) EncodedSize() int {
-	return 4 + 2 + len(r.Group) + 2 + len(r.MemberID) + 4
-}
-
-// DecodeHeartbeatRequest parses a request body produced by Encode.
-func DecodeHeartbeatRequest(b []byte) (HeartbeatRequest, error) {
-	return (*Decoder)(nil).HeartbeatRequest(b)
-}
-
-// HeartbeatRequest is DecodeHeartbeatRequest with group and member
-// interning; a primed decoder parses it with zero allocations.
-func (d *Decoder) HeartbeatRequest(b []byte) (HeartbeatRequest, error) {
-	var r HeartbeatRequest
-	if len(b) < 4 {
-		return r, fmt.Errorf("heartbeat correlation id: %w", ErrShortBuffer)
-	}
-	r.CorrelationID = binary.BigEndian.Uint32(b)
-	b = b[4:]
-	var err error
-	if r.Group, b, err = d.decodeInterned(b, d.groupIntern()); err != nil {
-		return r, fmt.Errorf("heartbeat group: %w", err)
-	}
-	if r.MemberID, b, err = d.decodeInterned(b, d.memberIntern()); err != nil {
-		return r, fmt.Errorf("heartbeat member: %w", err)
-	}
-	if len(b) != 4 {
-		return r, fmt.Errorf("heartbeat tail: %w", ErrBadFrame)
-	}
-	r.Generation = int32(binary.BigEndian.Uint32(b))
-	return r, nil
-}
-
-// Encode serialises the response body.
-func (r HeartbeatResponse) Encode(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
-	return binary.BigEndian.AppendUint16(dst, uint16(r.Err))
-}
-
-// EncodedSize returns the wire size of the response body.
-func (r HeartbeatResponse) EncodedSize() int { return 4 + 2 }
-
-// DecodeHeartbeatResponse parses a response body produced by Encode.
-func DecodeHeartbeatResponse(b []byte) (HeartbeatResponse, error) {
-	var r HeartbeatResponse
-	if len(b) != 6 {
-		return r, fmt.Errorf("heartbeat-response: %w", ErrBadFrame)
-	}
-	r.CorrelationID = binary.BigEndian.Uint32(b)
-	r.Err = ErrorCode(binary.BigEndian.Uint16(b[4:]))
-	return r, nil
-}
-
-// Encode serialises the request body.
-func (r LeaveGroupRequest) Encode(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
-	dst = appendString(dst, r.Group)
-	return appendString(dst, r.MemberID)
-}
-
-// EncodedSize returns the wire size of the request body.
-func (r LeaveGroupRequest) EncodedSize() int {
-	return 4 + 2 + len(r.Group) + 2 + len(r.MemberID)
-}
-
-// DecodeLeaveGroupRequest parses a request body produced by Encode.
-func DecodeLeaveGroupRequest(b []byte) (LeaveGroupRequest, error) {
-	return (*Decoder)(nil).LeaveGroupRequest(b)
-}
-
-// LeaveGroupRequest is DecodeLeaveGroupRequest with group and member
-// interning.
-func (d *Decoder) LeaveGroupRequest(b []byte) (LeaveGroupRequest, error) {
-	var r LeaveGroupRequest
-	if len(b) < 4 {
-		return r, fmt.Errorf("leave-group correlation id: %w", ErrShortBuffer)
-	}
-	r.CorrelationID = binary.BigEndian.Uint32(b)
-	b = b[4:]
-	var err error
-	if r.Group, b, err = d.decodeInterned(b, d.groupIntern()); err != nil {
-		return r, fmt.Errorf("leave-group group: %w", err)
-	}
-	if r.MemberID, b, err = d.decodeInterned(b, d.memberIntern()); err != nil {
-		return r, fmt.Errorf("leave-group member: %w", err)
-	}
-	if len(b) != 0 {
-		return r, fmt.Errorf("leave-group trailing %d bytes: %w", len(b), ErrBadFrame)
-	}
-	return r, nil
-}
-
-// Encode serialises the response body.
-func (r LeaveGroupResponse) Encode(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
-	return binary.BigEndian.AppendUint16(dst, uint16(r.Err))
-}
-
-// EncodedSize returns the wire size of the response body.
-func (r LeaveGroupResponse) EncodedSize() int { return 4 + 2 }
-
-// DecodeLeaveGroupResponse parses a response body produced by Encode.
-func DecodeLeaveGroupResponse(b []byte) (LeaveGroupResponse, error) {
-	var r LeaveGroupResponse
-	if len(b) != 6 {
-		return r, fmt.Errorf("leave-group-response: %w", ErrBadFrame)
-	}
-	r.CorrelationID = binary.BigEndian.Uint32(b)
-	r.Err = ErrorCode(binary.BigEndian.Uint16(b[4:]))
-	return r, nil
 }

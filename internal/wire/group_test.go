@@ -1,132 +1,6 @@
 package wire
 
-import (
-	"reflect"
-	"strings"
-	"testing"
-	"time"
-)
-
-// roundTrip encodes a message, checks EncodedSize, decodes it back with
-// dec, and compares the result via reflection.
-func roundTrip[T interface {
-	Encode([]byte) []byte
-	EncodedSize() int
-}](t *testing.T, msg T, decode func([]byte) (T, error)) {
-	t.Helper()
-	enc := msg.Encode(nil)
-	if len(enc) != msg.EncodedSize() {
-		t.Errorf("%T: EncodedSize = %d, actual %d", msg, msg.EncodedSize(), len(enc))
-	}
-	got, err := decode(enc)
-	if err != nil {
-		t.Fatalf("%T: decode: %v", msg, err)
-	}
-	if !reflect.DeepEqual(got, msg) {
-		t.Errorf("%T round trip:\n got %+v\nwant %+v", msg, got, msg)
-	}
-	// Every truncation must fail, never panic.
-	for cut := 0; cut < len(enc); cut++ {
-		if _, err := decode(enc[:cut]); err == nil {
-			t.Fatalf("%T: truncation to %d bytes accepted", msg, cut)
-		}
-	}
-	// Trailing garbage must be rejected too.
-	if _, err := decode(append(append([]byte(nil), enc...), 0xFF)); err == nil {
-		t.Errorf("%T: trailing byte accepted", msg)
-	}
-}
-
-func TestGroupMessageRoundTrips(t *testing.T) {
-	roundTrip(t, OffsetCommitRequest{
-		CorrelationID: 7, Group: "g1", MemberID: "g1-0", Generation: 3,
-		Topic: "stream", Partition: 2, Offset: 12345,
-	}, DecodeOffsetCommitRequest)
-	roundTrip(t, OffsetCommitResponse{
-		CorrelationID: 7, Group: "g1", Topic: "stream", Partition: 2,
-		Err: ErrIllegalGeneration,
-	}, DecodeOffsetCommitResponse)
-	roundTrip(t, OffsetFetchRequest{
-		CorrelationID: 8, Group: "g1", MemberID: "g1-0", Generation: 3,
-		Topic: "stream", Partition: 0,
-	}, DecodeOffsetFetchRequest)
-	roundTrip(t, OffsetFetchResponse{
-		CorrelationID: 8, Group: "g1", Topic: "stream", Partition: 0,
-		Offset: 99, Generation: 4, Err: ErrNone,
-	}, DecodeOffsetFetchResponse)
-	roundTrip(t, JoinGroupRequest{
-		CorrelationID: 9, Group: "g1", MemberID: "", Topic: "stream",
-		SessionTimeout: 500 * time.Millisecond,
-	}, DecodeJoinGroupRequest)
-	roundTrip(t, JoinGroupRequest{
-		CorrelationID: 9, Group: "g1", MemberID: "g1-1", Topic: "stream",
-		SessionTimeout: 500 * time.Millisecond,
-		Protocol:       ProtocolCooperative, OwnedPartitions: []int32{0, 2, 5},
-	}, DecodeJoinGroupRequest)
-	roundTrip(t, JoinGroupResponse{
-		CorrelationID: 9, Group: "g1", Generation: 5, MemberID: "g1-1",
-		Leader: "g1-0", Members: []string{"g1-0", "g1-1"}, Err: ErrNone,
-	}, DecodeJoinGroupResponse)
-	roundTrip(t, SyncGroupRequest{
-		CorrelationID: 10, Group: "g1", MemberID: "g1-1", Generation: 5,
-	}, DecodeSyncGroupRequest)
-	roundTrip(t, SyncGroupResponse{
-		CorrelationID: 10, Group: "g1", Generation: 5,
-		Assigned: []int32{1, 3}, Err: ErrNone,
-	}, DecodeSyncGroupResponse)
-	roundTrip(t, HeartbeatRequest{
-		CorrelationID: 11, Group: "g1", MemberID: "g1-0", Generation: 5,
-	}, DecodeHeartbeatRequest)
-	roundTrip(t, HeartbeatResponse{
-		CorrelationID: 11, Err: ErrRebalanceInProgress,
-	}, DecodeHeartbeatResponse)
-	roundTrip(t, LeaveGroupRequest{
-		CorrelationID: 12, Group: "g1", MemberID: "g1-0",
-	}, DecodeLeaveGroupRequest)
-	roundTrip(t, LeaveGroupResponse{
-		CorrelationID: 12, Err: ErrUnknownMemberID,
-	}, DecodeLeaveGroupResponse)
-}
-
-// TestGroupDecoderInterning checks that a primed decoder returns the
-// primed group/member/topic strings (no per-message string allocation on
-// the commit and heartbeat hot paths).
-func TestGroupDecoderInterning(t *testing.T) {
-	d := &Decoder{Topic: "stream", Group: "g1", Member: "g1-0"}
-	// Build the encoded form from non-interned copies so the decode
-	// can't alias the originals.
-	group := strings.Clone("g1")
-	member := strings.Clone("g1-0")
-	topic := strings.Clone("stream")
-	enc := OffsetCommitRequest{
-		Group: group, MemberID: member, Topic: topic, Generation: 1, Offset: 5,
-	}.Encode(nil)
-	got, err := d.OffsetCommitRequest(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Group != "g1" || got.MemberID != "g1-0" || got.Topic != "stream" {
-		t.Fatalf("decoded %+v", got)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		r, err := d.OffsetCommitRequest(enc)
-		if err != nil || r.Offset != 5 {
-			t.Fatal("decode failed")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("primed OffsetCommitRequest decode allocates %.1f/op, want 0", allocs)
-	}
-	hb := HeartbeatRequest{Group: group, MemberID: member, Generation: 1}.Encode(nil)
-	allocs = testing.AllocsPerRun(100, func() {
-		if _, err := d.HeartbeatRequest(hb); err != nil {
-			t.Fatal("decode failed")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("primed HeartbeatRequest decode allocates %.1f/op, want 0", allocs)
-	}
-}
+import "testing"
 
 func TestNewErrorCodeNamesAndRetriability(t *testing.T) {
 	cases := []struct {

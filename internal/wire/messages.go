@@ -147,8 +147,6 @@ func decodeString(b []byte) (string, []byte, error) {
 // nil *Decoder is valid and decodes without any reuse.
 type Decoder struct {
 	Topic   string // expected topic; matching decodes return this string
-	Group   string // expected consumer group; matching decodes return this string
-	Member  string // expected group member id; matching decodes return this string
 	records []Record
 }
 
@@ -169,40 +167,6 @@ func (d *Decoder) decodeString(b []byte) (string, []byte, error) {
 	return string(b[:n]), b[n:], nil
 }
 
-// decodeInterned decodes a length-prefixed string, returning intern
-// instead of allocating when the bytes match it. Group-coordination
-// messages intern the group id and member id this way, so a primed
-// per-connection decoder parses the commit hot path without string
-// allocations.
-func (d *Decoder) decodeInterned(b []byte, intern string) (string, []byte, error) {
-	if len(b) < 2 {
-		return "", nil, fmt.Errorf("string length: %w", ErrShortBuffer)
-	}
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if len(b) < n {
-		return "", nil, fmt.Errorf("string body (%d bytes): %w", n, ErrShortBuffer)
-	}
-	if len(intern) == n && string(b[:n]) == intern {
-		return intern, b[n:], nil
-	}
-	return string(b[:n]), b[n:], nil
-}
-
-func (d *Decoder) groupIntern() string {
-	if d == nil {
-		return ""
-	}
-	return d.Group
-}
-
-func (d *Decoder) memberIntern() string {
-	if d == nil {
-		return ""
-	}
-	return d.Member
-}
-
 // Encode serialises the request body (without the frame header).
 func (r ProduceRequest) Encode(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
@@ -217,13 +181,8 @@ func (r ProduceRequest) EncodedSize() int {
 	return 4 + 2 + len(r.Topic) + 4 + 2 + r.Batch.EncodedSize()
 }
 
-// DecodeProduceRequest parses a request body produced by Encode.
-func DecodeProduceRequest(b []byte) (ProduceRequest, error) {
-	return (*Decoder)(nil).ProduceRequest(b)
-}
-
-// ProduceRequest is DecodeProduceRequest with scratch reuse; see Decoder
-// for the ownership contract.
+// ProduceRequest parses a request body produced by Encode, with scratch
+// reuse; see Decoder for the ownership contract.
 func (d *Decoder) ProduceRequest(b []byte) (ProduceRequest, error) {
 	var r ProduceRequest
 	if len(b) < 4 {
@@ -265,12 +224,8 @@ func (r ProduceResponse) Encode(dst []byte) []byte {
 // EncodedSize returns the wire size of the response body.
 func (r ProduceResponse) EncodedSize() int { return 4 + 2 + len(r.Topic) + 4 + 8 + 2 }
 
-// DecodeProduceResponse parses a response body produced by Encode.
-func DecodeProduceResponse(b []byte) (ProduceResponse, error) {
-	return (*Decoder)(nil).ProduceResponse(b)
-}
-
-// ProduceResponse is DecodeProduceResponse with topic interning.
+// ProduceResponse parses a response body produced by Encode, with topic
+// interning.
 func (d *Decoder) ProduceResponse(b []byte) (ProduceResponse, error) {
 	var r ProduceResponse
 	if len(b) < 4 {
@@ -302,12 +257,8 @@ func (r FetchRequest) Encode(dst []byte) []byte {
 	return append(dst, byte(r.Isolation))
 }
 
-// DecodeFetchRequest parses a request body produced by Encode.
-func DecodeFetchRequest(b []byte) (FetchRequest, error) {
-	return (*Decoder)(nil).FetchRequest(b)
-}
-
-// FetchRequest is DecodeFetchRequest with topic interning.
+// FetchRequest parses a request body produced by Encode, with topic
+// interning.
 func (d *Decoder) FetchRequest(b []byte) (FetchRequest, error) {
 	var r FetchRequest
 	if len(b) < 4 {
@@ -346,13 +297,8 @@ func (r FetchResponse) Encode(dst []byte) []byte {
 	return dst
 }
 
-// DecodeFetchResponse parses a response body produced by Encode.
-func DecodeFetchResponse(b []byte) (FetchResponse, error) {
-	return (*Decoder)(nil).FetchResponse(b)
-}
-
-// FetchResponse is DecodeFetchResponse with scratch reuse; see Decoder
-// for the ownership contract.
+// FetchResponse parses a response body produced by Encode, with scratch
+// reuse; see Decoder for the ownership contract.
 func (d *Decoder) FetchResponse(b []byte) (FetchResponse, error) {
 	var r FetchResponse
 	if len(b) < 4 {
@@ -375,7 +321,7 @@ func (d *Decoder) FetchResponse(b []byte) (FetchResponse, error) {
 	r.Err = ErrorCode(binary.BigEndian.Uint16(b[28:]))
 	count := int(binary.BigEndian.Uint32(b[30:]))
 	b = b[34:]
-	recs := d.recordScratch(count)
+	recs := d.recordScratch(count, b)
 	for i := 0; i < count; i++ {
 		rec, rest, err := decodeRecord(b)
 		if err != nil {
@@ -392,13 +338,16 @@ func (d *Decoder) FetchResponse(b []byte) (FetchResponse, error) {
 	return r, nil
 }
 
-// recordScratch returns an empty record slice to decode into: the reused
-// backing array for a real decoder, a fresh allocation for a nil one.
-func (d *Decoder) recordScratch(count int) []Record {
+// recordScratch returns an empty record slice to decode count records
+// from b into: the reused backing array for a real decoder, a fresh
+// allocation for a nil one. The allocation is sized by what b can hold,
+// not by what the count field claims, so a header lying about its count
+// costs nothing before the decode fails with ErrShortBuffer.
+func (d *Decoder) recordScratch(count int, b []byte) []Record {
 	if d != nil && d.records != nil {
 		return d.records[:0]
 	}
-	return make([]Record, 0, count)
+	return make([]Record, 0, min(count, len(b)/minRecordSize))
 }
 
 // keepRecordScratch retains a (possibly grown) record slice for reuse.
@@ -467,7 +416,9 @@ func DecodeMetadataResponse(b []byte) (MetadataResponse, error) {
 	r.Err = ErrorCode(binary.BigEndian.Uint16(b))
 	count := int(binary.BigEndian.Uint32(b[2:]))
 	b = b[6:]
-	r.Partitions = make([]PartitionMetadata, 0, count)
+	// Sized by what b can hold (12 bytes is a partition with no replicas):
+	// a lying count must fail as ErrShortBuffer below, not allocate first.
+	r.Partitions = make([]PartitionMetadata, 0, min(count, len(b)/12))
 	for i := 0; i < count; i++ {
 		if len(b) < 12 {
 			return r, fmt.Errorf("metadata-response partition %d: %w", i, ErrShortBuffer)

@@ -1,10 +1,6 @@
 package wire
 
-import (
-	"encoding/binary"
-	"fmt"
-	"time"
-)
+import "time"
 
 // Transaction-coordination messages, mirroring Kafka's transactional
 // producer protocol: InitProducerId binds a transactional.id to a
@@ -135,309 +131,4 @@ type EndTxnRequest struct {
 type EndTxnResponse struct {
 	CorrelationID uint32
 	Err           ErrorCode
-}
-
-// Encode serialises the request body.
-func (r InitProducerIDRequest) Encode(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
-	dst = appendString(dst, r.TransactionalID)
-	return binary.BigEndian.AppendUint64(dst, uint64(r.TxnTimeout))
-}
-
-// EncodedSize returns the wire size of the request body.
-func (r InitProducerIDRequest) EncodedSize() int {
-	return 4 + 2 + len(r.TransactionalID) + 8
-}
-
-// DecodeInitProducerIDRequest parses a request body produced by Encode.
-func DecodeInitProducerIDRequest(b []byte) (InitProducerIDRequest, error) {
-	var r InitProducerIDRequest
-	if len(b) < 4 {
-		return r, fmt.Errorf("init-producer-id correlation id: %w", ErrShortBuffer)
-	}
-	r.CorrelationID = binary.BigEndian.Uint32(b)
-	tid, b, err := decodeString(b[4:])
-	if err != nil {
-		return r, fmt.Errorf("init-producer-id transactional id: %w", err)
-	}
-	r.TransactionalID = tid
-	if len(b) != 8 {
-		return r, fmt.Errorf("init-producer-id tail: %w", ErrBadFrame)
-	}
-	r.TxnTimeout = time.Duration(binary.BigEndian.Uint64(b))
-	return r, nil
-}
-
-// Encode serialises the response body.
-func (r InitProducerIDResponse) Encode(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
-	dst = binary.BigEndian.AppendUint64(dst, r.ProducerID)
-	dst = binary.BigEndian.AppendUint32(dst, r.ProducerEpoch)
-	return binary.BigEndian.AppendUint16(dst, uint16(r.Err))
-}
-
-// EncodedSize returns the wire size of the response body.
-func (r InitProducerIDResponse) EncodedSize() int { return 4 + 8 + 4 + 2 }
-
-// DecodeInitProducerIDResponse parses a response body produced by Encode.
-func DecodeInitProducerIDResponse(b []byte) (InitProducerIDResponse, error) {
-	var r InitProducerIDResponse
-	if len(b) != 18 {
-		return r, fmt.Errorf("init-producer-id-response: %w", ErrBadFrame)
-	}
-	r.CorrelationID = binary.BigEndian.Uint32(b)
-	r.ProducerID = binary.BigEndian.Uint64(b[4:])
-	r.ProducerEpoch = binary.BigEndian.Uint32(b[12:])
-	r.Err = ErrorCode(binary.BigEndian.Uint16(b[16:]))
-	return r, nil
-}
-
-// appendTxnIdentity encodes the (transactional.id, producer id, epoch)
-// triple every in-transaction request carries.
-func appendTxnIdentity(dst []byte, tid string, pid uint64, epoch uint32) []byte {
-	dst = appendString(dst, tid)
-	dst = binary.BigEndian.AppendUint64(dst, pid)
-	return binary.BigEndian.AppendUint32(dst, epoch)
-}
-
-// decodeTxnIdentity parses the triple written by appendTxnIdentity.
-func decodeTxnIdentity(b []byte) (tid string, pid uint64, epoch uint32, rest []byte, err error) {
-	tid, b, err = decodeString(b)
-	if err != nil {
-		return "", 0, 0, nil, err
-	}
-	if len(b) < 12 {
-		return "", 0, 0, nil, fmt.Errorf("txn identity: %w", ErrShortBuffer)
-	}
-	pid = binary.BigEndian.Uint64(b)
-	epoch = binary.BigEndian.Uint32(b[8:])
-	return tid, pid, epoch, b[12:], nil
-}
-
-// Encode serialises the request body.
-func (r AddPartitionsToTxnRequest) Encode(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
-	dst = appendTxnIdentity(dst, r.TransactionalID, r.ProducerID, r.ProducerEpoch)
-	dst = appendString(dst, r.Topic)
-	return binary.BigEndian.AppendUint32(dst, uint32(r.Partition))
-}
-
-// EncodedSize returns the wire size of the request body.
-func (r AddPartitionsToTxnRequest) EncodedSize() int {
-	return 4 + 2 + len(r.TransactionalID) + 12 + 2 + len(r.Topic) + 4
-}
-
-// DecodeAddPartitionsToTxnRequest parses a request body produced by
-// Encode.
-func DecodeAddPartitionsToTxnRequest(b []byte) (AddPartitionsToTxnRequest, error) {
-	var r AddPartitionsToTxnRequest
-	if len(b) < 4 {
-		return r, fmt.Errorf("add-partitions-to-txn correlation id: %w", ErrShortBuffer)
-	}
-	r.CorrelationID = binary.BigEndian.Uint32(b)
-	var err error
-	r.TransactionalID, r.ProducerID, r.ProducerEpoch, b, err = decodeTxnIdentity(b[4:])
-	if err != nil {
-		return r, fmt.Errorf("add-partitions-to-txn: %w", err)
-	}
-	if r.Topic, b, err = decodeString(b); err != nil {
-		return r, fmt.Errorf("add-partitions-to-txn topic: %w", err)
-	}
-	if len(b) != 4 {
-		return r, fmt.Errorf("add-partitions-to-txn tail: %w", ErrBadFrame)
-	}
-	r.Partition = int32(binary.BigEndian.Uint32(b))
-	return r, nil
-}
-
-// Encode serialises the response body.
-func (r AddPartitionsToTxnResponse) Encode(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
-	return binary.BigEndian.AppendUint16(dst, uint16(r.Err))
-}
-
-// EncodedSize returns the wire size of the response body.
-func (r AddPartitionsToTxnResponse) EncodedSize() int { return 4 + 2 }
-
-// DecodeAddPartitionsToTxnResponse parses a response body produced by
-// Encode.
-func DecodeAddPartitionsToTxnResponse(b []byte) (AddPartitionsToTxnResponse, error) {
-	var r AddPartitionsToTxnResponse
-	if len(b) != 6 {
-		return r, fmt.Errorf("add-partitions-to-txn-response: %w", ErrBadFrame)
-	}
-	r.CorrelationID = binary.BigEndian.Uint32(b)
-	r.Err = ErrorCode(binary.BigEndian.Uint16(b[4:]))
-	return r, nil
-}
-
-// Encode serialises the request body.
-func (r AddOffsetsToTxnRequest) Encode(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
-	dst = appendTxnIdentity(dst, r.TransactionalID, r.ProducerID, r.ProducerEpoch)
-	return appendString(dst, r.Group)
-}
-
-// EncodedSize returns the wire size of the request body.
-func (r AddOffsetsToTxnRequest) EncodedSize() int {
-	return 4 + 2 + len(r.TransactionalID) + 12 + 2 + len(r.Group)
-}
-
-// DecodeAddOffsetsToTxnRequest parses a request body produced by Encode.
-func DecodeAddOffsetsToTxnRequest(b []byte) (AddOffsetsToTxnRequest, error) {
-	var r AddOffsetsToTxnRequest
-	if len(b) < 4 {
-		return r, fmt.Errorf("add-offsets-to-txn correlation id: %w", ErrShortBuffer)
-	}
-	r.CorrelationID = binary.BigEndian.Uint32(b)
-	var err error
-	r.TransactionalID, r.ProducerID, r.ProducerEpoch, b, err = decodeTxnIdentity(b[4:])
-	if err != nil {
-		return r, fmt.Errorf("add-offsets-to-txn: %w", err)
-	}
-	if r.Group, b, err = decodeString(b); err != nil {
-		return r, fmt.Errorf("add-offsets-to-txn group: %w", err)
-	}
-	if len(b) != 0 {
-		return r, fmt.Errorf("add-offsets-to-txn trailing %d bytes: %w", len(b), ErrBadFrame)
-	}
-	return r, nil
-}
-
-// Encode serialises the response body.
-func (r AddOffsetsToTxnResponse) Encode(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
-	return binary.BigEndian.AppendUint16(dst, uint16(r.Err))
-}
-
-// EncodedSize returns the wire size of the response body.
-func (r AddOffsetsToTxnResponse) EncodedSize() int { return 4 + 2 }
-
-// DecodeAddOffsetsToTxnResponse parses a response body produced by
-// Encode.
-func DecodeAddOffsetsToTxnResponse(b []byte) (AddOffsetsToTxnResponse, error) {
-	var r AddOffsetsToTxnResponse
-	if len(b) != 6 {
-		return r, fmt.Errorf("add-offsets-to-txn-response: %w", ErrBadFrame)
-	}
-	r.CorrelationID = binary.BigEndian.Uint32(b)
-	r.Err = ErrorCode(binary.BigEndian.Uint16(b[4:]))
-	return r, nil
-}
-
-// Encode serialises the request body.
-func (r TxnOffsetCommitRequest) Encode(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
-	dst = appendTxnIdentity(dst, r.TransactionalID, r.ProducerID, r.ProducerEpoch)
-	dst = appendString(dst, r.Group)
-	dst = appendString(dst, r.Topic)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(r.Partition))
-	return binary.BigEndian.AppendUint64(dst, uint64(r.Offset))
-}
-
-// EncodedSize returns the wire size of the request body.
-func (r TxnOffsetCommitRequest) EncodedSize() int {
-	return 4 + 2 + len(r.TransactionalID) + 12 + 2 + len(r.Group) + 2 + len(r.Topic) + 4 + 8
-}
-
-// DecodeTxnOffsetCommitRequest parses a request body produced by Encode.
-func DecodeTxnOffsetCommitRequest(b []byte) (TxnOffsetCommitRequest, error) {
-	var r TxnOffsetCommitRequest
-	if len(b) < 4 {
-		return r, fmt.Errorf("txn-offset-commit correlation id: %w", ErrShortBuffer)
-	}
-	r.CorrelationID = binary.BigEndian.Uint32(b)
-	var err error
-	r.TransactionalID, r.ProducerID, r.ProducerEpoch, b, err = decodeTxnIdentity(b[4:])
-	if err != nil {
-		return r, fmt.Errorf("txn-offset-commit: %w", err)
-	}
-	if r.Group, b, err = decodeString(b); err != nil {
-		return r, fmt.Errorf("txn-offset-commit group: %w", err)
-	}
-	if r.Topic, b, err = decodeString(b); err != nil {
-		return r, fmt.Errorf("txn-offset-commit topic: %w", err)
-	}
-	if len(b) != 12 {
-		return r, fmt.Errorf("txn-offset-commit tail: %w", ErrBadFrame)
-	}
-	r.Partition = int32(binary.BigEndian.Uint32(b))
-	r.Offset = int64(binary.BigEndian.Uint64(b[4:]))
-	return r, nil
-}
-
-// Encode serialises the response body.
-func (r TxnOffsetCommitResponse) Encode(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
-	return binary.BigEndian.AppendUint16(dst, uint16(r.Err))
-}
-
-// EncodedSize returns the wire size of the response body.
-func (r TxnOffsetCommitResponse) EncodedSize() int { return 4 + 2 }
-
-// DecodeTxnOffsetCommitResponse parses a response body produced by
-// Encode.
-func DecodeTxnOffsetCommitResponse(b []byte) (TxnOffsetCommitResponse, error) {
-	var r TxnOffsetCommitResponse
-	if len(b) != 6 {
-		return r, fmt.Errorf("txn-offset-commit-response: %w", ErrBadFrame)
-	}
-	r.CorrelationID = binary.BigEndian.Uint32(b)
-	r.Err = ErrorCode(binary.BigEndian.Uint16(b[4:]))
-	return r, nil
-}
-
-// Encode serialises the request body.
-func (r EndTxnRequest) Encode(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
-	dst = appendTxnIdentity(dst, r.TransactionalID, r.ProducerID, r.ProducerEpoch)
-	commit := byte(0)
-	if r.Commit {
-		commit = 1
-	}
-	return append(dst, commit)
-}
-
-// EncodedSize returns the wire size of the request body.
-func (r EndTxnRequest) EncodedSize() int {
-	return 4 + 2 + len(r.TransactionalID) + 12 + 1
-}
-
-// DecodeEndTxnRequest parses a request body produced by Encode.
-func DecodeEndTxnRequest(b []byte) (EndTxnRequest, error) {
-	var r EndTxnRequest
-	if len(b) < 4 {
-		return r, fmt.Errorf("end-txn correlation id: %w", ErrShortBuffer)
-	}
-	r.CorrelationID = binary.BigEndian.Uint32(b)
-	var err error
-	r.TransactionalID, r.ProducerID, r.ProducerEpoch, b, err = decodeTxnIdentity(b[4:])
-	if err != nil {
-		return r, fmt.Errorf("end-txn: %w", err)
-	}
-	if len(b) != 1 {
-		return r, fmt.Errorf("end-txn tail: %w", ErrBadFrame)
-	}
-	r.Commit = b[0] != 0
-	return r, nil
-}
-
-// Encode serialises the response body.
-func (r EndTxnResponse) Encode(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
-	return binary.BigEndian.AppendUint16(dst, uint16(r.Err))
-}
-
-// EncodedSize returns the wire size of the response body.
-func (r EndTxnResponse) EncodedSize() int { return 4 + 2 }
-
-// DecodeEndTxnResponse parses a response body produced by Encode.
-func DecodeEndTxnResponse(b []byte) (EndTxnResponse, error) {
-	var r EndTxnResponse
-	if len(b) != 6 {
-		return r, fmt.Errorf("end-txn-response: %w", ErrBadFrame)
-	}
-	r.CorrelationID = binary.BigEndian.Uint32(b)
-	r.Err = ErrorCode(binary.BigEndian.Uint16(b[4:]))
-	return r, nil
 }

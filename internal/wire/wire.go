@@ -1,9 +1,15 @@
-// Package wire defines the Kafka-style binary protocol spoken between the
-// producer/consumer models and the broker model: length-prefixed frames,
-// correlation IDs, and CRC-protected record batches. The encoding is a
-// simplified but faithful analogue of Kafka's protocol — big-endian fixed
-// width integers, size-prefixed byte blobs — so that message sizes on the
-// emulated network carry realistic framing overhead.
+// Package wire defines the Kafka-style binary protocol spoken across the
+// emulated network between a client and the broker model: length-prefixed
+// frames, correlation IDs, and CRC-protected record batches, carrying the
+// Produce, Fetch and Metadata exchanges. The encoding is a simplified but
+// faithful analogue of Kafka's protocol — big-endian fixed width integers,
+// size-prefixed byte blobs — so that message sizes on the emulated network
+// carry realistic framing overhead.
+//
+// The group, offset and transaction messages (group.go, txn.go) are
+// request/response structs only: the control plane is an in-process call
+// into the coordinator — the testbed injects faults on the producer's
+// link alone (Sec. III-E) — so they have no byte format to keep in step.
 package wire
 
 import (
@@ -124,9 +130,13 @@ type Record struct {
 	Payload   []byte
 }
 
+// minRecordSize is the wire size of a record with an empty payload: key
+// (8), timestamp (8), payload length (4).
+const minRecordSize = 20
+
 // EncodedSize returns the wire size of the record in bytes.
 func (r Record) EncodedSize() int {
-	return 8 + 8 + 4 + len(r.Payload)
+	return minRecordSize + len(r.Payload)
 }
 
 func (r Record) encode(b []byte) []byte {
@@ -140,14 +150,14 @@ func (r Record) encode(b []byte) []byte {
 // alias into b (capacity-capped so appends cannot scribble past it); see
 // DecodeRecordBatch for the ownership contract.
 func decodeRecord(b []byte) (Record, []byte, error) {
-	if len(b) < 20 {
+	if len(b) < minRecordSize {
 		return Record{}, nil, fmt.Errorf("record header: %w", ErrShortBuffer)
 	}
 	var r Record
 	r.Key = binary.BigEndian.Uint64(b)
 	r.Timestamp = time.Duration(binary.BigEndian.Uint64(b[8:]))
 	n := int(binary.BigEndian.Uint32(b[16:]))
-	b = b[20:]
+	b = b[minRecordSize:]
 	if len(b) < n {
 		return Record{}, nil, fmt.Errorf("record payload (%d bytes): %w", n, ErrShortBuffer)
 	}
@@ -188,6 +198,7 @@ const (
 	batchFlagIdempotent    = 1 << 0
 	batchFlagTransactional = 1 << 1
 	batchFlagControl       = 1 << 2
+	batchFlagsKnown        = batchFlagIdempotent | batchFlagTransactional | batchFlagControl
 )
 
 // batchHeaderSize is the fixed batch header: producer id (8), producer
@@ -317,6 +328,12 @@ func (d *Decoder) recordBatch(b []byte) (RecordBatch, []byte, error) {
 	batch.ProducerEpoch = binary.BigEndian.Uint32(b[8:])
 	batch.BaseSequence = binary.BigEndian.Uint64(b[12:])
 	flags := b[20]
+	// The CRC covers the records only, so the header is checked field by
+	// field: a flag bit no encoder sets is a malformed batch, not one more
+	// spelling of a valid one.
+	if flags&^batchFlagsKnown != 0 {
+		return RecordBatch{}, nil, fmt.Errorf("batch flags %#x: %w", flags, ErrBadFrame)
+	}
 	batch.Idempotent = flags&batchFlagIdempotent != 0
 	batch.Transactional = flags&batchFlagTransactional != 0
 	batch.Control = flags&batchFlagControl != 0
@@ -324,7 +341,7 @@ func (d *Decoder) recordBatch(b []byte) (RecordBatch, []byte, error) {
 	crc := binary.BigEndian.Uint32(b[25:])
 	b = b[batchHeaderSize:]
 	start := b
-	recs := d.recordScratch(count)
+	recs := d.recordScratch(count, b)
 	for i := 0; i < count; i++ {
 		r, rest, err := decodeRecord(b)
 		if err != nil {
