@@ -126,7 +126,9 @@ bench-scaling:
 ## per op than fig7 and proportionally noisier at -benchtime 3x, so its
 ## ns gate is wider; its allocs gate is as deterministic as fig7's.
 ## CommitPath locks in the coordinator's pooled durable-commit path
-## (4 allocs/op steady state) and, via the same substring,
+## (2 allocs/op, both the benchmark loop's own; the path's zero is a
+## tier-1 test, TestCommitToAckDoesNotAllocatePerCommit) and, via the
+## same substring,
 ## TxnCommitPath — the full transactional begin/produce/send-offset/
 ## two-phase-commit cycle; its per-op wall time is ~1us and noisy,
 ## so the ns gate is wide while the allocs gate stays tight. SpanPath
@@ -158,13 +160,16 @@ bench-gate:
 ## repository-benchmark workload — make profile WORKLOAD=ingest_steady;
 ## fig7_sweep when not given — run sequentially at GOMAXPROCS=1 as the
 ## benchmark's headline pass is, at a fixed seed and run count, plus the
-## top-40 tables of CPU time and allocated bytes (cpu-top.txt /
-## alloc-top.txt).
+## top-40 tables of CPU time, allocated bytes and allocated objects
+## (cpu-top.txt / alloc-top.txt / alloc-objects-top.txt). Read the object
+## table too: many small allocations cost mallocgc and GC time that the
+## byte table ranks last.
 WORKLOAD ?= fig7_sweep
 profile:
 	GOMAXPROCS=1 $(GO) run ./cmd/profile -workload $(WORKLOAD)
 	$(GO) tool pprof -top -nodecount 40 cpu.pprof > cpu-top.txt
 	$(GO) tool pprof -top -nodecount 40 -sample_index=alloc_space heap.pprof > alloc-top.txt
+	$(GO) tool pprof -top -nodecount 40 -sample_index=alloc_objects heap.pprof > alloc-objects-top.txt
 
 repro:
 	$(GO) run ./cmd/repro -n 20000 all

@@ -383,15 +383,28 @@ func (b *Broker) boundary(t time.Duration) time.Duration {
 	return t - t%iv
 }
 
-// flushPart persists the partition: fsync the log and snapshot the
-// producer state, stamped with the given interval boundary.
+// flushPart persists the partition: fsync the log and checkpoint the
+// producer and transaction state, stamped with the given interval
+// boundary. The checkpoint is written into the last one's storage and
+// holds values only: it never aliases live state, and CrashUnclean
+// restores from it by copy.
 func (b *Broker) flushPart(p *part, bd time.Duration) {
 	p.log.Flush()
-	p.flushedProd = make(map[uint64]producerState, len(p.prod))
+	// Assigning to a key already present reuses the entry; a producerState
+	// is too large for a map to store inline, so clear + refill would
+	// allocate one per producer.
 	for id, st := range p.prod {
 		p.flushedProd[id] = *st
 	}
-	p.flushedTxn = p.txn.clone()
+	if len(p.flushedProd) > len(p.prod) {
+		// A catch-up replaced prod with a leader's smaller set.
+		for id := range p.flushedProd {
+			if p.prod[id] == nil {
+				delete(p.flushedProd, id)
+			}
+		}
+	}
+	p.flushedTxn.copyFrom(p.txn)
 	p.lastFlush = bd
 }
 

@@ -55,6 +55,10 @@ type partitionMeta struct {
 	// that holds one (zero elsewhere), so routing to whichever replica
 	// leads now is an index, not a topic lookup on the broker.
 	hosted []broker.Partition
+	// internal marks a partition of an internal topic ("__" prefix: the
+	// offsets and transaction-state logs), whose records carry their own
+	// commit-time epochs and stay out of the data-path latency spans.
+	internal bool
 }
 
 // Partition is a handle to one topic partition, resolved once
@@ -128,7 +132,7 @@ type Cluster struct {
 // is retained until the pipeline completes and its payload bytes end up
 // owned by every replica's log, so they must be immutable from here on
 // (the wire server makes the one copy at decode; in-sim callers hand
-// over fresh or already-stored bytes).
+// over slab-carved or already-stored bytes).
 type prodJob struct {
 	c          *Cluster
 	pm         *partitionMeta
@@ -284,10 +288,12 @@ func (c *Cluster) CreateTopic(name string, partitions, replicationFactor int) er
 		return fmt.Errorf("cluster: replication factor %d outside [1, %d]", replicationFactor, len(c.brokers))
 	}
 	tm := &topicMeta{}
+	internal := strings.HasPrefix(name, "__")
 	for p := 0; p < partitions; p++ {
 		pm := &partitionMeta{
-			leader: int32(p % len(c.brokers)),
-			hosted: make([]broker.Partition, len(c.brokers)),
+			leader:   int32(p % len(c.brokers)),
+			hosted:   make([]broker.Partition, len(c.brokers)),
+			internal: internal,
 		}
 		for r := 0; r < replicationFactor; r++ {
 			id := int32((p + r) % len(c.brokers))
@@ -300,7 +306,7 @@ func (c *Cluster) CreateTopic(name string, partitions, replicationFactor int) er
 	c.topics[name] = tm
 	// Internal topics (the offsets log) keep their own replication; the
 	// gauge records the data topics' factor for per-copy normalization.
-	if !strings.HasPrefix(name, "__") {
+	if !internal {
 		c.gReplication.SetMax(int64(replicationFactor))
 	}
 	return nil
@@ -576,16 +582,15 @@ func (c *Cluster) HandleProduce(req wire.ProduceRequest, done func(wire.ProduceR
 
 // observeSpan records one cumulative record-latency sample per record
 // of a successfully handled batch, measured from the record's producer
-// arrival (wire.Record.Timestamp) to now. Internal topics ("__" prefix
-// — the coordinator's offsets log, whose records carry their own
-// commit-time epochs) are excluded so commit traffic never pollutes
-// the data-path latency histograms.
-func (c *Cluster) observeSpan(h *obs.Histogram, req *wire.ProduceRequest) {
-	if h == nil || strings.HasPrefix(req.Topic, "__") {
+// arrival (wire.Record.Timestamp) to now. Internal topics are excluded
+// (partitionMeta.internal) so commit traffic never pollutes the
+// data-path latency histograms.
+func (c *Cluster) observeSpan(h *obs.Histogram, j *prodJob) {
+	if h == nil || j.pm.internal {
 		return
 	}
 	now := c.sim.Now()
-	for _, rec := range req.Batch.Records {
+	for _, rec := range j.req.Batch.Records {
 		h.Observe(int64(now - rec.Timestamp))
 	}
 }
@@ -596,7 +601,7 @@ func ackLeaderDone(a any, resp wire.ProduceResponse) {
 	j := a.(*prodJob)
 	c := j.c
 	if resp.Err == wire.ErrNone {
-		c.observeSpan(c.hSpanAppend, &j.req)
+		c.observeSpan(c.hSpanAppend, j)
 		c.replicate(j.pm, j.leader, j.req, j.idempotent)
 	}
 	acks, done := j.req.Acks, j.done
@@ -612,14 +617,14 @@ func allLeaderDone(a any, resp wire.ProduceResponse) {
 	j := a.(*prodJob)
 	c := j.c
 	if resp.Err == wire.ErrNone {
-		c.observeSpan(c.hSpanAppend, &j.req)
+		c.observeSpan(c.hSpanAppend, j)
 		c.joinRecovered(j)
 	}
 	if resp.Err != wire.ErrNone || len(j.followers) <= 1 {
 		if resp.Err == wire.ErrNone {
 			// No follower outstanding: the leader append is full
 			// replication over the live set.
-			c.observeSpan(c.hSpanReplicated, &j.req)
+			c.observeSpan(c.hSpanReplicated, j)
 		}
 		done := j.done
 		c.putProd(j)
@@ -682,7 +687,7 @@ func allAckFire(a any) {
 	j.pending--
 	if j.pending == 0 {
 		if j.resp.Err == wire.ErrNone {
-			j.c.observeSpan(j.c.hSpanReplicated, &j.req)
+			j.c.observeSpan(j.c.hSpanReplicated, j)
 		}
 		done, resp := j.done, j.resp
 		j.c.putProd(j)

@@ -13,8 +13,10 @@ import (
 // OffsetCommit into the coordinator, the sequenced offsets-log append
 // replicated at acks=all, the materialised-offset update, and the acked
 // response — plus the simulator events in between. The allocs/op figure
-// is what `make bench-gate` locks in; the commit job is pooled, so the
-// floor is the offsets-log record payload and the broker append path.
+// is what `make bench-gate` locks in: 2, both this loop's own (the
+// response variable and the callback closing over it). The commit job is
+// pooled and the record is slab-carved, so the path itself allocates
+// nothing per commit; TestCommitToAckDoesNotAllocatePerCommit pins that.
 func BenchmarkCommitPath(b *testing.B) {
 	sim := des.New()
 	clst, err := cluster.New(sim, cluster.DefaultConfig())

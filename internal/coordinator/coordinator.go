@@ -218,11 +218,7 @@ type Coordinator struct {
 	offsets     map[offsetKey]offsetEntry
 	stats       Stats
 	regressions []OffsetRegression
-	// seq numbers offsets-log batches so the brokers' per-producer
-	// sequence tracking sees the coordinator as a well-behaved client:
-	// without it every commit after the first reads as a stuck-sequence
-	// duplicate append and poisons the duplicate-accounting invariants.
-	seq uint64
+	log         logAppender // offsets-log appends
 
 	freeCommit []*commitJob // recycled commit pipeline jobs
 
@@ -279,6 +275,7 @@ func New(sim *des.Simulator, clst *cluster.Cluster, cfg Config) (*Coordinator, e
 		cfg:     cfg,
 		groups:  make(map[string]*group),
 		offsets: make(map[offsetKey]offsetEntry),
+		log:     logAppender{clst: clst},
 	}
 	if cfg.Obs != nil {
 		co.hRebalance = cfg.Obs.Histogram(obs.MRebalanceNs, obs.LatencyBounds)
@@ -610,16 +607,20 @@ func (co *Coordinator) HandleOffsetCommit(req wire.OffsetCommitRequest, done fun
 	}
 	j.corr = req.CorrelationID
 	j.done = done
-	payload := appendCommitRecord(make([]byte, 0, commitRecordSize(j.rec)), j.rec)
-	co.seq++
-	co.clst.HandleProduce(wire.ProduceRequest{
+	co.appendCommit(j)
+}
+
+// appendCommit sends a filled commit job's record to the offsets log;
+// j.fire runs when the log answers.
+func (co *Coordinator) appendCommit(j *commitJob) {
+	co.log.scratch = appendCommitRecord(co.log.scratch[:0], j.rec)
+	co.log.append(wire.ProduceRequest{
 		Topic: co.cfg.OffsetsTopic,
 		Acks:  co.cfg.OffsetsAcks,
-		Batch: wire.RecordBatch{BaseSequence: co.seq, Records: []wire.Record{{
-			Key:       compactionKey(req.Group, req.Topic, req.Partition),
-			Timestamp: co.sim.Now(),
-			Payload:   payload,
-		}}},
+	}, wire.Record{
+		Key:       compactionKey(j.key.group, j.key.topic, j.key.partition),
+		Timestamp: co.sim.Now(),
+		Payload:   co.log.scratch,
 	}, j.fire)
 }
 
@@ -668,17 +669,7 @@ func (co *Coordinator) CommitTxnOffset(group, topic string, partition int32, off
 	if done != nil {
 		j.done = func(resp wire.OffsetCommitResponse) { done(resp.Err) }
 	}
-	payload := appendCommitRecord(make([]byte, 0, commitRecordSize(j.rec)), j.rec)
-	co.seq++
-	co.clst.HandleProduce(wire.ProduceRequest{
-		Topic: co.cfg.OffsetsTopic,
-		Acks:  co.cfg.OffsetsAcks,
-		Batch: wire.RecordBatch{BaseSequence: co.seq, Records: []wire.Record{{
-			Key:       compactionKey(group, topic, partition),
-			Timestamp: co.sim.Now(),
-			Payload:   payload,
-		}}},
-	}, j.fire)
+	co.appendCommit(j)
 }
 
 // HandleOffsetFetch serves the committed offset for one partition from

@@ -274,9 +274,6 @@ func TestCompactedMaterializedView(t *testing.T) {
 func TestOffsetLogRecordRoundTrip(t *testing.T) {
 	r := commitRecord{Group: "g1", Topic: "stream", Partition: 3, Offset: 12345, Generation: 7}
 	enc := appendCommitRecord(nil, r)
-	if len(enc) != commitRecordSize(r) {
-		t.Fatalf("size = %d, want %d", len(enc), commitRecordSize(r))
-	}
 	got, err := decodeCommitRecord(enc, "g1", "stream")
 	if err != nil {
 		t.Fatal(err)

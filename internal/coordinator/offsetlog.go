@@ -38,11 +38,6 @@ func appendCommitRecord(dst []byte, r commitRecord) []byte {
 	return binary.BigEndian.AppendUint32(dst, uint32(r.Generation))
 }
 
-// commitRecordSize returns the encoded payload size.
-func commitRecordSize(r commitRecord) int {
-	return 2 + len(r.Group) + 2 + len(r.Topic) + 4 + 8 + 4
-}
-
 // decodeCommitRecord parses a payload produced by appendCommitRecord.
 // The group and topic strings are interned against the expected values
 // when they match, so a recovery scan over one group's log allocates no

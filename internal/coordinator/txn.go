@@ -137,7 +137,7 @@ type TxnCoordinator struct {
 	cfg     TxnConfig
 	txns    map[string]*txn
 	nextPID uint64
-	seq     uint64 // state-log batch sequence
+	log     logAppender // state-log appends and control markers
 	stats   TxnStats
 }
 
@@ -163,6 +163,7 @@ func NewTxn(sim *des.Simulator, clst *cluster.Cluster, groupCo *Coordinator, cfg
 		cfg:     cfg,
 		txns:    make(map[string]*txn),
 		nextPID: txnProducerIDBase,
+		log:     logAppender{clst: clst},
 	}
 	clst.AddTopologyHook(tc.Redrive)
 	return tc, nil
@@ -516,19 +517,16 @@ func (tc *TxnCoordinator) drive(t *txn) {
 // treat a marker with no ongoing range as a no-op.
 func (tc *TxnCoordinator) sendMarker(t *txn, i int, commit bool, attempt uint64) {
 	p := t.partitions[i]
-	tc.seq++
-	tc.clst.HandleProduce(wire.ProduceRequest{
+	tc.log.append(wire.ProduceRequest{
 		Topic:     p.Topic,
 		Partition: p.Partition,
 		Acks:      wire.AcksAll,
 		Batch: wire.RecordBatch{
 			ProducerID:    t.pid,
 			ProducerEpoch: t.epoch,
-			BaseSequence:  tc.seq,
 			Control:       true,
-			Records:       []wire.Record{wire.ControlRecord(commit, tc.sim.Now())},
 		},
-	}, func(resp wire.ProduceResponse) {
+	}, wire.ControlRecord(commit, tc.sim.Now()), func(resp wire.ProduceResponse) {
 		if t.attempt != attempt {
 			return
 		}
@@ -648,17 +646,15 @@ func (tc *TxnCoordinator) completeState(t *txn, commit bool, cb func(wire.ErrorC
 }
 
 func (tc *TxnCoordinator) appendRecord(rec txnRecord, cb func(wire.ErrorCode)) {
-	payload := appendTxnStateRecord(make([]byte, 0, txnStateRecordSize(rec)), rec)
-	tc.seq++
+	tc.log.scratch = appendTxnStateRecord(tc.log.scratch[:0], rec)
 	acked := false
-	tc.clst.HandleProduce(wire.ProduceRequest{
+	tc.log.append(wire.ProduceRequest{
 		Topic: tc.cfg.TxnTopic,
 		Acks:  tc.cfg.TxnAcks,
-		Batch: wire.RecordBatch{BaseSequence: tc.seq, Records: []wire.Record{{
-			Key:       txnCompactionKey(rec.Tid),
-			Timestamp: tc.sim.Now(),
-			Payload:   payload,
-		}}},
+	}, wire.Record{
+		Key:       txnCompactionKey(rec.Tid),
+		Timestamp: tc.sim.Now(),
+		Payload:   tc.log.scratch,
 	}, func(resp wire.ProduceResponse) {
 		if acked {
 			return

@@ -58,19 +58,6 @@ func appendTxnStateRecord(dst []byte, r txnRecord) []byte {
 	return dst
 }
 
-// txnStateRecordSize returns the encoded payload size.
-func txnStateRecordSize(r txnRecord) int {
-	n := 2 + len(r.Tid) + 8 + 4 + 1 + 2
-	for _, p := range r.Partitions {
-		n += 2 + len(p.Topic) + 4
-	}
-	n += 2 + len(r.Group) + 2
-	for _, o := range r.Offsets {
-		n += 2 + len(o.Topic) + 4 + 8
-	}
-	return n
-}
-
 // decodeTxnStateRecord parses a payload written by appendTxnStateRecord.
 func decodeTxnStateRecord(b []byte) (txnRecord, error) {
 	var r txnRecord

@@ -6,8 +6,9 @@
 // Design constraints, in order:
 //
 //   - Cheap enough to stay on by default. Handles are resolved once at
-//     construction time; the hot path is a nil check plus one atomic
-//     word-sized operation, with no allocation and no map lookup.
+//     construction time; the hot path is a nil check plus a plain
+//     integer add (or compare-and-store), with no atomic operation, no
+//     allocation and no map lookup.
 //   - A no-op implementation when disabled. Every handle method has a
 //     nil receiver fast path, so instrumented code calls
 //     counter.Inc() unconditionally and a nil *Registry (or nil *Obs)
@@ -17,6 +18,18 @@
 //     same seed produce byte-identical snapshots regardless of worker
 //     count or scheduling (the repo-wide determinism contract).
 //
+// Single-writer contract. A Registry and every handle resolved from it
+// belong to the one goroutine running its simulation: that goroutine
+// alone registers metrics, writes them, and reads them (Value, Counts,
+// Snapshot) while the run is live. Nothing here is synchronised. Another
+// goroutine may touch the registry only after the run has finished and
+// that fact has reached it through a synchronising hand-off (the
+// exprun pool's result channel, a WaitGroup): it takes Snapshot() and
+// aggregates the copies with MergeSnapshots / Sharded.Merged(). Parallel
+// runs therefore each get their own registry (Sharded, one shard per
+// simulation), never a shared one; `go test -race` is the enforcement.
+// Tracer and Timeline carry their own locks and are outside the contract.
+//
 // The package is zero-dependency (stdlib only) and imported by the DES
 // kernel and every protocol layer; it must never import them back.
 package obs
@@ -25,8 +38,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -166,23 +177,24 @@ var LatencyBounds = []int64{
 // snapshot structs can size arrays with it.
 const LatencyBuckets = 19
 
-// Counter is a monotone uint64 metric. All methods are nil-safe: a nil
-// *Counter is the disabled no-op implementation.
+// Counter is a monotone uint64 metric, written by its registry's one
+// goroutine (the package's single-writer contract). All methods are
+// nil-safe: a nil *Counter is the disabled no-op implementation.
 type Counter struct {
-	v atomic.Uint64
+	v uint64
 }
 
 // Inc adds one.
 func (c *Counter) Inc() {
 	if c != nil {
-		c.v.Add(1)
+		c.v++
 	}
 }
 
 // Add adds n.
 func (c *Counter) Add(n uint64) {
 	if c != nil {
-		c.v.Add(n)
+		c.v += n
 	}
 }
 
@@ -191,7 +203,7 @@ func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	return c.v
 }
 
 // GaugeKind selects how a gauge folds when snapshots merge
@@ -211,32 +223,24 @@ const (
 	GaugeKindSum
 )
 
-// Gauge is an instantaneous int64 metric. All methods are nil-safe.
+// Gauge is an instantaneous int64 metric (single writer, like Counter).
+// All methods are nil-safe.
 type Gauge struct {
-	v atomic.Int64
+	v int64
 }
 
 // Set stores v.
 func (g *Gauge) Set(v int64) {
 	if g != nil {
-		g.v.Store(v)
+		g.v = v
 	}
 }
 
 // SetMax stores v only if it exceeds the current value — a running
 // maximum (e.g. the largest RTO reached during a run).
 func (g *Gauge) SetMax(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if v <= cur {
-			return
-		}
-		if g.v.CompareAndSwap(cur, v) {
-			return
-		}
+	if g != nil && v > g.v {
+		g.v = v
 	}
 }
 
@@ -245,7 +249,7 @@ func (g *Gauge) Value() int64 {
 	if g == nil {
 		return 0
 	}
-	return g.v.Load()
+	return g.v
 }
 
 // Histogram counts observations into fixed buckets: counts[i] holds
@@ -253,11 +257,12 @@ func (g *Gauge) Value() int64 {
 // bucket. The exact maximum is tracked alongside the buckets so the
 // top quantiles and Max stay exact even past the last bound. Bounds
 // are fixed at registration so snapshots from different runs are
-// directly comparable. All methods are nil-safe.
+// directly comparable. Single writer, like Counter; all methods are
+// nil-safe.
 type Histogram struct {
 	bounds []int64
-	counts []atomic.Uint64
-	max    atomic.Int64
+	counts []uint64
+	max    int64
 }
 
 // Observe records one value.
@@ -269,15 +274,9 @@ func (h *Histogram) Observe(v int64) {
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	for {
-		cur := h.max.Load()
-		if v <= cur {
-			return
-		}
-		if h.max.CompareAndSwap(cur, v) {
-			return
-		}
+	h.counts[i]++
+	if v > h.max {
+		h.max = v
 	}
 }
 
@@ -286,11 +285,7 @@ func (h *Histogram) Counts() []uint64 {
 	if h == nil {
 		return nil
 	}
-	out := make([]uint64, len(h.counts))
-	for i := range h.counts {
-		out[i] = h.counts[i].Load()
-	}
-	return out
+	return append([]uint64(nil), h.counts...)
 }
 
 // Max returns the largest observed value (0 when disabled or empty).
@@ -298,7 +293,7 @@ func (h *Histogram) Max() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.max.Load()
+	return h.max
 }
 
 // Quantile returns the exact q-quantile recoverable from the buckets:
@@ -313,11 +308,11 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return HistogramValue{Bounds: h.bounds, Counts: h.Counts(), Max: h.Max()}.Quantile(q)
 }
 
-// Registry owns the named metrics of one simulation run. The zero
-// value is not usable; create with NewRegistry. A nil *Registry is the
-// disabled registry: every lookup returns a nil (no-op) handle.
+// Registry owns the named metrics of one simulation run, and belongs to
+// the goroutine running it (the package's single-writer contract). The
+// zero value is not usable; create with NewRegistry. A nil *Registry is
+// the disabled registry: every lookup returns a nil (no-op) handle.
 type Registry struct {
-	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	gaugeKinds map[string]GaugeKind
@@ -340,8 +335,6 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
 		c = &Counter{}
@@ -364,8 +357,6 @@ func (r *Registry) GaugeOf(name string, kind GaugeKind) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
 	if !ok {
 		g = &Gauge{}
@@ -384,8 +375,6 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
 		for i := 1; i < len(bounds); i++ {
@@ -395,7 +384,7 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 		}
 		h = &Histogram{
 			bounds: append([]int64(nil), bounds...),
-			counts: make([]atomic.Uint64, len(bounds)+1),
+			counts: make([]uint64, len(bounds)+1),
 		}
 		r.hists[name] = h
 	}
@@ -479,15 +468,14 @@ type Snapshot struct {
 	Histograms []HistogramValue
 }
 
-// Snapshot copies the registry. On a nil registry it returns the empty
+// Snapshot copies the registry — the only form in which its readings
+// leave the owning goroutine. On a nil registry it returns the empty
 // snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
 		return s
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for name, c := range r.counters {
 		s.Counters = append(s.Counters, CounterValue{Name: name, Value: c.Value()})
 	}

@@ -4,9 +4,11 @@ import "sort"
 
 // Sharded is a fleet run's registry family: one independent *Registry
 // per shard, merged into a single deterministic Snapshot at the end of
-// the run. Each shard of a fleet (one topic's simulation) writes only
-// its own registry, so parallel shards never contend on shared atomics —
-// the scaling bottleneck a single global registry would reintroduce.
+// the run. Each shard of a fleet (one topic's simulation) owns its
+// registry under the package's single-writer contract — the metrics are
+// plain integers, so one registry written by parallel shards would be a
+// data race, not merely slow. Merged reads the shards, so call it only
+// after every shard's run has finished and been waited for.
 //
 // A nil *Sharded is the disabled implementation: Shard returns the nil
 // (no-op) registry and Merged returns the empty snapshot, matching the

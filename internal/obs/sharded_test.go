@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -57,6 +58,42 @@ func TestShardedMerge(t *testing.T) {
 	}
 	if !bytes.Equal(m.Encode(), flat.Snapshot().Encode()) {
 		t.Errorf("sharded merge != flat registry:\n%s\nvs\n%s", m.Encode(), flat.Snapshot().Encode())
+	}
+}
+
+// TestShardedParallelWritersMerge is the single-writer contract's one
+// legitimate concurrent shape, for the race detector to check: every
+// goroutine registers and writes only its own shard, and the shards are
+// read (Merged) only after all of them have been waited for.
+func TestShardedParallelWritersMerge(t *testing.T) {
+	const writers, incs = 4, 10_000
+	s := NewSharded(writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := s.Shard(w)
+			c := r.Counter(MBrokerAppends)
+			g := r.Gauge(MSimQueueMax)
+			h := r.Histogram(MQueueDepth, QueueDepthBounds)
+			for k := 0; k < incs; k++ {
+				c.Inc()
+				g.SetMax(int64(w*incs + k))
+				h.Observe(int64(k % 5))
+			}
+		}()
+	}
+	wg.Wait()
+	m := s.Merged()
+	if got := m.Counter(MBrokerAppends); got != writers*incs {
+		t.Errorf("appends = %d, want %d", got, writers*incs)
+	}
+	if got := m.Gauge(MSimQueueMax); got != writers*incs-1 {
+		t.Errorf("queue max = %d, want %d", got, writers*incs-1)
+	}
+	if h, _ := m.Histogram(MQueueDepth); h.Total() != writers*incs || h.Max != 4 {
+		t.Errorf("histogram total = %d max = %d, want %d and 4", h.Total(), h.Max, writers*incs)
 	}
 }
 

@@ -102,8 +102,8 @@ type Experiment struct {
 	// vectors are ignored.
 	Schedule []ConfigChange
 	// DisableMetrics switches off the per-run obs.Registry; Result.Metrics
-	// then stays zero. Metrics are on by default (they are cheap: atomic
-	// word-sized updates with handles resolved at build time).
+	// then stays zero. Metrics are on by default (they are cheap: plain
+	// integer updates with handles resolved at build time).
 	DisableMetrics bool
 	// Tracer, when non-nil, receives the run's structured event stream
 	// (record lifecycle, transport, broker events). The testbed binds the

@@ -128,7 +128,7 @@ func TestObsOverheadBudget(t *testing.T) {
 		t.Skip("timing-sensitive")
 	}
 	if raceEnabled {
-		t.Skip("race detector instruments every atomic op; the 2% bar applies to production builds")
+		t.Skip("race detector instruments every memory access; the 2% bar applies to production builds")
 	}
 	const rounds = 7
 	const (
@@ -211,7 +211,7 @@ func spanPathHists(o *obs.Obs) [6]*obs.Histogram {
 
 // BenchmarkSpanPath measures the per-record latency-span cost with the
 // registry attached: six bounded-bucket histogram observes (bucket walk
-// + atomic add + max CAS), zero allocations.
+// + add + max compare), zero allocations.
 func BenchmarkSpanPath(b *testing.B) {
 	o := &obs.Obs{Registry: obs.NewRegistry()}
 	spans := spanPathHists(o)

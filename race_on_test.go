@@ -3,7 +3,7 @@
 package kafkarel_test
 
 // raceEnabled reports whether the race detector is compiled in. TSan
-// intercepts every atomic operation, which inflates the observability
+// instruments every memory access, which inflates the observability
 // hot path far beyond its production cost, so timing-budget tests skip
 // themselves under -race.
 const raceEnabled = true
