@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race fuzz-smoke bench bench-repo bench-pairs bench-seeds bench-json bench-scaling bench-gate profile repro chaos-smoke
+.PHONY: check build fmt vet test race fuzz-smoke bench bench-repo bench-pairs bench-seeds bench-json bench-scaling bench-gate profile gc-trace repro chaos-smoke
 
 ## check: the full quality gate — formatting, build, vet, race-enabled
 ## tests, and a fixed-seed chaos campaign.
@@ -170,6 +170,29 @@ profile:
 	$(GO) tool pprof -top -nodecount 40 cpu.pprof > cpu-top.txt
 	$(GO) tool pprof -top -nodecount 40 -sample_index=alloc_space heap.pprof > alloc-top.txt
 	$(GO) tool pprof -top -nodecount 40 -sample_index=alloc_objects heap.pprof > alloc-objects-top.txt
+
+## gc-trace: how long the collector's mark phases stay open — make
+## gc-trace WORKLOAD=chaos_mix — over the benchmark's headline pass of one
+## workload (`go run ./bench -workload … -seed 2 -trace 0 -repeats 2`,
+## built first so that the go tool's own collections stay out) under
+## GODEBUG=gctrace=1. Prints the cycles, their summed and mean
+## concurrent-mark clock (the middle term of gctrace's "a+b+c ms clock")
+## and that sum's share of the wall time; the pass and its set-up children
+## run one at a time, so the share is of time a simulation could have
+## used. The write barrier is on for exactly this long: a mean far above
+## the ~0.6 ms a 25 % mark worker needs on these heaps means the mark
+## worker is waiting for a P (DESIGN.md §7, "What the run loop owes the
+## runtime"). The raw trace stays in bench/out/gc-trace.txt.
+gc-trace: SHELL := /bin/bash
+gc-trace:
+	@mkdir -p bench/out && $(GO) build -o bench/out/gc-trace ./bench
+	@start=$$(date +%s%N); \
+	GODEBUG=gctrace=1 bench/out/gc-trace -workload $(WORKLOAD) -seed 2 -trace 0 -repeats 2 2> bench/out/gc-trace.txt | grep -E '^workload|^  wall_ns_per_record' || exit 1; \
+	awk -v wall=$$((($$(date +%s%N) - start) / 1000000)) \
+		'/^gc [0-9]+ @/ {split($$5, clock, "+"); cycles++; mark += clock[2]} \
+		END {if (!cycles) {print "gc-trace: no gctrace lines"; exit 1}; \
+			printf "gc cycles=%d concurrent_mark_ms=%.0f mean_ms=%.2f wall_ms=%d share=%.1f%%\n", cycles, mark, mark / cycles, wall, 100 * mark / wall}' \
+		bench/out/gc-trace.txt
 
 repro:
 	$(GO) run ./cmd/repro -n 20000 all

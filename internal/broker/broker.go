@@ -167,17 +167,16 @@ type Broker struct {
 	sim *des.Simulator
 	cfg Config
 	// topics indexes the hosted partitions by topic, then by partition
-	// number (nil where this broker holds no replica); parts lists them in
-	// creation order. lastTopic/lastParts memoise the previous lookup:
-	// requests overwhelmingly hit one topic in a row, and comparing the
-	// name is far cheaper than hashing it on every fetch and append.
-	topics    map[string][]*part
-	parts     []*part
-	lastTopic string
-	lastParts []*part
-	up        bool
-	slow      float64 // service-time multiplier; <= 1 means nominal
-	stats     Stats
+	// number; parts lists them in creation order. topics is a slice that
+	// resolve scans, not a map: a broker hosts a handful of topics (the
+	// data topic, __consumer_offsets, __transaction_state), appends
+	// alternate between them, and comparing a few names is far cheaper
+	// than hashing one on every fetch and append. New sizes it for four.
+	topics []topicParts
+	parts  []*part
+	up     bool
+	slow   float64 // service-time multiplier; <= 1 means nominal
+	stats  Stats
 
 	cProduce    *obs.Counter
 	cAppends    *obs.Counter
@@ -207,7 +206,7 @@ func New(id int32, sim *des.Simulator, cfg Config) (*Broker, error) {
 		id:          id,
 		sim:         sim,
 		cfg:         cfg,
-		topics:      make(map[string][]*part),
+		topics:      make([]topicParts, 0, 4),
 		up:          true,
 		cProduce:    o.Counter(obs.MBrokerProduce),
 		cAppends:    o.Counter(obs.MBrokerAppends),
@@ -285,39 +284,57 @@ func (b *Broker) Stats() Stats { return b.stats }
 // CreatePartition provisions an empty log for the topic partition.
 // Creating an existing partition is a no-op.
 func (b *Broker) CreatePartition(topic string, partition int32) {
-	if partition < 0 || b.resolve(topic, partition) != nil {
+	if partition < 0 {
 		return
 	}
-	ps := b.topics[topic]
-	for int(partition) >= len(ps) {
-		ps = append(ps, nil)
+	tp := b.topic(topic)
+	if tp == nil {
+		b.topics = append(b.topics, topicParts{name: topic})
+		tp = &b.topics[len(b.topics)-1]
 	}
-	ps[partition] = &part{
+	for int(partition) >= len(tp.parts) {
+		tp.parts = append(tp.parts, nil)
+	}
+	if tp.parts[partition] != nil {
+		return
+	}
+	p := &part{
 		log:         storage.NewLog(b.cfg.SegmentRecords),
 		prod:        make(map[uint64]*producerState),
 		flushedProd: make(map[uint64]producerState),
 		txn:         newTxnState(),
 		flushedTxn:  newTxnState(),
 	}
-	b.topics[topic] = ps
-	b.parts = append(b.parts, ps[partition])
-	b.lastParts = nil // ps may have moved
+	tp.parts[partition] = p
+	b.parts = append(b.parts, p)
+}
+
+// topicParts is one hosted topic's partitions by partition number, nil
+// where this broker holds no replica.
+type topicParts struct {
+	name  string
+	parts []*part
+}
+
+// topic finds a hosted topic, nil if absent. The pointer is into b.topics
+// and is good until the next CreatePartition.
+func (b *Broker) topic(name string) *topicParts {
+	for i := range b.topics {
+		if b.topics[i].name == name {
+			return &b.topics[i]
+		}
+	}
+	return nil
 }
 
 // resolve finds a topic partition hosted on this broker, nil if absent.
 // Every request path (Append, HandleFetch, Log) resolves through here.
 func (b *Broker) resolve(topic string, partition int32) *part {
-	if b.lastParts == nil || topic != b.lastTopic {
-		ps := b.topics[topic]
-		if ps == nil {
-			return nil
-		}
-		b.lastTopic, b.lastParts = topic, ps
-	}
-	if partition < 0 || int(partition) >= len(b.lastParts) {
+	tp := b.topic(topic)
+	if tp == nil || partition < 0 || int(partition) >= len(tp.parts) {
 		return nil
 	}
-	return b.lastParts[partition]
+	return tp.parts[partition]
 }
 
 // Log exposes the partition log (nil if absent), used by replication and

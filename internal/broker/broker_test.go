@@ -218,6 +218,37 @@ func TestCreatePartitionIdempotent(t *testing.T) {
 	}
 }
 
+// Creating topics and partitions between two resolves of another topic
+// (the topic table grows and moves meanwhile) leaves the first resolve's
+// answer standing, and absent topics and partitions stay absent.
+func TestResolveAcrossTopicCreation(t *testing.T) {
+	b := newBroker(t, des.New())
+	b.Append("t", 0, batch(1, 0, 1), false)
+	before := b.resolve("t", 0)
+	for _, topic := range []string{"__consumer_offsets", "__transaction_state", "u", "v", "w"} {
+		b.CreatePartition(topic, 1)
+		if b.resolve("t", 0) != before {
+			t.Fatalf("creating %q changed what (t, 0) resolves to", topic)
+		}
+		if p := b.resolve(topic, 1); p == nil || p == before {
+			t.Errorf("(%s, 1) resolves to %p after creation", topic, p)
+		}
+		if b.resolve(topic, 0) != nil || b.resolve(topic, 2) != nil || b.resolve(topic, -1) != nil {
+			t.Errorf("%q resolves a partition that was never created", topic)
+		}
+	}
+	b.CreatePartition("t", 3)
+	if b.resolve("t", 0) != before || b.Log("t", 0).End() != 1 {
+		t.Error("creating (t, 3) disturbed (t, 0)")
+	}
+	if b.resolve("absent", 0) != nil {
+		t.Error("an absent topic resolved")
+	}
+	if got := len(b.parts); got != 7 {
+		t.Errorf("%d partitions listed, want 7", got)
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(1, nil, DefaultConfig()); err == nil {
 		t.Error("nil simulator accepted")

@@ -10,6 +10,8 @@ package des
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"time"
 
 	"kafkarel/internal/obs"
@@ -67,6 +69,8 @@ type Simulator struct {
 
 	cFired    *obs.Counter
 	gQueueMax *obs.Gauge
+
+	yields uint64 // Gosched calls made by run; the tests read it
 }
 
 // item is one heap entry. It must stay free of pointers (see Simulator).
@@ -346,12 +350,21 @@ func (s *Simulator) RunLimit(n uint64) error {
 	return s.run(-1, n)
 }
 
+// running counts the simulators inside run, process-wide.
+var running atomic.Int32
+
+// yieldEvery is how many fired events separate two looks at whether run
+// owes the scheduler a yield: the knee of the measured curve (DESIGN.md
+// §7, "What the run loop owes the runtime").
+const yieldEvery = 1024
+
 func (s *Simulator) run(deadline time.Duration, limit uint64) error {
+	running.Add(1)
+	defer running.Add(-1) // deferred: a panicking callback must not leak the count
 	s.stopped = false
 	executed := uint64(0)
 	// Track the queue high-water mark in a local and publish it once at
-	// the end: Gauge.SetMax is a CAS loop and does not belong in the
-	// per-event inner loop.
+	// the end: one store per run instead of one per event.
 	qmax := len(s.heap)
 	var err error
 	for len(s.heap) > 0 {
@@ -380,6 +393,14 @@ func (s *Simulator) run(deadline time.Duration, limit uint64) error {
 		executed++
 		s.cFired.Inc()
 		fn(arg)
+		// A simulation never blocks, so when simulations hold every P the
+		// GC's mark worker waits for sysmon's 10 ms preemption and the
+		// write barrier stays on meanwhile: yield. With a P to spare the
+		// idle mark worker runs there already and a yield only costs.
+		if s.fired%yieldEvery == 0 && int(running.Load()) >= runtime.GOMAXPROCS(0) {
+			s.yields++
+			runtime.Gosched()
+		}
 	}
 	if err == nil && deadline >= 0 && deadline > s.now {
 		s.now = deadline

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"time"
@@ -226,12 +227,32 @@ func (h *harness) cancelAt(i int) {
 	}
 }
 
+// The interleavings run once with the simulator alone on one P, where run
+// yields to the scheduler between events, and once with a P to spare,
+// where it does not: the firing sequence may not depend on it.
 func TestModelRandomInterleavings(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			setProcs(t, procs)
+			yields := modelRandomInterleavings(t)
+			if (yields > 0) != (procs == 1) {
+				t.Errorf("%d yields during the interleavings", yields)
+			}
+		})
+	}
+}
+
+// modelRandomInterleavings returns how many times the simulators yielded.
+func modelRandomInterleavings(t *testing.T) (yields uint64) {
 	for seed := uint64(1); seed <= 150; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 12))
 		h := &harness{t: t, sim: New(), events: map[int]*Event{}, rearm: map[int]int{}, ticks: map[int]int{}}
 		h.m = &model{chain: map[int]time.Duration{}, rearm: map[int]int{},
 			period: map[int]time.Duration{}, ticks: map[int]int{}, stopped: map[int]bool{}}
+		// Start both event counts just short of a yield, so that one falls
+		// inside the interleaving (a seed fires ~100 events between Resets).
+		h.sim.fired = yieldEvery - 20
+		h.m.fired = h.sim.fired
 		for i := 0; i < 3; i++ {
 			h.newTimer()
 		}
@@ -372,7 +393,9 @@ func TestModelRandomInterleavings(t *testing.T) {
 		}
 		h.m.run(-1, 0)
 		h.check("final run")
+		yields += h.sim.yields
 	}
+	return yields
 }
 
 // A handle whose event already fired must not cancel the event that has
