@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race fuzz-smoke bench bench-repo bench-pairs bench-seeds bench-json bench-scaling bench-gate profile gc-trace repro chaos-smoke
+.PHONY: check build fmt vet test race reach fuzz-smoke bench bench-repo bench-pairs bench-seeds bench-json bench-scaling bench-gate profile gc-trace repro chaos-smoke
 
 ## check: the full quality gate — formatting, build, vet, race-enabled
 ## tests, and a fixed-seed chaos campaign.
@@ -24,6 +24,18 @@ test:
 ## pool and every parallelised call path must stay race-clean.
 race:
 	$(GO) test -race ./...
+
+## reach: the reachability census (DESIGN.md §6 "Reachability") — the gate
+## TestReachability, which `make test` and `make race` run anyway, made
+## to print what it counted: the exported fields of every config struct,
+## the allowlist with its reasons, then the non-blank non-comment lines of
+## non-test Go per package. Run it after adding an exported name or a
+## config field; CI archives the output so the surface is diffable.
+reach:
+	$(GO) test -count=1 -run 'TestReachability$$' -v .
+	@for d in . $$(find cmd examples internal bench -type d -not -path 'bench/out*' | sort); do \
+		n=$$(cat /dev/null $$(ls $$d/*.go 2>/dev/null | grep -v _test.go) | grep -cv '^[[:space:]]*//\|^[[:space:]]*$$'); \
+		[ $$n -gt 0 ] && printf 'lines  %6d  %s\n' $$n $$d; done; true
 
 ## fuzz-smoke: a few seconds of native fuzzing on each target of the
 ## byte-level protocol (internal/wire/fuzz_test.go) — one invocation per

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"kafkarel"
+	"kafkarel/internal/chaos"
+	"kafkarel/internal/testbed"
 )
 
 // BenchmarkAblationStalls removes the heavy-tailed send-path stalls: the
@@ -25,7 +27,7 @@ func BenchmarkAblationStalls(b *testing.B) {
 		PollInterval:   0,
 		MessageTimeout: 500 * time.Millisecond,
 	}
-	noStalls := kafkarel.DefaultCalibration()
+	noStalls := testbed.DefaultCalibration()
 	noStalls.StallProb = 1e-12 // effectively off (0 would mean "use defaults")
 	for i := 0; i < b.N; i++ {
 		with, err := kafkarel.RunExperiment(kafkarel.Experiment{
@@ -166,9 +168,9 @@ func BenchmarkBrokerFailover(b *testing.B) {
 			Seed:           uint64(i),
 			MaxRetries:     20,
 			RequestTimeout: 200 * time.Millisecond,
-			FaultPlan: kafkarel.FaultPlan{Faults: []kafkarel.Fault{
-				{Kind: kafkarel.FaultBrokerCrash, At: 5 * time.Second, Broker: 0},
-				{Kind: kafkarel.FaultBrokerRecover, At: 15 * time.Second, Broker: 0},
+			FaultPlan: chaos.Plan{Faults: []chaos.Fault{
+				{Kind: chaos.BrokerCrash, At: 5 * time.Second, Broker: 0},
+				{Kind: chaos.BrokerRecover, At: 15 * time.Second, Broker: 0},
 			}},
 		})
 		if err != nil {

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"kafkarel"
+	"kafkarel/internal/figures"
+	"kafkarel/internal/sweep"
 )
 
 const benchMessages = 2000
@@ -21,7 +23,7 @@ const benchMessages = 2000
 // distribution (Fig. 2 state machine) under a faulted retry-enabled run.
 func BenchmarkTable1MessageStates(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := kafkarel.Table1(kafkarel.FigureOptions{Messages: benchMessages, Seed: uint64(i)})
+		res, err := figures.Table1(figures.Options{Messages: benchMessages, Seed: uint64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -35,7 +37,7 @@ func BenchmarkTable1MessageStates(b *testing.B) {
 // BenchmarkFig3Sweep measures the training-data collection design: the
 // per-experiment cost of sweeping the Fig. 3 feature space.
 func BenchmarkFig3Sweep(b *testing.B) {
-	grid := kafkarel.NormalGrid()[:8]
+	grid := sweep.NormalGrid()[:8]
 	for i := 0; i < b.N; i++ {
 		ds, err := kafkarel.CollectDataset(grid, kafkarel.SweepOptions{
 			Messages: 500,
@@ -52,7 +54,7 @@ func BenchmarkFig3Sweep(b *testing.B) {
 // (P_l vs M at D=100 ms, L=19%).
 func BenchmarkFig4MessageSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points, err := kafkarel.Fig4(kafkarel.FigureOptions{Messages: benchMessages, Seed: uint64(i)})
+		points, err := figures.Fig4(figures.Options{Messages: benchMessages, Seed: uint64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,7 +76,7 @@ func BenchmarkFig4MessageSize(b *testing.B) {
 // no faults.
 func BenchmarkFig5MessageTimeout(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points, err := kafkarel.Fig5(kafkarel.FigureOptions{Messages: benchMessages, Seed: uint64(i)})
+		points, err := figures.Fig5(figures.Options{Messages: benchMessages, Seed: uint64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,7 +97,7 @@ func BenchmarkFig5MessageTimeout(b *testing.B) {
 // BenchmarkFig6PollingInterval regenerates the δ study at T_o = 500 ms.
 func BenchmarkFig6PollingInterval(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points, err := kafkarel.Fig6(kafkarel.FigureOptions{Messages: benchMessages, Seed: uint64(i)})
+		points, err := figures.Fig6(figures.Options{Messages: benchMessages, Seed: uint64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -108,7 +110,7 @@ func BenchmarkFig6PollingInterval(b *testing.B) {
 // (P_l vs L for B ∈ {1..10}, both semantics).
 func BenchmarkFig7Batching(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points, err := kafkarel.Fig7(kafkarel.FigureOptions{Messages: benchMessages, Seed: uint64(i)})
+		points, err := figures.Fig7(figures.Options{Messages: benchMessages, Seed: uint64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,7 +132,7 @@ func BenchmarkFig7Batching(b *testing.B) {
 // (P_d vs B under at-least-once).
 func BenchmarkFig8Duplicates(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points, err := kafkarel.Fig8(kafkarel.FigureOptions{Messages: benchMessages, Seed: uint64(i)})
+		points, err := figures.Fig8(figures.Options{Messages: benchMessages, Seed: uint64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -149,7 +151,7 @@ func BenchmarkFig8Duplicates(b *testing.B) {
 func BenchmarkFig9NetworkTrace(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		series, err := kafkarel.Fig9(uint64(i))
+		series, err := figures.Fig9(uint64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -167,12 +169,12 @@ func BenchmarkANNTraining(b *testing.B) {
 	// Stride-sample both Fig. 3 grids so the reduced sweep still spans
 	// every feature dimension.
 	var grid []kafkarel.Features
-	for i, v := range kafkarel.NormalGrid() {
+	for i, v := range sweep.NormalGrid() {
 		if i%4 == 0 {
 			grid = append(grid, v)
 		}
 	}
-	for i, v := range kafkarel.AbnormalGrid() {
+	for i, v := range sweep.AbnormalGrid() {
 		if i%6 == 0 {
 			grid = append(grid, v)
 		}

@@ -98,7 +98,7 @@ func TestReportTimelineCSVParallelByteIdentical(t *testing.T) {
 					return nil, err
 				}
 				var buf bytes.Buffer
-				if err := res.Timeline.WriteCSV(&buf); err != nil {
+				if err := obs.WriteMergedCSV(&buf, []*obs.Timeline{res.Timeline}); err != nil {
 					return nil, err
 				}
 				return buf.Bytes(), nil

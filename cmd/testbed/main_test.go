@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -60,9 +61,13 @@ func TestTraceCapturesDuplicateChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	events, err := obs.ReadJSONL(f)
-	if err != nil {
-		t.Fatalf("parse trace: %v", err)
+	var events []obs.Event
+	for dec := json.NewDecoder(f); dec.More(); {
+		var ev obs.Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatalf("parse trace: %v", err)
+		}
+		events = append(events, ev)
 	}
 	if len(events) == 0 {
 		t.Fatal("trace file is empty")

@@ -30,7 +30,16 @@ func writeDataset(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.WriteCSV(f); err != nil {
+	cw, err := features.NewCSVWriter(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range ds {
+		if err := cw.Write(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

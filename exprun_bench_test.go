@@ -16,6 +16,8 @@ import (
 	"time"
 
 	"kafkarel"
+	"kafkarel/internal/figures"
+	"kafkarel/internal/sweep"
 )
 
 // scalingWorkers is the swept pool-size axis.
@@ -57,7 +59,7 @@ func BenchmarkExprunScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("fig7/workers=%d", workers), func(b *testing.B) {
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				points, err := kafkarel.Fig7(kafkarel.FigureOptions{
+				points, err := figures.Fig7(figures.Options{
 					Messages: 600, Seed: 1, Workers: workers,
 				})
 				if err != nil {
@@ -77,7 +79,7 @@ func BenchmarkExprunScaling(b *testing.B) {
 // (the paper's collection bottleneck) at workers 1 vs 4 over a grid
 // slice spanning both subspaces.
 func BenchmarkFig3SweepScaling(b *testing.B) {
-	grid := append(kafkarel.NormalGrid()[:24], kafkarel.AbnormalGrid()[:24]...)
+	grid := append(sweep.NormalGrid()[:24], sweep.AbnormalGrid()[:24]...)
 	perWorker := map[int]time.Duration{}
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -20,13 +20,14 @@ import (
 
 	"kafkarel"
 	"kafkarel/internal/obs"
+	"kafkarel/internal/testbed"
 )
 
 // fleetBench is the benchmark fleet: 32 producers over 8 topic shards,
 // so an 8-worker pool has one shard per worker and the scaling signal
 // is the shard fan-out, not intra-shard work.
-func fleetBench(seed uint64) kafkarel.Fleet {
-	return kafkarel.Fleet{
+func fleetBench(seed uint64) testbed.Fleet {
+	return testbed.Fleet{
 		Features: kafkarel.Features{
 			MessageSize:    200,
 			Timeliness:     5 * time.Second,
@@ -54,7 +55,7 @@ func BenchmarkFleetScaling(b *testing.B) {
 			b.ReportAllocs()
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				res, err := kafkarel.RunFleetContext(context.Background(), fleetBench(uint64(i)+1), workers)
+				res, err := testbed.RunFleetContext(context.Background(), fleetBench(uint64(i)+1), workers)
 				if err != nil {
 					b.Fatal(err)
 				}

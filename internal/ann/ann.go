@@ -80,29 +80,6 @@ type LayerSpec struct {
 	Activation Activation `json:"activation"`
 }
 
-// Optimizer selects the parameter-update rule.
-type Optimizer int
-
-// Optimizers. SGD (with optional momentum) is the paper's choice
-// (Sec. III-G); Adam is provided as a modern alternative that converges
-// in far fewer epochs on the same data.
-const (
-	OptimizerSGD Optimizer = iota // zero value: the paper's optimizer
-	OptimizerAdam
-)
-
-// String implements fmt.Stringer.
-func (o Optimizer) String() string {
-	switch o {
-	case OptimizerSGD:
-		return "sgd"
-	case OptimizerAdam:
-		return "adam"
-	default:
-		return fmt.Sprintf("optimizer(%d)", int(o))
-	}
-}
-
 // Config describes a network and its training hyperparameters.
 type Config struct {
 	// InputDim is the number of input features.
@@ -117,14 +94,6 @@ type Config struct {
 	BatchSize int `json:"batch_size"`
 	// Momentum is the classical momentum coefficient (0 disables it).
 	Momentum float64 `json:"momentum"`
-	// WeightDecay is the L2 regularisation coefficient applied to weights
-	// (not biases) at each update; 0 disables it.
-	WeightDecay float64 `json:"weight_decay"`
-	// LRDecay geometrically decays the learning rate: after each epoch
-	// the rate is multiplied by (1 - LRDecay); 0 keeps it constant.
-	LRDecay float64 `json:"lr_decay"`
-	// Optimizer selects SGD (default, the paper's choice) or Adam.
-	Optimizer Optimizer `json:"optimizer"`
 	// Seed fixes weight initialisation and shuffling.
 	Seed uint64 `json:"seed"`
 }
@@ -179,12 +148,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ann: epochs %d <= 0", c.Epochs)
 	case c.Momentum < 0 || c.Momentum >= 1:
 		return fmt.Errorf("ann: momentum %v outside [0,1)", c.Momentum)
-	case c.WeightDecay < 0:
-		return fmt.Errorf("ann: negative weight decay")
-	case c.LRDecay < 0 || c.LRDecay >= 1:
-		return fmt.Errorf("ann: lr decay %v outside [0,1)", c.LRDecay)
-	case c.Optimizer != OptimizerSGD && c.Optimizer != OptimizerAdam:
-		return fmt.Errorf("ann: unknown optimizer %d", c.Optimizer)
 	}
 	for i, l := range c.Layers {
 		if l.Neurons <= 0 {
@@ -211,10 +174,8 @@ type dense struct {
 	act     Activation
 	// w is row-major [out][in]; b has one bias per output neuron.
 	w, b []float64
-	// Momentum buffers (SGD) / first-moment estimates (Adam).
+	// Momentum buffers.
 	vw, vb []float64
-	// Second-moment estimates (Adam only; allocated lazily).
-	sw, sb []float64
 	// Forward caches (per-sample training only touches these serially).
 	input, output []float64
 	// delta is dLoss/dZ for backprop.
@@ -223,9 +184,8 @@ type dense struct {
 
 // Network is a feed-forward ANN. Not safe for concurrent use.
 type Network struct {
-	cfg      Config
-	layers   []*dense
-	adamStep uint64
+	cfg    Config
+	layers []*dense
 }
 
 // New builds a network with Xavier-uniform initial weights drawn from the
@@ -259,9 +219,6 @@ func New(cfg Config) (*Network, error) {
 	}
 	return n, nil
 }
-
-// Config returns the network's configuration.
-func (n *Network) Config() Config { return n.cfg }
 
 // Forward runs inference; the returned slice is owned by the caller.
 func (n *Network) Forward(x []float64) ([]float64, error) {

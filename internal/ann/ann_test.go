@@ -232,31 +232,6 @@ func TestEarlyStopTarget(t *testing.T) {
 	}
 }
 
-func TestEpochCallback(t *testing.T) {
-	x := [][]float64{{0}, {1}}
-	y := [][]float64{{0}, {1}}
-	cfg := CompactConfig(1, 1)
-	cfg.Epochs = 7
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	var losses []float64
-	if _, err := n.Train(x, y, WithEpochCallback(func(e int, loss float64) {
-		count++
-		losses = append(losses, loss)
-	})); err != nil {
-		t.Fatal(err)
-	}
-	if count != 7 {
-		t.Errorf("callback ran %d times, want 7", count)
-	}
-	if losses[len(losses)-1] > losses[0] {
-		t.Errorf("loss rose: %v -> %v", losses[0], losses[len(losses)-1])
-	}
-}
-
 func TestTrainValidation(t *testing.T) {
 	n, err := New(CompactConfig(2, 1))
 	if err != nil {
@@ -465,120 +440,5 @@ func BenchmarkTrainEpochCompact(b *testing.B) {
 		if _, err := n.Train(x, y); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestWeightDecayShrinksWeights(t *testing.T) {
-	x := [][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
-	y := [][]float64{{0}, {1}, {1}, {1}}
-	norm := func(n *Network) float64 {
-		total := 0.0
-		for _, l := range n.layers {
-			for _, w := range l.w {
-				total += w * w
-			}
-		}
-		return total
-	}
-	train := func(decay float64) float64 {
-		cfg := CompactConfig(2, 1)
-		cfg.Epochs = 200
-		cfg.Seed = 8
-		cfg.WeightDecay = decay
-		n, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := n.Train(x, y); err != nil {
-			t.Fatal(err)
-		}
-		return norm(n)
-	}
-	plain := train(0)
-	reg := train(0.01)
-	if reg >= plain {
-		t.Errorf("weight decay did not shrink weights: %v vs %v", reg, plain)
-	}
-}
-
-func TestLRDecayStillLearns(t *testing.T) {
-	x := [][]float64{{0}, {0.5}, {1}}
-	y := [][]float64{{0}, {0.5}, {1}}
-	cfg := CompactConfig(1, 1)
-	cfg.Epochs = 500
-	cfg.LRDecay = 0.005
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := n.Train(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TrainMAE > 0.05 {
-		t.Errorf("MAE with lr decay = %v", res.TrainMAE)
-	}
-}
-
-func TestNewHyperparameterValidation(t *testing.T) {
-	cfg := CompactConfig(1, 1)
-	cfg.WeightDecay = -1
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative weight decay accepted")
-	}
-	cfg = CompactConfig(1, 1)
-	cfg.LRDecay = 1
-	if err := cfg.Validate(); err == nil {
-		t.Error("lr decay of 1 accepted")
-	}
-}
-
-func TestAdamLearnsXORFaster(t *testing.T) {
-	x := [][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
-	y := [][]float64{{0}, {1}, {1}, {0}}
-	mk := func(opt Optimizer, lr float64) float64 {
-		cfg := Config{
-			InputDim: 2,
-			Layers: []LayerSpec{
-				{Neurons: 8, Activation: Tanh},
-				{Neurons: 1, Activation: Sigmoid},
-			},
-			LearningRate: lr,
-			Epochs:       300,
-			BatchSize:    4,
-			Optimizer:    opt,
-			Seed:         4,
-		}
-		n, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := n.Train(x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.TrainMAE
-	}
-	adam := mk(OptimizerAdam, 0.02)
-	sgd := mk(OptimizerSGD, 0.02)
-	if adam > 0.1 {
-		t.Errorf("Adam did not learn XOR in 300 epochs: MAE = %v", adam)
-	}
-	if adam >= sgd {
-		t.Errorf("Adam (%v) not faster than plain low-lr SGD (%v) at equal epochs", adam, sgd)
-	}
-}
-
-func TestOptimizerValidationAndString(t *testing.T) {
-	cfg := CompactConfig(1, 1)
-	cfg.Optimizer = 99
-	if err := cfg.Validate(); err == nil {
-		t.Error("unknown optimizer accepted")
-	}
-	if OptimizerSGD.String() != "sgd" || OptimizerAdam.String() != "adam" {
-		t.Error("optimizer names wrong")
-	}
-	if Optimizer(99).String() == "" {
-		t.Error("empty name for unknown optimizer")
 	}
 }

@@ -19,14 +19,7 @@ type TrainResult struct {
 type TrainOption func(*trainOpts)
 
 type trainOpts struct {
-	onEpoch   func(epoch int, loss float64)
 	targetMAE float64
-}
-
-// WithEpochCallback invokes fn after every epoch with the epoch index and
-// training MSE.
-func WithEpochCallback(fn func(epoch int, loss float64)) TrainOption {
-	return func(o *trainOpts) { o.onEpoch = fn }
 }
 
 // WithTargetMAE stops training early once the training MAE drops below
@@ -105,12 +98,6 @@ func (n *Network) Train(x, y [][]float64, opts ...TrainOption) (TrainResult, err
 		loss := lossSum / float64(len(x))
 		res.Epochs = epoch + 1
 		res.FinalLoss = loss
-		if o.onEpoch != nil {
-			o.onEpoch(epoch, loss)
-		}
-		if n.cfg.LRDecay > 0 {
-			lr *= 1 - n.cfg.LRDecay
-		}
 		if o.targetMAE > 0 && (epoch+1)%10 == 0 {
 			mae, _, err := n.Evaluate(x, y)
 			if err != nil {
@@ -140,62 +127,16 @@ func (n *Network) forwardInPlace(x []float64) []float64 {
 }
 
 func (n *Network) applyGradients(gw, gb [][]float64, count int, lr float64) {
-	if n.cfg.Optimizer == OptimizerAdam {
-		n.adamStep++
-		n.applyAdam(gw, gb, count, lr)
-		return
-	}
 	scale := lr / float64(count)
 	mom := n.cfg.Momentum
-	decay := 1 - lr*n.cfg.WeightDecay
 	for li, l := range n.layers {
 		for i := range l.w {
 			l.vw[i] = mom*l.vw[i] - scale*gw[li][i]
-			if decay < 1 {
-				l.w[i] *= decay
-			}
 			l.w[i] += l.vw[i]
 		}
 		for i := range l.b {
 			l.vb[i] = mom*l.vb[i] - scale*gb[li][i]
 			l.b[i] += l.vb[i]
-		}
-	}
-}
-
-// Adam hyperparameters (Kingma & Ba defaults).
-const (
-	adamBeta1 = 0.9
-	adamBeta2 = 0.999
-	adamEps   = 1e-8
-)
-
-func (n *Network) applyAdam(gw, gb [][]float64, count int, lr float64) {
-	inv := 1 / float64(count)
-	c1 := 1 - math.Pow(adamBeta1, float64(n.adamStep))
-	c2 := 1 - math.Pow(adamBeta2, float64(n.adamStep))
-	decay := lr * n.cfg.WeightDecay
-	for li, l := range n.layers {
-		if l.sw == nil {
-			l.sw = make([]float64, len(l.w))
-			l.sb = make([]float64, len(l.b))
-		}
-		for i := range l.w {
-			g := gw[li][i] * inv
-			l.vw[i] = adamBeta1*l.vw[i] + (1-adamBeta1)*g
-			l.sw[i] = adamBeta2*l.sw[i] + (1-adamBeta2)*g*g
-			mhat := l.vw[i] / c1
-			vhat := l.sw[i] / c2
-			if decay > 0 {
-				l.w[i] -= decay * l.w[i]
-			}
-			l.w[i] -= lr * mhat / (math.Sqrt(vhat) + adamEps)
-		}
-		for i := range l.b {
-			g := gb[li][i] * inv
-			l.vb[i] = adamBeta1*l.vb[i] + (1-adamBeta1)*g
-			l.sb[i] = adamBeta2*l.sb[i] + (1-adamBeta2)*g*g
-			l.b[i] -= lr * (l.vb[i] / c1) / (math.Sqrt(l.sb[i]/c2) + adamEps)
 		}
 	}
 }

@@ -22,8 +22,6 @@ type Config struct {
 	// AppendPerByte is the additional cost per payload byte, modelling
 	// log-write bandwidth.
 	AppendPerByte time.Duration
-	// SegmentRecords is the partition-log segment roll threshold.
-	SegmentRecords int
 	// FlushInterval is the fsync cadence (Kafka's log.flush.interval.ms):
 	// appends become durable at the first append on or after each
 	// interval boundary, together with a snapshot of the idempotent
@@ -299,7 +297,7 @@ func (b *Broker) CreatePartition(topic string, partition int32) {
 		return
 	}
 	p := &part{
-		log:         storage.NewLog(b.cfg.SegmentRecords),
+		log:         storage.NewLog(0),
 		prod:        make(map[uint64]*producerState),
 		flushedProd: make(map[uint64]producerState),
 		txn:         newTxnState(),
@@ -624,23 +622,6 @@ func produceFire(a any) {
 			Err:           code,
 		})
 	}
-}
-
-// callPlainDone adapts a plain func(ProduceResponse) callback to the
-// (arg, resp) form; func values are pointer-shaped, so passing one
-// through the any argument does not allocate.
-func callPlainDone(arg any, resp wire.ProduceResponse) {
-	arg.(func(wire.ProduceResponse))(resp)
-}
-
-// HandleProduce is Produce with a plain callback, for callers that do
-// not mind a per-request closure.
-func (b *Broker) HandleProduce(req wire.ProduceRequest, idempotent bool, done func(wire.ProduceResponse)) {
-	if done == nil {
-		b.Produce(req, idempotent, nil, nil)
-		return
-	}
-	b.Produce(req, idempotent, callPlainDone, done)
 }
 
 // Partition is a handle to one topic partition hosted on this broker,

@@ -31,10 +31,10 @@ func TestHandleProduceAppendsAndResponds(t *testing.T) {
 	b := newBroker(t, sim)
 	var resp wire.ProduceResponse
 	got := false
-	b.HandleProduce(wire.ProduceRequest{
+	b.Produce(wire.ProduceRequest{
 		CorrelationID: 7, Topic: "t", Partition: 0, Acks: wire.AcksLeader,
 		Batch: batch(1, 0, 10, 11),
-	}, false, func(r wire.ProduceResponse) { resp = r; got = true })
+	}, false, func(_ any, r wire.ProduceResponse) { resp = r; got = true }, nil)
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +61,8 @@ func TestServiceTimeDelaysResponse(t *testing.T) {
 	}
 	b.CreatePartition("t", 0)
 	var at time.Duration
-	b.HandleProduce(wire.ProduceRequest{Topic: "t", Batch: batch(1, 0, 1)}, false,
-		func(wire.ProduceResponse) { at = sim.Now() })
+	b.Produce(wire.ProduceRequest{Topic: "t", Batch: batch(1, 0, 1)}, false,
+		func(_ any, _ wire.ProduceResponse) { at = sim.Now() }, nil)
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +75,8 @@ func TestUnknownPartition(t *testing.T) {
 	sim := des.New()
 	b := newBroker(t, sim)
 	var resp wire.ProduceResponse
-	b.HandleProduce(wire.ProduceRequest{Topic: "nope", Batch: batch(1, 0, 1)}, false,
-		func(r wire.ProduceResponse) { resp = r })
+	b.Produce(wire.ProduceRequest{Topic: "nope", Batch: batch(1, 0, 1)}, false,
+		func(_ any, r wire.ProduceResponse) { resp = r }, nil)
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +90,8 @@ func TestStoppedBrokerDropsRequests(t *testing.T) {
 	b := newBroker(t, sim)
 	b.Stop()
 	called := false
-	b.HandleProduce(wire.ProduceRequest{Topic: "t", Batch: batch(1, 0, 1)}, false,
-		func(wire.ProduceResponse) { called = true })
+	b.Produce(wire.ProduceRequest{Topic: "t", Batch: batch(1, 0, 1)}, false,
+		func(_ any, _ wire.ProduceResponse) { called = true }, nil)
 	b.HandleFetch(wire.FetchRequest{Topic: "t"}, func(wire.FetchResponse) { called = true })
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -117,8 +117,8 @@ func TestCrashMidServiceDropsAppend(t *testing.T) {
 	}
 	b.CreatePartition("t", 0)
 	called := false
-	b.HandleProduce(wire.ProduceRequest{Topic: "t", Batch: batch(1, 0, 1)}, false,
-		func(wire.ProduceResponse) { called = true })
+	b.Produce(wire.ProduceRequest{Topic: "t", Batch: batch(1, 0, 1)}, false,
+		func(_ any, _ wire.ProduceResponse) { called = true }, nil)
 	sim.Schedule(5*time.Millisecond, b.Stop)
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"kafkarel/internal/des"
+	"kafkarel/internal/storage"
 )
 
 // refCheckpoint is the flush checkpoint taken the plain way — fresh maps
@@ -92,13 +93,13 @@ func TestFlushCheckpointMatchesDeepCopyModel(t *testing.T) {
 		sim := des.New()
 		cfg := DefaultConfig()
 		cfg.FlushInterval = interval
-		cfg.SegmentRecords = 16
 		b, err := New(1, sim, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		b.CreatePartition("t", 0)
 		p := b.resolve("t", 0)
+		p.log = storage.NewLog(16) // small segments: checkpoints cross many
 		ref := deepCheckpoint(p)
 
 		nextSeq := map[uint64]uint64{}

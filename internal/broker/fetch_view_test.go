@@ -55,13 +55,12 @@ func copyOutFetch(p *part, all []storage.Entry, req wire.FetchRequest) wire.Fetc
 // The segment limit of 100 gives capacities 64, 64, 100, 100, ...
 func randomTxnPartition(t *testing.T, rng *rand.Rand) (*Broker, *part) {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.SegmentRecords = 100
-	b, err := New(1, des.New(), cfg)
+	b, err := New(1, des.New(), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.CreatePartition("t", 0)
+	b.resolve("t", 0).log = storage.NewLog(100)
 	key := uint64(100)
 	seq := map[uint64]uint64{}
 	open := map[uint64]bool{}
@@ -109,9 +108,11 @@ func TestFetchViewMatchesCopyOut(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, 5))
 		b, p := randomTxnPartition(t, rng)
 		end := p.log.End()
-		if len(p.txn.control) == 0 || len(p.txn.aborted) == 0 || p.log.Segments() < 3 {
-			t.Fatalf("seed %d: log too plain to test (control %d, aborted %d, segments %d)",
-				seed, len(p.txn.control), len(p.txn.aborted), p.log.Segments())
+		// The first two segments hold 64 records each: beyond 128 there
+		// are at least three.
+		if len(p.txn.control) == 0 || len(p.txn.aborted) == 0 || end <= 128 {
+			t.Fatalf("seed %d: log too plain to test (control %d, aborted %d, end %d)",
+				seed, len(p.txn.control), len(p.txn.aborted), end)
 		}
 		var all []storage.Entry
 		p.log.Scan(func(e storage.Entry) bool { all = append(all, e); return true })

@@ -175,8 +175,8 @@ func TestSetSlowdownScalesServiceTime(t *testing.T) {
 	b.CreatePartition("t", 0)
 	b.SetSlowdown(4)
 	var respAt time.Duration
-	b.HandleProduce(wire.ProduceRequest{Topic: "t", Acks: wire.AcksLeader, Batch: batch(1, 1, 1)},
-		false, func(wire.ProduceResponse) { respAt = sim.Now() })
+	b.Produce(wire.ProduceRequest{Topic: "t", Acks: wire.AcksLeader, Batch: batch(1, 1, 1)},
+		false, func(_ any, _ wire.ProduceResponse) { respAt = sim.Now() }, nil)
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +186,8 @@ func TestSetSlowdownScalesServiceTime(t *testing.T) {
 	b.SetSlowdown(1)
 	var secondAt time.Duration
 	start := sim.Now()
-	b.HandleProduce(wire.ProduceRequest{Topic: "t", Acks: wire.AcksLeader, Batch: batch(1, 2, 2)},
-		false, func(wire.ProduceResponse) { secondAt = sim.Now() })
+	b.Produce(wire.ProduceRequest{Topic: "t", Acks: wire.AcksLeader, Batch: batch(1, 2, 2)},
+		false, func(_ any, _ wire.ProduceResponse) { secondAt = sim.Now() }, nil)
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}

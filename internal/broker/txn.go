@@ -224,13 +224,3 @@ func (b *Broker) RestoreTxnState(topic string, partition int32, snap TxnSnapshot
 	p.txn = ts
 	p.flushedTxn = ts.clone()
 }
-
-// LastStable returns the partition's last stable offset, for tests and
-// the cluster's recovery bookkeeping.
-func (b *Broker) LastStable(topic string, partition int32) int64 {
-	h, ok := b.Partition(topic, partition)
-	if !ok {
-		return 0
-	}
-	return h.LastStable()
-}

@@ -98,7 +98,8 @@ func TestTxnLastStableAndIsolationFiltering(t *testing.T) {
 	sim := des.New()
 	b := newBroker(t, sim)
 	b.Append("t", 0, txnBatch(9, 0, 1, 1, 2), true)
-	if lso := b.LastStable("t", 0); lso != 0 {
+	part, _ := b.Partition("t", 0)
+	if lso := part.LastStable(); lso != 0 {
 		t.Fatalf("LSO with open txn = %d, want 0", lso)
 	}
 	// read_committed is held at the LSO; read_uncommitted sees the data.
@@ -110,7 +111,7 @@ func TestTxnLastStableAndIsolationFiltering(t *testing.T) {
 	}
 	// Commit marker closes the range and advances the LSO past it.
 	b.Append("t", 0, marker(9, 0, true), false)
-	if lso := b.LastStable("t", 0); lso != 3 {
+	if lso := part.LastStable(); lso != 3 {
 		t.Fatalf("LSO after commit = %d, want 3", lso)
 	}
 	f := fetchIso(t, b, 0, wire.ReadCommitted)

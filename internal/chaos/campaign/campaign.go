@@ -213,9 +213,6 @@ type Scorecard struct {
 	Rows             []Row  `json:"rows"`
 }
 
-// OK reports whether every trial upheld its invariants.
-func (s Scorecard) OK() bool { return s.Failed == 0 }
-
 // WriteJSON renders the scorecard as indented JSON.
 func (s Scorecard) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

@@ -220,17 +220,6 @@ type Plan struct {
 	Faults []Fault
 }
 
-// End returns the virtual time the last fault is over.
-func (p Plan) End() time.Duration {
-	var end time.Duration
-	for _, f := range p.Faults {
-		if e := f.end(); e > end {
-			end = e
-		}
-	}
-	return end
-}
-
 // Count returns how many faults of the given kind the plan holds.
 func (p Plan) Count(k Kind) int {
 	n := 0
@@ -248,31 +237,10 @@ func (p Plan) HasBrokerFaults() bool {
 	return p.Count(BrokerCrash) > 0 || p.Count(UncleanRestart) > 0
 }
 
-// HasConsumerFaults reports whether the plan kills any consumer-group
-// member.
-func (p Plan) HasConsumerFaults() bool {
-	return p.Count(ConsumerCrash) > 0
-}
-
 // HasProcessorFaults reports whether the plan crashes or duplicates any
 // transactional processor.
 func (p Plan) HasProcessorFaults() bool {
 	return p.Count(ProcessorCrash) > 0 || p.Count(ProcessorZombie) > 0
-}
-
-// Summary renders the plan as a compact one-line fault list.
-func (p Plan) Summary() string {
-	if len(p.Faults) == 0 {
-		return "no faults"
-	}
-	s := ""
-	for i, f := range p.Faults {
-		if i > 0 {
-			s += "; "
-		}
-		s += f.String()
-	}
-	return s
 }
 
 // affects reports whether the fault touches the given path side.

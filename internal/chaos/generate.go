@@ -12,10 +12,12 @@ import (
 type GenConfig struct {
 	// Brokers is the cluster size faults may target.
 	Brokers int
-	// Semantics gates the safety rules: exactly-once plans keep broker
-	// outages strictly sequential (at most one broker down at any time)
-	// so acknowledged data always survives on a live replica — losses
-	// there are invariant violations, not expected noise.
+	// Semantics is recorded by campaigns and read by nothing: the
+	// generator lays every plan's broker outages out strictly
+	// sequentially (at most one broker down at any time, so acknowledged
+	// data always survives on a live replica) whatever the semantics.
+	// The field stays only because the frozen bench/ sets it; it goes
+	// with the next [benchmark] PR (ROADMAP 5(a)).
 	Semantics producer.Semantics
 	// Horizon is the window faults are placed in; every fault, recoveries
 	// included, completes before it. Zero takes a 2 s default.
@@ -162,8 +164,6 @@ type CoopGenConfig struct {
 	Horizon time.Duration
 	// MaxFaults caps the faults per plan (default 6, minimum 1).
 	MaxFaults int
-	// Unclean permits unclean broker restarts.
-	Unclean bool
 }
 
 func (c CoopGenConfig) withDefaults() CoopGenConfig {
@@ -201,9 +201,6 @@ func GenerateCoopPlan(seed uint64, cfg CoopGenConfig) Plan {
 	rng := rand.New(rand.NewPCG(seed, 0x5851F42D4C957F2D))
 
 	kinds := []Kind{ConsumerCrash, ConsumerCrash, BrokerCrash, BrokerSlow}
-	if cfg.Unclean {
-		kinds = append(kinds, UncleanRestart)
-	}
 
 	dur := func(lo, hi time.Duration) time.Duration {
 		return lo + time.Duration(rng.Int64N(int64(hi-lo)+1))
@@ -276,7 +273,7 @@ func GenerateCoopPlan(seed uint64, cfg CoopGenConfig) Plan {
 			}
 			f = Fault{Kind: k, At: at, Duration: d,
 				Group: int32(g), Member: int32(rng.IntN(cfg.MembersPerGroup))}
-		case BrokerCrash, UncleanRestart:
+		case BrokerCrash:
 			d := dur(100*time.Millisecond, 500*time.Millisecond)
 			at, ok := place("broker", d)
 			if !ok {

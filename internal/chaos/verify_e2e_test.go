@@ -37,8 +37,8 @@ func TestValidateConsumerCrash(t *testing.T) {
 	if err := good.Validate(3); err != nil {
 		t.Fatalf("Validate rejected sequential consumer crashes: %v", err)
 	}
-	if !good.HasConsumerFaults() {
-		t.Fatal("HasConsumerFaults false with consumer crashes present")
+	if good.Count(ConsumerCrash) == 0 {
+		t.Fatal("no consumer crashes counted with consumer crashes present")
 	}
 }
 
@@ -118,8 +118,8 @@ func TestScheduleConsumerCrash(t *testing.T) {
 	if ev.Crashes != 1 || ev.Restarts != 1 {
 		t.Fatalf("crashes=%d restarts=%d, want 1/1", ev.Crashes, ev.Restarts)
 	}
-	if !g.Done() || !ev.Drained {
-		t.Fatalf("group done=%v drained=%v after crash/restart", g.Done(), ev.Drained)
+	if !ev.Drained {
+		t.Fatal("group not drained after crash/restart")
 	}
 	rep := consumer.ReconcileRangesKeys(
 		[]consumer.KeyRange{{Base: 0, Count: 100}, {Base: 100, Count: 100}},

@@ -231,7 +231,7 @@ func TestRecoveredReplicaJoinsInflightAcksAllBatch(t *testing.T) {
 	if got := c.Leader("t", 0); got != late {
 		t.Fatalf("new leader = broker %d, want the recovered replica %d", got.ID(), late.ID())
 	}
-	entries, err := late.Log("t", 0).Read(0, 10)
+	entries, err := late.Log("t", 0).ReadInto(0, 10, nil)
 	if err != nil || len(entries) != 3 || entries[2].Record.Key != 3 {
 		t.Fatalf("new leader's log = %v, %v; the acknowledged record at offset 2 is gone", entries, err)
 	}

@@ -521,7 +521,7 @@ func TestPropertyReplicationPrefixConsistency(t *testing.T) {
 				return false
 			}
 			llog := leader.Log("t", p)
-			ref, err := llog.Read(0, int(llog.End()))
+			ref, err := llog.ReadInto(0, int(llog.End()), nil)
 			if err != nil {
 				return false
 			}
@@ -530,7 +530,7 @@ func TestPropertyReplicationPrefixConsistency(t *testing.T) {
 				if rlog == nil || rlog.End() > llog.End() {
 					return false
 				}
-				got, err := rlog.Read(0, int(rlog.End()))
+				got, err := rlog.ReadInto(0, int(rlog.End()), nil)
 				if err != nil {
 					return false
 				}

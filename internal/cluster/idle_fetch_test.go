@@ -121,7 +121,8 @@ func TestPropertyFetchIsNoOpAgreesWithFetch(t *testing.T) {
 			live := leader != nil && leader.Up()
 			var end, lso int64
 			if leader != nil {
-				end, lso = leader.Log("t", 0).End(), leader.LastStable("t", 0)
+				part, _ := leader.Partition("t", 0)
+				end, lso = part.End(), part.LastStable()
 			}
 			probes := []noOpProbe{
 				// The common case, spelled out so it can never go missing.

@@ -35,7 +35,7 @@ func payloadsOf(t *testing.T, c *Cluster, id int32) []string {
 	t.Helper()
 	var out []string
 	log := c.Broker(id).Log("t", 0)
-	entries, err := log.Read(0, int(log.End()))
+	entries, err := log.ReadInto(0, int(log.End()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +103,12 @@ func TestReplicasShareOnePayloadCopy(t *testing.T) {
 		if err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}
-		leader, err := c.Leader("t", 0).Log("t", 0).Read(0, 2)
+		leader, err := c.Leader("t", 0).Log("t", 0).ReadInto(0, 2, nil)
 		if err != nil || len(leader) != 2 {
 			t.Fatalf("acks=%d: leader read = %v, %v", acks, leader, err)
 		}
 		for id := int32(0); id < 3; id++ {
-			got, err := c.Broker(id).Log("t", 0).Read(0, 2)
+			got, err := c.Broker(id).Log("t", 0).ReadInto(0, 2, nil)
 			if err != nil || len(got) != 2 {
 				t.Fatalf("acks=%d: broker %d read = %v, %v", acks, id, got, err)
 			}
@@ -178,7 +178,7 @@ func TestUncleanCrashCatchUpKeepsReplicasIdentical(t *testing.T) {
 	if leaderLog.End() == 0 {
 		t.Fatal("leader log is empty")
 	}
-	want, err := leaderLog.Read(0, int(leaderLog.End()))
+	want, err := leaderLog.ReadInto(0, int(leaderLog.End()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestUncleanCrashCatchUpKeepsReplicasIdentical(t *testing.T) {
 			t.Errorf("broker %d log differs from the leader's (end %d vs %d)", id, log.End(), leaderLog.End())
 			continue
 		}
-		got, err := log.Read(0, int(log.End()))
+		got, err := log.ReadInto(0, int(log.End()), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,12 +257,12 @@ func TestSlabChunksKeepBatchesApartAcrossBoundaries(t *testing.T) {
 			t.Fatalf("response %+v", r)
 		}
 	}
-	leader, err := c.Leader("t", 0).Log("t", 0).Read(0, len(want))
+	leader, err := c.Leader("t", 0).Log("t", 0).ReadInto(0, len(want), nil)
 	if err != nil || len(leader) != len(want) {
 		t.Fatalf("leader holds %d records (%v), want %d", len(leader), err, len(want))
 	}
 	for id := int32(0); id < 3; id++ {
-		got, err := c.Broker(id).Log("t", 0).Read(0, len(want)+1)
+		got, err := c.Broker(id).Log("t", 0).ReadInto(0, len(want)+1, nil)
 		if err != nil || len(got) != len(want) {
 			t.Fatalf("broker %d holds %d records (%v), want %d", id, len(got), err, len(want))
 		}

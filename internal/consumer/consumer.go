@@ -135,24 +135,13 @@ type KeyRange struct {
 	Count uint64
 }
 
-// ReconcileRanges reconciles records produced by several producers into
-// one topic, each owning a disjoint KeyRange. It is Tally
+// ReconcileRangesKeys reconciles the keys of records produced by several
+// producers into one topic, each owning a disjoint KeyRange — one key
+// slice per partition, as produced by Group.ConsumedKeys. It is Tally
 // generalised from the single span 1..N to a union of spans: a key
 // inside some range counts toward Distinct/NDuplicated, a key outside
 // every range is Foreign, and NLost is the total range size minus the
 // distinct keys seen. Ranges must be disjoint; order does not matter.
-func ReconcileRanges(ranges []KeyRange, records []wire.Record) Report {
-	keys := make([][]uint64, 1)
-	keys[0] = make([]uint64, len(records))
-	for i, rec := range records {
-		keys[0][i] = rec.Key
-	}
-	return ReconcileRangesKeys(ranges, keys)
-}
-
-// ReconcileRangesKeys is ReconcileRanges over bare key streams — one
-// slice per partition, as produced by Group.ConsumedKeys — so consumer
-// groups can be reconciled without materialising wire.Records.
 func ReconcileRangesKeys(ranges []KeyRange, keys [][]uint64) Report {
 	sorted := make([]KeyRange, 0, len(ranges))
 	var rep Report

@@ -38,8 +38,8 @@ func TestGroupEagerRejoinFlushPinsRedelivery(t *testing.T) {
 		}
 	})
 	r.pump(t, 2*time.Second)
-	if !g.Done() {
-		t.Fatalf("group not done; states: c0=%s c1=%s", g.State("c0"), g.State("c1"))
+	if g.started == 0 || g.active != 0 {
+		t.Fatalf("group not done; states: c0=%s c1=%s", g.members["c0"].state.String(), g.members["c1"].state.String())
 	}
 	ev := g.Evidence()
 	if !ev.Drained {
@@ -90,8 +90,8 @@ func TestGroupLagProbeFencedToLiveOwnership(t *testing.T) {
 		}
 		r.pump(t, 20*time.Millisecond)
 	}
-	if lag, err := g.Lag(); err != nil || lag != 2*perPart {
-		t.Fatalf("stable lag = %d (err=%v), want %d", lag, err, 2*perPart)
+	if lag := totalLag(t, g); lag != 2*perPart {
+		t.Fatalf("stable lag = %d, want %d", lag, 2*perPart)
 	}
 
 	// c1 crashes. Its partitions are ownerless until the session expiry
@@ -115,16 +115,16 @@ func TestGroupLagProbeFencedToLiveOwnership(t *testing.T) {
 	// Session expiry hands c1's partitions to c0; the backlog is again
 	// a live member's responsibility and must reappear in full. Manual
 	// mode: drive c0's heartbeats so it notices the rebalance and
-	// rejoins (the Heartbeat error while it is mid-rejoin is expected).
-	for i := 0; i < 16 && len(g.Assignment("c0")) != partitions; i++ {
-		_ = g.Heartbeat("c0")
+	// rejoins (a tick while it is mid-rejoin does nothing).
+	for i := 0; i < 16 && len(g.members["c0"].assigned) != partitions; i++ {
+		g.members["c0"].heartbeatTick()
 		r.pump(t, 50*time.Millisecond)
 	}
-	if got := len(g.Assignment("c0")); got != partitions {
+	if got := len(g.members["c0"].assigned); got != partitions {
 		t.Fatalf("c0 owns %d partitions after expiry rebalance, want %d", got, partitions)
 	}
-	if lag, err := g.Lag(); err != nil || lag != 2*perPart {
-		t.Fatalf("post-rebalance lag = %d (err=%v), want %d — the inherited backlog vanished", lag, err, 2*perPart)
+	if lag := totalLag(t, g); lag != 2*perPart {
+		t.Fatalf("post-rebalance lag = %d, want %d — the inherited backlog vanished", lag, 2*perPart)
 	}
 }
 

@@ -100,7 +100,20 @@ type Group struct {
 	hPaused      *obs.Histogram
 }
 
-// GroupConfig parameterises a Group.
+const (
+	// pollInterval is the driven-mode poll cadence.
+	pollInterval = 2 * time.Millisecond
+	// commitRoundTimeout abandons an unacknowledged commit round (the
+	// offsets log can silently swallow acks=all requests while its
+	// partition is leaderless); the next poll round retries.
+	commitRoundTimeout = 100 * time.Millisecond
+	// retryBackoff spaces join/offset-fetch retries.
+	retryBackoff = 10 * time.Millisecond
+)
+
+// GroupConfig parameterises a Group. Members heartbeat every third of
+// the session timeout and fetch at read_uncommitted (everything but
+// control markers).
 type GroupConfig struct {
 	// ID is the group id (default "group").
 	ID string
@@ -109,29 +122,8 @@ type GroupConfig struct {
 	// SessionTimeout is passed to the coordinator on every join
 	// (default: the coordinator's default).
 	SessionTimeout time.Duration
-	// HeartbeatInterval defaults to a third of the session timeout.
-	HeartbeatInterval time.Duration
-	// PollInterval is the driven-mode poll cadence (default 2ms).
-	PollInterval time.Duration
 	// PollMax caps records per poll round (default 512).
 	PollMax int
-	// CommitTimeout abandons an unacknowledged commit round (the
-	// offsets log can silently swallow acks=all requests while its
-	// partition is leaderless); the next poll round retries. Default
-	// 100ms.
-	CommitTimeout time.Duration
-	// RetryBackoff spaces join/offset-fetch retries (default 10ms).
-	RetryBackoff time.Duration
-	// Isolation is the fetch isolation level. ReadCommitted bounds
-	// fetches at the last stable offset and never surfaces records from
-	// aborted transactions; the default ReadUncommitted sees everything
-	// but control markers.
-	Isolation wire.IsolationLevel
-	// StaticMembership gives each member a stable group.instance.id
-	// (derived from its client-side name), so a bounded restart reclaims
-	// its member id and assignment without triggering a rebalance
-	// (KIP-345).
-	StaticMembership bool
 	// Cooperative switches members to the incremental rebalance protocol
 	// (KIP-429): they join carrying the partitions they still own, keep
 	// consuming everything they retain across the generation bump, and
@@ -167,22 +159,13 @@ func (c *GroupConfig) applyDefaults(co *coordinator.Coordinator) {
 	if c.SessionTimeout <= 0 {
 		c.SessionTimeout = co.Config().SessionTimeout
 	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = c.SessionTimeout / 3
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 2 * time.Millisecond
-	}
 	if c.PollMax <= 0 {
 		c.PollMax = 512
 	}
-	if c.CommitTimeout <= 0 {
-		c.CommitTimeout = 100 * time.Millisecond
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 10 * time.Millisecond
-	}
 }
+
+// heartbeatInterval is a third of the session timeout.
+func (g *Group) heartbeatInterval() time.Duration { return g.cfg.SessionTimeout / 3 }
 
 // Delivery is one record handed to the application.
 type Delivery struct {
@@ -445,7 +428,7 @@ func (g *Group) Join(name string) error {
 		name:     name,
 		position: newPartitionState(g.partitions),
 		ackedTo:  newPartitionState(g.partitions),
-		hbPhase:  time.Duration(len(g.order)%8) * g.cfg.HeartbeatInterval / 8,
+		hbPhase:  time.Duration(len(g.order)%8) * g.heartbeatInterval() / 8,
 	}
 	m.hbT = des.NewTimer(g.sim, m.heartbeatTick)
 	m.pollT = des.NewTimer(g.sim, m.pollTick)
@@ -471,35 +454,6 @@ func (g *Group) member(name string) (*Member, error) {
 	}
 	return m, nil
 }
-
-// State returns a member's client-side state name.
-func (g *Group) State(name string) string {
-	if m, ok := g.members[name]; ok {
-		return m.state.String()
-	}
-	return ""
-}
-
-// Assignment returns the partitions currently assigned to a member.
-func (g *Group) Assignment(name string) []int32 {
-	m, ok := g.members[name]
-	if !ok {
-		return nil
-	}
-	return append([]int32(nil), m.assigned...)
-}
-
-// Generation returns the member's current generation (-1 when not
-// stable).
-func (g *Group) Generation(name string) int32 {
-	if m, ok := g.members[name]; ok && m.state == mStable {
-		return m.gen
-	}
-	return -1
-}
-
-// Done reports whether every member has left or crashed.
-func (g *Group) Done() bool { return g.started > 0 && g.active == 0 }
 
 // Evidence returns a copy of the group's delivery evidence. Ownership
 // spans still open and partitions still paused are closed at the
@@ -538,10 +492,6 @@ func (g *Group) ConsumedKeys() [][]uint64 {
 	}
 	return out
 }
-
-// CommitHi returns the highest acknowledged commit per partition
-// (0 = none acknowledged yet).
-func (g *Group) CommitHi() []int64 { return append([]int64(nil), g.commitHi...) }
 
 // ---- ownership & pause accounting ----
 
@@ -636,9 +586,6 @@ func (m *Member) sendJoin() {
 		Topic:          g.cfg.Topic,
 		SessionTimeout: g.cfg.SessionTimeout,
 	}
-	if g.cfg.StaticMembership {
-		req.GroupInstanceID = g.cfg.ID + "/" + m.name
-	}
 	if g.cfg.Cooperative {
 		req.Protocol = wire.ProtocolCooperative
 		req.OwnedPartitions = append([]int32(nil), m.assigned...)
@@ -666,9 +613,9 @@ func (m *Member) onJoin(epoch uint64, resp wire.JoinGroupResponse) {
 		// owners. Rejoin with a fresh identity after a backoff.
 		m.resetLocal()
 		m.id = ""
-		m.retryT.Reset(m.g.cfg.RetryBackoff)
+		m.retryT.Reset(retryBackoff)
 	default:
-		m.retryT.Reset(m.g.cfg.RetryBackoff)
+		m.retryT.Reset(retryBackoff)
 	}
 }
 
@@ -751,7 +698,7 @@ func (m *Member) applyAssignment(assigned []int32) {
 		case wire.ErrCoordinatorNotAvailable:
 			// Offsets log leaderless: park the assignment and retry.
 			m.pendingAssign = append([]int32(nil), assigned...)
-			m.retryT.Reset(g.cfg.RetryBackoff)
+			m.retryT.Reset(retryBackoff)
 			return
 		default: // fenced: another rebalance raced us
 			g.ev.FencedFetches++
@@ -767,8 +714,8 @@ func (m *Member) applyAssignment(assigned []int32) {
 	m.state = mStable
 	g.ev.Rebalances++
 	if g.cfg.Auto {
-		m.pollT.Reset(g.cfg.PollInterval)
-		m.hbT.Reset(g.cfg.HeartbeatInterval + m.hbPhase)
+		m.pollT.Reset(pollInterval)
+		m.hbT.Reset(g.heartbeatInterval() + m.hbPhase)
 	}
 }
 
@@ -802,7 +749,7 @@ func (m *Member) onHeartbeat(resp wire.HeartbeatResponse) {
 	}
 	switch resp.Err {
 	case wire.ErrNone:
-		m.hbT.Reset(m.g.cfg.HeartbeatInterval)
+		m.hbT.Reset(m.g.heartbeatInterval())
 	case wire.ErrRebalanceInProgress:
 		// A rebalance wants us back at the barrier. Cooperative members
 		// rejoin immediately — they keep consuming and committing their
@@ -821,13 +768,13 @@ func (m *Member) onHeartbeat(resp wire.HeartbeatResponse) {
 			return
 		}
 		if m.joinAfterCommit {
-			m.hbT.Reset(m.g.cfg.HeartbeatInterval)
+			m.hbT.Reset(m.g.heartbeatInterval())
 			return // already flushing; keep the session alive meanwhile
 		}
 		m.commitDirty()
 		if m.inFlight > 0 {
 			m.joinAfterCommit = true
-			m.hbT.Reset(m.g.cfg.HeartbeatInterval)
+			m.hbT.Reset(m.g.heartbeatInterval())
 			return
 		}
 		m.sendJoin()
@@ -839,19 +786,6 @@ func (m *Member) onHeartbeat(resp wire.HeartbeatResponse) {
 	default: // ErrIllegalGeneration
 		m.sendJoin()
 	}
-}
-
-// Heartbeat sends one manual heartbeat (manual-mode tests).
-func (g *Group) Heartbeat(name string) error {
-	m, err := g.member(name)
-	if err != nil {
-		return err
-	}
-	if m.state != mStable {
-		return fmt.Errorf("consumer: member %q not stable (%s)", name, m.state)
-	}
-	m.heartbeatTick()
-	return nil
 }
 
 // ---- polling ----
@@ -871,7 +805,7 @@ func (m *Member) pollTick() {
 		if g.cfg.Cooperative && len(m.assigned) > 0 {
 			m.pollOnce(g.cfg.PollMax, nil)
 			m.commitDirty()
-			m.pollT.Reset(g.cfg.PollInterval)
+			m.pollT.Reset(pollInterval)
 		}
 		return
 	}
@@ -897,7 +831,7 @@ func (m *Member) pollTick() {
 			return
 		}
 	}
-	m.pollT.Reset(g.cfg.PollInterval)
+	m.pollT.Reset(pollInterval)
 }
 
 // pollOnce fetches up to max records across the member's assigned
@@ -927,7 +861,7 @@ func (m *Member) pollOnce(max int, collect *[]wire.Record) {
 			continue
 		}
 		if g.deliveredNext[p] >= pos {
-			if lp, ok := g.parts[p].Leader(); ok && lp.FetchIsNoOp(pos, g.hwm[p], g.cfg.Isolation) {
+			if lp, ok := g.parts[p].Leader(); ok && lp.FetchIsNoOp(pos, g.hwm[p], wire.ReadUncommitted) {
 				g.elided++
 				if verifyElided {
 					m.checkElided(p, pos, budget)
@@ -951,7 +885,6 @@ func (g *Group) fetchRequest(p int32, pos int64, budget int) wire.FetchRequest {
 	return wire.FetchRequest{
 		Topic: g.cfg.Topic, Partition: p,
 		Offset: pos, MaxRecords: int32(budget),
-		Isolation: g.cfg.Isolation,
 	}
 }
 
@@ -1114,7 +1047,7 @@ func (m *Member) commitOne(p int32, pos int64) {
 		Topic: g.cfg.Topic, Partition: p, Offset: pos,
 	}, j.fire)
 	if m.inFlight > 0 {
-		m.commitT.Reset(g.cfg.CommitTimeout)
+		m.commitT.Reset(commitRoundTimeout)
 	}
 }
 
@@ -1190,15 +1123,16 @@ func (m *Member) commitTimeout() {
 	m.inFlight = 0
 	if m.joinAfterCommit {
 		// Escape hatch for the commit-before-revoke barrier: the offsets
-		// log would not answer within CommitTimeout (< RebalanceTimeout,
-		// so we rejoin before the coordinator evicts us). Join anyway and
-		// accept the bounded redelivery of the unflushed window.
+		// log would not answer within commitRoundTimeout (below the
+		// coordinator's straggler deadline, so we rejoin before it evicts
+		// us). Join anyway and accept the bounded redelivery of the
+		// unflushed window.
 		m.sendJoin()
 	}
 }
 
 // Commit starts an async commit of the member's current positions.
-// Use CommitsInFlight (and pump the simulator) to await the acks.
+// Pump the simulator to await the acks.
 func (g *Group) Commit(name string) error {
 	m, err := g.member(name)
 	if err != nil {
@@ -1209,14 +1143,6 @@ func (g *Group) Commit(name string) error {
 	}
 	m.commitDirty()
 	return nil
-}
-
-// CommitsInFlight returns the member's outstanding commit count.
-func (g *Group) CommitsInFlight(name string) int {
-	if m, ok := g.members[name]; ok {
-		return m.inFlight
-	}
-	return 0
 }
 
 // Committed returns the group's durably committed offset for a
@@ -1282,20 +1208,6 @@ func (g *Group) LagByPartition() ([]int64, error) {
 		lags[p] = lp.End() - committed
 	}
 	return lags, nil
-}
-
-// Lag returns the total records between the durable committed offsets
-// and the partition high watermarks — the sum of LagByPartition.
-func (g *Group) Lag() (int64, error) {
-	lags, err := g.LagByPartition()
-	if err != nil {
-		return 0, err
-	}
-	var lag int64
-	for _, l := range lags {
-		lag += l
-	}
-	return lag, nil
 }
 
 // Probe snapshots the group for a timeline sample: per-partition and
@@ -1396,19 +1308,6 @@ func (g *Group) finish() {
 		drained = drained && clean
 	}
 	g.ev.Drained = drained
-}
-
-// Leave removes a manual-mode member cleanly.
-func (g *Group) Leave(name string) error {
-	m, err := g.member(name)
-	if err != nil {
-		return err
-	}
-	if m.left || m.crashed {
-		return fmt.Errorf("consumer: member %q already gone", name)
-	}
-	m.leave(true)
-	return nil
 }
 
 // resetLocal wipes a member's in-memory consumption state (crash, or

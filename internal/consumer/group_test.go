@@ -11,6 +11,21 @@ import (
 	"kafkarel/internal/wire"
 )
 
+// totalLag sums LagByPartition: the records between the durable
+// committed offsets and the partition high watermarks.
+func totalLag(t *testing.T, g *Group) int64 {
+	t.Helper()
+	lags, err := g.LagByPartition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lag int64
+	for _, l := range lags {
+		lag += l
+	}
+	return lag
+}
+
 // groupRig is a cluster with a seeded topic and a coordinator.
 type groupRig struct {
 	sim  *des.Simulator
@@ -77,10 +92,10 @@ func TestGroupRangeAssignment(t *testing.T) {
 	seen := make(map[int32]string)
 	sizes := make([]int, 0, 3)
 	for _, name := range []string{"c0", "c1", "c2"} {
-		if got := g.State(name); got != "stable" {
+		if got := g.members[name].state.String(); got != "stable" {
 			t.Fatalf("member %s state = %s, want stable", name, got)
 		}
-		parts := g.Assignment(name)
+		parts := g.members[name].assigned
 		sizes = append(sizes, len(parts))
 		for _, p := range parts {
 			if prev, dup := seen[p]; dup {
@@ -96,9 +111,9 @@ func TestGroupRangeAssignment(t *testing.T) {
 	if sizes[0] != 3 || sizes[1] != 2 || sizes[2] != 2 {
 		t.Fatalf("assignment sizes = %v, want [3 2 2]", sizes)
 	}
-	if g.Generation("c0") != g.Generation("c1") {
+	if g.members["c0"].gen != g.members["c1"].gen {
 		t.Fatalf("members disagree on generation: %d vs %d",
-			g.Generation("c0"), g.Generation("c1"))
+			g.members["c0"].gen, g.members["c1"].gen)
 	}
 }
 
@@ -118,10 +133,7 @@ func TestGroupPollAndCommit(t *testing.T) {
 	if _, err := g.Committed(0); !errors.Is(err, ErrNoCommit) {
 		t.Fatalf("Committed on fresh group: err = %v, want ErrNoCommit", err)
 	}
-	lag, err := g.Lag()
-	if err != nil {
-		t.Fatal(err)
-	}
+	lag := totalLag(t, g)
 	if lag != 20 {
 		t.Fatalf("initial lag = %d, want 20", lag)
 	}
@@ -141,7 +153,7 @@ func TestGroupPollAndCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.pump(t, 50*time.Millisecond)
-	if n := g.CommitsInFlight("c0"); n != 0 {
+	if n := g.members["c0"].inFlight; n != 0 {
 		t.Fatalf("commits still in flight after pump: %d", n)
 	}
 	for p := int32(0); p < 2; p++ {
@@ -153,17 +165,12 @@ func TestGroupPollAndCommit(t *testing.T) {
 			t.Fatalf("Committed(%d) = %d, want 10", p, off)
 		}
 	}
-	lag, err = g.Lag()
-	if err != nil {
-		t.Fatal(err)
-	}
+	lag = totalLag(t, g)
 	if lag != 0 {
 		t.Fatalf("lag after commit = %d, want 0", lag)
 	}
-	if err := g.Leave("c0"); err != nil {
-		t.Fatal(err)
-	}
-	if !g.Done() {
+	g.members["c0"].leave(true)
+	if g.started == 0 || g.active != 0 {
 		t.Fatal("group not done after last leave")
 	}
 }
@@ -188,9 +195,7 @@ func TestGroupCommittedSurvivesRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.pump(t, 50*time.Millisecond)
-	if err := g.Leave("c0"); err != nil {
-		t.Fatal(err)
-	}
+	g.members["c0"].leave(true)
 	r.pump(t, 20*time.Millisecond)
 
 	// A second group instance (same group id) resumes at offset 4.
@@ -240,8 +245,8 @@ func TestGroupSessionTimeoutMidPoll(t *testing.T) {
 		}
 	})
 	r.pump(t, 2*time.Second)
-	if !g.Done() {
-		t.Fatalf("group not done; states: c0=%s c1=%s", g.State("c0"), g.State("c1"))
+	if g.started == 0 || g.active != 0 {
+		t.Fatalf("group not done; states: c0=%s c1=%s", g.members["c0"].state.String(), g.members["c1"].state.String())
 	}
 	ev := g.Evidence()
 	if !ev.Drained {
@@ -282,8 +287,8 @@ func TestGroupStaleCommitFenced(t *testing.T) {
 	if err := g.Join("c1"); err != nil {
 		t.Fatal(err)
 	}
-	r.pump(t, r.co.Config().RebalanceTimeout+50*time.Millisecond)
-	if got := g.State("c1"); got != "stable" {
+	r.pump(t, r.co.Config().SessionTimeout+50*time.Millisecond)
+	if got := g.members["c1"].state.String(); got != "stable" {
 		t.Fatalf("c1 state = %s, want stable", got)
 	}
 	// c0 is removed either by the rebalance-timeout eviction or by its
@@ -306,7 +311,7 @@ func TestGroupStaleCommitFenced(t *testing.T) {
 	if _, err := g.Committed(0); !errors.Is(err, ErrNoCommit) {
 		t.Fatalf("fenced commit became durable: Committed err = %v, want ErrNoCommit", err)
 	}
-	if hi := g.CommitHi(); hi[0] != 0 || hi[1] != 0 {
+	if hi := g.commitHi; hi[0] != 0 || hi[1] != 0 {
 		t.Fatalf("fenced commit moved CommitHi: %v", hi)
 	}
 	if got := r.co.Stats().FencedCommits; got < 1 {
@@ -338,8 +343,8 @@ func TestGroupCooperativeReassignment(t *testing.T) {
 		}
 	})
 	r.pump(t, 2*time.Second)
-	if !g.Done() {
-		t.Fatalf("group not done; states: c0=%s c1=%s", g.State("c0"), g.State("c1"))
+	if g.started == 0 || g.active != 0 {
+		t.Fatalf("group not done; states: c0=%s c1=%s", g.members["c0"].state.String(), g.members["c1"].state.String())
 	}
 	ev := g.Evidence()
 	if !ev.Drained {
@@ -419,11 +424,5 @@ func TestGroupValidation(t *testing.T) {
 	}
 	if err := g.Restart("c0"); err == nil {
 		t.Fatal("restart of live member succeeded")
-	}
-	if err := g.Leave("c0"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Leave("c0"); err == nil {
-		t.Fatal("double leave succeeded")
 	}
 }

@@ -58,7 +58,7 @@ func newPollRig(t *testing.T, ccfg cluster.Config, rf int, gcfg GroupConfig) *po
 	}
 	r := &pollRig{t: t, sim: sim, clst: clst, g: g, m: g.members["c0"]}
 	r.pump(20 * time.Millisecond)
-	if got := g.State("c0"); got != "stable" {
+	if got := g.members["c0"].state.String(); got != "stable" {
 		t.Fatalf("member state = %s, want stable", got)
 	}
 	return r
@@ -151,7 +151,7 @@ func TestIdlePollsCountAsFetches(t *testing.T) {
 	if ev := g.Evidence(); ev.Delivered != partitions*perPart {
 		t.Fatalf("delivered %d records before the idle window, want %d", ev.Delivered, partitions*perPart)
 	}
-	window := ticks * g.cfg.PollInterval
+	window := ticks * pollInterval
 
 	e0, f0 := g.elided, fetchRequests(r.clst)
 	r.pump(t, window)
@@ -167,7 +167,7 @@ func TestIdlePollsCountAsFetches(t *testing.T) {
 	for i := 0; i < flowing; i++ {
 		p := int32(i % partitions)
 		key := uint64(1000 + i)
-		r.sim.Schedule(r.sim.Now()+time.Duration(3*i+1)*g.cfg.PollInterval, func() {
+		r.sim.Schedule(r.sim.Now()+time.Duration(3*i+1)*pollInterval, func() {
 			r.clst.Leader("t", p).Log("t", p).Append([]wire.Record{{Key: key}})
 		})
 	}
@@ -319,50 +319,6 @@ func TestElisionFollowsLeaderFailover(t *testing.T) {
 	r.wantIdle("leader back up")
 }
 
-// A read_committed member parks at the last stable offset behind an open
-// transaction: its polls are elided although the log end lies beyond. The
-// marker that decides the transaction moves the log end, so the first poll
-// after it reaches the broker — stepping over the aborted run in one go,
-// or delivering the committed records.
-func TestElisionParkedAtLastStableOffset(t *testing.T) {
-	r := newPollRig(t, cluster.DefaultConfig(), 3, GroupConfig{Isolation: wire.ReadCommitted})
-	txn := func(seq uint64, keys ...uint64) wire.RecordBatch {
-		b := plainBatch(keys...)
-		b.ProducerID, b.BaseSequence, b.Idempotent, b.Transactional = 7, seq, true, true
-		return b
-	}
-	marker := func(commit bool) wire.RecordBatch {
-		return wire.RecordBatch{ProducerID: 7, Control: true, Records: []wire.Record{wire.ControlRecord(commit, 0)}}
-	}
-
-	r.produce(plainBatch(1, 2, 3))
-	r.produce(txn(1, 4, 5)) // offsets 3-4, undecided: LSO 3, end 5
-	r.wantFetched("up to the LSO", 1, 2, 3)
-	if r.m.position[0] != 3 || r.g.hwm[0] != 5 {
-		t.Fatalf("parked: position=%d hwm=%d, want 3 and 5", r.m.position[0], r.g.hwm[0])
-	}
-	r.wantIdle("parked behind the open transaction")
-
-	r.produce(marker(false)) // abort marker at offset 5
-	r.wantFetched("first poll after the abort marker")
-	if r.m.position[0] != 6 || r.g.deliveredNext[0] != 6 || r.g.hwm[0] != 6 {
-		t.Fatalf("after abort: position=%d deliveredNext=%d hwm=%d, want all 6 (aborted run and marker stepped over at once)",
-			r.m.position[0], r.g.deliveredNext[0], r.g.hwm[0])
-	}
-	r.wantIdle("past the aborted run")
-
-	r.produce(txn(2, 6, 7)) // offsets 6-7
-	// Nothing readable yet, but the high watermark moved.
-	r.wantFetched("learning the new log end")
-	r.wantIdle("parked behind the second transaction")
-	r.produce(marker(true)) // commit marker at offset 8
-	r.wantFetched("first poll after the commit marker", 6, 7)
-	if r.m.position[0] != 9 {
-		t.Fatalf("after commit: position=%d, want 9 (past the marker)", r.m.position[0])
-	}
-	r.wantIdle("at the log end")
-}
-
 // The first poll of a member whose position came from a commit the group
 // object never saw delivered (a fresh Group over an existing group id)
 // must reach the broker even at the log end: the dedup watermark is
@@ -440,8 +396,8 @@ func TestFleetShapedShardElidesIdleFetches(t *testing.T) {
 	var elided uint64
 	for _, g := range groups {
 		ev := g.Evidence()
-		if !g.Done() || !ev.Drained || ev.Delivered != records {
-			t.Fatalf("group %s: done=%v drained=%v delivered=%d, want a clean drain of %d", ev.Group, g.Done(), ev.Drained, ev.Delivered, records)
+		if g.started == 0 || g.active != 0 || !ev.Drained || ev.Delivered != records {
+			t.Fatalf("group %s: active=%d drained=%v delivered=%d, want a clean drain of %d", ev.Group, g.active, ev.Drained, ev.Delivered, records)
 		}
 		elided += g.elided
 	}

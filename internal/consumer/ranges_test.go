@@ -14,14 +14,23 @@ func keysOf(keys ...uint64) []wire.Record {
 	return recs
 }
 
+// reconcileRanges is ReconcileRangesKeys over one stream of records.
+func reconcileRanges(ranges []KeyRange, records []wire.Record) Report {
+	keys := make([]uint64, len(records))
+	for i, rec := range records {
+		keys[i] = rec.Key
+	}
+	return ReconcileRangesKeys(ranges, [][]uint64{keys})
+}
+
 // TestReconcileRangesMatchesReconcile pins the degenerate case: one
 // range based at zero must reproduce the plain Tally exactly.
 func TestReconcileRangesMatchesReconcile(t *testing.T) {
 	recs := keysOf(1, 2, 2, 4, 9)
-	got := ReconcileRanges([]KeyRange{{Base: 0, Count: 5}}, recs)
+	got := reconcileRanges([]KeyRange{{Base: 0, Count: 5}}, recs)
 	want := reconcile(5, recs)
 	if got != want {
-		t.Errorf("ReconcileRanges = %+v, Tally = %+v", got, want)
+		t.Errorf("ReconcileRangesKeys = %+v, Tally = %+v", got, want)
 	}
 }
 
@@ -41,7 +50,7 @@ func TestReconcileRangesMultiProducer(t *testing.T) {
 		2000, // beyond every range: foreign
 		0,    // key 0 is always foreign
 	)
-	rep := ReconcileRanges(ranges, recs)
+	rep := reconcileRanges(ranges, recs)
 	if rep.SourceCount != 5 {
 		t.Errorf("SourceCount = %d, want 5", rep.SourceCount)
 	}
@@ -63,7 +72,7 @@ func TestReconcileRangesMultiProducer(t *testing.T) {
 // its own range, Base+1 and Base+Count are inside, Base+Count+1 is out.
 func TestReconcileRangesBoundaries(t *testing.T) {
 	ranges := []KeyRange{{Base: 10, Count: 5}} // keys 11..15
-	rep := ReconcileRanges(ranges, keysOf(10, 11, 15, 16))
+	rep := reconcileRanges(ranges, keysOf(10, 11, 15, 16))
 	if rep.Foreign != 2 {
 		t.Errorf("Foreign = %d, want 2 (keys 10 and 16)", rep.Foreign)
 	}
@@ -72,7 +81,7 @@ func TestReconcileRangesBoundaries(t *testing.T) {
 	}
 	// Adjacent ranges: 1..3 and 4..6 — key 4 belongs to the second.
 	adj := []KeyRange{{Base: 0, Count: 3}, {Base: 3, Count: 3}}
-	rep = ReconcileRanges(adj, keysOf(3, 4))
+	rep = reconcileRanges(adj, keysOf(3, 4))
 	if rep.Foreign != 0 || rep.Distinct != 2 {
 		t.Errorf("adjacent ranges: %+v, want 2 distinct 0 foreign", rep)
 	}

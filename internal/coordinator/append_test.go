@@ -125,7 +125,7 @@ func TestAppendedBytesSurviveScratchReuse(t *testing.T) {
 		// longer to persist), so match records to appends by their unique
 		// offset rather than by position.
 		seen := 0
-		clst.Broker(id).Log(co.Config().OffsetsTopic, 0).Scan(func(e storage.Entry) bool {
+		clst.Broker(id).Log(offsetsTopic, 0).Scan(func(e storage.Entry) bool {
 			rec, err := decodeCommitRecord(e.Record.Payload, "", "")
 			if err != nil {
 				t.Fatalf("broker %d offsets log offset %d: %v", id, e.Offset, err)
@@ -140,7 +140,7 @@ func TestAppendedBytesSurviveScratchReuse(t *testing.T) {
 			t.Fatalf("broker %d offsets log holds %d records, want %d", id, seen, len(wantCommits))
 		}
 		var tids []string
-		clst.Broker(id).Log(tc.TxnConfig().TxnTopic, 0).Scan(func(e storage.Entry) bool {
+		clst.Broker(id).Log(txnTopic, 0).Scan(func(e storage.Entry) bool {
 			rec, err := decodeTxnStateRecord(e.Record.Payload)
 			if err != nil {
 				t.Fatalf("broker %d txn log offset %d: %v", id, e.Offset, err)

@@ -145,7 +145,7 @@ func BenchmarkRebalance(b *testing.B) {
 	if got := co.Stats().CoopFollowUps; got != 0 {
 		b.Fatalf("CoopFollowUps = %d, want 0", got)
 	}
-	if got := co.Generation("g"); got != int32(b.N+1) {
+	if got := co.groups["g"].generation; got != int32(b.N+1) {
 		b.Fatalf("generation = %d, want %d", got, b.N+1)
 	}
 }

@@ -70,7 +70,7 @@ func TestCoopStickyCrashMovesOnlyDeadMembersPartitions(t *testing.T) {
 	if got := co.Stats().CoopFollowUps; got != 0 {
 		t.Fatalf("crash convergence scheduled %d follow-up rebalances, want 0", got)
 	}
-	if got := co.GroupState("g"); got != "Stable" {
+	if got := co.groups["g"].state.String(); got != "Stable" {
 		t.Fatalf("state = %s, want Stable", got)
 	}
 }
@@ -125,7 +125,7 @@ func TestCoopStickyJoinMovesExactlyNewcomersShare(t *testing.T) {
 	if got := co.Stats().CoopFollowUps; got != 1 {
 		t.Fatalf("phase 2 scheduled another follow-up (CoopFollowUps = %d), want 1", got)
 	}
-	if got := co.GroupState("g"); got != "Stable" {
+	if got := co.groups["g"].state.String(); got != "Stable" {
 		t.Fatalf("state = %s, want Stable", got)
 	}
 }
@@ -167,7 +167,7 @@ func TestCommitRacingJoinBarrierRejectedNotDropped(t *testing.T) {
 	if n0.Err != wire.ErrNone {
 		t.Fatalf("rejoin: %s", n0.Err)
 	}
-	if got := co.GroupState("g"); got != "CompletingRebalance" {
+	if got := co.groups["g"].state.String(); got != "CompletingRebalance" {
 		t.Fatalf("state = %s, want CompletingRebalance", got)
 	}
 	raced := commit(co, "g", r0.MemberID, n0.Generation, 0, 9)

@@ -31,58 +31,39 @@ import (
 	"kafkarel/internal/wire"
 )
 
-// DefaultOffsetsTopic is the internal offsets-log topic name.
-const DefaultOffsetsTopic = "__consumer_offsets"
+// offsetsTopic is the internal offsets-log topic name.
+const offsetsTopic = "__consumer_offsets"
+
+// rebalanceDelay is the cadence at which a pending rebalance checks
+// whether every member has rejoined. It also bounds how quickly an
+// all-members-ready rebalance completes. A rebalance waits at most
+// Config.SessionTimeout for stragglers before evicting them.
+const rebalanceDelay = 5 * time.Millisecond
 
 // Config tunes the coordinator.
 type Config struct {
-	// OffsetsTopic names the internal offsets log (default
-	// DefaultOffsetsTopic).
-	OffsetsTopic string
 	// OffsetsReplication is the offsets topic's replication factor
 	// (default: min(3, brokers), Kafka's offsets.topic.replication.factor
 	// spirit). Running it at 1 under unclean restarts is how committed
 	// offsets get lost — deliberately configurable for chaos campaigns.
 	OffsetsReplication int
-	// OffsetsAcks is the acks mode for offsets-log appends (default
-	// acks=all; acks=1 models pre-KIP-101 era durability).
-	OffsetsAcks wire.RequiredAcks
 	// SessionTimeout is the default member session timeout when a join
 	// does not specify one (default 150ms of virtual time).
 	SessionTimeout time.Duration
-	// RebalanceDelay is the cadence at which a pending rebalance checks
-	// whether every member has rejoined (default 5ms). It also bounds
-	// how quickly an all-members-ready rebalance completes.
-	RebalanceDelay time.Duration
-	// RebalanceTimeout caps how long a rebalance waits for stragglers
-	// before evicting them and completing (default: SessionTimeout).
-	RebalanceTimeout time.Duration
 	// Obs receives the rebalance-duration histogram (entering
 	// PreparingRebalance to the generation bump). Nil disables it.
 	Obs *obs.Obs
 }
 
 func (c *Config) applyDefaults(brokers int) {
-	if c.OffsetsTopic == "" {
-		c.OffsetsTopic = DefaultOffsetsTopic
-	}
 	if c.OffsetsReplication <= 0 {
 		c.OffsetsReplication = 3
 		if brokers < 3 {
 			c.OffsetsReplication = brokers
 		}
 	}
-	if c.OffsetsAcks == wire.AcksNone {
-		c.OffsetsAcks = wire.AcksAll
-	}
 	if c.SessionTimeout <= 0 {
 		c.SessionTimeout = 150 * time.Millisecond
-	}
-	if c.RebalanceDelay <= 0 {
-		c.RebalanceDelay = 5 * time.Millisecond
-	}
-	if c.RebalanceTimeout <= 0 {
-		c.RebalanceTimeout = c.SessionTimeout
 	}
 }
 
@@ -99,7 +80,6 @@ type Stats struct {
 	FencedFetches      uint64 // fenced offset fetches rejected
 	OffsetsAppended    uint64 // records appended to the offsets log
 	OffsetRegressions  uint64 // committed offsets that moved backwards on re-materialization
-	StaticRejoins      uint64 // static-member rejoins served without a rebalance
 	CoopFollowUps      uint64 // cooperative second-phase rebalances distributing freed partitions
 }
 
@@ -113,7 +93,6 @@ type GroupStats struct {
 	Rebalances         uint64
 	SessionExpirations uint64
 	Evictions          uint64
-	StaticRejoins      uint64
 	CoopFollowUps      uint64
 }
 
@@ -156,7 +135,6 @@ func (s groupState) String() string {
 // member is one group member's coordinator-side state.
 type member struct {
 	id             string
-	instanceID     string // static group.instance.id, "" for dynamic members
 	sessionTimeout time.Duration
 	timer          *des.Timer // session expiry
 	assigned       []int32    // current-generation assignment
@@ -170,17 +148,13 @@ type member struct {
 
 // group is one consumer group's state machine.
 type group struct {
-	co         *Coordinator
-	id         string
-	topic      string
-	partitions int32
-	state      groupState
-	generation int32
-	members    map[string]*member
-	// instances maps a static group.instance.id to the member id it
-	// currently owns, letting a bounded restart reclaim its identity and
-	// assignment without triggering a rebalance (KIP-345).
-	instances    map[string]string
+	co           *Coordinator
+	id           string
+	topic        string
+	partitions   int32
+	state        groupState
+	generation   int32
+	members      map[string]*member
 	nextMemberID int
 	rebalanceTmr *des.Timer
 	joinDeadline time.Duration // virtual-time cap for the pending rebalance
@@ -266,7 +240,7 @@ func New(sim *des.Simulator, clst *cluster.Cluster, cfg Config) (*Coordinator, e
 		return nil, fmt.Errorf("coordinator: nil cluster")
 	}
 	cfg.applyDefaults(clst.Brokers())
-	if err := clst.CreateTopic(cfg.OffsetsTopic, 1, cfg.OffsetsReplication); err != nil {
+	if err := clst.CreateTopic(offsetsTopic, 1, cfg.OffsetsReplication); err != nil {
 		return nil, fmt.Errorf("coordinator: offsets topic: %w", err)
 	}
 	co := &Coordinator{
@@ -307,34 +281,10 @@ func (co *Coordinator) Regressions() []OffsetRegression {
 	return out
 }
 
-// LiveOffsetKeys returns the size of the compacted offsets view — the
-// number of (group, topic, partition) keys a log compactor would
-// retain, vs Stats().OffsetsAppended total appended records.
-func (co *Coordinator) LiveOffsetKeys() int { return len(co.offsets) }
-
-// Generation returns the group's current generation id, or -1 for an
-// unknown group.
-func (co *Coordinator) Generation(groupID string) int32 {
-	if g, ok := co.groups[groupID]; ok {
-		return g.generation
-	}
-	return -1
-}
-
-// GroupState returns the group's state-machine state name ("Empty",
-// "PreparingRebalance", "CompletingRebalance", "Stable"), or "" for an
-// unknown group.
-func (co *Coordinator) GroupState(groupID string) string {
-	if g, ok := co.groups[groupID]; ok {
-		return g.state.String()
-	}
-	return ""
-}
-
 // available reports whether the offsets log can serve reads and writes
 // — its partition has a live leader.
 func (co *Coordinator) available() bool {
-	return co.clst.Leader(co.cfg.OffsetsTopic, 0) != nil
+	return co.clst.Leader(offsetsTopic, 0) != nil
 }
 
 // HandleJoinGroup admits (or re-admits) a member. done fires when the
@@ -365,7 +315,6 @@ func (co *Coordinator) HandleJoinGroup(req wire.JoinGroupRequest, done func(wire
 			topic:      req.Topic,
 			partitions: int32(len(md.Partitions)),
 			members:    make(map[string]*member),
-			instances:  make(map[string]string),
 		}
 		co.groups[req.Group] = g
 	}
@@ -374,26 +323,16 @@ func (co *Coordinator) HandleJoinGroup(req wire.JoinGroupRequest, done func(wire
 		return
 	}
 	id := req.MemberID
-	if id == "" && req.GroupInstanceID != "" {
-		// A static member restarting with a fresh (empty) member id
-		// reclaims the id its instance already owns.
-		if prev, ok := g.instances[req.GroupInstanceID]; ok {
-			id = prev
-		}
-	}
 	if id == "" {
 		id = fmt.Sprintf("%s-%d", g.id, g.nextMemberID)
 		g.nextMemberID++
 	}
 	m, known := g.members[id]
 	if !known {
-		m = &member{id: id, instanceID: req.GroupInstanceID}
+		m = &member{id: id}
 		mm := m
 		m.timer = des.NewTimer(co.sim, func() { g.expireSession(mm) })
 		g.members[id] = m
-		if req.GroupInstanceID != "" {
-			g.instances[req.GroupInstanceID] = id
-		}
 		co.stats.Joins++
 		g.gstats.Joins++
 	}
@@ -404,32 +343,6 @@ func (co *Coordinator) HandleJoinGroup(req wire.JoinGroupRequest, done func(wire
 	m.timer.Reset(m.sessionTimeout)
 	m.protocol = req.Protocol
 	m.owned = append(m.owned[:0], req.OwnedPartitions...)
-	// Static-member fast path (KIP-345): a known instance rejoining a
-	// Stable group inside its session timeout keeps its member id and
-	// assignment, and the group skips the rebalance entirely — the whole
-	// point of static membership is that bounded restarts cost zero
-	// generation bumps.
-	if req.GroupInstanceID != "" && known && g.state == stateStable {
-		co.stats.StaticRejoins++
-		g.gstats.StaticRejoins++
-		if done != nil {
-			ids := make([]string, 0, len(g.members))
-			for mid := range g.members {
-				ids = append(ids, mid)
-			}
-			sort.Strings(ids)
-			done(wire.JoinGroupResponse{
-				CorrelationID: req.CorrelationID,
-				Group:         g.id,
-				Generation:    g.generation,
-				MemberID:      m.id,
-				Leader:        ids[0],
-				Members:       ids,
-				Err:           wire.ErrNone,
-			})
-		}
-		return
-	}
 	// Park the join; it completes when the rebalance barrier opens. A
 	// second join from the same member supersedes the first.
 	if m.pendingJoin != nil {
@@ -615,8 +528,8 @@ func (co *Coordinator) HandleOffsetCommit(req wire.OffsetCommitRequest, done fun
 func (co *Coordinator) appendCommit(j *commitJob) {
 	co.log.scratch = appendCommitRecord(co.log.scratch[:0], j.rec)
 	co.log.append(wire.ProduceRequest{
-		Topic: co.cfg.OffsetsTopic,
-		Acks:  co.cfg.OffsetsAcks,
+		Topic: offsetsTopic,
+		Acks:  wire.AcksAll,
 	}, wire.Record{
 		Key:       compactionKey(j.key.group, j.key.topic, j.key.partition),
 		Timestamp: co.sim.Now(),
@@ -728,14 +641,14 @@ func (co *Coordinator) HandleOffsetFetch(req wire.OffsetFetchRequest, done func(
 // every broker fail/crash/recover; it is idempotent and cheap when
 // nothing changed.
 func (co *Coordinator) Rematerialize() {
-	leader := co.clst.Leader(co.cfg.OffsetsTopic, 0)
+	leader := co.clst.Leader(offsetsTopic, 0)
 	if leader == nil {
 		// Leaderless offsets partition: the coordinator is unavailable
 		// (commits and fetches fail fast) but keeps its cache — real
 		// coordinators reload only once the log is back.
 		return
 	}
-	log := leader.Log(co.cfg.OffsetsTopic, 0)
+	log := leader.Log(offsetsTopic, 0)
 	if log == nil {
 		return
 	}

@@ -83,7 +83,7 @@ func TestJoinSyncLifecycle(t *testing.T) {
 	if len(a0)+len(a1) != 4 {
 		t.Fatalf("assignments %v + %v do not cover 4 partitions", a0, a1)
 	}
-	if got := co.GroupState("g"); got != "Stable" {
+	if got := co.groups["g"].state.String(); got != "Stable" {
 		t.Fatalf("state = %s, want Stable", got)
 	}
 	// Partitions must be disjoint contiguous ranges, earlier member larger.
@@ -175,7 +175,7 @@ func TestSessionExpiryRebalances(t *testing.T) {
 	hb := des.NewTicker(sim, 30*time.Millisecond, func() {})
 	var rejoined *wire.JoinGroupResponse
 	des.NewTicker(sim, 30*time.Millisecond, func() {
-		co.HandleHeartbeat(wire.HeartbeatRequest{Group: "g", MemberID: r0.MemberID, Generation: co.Generation("g")},
+		co.HandleHeartbeat(wire.HeartbeatRequest{Group: "g", MemberID: r0.MemberID, Generation: co.groups["g"].generation},
 			func(resp wire.HeartbeatResponse) {
 				if resp.Err == wire.ErrRebalanceInProgress && rejoined == nil {
 					rejoined = join(co, "g", r0.MemberID)
@@ -213,9 +213,11 @@ func TestRematerializeDetectsRegression(t *testing.T) {
 	if err := clst.CreateTopic("stream", 2, 3); err != nil {
 		t.Fatal(err)
 	}
-	// Offsets log at replication 1 and acks=1: the canonical
-	// lose-committed-offsets setup.
-	co, err := New(sim, clst, Config{OffsetsReplication: 1, OffsetsAcks: wire.AcksLeader})
+	// Offsets log at replication 1: the canonical lose-committed-offsets
+	// setup. The coordinator always appends with acks=all; with the leader
+	// the only replica that is acks=1 — the commit is acknowledged on the
+	// leader's append, before any fsync.
+	co, err := New(sim, clst, Config{OffsetsReplication: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,8 +265,8 @@ func TestCompactedMaterializedView(t *testing.T) {
 	if st.OffsetsAppended != 50 {
 		t.Fatalf("appended = %d, want 50", st.OffsetsAppended)
 	}
-	if co.LiveOffsetKeys() != 1 {
-		t.Fatalf("live keys = %d, want 1 (last write wins per key)", co.LiveOffsetKeys())
+	if len(co.offsets) != 1 {
+		t.Fatalf("live keys = %d, want 1 (last write wins per key)", len(co.offsets))
 	}
 	if f := fetchOffset(co, "g", 0); f.Offset != 50 {
 		t.Fatalf("fetch offset = %d, want 50", f.Offset)
@@ -291,5 +293,83 @@ func TestOffsetLogRecordRoundTrip(t *testing.T) {
 	}
 	if compactionKey("a", "bc", 0) == compactionKey("ab", "c", 0) {
 		t.Fatal("compaction key ignores the group/topic boundary")
+	}
+}
+
+// TestDynamicRestartRebalances: a member restarting with a fresh
+// (empty) member id is a brand-new member and forces a rebalance.
+func TestDynamicRestartRebalances(t *testing.T) {
+	sim, _, co := rig(t, Config{SessionTimeout: time.Second})
+	r0 := join(co, "g", "")
+	r1 := join(co, "g", "")
+	sim.RunUntil(50 * time.Millisecond)
+	sync(t, co, "g", r0.MemberID, r0.Generation)
+	sync(t, co, "g", r1.MemberID, r1.Generation)
+	rebalances := co.Stats().Rebalances
+
+	// A dynamic member's restart joins as a stranger; the incumbents must
+	// rejoin and the generation bumps.
+	restarted := join(co, "g", "")
+	rejoin0 := join(co, "g", r0.MemberID)
+	rejoin1 := join(co, "g", r1.MemberID)
+	sim.RunUntil(200 * time.Millisecond)
+	if restarted.Err != wire.ErrNone || rejoin0.Err != wire.ErrNone || rejoin1.Err != wire.ErrNone {
+		t.Fatalf("joins: %s / %s / %s", restarted.Err, rejoin0.Err, rejoin1.Err)
+	}
+	if restarted.Generation != r0.Generation+1 {
+		t.Fatalf("generation %d after dynamic restart, want %d", restarted.Generation, r0.Generation+1)
+	}
+	if got := co.Stats().Rebalances; got != rebalances+1 {
+		t.Fatalf("rebalances %d -> %d, want one more", rebalances, got)
+	}
+}
+
+// TestEvictionRaceCommitFencedWithIllegalGeneration pins the fencing
+// order when a session-timeout eviction races an in-flight commit: the
+// evicted member's commit, arriving after the eviction's rebalance
+// completed, must see ILLEGAL_GENERATION — the drop-the-offset signal —
+// and not UNKNOWN_MEMBER_ID, which clients treat as "rejoin and retry
+// the commit" and would re-land an offset the member no longer owns.
+func TestEvictionRaceCommitFencedWithIllegalGeneration(t *testing.T) {
+	sim, _, co := rig(t, Config{SessionTimeout: 100 * time.Millisecond})
+	r0 := join(co, "g", "")
+	r1 := join(co, "g", "")
+	sim.RunUntil(50 * time.Millisecond)
+	sync(t, co, "g", r0.MemberID, r0.Generation)
+	sync(t, co, "g", r1.MemberID, r1.Generation)
+
+	// Member 0 stays alive and rejoins when the eviction of member 1
+	// (which stops heartbeating) forces a rebalance.
+	var rejoined *wire.JoinGroupResponse
+	tick := des.NewTicker(sim, 30*time.Millisecond, func() {
+		co.HandleHeartbeat(wire.HeartbeatRequest{Group: "g", MemberID: r0.MemberID, Generation: co.groups["g"].generation},
+			func(resp wire.HeartbeatResponse) {
+				if resp.Err == wire.ErrRebalanceInProgress && rejoined == nil {
+					rejoined = join(co, "g", r0.MemberID)
+				}
+			})
+	})
+	sim.RunUntil(500 * time.Millisecond)
+	tick.Stop()
+	if co.Stats().SessionExpirations != 1 {
+		t.Fatalf("expirations = %d, want 1", co.Stats().SessionExpirations)
+	}
+	if rejoined == nil || rejoined.Err != wire.ErrNone {
+		t.Fatalf("survivor did not rejoin: %+v", rejoined)
+	}
+	if rejoined.Generation == r1.Generation {
+		t.Fatal("rebalance did not bump the generation")
+	}
+
+	// The evicted member's in-flight commit finally arrives, carrying the
+	// old generation. It is both stale-generation AND unknown-member; the
+	// generation check must win.
+	cr := commit(co, "g", r1.MemberID, r1.Generation, 0, 99)
+	if cr.Err != wire.ErrIllegalGeneration {
+		t.Fatalf("evicted member's commit = %s, want ILLEGAL_GENERATION", cr.Err)
+	}
+	// And the offset must not have landed.
+	if f := fetchOffset(co, "g", 0); f.Err != wire.ErrNoCommittedOffset {
+		t.Fatalf("fenced commit landed an offset: %+v", f)
 	}
 }

@@ -17,11 +17,11 @@ import (
 // Entering PreparingRebalance opens a join barrier: every live member
 // must rejoin (members learn via ErrRebalanceInProgress on heartbeats
 // and commits). The barrier closes when all members have rejoined —
-// checked every RebalanceDelay — or at RebalanceTimeout, when
-// stragglers are evicted. Closing the barrier bumps the generation,
-// computes range assignments, and answers the parked joins; members
-// then SyncGroup to fetch their assignment, and the group is Stable
-// once every member has synced.
+// checked every rebalanceDelay — or after the coordinator's
+// SessionTimeout, when stragglers are evicted. Closing the barrier bumps
+// the generation, computes range assignments, and answers the parked
+// joins; members then SyncGroup to fetch their assignment, and the group
+// is Stable once every member has synced.
 
 // prepareRebalance moves the group into PreparingRebalance (or, if
 // already there, re-checks the barrier). Joins parked before the
@@ -30,17 +30,17 @@ func (g *group) prepareRebalance() {
 	if g.state != statePreparingRebalance {
 		g.state = statePreparingRebalance
 		g.rebalanceAt = g.co.sim.Now()
-		g.joinDeadline = g.co.sim.Now() + g.co.cfg.RebalanceTimeout
+		g.joinDeadline = g.co.sim.Now() + g.co.cfg.SessionTimeout
 		for _, m := range g.members {
 			m.joined = m.pendingJoin != nil
 		}
 		if g.rebalanceTmr == nil {
 			g.rebalanceTmr = des.NewTimer(g.co.sim, g.rebalanceTick)
 		}
-		g.rebalanceTmr.Reset(g.co.cfg.RebalanceDelay)
+		g.rebalanceTmr.Reset(rebalanceDelay)
 	}
 	// The group's very first rebalance holds the barrier open for one
-	// full RebalanceDelay window — even as later joins arrive and the
+	// full rebalanceDelay window — even as later joins arrive and the
 	// barrier is momentarily "all joined" — so simultaneous initial
 	// joins batch into a single generation instead of one generation
 	// per joiner (Kafka's group.initial.rebalance.delay.ms).
@@ -60,7 +60,7 @@ func (g *group) rebalanceTick() {
 		g.completeJoin()
 		return
 	}
-	g.rebalanceTmr.Reset(g.co.cfg.RebalanceDelay)
+	g.rebalanceTmr.Reset(rebalanceDelay)
 }
 
 // completeJoin closes the join barrier: evict members that never
@@ -255,9 +255,6 @@ func (g *group) expireSession(m *member) {
 func (g *group) removeMember(m *member) {
 	m.timer.Stop()
 	delete(g.members, m.id)
-	if m.instanceID != "" && g.instances[m.instanceID] == m.id {
-		delete(g.instances, m.instanceID)
-	}
 	if m.pendingJoin != nil {
 		done := m.pendingJoin
 		m.pendingJoin = nil

@@ -27,8 +27,12 @@ import (
 // coordinator simply re-issues whatever has not been acknowledged,
 // on a retry cadence and again after every topology change.
 
-// DefaultTxnTopic is the internal transaction-state topic name.
-const DefaultTxnTopic = "__transaction_state"
+// txnTopic is the internal transaction-state topic name.
+const txnTopic = "__transaction_state"
+
+// txnRetryBackoff is the re-drive cadence for unacknowledged marker,
+// offset, and state-log writes.
+const txnRetryBackoff = 10 * time.Millisecond
 
 // txnProducerIDBase offsets coordinator-assigned producer ids away from
 // the ids hand-configured on plain idempotent producers.
@@ -36,42 +40,25 @@ const txnProducerIDBase = 1 << 32
 
 // TxnConfig tunes the transaction coordinator.
 type TxnConfig struct {
-	// TxnTopic names the internal transaction-state log (default
-	// DefaultTxnTopic).
-	TxnTopic string
 	// TxnReplication is the state topic's replication factor (default
 	// min(3, brokers), Kafka's transaction.state.log.replication.factor
 	// spirit).
 	TxnReplication int
-	// TxnAcks is the acks mode for state-log appends (default acks=all).
-	TxnAcks wire.RequiredAcks
 	// DefaultTxnTimeout bounds how long a transaction may stay open
 	// before the coordinator aborts it (default 100ms of virtual time);
 	// producers may request a shorter or longer bound per id.
 	DefaultTxnTimeout time.Duration
-	// RetryBackoff is the re-drive cadence for unacknowledged marker,
-	// offset, and state-log writes (default 10ms).
-	RetryBackoff time.Duration
 }
 
 func (c *TxnConfig) applyDefaults(brokers int) {
-	if c.TxnTopic == "" {
-		c.TxnTopic = DefaultTxnTopic
-	}
 	if c.TxnReplication <= 0 {
 		c.TxnReplication = 3
 		if brokers < 3 {
 			c.TxnReplication = brokers
 		}
 	}
-	if c.TxnAcks == wire.AcksNone {
-		c.TxnAcks = wire.AcksAll
-	}
 	if c.DefaultTxnTimeout <= 0 {
 		c.DefaultTxnTimeout = 100 * time.Millisecond
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 10 * time.Millisecond
 	}
 }
 
@@ -153,7 +140,7 @@ func NewTxn(sim *des.Simulator, clst *cluster.Cluster, groupCo *Coordinator, cfg
 		return nil, fmt.Errorf("coordinator: nil cluster")
 	}
 	cfg.applyDefaults(clst.Brokers())
-	if err := clst.CreateTopic(cfg.TxnTopic, 1, cfg.TxnReplication); err != nil {
+	if err := clst.CreateTopic(txnTopic, 1, cfg.TxnReplication); err != nil {
 		return nil, fmt.Errorf("coordinator: txn topic: %w", err)
 	}
 	tc := &TxnCoordinator{
@@ -169,30 +156,8 @@ func NewTxn(sim *des.Simulator, clst *cluster.Cluster, groupCo *Coordinator, cfg
 	return tc, nil
 }
 
-// TxnConfig returns the effective (defaulted) configuration.
-func (tc *TxnCoordinator) TxnConfig() TxnConfig { return tc.cfg }
-
 // Stats returns the activity counters.
 func (tc *TxnCoordinator) Stats() TxnStats { return tc.stats }
-
-// State returns a transaction's current state name, for tests.
-func (tc *TxnCoordinator) State(tid string) string {
-	t, ok := tc.txns[tid]
-	if !ok {
-		return ""
-	}
-	switch t.state {
-	case txnEmpty:
-		return "Empty"
-	case txnOngoing:
-		return "Ongoing"
-	case txnPrepareCommit:
-		return "PrepareCommit"
-	case txnPrepareAbort:
-		return "PrepareAbort"
-	}
-	return fmt.Sprintf("state(%d)", t.state)
-}
 
 // fenceCheck validates a request's producer identity against the
 // transaction. A stale epoch is a zombie (fatal ErrProducerFenced); a
@@ -593,7 +558,7 @@ func (tc *TxnCoordinator) armRetry(t *txn) {
 		tt := t
 		t.retryTimer = des.NewTimer(tc.sim, func() { tc.retryFire(tt) })
 	}
-	t.retryTimer.Reset(tc.cfg.RetryBackoff)
+	t.retryTimer.Reset(txnRetryBackoff)
 }
 
 func (tc *TxnCoordinator) retryFire(t *txn) {
@@ -649,8 +614,8 @@ func (tc *TxnCoordinator) appendRecord(rec txnRecord, cb func(wire.ErrorCode)) {
 	tc.log.scratch = appendTxnStateRecord(tc.log.scratch[:0], rec)
 	acked := false
 	tc.log.append(wire.ProduceRequest{
-		Topic: tc.cfg.TxnTopic,
-		Acks:  tc.cfg.TxnAcks,
+		Topic: txnTopic,
+		Acks:  wire.AcksAll,
 	}, wire.Record{
 		Key:       txnCompactionKey(rec.Tid),
 		Timestamp: tc.sim.Now(),
@@ -674,11 +639,11 @@ func (tc *TxnCoordinator) appendRecord(rec txnRecord, cb func(wire.ErrorCode)) {
 // restarted coordinator would rebuild. Exposed for tests and the chaos
 // verifier to check the log against the live state machine.
 func (tc *TxnCoordinator) MaterializedState() map[string]string {
-	leader := tc.clst.Leader(tc.cfg.TxnTopic, 0)
+	leader := tc.clst.Leader(txnTopic, 0)
 	if leader == nil {
 		return nil
 	}
-	log := leader.Log(tc.cfg.TxnTopic, 0)
+	log := leader.Log(txnTopic, 0)
 	if log == nil {
 		return nil
 	}

@@ -66,8 +66,8 @@ func TestTrainReachesPaperMAE(t *testing.T) {
 	if m.MAE >= 0.02 {
 		t.Fatalf("MAE = %v, want < 0.02 (the paper's bar); per-semantics: %+v", m.MAE, m.PerSemantics)
 	}
-	if len(p.Semantics()) != 2 {
-		t.Errorf("semantics models = %v", p.Semantics())
+	if len(p.models) != 2 {
+		t.Errorf("semantics models = %d", len(p.models))
 	}
 	for sem, sm := range m.PerSemantics {
 		if sm.TrainSamples == 0 || sm.TestSamples == 0 {

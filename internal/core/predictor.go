@@ -62,15 +62,6 @@ type Predictor struct {
 	models map[int]*semModel
 }
 
-// Semantics lists the semantics codes the predictor has models for.
-func (p *Predictor) Semantics() []int {
-	out := make([]int, 0, len(p.models))
-	for s := range p.models {
-		out = append(out, s)
-	}
-	return out
-}
-
 // Predict returns P̂_l and P̂_d for the vector. Predictions are clamped
 // to [0, 1] by the sigmoid output layer; at-most-once P̂_d is identically
 // zero.

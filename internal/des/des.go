@@ -17,27 +17,18 @@ import (
 	"kafkarel/internal/obs"
 )
 
-// ErrStopped is returned by Run when the simulation was halted by Stop
-// before the event queue drained.
+// ErrStopped is returned by RunLimit when the event limit was hit before
+// the event queue drained.
 var ErrStopped = errors.New("des: simulation stopped")
 
 // Event is the cancelable handle returned by Schedule and After.
 type Event struct {
-	at       time.Duration
-	fn       func()
-	slot     int32 // index into Simulator.slots while pending, else noSlot
-	canceled bool
+	fn   func()
+	slot int32 // index into Simulator.slots while pending, else noSlot
 }
 
 // noSlot marks a handle (Event, Timer, Ticker) with nothing pending.
 const noSlot = -1
-
-// At reports the virtual time the event is (or was) scheduled to fire.
-func (e *Event) At() time.Duration { return e.at }
-
-// Canceled reports whether Cancel removed the event before it fired.
-// Events that already fired are never marked canceled.
-func (e *Event) Canceled() bool { return e.canceled }
 
 // Simulator owns the virtual clock and the pending-event queue.
 // The zero value is ready to use.
@@ -54,10 +45,9 @@ func (e *Event) Canceled() bool { return e.canceled }
 // Do not fold the callback (or any other pointer) back into item, and
 // do not reintroduce container/heap.
 type Simulator struct {
-	now     time.Duration
-	seq     uint64
-	stopped bool
-	fired   uint64
+	now   time.Duration
+	seq   uint64
+	fired uint64
 
 	heap  []item  // pending events in heap order
 	pos   []int32 // slot -> index in heap (meaningful while pending)
@@ -123,12 +113,6 @@ func (s *Simulator) Instrument(o *obs.Obs) {
 // Now returns the current virtual time.
 func (s *Simulator) Now() time.Duration { return s.now }
 
-// Fired returns the number of events executed so far.
-func (s *Simulator) Fired() uint64 { return s.fired }
-
-// Pending returns the number of events currently scheduled.
-func (s *Simulator) Pending() int { return len(s.heap) }
-
 // Reset returns the simulator to its initial state — clock at zero, empty
 // queue, sequence counter rewound — while keeping allocated capacity (the
 // heap, the slot table and its free list). A worker can therefore reuse
@@ -144,7 +128,6 @@ func (s *Simulator) Reset() {
 	s.now = 0
 	s.seq = 0
 	s.fired = 0
-	s.stopped = false
 	s.cFired = nil
 	s.gQueueMax = nil
 }
@@ -276,7 +259,7 @@ func (s *Simulator) Schedule(at time.Duration, fn func()) *Event {
 	if fn == nil {
 		panic("des: schedule with nil callback")
 	}
-	e := &Event{at: at, fn: fn}
+	e := &Event{fn: fn}
 	e.slot = s.schedule(at, fireEvent, e)
 	return e
 }
@@ -317,23 +300,16 @@ func (s *Simulator) AfterFunc(d time.Duration, fn func(any), arg any) {
 }
 
 // Cancel removes a pending event and reports whether it did. Canceling an
-// event that already fired (or was already canceled) returns false and
-// leaves the event unmarked, so Canceled() faithfully reports only events
-// that were removed before firing.
+// event that already fired (or was already canceled) returns false.
 func (s *Simulator) Cancel(e *Event) bool {
 	if e == nil || !s.cancel(e.slot, e) {
 		return false
 	}
 	e.slot = noSlot
-	e.canceled = true
 	return true
 }
 
-// Stop halts a Run in progress after the current event returns.
-func (s *Simulator) Stop() { s.stopped = true }
-
-// Run executes events in timestamp order until the queue is empty or Stop
-// is called. It returns ErrStopped in the latter case.
+// Run executes events in timestamp order until the queue is empty.
 func (s *Simulator) Run() error {
 	return s.run(-1, 0)
 }
@@ -361,7 +337,6 @@ const yieldEvery = 1024
 func (s *Simulator) run(deadline time.Duration, limit uint64) error {
 	running.Add(1)
 	defer running.Add(-1) // deferred: a panicking callback must not leak the count
-	s.stopped = false
 	executed := uint64(0)
 	// Track the queue high-water mark in a local and publish it once at
 	// the end: one store per run instead of one per event.
@@ -370,10 +345,6 @@ func (s *Simulator) run(deadline time.Duration, limit uint64) error {
 	for len(s.heap) > 0 {
 		if n := len(s.heap); n > qmax {
 			qmax = n
-		}
-		if s.stopped {
-			err = ErrStopped
-			break
 		}
 		if limit > 0 && executed >= limit {
 			err = ErrStopped

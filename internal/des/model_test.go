@@ -164,9 +164,9 @@ func (h *harness) newTicker(period time.Duration, limit int) {
 func (h *harness) check(op string) {
 	h.t.Helper()
 	s, m := h.sim, h.m
-	if s.Now() != m.now || s.Fired() != m.fired || s.Pending() != len(m.pending) {
+	if s.Now() != m.now || s.fired != m.fired || len(s.heap) != len(m.pending) {
 		h.t.Fatalf("%s: now/fired/pending = %v/%d/%d, model %v/%d/%d",
-			op, s.Now(), s.Fired(), s.Pending(), m.now, m.fired, len(m.pending))
+			op, s.Now(), s.fired, len(s.heap), m.now, m.fired, len(m.pending))
 	}
 	if len(h.log) != len(m.log) {
 		h.t.Fatalf("%s: fired %d events, model %d", op, len(h.log), len(m.log))
@@ -204,7 +204,7 @@ func (h *harness) cancelAt(i int) {
 	case *Event:
 		for n, e := range h.events {
 			if e == owner {
-				if !h.sim.Cancel(e) || !e.Canceled() || !h.m.cancel(who{'e', n}) {
+				if !h.sim.Cancel(e) || !h.m.cancel(who{'e', n}) {
 					h.t.Fatalf("cancel of pending event %d at heap[%d] failed", n, i)
 				}
 			}
@@ -269,9 +269,6 @@ func modelRandomInterleavings(t *testing.T) (yields uint64) {
 				at := s.Now() + delay()
 				h.events[n] = s.Schedule(at, h.eventFn(n))
 				m.schedule(at, who{'e', n})
-				if h.events[n].At() != at {
-					t.Fatalf("At() = %v, want %v", h.events[n].At(), at)
-				}
 			case k < 24: // After, negative delays clamp to now
 				n := h.nextID
 				h.nextID++
@@ -301,20 +298,16 @@ func modelRandomInterleavings(t *testing.T) (yields uint64) {
 					continue
 				}
 				want := m.cancel(who{'e', n})
-				was := e.Canceled()
 				if got := s.Cancel(e); got != want {
 					t.Fatalf("seed %d: Cancel(event %d) = %v, model %v", seed, n, got, want)
 				}
-				if e.Canceled() != (was || want) {
-					t.Fatalf("seed %d: event %d Canceled() = %v after Cancel = %v", seed, n, e.Canceled(), want)
-				}
 			case k < 56: // cancel the heap root
-				if s.Pending() > 0 {
+				if len(s.heap) > 0 {
 					h.cancelAt(0)
 				}
 			case k < 60: // cancel the heap's last element
-				if s.Pending() > 0 {
-					h.cancelAt(s.Pending() - 1)
+				if len(s.heap) > 0 {
+					h.cancelAt(len(s.heap) - 1)
 				}
 			case k < 72: // Timer.Reset, sometimes self re-arming
 				n := rng.IntN(len(h.timers))
@@ -411,7 +404,7 @@ func TestStaleHandleCannotCancelSlotSuccessor(t *testing.T) {
 	if successor.slot != 0 {
 		t.Fatalf("successor took slot %d, want the recycled slot 0", successor.slot)
 	}
-	if sim.Cancel(old) || old.Canceled() {
+	if sim.Cancel(old) {
 		t.Error("stale handle canceled its slot's successor")
 	}
 	if err := sim.Run(); err != nil {

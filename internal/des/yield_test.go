@@ -58,8 +58,8 @@ func TestRunYieldsOnlyWhenSimulationsHoldEveryP(t *testing.T) {
 	if err := crowded.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if crowded.Fired() != n || crowded.yields != n/yieldEvery {
-		t.Errorf("one simulator on one P: %d yields in %d events, want %d", crowded.yields, crowded.Fired(), n/yieldEvery)
+	if crowded.fired != n || crowded.yields != n/yieldEvery {
+		t.Errorf("one simulator on one P: %d yields in %d events, want %d", crowded.yields, crowded.fired, n/yieldEvery)
 	}
 
 	runtime.GOMAXPROCS(2)
@@ -86,7 +86,7 @@ func TestRunYieldsOnlyWhenSimulationsHoldEveryP(t *testing.T) {
 				seen = true
 				yielded.Add(1)
 			}
-			return yielded.Load() < 2 && sim.Fired() < eventCap
+			return yielded.Load() < 2 && sim.fired < eventCap
 		})
 		wg.Add(1)
 		go func() {
@@ -99,7 +99,7 @@ func TestRunYieldsOnlyWhenSimulationsHoldEveryP(t *testing.T) {
 	wg.Wait()
 	for i, sim := range sims {
 		if sim.yields == 0 {
-			t.Errorf("simulator %d of two on two Ps never yielded in %d events", i, sim.Fired())
+			t.Errorf("simulator %d of two on two Ps never yielded in %d events", i, sim.fired)
 		}
 	}
 }
@@ -111,12 +111,6 @@ func TestRunningCountReturnsToZero(t *testing.T) {
 		"Run":      func(s *Simulator) { _ = s.Run() },
 		"RunUntil": func(s *Simulator) { _ = s.RunUntil(time.Millisecond) },
 		"RunLimit": func(s *Simulator) { _ = s.RunLimit(3) },
-		"Stop": func(s *Simulator) {
-			s.After(0, s.Stop)
-			if err := s.Run(); err != ErrStopped {
-				t.Errorf("Run after Stop = %v, want ErrStopped", err)
-			}
-		},
 		"panic": func(s *Simulator) {
 			defer func() { _ = recover() }()
 			s.After(0, func() { panic("callback") })

@@ -9,9 +9,7 @@
 package dynconf
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 
 	"kafkarel/internal/features"
@@ -138,7 +136,7 @@ func (s *Searcher) Improve(start features.Vector, target float64) (features.Vect
 // ScheduleEntry is one line of the offline configuration file: from At
 // onward the producer runs with Config.
 type ScheduleEntry struct {
-	At     time.Duration `json:"at_ns"`
+	At     time.Duration
 	Config features.Vector
 	Score  kpi.Breakdown
 }
@@ -193,31 +191,6 @@ func GenerateSchedule(s *Searcher, trace netem.Trace, stream features.Vector, ta
 func sameConfig(a, b features.Vector) bool {
 	return a.Semantics == b.Semantics && a.BatchSize == b.BatchSize &&
 		a.PollInterval == b.PollInterval && a.MessageTimeout == b.MessageTimeout
-}
-
-// WriteSchedule persists a schedule as JSON (the paper's dynamic
-// configuration file).
-func WriteSchedule(w io.Writer, entries []ScheduleEntry) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(entries); err != nil {
-		return fmt.Errorf("dynconf: write schedule: %w", err)
-	}
-	return nil
-}
-
-// ReadSchedule parses a schedule written by WriteSchedule.
-func ReadSchedule(r io.Reader) ([]ScheduleEntry, error) {
-	var out []ScheduleEntry
-	if err := json.NewDecoder(r).Decode(&out); err != nil {
-		return nil, fmt.Errorf("dynconf: read schedule: %w", err)
-	}
-	for i, e := range out {
-		if err := e.Config.Validate(); err != nil {
-			return nil, fmt.Errorf("dynconf: schedule entry %d: %w", i, err)
-		}
-	}
-	return out, nil
 }
 
 // ToConfigChanges converts schedule entries into testbed reconfiguration

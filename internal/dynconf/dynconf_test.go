@@ -1,7 +1,6 @@
 package dynconf
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -239,34 +238,6 @@ func TestGenerateScheduleValidation(t *testing.T) {
 	}
 	if _, err := GenerateSchedule(s, testTrace(t), startVector(), 0.5, 0); err == nil {
 		t.Error("zero interval accepted")
-	}
-}
-
-func TestScheduleRoundTrip(t *testing.T) {
-	entries := []ScheduleEntry{
-		{At: 0, Config: startVector()},
-		{At: time.Minute, Config: func() features.Vector {
-			v := startVector()
-			v.BatchSize = 5
-			return v
-		}()},
-	}
-	var buf bytes.Buffer
-	if err := WriteSchedule(&buf, entries); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSchedule(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[1].Config.BatchSize != 5 || got[1].At != time.Minute {
-		t.Errorf("round trip = %+v", got)
-	}
-	if _, err := ReadSchedule(bytes.NewBufferString("nope")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := ReadSchedule(bytes.NewBufferString(`[{"at_ns":0}]`)); err == nil {
-		t.Error("invalid config accepted")
 	}
 }
 

@@ -53,12 +53,6 @@ type Options struct {
 	Seed uint64
 	// TraceSpec parameterises the Fig. 9 network (zero value: default).
 	TraceSpec netem.TraceSpec
-	// Target is the γ requirement; 0 selects a per-profile default
-	// (the paper: "If γ is less than the user-defined requirement, the
-	// parameters should be adjusted"). Completeness-heavy weight profiles
-	// need a higher bar, since γ ≈ ω3·(1−P_l) tolerates more loss at a
-	// fixed target when ω3 dominates.
-	Target float64
 	// Interval is the reconfiguration check period (default 60 s).
 	Interval time.Duration
 	// Predictor, when non-nil, skips training (otherwise TrainMessages
@@ -116,9 +110,12 @@ func TrainingGrid(messageSize int, timeliness time.Duration) []features.Vector {
 	return grid
 }
 
-// profileTarget returns the default γ requirement for a stream profile:
-// the bar is set so the implied loss tolerance ω3·P_l is comparable
-// across weight profiles.
+// profileTarget returns the γ requirement for a stream profile (the
+// paper: "If γ is less than the user-defined requirement, the parameters
+// should be adjusted"). Completeness-heavy weight profiles need a higher
+// bar, since γ ≈ ω3·(1−P_l) tolerates more loss at a fixed target when ω3
+// dominates: the bar is set so the implied loss tolerance ω3·P_l is
+// comparable across weight profiles.
 func profileTarget(p workload.Profile) float64 {
 	switch p.Name {
 	case workload.WebLogs.Name:
@@ -194,10 +191,7 @@ func TableIIContext(ctx context.Context, profiles []workload.Profile, opts Optio
 			return nil, fmt.Errorf("dynconf: %s: %w", profile.Name, err)
 		}
 
-		target := opts.Target
-		if target == 0 {
-			target = profileTarget(profile)
-		}
+		target := profileTarget(profile)
 		base := DefaultVector(profile)
 		say(fmt.Sprintf("generating schedule for %s...", profile.Name))
 		schedule, err := GenerateSchedule(searcher, trace, base, target, opts.Interval)

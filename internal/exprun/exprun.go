@@ -15,54 +15,24 @@
 //   - MapOrdered additionally streams each result to a callback in input
 //     order as soon as its prefix has completed, without buffering the
 //     whole result set;
-//   - on failure, collect mode joins every error in index order, which is
-//     fully deterministic; fail-fast returns the lowest-index error among
-//     the tasks that actually ran (cancellation may keep later-queued
-//     tasks from running at all, and which ones depends on scheduling).
+//   - a failure cancels the tasks still queued, and the lowest-index
+//     error among the tasks that actually ran is returned (cancellation
+//     may keep later-queued tasks from running at all, and which ones
+//     depends on scheduling).
 package exprun
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 )
-
-// Timing records where one task spent its wall time.
-type Timing struct {
-	// Wait is the time between submission (the Map call) and the moment a
-	// worker picked the task up.
-	Wait time.Duration
-	// Run is the time the task function itself took.
-	Run time.Duration
-}
-
-// Hooks observes a run. All callbacks are serialised by an internal
-// mutex, so hook implementations need no locking of their own; they must
-// not block for long. Any hook may be nil.
-type Hooks struct {
-	// OnStart fires when a worker picks task i up.
-	OnStart func(task int)
-	// OnDone fires when task i returns without error.
-	OnDone func(task int, t Timing)
-	// OnError fires when task i returns an error.
-	OnError func(task int, err error)
-}
 
 // Options tunes one Map/MapOrdered call.
 type Options struct {
 	// Workers bounds the pool (<= 0: GOMAXPROCS). A single worker
 	// degenerates to a plain sequential loop over the tasks.
 	Workers int
-	// CollectErrors keeps running after a task fails and returns every
-	// error joined in task order. The default is fail-fast: the first
-	// failure cancels the tasks still queued, and the lowest-index error
-	// among the tasks that did run is returned.
-	CollectErrors bool
-	// Hooks observes task lifecycle events.
-	Hooks Hooks
 	// Progress, when non-nil, is invoked after each task completes
 	// (successfully or not) with the completed count and the total. Calls
 	// are serialised; done is monotone from 1 to total unless the run is
@@ -88,8 +58,7 @@ func (o Options) workers(tasks int) int {
 // results in input order. fn must be a pure function of (index, task):
 // it is called at most once per task, from arbitrary goroutines, and
 // must not depend on execution order. On error the slice returned is
-// nil in fail-fast mode; in CollectErrors mode it holds the successful
-// results (zero values at failed indices) alongside the joined error.
+// nil.
 func Map[T, R any](ctx context.Context, tasks []T, fn func(ctx context.Context, index int, task T) (R, error), opts Options) ([]R, error) {
 	results := make([]R, len(tasks))
 	err := run(ctx, len(tasks), func(ctx context.Context, i int) error {
@@ -100,10 +69,10 @@ func Map[T, R any](ctx context.Context, tasks []T, fn func(ctx context.Context, 
 		results[i] = r
 		return nil
 	}, opts)
-	if err != nil && !opts.CollectErrors {
+	if err != nil {
 		return nil, err
 	}
-	return results, err
+	return results, nil
 }
 
 // MapOrdered runs fn over every task like Map, but instead of returning
@@ -147,8 +116,8 @@ func MapOrdered[T, R any](ctx context.Context, tasks []T, fn func(ctx context.Co
 }
 
 // run is the shared pool: it executes task indices 0..n-1 with bounded
-// workers, cancellation, deterministic error selection and serialised
-// observability callbacks.
+// workers, cancellation, deterministic error selection and a serialised
+// progress callback.
 func run(ctx context.Context, n int, fn func(ctx context.Context, i int) error, opts Options) error {
 	if n == 0 {
 		return ctx.Err()
@@ -160,12 +129,11 @@ func run(ctx context.Context, n int, fn func(ctx context.Context, i int) error, 
 	defer cancel()
 
 	var (
-		mu       sync.Mutex // serialises hooks, progress and error state
+		mu       sync.Mutex // serialises progress and error state
 		done     int
 		taskErrs map[int]error
 	)
-	start := time.Now()
-	finish := func(i int, t Timing, err error) {
+	finish := func(i int, err error) {
 		mu.Lock()
 		defer mu.Unlock()
 		if err != nil {
@@ -173,14 +141,7 @@ func run(ctx context.Context, n int, fn func(ctx context.Context, i int) error, 
 				taskErrs = make(map[int]error)
 			}
 			taskErrs[i] = err
-			if opts.Hooks.OnError != nil {
-				opts.Hooks.OnError(i, err)
-			}
-			if !opts.CollectErrors {
-				cancel()
-			}
-		} else if opts.Hooks.OnDone != nil {
-			opts.Hooks.OnDone(i, t)
+			cancel()
 		}
 		done++
 		if opts.Progress != nil {
@@ -199,19 +160,12 @@ func run(ctx context.Context, n int, fn func(ctx context.Context, i int) error, 
 			// see Scratch for the determinism contract.
 			wctx := context.WithValue(ctx, scratchKey{}, new(Scratch))
 			for i := range indices {
-				picked := time.Now()
 				if ctx.Err() != nil {
 					// Cancelled while queued: the task never ran, so no
 					// completion is recorded for it.
 					continue
 				}
-				if opts.Hooks.OnStart != nil {
-					mu.Lock()
-					opts.Hooks.OnStart(i)
-					mu.Unlock()
-				}
-				err := fn(wctx, i)
-				finish(i, Timing{Wait: picked.Sub(start), Run: time.Since(picked)}, err)
+				finish(i, fn(wctx, i))
 			}
 		}()
 	}
@@ -221,25 +175,13 @@ func run(ctx context.Context, n int, fn func(ctx context.Context, i int) error, 
 	close(indices)
 	wg.Wait()
 
-	if len(taskErrs) > 0 {
-		if opts.CollectErrors {
-			errs := make([]error, 0, len(taskErrs))
-			for i := 0; i < n; i++ {
-				if err, ok := taskErrs[i]; ok {
-					errs = append(errs, err)
-				}
-			}
-			return errors.Join(errs...)
-		}
-		// Fail-fast: report the lowest-index error recorded. With one
-		// worker this is exactly the first failure a sequential loop would
-		// hit; with more, cancellation may have kept an even lower-index
-		// queued task from running, so "lowest recorded" is the strongest
-		// claim available.
-		for i := 0; i < n; i++ {
-			if err, ok := taskErrs[i]; ok {
-				return err
-			}
+	// Report the lowest-index error recorded. With one worker this is
+	// exactly the first failure a sequential loop would hit; with more,
+	// cancellation may have kept an even lower-index queued task from
+	// running, so "lowest recorded" is the strongest claim available.
+	for i := 0; i < n && len(taskErrs) > 0; i++ {
+		if err, ok := taskErrs[i]; ok {
+			return err
 		}
 	}
 	return ctx.Err()

@@ -53,22 +53,7 @@ func (w *CSVWriter) Flush() error {
 	return nil
 }
 
-// WriteCSV writes the dataset with a header row: the encoded feature
-// columns followed by the measured pl and pd.
-func (d Dataset) WriteCSV(w io.Writer) error {
-	cw, err := NewCSVWriter(w)
-	if err != nil {
-		return err
-	}
-	for _, s := range d {
-		if err := cw.Write(s); err != nil {
-			return err
-		}
-	}
-	return cw.Flush()
-}
-
-// ReadCSV parses a dataset written by WriteCSV.
+// ReadCSV parses a dataset written by a CSVWriter.
 func ReadCSV(r io.Reader) (Dataset, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()

@@ -114,17 +114,6 @@ type Sample struct {
 // Dataset is a collection of training samples.
 type Dataset []Sample
 
-// Matrices encodes the dataset as ANN input and target matrices.
-func (d Dataset) Matrices() (x [][]float64, y [][]float64) {
-	x = make([][]float64, 0, len(d))
-	y = make([][]float64, 0, len(d))
-	for _, s := range d {
-		x = append(x, s.X.Encode())
-		y = append(y, []float64{s.Pl, s.Pd})
-	}
-	return x, y
-}
-
 // Split partitions the dataset deterministically into train and test
 // parts with the given test fraction, shuffling by a simple LCG so the
 // split is stable across runs with the same seed.

@@ -2,6 +2,7 @@ package features
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"testing"
 	"testing/quick"
@@ -67,15 +68,30 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// writeCSV writes ds the way cmd/collect does: row by row, then Flush.
+func writeCSV(t *testing.T, w io.Writer, ds Dataset) {
+	t.Helper()
+	cw, err := NewCSVWriter(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range ds {
+		if err := cw.Write(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCSVRoundTrip(t *testing.T) {
 	ds := Dataset{
 		{X: sampleVector(), Pl: 0.63, Pd: 0.01},
 		{X: func() Vector { v := sampleVector(); v.MessageSize = 1000; return v }(), Pl: 0.004, Pd: 0},
 	}
 	var buf bytes.Buffer
-	if err := ds.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
+	writeCSV(t, &buf, ds)
 	got, err := ReadCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -99,23 +115,10 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	ds := Dataset{{X: sampleVector(), Pl: 0.1, Pd: 0}}
-	if err := ds.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
+	writeCSV(t, &buf, ds)
 	corrupted := bytes.Replace(buf.Bytes(), []byte("0.19"), []byte("junk"), 1)
 	if _, err := ReadCSV(bytes.NewBuffer(corrupted)); err == nil {
 		t.Error("non-numeric cell accepted")
-	}
-}
-
-func TestMatrices(t *testing.T) {
-	ds := Dataset{{X: sampleVector(), Pl: 0.5, Pd: 0.1}}
-	x, y := ds.Matrices()
-	if len(x) != 1 || len(x[0]) != Dim {
-		t.Errorf("x shape %dx%d", len(x), len(x[0]))
-	}
-	if len(y) != 1 || y[0][0] != 0.5 || y[0][1] != 0.1 {
-		t.Errorf("y = %v", y)
 	}
 }
 

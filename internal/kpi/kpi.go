@@ -82,18 +82,6 @@ func NewEvaluator(p *core.Predictor, perf *perfmodel.Model, w Weights) (*Evaluat
 	return &Evaluator{predictor: p, perf: perf, weights: w}, nil
 }
 
-// Weights returns the evaluator's weights.
-func (e *Evaluator) Weights() Weights { return e.weights }
-
-// SetWeights swaps the application-specific weights (Table II).
-func (e *Evaluator) SetWeights(w Weights) error {
-	if err := w.Validate(); err != nil {
-		return err
-	}
-	e.weights = w
-	return nil
-}
-
 // Score computes γ and its components for a feature vector.
 func (e *Evaluator) Score(v features.Vector) (Breakdown, error) {
 	rel, err := e.predictor.Predict(v)

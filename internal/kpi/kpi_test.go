@@ -131,9 +131,7 @@ func TestEvaluatorScore(t *testing.T) {
 	}
 	// Reliability-driven ordering: lower loss rate must score higher
 	// under completeness-heavy weights.
-	if err := ev.SetWeights(Weights{0.05, 0.05, 0.85, 0.05}); err != nil {
-		t.Fatal(err)
-	}
+	ev.weights = Weights{0.05, 0.05, 0.85, 0.05}
 	clean := v
 	clean.LossRate = 0
 	bClean, err := ev.Score(clean)
@@ -156,11 +154,8 @@ func TestEvaluatorValidation(t *testing.T) {
 		t.Error("nil models accepted")
 	}
 	ev := trainedEvaluator(t, DefaultWeights())
-	if err := ev.SetWeights(Weights{2, 0, 0, 0}); err == nil {
+	if _, err := NewEvaluator(ev.predictor, ev.perf, Weights{2, 0, 0, 0}); err == nil {
 		t.Error("bad weights accepted")
-	}
-	if got := ev.Weights(); got != DefaultWeights() {
-		t.Errorf("weights mutated by failed SetWeights: %v", got)
 	}
 	if _, err := ev.Score(features.Vector{}); err == nil {
 		t.Error("invalid vector accepted")

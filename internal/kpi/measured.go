@@ -112,21 +112,6 @@ func Compare(predicted, measured Breakdown) testbed.GammaComparison {
 	}
 }
 
-// Evaluate scores the vector with the evaluator (predicted side) and
-// the snapshot with Measured (measured side, same weights), returning
-// the comparison the run report and fleet scorecard render.
-func (e *Evaluator) Evaluate(v features.Vector, m testbed.MetricsSnapshot, duration time.Duration, cal testbed.Calibration) (testbed.GammaComparison, error) {
-	pred, err := e.Score(v)
-	if err != nil {
-		return testbed.GammaComparison{}, err
-	}
-	meas, err := Measured(m, duration, cal, e.weights)
-	if err != nil {
-		return testbed.GammaComparison{}, err
-	}
-	return Compare(pred, meas), nil
-}
-
 func breakdownGamma(b Breakdown) testbed.GammaBreakdown {
 	return testbed.GammaBreakdown{Gamma: b.Gamma, Phi: b.Phi, Mu: b.Mu, Pl: b.Pl, Pd: b.Pd}
 }

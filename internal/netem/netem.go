@@ -7,7 +7,6 @@ package netem
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"time"
 
 	"kafkarel/internal/des"
@@ -21,7 +20,6 @@ type Counters struct {
 	Delivered     uint64 // packets that reached the far end
 	LostRandom    uint64 // dropped by the loss model
 	LostOverflow  uint64 // dropped because the device queue was full
-	Duplicated    uint64 // packets duplicated by the emulator
 	BytesOffered  uint64
 	BytesDelivery uint64
 }
@@ -40,16 +38,6 @@ type Config struct {
 	// QueueLimit bounds the number of packets waiting for serialisation
 	// when Bandwidth > 0. 0 means unlimited.
 	QueueLimit int
-	// AllowReorder lets a packet with a smaller sampled delay overtake an
-	// earlier one. Off by default: a single TCP path through one queue
-	// delivers in order, and that is what the paper's testbed exercises.
-	AllowReorder bool
-	// DuplicateProb duplicates a surviving packet with this probability
-	// (NetEm's "duplicate" knob). The copy takes its own delay sample.
-	DuplicateProb float64
-	// DuplicateRand drives duplication draws; required when
-	// DuplicateProb > 0.
-	DuplicateRand *rand.Rand
 	// Obs attaches the per-run observability bundle. nil disables
 	// metrics and tracing for this link.
 	Obs *obs.Obs
@@ -79,20 +67,18 @@ type Link struct {
 	cLostOverflow *obs.Counter
 	trace         *obs.Tracer
 
-	// freeDel recycles per-copy delivery jobs: a packet in flight costs no
+	// freeDel recycles delivery jobs: a packet in flight costs no
 	// allocation in steady state. Jobs are recycled when they fire; jobs
-	// for dropped copies are never created.
+	// for dropped packets are never created.
 	freeDel []*delivery
 }
 
-// delivery is one scheduled packet copy working its way to the far end.
+// delivery is one scheduled packet working its way to the far end.
 type delivery struct {
 	l    *Link
 	size int
-	fn0  func()                   // Send form: plain closure
-	fnA  func(arg any, last bool) // SendFn form: stable callback + arg
+	fn   func(arg any, last bool)
 	arg  any
-	last bool
 }
 
 func (l *Link) getDelivery() *delivery {
@@ -110,23 +96,19 @@ func (l *Link) putDelivery(d *delivery) {
 	l.freeDel = append(l.freeDel, d)
 }
 
-// runDelivery fires when a packet copy reaches the far end. The job is
+// runDelivery fires when a packet reaches the far end. The job is
 // recycled before the callback runs (its fields are copied out first), so
 // the callback may immediately trigger further sends.
 func runDelivery(a any) {
 	d := a.(*delivery)
 	l := d.l
-	fn0, fnA, arg, size, last := d.fn0, d.fnA, d.arg, d.size, d.last
+	fn, arg, size := d.fn, d.arg, d.size
 	l.putDelivery(d)
 	l.cnt.Delivered++
 	l.cnt.BytesDelivery += uint64(size)
 	l.cDelivered.Inc()
 	l.cBytes.Add(uint64(size))
-	if fn0 != nil {
-		fn0()
-	} else {
-		fnA(arg, last)
-	}
+	fn(arg, true)
 }
 
 // linkDecQ releases one device-queue slot when serialisation finishes.
@@ -142,12 +124,6 @@ func NewLink(sim *des.Simulator, cfg Config) (*Link, error) {
 	}
 	if cfg.QueueLimit < 0 {
 		return nil, fmt.Errorf("netem: negative queue limit %d", cfg.QueueLimit)
-	}
-	if cfg.DuplicateProb < 0 || cfg.DuplicateProb > 1 {
-		return nil, fmt.Errorf("netem: duplicate probability %v outside [0,1]", cfg.DuplicateProb)
-	}
-	if cfg.DuplicateProb > 0 && cfg.DuplicateRand == nil {
-		return nil, fmt.Errorf("netem: duplication requires a random source")
 	}
 	o := cfg.Obs
 	return &Link{
@@ -245,33 +221,17 @@ func (l *Link) Probe() obs.NetProbe {
 	return pr
 }
 
-// Send offers a packet of size bytes to the link. If the packet survives
-// the loss model and the device queue, deliver fires at the far end after
-// serialisation and propagation delay. Send never calls deliver
-// synchronously.
-func (l *Link) Send(size int, deliver func()) {
-	if deliver == nil {
-		panic("netem: Send with nil deliver callback")
-	}
-	l.send(size, deliver, nil, nil)
-}
-
-// SendFn is the allocation-free form of Send: a stable callback plus an
-// opaque arg instead of a per-packet closure. The callback's last
-// parameter reports whether this invocation is the packet's final
-// delivery — duplication (DuplicateProb) can deliver the same arg twice,
-// and resources reachable from arg may only be recycled on the last
-// delivery. Copies dropped by loss or queue overflow never fire at all,
-// so "last == true never arrived" simply means the garbage collector
-// reclaims arg.
+// SendFn offers a packet of size bytes to the link. If the packet
+// survives the loss model and the device queue, fn(arg, true) fires at
+// the far end after serialisation and propagation delay — a stable
+// callback plus an opaque arg, so a packet costs no closure. SendFn never
+// calls fn synchronously. A packet is delivered at most once, so the
+// callback's bool is always true; it stays in the signature because the
+// frozen bench/ passes a func(any, bool) (ROADMAP 5(a)).
 func (l *Link) SendFn(size int, fn func(arg any, last bool), arg any) {
 	if fn == nil {
 		panic("netem: SendFn with nil deliver callback")
 	}
-	l.send(size, nil, fn, arg)
-}
-
-func (l *Link) send(size int, deliver func(), fnA func(any, bool), arg any) {
 	if size < 0 {
 		panic(fmt.Sprintf("netem: negative packet size %d", size))
 	}
@@ -289,19 +249,10 @@ func (l *Link) send(size int, deliver func(), fnA func(any, bool), arg any) {
 		l.trace.Emit(obs.LayerNetem, obs.EvPktLoss, 0, int64(size), 0, "")
 		return
 	}
-	copies := 1
-	if l.cfg.DuplicateProb > 0 && l.cfg.DuplicateRand.Float64() < l.cfg.DuplicateProb {
-		copies = 2
-		l.cnt.Duplicated++
-	}
-	for c := 0; c < copies; c++ {
-		l.deliverOne(size, deliver, fnA, arg, c == copies-1)
-	}
-}
 
-// deliverOne schedules one copy of a packet through serialisation, delay
-// and FIFO ordering.
-func (l *Link) deliverOne(size int, deliver func(), fnA func(any, bool), arg any, lastCopy bool) {
+	// Serialisation, delay and FIFO ordering: a single TCP path through
+	// one queue delivers in order, which is what the paper's testbed
+	// exercises.
 	now := l.sim.Now()
 	txDone := now
 	if l.cfg.Bandwidth > 0 {
@@ -335,17 +286,15 @@ func (l *Link) deliverOne(size int, deliver func(), fnA func(any, bool), arg any
 		}
 	}
 	at := txDone + prop
-	if !l.cfg.AllowReorder && at < l.last {
+	if at < l.last {
 		at = l.last
 	}
 	l.last = at
 	d := l.getDelivery()
 	d.l = l
 	d.size = size
-	d.fn0 = deliver
-	d.fnA = fnA
+	d.fn = fn
 	d.arg = arg
-	d.last = lastCopy
 	l.sim.ScheduleFunc(at, runDelivery, d)
 }
 
@@ -383,20 +332,6 @@ func (p *Path) SetDelay(d stats.Sampler) {
 func (p *Path) SetLoss(m stats.LossModel) {
 	p.Fwd.SetLoss(m)
 	p.Rev.SetLoss(m)
-}
-
-// SetFaultLoss overlays a loss model on both directions. As with
-// SetLoss, the directions share the model instance so a burst affects
-// requests and responses together. nil clears the overlay.
-func (p *Path) SetFaultLoss(m stats.LossModel) {
-	p.Fwd.SetFaultLoss(m)
-	p.Rev.SetFaultLoss(m)
-}
-
-// SetFaultDelay overlays extra delay on both directions. nil clears it.
-func (p *Path) SetFaultDelay(d stats.Sampler) {
-	p.Fwd.SetFaultDelay(d)
-	p.Rev.SetFaultDelay(d)
 }
 
 // Probe returns the duplex path's state for a timeline sampler: the

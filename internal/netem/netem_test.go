@@ -13,6 +13,11 @@ import (
 
 func rng(seed uint64) *rand.Rand { return rand.New(rand.NewPCG(seed, 0)) }
 
+// send offers a packet whose delivery runs fn.
+func send(l *Link, size int, fn func()) {
+	l.SendFn(size, func(any, bool) { fn() }, nil)
+}
+
 func TestZeroConfigDeliversImmediately(t *testing.T) {
 	sim := des.New()
 	l, err := NewLink(sim, Config{})
@@ -20,7 +25,7 @@ func TestZeroConfigDeliversImmediately(t *testing.T) {
 		t.Fatal(err)
 	}
 	var at time.Duration = -1
-	l.Send(100, func() { at = sim.Now() })
+	send(l, 100, func() { at = sim.Now() })
 	if at != -1 {
 		t.Fatal("deliver ran synchronously")
 	}
@@ -43,7 +48,7 @@ func TestConstantDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	var at time.Duration
-	l.Send(10, func() { at = sim.Now() })
+	send(l, 10, func() { at = sim.Now() })
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +65,8 @@ func TestBandwidthSerialisation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var first, second time.Duration
-	l.Send(1000, func() { first = sim.Now() })
-	l.Send(1000, func() { second = sim.Now() })
+	send(l, 1000, func() { first = sim.Now() })
+	send(l, 1000, func() { second = sim.Now() })
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +86,7 @@ func TestQueueOverflowDrops(t *testing.T) {
 	}
 	delivered := 0
 	for i := 0; i < 5; i++ {
-		l.Send(1000, func() { delivered++ })
+		send(l, 1000, func() { delivered++ })
 	}
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -102,11 +107,11 @@ func TestQueueDrainsOverTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	delivered := 0
-	l.Send(1000, func() { delivered++ })
+	send(l, 1000, func() { delivered++ })
 	// Offer the next packet after the first fully serialised: queue has
 	// room again.
 	sim.Schedule(1500*time.Millisecond, func() {
-		l.Send(1000, func() { delivered++ })
+		send(l, 1000, func() { delivered++ })
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -132,7 +137,7 @@ func TestLossModelDrops(t *testing.T) {
 	delivered := 0
 	const n = 10000
 	for i := 0; i < n; i++ {
-		l.Send(1, func() { delivered++ })
+		send(l, 1, func() { delivered++ })
 	}
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -149,7 +154,7 @@ func TestLossModelDrops(t *testing.T) {
 
 func TestFIFOUnderRandomDelay(t *testing.T) {
 	sim := des.New()
-	d, err := stats.NewUniform(0, 100, rng(2))
+	d, err := stats.NewPareto(10, 1.5, rng(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +165,7 @@ func TestFIFOUnderRandomDelay(t *testing.T) {
 	var order []int
 	for i := 0; i < 200; i++ {
 		i := i
-		l.Send(1, func() { order = append(order, i) })
+		send(l, 1, func() { order = append(order, i) })
 	}
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -172,36 +177,6 @@ func TestFIFOUnderRandomDelay(t *testing.T) {
 	}
 }
 
-func TestAllowReorderCanReorder(t *testing.T) {
-	sim := des.New()
-	d, err := stats.NewUniform(0, 100, rng(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := NewLink(sim, Config{Delay: d, AllowReorder: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var order []int
-	for i := 0; i < 200; i++ {
-		i := i
-		l.Send(1, func() { order = append(order, i) })
-	}
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	reordered := false
-	for i, v := range order {
-		if v != i {
-			reordered = true
-			break
-		}
-	}
-	if !reordered {
-		t.Error("uniform [0,100)ms delay with AllowReorder never reordered 200 packets")
-	}
-}
-
 func TestSetDelayAndLossMidFlight(t *testing.T) {
 	sim := des.New()
 	l, err := NewLink(sim, Config{Delay: stats.Constant{Value: 10}})
@@ -209,10 +184,10 @@ func TestSetDelayAndLossMidFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	var times []time.Duration
-	l.Send(1, func() { times = append(times, sim.Now()) })
+	send(l, 1, func() { times = append(times, sim.Now()) })
 	sim.Schedule(time.Second, func() {
 		l.SetDelay(stats.Constant{Value: 200})
-		l.Send(1, func() { times = append(times, sim.Now()) })
+		send(l, 1, func() { times = append(times, sim.Now()) })
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -251,8 +226,8 @@ func TestSendPanicsOnBadArgs(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("negative size", func() { l.Send(-1, func() {}) })
-	mustPanic("nil deliver", func() { l.Send(1, nil) })
+	mustPanic("negative size", func() { send(l, -1, func() {}) })
+	mustPanic("nil deliver", func() { l.SendFn(1, nil, nil) })
 }
 
 func TestPathDuplex(t *testing.T) {
@@ -264,9 +239,9 @@ func TestPathDuplex(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reqAt, respAt time.Duration
-	p.Fwd.Send(100, func() {
+	send(p.Fwd, 100, func() {
 		reqAt = sim.Now()
-		p.Rev.Send(10, func() { respAt = sim.Now() })
+		send(p.Rev, 10, func() { respAt = sim.Now() })
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -315,7 +290,7 @@ func TestPropertyLossAccounting(t *testing.T) {
 		const n = 2000
 		delivered := 0
 		for i := 0; i < n; i++ {
-			l.Send(1, func() { delivered++ })
+			send(l, 1, func() { delivered++ })
 		}
 		if err := sim.Run(); err != nil {
 			return false
@@ -346,9 +321,9 @@ func TestTraceApplySwitchesConditions(t *testing.T) {
 		t.Fatal(err)
 	}
 	var times []time.Duration
-	p.Fwd.Send(1, func() { times = append(times, sim.Now()) })
+	send(p.Fwd, 1, func() { times = append(times, sim.Now()) })
 	sim.Schedule(2*time.Second, func() {
-		p.Fwd.Send(1, func() { times = append(times, sim.Now()) })
+		send(p.Fwd, 1, func() { times = append(times, sim.Now()) })
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -497,7 +472,7 @@ func BenchmarkLinkSend(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l.Send(1500, func() {})
+		send(l, 1500, func() {})
 		if i%1024 == 0 {
 			if err := sim.Run(); err != nil {
 				b.Fatal(err)
@@ -506,43 +481,6 @@ func BenchmarkLinkSend(b *testing.B) {
 	}
 	if err := sim.Run(); err != nil {
 		b.Fatal(err)
-	}
-}
-
-func TestDuplicationDeliversExtraCopies(t *testing.T) {
-	sim := des.New()
-	l, err := NewLink(sim, Config{DuplicateProb: 0.5, DuplicateRand: rng(21)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	delivered := 0
-	const n = 10000
-	for i := 0; i < n; i++ {
-		l.Send(1, func() { delivered++ })
-	}
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	c := l.Counters()
-	ratio := float64(delivered) / n
-	if ratio < 1.45 || ratio > 1.55 {
-		t.Errorf("delivery ratio = %v, want ≈1.5 at 50%% duplication", ratio)
-	}
-	if c.Duplicated == 0 {
-		t.Error("no duplicates counted")
-	}
-	if c.Delivered != uint64(delivered) {
-		t.Errorf("Delivered = %d, callbacks = %d", c.Delivered, delivered)
-	}
-}
-
-func TestDuplicationValidation(t *testing.T) {
-	sim := des.New()
-	if _, err := NewLink(sim, Config{DuplicateProb: 1.5, DuplicateRand: rng(1)}); err == nil {
-		t.Error("probability > 1 accepted")
-	}
-	if _, err := NewLink(sim, Config{DuplicateProb: 0.5}); err == nil {
-		t.Error("nil duplicate rng accepted")
 	}
 }
 
@@ -557,9 +495,9 @@ func TestFaultLossOverlay(t *testing.T) {
 	if l.LossRate() != 1 {
 		t.Errorf("LossRate under partition = %v, want 1", l.LossRate())
 	}
-	l.Send(10, func() { delivered++ })
+	send(l, 10, func() { delivered++ })
 	l.SetFaultLoss(nil)
-	l.Send(10, func() { delivered++ })
+	send(l, 10, func() { delivered++ })
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -583,7 +521,7 @@ func TestFaultDelayOverlayAddsToBase(t *testing.T) {
 		t.Errorf("Probe DelayMs = %v, want 35", pr.DelayMs)
 	}
 	var at time.Duration
-	l.Send(10, func() { at = sim.Now() })
+	send(l, 10, func() { at = sim.Now() })
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -593,23 +531,5 @@ func TestFaultDelayOverlayAddsToBase(t *testing.T) {
 	l.SetFaultDelay(nil)
 	if pr := l.Probe(); pr.DelayMs != 10 {
 		t.Errorf("cleared Probe DelayMs = %v, want 10", pr.DelayMs)
-	}
-}
-
-func TestPathFaultOverlayBothDirections(t *testing.T) {
-	sim := des.New()
-	p, err := NewPath(sim, Config{}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.SetFaultLoss(stats.AlwaysLoss{})
-	got := 0
-	p.Fwd.Send(1, func() { got++ })
-	p.Rev.Send(1, func() { got++ })
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != 0 {
-		t.Errorf("delivered %d packets through a both-direction partition", got)
 	}
 }

@@ -112,7 +112,7 @@ func TestGEStatePhasesViaTimeline(t *testing.T) {
 	const packets = 400_000
 	for i := 0; i < packets; i++ {
 		at := time.Duration(i) * time.Millisecond
-		sim.Schedule(at, func() { link.Send(100, func() {}) })
+		sim.Schedule(at, func() { send(link, 100, func() {}) })
 	}
 	interval := tl.Interval()
 	for at := interval; at <= packets*time.Millisecond; at += interval {

@@ -37,7 +37,6 @@ package obs
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -296,18 +295,6 @@ func (h *Histogram) Max() int64 {
 	return h.max
 }
 
-// Quantile returns the exact q-quantile recoverable from the buckets:
-// the upper bound of the bucket containing the ⌈q·n⌉-th smallest
-// observation, or the exact tracked maximum when that rank falls in
-// the overflow bucket (or when the bucket bound exceeds the maximum).
-// Returns 0 on an empty histogram.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	return HistogramValue{Bounds: h.bounds, Counts: h.Counts(), Max: h.Max()}.Quantile(q)
-}
-
 // Registry owns the named metrics of one simulation run, and belongs to
 // the goroutine running it (the package's single-writer contract). The
 // zero value is not usable; create with NewRegistry. A nil *Registry is
@@ -524,23 +511,6 @@ func (s Snapshot) Histogram(name string) (HistogramValue, bool) {
 		}
 	}
 	return HistogramValue{}, false
-}
-
-// Encode renders the snapshot in a canonical text form — one metric per
-// line, sorted by kind then name — suitable for byte-equality
-// comparison in determinism tests and for golden files.
-func (s Snapshot) Encode() []byte {
-	var b strings.Builder
-	for _, c := range s.Counters {
-		fmt.Fprintf(&b, "counter %s %d\n", c.Name, c.Value)
-	}
-	for _, g := range s.Gauges {
-		fmt.Fprintf(&b, "gauge %s %d\n", g.Name, g.Value)
-	}
-	for _, h := range s.Histograms {
-		fmt.Fprintf(&b, "hist %s bounds=%v counts=%v max=%d\n", h.Name, h.Bounds, h.Counts, h.Max)
-	}
-	return []byte(b.String())
 }
 
 // Obs bundles the per-run registry and tracer handed to instrumented

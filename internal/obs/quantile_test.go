@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -38,7 +39,8 @@ func TestHistogramQuantileExact(t *testing.T) {
 	qs := []float64{0, 0.25, 0.50, 0.90, 0.95, 0.99, 1}
 	for trial := 0; trial < 25; trial++ {
 		n := 1 + rng.IntN(2000)
-		h := NewRegistry().Histogram("h", LatencyBounds)
+		reg := NewRegistry()
+		h := reg.Histogram("h", LatencyBounds)
 		samples := make([]int64, n)
 		for i := range samples {
 			// Log-uniform over [1, 120s in ns]: covers the full bucket
@@ -51,9 +53,10 @@ func TestHistogramQuantileExact(t *testing.T) {
 		if got, want := h.Max(), samples[n-1]; got != want {
 			t.Fatalf("trial %d: Max = %d, want exact max %d", trial, got, want)
 		}
+		hv, _ := reg.Snapshot().Histogram("h")
 		for _, q := range qs {
 			want := quantileOracle(samples, LatencyBounds, q)
-			if got := h.Quantile(q); got != want {
+			if got := hv.Quantile(q); got != want {
 				t.Errorf("trial %d n=%d: Quantile(%v) = %d, want %d", trial, n, q, got, want)
 			}
 		}
@@ -106,8 +109,8 @@ func TestGaugeKindMergeAssociative(t *testing.T) {
 	a, b, c := mk(5, 10), mk(9, 20), mk(2, 30)
 	left := MergeSnapshots(MergeSnapshots(a, b), c)
 	right := MergeSnapshots(a, MergeSnapshots(b, c))
-	if string(left.Encode()) != string(right.Encode()) {
-		t.Errorf("gauge merge not associative:\n%s\nvs\n%s", left.Encode(), right.Encode())
+	if !reflect.DeepEqual(left, right) {
+		t.Errorf("gauge merge not associative:\n%+v\nvs\n%+v", left, right)
 	}
 	if got := left.Gauge("depth.max"); got != 9 {
 		t.Errorf("max-kind gauge = %d, want 9", got)

@@ -30,14 +30,6 @@ func NewSharded(n int) *Sharded {
 	return s
 }
 
-// Len returns the shard count (0 when disabled).
-func (s *Sharded) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.shards)
-}
-
 // Shard returns shard i's registry. Out-of-range indices and a nil
 // receiver return the nil (disabled) registry.
 func (s *Sharded) Shard(i int) *Registry {

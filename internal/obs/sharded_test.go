@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -13,8 +14,8 @@ import (
 // byte-identical regardless of which shard saw which update.
 func TestShardedMerge(t *testing.T) {
 	s := NewSharded(3)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
+	if len(s.shards) != 3 {
+		t.Fatalf("shards = %d, want 3", len(s.shards))
 	}
 	for i := 0; i < 3; i++ {
 		s.Shard(i).Counter(MBrokerAppends).Add(uint64(10 * (i + 1)))
@@ -56,8 +57,8 @@ func TestShardedMerge(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		flat.Histogram(MQueueDepth, QueueDepthBounds).Observe(int64(i))
 	}
-	if !bytes.Equal(m.Encode(), flat.Snapshot().Encode()) {
-		t.Errorf("sharded merge != flat registry:\n%s\nvs\n%s", m.Encode(), flat.Snapshot().Encode())
+	if !reflect.DeepEqual(m, flat.Snapshot()) {
+		t.Errorf("sharded merge != flat registry:\n%+v\nvs\n%+v", m, flat.Snapshot())
 	}
 }
 
@@ -100,15 +101,12 @@ func TestShardedParallelWritersMerge(t *testing.T) {
 // TestShardedNil pins the disabled-implementation contract.
 func TestShardedNil(t *testing.T) {
 	var s *Sharded
-	if s.Len() != 0 {
-		t.Error("nil Sharded has shards")
-	}
 	if s.Shard(0) != nil {
 		t.Error("nil Sharded returned a live registry")
 	}
 	s.Shard(0).Counter("x").Inc() // must not panic
-	if enc := s.Merged().Encode(); len(enc) != 0 {
-		t.Errorf("nil merge encodes %q", enc)
+	if m := s.Merged(); !reflect.DeepEqual(m, Snapshot{}) {
+		t.Errorf("nil merge = %+v", m)
 	}
 	live := NewSharded(2)
 	if live.Shard(-1) != nil || live.Shard(2) != nil {
@@ -128,8 +126,8 @@ func TestMergeSnapshotsAssociative(t *testing.T) {
 	a, b, c := mk("a", 1), mk("b", 2), mk("c", 3)
 	left := MergeSnapshots(MergeSnapshots(a, b), c)
 	right := MergeSnapshots(a, MergeSnapshots(b, c))
-	if !bytes.Equal(left.Encode(), right.Encode()) {
-		t.Errorf("merge not associative:\n%s\nvs\n%s", left.Encode(), right.Encode())
+	if !reflect.DeepEqual(left, right) {
+		t.Errorf("merge not associative:\n%+v\nvs\n%+v", left, right)
 	}
 	if got := left.Counter("shared"); got != 6 {
 		t.Errorf("shared counter = %d, want 6", got)

@@ -383,60 +383,6 @@ func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 func utoa(v uint64) string  { return strconv.FormatUint(v, 10) }
 func itoa(v int64) string   { return strconv.FormatInt(v, 10) }
 
-// WriteCSV renders the timeline as CSV: the fixed header, then samples
-// (kind "sample") and annotations merged in time order, annotations
-// first at equal timestamps (an annotation explains the rows that
-// follow it). Number formatting is canonical, so for a fixed seed the
-// bytes are identical regardless of worker count — the same contract
-// the metrics snapshot honours.
-func (t *Timeline) WriteCSV(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write(timelineHeader); err != nil {
-		return fmt.Errorf("obs: write timeline: %w", err)
-	}
-	if err := t.writeEntries(cw); err != nil {
-		return err
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("obs: write timeline: %w", err)
-	}
-	return nil
-}
-
-// writeEntries emits the timeline's interleaved samples and annotations
-// (annotations first at equal timestamps) without header or flush.
-func (t *Timeline) writeEntries(cw *csv.Writer) error {
-	rows := t.Rows()
-	anns := t.Annotations()
-	entity := t.Entity()
-	i, j := 0, 0
-	for i < len(rows) || j < len(anns) {
-		var err error
-		switch {
-		case i == len(rows):
-			err = writeAnnRecord(cw, entity, anns[j])
-			j++
-		case j == len(anns):
-			err = writeSampleRecord(cw, entity, rows[i])
-			i++
-		case anns[j].At <= rows[i].At:
-			err = writeAnnRecord(cw, entity, anns[j])
-			j++
-		default:
-			err = writeSampleRecord(cw, entity, rows[i])
-			i++
-		}
-		if err != nil {
-			return fmt.Errorf("obs: write timeline: %w", err)
-		}
-	}
-	return nil
-}
-
 func writeSampleRecord(cw *csv.Writer, entity string, r TimelineRow) error {
 	return cw.Write([]string{
 		itoa(int64(r.At)), "sample", entity,
@@ -464,7 +410,7 @@ func writeAnnRecord(cw *csv.Writer, entity string, a TimelineAnnotation) error {
 // WriteMergedCSV renders several timelines — a fleet run's per-entity
 // series — as one CSV in the same fixed schema, interleaved by
 // timestamp. Ties are broken by the timelines' input order and, within
-// one timeline, by its own WriteCSV order (annotations before samples
+// one timeline, annotations come before samples
 // at equal times). Callers pass the timelines in a deterministic order
 // (the fleet emits them in shard-then-producer order), so the merged
 // bytes are identical at any worker count.

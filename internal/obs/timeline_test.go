@@ -27,8 +27,8 @@ func TestNilTimelineIsNoOp(t *testing.T) {
 	if anns := tl.Annotations(); anns != nil {
 		t.Errorf("nil timeline annotations = %v, want nil", anns)
 	}
-	if err := tl.WriteCSV(&bytes.Buffer{}); err != nil {
-		t.Errorf("nil timeline WriteCSV: %v", err)
+	if err := WriteMergedCSV(&bytes.Buffer{}, []*Timeline{tl}); err != nil {
+		t.Errorf("nil timeline WriteMergedCSV: %v", err)
 	}
 }
 
@@ -128,7 +128,7 @@ func TestTimelineCSV(t *testing.T) {
 	tl.Annotate(AnnBrokerEvent, "fail broker 1")
 
 	var buf bytes.Buffer
-	if err := tl.WriteCSV(&buf); err != nil {
+	if err := WriteMergedCSV(&buf, []*Timeline{tl}); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
@@ -149,10 +149,10 @@ func TestTimelineCSV(t *testing.T) {
 		t.Errorf("line 4 = %q, want the trailing broker_event", lines[4])
 	}
 	var buf2 bytes.Buffer
-	if err := tl.WriteCSV(&buf2); err != nil {
+	if err := WriteMergedCSV(&buf2, []*Timeline{tl}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Error("repeated WriteCSV renders differ")
+		t.Error("repeated renders differ")
 	}
 }

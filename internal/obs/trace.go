@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -212,32 +211,6 @@ func (t *Tracer) Err() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.sinkErr
-}
-
-// WriteJSONL dumps the buffered events to w, one JSON object per line.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, ev := range t.Events() {
-		if err := enc.Encode(ev); err != nil {
-			return fmt.Errorf("obs: write trace: %w", err)
-		}
-	}
-	return nil
-}
-
-// ReadJSONL parses a JSONL trace written by a sink or WriteJSONL.
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(r)
-	var out []Event
-	for {
-		var ev Event
-		if err := dec.Decode(&ev); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("obs: read trace: %w", err)
-		}
-		out = append(out, ev)
-	}
 }
 
 // chainTypes are the event types that form a batch's delivery chain.

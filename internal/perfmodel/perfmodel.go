@@ -10,7 +10,6 @@ import (
 
 	"kafkarel/internal/features"
 	"kafkarel/internal/testbed"
-	"kafkarel/internal/wire"
 )
 
 // Model computes φ and μ from the same host calibration the testbed
@@ -83,19 +82,4 @@ func (m *Model) Predict(v features.Vector) (Prediction, error) {
 		mu = 1
 	}
 	return Prediction{Phi: phi, Mu: mu, ServiceRate: service, ArrivalRate: arrival}, nil
-}
-
-// RequestBytes estimates the wire size of one produce request for the
-// vector, used by examples and reports.
-func RequestBytes(v features.Vector) int {
-	r := wire.ProduceRequest{
-		Topic: "stream",
-		Batch: wire.RecordBatch{},
-	}
-	for i := 0; i < v.BatchSize; i++ {
-		r.Batch.Records = append(r.Batch.Records, wire.Record{
-			Payload: make([]byte, v.MessageSize),
-		})
-	}
-	return wire.FrameSize(r.EncodedSize())
 }

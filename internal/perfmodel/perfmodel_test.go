@@ -137,14 +137,3 @@ func TestAtMostOnceIgnoresDelayPacing(t *testing.T) {
 			pNear.ServiceRate, pFar.ServiceRate)
 	}
 }
-
-func TestRequestBytesGrowsWithBatch(t *testing.T) {
-	small := RequestBytes(vec(200, 1, features.SemanticsAtLeastOnce, 0))
-	big := RequestBytes(vec(200, 5, features.SemanticsAtLeastOnce, 0))
-	if big <= small {
-		t.Errorf("RequestBytes: B=5 %d <= B=1 %d", big, small)
-	}
-	if small <= 200 {
-		t.Errorf("RequestBytes %d does not include overhead", small)
-	}
-}

@@ -61,7 +61,10 @@ func TestNextBackoffDecorrelatedJitterBounds(t *testing.T) {
 }
 
 func TestConfigRejectsBackoffMaxBelowBase(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := Config{
+		Topic: "t", Semantics: AtLeastOnce, BatchSize: 1, MessageTimeout: time.Second,
+		RetryBackoff: 20 * time.Millisecond, RequestTimeout: time.Second, MaxInFlight: 5, QueueLimit: 500,
+	}
 	cfg.RetryBackoffMax = cfg.RetryBackoff / 2
 	if err := cfg.Validate(); err == nil {
 		t.Error("Validate accepted RetryBackoffMax below RetryBackoff")

@@ -78,7 +78,7 @@ type Config struct {
 	// KeyBase offsets this producer's record keys: records carry keys
 	// Base+1, Base+2, ... so several producers can share one topic with
 	// disjoint key ranges and the consumer can still reconcile exactly
-	// (see consumer.ReconcileRanges). Zero — keys 1..N — is the
+	// (see consumer.ReconcileRangesKeys). Zero — keys 1..N — is the
 	// single-producer default.
 	KeyBase uint64
 
@@ -128,25 +128,6 @@ type Config struct {
 	ProducerID uint64
 	// ReconnectDelay is the pause before reopening a broken connection.
 	ReconnectDelay time.Duration
-}
-
-// DefaultConfig mirrors the paper's experimental defaults: streaming
-// (B=1), at-least-once, 1.5 s message timeout.
-func DefaultConfig() Config {
-	return Config{
-		Topic:          "stream",
-		Partition:      0,
-		Semantics:      AtLeastOnce,
-		BatchSize:      1,
-		MessageTimeout: 1500 * time.Millisecond,
-		MaxRetries:     5,
-		RetryBackoff:   20 * time.Millisecond,
-		RequestTimeout: 500 * time.Millisecond,
-		MaxInFlight:    5,
-		QueueLimit:     500,
-		LingerTime:     5 * time.Millisecond,
-		ReconnectDelay: 50 * time.Millisecond,
-	}
 }
 
 // Validate reports the first invalid field.
@@ -207,15 +188,3 @@ type CostModel interface {
 	IOTime(payloadBytes int) time.Duration
 	SerTime(payloadBytes int) time.Duration
 }
-
-// FixedCosts is a deterministic CostModel for tests.
-type FixedCosts struct {
-	IO  time.Duration
-	Ser time.Duration
-}
-
-// IOTime implements CostModel.
-func (f FixedCosts) IOTime(int) time.Duration { return f.IO }
-
-// SerTime implements CostModel.
-func (f FixedCosts) SerTime(int) time.Duration { return f.Ser }

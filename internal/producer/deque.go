@@ -32,15 +32,6 @@ func (d *deque) pushBack(r *record) {
 	d.count++
 }
 
-func (d *deque) pushFront(r *record) {
-	if d.count == len(d.buf) {
-		d.grow()
-	}
-	d.head = (d.head - 1 + len(d.buf)) % len(d.buf)
-	d.buf[d.head] = r
-	d.count++
-}
-
 func (d *deque) popFront() *record {
 	if d.count == 0 {
 		return nil

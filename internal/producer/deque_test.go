@@ -26,19 +26,6 @@ func TestDequeFIFO(t *testing.T) {
 	}
 }
 
-func TestDequePushFront(t *testing.T) {
-	var d deque
-	d.pushBack(rec(2))
-	d.pushFront(rec(1))
-	d.pushBack(rec(3))
-	want := []uint64{1, 2, 3}
-	for _, w := range want {
-		if got := d.popFront(); got.key != w {
-			t.Fatalf("got %d, want %d", got.key, w)
-		}
-	}
-}
-
 func TestDequePeek(t *testing.T) {
 	var d deque
 	if d.peekFront() != nil {
@@ -87,13 +74,9 @@ func TestPropertyDequeMatchesModel(t *testing.T) {
 		next := uint64(0)
 		for op := 0; op < int(ops)+10; op++ {
 			switch rng.IntN(4) {
-			case 0, 1: // pushBack
+			case 0, 1, 2: // pushBack
 				d.pushBack(rec(next))
 				model = append(model, next)
-				next++
-			case 2: // pushFront
-				d.pushFront(rec(next))
-				model = append([]uint64{next}, model...)
 				next++
 			case 3: // popFront
 				got := d.popFront()

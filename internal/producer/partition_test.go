@@ -73,7 +73,7 @@ func TestKeyedPartitionerRoutesByKey(t *testing.T) {
 }
 
 // TestKeyBaseOffsetsKeys checks that a producer with KeyBase k emits
-// keys k+1..k+N and that ReconcileRanges accepts them while plain
+// keys k+1..k+N and that ReconcileRangesKeys accepts them while plain
 // Reconcile (expecting 1..N) flags them foreign.
 func TestKeyBaseOffsetsKeys(t *testing.T) {
 	cfg := baseConfig()

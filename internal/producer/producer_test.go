@@ -2,6 +2,7 @@ package producer_test
 
 import (
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"time"
 
@@ -88,7 +89,7 @@ func buildRig(t testing.TB, cfg producer.Config, n int, o rigOpts, popts ...prod
 	}
 	costs := o.costs
 	if costs == nil {
-		costs = producer.FixedCosts{IO: 100 * time.Microsecond, Ser: 100 * time.Microsecond}
+		costs = fixedCosts{IO: 100 * time.Microsecond, Ser: 100 * time.Microsecond}
 	}
 	prod, err := producer.New(sim, cfg, costs, conn, src, popts...)
 	if err != nil {
@@ -104,7 +105,7 @@ func (r *rig) run(t testing.TB) consumer.Report {
 		t.Fatalf("simulation did not quiesce: %v", err)
 	}
 	if !r.prod.Done() {
-		t.Fatalf("producer not done: counts=%+v pending=%d", r.prod.Counts(), r.sim.Pending())
+		t.Fatalf("producer not done: counts=%+v", r.prod.Counts())
 	}
 	cons, err := consumer.New(r.clst, r.prod.Config().Topic, 0)
 	if err != nil {
@@ -117,11 +118,29 @@ func (r *rig) run(t testing.TB) consumer.Report {
 	return tally.Report()
 }
 
+// baseConfig mirrors the paper's experimental defaults: streaming (B=1),
+// at-least-once, 1.5 s message timeout.
 func baseConfig() producer.Config {
-	cfg := producer.DefaultConfig()
-	cfg.Topic = "t"
-	return cfg
+	return producer.Config{
+		Topic:          "t",
+		Semantics:      producer.AtLeastOnce,
+		BatchSize:      1,
+		MessageTimeout: 1500 * time.Millisecond,
+		MaxRetries:     5,
+		RetryBackoff:   20 * time.Millisecond,
+		RequestTimeout: 500 * time.Millisecond,
+		MaxInFlight:    5,
+		QueueLimit:     500,
+		LingerTime:     5 * time.Millisecond,
+		ReconnectDelay: 50 * time.Millisecond,
+	}
 }
+
+// fixedCosts is a deterministic producer.CostModel.
+type fixedCosts struct{ IO, Ser time.Duration }
+
+func (f fixedCosts) IOTime(int) time.Duration  { return f.IO }
+func (f fixedCosts) SerTime(int) time.Duration { return f.Ser }
 
 func TestAtLeastOnceHappyPath(t *testing.T) {
 	cfg := baseConfig()
@@ -200,7 +219,7 @@ func TestQueueExpiryLosses(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Semantics = producer.AtMostOnce
 	cfg.MessageTimeout = 50 * time.Millisecond
-	costs := producer.FixedCosts{IO: time.Millisecond, Ser: 10 * time.Millisecond}
+	costs := fixedCosts{IO: time.Millisecond, Ser: 10 * time.Millisecond}
 	r := buildRig(t, cfg, 200, rigOpts{delayMs: 1, costs: costs})
 	rep := r.run(t)
 	if rep.NLost == 0 {
@@ -222,7 +241,7 @@ func TestBackpressureBoundsAtLeastOnceLoss(t *testing.T) {
 	cfg := baseConfig()
 	cfg.MessageTimeout = 500 * time.Millisecond
 	cfg.QueueLimit = 10
-	costs := producer.FixedCosts{IO: time.Millisecond, Ser: 10 * time.Millisecond}
+	costs := fixedCosts{IO: time.Millisecond, Ser: 10 * time.Millisecond}
 	r := buildRig(t, cfg, 200, rigOpts{delayMs: 1, costs: costs})
 	rep := r.run(t)
 	if rep.NLost != 0 {
@@ -355,8 +374,8 @@ func TestOutcomeLogAndLatency(t *testing.T) {
 		}
 	}
 	lat := r.prod.Latency()
-	if lat.N() != 25 {
-		t.Errorf("latency samples = %d", lat.N())
+	if !strings.HasPrefix(lat.String(), "n=25 ") {
+		t.Errorf("latency samples: %s, want n=25", lat.String())
 	}
 	// Every delivery takes >= 20ms round trip >> 1ms timeliness.
 	if r.prod.Stale() != 25 {
@@ -411,7 +430,7 @@ func TestBrokenConnectionRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.path.SetLoss(loss)
-	r.sim.Schedule(400*time.Millisecond, func() { r.path.SetLoss(stats.NoLoss{}) })
+	r.sim.Schedule(400*time.Millisecond, func() { r.path.SetLoss(nil) })
 	rep := r.run(t)
 	if rep.NLost != 0 {
 		t.Errorf("lost %d after network healed within budget", rep.NLost)

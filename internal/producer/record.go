@@ -100,14 +100,6 @@ func (c *Counts) Add(o Counts) {
 	}
 }
 
-// LossRate returns the producer-observed P_l.
-func (c Counts) LossRate() float64 {
-	if c.Total == 0 {
-		return 0
-	}
-	return float64(c.Lost) / float64(c.Total)
-}
-
 // CaseCount is one row of the Table I distribution.
 type CaseCount struct {
 	Case  Case

@@ -26,31 +26,18 @@ type TxnProducerConfig struct {
 	// TxnTimeout is requested from the coordinator at init (zero picks
 	// the coordinator default).
 	TxnTimeout time.Duration
-	// RequestTimeout re-issues an operation whose answer vanished, e.g.
-	// a produce to a leader that died mid-request (default 20ms).
-	RequestTimeout time.Duration
-	// RetryBackoff delays re-issue after a retriable error (default 2ms).
-	RetryBackoff time.Duration
-	// MaxAttempts bounds retries per operation (default 64); exhaustion
-	// surfaces ErrRequestTimedOut.
-	MaxAttempts int
 }
 
-func (c *TxnProducerConfig) applyDefaults() error {
-	if c.TransactionalID == "" {
-		return fmt.Errorf("producer: transactional id required")
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 20 * time.Millisecond
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 2 * time.Millisecond
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 64
-	}
-	return nil
-}
+const (
+	// txnRequestTimeout re-issues an operation whose answer vanished,
+	// e.g. a produce to a leader that died mid-request.
+	txnRequestTimeout = 20 * time.Millisecond
+	// txnRetryBackoff delays re-issue after a retriable error.
+	txnRetryBackoff = 2 * time.Millisecond
+	// txnMaxAttempts bounds retries per operation; exhaustion surfaces
+	// ErrRequestTimedOut.
+	txnMaxAttempts = 64
+)
 
 // TxnProducer is a transactional producer instance. Not safe for
 // concurrent use; the DES is single-threaded.
@@ -76,15 +63,11 @@ func NewTxnProducer(sim *des.Simulator, clst *cluster.Cluster, tc *coordinator.T
 	if sim == nil || clst == nil || tc == nil {
 		return nil, fmt.Errorf("producer: txn producer needs sim, cluster, coordinator")
 	}
-	if err := cfg.applyDefaults(); err != nil {
-		return nil, err
+	if cfg.TransactionalID == "" {
+		return nil, fmt.Errorf("producer: transactional id required")
 	}
 	return &TxnProducer{sim: sim, clst: clst, tc: tc, cfg: cfg}, nil
 }
-
-// ProducerID returns the coordinator-assigned producer id (valid after
-// Init).
-func (p *TxnProducer) ProducerID() uint64 { return p.pid }
 
 // Epoch returns the current producer epoch (valid after Init).
 func (p *TxnProducer) Epoch() uint32 { return p.epoch }
@@ -128,7 +111,7 @@ func (op *txnOp) start() {
 		return
 	}
 	op.attempts++
-	op.timer.Reset(op.p.cfg.RequestTimeout)
+	op.timer.Reset(txnRequestTimeout)
 	op.issue(op.complete)
 }
 
@@ -153,14 +136,14 @@ func (op *txnOp) complete(code wire.ErrorCode) {
 	case code == wire.ErrProducerFenced:
 		op.p.fenced = true
 		op.finish(code)
-	case code.Retriable() && op.attempts < op.p.cfg.MaxAttempts:
+	case code.Retriable() && op.attempts < txnMaxAttempts:
 		op.timer.Stop()
 		sleep := des.NewTimer(op.p.sim, func() {
 			if !op.finished {
 				op.start()
 			}
 		})
-		sleep.Reset(op.p.cfg.RetryBackoff)
+		sleep.Reset(txnRetryBackoff)
 	default:
 		op.finish(code)
 	}
@@ -174,7 +157,7 @@ func (op *txnOp) timeoutFire() {
 		op.abandon()
 		return
 	}
-	if op.attempts >= op.p.cfg.MaxAttempts {
+	if op.attempts >= txnMaxAttempts {
 		op.finish(wire.ErrRequestTimedOut)
 		return
 	}

@@ -23,9 +23,6 @@ import (
 type Options struct {
 	// Title heads the report ("Run report" when empty).
 	Title string
-	// SparklineWidth is the resampled width of each sparkline
-	// (default 60 cells).
-	SparklineWidth int
 	// Gamma, when set (callers fill it via the kpi package), adds a
 	// "KPI (Eq. 2)" section with the predicted and measured γ side by
 	// side.
@@ -93,9 +90,10 @@ type Report struct {
 
 	// Gamma echoes Options.Gamma.
 	Gamma *testbed.GammaComparison
-
-	width int
 }
+
+// sparklineWidth is the resampled width of each sparkline, in cells.
+const sparklineWidth = 60
 
 // Build assembles a report from a run result and (optionally) the
 // tracer's events. The result must carry a timeline.
@@ -109,13 +107,9 @@ func Build(res testbed.Result, events []obs.Event, opts Options) (*Report, error
 		Rows:        res.Timeline.Rows(),
 		Annotations: res.Timeline.Annotations(),
 		Gamma:       opts.Gamma,
-		width:       opts.SparklineWidth,
 	}
 	if r.Title == "" {
 		r.Title = "Run report"
-	}
-	if r.width <= 0 {
-		r.width = 60
 	}
 	r.buildPhases()
 	r.buildTotals()
@@ -371,7 +365,7 @@ func (r *Report) Render(w io.Writer) error {
 	if len(r.Rows) > 1 {
 		fmt.Fprintf(w, "## Timeline (%v per sample, ^ = config switch)\n\n", res.Timeline.Interval())
 		spark := func(name string, f func(obs.TimelineRow) float64) {
-			fmt.Fprintf(w, "%-14s %s\n", name, sparkline(r.series(f), r.width))
+			fmt.Fprintf(w, "%-14s %s\n", name, sparkline(r.series(f), sparklineWidth))
 		}
 		spark("net loss", func(row obs.TimelineRow) float64 { return row.LossRate })
 		spark("retransmits", func(row obs.TimelineRow) float64 { return float64(row.Retransmits) })
@@ -379,7 +373,7 @@ func (r *Report) Render(w io.Writer) error {
 		spark("acked", func(row obs.TimelineRow) float64 { return float64(row.Acked) })
 		spark("lost", func(row obs.TimelineRow) float64 { return float64(row.Lost) })
 		spark("dup appends", func(row obs.TimelineRow) float64 { return float64(row.DupAppends) })
-		fmt.Fprintf(w, "%-14s %s\n\n", "", r.markerLine(r.width))
+		fmt.Fprintf(w, "%-14s %s\n\n", "", r.markerLine(sparklineWidth))
 	}
 
 	if n := len(r.Annotations); n > 0 {

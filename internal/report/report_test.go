@@ -110,7 +110,7 @@ func TestVerifyCatchesMismatch(t *testing.T) {
 }
 
 func TestRender(t *testing.T) {
-	rep, err := Build(buildResult(t), nil, Options{Title: "T", SparklineWidth: 10})
+	rep, err := Build(buildResult(t), nil, Options{Title: "T"})
 	if err != nil {
 		t.Fatal(err)
 	}

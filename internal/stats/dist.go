@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"time"
 )
 
 // Sampler produces one draw per call. All samplers in this package are
@@ -23,78 +22,6 @@ type Constant struct{ Value float64 }
 
 // Sample implements Sampler.
 func (c Constant) Sample() float64 { return c.Value }
-
-// Uniform samples uniformly from [Min, Max).
-type Uniform struct {
-	Min, Max float64
-	Rand     *rand.Rand
-}
-
-// NewUniform returns a uniform sampler on [min, max).
-func NewUniform(min, max float64, rng *rand.Rand) (*Uniform, error) {
-	if max < min {
-		return nil, fmt.Errorf("stats: uniform max %v < min %v", max, min)
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("stats: uniform requires a random source")
-	}
-	return &Uniform{Min: min, Max: max, Rand: rng}, nil
-}
-
-// Sample implements Sampler.
-func (u *Uniform) Sample() float64 {
-	return u.Min + (u.Max-u.Min)*u.Rand.Float64()
-}
-
-// Normal samples from a normal distribution truncated at zero (negative
-// draws are clamped), which is the usual NetEm "delay with jitter" model.
-type Normal struct {
-	Mean, StdDev float64
-	Rand         *rand.Rand
-}
-
-// NewNormal returns a truncated-normal sampler.
-func NewNormal(mean, stddev float64, rng *rand.Rand) (*Normal, error) {
-	if stddev < 0 {
-		return nil, fmt.Errorf("stats: normal stddev %v < 0", stddev)
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("stats: normal requires a random source")
-	}
-	return &Normal{Mean: mean, StdDev: stddev, Rand: rng}, nil
-}
-
-// Sample implements Sampler.
-func (n *Normal) Sample() float64 {
-	v := n.Mean + n.StdDev*n.Rand.NormFloat64()
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// Exponential samples from an exponential distribution with the given
-// mean. It models memoryless inter-arrival times.
-type Exponential struct {
-	Mean float64
-	Rand *rand.Rand
-}
-
-// NewExponential returns an exponential sampler with the given mean.
-func NewExponential(mean float64, rng *rand.Rand) (*Exponential, error) {
-	if mean <= 0 {
-		return nil, fmt.Errorf("stats: exponential mean %v <= 0", mean)
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("stats: exponential requires a random source")
-	}
-	return &Exponential{Mean: mean, Rand: rng}, nil
-}
-
-// Sample implements Sampler.
-func (e *Exponential) Sample() float64 {
-	return e.Rand.ExpFloat64() * e.Mean
-}
 
 // Pareto samples from a (type I) Pareto distribution with scale xm > 0 and
 // shape alpha > 0. End-to-end network delay is well modelled by a Pareto
@@ -128,27 +55,4 @@ func (p *Pareto) Sample() float64 {
 		u = p.Rand.Float64()
 	}
 	return p.Scale / math.Pow(u, 1/p.Shape)
-}
-
-// Mean returns the distribution mean, or +Inf when Shape <= 1.
-func (p *Pareto) Mean() float64 {
-	if p.Shape <= 1 {
-		return math.Inf(1)
-	}
-	return p.Shape * p.Scale / (p.Shape - 1)
-}
-
-// DurationSampler adapts a Sampler whose unit is milliseconds into
-// time.Duration draws, the unit used across the simulator.
-type DurationSampler struct {
-	S Sampler
-}
-
-// Sample returns one delay draw.
-func (d DurationSampler) Sample() time.Duration {
-	ms := d.S.Sample()
-	if ms < 0 {
-		ms = 0
-	}
-	return time.Duration(ms * float64(time.Millisecond))
 }

@@ -13,15 +13,6 @@ type LossModel interface {
 	Rate() float64
 }
 
-// NoLoss never drops packets.
-type NoLoss struct{}
-
-// Drop implements LossModel.
-func (NoLoss) Drop() bool { return false }
-
-// Rate implements LossModel.
-func (NoLoss) Rate() float64 { return 0 }
-
 // AlwaysLoss drops every packet — a severed link, used by network
 // partition fault windows.
 type AlwaysLoss struct{}

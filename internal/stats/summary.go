@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary accumulates count/mean/variance/min/max online (Welford's
@@ -32,9 +31,6 @@ func (s *Summary) Add(x float64) {
 	s.mean += d / float64(s.n)
 	s.m2 += d * (x - s.mean)
 }
-
-// N returns the number of samples recorded.
-func (s *Summary) N() uint64 { return s.n }
 
 // Mean returns the running mean (0 with no samples).
 func (s *Summary) Mean() float64 { return s.mean }
@@ -87,31 +83,6 @@ func (s *Summary) String() string {
 		s.n, s.Mean(), s.StdDev(), s.min, s.max)
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of the given samples using
-// linear interpolation. The input slice is not modified.
-func Quantile(samples []float64, q float64) (float64, error) {
-	if len(samples) == 0 {
-		return 0, fmt.Errorf("stats: quantile of empty sample set")
-	}
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile q = %v outside [0,1]", q)
-	}
-	sorted := make([]float64, len(samples))
-	copy(sorted, samples)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
 // MAE returns the mean absolute error between prediction and truth slices.
 func MAE(pred, truth []float64) (float64, error) {
 	if len(pred) != len(truth) {
@@ -141,50 +112,4 @@ func RMSE(pred, truth []float64) (float64, error) {
 		sum += d * d
 	}
 	return math.Sqrt(sum / float64(len(pred))), nil
-}
-
-// Histogram counts samples into fixed-width bins over [Lo, Hi); samples
-// outside the range land in the under/overflow counters.
-type Histogram struct {
-	Lo, Hi    float64
-	Bins      []uint64
-	Underflow uint64
-	Overflow  uint64
-}
-
-// NewHistogram creates a histogram with n equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs at least one bin, got %d", n)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: histogram hi %v <= lo %v", hi, lo)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]uint64, n)}, nil
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Underflow++
-	case x >= h.Hi:
-		h.Overflow++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Bins)))
-		if i == len(h.Bins) { // float rounding at the upper edge
-			i--
-		}
-		h.Bins[i]++
-	}
-}
-
-// Total returns the number of samples recorded, including out-of-range
-// ones.
-func (h *Histogram) Total() uint64 {
-	t := h.Underflow + h.Overflow
-	for _, b := range h.Bins {
-		t += b
-	}
-	return t
 }

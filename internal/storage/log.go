@@ -42,7 +42,6 @@ type Log struct {
 	end        int64 // log end offset: next offset to assign
 	flushed    int64 // offsets below this survived the last fsync
 	maxSegment int
-	bytes      uint64
 }
 
 // DefaultSegmentRecords is the roll threshold when NewLog is given a
@@ -108,9 +107,6 @@ func (l *Log) Append(records []wire.Record) int64 {
 		// Within capacity: slots a TruncateTo vacated are overwritten in
 		// place, nothing moves.
 		seg.records = append(seg.records, fit...)
-		for i := range fit {
-			l.bytes += uint64(fit[i].EncodedSize())
-		}
 		l.end += int64(len(fit))
 		records = records[len(fit):]
 	}
@@ -137,18 +133,6 @@ func (l *Log) start() int64 {
 		return l.end
 	}
 	return l.segments[0].base
-}
-
-// Bytes returns the total encoded size of stored records.
-func (l *Log) Bytes() uint64 { return l.bytes }
-
-// Segments returns the number of segments currently held.
-func (l *Log) Segments() int { return len(l.segments) }
-
-// Read returns up to max records starting at offset. Reading exactly at
-// the log end returns an empty slice; reading past it is an error.
-func (l *Log) Read(offset int64, max int) ([]Entry, error) {
-	return l.ReadInto(offset, max, nil)
 }
 
 // View returns the contiguous run of up to max records stored at offset,
@@ -189,8 +173,10 @@ func (l *Log) View(offset int64, max int) ([]wire.Record, error) {
 	return run[:len(run):len(run)], nil
 }
 
-// ReadInto is Read with a caller-provided scratch slice: entries are
-// appended to dst[:0], so a steady-state reader allocates nothing once
+// ReadInto returns up to max records starting at offset in a
+// caller-provided scratch slice (reading exactly at the log end returns
+// an empty slice; reading past it is an error): entries are appended to
+// dst[:0], so a steady-state reader allocates nothing once
 // its scratch has grown. Returned entries hold copies of the record
 // headers; their payloads alias the log's stored bytes and stay valid for
 // the life of the log.
@@ -248,12 +234,6 @@ func (l *Log) TruncateTo(offset int64) {
 	}
 	l.segments = l.segments[:keep]
 	l.end = offset
-	l.bytes = 0
-	for i := range l.segments {
-		for j := range l.segments[i].records {
-			l.bytes += uint64(l.segments[i].records[j].EncodedSize())
-		}
-	}
 }
 
 // Scan calls fn for every stored entry in offset order; fn returning

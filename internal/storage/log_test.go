@@ -44,7 +44,7 @@ func TestAppendEmptyBatch(t *testing.T) {
 func TestReadBasic(t *testing.T) {
 	l := NewLog(0)
 	l.Append(recs(10, 11, 12, 13, 14))
-	got, err := l.Read(1, 3)
+	got, err := l.ReadInto(1, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestReadBasic(t *testing.T) {
 func TestReadAtEndReturnsEmpty(t *testing.T) {
 	l := NewLog(0)
 	l.Append(recs(1, 2))
-	got, err := l.Read(2, 10)
+	got, err := l.ReadInto(2, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestReadAtEndReturnsEmpty(t *testing.T) {
 	}
 	// Empty log: offset 0 == end.
 	empty := NewLog(0)
-	if _, err := empty.Read(0, 5); err != nil {
+	if _, err := empty.ReadInto(0, 5, nil); err != nil {
 		t.Errorf("read at end of empty log: %v", err)
 	}
 }
@@ -79,10 +79,10 @@ func TestReadAtEndReturnsEmpty(t *testing.T) {
 func TestReadOutOfRange(t *testing.T) {
 	l := NewLog(0)
 	l.Append(recs(1))
-	if _, err := l.Read(-1, 1); !errors.Is(err, ErrOffsetOutOfRange) {
+	if _, err := l.ReadInto(-1, 1, nil); !errors.Is(err, ErrOffsetOutOfRange) {
 		t.Errorf("negative offset err = %v", err)
 	}
-	if _, err := l.Read(2, 1); !errors.Is(err, ErrOffsetOutOfRange) {
+	if _, err := l.ReadInto(2, 1, nil); !errors.Is(err, ErrOffsetOutOfRange) {
 		t.Errorf("past-end offset err = %v", err)
 	}
 }
@@ -90,7 +90,7 @@ func TestReadOutOfRange(t *testing.T) {
 func TestReadZeroMax(t *testing.T) {
 	l := NewLog(0)
 	l.Append(recs(1, 2))
-	got, err := l.Read(0, 0)
+	got, err := l.ReadInto(0, 0, nil)
 	if err != nil || len(got) != 0 {
 		t.Errorf("Read(0,0) = %v, %v", got, err)
 	}
@@ -101,11 +101,11 @@ func TestSegmentRolling(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Append(recs(uint64(i)))
 	}
-	if l.Segments() != 4 { // 3+3+3+1
-		t.Errorf("segments = %d, want 4", l.Segments())
+	if len(l.segments) != 4 { // 3+3+3+1
+		t.Errorf("segments = %d, want 4", len(l.segments))
 	}
 	// Cross-segment read.
-	got, err := l.Read(2, 5)
+	got, err := l.ReadInto(2, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,15 +119,6 @@ func TestSegmentRolling(t *testing.T) {
 	}
 }
 
-func TestBytesAccounting(t *testing.T) {
-	l := NewLog(0)
-	r := wire.Record{Key: 1, Payload: make([]byte, 100)}
-	l.Append([]wire.Record{r, r})
-	if want := uint64(2 * r.EncodedSize()); l.Bytes() != want {
-		t.Errorf("Bytes = %d, want %d", l.Bytes(), want)
-	}
-}
-
 func TestTruncateTo(t *testing.T) {
 	l := NewLog(3)
 	for i := 0; i < 10; i++ {
@@ -137,7 +128,7 @@ func TestTruncateTo(t *testing.T) {
 	if l.End() != 5 || l.Len() != 5 {
 		t.Errorf("End/Len after truncate = %d/%d, want 5/5", l.End(), l.Len())
 	}
-	got, err := l.Read(0, 100)
+	got, err := l.ReadInto(0, 100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +146,8 @@ func TestTruncateTo(t *testing.T) {
 	}
 	// Truncate to zero empties the log.
 	l.TruncateTo(0)
-	if l.End() != 0 || l.Len() != 0 || l.Bytes() != 0 {
-		t.Errorf("End/Len/Bytes after full truncate = %d/%d/%d", l.End(), l.Len(), l.Bytes())
+	if l.End() != 0 || l.Len() != 0 {
+		t.Errorf("End/Len after full truncate = %d/%d", l.End(), l.Len())
 	}
 }
 
@@ -220,7 +211,7 @@ func TestPropertyLogMatchesModel(t *testing.T) {
 		if len(model) > 0 {
 			off := int64(rng.IntN(len(model)))
 			max := rng.IntN(len(model)) + 1
-			got, err := l.Read(off, max)
+			got, err := l.ReadInto(off, max, nil)
 			if err != nil {
 				return false
 			}
@@ -260,7 +251,7 @@ func BenchmarkReadMiddle(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Read(50_000, 100); err != nil {
+		if _, err := l.ReadInto(50_000, 100, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -303,7 +294,7 @@ func TestAppendOwnsPayloadsWithoutCopying(t *testing.T) {
 		batch[i] = wire.Record{Key: 99, Payload: []byte("reused slot")}
 	}
 	for _, l := range []*Log{a, b} {
-		got, err := l.Read(0, 3)
+		got, err := l.ReadInto(0, 3, nil)
 		if err != nil || len(got) != 3 {
 			t.Fatalf("read = %v, %v", got, err)
 		}
@@ -412,7 +403,6 @@ func TestPropertyFixedSegmentsMatchFlatModel(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, 11))
 		l := NewLog([]int{5, 64, 100, 300}[rng.IntN(4)])
 		var model []stored
-		var bytes uint64
 		flushed := int64(0)
 		key := uint64(0)
 		var scratch []Entry
@@ -432,7 +422,6 @@ func TestPropertyFixedSegmentsMatchFlatModel(t *testing.T) {
 					t.Fatalf("seed %d: append base %d, want %d", seed, base, len(model))
 				}
 				for i := range batch {
-					bytes += uint64(batch[i].EncodedSize())
 					model = append(model, stored{key: batch[i].Key})
 				}
 				// Record where each new record landed.
@@ -449,9 +438,6 @@ func TestPropertyFixedSegmentsMatchFlatModel(t *testing.T) {
 			case r < 17 && len(model) > 0: // truncate, usually into a segment
 				cut := rng.IntN(len(model) + 1)
 				l.TruncateTo(int64(cut))
-				for _, s := range model[cut:] {
-					bytes -= uint64(wire.Record{Payload: make([]byte, s.key%7)}.EncodedSize())
-				}
 				model = model[:cut]
 				if flushed > int64(cut) {
 					flushed = int64(cut)
@@ -461,9 +447,9 @@ func TestPropertyFixedSegmentsMatchFlatModel(t *testing.T) {
 				flushed = int64(len(model))
 			}
 			checkSegments(t, l)
-			if l.End() != int64(len(model)) || l.Len() != int64(len(model)) || l.Flushed() != flushed || l.Bytes() != bytes {
-				t.Fatalf("seed %d op %d: end/len/flushed/bytes = %d/%d/%d/%d, model %d/%d/%d",
-					seed, op, l.End(), l.Len(), l.Flushed(), l.Bytes(), len(model), flushed, bytes)
+			if l.End() != int64(len(model)) || l.Len() != int64(len(model)) || l.Flushed() != flushed {
+				t.Fatalf("seed %d op %d: end/len/flushed = %d/%d/%d, model %d/%d",
+					seed, op, l.End(), l.Len(), l.Flushed(), len(model), flushed)
 			}
 			// One random window through both read paths.
 			off := rng.IntN(len(model) + 1)
@@ -497,13 +483,13 @@ func TestPropertyFixedSegmentsMatchFlatModel(t *testing.T) {
 				seen += len(run)
 			}
 		}
-		if l.maxSegment > minSegmentRecords && l.Segments() > 3 {
+		if l.maxSegment > minSegmentRecords && len(l.segments) > 3 {
 			caps := map[int]bool{}
 			for i := range l.segments {
 				caps[cap(l.segments[i].records)] = true
 			}
 			if len(caps) < 2 {
-				t.Errorf("seed %d: %d segments all of one capacity", seed, l.Segments())
+				t.Errorf("seed %d: %d segments all of one capacity", seed, len(l.segments))
 			}
 		}
 	}
@@ -520,8 +506,8 @@ func TestTruncateIntoSegmentThenAppendReusesSlots(t *testing.T) {
 		batch[i] = wire.Record{Key: uint64(i)}
 	}
 	l.Append(batch)
-	if l.Segments() != 3 || cap(l.segments[2].records) != 128 {
-		t.Fatalf("segments = %d, third capacity %d; want 3 and 128", l.Segments(), cap(l.segments[2].records))
+	if len(l.segments) != 3 || cap(l.segments[2].records) != 128 {
+		t.Fatalf("segments = %d, third capacity %d; want 3 and 128", len(l.segments), cap(l.segments[2].records))
 	}
 	before, err := l.View(100, 1)
 	if err != nil {
@@ -536,15 +522,15 @@ func TestTruncateIntoSegmentThenAppendReusesSlots(t *testing.T) {
 	if &after[0] != &before[0] || after[0].Key != 1000 || after[1].Key != 1001 {
 		t.Error("re-append after truncate did not overwrite the vacated slots in place")
 	}
-	if l.Segments() != 2 || l.End() != 102 {
-		t.Errorf("segments/end = %d/%d, want 2/102", l.Segments(), l.End())
+	if len(l.segments) != 2 || l.End() != 102 {
+		t.Errorf("segments/end = %d/%d, want 2/102", len(l.segments), l.End())
 	}
 	// Straddle the 64|64 boundary: View stops at it, ReadInto crosses it.
 	run, err := l.View(60, 10)
 	if err != nil || len(run) != 4 {
 		t.Fatalf("View(60, 10) = %d records, %v; want the 4 left in the first segment", len(run), err)
 	}
-	got, err := l.Read(60, 10)
+	got, err := l.ReadInto(60, 10, nil)
 	if err != nil || len(got) != 10 {
 		t.Fatalf("Read(60, 10) = %d entries, %v", len(got), err)
 	}
@@ -573,14 +559,14 @@ func TestAppendAllocatesOncePerSegment(t *testing.T) {
 	}
 	fillSegment() // past the small first segments
 	fillSegment()
-	segments := l.Segments()
+	segments := len(l.segments)
 	const runs = 10
 	// AllocsPerRun reports whole allocations per run: one array per
 	// segment filled, plus a share of the segment list's own regrowth.
 	if allocs := testing.AllocsPerRun(runs, fillSegment); allocs > 1 {
 		t.Errorf("%v allocations per %d-record segment, want 1", allocs, DefaultSegmentRecords)
 	}
-	if rolled := l.Segments() - segments; rolled != runs+1 {
+	if rolled := len(l.segments) - segments; rolled != runs+1 {
 		t.Errorf("%d segments rolled during %d fills", rolled, runs+1)
 	}
 }

@@ -84,7 +84,7 @@ func TestSensitivityDeterministicAcrossWorkers(t *testing.T) {
 	}
 	var ref []SensitivityResult
 	for _, workers := range []int{1, 4, 8} {
-		got, err := Sensitivity(base, SensitivityOptions{Messages: 250, Seed: 3, Workers: workers})
+		got, err := SensitivityContext(context.Background(), base, SensitivityOptions{Messages: 250, Seed: 3, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -29,11 +29,8 @@ type SensitivityResult struct {
 
 // SensitivityOptions tunes the analysis.
 type SensitivityOptions struct {
-	Messages   int
-	Seed       uint64
-	MaxSimTime time.Duration
-	// Threshold on Impact for feature selection (default 0.01).
-	Threshold float64
+	Messages int
+	Seed     uint64
 	// Workers bounds the experiment worker pool (<= 0: GOMAXPROCS).
 	Workers int
 }
@@ -91,26 +88,20 @@ func perturbations() []perturbation {
 	}
 }
 
-// Sensitivity perturbs each quantitative parameter of base by ±50 % and
-// measures the reliability impact, reproducing the paper's feature
-// selection procedure.
-func Sensitivity(base features.Vector, opts SensitivityOptions) ([]SensitivityResult, error) {
-	return SensitivityContext(context.Background(), base, opts)
-}
+// selectionThreshold is the Impact a parameter must reach to be selected
+// as a feature.
+const selectionThreshold = 0.01
 
-// SensitivityContext is Sensitivity with cancellation. The base run and
-// every ±50 % perturbed run are independent experiments, so all of them
-// execute on one exprun pool.
+// SensitivityContext perturbs each quantitative parameter of base by
+// ±50 % and measures the reliability impact, reproducing the paper's
+// feature selection procedure. The base run and every perturbed run are
+// independent experiments, so all of them execute on one exprun pool.
 func SensitivityContext(ctx context.Context, base features.Vector, opts SensitivityOptions) ([]SensitivityResult, error) {
 	if err := base.Validate(); err != nil {
 		return nil, fmt.Errorf("sweep: %w", err)
 	}
 	if opts.Messages <= 0 {
 		return nil, fmt.Errorf("sweep: message count %d <= 0", opts.Messages)
-	}
-	threshold := opts.Threshold
-	if threshold == 0 {
-		threshold = 0.01
 	}
 	perts := perturbations()
 	// Task 0 is the unperturbed base; tasks 1+2k and 2+2k are parameter
@@ -132,10 +123,9 @@ func SensitivityContext(ctx context.Context, base features.Vector, opts Sensitiv
 	runs, err := exprun.Map(ctx, tasks,
 		func(ctx context.Context, _ int, t task) (metrics, error) {
 			res, err := testbed.RunCtx(ctx, testbed.Experiment{
-				Features:   t.v,
-				Messages:   opts.Messages,
-				Seed:       opts.Seed,
-				MaxSimTime: opts.MaxSimTime,
+				Features: t.v,
+				Messages: opts.Messages,
+				Seed:     opts.Seed,
 			})
 			if err != nil {
 				return metrics{}, fmt.Errorf("sweep: %s: %w", t.name, err)
@@ -164,7 +154,7 @@ func SensitivityContext(ctx context.Context, base features.Vector, opts Sensitiv
 				r.Impact = d
 			}
 		}
-		r.Selected = r.Impact >= threshold
+		r.Selected = r.Impact >= selectionThreshold
 		out = append(out, r)
 	}
 	return out, nil

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -120,7 +121,7 @@ func TestSensitivitySelectsKeyParameters(t *testing.T) {
 		PollInterval:   0,
 		MessageTimeout: 700 * time.Millisecond,
 	}
-	results, err := Sensitivity(base, SensitivityOptions{Messages: 500, Seed: 3})
+	results, err := SensitivityContext(context.Background(), base, SensitivityOptions{Messages: 500, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +145,11 @@ func TestSensitivitySelectsKeyParameters(t *testing.T) {
 }
 
 func TestSensitivityValidation(t *testing.T) {
-	if _, err := Sensitivity(features.Vector{}, SensitivityOptions{Messages: 10}); err == nil {
+	if _, err := SensitivityContext(context.Background(), features.Vector{}, SensitivityOptions{Messages: 10}); err == nil {
 		t.Error("invalid base accepted")
 	}
 	good := NormalGrid()[0]
-	if _, err := Sensitivity(good, SensitivityOptions{}); err == nil {
+	if _, err := SensitivityContext(context.Background(), good, SensitivityOptions{}); err == nil {
 		t.Error("zero messages accepted")
 	}
 }

@@ -74,11 +74,6 @@ type Fleet struct {
 	// consumer group when Groups > 1. Requires ConsumersPerTopic >= 2 so
 	// a survivor can take over.
 	ConsumerFaults bool
-	// ReplicationFactor and MinISR mirror Experiment (defaults 3 / 1).
-	ReplicationFactor int
-	MinISR            int
-	// BrokerFlushInterval mirrors Experiment.
-	BrokerFlushInterval time.Duration
 	// MaxSimTime caps each shard's virtual duration (0 = none).
 	MaxSimTime time.Duration
 	// Calibration overrides the host cost constants (zero value: default).
@@ -95,14 +90,6 @@ type Fleet struct {
 	// per-path and therefore rejected here — use a single-producer
 	// Experiment for those.
 	FaultPlan chaos.Plan
-	// Producer plumbing overrides, as in Experiment.
-	QueueLimit      int
-	MaxInFlight     int
-	MaxRetries      int
-	RequestTimeout  time.Duration
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
-	LingerTime      time.Duration
 }
 
 // Validate reports the first invalid fleet parameter.
@@ -156,7 +143,7 @@ type FleetTopicResult struct {
 	// Acquired is the shard's ground-truth denominator (messages its
 	// producers took in).
 	Acquired uint64
-	// Report is the shard's ReconcileRanges reconciliation over the
+	// Report is the shard's ReconcileRangesKeys reconciliation over the
 	// consumer group's drained records.
 	Report consumer.Report
 	// Producer sums the shard's producer-view case distributions.
@@ -433,8 +420,10 @@ func RunFleetContext(ctx context.Context, f Fleet, workers int) (FleetResult, er
 // timelines, then the per-group range reconciliation and verdicts.
 func runFleetShard(sim *des.Simulator, sh fleetShard, cal Calibration, reg *obs.Registry) (fleetShardOut, error) {
 	f := sh.f
-	rf := exprun.DefInt(f.ReplicationFactor, 3)
-	r, err := newRig(sim, &obs.Obs{Registry: reg}, cal, f.BrokerFlushInterval, f.MinISR, f.Partitions, rf, sh.topic)
+	// Every shard's topic and offsets log run at rf 3, with the rig's
+	// default min-ISR and flush cadence.
+	const rf = 3
+	r, err := newRig(sim, &obs.Obs{Registry: reg}, cal, 0, 0, f.Partitions, rf, sh.topic)
 	if err != nil {
 		return fleetShardOut{}, err
 	}
@@ -462,18 +451,7 @@ func runFleetShard(sim *des.Simulator, sh fleetShard, cal Calibration, reg *obs.
 		global := sh.first + j
 		eSeed := seedAt(j)
 		msgs := splitCount(f.Messages, f.Producers, global)
-		pcfg, err := producerConfig(Experiment{
-			Features:        f.Features,
-			Seed:            eSeed,
-			Partitions:      f.Partitions,
-			QueueLimit:      f.QueueLimit,
-			MaxInFlight:     f.MaxInFlight,
-			MaxRetries:      f.MaxRetries,
-			RequestTimeout:  f.RequestTimeout,
-			RetryBackoff:    f.RetryBackoff,
-			RetryBackoffMax: f.RetryBackoffMax,
-			LingerTime:      f.LingerTime,
-		}, sh.topic)
+		pcfg, err := producerConfig(Experiment{Features: f.Features, Seed: eSeed, Partitions: f.Partitions}, sh.topic)
 		if err != nil {
 			return fleetShardOut{}, err
 		}

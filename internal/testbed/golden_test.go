@@ -58,7 +58,7 @@ func mergedCSV(t *testing.T, tls []*obs.Timeline) []byte {
 func timelineCSV(t *testing.T, tl *obs.Timeline) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	if err := tl.WriteCSV(&b); err != nil {
+	if err := obs.WriteMergedCSV(&b, []*obs.Timeline{tl}); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()
@@ -193,8 +193,13 @@ func TestGoldenEverythingOn(t *testing.T) {
 	if !res.Completed || !res.GroupEvidence.Drained {
 		t.Fatalf("completed=%t drained=%t", res.Completed, res.GroupEvidence.Drained)
 	}
+	// The hash predates the deletion of coordinator.GroupStats.StaticRejoins,
+	// which no run could make non-zero. Its key is spliced back where it
+	// sat, so the pin itself is unedited and every other byte is still held.
+	groupRuns := bytes.ReplaceAll(goldenJSON(t, res.GroupRuns),
+		[]byte(`,"CoopFollowUps":`), []byte(`,"StaticRejoins":0,"CoopFollowUps":`))
 	goldenCheck(t, "3e4e8d78df29cfb166d4ff09e9e750ac32ad806089bb2acb05a628819b39c160",
-		res.Metrics.Encode(), goldenJSON(t, res.ConsumedKeys), goldenJSON(t, res.GroupRuns),
+		res.Metrics.Encode(), goldenJSON(t, res.ConsumedKeys), groupRuns,
 		timelineCSV(t, res.Timeline))
 }
 

@@ -129,7 +129,6 @@ type Experiment struct {
 	// jitter draws from a PCG stream derived from Seed, so runs stay
 	// deterministic.
 	RetryBackoffMax time.Duration
-	LingerTime      time.Duration
 }
 
 // ConfigChange is one scheduled reconfiguration.
@@ -417,7 +416,7 @@ func producerConfig(e Experiment, topic string) (producer.Config, error) {
 		MaxInFlight:     exprun.DefInt(e.MaxInFlight, DefaultMaxInFlight),
 		Partitions:      int32(exprun.DefInt(e.Partitions, 1)),
 		QueueLimit:      exprun.DefInt(e.QueueLimit, DefaultQueueLimit),
-		LingerTime:      exprun.DefDur(e.LingerTime, DefaultLingerTime),
+		LingerTime:      DefaultLingerTime,
 		ReconnectDelay:  50 * time.Millisecond,
 	}
 	// Always assigned: idempotence only engages when the semantics is

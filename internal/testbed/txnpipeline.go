@@ -59,14 +59,14 @@ type TxnExperiment struct {
 	// ReplicationFactor covers both topics, the offsets log and the
 	// transaction log (default 3).
 	ReplicationFactor int
-	// MinISR is the cluster's minimum in-sync replica count (default 1).
-	MinISR int
 	// BrokerFlushInterval opens the unclean-restart loss window (zero:
 	// every append durable).
 	BrokerFlushInterval time.Duration
-	// Isolation is the trial's configured consumer isolation; it selects
-	// which scan the scorecard's consumed view uses and how residue is
-	// classified. Both scans are always taken.
+	// Isolation is recorded by campaigns and read by nothing here: the
+	// run always takes both output scans (TxnResult.OutputCommitted and
+	// OutputUncommitted), and the verifier chooses between them from its
+	// own input. The field stays only because the frozen bench/ sets it;
+	// it goes with the next [benchmark] PR (ROADMAP 5(a)).
 	Isolation wire.IsolationLevel
 	// TxnTimeout is the coordinator's abort deadline for idle
 	// transactions (default 250ms).
@@ -130,7 +130,7 @@ func runTxnOn(sim *des.Simulator, e TxnExperiment) (TxnResult, error) {
 	// The rig's cluster and coordinator steps, with two topics and no
 	// consumer groups: the processors are the consumers here, and the
 	// pipeline runs unobserved (no registry, no tracer).
-	base, err := newRig(sim, nil, Calibration{}, e.BrokerFlushInterval, e.MinISR, parts, rf, TxnInTopic, TxnOutTopic)
+	base, err := newRig(sim, nil, Calibration{}, e.BrokerFlushInterval, 0, parts, rf, TxnInTopic, TxnOutTopic)
 	if err != nil {
 		return TxnResult{}, fmt.Errorf("testbed: %w", err)
 	}

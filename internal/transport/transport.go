@@ -36,76 +36,57 @@ var (
 // Config tunes a connection. The zero value is usable: DefaultConfig
 // values are substituted for zero fields.
 type Config struct {
-	// MSS is the maximum segment payload in bytes.
-	MSS int
-	// SegmentOverhead models IP+TCP header bytes added to every segment
-	// on the wire.
-	SegmentOverhead int
-	// AckSize is the wire size of a pure acknowledgement packet.
-	AckSize int
 	// InitialCwnd is the initial congestion window in segments.
 	InitialCwnd int
 	// MaxWindow caps the send window in segments (receiver window).
 	MaxWindow int
-	// MinRTO, MaxRTO, InitialRTO bound the retransmission timeout.
-	MinRTO     time.Duration
+	// MaxRTO and InitialRTO bound the retransmission timeout from above
+	// and seed it (the floor is minRTO).
 	MaxRTO     time.Duration
 	InitialRTO time.Duration
 	// MaxRetries is the per-segment retransmission budget before the
 	// connection is declared broken.
 	MaxRetries int
-	// DupAckThreshold triggers fast retransmit (TCP's classic 3).
-	DupAckThreshold int
 	// SendBufferLimit bounds bytes buffered per endpoint (0 = unlimited).
 	SendBufferLimit int
-	// DelayedAck enables RFC 1122-style delayed acknowledgements: an ack
-	// is sent for every second in-order segment, or after this delay,
-	// whichever comes first. Out-of-order and duplicate segments are
-	// acknowledged immediately (they feed fast retransmit). 0 disables
-	// delaying; every segment is acked at once.
-	DelayedAck time.Duration
 	// Obs attaches the per-run observability bundle. nil disables
 	// metrics and tracing for this connection.
 	Obs *obs.Obs
 }
 
+// The parts of the TCP model no run or test varies.
+const (
+	// mss is the maximum segment payload in bytes.
+	mss = 1460
+	// segmentOverhead models IP+TCP header bytes added to every segment
+	// on the wire; ackSize is the wire size of a pure acknowledgement.
+	segmentOverhead = 40
+	ackSize         = 40
+	// minRTO floors the retransmission timeout (Linux's 200 ms).
+	minRTO = 200 * time.Millisecond
+	// dupAckThreshold triggers fast retransmit (TCP's classic 3).
+	dupAckThreshold = 3
+)
+
 // DefaultConfig mirrors common Linux TCP constants scaled to the
 // experiments' millisecond regime.
 func DefaultConfig() Config {
 	return Config{
-		MSS:             1460,
-		SegmentOverhead: 40,
-		AckSize:         40,
-		InitialCwnd:     10,
-		MaxWindow:       64,
-		MinRTO:          200 * time.Millisecond,
-		MaxRTO:          60 * time.Second,
-		InitialRTO:      1 * time.Second,
-		MaxRetries:      15, // Linux tcp_retries2
-
-		DupAckThreshold: 3,
+		InitialCwnd: 10,
+		MaxWindow:   64,
+		MaxRTO:      60 * time.Second,
+		InitialRTO:  1 * time.Second,
+		MaxRetries:  15, // Linux tcp_retries2
 	}
 }
 
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
-	if c.MSS <= 0 {
-		c.MSS = d.MSS
-	}
-	if c.SegmentOverhead <= 0 {
-		c.SegmentOverhead = d.SegmentOverhead
-	}
-	if c.AckSize <= 0 {
-		c.AckSize = d.AckSize
-	}
 	if c.InitialCwnd <= 0 {
 		c.InitialCwnd = d.InitialCwnd
 	}
 	if c.MaxWindow <= 0 {
 		c.MaxWindow = d.MaxWindow
-	}
-	if c.MinRTO <= 0 {
-		c.MinRTO = d.MinRTO
 	}
 	if c.MaxRTO <= 0 {
 		c.MaxRTO = d.MaxRTO
@@ -115,9 +96,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = d.MaxRetries
-	}
-	if c.DupAckThreshold <= 0 {
-		c.DupAckThreshold = d.DupAckThreshold
 	}
 	return c
 }
@@ -155,24 +133,20 @@ type ackPkt struct {
 // copied out before the packet struct is recycled; the payload buffer
 // itself is recycled separately, by the receiver, once its bytes are
 // consumed in order (see deliver).
-func deliverDataPkt(a any, last bool) {
+func deliverDataPkt(a any, _ bool) {
 	p := a.(*dataPkt)
 	from, gen, seq, payload := p.from, p.gen, p.seq, p.payload
-	if last {
-		from.putDataPkt(p)
-	}
+	from.putDataPkt(p)
 	if from.genSent != gen {
 		return
 	}
 	from.peer.receiveData(seq, payload)
 }
 
-func deliverAckPkt(a any, last bool) {
+func deliverAckPkt(a any, _ bool) {
 	p := a.(*ackPkt)
 	from, gen, ack := p.from, p.gen, p.ack
-	if last {
-		from.putAckPkt(p)
-	}
+	from.putAckPkt(p)
 	if from.genSent != gen {
 		return
 	}
@@ -183,7 +157,6 @@ func deliverAckPkt(a any, last bool) {
 // by both endpoints of a Conn: the sender draws a buffer, the receiver
 // returns it after consuming the bytes, all on the single DES goroutine.
 type bufPool struct {
-	mss  int
 	free [][]byte
 }
 
@@ -194,13 +167,13 @@ func (p *bufPool) get(n int) []byte {
 		p.free = p.free[:k-1]
 		return b[:n]
 	}
-	return make([]byte, n, p.mss)
+	return make([]byte, n, mss)
 }
 
 // put returns a buffer to the pool. Buffers that did not come from the
 // pool (wrong capacity) are left to the garbage collector.
 func (p *bufPool) put(b []byte) {
-	if cap(b) == p.mss {
+	if cap(b) == mss {
 		p.free = append(p.free, b[:0])
 	}
 }
@@ -251,14 +224,12 @@ type Endpoint struct {
 	brokenErr error
 
 	// Receiver state.
-	rcvNxt      int64
-	unackedSegs int              // in-order segments since the last ack (delayed-ack mode)
-	ackTimer    *des.Timer       // delayed-ack flush
-	ooo         map[int64][]byte // out-of-order segments keyed by seq
-	onRecv      func([]byte)
-	onErr       func(error)
-	stats       Stats
-	genSent     uint64 // connection generation, bumped by Reset to kill stale timers
+	rcvNxt  int64
+	ooo     map[int64][]byte // out-of-order segments keyed by seq
+	onRecv  func([]byte)
+	onErr   func(error)
+	stats   Stats
+	genSent uint64 // connection generation, bumped by Reset to kill stale timers
 
 	// Observability (nil-safe handles; see internal/obs).
 	cSegSent     *obs.Counter
@@ -300,7 +271,7 @@ func NewConn(sim *des.Simulator, path *netem.Path, cfg Config) (*Conn, error) {
 	server := newEndpoint("server", sim, cfg, path.Rev)
 	client.peer = server
 	server.peer = client
-	pool := &bufPool{mss: cfg.MSS}
+	pool := &bufPool{}
 	client.bufs = pool
 	server.bufs = pool
 	return &Conn{Client: client, Server: server}, nil
@@ -370,7 +341,6 @@ func newEndpoint(name string, sim *des.Simulator, cfg Config, out *netem.Link) *
 		lastCwnd:     cfg.InitialCwnd,
 	}
 	e.timer = des.NewTimer(sim, e.onRTO)
-	e.ackTimer = des.NewTimer(sim, e.flushAck)
 	return e
 }
 
@@ -405,8 +375,6 @@ func (e *Endpoint) reset() {
 	e.broken = false
 	e.brokenErr = nil
 	e.rcvNxt = 0
-	e.unackedSegs = 0
-	e.ackTimer.Stop()
 	clear(e.ooo)
 	e.lastCwnd = e.cfg.InitialCwnd
 	// Peer receiver state resets on its own endpoint's reset.
@@ -422,9 +390,6 @@ func (e *Endpoint) OnReceive(fn func([]byte)) { e.onRecv = fn }
 // OnBroken registers the callback invoked once when the connection
 // breaks.
 func (e *Endpoint) OnBroken(fn func(error)) { e.onErr = fn }
-
-// Broken reports whether the endpoint's sender has given up.
-func (e *Endpoint) Broken() bool { return e.broken }
 
 // InjectFailure forcibly breaks the endpoint as if its retransmission
 // budget had run out — the chaos engine's forced-connection-reset fault.
@@ -506,8 +471,8 @@ func (e *Endpoint) pump() {
 			return // nothing new to send
 		}
 		n := len(e.sendBuf) - off
-		if n > e.cfg.MSS {
-			n = e.cfg.MSS
+		if n > mss {
+			n = mss
 		}
 		payload := e.bufs.get(n)
 		copy(payload, e.sendBuf[off:off+n])
@@ -541,7 +506,7 @@ func (e *Endpoint) transmit(m *segMeta, payload []byte) {
 	e.trace.Emit(obs.LayerTransport, obs.EvSegmentSend, uint64(m.seq), int64(m.size), int64(m.retries), e.name)
 	p := e.getDataPkt()
 	p.from, p.gen, p.seq, p.payload = e, e.genSent, m.seq, payload
-	e.out.SendFn(m.size+e.cfg.SegmentOverhead, deliverDataPkt, p)
+	e.out.SendFn(m.size+segmentOverhead, deliverDataPkt, p)
 }
 
 // retransmit resends the oldest unacked segment. Every in-flight segment
@@ -614,12 +579,12 @@ func (e *Endpoint) fail(err error) {
 }
 
 // receiveData runs at this endpoint when a data packet from the peer
-// lands; it acknowledges and delivers in-order bytes.
+// lands; it delivers in-order bytes and acknowledges every segment at
+// once (out-of-order and duplicate ones too: the sender needs dup acks
+// promptly for fast retransmit).
 func (e *Endpoint) receiveData(seq int64, payload []byte) {
-	inOrder := false
 	switch {
 	case seq == e.rcvNxt:
-		inOrder = true
 		e.deliver(payload)
 		// Drain any out-of-order segments now contiguous.
 		for {
@@ -633,33 +598,12 @@ func (e *Endpoint) receiveData(seq int64, payload []byte) {
 	case seq > e.rcvNxt:
 		e.ooo[seq] = payload
 	default:
-		// Duplicate of already-delivered data (spurious retransmission or
-		// a netem-duplicated copy): re-ack and drop. The buffer is NOT
+		// Duplicate of already-delivered data (a spurious
+		// retransmission): re-ack and drop. The buffer is NOT
 		// returned to the pool — the consumed copy already recycled it (or
 		// will), and a double-put would hand the same buffer to two future
 		// segments.
 	}
-	if e.cfg.DelayedAck <= 0 || !inOrder || len(e.ooo) > 0 {
-		// Immediate ack: delaying disabled, or the segment was
-		// out-of-order/duplicate (the sender needs dup acks promptly for
-		// fast retransmit), or a reordering gap is open.
-		e.flushAck()
-		return
-	}
-	e.unackedSegs++
-	if e.unackedSegs >= 2 {
-		e.flushAck()
-		return
-	}
-	if !e.ackTimer.Armed() {
-		e.ackTimer.Reset(e.cfg.DelayedAck)
-	}
-}
-
-// flushAck emits the pending cumulative acknowledgement now.
-func (e *Endpoint) flushAck() {
-	e.unackedSegs = 0
-	e.ackTimer.Stop()
 	e.sendAck()
 }
 
@@ -683,7 +627,7 @@ func (e *Endpoint) sendAck() {
 	e.cAcksSent.Inc()
 	p := e.getAckPkt()
 	p.from, p.gen, p.ack = e, e.genSent, e.rcvNxt
-	e.out.SendFn(e.cfg.AckSize, deliverAckPkt, p)
+	e.out.SendFn(ackSize, deliverAckPkt, p)
 }
 
 // receiveAck processes a cumulative ack arriving at this endpoint's
@@ -698,7 +642,7 @@ func (e *Endpoint) receiveAck(ack int64) {
 			return
 		}
 		e.dupAcks++
-		if e.dupAcks == e.cfg.DupAckThreshold {
+		if e.dupAcks == dupAckThreshold {
 			// Fast retransmit + multiplicative decrease (simplified Reno:
 			// no explicit fast-recovery inflation).
 			e.stats.FastRetransmits++
@@ -815,8 +759,8 @@ func (e *Endpoint) updateRTT(sample time.Duration) {
 
 func (e *Endpoint) recomputeRTO() {
 	rto := e.srtt + 4*e.rttvar
-	if rto < e.cfg.MinRTO {
-		rto = e.cfg.MinRTO
+	if rto < minRTO {
+		rto = minRTO
 	}
 	if rto > e.cfg.MaxRTO {
 		rto = e.cfg.MaxRTO

@@ -59,18 +59,13 @@ type OffsetFetchResponse struct {
 }
 
 // JoinGroupRequest asks the coordinator to admit a member. An empty
-// MemberID requests a coordinator-assigned id (first join). A non-empty
-// GroupInstanceID makes the membership static (Kafka's
-// group.instance.id): a restarting process that rejoins with the same
-// instance id inside its session timeout takes over the old member's
-// identity and assignment without triggering a rebalance.
+// MemberID requests a coordinator-assigned id (first join).
 type JoinGroupRequest struct {
-	CorrelationID   uint32
-	Group           string
-	MemberID        string
-	GroupInstanceID string
-	Topic           string
-	SessionTimeout  time.Duration
+	CorrelationID  uint32
+	Group          string
+	MemberID       string
+	Topic          string
+	SessionTimeout time.Duration
 	// Protocol selects the member's rebalance protocol: ProtocolEager
 	// (stop-the-world revoke-all) or ProtocolCooperative (KIP-429
 	// incremental). The coordinator assigns incrementally only when every

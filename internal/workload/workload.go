@@ -7,10 +7,7 @@ package workload
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"time"
-
-	"kafkarel/internal/stats"
 )
 
 // FixedSource yields count payloads of exactly size bytes. Payloads share
@@ -41,49 +38,6 @@ func (s *FixedSource) Next() ([]byte, bool) {
 	return s.payload, true
 }
 
-// Remaining returns how many messages the source will still yield.
-func (s *FixedSource) Remaining() int { return s.left }
-
-// SampledSource yields count payloads whose sizes come from a sampler
-// (clamped to [1, maxSize]); it models streams with varying message
-// sizes.
-type SampledSource struct {
-	size    stats.Sampler
-	maxSize int
-	left    int
-	buf     []byte
-}
-
-// NewSampledSource builds a source of count messages with sampled sizes.
-func NewSampledSource(size stats.Sampler, maxSize, count int) (*SampledSource, error) {
-	if size == nil {
-		return nil, fmt.Errorf("workload: nil size sampler")
-	}
-	if maxSize <= 0 {
-		return nil, fmt.Errorf("workload: max size %d <= 0", maxSize)
-	}
-	if count < 0 {
-		return nil, fmt.Errorf("workload: negative count %d", count)
-	}
-	return &SampledSource{size: size, maxSize: maxSize, left: count, buf: make([]byte, maxSize)}, nil
-}
-
-// Next implements producer.Source.
-func (s *SampledSource) Next() ([]byte, bool) {
-	if s.left == 0 {
-		return nil, false
-	}
-	s.left--
-	n := int(s.size.Sample())
-	if n < 1 {
-		n = 1
-	}
-	if n > s.maxSize {
-		n = s.maxSize
-	}
-	return s.buf[:n], true
-}
-
 // Profile describes one of the application streams in Table II: its
 // message-size regime, its timeliness requirement S, and the suggested
 // KPI weights (ω1..ω4).
@@ -91,8 +45,6 @@ type Profile struct {
 	Name string
 	// MeanSize is the typical message size M in bytes.
 	MeanSize int
-	// SizeJitter is the ± spread of sizes around MeanSize.
-	SizeJitter int
 	// Timeliness is the validity window S of a message.
 	Timeliness time.Duration
 	// Weights are the suggested ω1..ω4 (throughput, service rate,
@@ -107,7 +59,6 @@ var (
 	SocialMedia = Profile{
 		Name:       "social-media",
 		MeanSize:   250,
-		SizeJitter: 120,
 		Timeliness: 5 * time.Second,
 		Weights:    [4]float64{0.4, 0.3, 0.2, 0.1},
 	}
@@ -116,7 +67,6 @@ var (
 	WebLogs = Profile{
 		Name:       "web-logs",
 		MeanSize:   200,
-		SizeJitter: 50,
 		Timeliness: 60 * time.Second,
 		Weights:    [4]float64{0.1, 0.1, 0.7, 0.1},
 	}
@@ -125,7 +75,6 @@ var (
 	GameTraffic = Profile{
 		Name:       "game-traffic",
 		MeanSize:   80,
-		SizeJitter: 20,
 		Timeliness: 500 * time.Millisecond,
 		Weights:    [4]float64{0.2, 0.4, 0.2, 0.2},
 	}
@@ -133,18 +82,3 @@ var (
 
 // Profiles lists the Table II streams in paper order.
 func Profiles() []Profile { return []Profile{SocialMedia, WebLogs, GameTraffic} }
-
-// Source builds a message source for the profile.
-func (p Profile) Source(count int, seed uint64) (*SampledSource, error) {
-	rng := rand.New(rand.NewPCG(seed, 0xABCD))
-	lo := p.MeanSize - p.SizeJitter
-	if lo < 1 {
-		lo = 1
-	}
-	hi := p.MeanSize + p.SizeJitter
-	u, err := stats.NewUniform(float64(lo), float64(hi), rng)
-	if err != nil {
-		return nil, fmt.Errorf("workload: profile %s: %w", p.Name, err)
-	}
-	return NewSampledSource(u, hi, count)
-}

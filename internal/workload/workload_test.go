@@ -2,8 +2,6 @@ package workload
 
 import (
 	"testing"
-
-	"kafkarel/internal/stats"
 )
 
 func TestFixedSource(t *testing.T) {
@@ -20,8 +18,8 @@ func TestFixedSource(t *testing.T) {
 	if _, ok := s.Next(); ok {
 		t.Error("source yielded beyond count")
 	}
-	if s.Remaining() != 0 {
-		t.Errorf("Remaining = %d", s.Remaining())
+	if s.left != 0 {
+		t.Errorf("Remaining = %d", s.left)
 	}
 }
 
@@ -42,49 +40,6 @@ func TestFixedSourceZeroSize(t *testing.T) {
 	p, ok := s.Next()
 	if !ok || len(p) != 0 {
 		t.Errorf("zero-size draw: ok=%v len=%d", ok, len(p))
-	}
-}
-
-func TestSampledSourceClamps(t *testing.T) {
-	s, err := NewSampledSource(stats.Constant{Value: -5}, 100, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, ok := s.Next()
-	if !ok || len(p) != 1 {
-		t.Errorf("negative sample clamped to %d, want 1", len(p))
-	}
-	big, err := NewSampledSource(stats.Constant{Value: 1e9}, 100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _ = big.Next()
-	if len(p) != 100 {
-		t.Errorf("oversized sample clamped to %d, want 100", len(p))
-	}
-}
-
-func TestSampledSourceExhausts(t *testing.T) {
-	s, err := NewSampledSource(stats.Constant{Value: 10}, 100, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Next()
-	s.Next()
-	if _, ok := s.Next(); ok {
-		t.Error("yielded beyond count")
-	}
-}
-
-func TestSampledSourceValidation(t *testing.T) {
-	if _, err := NewSampledSource(nil, 10, 1); err == nil {
-		t.Error("nil sampler accepted")
-	}
-	if _, err := NewSampledSource(stats.Constant{Value: 1}, 0, 1); err == nil {
-		t.Error("zero max size accepted")
-	}
-	if _, err := NewSampledSource(stats.Constant{Value: 1}, 10, -1); err == nil {
-		t.Error("negative count accepted")
 	}
 }
 
@@ -118,47 +73,5 @@ func TestProfilesWellFormed(t *testing.T) {
 	}
 	if WebLogs.Weights[2] <= SocialMedia.Weights[2] {
 		t.Error("web logs do not prioritise completeness")
-	}
-}
-
-func TestProfileSource(t *testing.T) {
-	src, err := SocialMedia.Source(100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo := SocialMedia.MeanSize - SocialMedia.SizeJitter
-	hi := SocialMedia.MeanSize + SocialMedia.SizeJitter
-	sum := 0
-	for i := 0; i < 100; i++ {
-		p, ok := src.Next()
-		if !ok {
-			t.Fatal("exhausted early")
-		}
-		if len(p) < lo || len(p) > hi {
-			t.Fatalf("size %d outside [%d,%d]", len(p), lo, hi)
-		}
-		sum += len(p)
-	}
-	mean := sum / 100
-	if mean < SocialMedia.MeanSize-50 || mean > SocialMedia.MeanSize+50 {
-		t.Errorf("mean size %d far from %d", mean, SocialMedia.MeanSize)
-	}
-}
-
-func TestProfileSourceDeterminism(t *testing.T) {
-	a, err := GameTraffic.Source(50, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GameTraffic.Source(50, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		pa, _ := a.Next()
-		pb, _ := b.Next()
-		if len(pa) != len(pb) {
-			t.Fatalf("draw %d: %d vs %d", i, len(pa), len(pb))
-		}
 	}
 }

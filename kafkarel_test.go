@@ -1,12 +1,15 @@
 package kafkarel_test
 
 import (
-	"bytes"
 	"context"
 	"testing"
 	"time"
 
 	"kafkarel"
+	"kafkarel/internal/chaos"
+	"kafkarel/internal/figures"
+	"kafkarel/internal/obs"
+	"kafkarel/internal/testbed"
 )
 
 // The shape tests below assert the qualitative structure of every
@@ -20,7 +23,7 @@ func TestFig4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure reproduction; skipped in -short")
 	}
-	points, err := kafkarel.Fig4(kafkarel.FigureOptions{Messages: shapeMessages, Seed: 1})
+	points, err := figures.Fig4(figures.Options{Messages: shapeMessages, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +56,7 @@ func TestFig5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure reproduction; skipped in -short")
 	}
-	points, err := kafkarel.Fig5(kafkarel.FigureOptions{Messages: 4000, Seed: 2})
+	points, err := figures.Fig5(figures.Options{Messages: 4000, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +89,7 @@ func TestFig6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure reproduction; skipped in -short")
 	}
-	points, err := kafkarel.Fig6(kafkarel.FigureOptions{Messages: 4000, Seed: 3})
+	points, err := figures.Fig6(figures.Options{Messages: 4000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +120,7 @@ func TestFig7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure reproduction; skipped in -short")
 	}
-	points, err := kafkarel.Fig7(kafkarel.FigureOptions{Messages: shapeMessages, Seed: 4})
+	points, err := figures.Fig7(figures.Options{Messages: shapeMessages, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +164,7 @@ func TestFig8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure reproduction; skipped in -short")
 	}
-	points, err := kafkarel.Fig8(kafkarel.FigureOptions{Messages: shapeMessages, Seed: 5})
+	points, err := figures.Fig8(figures.Options{Messages: shapeMessages, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +183,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9Trace(t *testing.T) {
-	series, err := kafkarel.Fig9(6)
+	series, err := figures.Fig9(6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +211,7 @@ func TestTable1CaseDistribution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure reproduction; skipped in -short")
 	}
-	res, err := kafkarel.Table1(kafkarel.FigureOptions{Messages: 4000, Seed: 7})
+	res, err := figures.Table1(figures.Options{Messages: 4000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,17 +262,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// CSV round trip through the public API.
-	var buf bytes.Buffer
-	if err := ds.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	ds2, err := kafkarel.ReadDatasetCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds2) != len(ds) {
-		t.Fatalf("csv round trip lost samples: %d vs %d", len(ds2), len(ds))
+	if len(ds) != len(grid) {
+		t.Fatalf("collected %d samples for %d grid points", len(ds), len(grid))
 	}
 
 	pred, metrics, err := kafkarel.TrainPredictor(ds, kafkarel.TrainConfig{Seed: 11, TargetMAE: 0.02})
@@ -283,7 +277,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval, err := kafkarel.NewEvaluator(pred, perf, kafkarel.DefaultWeights())
+	eval, err := kafkarel.NewEvaluator(pred, perf, kafkarel.Weights{0.3, 0.3, 0.3, 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,9 +297,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 }
 
 func TestObservabilityFacade(t *testing.T) {
-	// The observability surface through the public API: metrics ride
-	// along on every Result, and a Tracer round-trips through JSONL to
-	// the duplicate-chain analysis.
+	// The observability surface of a run started through the public API:
+	// metrics ride along on every Result, and an attached Tracer's events
+	// feed the duplicate-chain analysis.
 	e := kafkarel.Experiment{
 		Features: kafkarel.Features{
 			MessageSize:    200,
@@ -319,7 +313,7 @@ func TestObservabilityFacade(t *testing.T) {
 		Messages: 2000,
 		Seed:     7,
 	}
-	e.Tracer = kafkarel.NewTracer(1 << 16)
+	e.Tracer = obs.NewTracer(1 << 16)
 	res, err := kafkarel.RunExperiment(e)
 	if err != nil {
 		t.Fatal(err)
@@ -329,20 +323,13 @@ func TestObservabilityFacade(t *testing.T) {
 		m.RecordsEnqueued != 2000 || m.RTOMax == 0 {
 		t.Errorf("metrics not populated: %s", m.Encode())
 	}
-	var buf bytes.Buffer
-	if err := e.Tracer.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	events, err := kafkarel.ReadTraceJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := e.Tracer.Events()
 	if len(events) == 0 {
-		t.Fatal("trace round trip returned no events")
+		t.Fatal("the tracer holds no events")
 	}
 	complete := 0
-	for _, chain := range kafkarel.DuplicateChains(events) {
-		if kafkarel.IsCompleteDuplicateChain(chain) {
+	for _, chain := range obs.DuplicateChains(events) {
+		if obs.IsCompleteDuplicateChain(chain) {
 			complete++
 		}
 	}
@@ -390,11 +377,11 @@ func TestProducerScalingReducesLoss(t *testing.T) {
 	}
 }
 
-// TestTxnFacade drives the transactional surface end to end through
-// the public API: generate a fault plan, run the pipeline, verify.
+// TestTxnFacade drives the transactional surface end to end the way
+// cmd/chaos -txn does: generate a fault plan, run the pipeline, verify.
 func TestTxnFacade(t *testing.T) {
-	plan := kafkarel.GenerateTxnFaultPlan(3, kafkarel.TxnFaultGenConfig{Unclean: true})
-	res, err := kafkarel.RunTxnPipeline(context.Background(), kafkarel.TxnExperiment{
+	plan := chaos.GenerateTxnPlan(3, chaos.TxnGenConfig{Unclean: true})
+	res, err := testbed.RunTxnCtx(context.Background(), testbed.TxnExperiment{
 		Seed: 3, Messages: 120, AbortEvery: 4, FaultPlan: plan,
 	})
 	if err != nil {
@@ -403,7 +390,7 @@ func TestTxnFacade(t *testing.T) {
 	if res.TxnStats.TxnsCommitted == 0 {
 		t.Fatal("no transaction committed")
 	}
-	v := kafkarel.VerifyTxnTrial(kafkarel.TxnEvidence{
+	v := chaos.VerifyTxn(chaos.TxnInput{
 		Plan:              plan,
 		Attempts:          res.Attempts,
 		InputKeys:         res.InputKeys,

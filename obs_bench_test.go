@@ -70,7 +70,7 @@ func BenchmarkFig7ObservabilityTraced(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e := obsBenchExperiment(uint64(i))
-		e.Tracer = kafkarel.NewTracer(1 << 16)
+		e.Tracer = obs.NewTracer(1 << 16)
 		if _, err := kafkarel.RunExperiment(e); err != nil {
 			b.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func BenchmarkFig7ObservabilityTimeline(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e := obsBenchExperiment(uint64(i))
-		e.Timeline = kafkarel.NewTimeline(time.Second)
+		e.Timeline = obs.NewTimeline(time.Second)
 		res, err := kafkarel.RunExperiment(e)
 		if err != nil {
 			b.Fatal(err)
@@ -99,7 +99,7 @@ func BenchmarkFig7ObservabilityTimeline(b *testing.B) {
 // (the -timeline sink), separate from capturing it.
 func BenchmarkTimelineCSV(b *testing.B) {
 	e := obsBenchExperiment(1)
-	e.Timeline = kafkarel.NewTimeline(time.Second)
+	e.Timeline = obs.NewTimeline(time.Second)
 	res, err := kafkarel.RunExperiment(e)
 	if err != nil {
 		b.Fatal(err)
@@ -107,7 +107,7 @@ func BenchmarkTimelineCSV(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := res.Timeline.WriteCSV(io.Discard); err != nil {
+		if err := obs.WriteMergedCSV(io.Discard, []*obs.Timeline{res.Timeline}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -142,7 +142,7 @@ func TestObsOverheadBudget(t *testing.T) {
 		case vDisabled:
 			e.DisableMetrics = true
 		case vTimeline:
-			e.Timeline = kafkarel.NewTimeline(time.Second)
+			e.Timeline = obs.NewTimeline(time.Second)
 		}
 		start := time.Now()
 		if _, err := kafkarel.RunExperiment(e); err != nil {
