@@ -12,7 +12,11 @@
 // payload of 30 bytes or a one-element slice is nothing in the byte table
 // and can still be most of a workload's mallocgc calls (before PR 19
 // HandleOffsetCommit was 86 % of fleet_fanout's objects and 13 % of its
-// bytes; flushPart 31 % of chaos_mix's objects).
+// bytes; flushPart 31 % of chaos_mix's objects; before PR 23 runTxnOn
+// was 74.6 % of chaos_mix's objects for 24.9 % of its CPU — 50 closures,
+// timers and method values per transaction cycle, none of them 100
+// bytes — and 44.0 % / 20.9 % after, the workload's objects 5.11 M →
+// 2.05 M).
 //
 // What a CPU profile shows of the collector is mostly the write barrier
 // (gcWriteBarrier, bulkBarrierPreWrite, wbBufFlush), and its cost is the

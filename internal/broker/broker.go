@@ -260,7 +260,7 @@ func (b *Broker) CrashUnclean() {
 			lost += uint64(tail)
 		}
 		p.prod = restoreStates(p.flushedProd)
-		p.txn = p.flushedTxn.clone()
+		p.txn.copyFrom(p.flushedTxn)
 	}
 	b.stats.RecordsTruncated += lost
 	b.cTruncated.Add(lost)
@@ -300,8 +300,8 @@ func (b *Broker) CreatePartition(topic string, partition int32) {
 		log:         storage.NewLog(0),
 		prod:        make(map[uint64]*producerState),
 		flushedProd: make(map[uint64]producerState),
-		txn:         newTxnState(),
-		flushedTxn:  newTxnState(),
+		txn:         new(txnState),
+		flushedTxn:  new(txnState),
 	}
 	tp.parts[partition] = p
 	b.parts = append(b.parts, p)

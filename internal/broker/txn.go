@@ -19,7 +19,9 @@ type TxnRange struct {
 	First, Next int64
 }
 
-// txnState is one partition's live transaction view.
+// txnState is one partition's live transaction view. The zero value is
+// an empty view, and its maps are made by the first write: most
+// partitions of most runs never see a transactional batch.
 type txnState struct {
 	// ongoing maps producer id -> the open (undecided) transaction's
 	// offset range. Its minimum First is the partition's LSO.
@@ -35,8 +37,18 @@ type txnState struct {
 	epoch map[uint64]uint32
 }
 
-func newTxnState() *txnState {
-	return &txnState{ongoing: make(map[uint64]TxnRange), epoch: make(map[uint64]uint32)}
+func (ts *txnState) setOngoing(pid uint64, rng TxnRange) {
+	if ts.ongoing == nil {
+		ts.ongoing = make(map[uint64]TxnRange)
+	}
+	ts.ongoing[pid] = rng
+}
+
+func (ts *txnState) setEpoch(pid uint64, epoch uint32) {
+	if ts.epoch == nil {
+		ts.epoch = make(map[uint64]uint32)
+	}
+	ts.epoch[pid] = epoch
 }
 
 // fence checks a transactional batch's epoch against the highest seen
@@ -46,19 +58,19 @@ func (ts *txnState) fence(pid uint64, epoch uint32) bool {
 	if prev, ok := ts.epoch[pid]; ok && epoch < prev {
 		return true
 	}
-	ts.epoch[pid] = epoch
+	ts.setEpoch(pid, epoch)
 	return false
 }
 
 // extend opens or extends the producer's ongoing range with a data batch
 // appended at [base, base+n).
 func (ts *txnState) extend(pid uint64, base int64, n int) {
-	if rng, ok := ts.ongoing[pid]; ok {
-		rng.Next = base + int64(n)
-		ts.ongoing[pid] = rng
-		return
+	rng, ok := ts.ongoing[pid]
+	if !ok {
+		rng.First = base
 	}
-	ts.ongoing[pid] = TxnRange{First: base, Next: base + int64(n)}
+	rng.Next = base + int64(n)
+	ts.setOngoing(pid, rng)
 }
 
 // applyMarker records a control marker appended at offset and closes the
@@ -146,11 +158,11 @@ func (ts *txnState) firstFiltered(from, to int64, iso wire.IsolationLevel) int64
 func (ts *txnState) copyFrom(src *txnState) {
 	clear(ts.ongoing)
 	for pid, rng := range src.ongoing {
-		ts.ongoing[pid] = rng
+		ts.setOngoing(pid, rng)
 	}
 	clear(ts.epoch)
 	for pid, e := range src.epoch {
-		ts.epoch[pid] = e
+		ts.setEpoch(pid, e)
 	}
 	ts.aborted = append(ts.aborted[:0], src.aborted...)
 	ts.control = append(ts.control[:0], src.control...)
@@ -158,7 +170,7 @@ func (ts *txnState) copyFrom(src *txnState) {
 
 // clone returns a deep copy in storage of its own.
 func (ts *txnState) clone() *txnState {
-	cp := newTxnState()
+	cp := new(txnState)
 	cp.copyFrom(ts)
 	return cp
 }
@@ -193,14 +205,14 @@ func (b *Broker) RestoreTxnState(topic string, partition int32, snap TxnSnapshot
 	if p == nil {
 		return
 	}
-	ts := newTxnState()
+	ts := new(txnState)
 	end := p.log.End()
 	for pid, rng := range snap.Ongoing {
 		if rng.First < end {
 			if rng.Next > end {
 				rng.Next = end
 			}
-			ts.ongoing[pid] = rng
+			ts.setOngoing(pid, rng)
 		}
 	}
 	for _, rng := range snap.Aborted {
@@ -219,7 +231,7 @@ func (b *Broker) RestoreTxnState(topic string, partition int32, snap TxnSnapshot
 	}
 	sort.Slice(ts.control, func(i, j int) bool { return ts.control[i] < ts.control[j] })
 	for pid, e := range snap.Epoch {
-		ts.epoch[pid] = e
+		ts.setEpoch(pid, e)
 	}
 	p.txn = ts
 	p.flushedTxn = ts.clone()

@@ -547,3 +547,67 @@ func TestPropertyReplicationPrefixConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestHandleProduceAnswersAtMostOncePerCall drives produce requests at
+// every acks level through a cluster whose brokers stop, crash, slow
+// down and recover under them — requests in every stage of leader
+// append and follower replication when the topology moves — and counts
+// the answers per call. A caller may free what it tied to a request on
+// the request's answer (the coordinators' pooled jobs do), so a second
+// answer to one call would be a use after free; no answer at all (a dead
+// leader swallowed the request) is allowed and expected.
+func TestHandleProduceAnswersAtMostOncePerCall(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0x5eed))
+		sim := des.New()
+		c := newCluster(t, sim)
+		var answers []int
+		acks := []wire.RequiredAcks{wire.AcksNone, wire.AcksLeader, wire.AcksAll, wire.AcksAll}
+		for step := 0; step < 400; step++ {
+			switch id := int32(rng.IntN(3)); rng.IntN(12) {
+			case 0:
+				c.FailBroker(id)
+			case 1:
+				c.CrashBrokerUnclean(id)
+			case 2, 3:
+				c.RecoverBroker(id)
+			case 4:
+				c.Broker(id).SetSlowdown(float64(1 + rng.IntN(40)))
+			default:
+				call := len(answers)
+				answers = append(answers, 0)
+				req := produceReq(uint32(call), acks[rng.IntN(len(acks))], uint64(call))
+				if rng.IntN(2) == 0 { // half idempotent, a few of them retries of an earlier sequence
+					req.Batch.ProducerID, req.Batch.Idempotent = 7, true
+					req.Batch.BaseSequence = uint64(call - rng.IntN(2)*rng.IntN(call+1))
+				}
+				c.HandleProduce(req, func(resp wire.ProduceResponse) {
+					if resp.CorrelationID != uint32(call) {
+						t.Errorf("seed %d: call %d answered with correlation id %d", seed, call, resp.CorrelationID)
+					}
+					answers[call]++
+				})
+			}
+			if err := sim.RunUntil(sim.Now() + time.Duration(rng.IntN(400))*time.Microsecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for id := int32(0); id < 3; id++ {
+			c.Broker(id).SetSlowdown(1)
+			c.RecoverBroker(id)
+		}
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		answered := 0
+		for call, n := range answers {
+			if n > 1 {
+				t.Errorf("seed %d: call %d answered %d times", seed, call, n)
+			}
+			answered += n
+		}
+		if answered < len(answers)/4 || answered == len(answers) {
+			t.Errorf("seed %d: %d of %d calls answered; want a mix of answered and swallowed", seed, answered, len(answers))
+		}
+	}
+}

@@ -89,8 +89,8 @@ func TestAppendedBytesSurviveScratchReuse(t *testing.T) {
 		switch i % 3 {
 		case 0: // a transactional commit: any group name, no generation fencing
 			rec.Group, rec.Generation = fmt.Sprintf("pipeline-%0*d", i%9, i), -1
-			co.CommitTxnOffset(rec.Group, rec.Topic, rec.Partition, rec.Offset, func(code wire.ErrorCode) {
-				if code == wire.ErrNone {
+			co.CommitTxnOffset(rec.Group, rec.Topic, rec.Partition, rec.Offset, func(r wire.OffsetCommitResponse) {
+				if r.Err == wire.ErrNone {
 					acked++
 				}
 			})

@@ -565,10 +565,12 @@ func (j *commitJob) produceDone(resp wire.ProduceResponse) {
 // transaction reaches its commit phase (Kafka's TxnOffsetCommit path).
 // The materialized offset moves only when the log acknowledges, exactly
 // like a consumer commit.
-func (co *Coordinator) CommitTxnOffset(group, topic string, partition int32, offset int64, done func(wire.ErrorCode)) {
+func (co *Coordinator) CommitTxnOffset(group, topic string, partition int32, offset int64, done func(wire.OffsetCommitResponse)) {
 	if !co.available() {
 		if done != nil {
-			done(wire.ErrCoordinatorNotAvailable)
+			done(wire.OffsetCommitResponse{
+				Group: group, Topic: topic, Partition: partition, Err: wire.ErrCoordinatorNotAvailable,
+			})
 		}
 		return
 	}
@@ -579,9 +581,8 @@ func (co *Coordinator) CommitTxnOffset(group, topic string, partition int32, off
 	j := co.getCommit()
 	j.key = offsetKey{group: group, topic: topic, partition: partition}
 	j.rec = commitRecord{Group: group, Topic: topic, Partition: partition, Offset: offset, Generation: gen}
-	if done != nil {
-		j.done = func(resp wire.OffsetCommitResponse) { done(resp.Err) }
-	}
+	j.corr = 0
+	j.done = done
 	co.appendCommit(j)
 }
 
@@ -654,12 +655,17 @@ func (co *Coordinator) Rematerialize() {
 	}
 	fresh := make(map[offsetKey]offsetEntry, len(co.offsets))
 	ok := true
+	// The log holds a few groups and topics in long runs of the same
+	// pair: interning each record against the previous one's strings
+	// leaves the scan allocating one string per change of run.
+	var group, topic string
 	log.Scan(func(e storage.Entry) bool {
-		rec, err := decodeCommitRecord(e.Record.Payload, "", "")
+		rec, err := decodeCommitRecord(e.Record.Payload, group, topic)
 		if err != nil {
 			ok = false
 			return false
 		}
+		group, topic = rec.Group, rec.Topic
 		// Last write wins: scanning in log order is compaction.
 		fresh[offsetKey{group: rec.Group, topic: rec.Topic, partition: rec.Partition}] =
 			offsetEntry{offset: rec.Offset, generation: rec.Generation}

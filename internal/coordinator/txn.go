@@ -2,6 +2,7 @@ package coordinator
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -123,9 +124,125 @@ type TxnCoordinator struct {
 	groupCo *Coordinator // offsets forwarding target; may be nil
 	cfg     TxnConfig
 	txns    map[string]*txn
+	// order holds the same transactions sorted by transactional.id,
+	// kept so at insert: Redrive walks it on every topology change, and
+	// map iteration order must not leak into the DES.
+	order   []*txn
 	nextPID uint64
 	log     logAppender // state-log appends and control markers
 	stats   TxnStats
+
+	freeJobs []*txnJob // recycled write jobs
+}
+
+// What a txnJob's answer is for.
+const (
+	jobInit            int8 = iota // identity record of an InitProducerId with nothing to abort
+	jobAddPartitions               // registration record; answers AddPartitionsToTxn
+	jobAddOffsets                  // registration record; answers AddOffsetsToTxn
+	jobTxnOffsetCommit             // registration record; answers TxnOffsetCommit
+	jobPrepare                     // phase one: the durable commit/abort decision
+	jobMarker                      // phase two: partition i's control marker
+	jobOffset                      // phase two: staged offset i, forwarded to the group coordinator
+	jobComplete                    // the durable completion record
+)
+
+// txnJob carries one of the coordinator's own writes — a state-log
+// append, a control marker, a forwarded offset — from issue to answer
+// without a closure per write: what the answer is for is a kind and a
+// few fields, and the callbacks handed to the cluster and the group
+// coordinator are bound once per pooled job. A job goes back to the free
+// list only from its own answer (DESIGN.md §7, "Control-plane
+// requests"): a write a dead leader swallowed is never answered, and its
+// job is left to the collector, exactly as the cluster leaves a prodJob.
+type txnJob struct {
+	tc   *TxnCoordinator
+	t    *txn
+	kind int8
+	// attempt is the drive pass that issued a phase-one/two write; the
+	// answer of a superseded pass is dropped. i is the marker's or the
+	// offset's index in the transaction.
+	attempt uint64
+	i       int
+	// The registration request being answered: its correlation id and,
+	// by kind, its callback.
+	corr           uint32
+	addedPartition func(wire.AddPartitionsToTxnResponse)
+	addedOffsets   func(wire.AddOffsetsToTxnResponse)
+	stagedOffset   func(wire.TxnOffsetCommitResponse)
+
+	produced  func(wire.ProduceResponse)      // bound once; reused across reuses
+	forwarded func(wire.OffsetCommitResponse) // bound once; reused across reuses
+}
+
+func (tc *TxnCoordinator) getJob(t *txn, kind int8) *txnJob {
+	var j *txnJob
+	if n := len(tc.freeJobs); n > 0 {
+		j = tc.freeJobs[n-1]
+		tc.freeJobs = tc.freeJobs[:n-1]
+	} else {
+		j = &txnJob{tc: tc}
+		j.produced = j.onProduced
+		j.forwarded = j.onForwarded
+	}
+	j.t, j.kind, j.attempt = t, kind, t.attempt
+	return j
+}
+
+func (j *txnJob) onProduced(resp wire.ProduceResponse)       { j.answer(resp.Err) }
+func (j *txnJob) onForwarded(resp wire.OffsetCommitResponse) { j.answer(resp.Err) }
+
+// answer acts on the outcome of the job's write and recycles the job.
+func (j *txnJob) answer(code wire.ErrorCode) {
+	tc, t := j.tc, j.t
+	if code == wire.ErrNone && j.kind != jobMarker && j.kind != jobOffset {
+		tc.stats.StateAppends++
+	}
+	switch j.kind {
+	case jobInit:
+		tc.answerInit(t, code)
+	case jobAddPartitions:
+		if j.addedPartition != nil {
+			j.addedPartition(wire.AddPartitionsToTxnResponse{CorrelationID: j.corr, Err: code})
+		}
+	case jobAddOffsets:
+		if j.addedOffsets != nil {
+			j.addedOffsets(wire.AddOffsetsToTxnResponse{CorrelationID: j.corr, Err: code})
+		}
+	case jobTxnOffsetCommit:
+		if j.stagedOffset != nil {
+			j.stagedOffset(wire.TxnOffsetCommitResponse{CorrelationID: j.corr, Err: code})
+		}
+	default:
+		if t.attempt == j.attempt {
+			tc.driveAnswer(j, code)
+		}
+	}
+	j.t, j.addedPartition, j.addedOffsets, j.stagedOffset = nil, nil, nil, nil
+	tc.freeJobs = append(tc.freeJobs, j)
+}
+
+// driveAnswer counts one ack of the current drive pass and advances the
+// resolution.
+func (tc *TxnCoordinator) driveAnswer(j *txnJob, code wire.ErrorCode) {
+	t := j.t
+	t.pending--
+	if code == wire.ErrNone {
+		switch j.kind {
+		case jobPrepare:
+			t.prepared = true
+		case jobMarker:
+			t.markerDone[j.i] = true
+			tc.stats.MarkersWritten++
+		case jobOffset:
+			t.offsetDone[j.i] = true
+			tc.stats.OffsetsForwarded++
+		case jobComplete:
+			tc.finish(t, t.state == txnPrepareCommit)
+			return
+		}
+	}
+	tc.drive(t)
 }
 
 // NewTxn builds a transaction coordinator over the cluster, creating
@@ -173,18 +290,27 @@ func (tc *TxnCoordinator) fenceCheck(t *txn, pid uint64, epoch uint32) wire.Erro
 	return wire.ErrNone
 }
 
+// admit runs the checks every in-transaction request starts with: the
+// producer identity, then that no resolution is in flight.
+func (tc *TxnCoordinator) admit(t *txn, pid uint64, epoch uint32) wire.ErrorCode {
+	if code := tc.fenceCheck(t, pid, epoch); code != wire.ErrNone {
+		return code
+	}
+	if t.state == txnPrepareCommit || t.state == txnPrepareAbort {
+		return wire.ErrConcurrentTransactions
+	}
+	return wire.ErrNone
+}
+
 // HandleInitProducerID grants (or re-grants) a producer identity for a
 // transactional.id. The epoch is bumped on every re-init, fencing any
 // zombie still holding the previous one; a transaction the previous
 // holder left open is aborted before the new identity is answered.
 func (tc *TxnCoordinator) HandleInitProducerID(req wire.InitProducerIDRequest, done func(wire.InitProducerIDResponse)) {
-	fail := func(code wire.ErrorCode) {
-		if done != nil {
-			done(wire.InitProducerIDResponse{CorrelationID: req.CorrelationID, Err: code})
-		}
-	}
 	if req.TransactionalID == "" {
-		fail(wire.ErrInvalidTxnState)
+		if done != nil {
+			done(wire.InitProducerIDResponse{CorrelationID: req.CorrelationID, Err: wire.ErrInvalidTxnState})
+		}
 		return
 	}
 	tc.stats.InitRequests++
@@ -192,7 +318,9 @@ func (tc *TxnCoordinator) HandleInitProducerID(req wire.InitProducerIDRequest, d
 	if !ok {
 		t = &txn{tc: tc, tid: req.TransactionalID, pid: tc.nextPID, state: txnEmpty}
 		tc.nextPID++
-		tc.txns[req.TransactionalID] = t
+		tc.txns[t.tid] = t
+		at := sort.Search(len(tc.order), func(i int) bool { return tc.order[i].tid >= t.tid })
+		tc.order = slices.Insert(tc.order, at, t)
 	} else {
 		t.epoch++
 		tc.stats.EpochBumps++
@@ -220,9 +348,7 @@ func (tc *TxnCoordinator) HandleInitProducerID(req wire.InitProducerIDRequest, d
 		tc.drive(t)
 	default:
 		// No open transaction: persist the new identity and answer.
-		tc.appendState(t, func(code wire.ErrorCode) {
-			tc.answerInit(t, code)
-		})
+		tc.appendState(tc.getJob(t, jobInit))
 	}
 }
 
@@ -243,80 +369,60 @@ func (tc *TxnCoordinator) answerInit(t *txn, code wire.ErrorCode) {
 // is durable before it is acknowledged — the coordinator must know
 // every touched partition to place markers after a crash.
 func (tc *TxnCoordinator) HandleAddPartitionsToTxn(req wire.AddPartitionsToTxnRequest, done func(wire.AddPartitionsToTxnResponse)) {
-	reply := func(code wire.ErrorCode) {
-		if done != nil {
-			done(wire.AddPartitionsToTxnResponse{CorrelationID: req.CorrelationID, Err: code})
-		}
-	}
 	t := tc.txns[req.TransactionalID]
-	if code := tc.fenceCheck(t, req.ProducerID, req.ProducerEpoch); code != wire.ErrNone {
-		reply(code)
+	code := tc.admit(t, req.ProducerID, req.ProducerEpoch)
+	p := wire.TxnPartition{Topic: req.Topic, Partition: req.Partition}
+	if code == wire.ErrNone && !slices.Contains(t.partitions, p) {
+		t.partitions = append(t.partitions, p)
+		tc.open(t)
+		j := tc.getJob(t, jobAddPartitions)
+		j.corr, j.addedPartition = req.CorrelationID, done
+		tc.appendState(j)
 		return
 	}
-	if t.state == txnPrepareCommit || t.state == txnPrepareAbort {
-		reply(wire.ErrConcurrentTransactions)
-		return
+	// Rejected, or already registered and durable.
+	if done != nil {
+		done(wire.AddPartitionsToTxnResponse{CorrelationID: req.CorrelationID, Err: code})
 	}
-	for _, p := range t.partitions {
-		if p.Topic == req.Topic && p.Partition == req.Partition {
-			reply(wire.ErrNone) // already registered and durable
-			return
-		}
-	}
-	t.partitions = append(t.partitions, wire.TxnPartition{Topic: req.Topic, Partition: req.Partition})
-	tc.open(t)
-	tc.appendState(t, reply)
 }
 
 // HandleAddOffsetsToTxn registers the consumer group whose offsets the
 // transaction will commit.
 func (tc *TxnCoordinator) HandleAddOffsetsToTxn(req wire.AddOffsetsToTxnRequest, done func(wire.AddOffsetsToTxnResponse)) {
-	reply := func(code wire.ErrorCode) {
-		if done != nil {
-			done(wire.AddOffsetsToTxnResponse{CorrelationID: req.CorrelationID, Err: code})
-		}
-	}
 	t := tc.txns[req.TransactionalID]
-	if code := tc.fenceCheck(t, req.ProducerID, req.ProducerEpoch); code != wire.ErrNone {
-		reply(code)
+	code := tc.admit(t, req.ProducerID, req.ProducerEpoch)
+	if code == wire.ErrNone && t.group != req.Group {
+		t.group = req.Group
+		tc.open(t)
+		j := tc.getJob(t, jobAddOffsets)
+		j.corr, j.addedOffsets = req.CorrelationID, done
+		tc.appendState(j)
 		return
 	}
-	if t.state == txnPrepareCommit || t.state == txnPrepareAbort {
-		reply(wire.ErrConcurrentTransactions)
-		return
+	// Rejected, or already registered and durable.
+	if done != nil {
+		done(wire.AddOffsetsToTxnResponse{CorrelationID: req.CorrelationID, Err: code})
 	}
-	if t.group == req.Group {
-		reply(wire.ErrNone)
-		return
-	}
-	t.group = req.Group
-	tc.open(t)
-	tc.appendState(t, reply)
 }
 
 // HandleTxnOffsetCommit stages one consumed offset inside the
 // transaction. Staged offsets reach the group coordinator only when the
 // transaction commits; an abort discards them.
 func (tc *TxnCoordinator) HandleTxnOffsetCommit(req wire.TxnOffsetCommitRequest, done func(wire.TxnOffsetCommitResponse)) {
-	reply := func(code wire.ErrorCode) {
+	t := tc.txns[req.TransactionalID]
+	code := tc.admit(t, req.ProducerID, req.ProducerEpoch)
+	if code == wire.ErrNone {
+		if t.group == "" {
+			t.group = req.Group
+		}
+		if req.Group != t.group {
+			code = wire.ErrInvalidTxnState
+		}
+	}
+	if code != wire.ErrNone {
 		if done != nil {
 			done(wire.TxnOffsetCommitResponse{CorrelationID: req.CorrelationID, Err: code})
 		}
-	}
-	t := tc.txns[req.TransactionalID]
-	if code := tc.fenceCheck(t, req.ProducerID, req.ProducerEpoch); code != wire.ErrNone {
-		reply(code)
-		return
-	}
-	if t.state == txnPrepareCommit || t.state == txnPrepareAbort {
-		reply(wire.ErrConcurrentTransactions)
-		return
-	}
-	if t.group == "" {
-		t.group = req.Group
-	}
-	if req.Group != t.group {
-		reply(wire.ErrInvalidTxnState)
 		return
 	}
 	staged := false
@@ -331,7 +437,9 @@ func (tc *TxnCoordinator) HandleTxnOffsetCommit(req wire.TxnOffsetCommitRequest,
 		t.offsets = append(t.offsets, wire.TxnOffset{Topic: req.Topic, Partition: req.Partition, Offset: req.Offset})
 	}
 	tc.open(t)
-	tc.appendState(t, reply)
+	j := tc.getJob(t, jobTxnOffsetCommit)
+	j.corr, j.stagedOffset = req.CorrelationID, done
+	tc.appendState(j)
 }
 
 // HandleEndTxn decides the transaction: the decision is made durable
@@ -339,22 +447,15 @@ func (tc *TxnCoordinator) HandleTxnOffsetCommit(req wire.TxnOffsetCommitRequest,
 // destination and a completion record is written (phase two); done
 // fires only when the whole pipeline has been acknowledged.
 func (tc *TxnCoordinator) HandleEndTxn(req wire.EndTxnRequest, done func(wire.EndTxnResponse)) {
-	reply := func(code wire.ErrorCode) {
+	t := tc.txns[req.TransactionalID]
+	code := tc.admit(t, req.ProducerID, req.ProducerEpoch)
+	if code == wire.ErrNone && t.state == txnEmpty {
+		code = wire.ErrInvalidTxnState
+	}
+	if code != wire.ErrNone {
 		if done != nil {
 			done(wire.EndTxnResponse{CorrelationID: req.CorrelationID, Err: code})
 		}
-	}
-	t := tc.txns[req.TransactionalID]
-	if code := tc.fenceCheck(t, req.ProducerID, req.ProducerEpoch); code != wire.ErrNone {
-		reply(code)
-		return
-	}
-	switch t.state {
-	case txnEmpty:
-		reply(wire.ErrInvalidTxnState)
-		return
-	case txnPrepareCommit, txnPrepareAbort:
-		reply(wire.ErrConcurrentTransactions)
 		return
 	}
 	t.pendingEnd = done
@@ -400,11 +501,22 @@ func (tc *TxnCoordinator) beginResolution(t *txn, commit bool) {
 		t.state = txnPrepareAbort
 	}
 	t.prepared = false
-	t.markerDone = make([]bool, len(t.partitions))
-	t.offsetDone = make([]bool, len(t.offsets))
+	t.markerDone = clearedFlags(t.markerDone, len(t.partitions))
+	t.offsetDone = clearedFlags(t.offsetDone, len(t.offsets))
 	t.attempt++
 	t.pending = 0
 	tc.drive(t)
+}
+
+// clearedFlags returns n false flags, in s's storage when it is large
+// enough: a resolution's ack flags are dead once the next one begins.
+func clearedFlags(s []bool, n int) []bool {
+	if cap(s) < n {
+		return make([]bool, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // drive advances an in-doubt transaction by (re)issuing whatever its
@@ -420,20 +532,10 @@ func (tc *TxnCoordinator) drive(t *txn) {
 	if t.pending > 0 {
 		return // acks outstanding; the retry timer forces progress if they vanish
 	}
-	attempt := t.attempt
 	commit := t.state == txnPrepareCommit
 	if !t.prepared {
 		t.pending = 1
-		tc.appendState(t, func(code wire.ErrorCode) {
-			if t.attempt != attempt {
-				return
-			}
-			t.pending--
-			if code == wire.ErrNone {
-				t.prepared = true
-			}
-			tc.drive(t)
-		})
+		tc.appendState(tc.getJob(t, jobPrepare))
 		tc.armRetry(t)
 		return
 	}
@@ -442,7 +544,7 @@ func (tc *TxnCoordinator) drive(t *txn) {
 			continue
 		}
 		t.pending++
-		tc.sendMarker(t, i, commit, attempt)
+		tc.sendMarker(t, i, commit)
 	}
 	if t.pending > 0 {
 		tc.armRetry(t)
@@ -454,7 +556,7 @@ func (tc *TxnCoordinator) drive(t *txn) {
 				continue
 			}
 			t.pending++
-			tc.forwardOffset(t, i, attempt)
+			tc.forwardOffset(t, i)
 		}
 		if t.pending > 0 {
 			tc.armRetry(t)
@@ -463,25 +565,17 @@ func (tc *TxnCoordinator) drive(t *txn) {
 	}
 	// Everything acknowledged: complete durably and answer.
 	t.pending = 1
-	tc.completeState(t, commit, func(code wire.ErrorCode) {
-		if t.attempt != attempt {
-			return
-		}
-		t.pending--
-		if code != wire.ErrNone {
-			tc.drive(t)
-			return
-		}
-		tc.finish(t, commit)
-	})
+	tc.completeState(tc.getJob(t, jobComplete))
 	tc.armRetry(t)
 }
 
 // sendMarker writes one partition's control marker under the
 // transaction's current epoch. A re-driven marker is harmless: brokers
 // treat a marker with no ongoing range as a no-op.
-func (tc *TxnCoordinator) sendMarker(t *txn, i int, commit bool, attempt uint64) {
+func (tc *TxnCoordinator) sendMarker(t *txn, i int, commit bool) {
 	p := t.partitions[i]
+	j := tc.getJob(t, jobMarker)
+	j.i = i
 	tc.log.append(wire.ProduceRequest{
 		Topic:     p.Topic,
 		Partition: p.Partition,
@@ -491,21 +585,11 @@ func (tc *TxnCoordinator) sendMarker(t *txn, i int, commit bool, attempt uint64)
 			ProducerEpoch: t.epoch,
 			Control:       true,
 		},
-	}, wire.ControlRecord(commit, tc.sim.Now()), func(resp wire.ProduceResponse) {
-		if t.attempt != attempt {
-			return
-		}
-		t.pending--
-		if resp.Err == wire.ErrNone {
-			t.markerDone[i] = true
-			tc.stats.MarkersWritten++
-		}
-		tc.drive(t)
-	})
+	}, wire.ControlRecord(commit, tc.sim.Now()), j.produced)
 }
 
 // forwardOffset hands one staged offset to the group coordinator.
-func (tc *TxnCoordinator) forwardOffset(t *txn, i int, attempt uint64) {
+func (tc *TxnCoordinator) forwardOffset(t *txn, i int) {
 	o := t.offsets[i]
 	if tc.groupCo == nil {
 		t.pending--
@@ -513,17 +597,9 @@ func (tc *TxnCoordinator) forwardOffset(t *txn, i int, attempt uint64) {
 		tc.drive(t)
 		return
 	}
-	tc.groupCo.CommitTxnOffset(t.group, o.Topic, o.Partition, o.Offset, func(code wire.ErrorCode) {
-		if t.attempt != attempt {
-			return
-		}
-		t.pending--
-		if code == wire.ErrNone {
-			t.offsetDone[i] = true
-			tc.stats.OffsetsForwarded++
-		}
-		tc.drive(t)
-	})
+	j := tc.getJob(t, jobOffset)
+	j.i = i
+	tc.groupCo.CommitTxnOffset(t.group, o.Topic, o.Partition, o.Offset, j.forwarded)
 }
 
 // finish closes a resolved transaction and answers the parked
@@ -576,14 +652,9 @@ func (tc *TxnCoordinator) retryFire(t *txn) {
 // recovery: markers lost with a crashed partition leader and state
 // appends lost with the transaction log's leader are simply sent again.
 func (tc *TxnCoordinator) Redrive() {
-	ids := make([]string, 0, len(tc.txns))
-	for tid := range tc.txns {
-		ids = append(ids, tid)
-	}
-	// Deterministic order: map iteration must not leak into the DES.
-	sort.Strings(ids)
-	for _, tid := range ids {
-		t := tc.txns[tid]
+	// No drive pass issues a transactional.id's first InitProducerId, so
+	// order cannot grow under the walk.
+	for _, t := range tc.order {
 		if t.state == txnPrepareCommit || t.state == txnPrepareAbort {
 			tc.stats.Redrives++
 			t.attempt++
@@ -594,25 +665,29 @@ func (tc *TxnCoordinator) Redrive() {
 }
 
 // appendState writes the transaction's full current state to the
-// transaction log and calls cb with the outcome. ErrNone means the
+// transaction log; j is answered with the outcome. ErrNone means the
 // record is as durable as the log's replication settings make it.
-func (tc *TxnCoordinator) appendState(t *txn, cb func(wire.ErrorCode)) {
+func (tc *TxnCoordinator) appendState(j *txnJob) {
+	t := j.t
 	tc.appendRecord(txnRecord{
 		Tid: t.tid, Pid: t.pid, Epoch: t.epoch, State: t.state,
 		Partitions: t.partitions, Group: t.group, Offsets: t.offsets,
-	}, cb)
+	}, j)
 }
 
 // completeState writes the completion record: the transaction is over,
 // its partition and offset sets cleared.
-func (tc *TxnCoordinator) completeState(t *txn, commit bool, cb func(wire.ErrorCode)) {
-	_ = commit
-	tc.appendRecord(txnRecord{Tid: t.tid, Pid: t.pid, Epoch: t.epoch, State: txnEmpty}, cb)
+func (tc *TxnCoordinator) completeState(j *txnJob) {
+	t := j.t
+	tc.appendRecord(txnRecord{Tid: t.tid, Pid: t.pid, Epoch: t.epoch, State: txnEmpty}, j)
 }
 
-func (tc *TxnCoordinator) appendRecord(rec txnRecord, cb func(wire.ErrorCode)) {
+// appendRecord produces rec to the transaction log. The cluster answers
+// a produce at most once (TestHandleProduceAnswersAtMostOncePerCall), which
+// is
+// what lets the answer free the job.
+func (tc *TxnCoordinator) appendRecord(rec txnRecord, j *txnJob) {
 	tc.log.scratch = appendTxnStateRecord(tc.log.scratch[:0], rec)
-	acked := false
 	tc.log.append(wire.ProduceRequest{
 		Topic: txnTopic,
 		Acks:  wire.AcksAll,
@@ -620,18 +695,7 @@ func (tc *TxnCoordinator) appendRecord(rec txnRecord, cb func(wire.ErrorCode)) {
 		Key:       txnCompactionKey(rec.Tid),
 		Timestamp: tc.sim.Now(),
 		Payload:   tc.log.scratch,
-	}, func(resp wire.ProduceResponse) {
-		if acked {
-			return
-		}
-		acked = true
-		if resp.Err == wire.ErrNone {
-			tc.stats.StateAppends++
-		}
-		if cb != nil {
-			cb(resp.Err)
-		}
-	})
+	}, j.produced)
 }
 
 // MaterializedState scans the transaction log's current leader and

@@ -320,6 +320,97 @@ func TestTxnInitAbortsPreviousHoldersOpenTransaction(t *testing.T) {
 	}
 }
 
+// txnCycle runs transactions back to back through the client with
+// callbacks bound once, the way the pipeline processor does: what a cycle
+// allocates is then the transactional path's own.
+type txnCycle struct {
+	p    *producer.TxnProducer
+	end  int64
+	code wire.ErrorCode
+
+	sent, offsetSent, committed func(wire.ErrorCode)
+}
+
+var cycleRecs = []wire.Record{{Key: 1, Payload: make([]byte, 64)}}
+
+func newTxnCycle(p *producer.TxnProducer) *txnCycle {
+	c := &txnCycle{p: p}
+	c.sent = func(code wire.ErrorCode) {
+		if code != wire.ErrNone {
+			c.code = code
+			return
+		}
+		c.p.SendOffset("g", "stream", 0, c.end, c.offsetSent)
+	}
+	c.offsetSent = func(code wire.ErrorCode) {
+		if code != wire.ErrNone {
+			c.code = code
+			return
+		}
+		c.p.Commit(c.committed)
+	}
+	c.committed = func(code wire.ErrorCode) { c.code = code }
+	return c
+}
+
+func (c *txnCycle) run(t testing.TB, sim *des.Simulator) {
+	if err := c.p.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	c.end++
+	c.code = wire.ErrorCode(0xFFFF)
+	c.p.Send("stream", 0, cycleRecs, c.sent)
+	for c.code == wire.ErrorCode(0xFFFF) {
+		if err := sim.RunUntil(sim.Now() + time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.code != wire.ErrNone {
+		t.Fatalf("cycle %d: %s", c.end, c.code)
+	}
+}
+
+// TestTxnCycleAllocatesItsRecordsAndNothingElse pins the whole
+// transactional cycle — AddPartitions, a transactional batch at
+// acks=all, AddOffsets, TxnOffsetCommit, and the two-phase EndTxn with
+// its prepare record, control marker, forwarded offset and completion
+// record: five client requests, seven replicated appends — at what the
+// logs keep of it. The client's op, the coordinator's write jobs and the
+// group coordinator's commit job are pooled, every callback between them
+// is bound once, and the payloads are carved from slabs; what is left is
+// slab chunks and log segments, which average below one object a cycle.
+// It was 52 (BenchmarkTxnCommitPath's 56 less the loop's own four) when
+// each request and each append was a nest of closures.
+func TestTxnCycleAllocatesItsRecordsAndNothingElse(t *testing.T) {
+	sim, clst, _, tc := txnRig(t, coordinator.TxnConfig{DefaultTxnTimeout: time.Hour})
+	p, err := producer.NewTxnProducer(sim, clst, tc, producer.TxnProducerConfig{
+		TransactionalID: "cycle", TxnTimeout: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	initErr := wire.ErrorCode(0xFFFF)
+	p.Init(func(code wire.ErrorCode) { initErr = code })
+	if err := sim.RunUntil(sim.Now() + 100*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if initErr != wire.ErrNone {
+		t.Fatalf("init: %s", initErr)
+	}
+	c := newTxnCycle(p)
+	for i := 0; i < 50; i++ { // past the small first slab chunks and segments
+		c.run(t, sim)
+	}
+	const cycles = 1000
+	allocs := testing.AllocsPerRun(cycles, func() { c.run(t, sim) })
+	if got := tc.Stats().TxnsCommitted; got != 50+cycles+1 { // AllocsPerRun warms up once
+		t.Fatalf("committed = %d, want %d", got, 50+cycles+1)
+	}
+	if allocs != 0 {
+		t.Fatalf("a transaction cycle allocates %.0f objects, want 0 (amortised)", allocs)
+	}
+}
+
 // BenchmarkTxnCommitPath measures one full transactional cycle through
 // the client: Begin, AddPartitions + one transactional batch (acks=all),
 // a staged offset, and the two-phase EndTxn (durable prepare, control

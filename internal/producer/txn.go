@@ -54,6 +54,9 @@ type TxnProducer struct {
 	inTxn  bool
 	fenced bool
 	killed bool
+
+	corr uint32   // the last correlation id handed out
+	free []*txnOp // finished operations, for reuse
 }
 
 // NewTxnProducer builds a transactional producer over direct handles to
@@ -86,89 +89,223 @@ func (p *TxnProducer) InTxn() bool { return p.inTxn }
 // InitProducerId aborts it.
 func (p *TxnProducer) Kill() { p.killed = true }
 
-// txnOp drives one logical operation through issue / retry / timeout.
-// Operations are idempotent at their destination (sequenced batches,
-// deduplicated registrations), so a re-issue after a vanished answer is
-// safe.
+// The requests an operation issues. Send and SendOffset are two requests
+// each: the registration with the coordinator, then the write it covers.
+const (
+	opInit            int8 = iota // InitProducerId
+	opAddPartitions               // Send, step one: AddPartitionsToTxn
+	opProduce                     // Send, step two: the transactional batch
+	opAddOffsets                  // SendOffset, step one: AddOffsetsToTxn
+	opTxnOffsetCommit             // SendOffset, step two: TxnOffsetCommit
+	opEndTxn                      // Commit / Abort
+)
+
+// txnOp drives one request through issue / retry / timeout, then the
+// operation's next request if it has one, then done. Requests are
+// idempotent at their destination (sequenced batches, deduplicated
+// registrations), so a re-issue after a vanished answer is safe.
+//
+// An op is a reusable job: the request is kind plus the fields below,
+// the callbacks handed out with it are bound once, and finished ops wait
+// on the producer's free list. What tells a current answer from a late
+// one is therefore not which closure it reaches but corr: one id per
+// request, shared by its re-issues, echoed by every response (DESIGN.md
+// §7, "Control-plane requests").
 type txnOp struct {
-	p        *TxnProducer
-	issue    func(cb func(wire.ErrorCode))
-	done     func(wire.ErrorCode)
-	timer    *des.Timer
+	p    *TxnProducer
+	kind int8
+	// corr is the outstanding request's correlation id; zero while the op
+	// is finished. Any answer carrying it completes the request — one to
+	// an earlier issue as well as one to the latest — and any other
+	// answer is one to a request this object has since moved on from.
+	corr     uint32
 	attempts int
-	finished bool
+	// timer is the request timeout while an answer is awaited and the
+	// retry back-off after a retriable one; backoff says which.
+	timer   *des.Timer
+	backoff bool
+	done    func(wire.ErrorCode)
+
+	// The request's fields; epoch is the producer's when the operation
+	// began.
+	epoch     uint32
+	topic     string
+	partition int32
+	recs      []wire.Record
+	seq       uint64
+	group     string
+	offset    int64
+	commit    bool
+
+	// Bound once per op.
+	initDone          func(wire.InitProducerIDResponse)
+	addPartitionsDone func(wire.AddPartitionsToTxnResponse)
+	produceDone       func(wire.ProduceResponse)
+	addOffsetsDone    func(wire.AddOffsetsToTxnResponse)
+	offsetCommitDone  func(wire.TxnOffsetCommitResponse)
+	endTxnDone        func(wire.EndTxnResponse)
 }
 
-func (p *TxnProducer) runOp(issue func(cb func(wire.ErrorCode)), done func(wire.ErrorCode)) {
-	op := &txnOp{p: p, issue: issue, done: done}
-	op.timer = des.NewTimer(p.sim, op.timeoutFire)
+// newOp returns an idle op for an operation that ends in done.
+func (p *TxnProducer) newOp(done func(wire.ErrorCode)) *txnOp {
+	var op *txnOp
+	if n := len(p.free); n > 0 {
+		op = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		op = &txnOp{p: p}
+		op.timer = des.NewTimer(p.sim, op.timerFire)
+		op.initDone = op.onInit
+		op.addPartitionsDone = func(r wire.AddPartitionsToTxnResponse) { op.complete(r.CorrelationID, r.Err) }
+		op.produceDone = func(r wire.ProduceResponse) { op.complete(r.CorrelationID, r.Err) }
+		op.addOffsetsDone = func(r wire.AddOffsetsToTxnResponse) { op.complete(r.CorrelationID, r.Err) }
+		op.offsetCommitDone = func(r wire.TxnOffsetCommitResponse) { op.complete(r.CorrelationID, r.Err) }
+		op.endTxnDone = func(r wire.EndTxnResponse) { op.complete(r.CorrelationID, r.Err) }
+	}
+	op.done, op.epoch = done, p.epoch
+	return op
+}
+
+// begin starts the op's next request under a fresh correlation id.
+func (op *txnOp) begin(kind int8) {
+	op.p.corr++
+	op.kind, op.corr, op.attempts = kind, op.p.corr, 0
 	op.start()
 }
 
 func (op *txnOp) start() {
-	if op.p.killed {
+	p := op.p
+	if p.killed {
 		op.abandon()
 		return
 	}
 	op.attempts++
+	op.backoff = false
 	op.timer.Reset(txnRequestTimeout)
-	op.issue(op.complete)
+	switch op.kind {
+	case opInit:
+		p.tc.HandleInitProducerID(wire.InitProducerIDRequest{
+			CorrelationID:   op.corr,
+			TransactionalID: p.cfg.TransactionalID,
+			TxnTimeout:      p.cfg.TxnTimeout,
+		}, op.initDone)
+	case opAddPartitions:
+		p.tc.HandleAddPartitionsToTxn(wire.AddPartitionsToTxnRequest{
+			CorrelationID:   op.corr,
+			TransactionalID: p.cfg.TransactionalID,
+			ProducerID:      p.pid, ProducerEpoch: op.epoch,
+			Topic: op.topic, Partition: op.partition,
+		}, op.addPartitionsDone)
+	case opProduce:
+		p.clst.HandleProduce(wire.ProduceRequest{
+			CorrelationID: op.corr,
+			Topic:         op.topic,
+			Partition:     op.partition,
+			Acks:          wire.AcksAll,
+			Batch: wire.RecordBatch{
+				ProducerID:    p.pid,
+				ProducerEpoch: op.epoch,
+				BaseSequence:  op.seq,
+				Idempotent:    true,
+				Transactional: true,
+				Records:       op.recs,
+			},
+		}, op.produceDone)
+	case opAddOffsets:
+		p.tc.HandleAddOffsetsToTxn(wire.AddOffsetsToTxnRequest{
+			CorrelationID:   op.corr,
+			TransactionalID: p.cfg.TransactionalID,
+			ProducerID:      p.pid, ProducerEpoch: op.epoch,
+			Group: op.group,
+		}, op.addOffsetsDone)
+	case opTxnOffsetCommit:
+		p.tc.HandleTxnOffsetCommit(wire.TxnOffsetCommitRequest{
+			CorrelationID:   op.corr,
+			TransactionalID: p.cfg.TransactionalID,
+			ProducerID:      p.pid, ProducerEpoch: op.epoch,
+			Group: op.group, Topic: op.topic, Partition: op.partition, Offset: op.offset,
+		}, op.offsetCommitDone)
+	case opEndTxn:
+		p.tc.HandleEndTxn(wire.EndTxnRequest{
+			CorrelationID:   op.corr,
+			TransactionalID: p.cfg.TransactionalID,
+			ProducerID:      p.pid, ProducerEpoch: op.epoch,
+			Commit: op.commit,
+		}, op.endTxnDone)
+	}
 }
 
-// abandon drops the operation without a callback: the process is dead
-// and nobody is listening.
+// abandon idles the op without a callback. On its own it is how a killed
+// producer's operations end: the process is dead and nobody is listening.
 func (op *txnOp) abandon() {
-	op.finished = true
+	op.corr, op.done, op.recs = 0, nil, nil
 	op.timer.Stop()
 }
 
-func (op *txnOp) complete(code wire.ErrorCode) {
-	if op.finished {
+// onInit adopts the identity a current InitProducerId answer grants.
+func (op *txnOp) onInit(resp wire.InitProducerIDResponse) {
+	if resp.CorrelationID == op.corr && resp.Err == wire.ErrNone {
+		op.p.pid, op.p.epoch, op.p.inited = resp.ProducerID, resp.ProducerEpoch, true
+	}
+	op.complete(resp.CorrelationID, resp.Err)
+}
+
+// complete takes one answer. An answer whose id is not the outstanding
+// request's is late — its request finished, by another answer or by
+// running out of attempts, and the op may be serving another by now —
+// and is dropped.
+func (op *txnOp) complete(corr uint32, code wire.ErrorCode) {
+	if corr != op.corr {
 		return
 	}
-	if op.p.killed {
+	p := op.p
+	if p.killed {
 		op.abandon()
 		return
 	}
 	switch {
+	case code == wire.ErrNone && op.kind == opAddPartitions:
+		p.seq++
+		op.seq = p.seq
+		op.begin(opProduce)
+	case code == wire.ErrNone && op.kind == opAddOffsets:
+		op.begin(opTxnOffsetCommit)
 	case code == wire.ErrNone:
 		op.finish(code)
 	case code == wire.ErrProducerFenced:
-		op.p.fenced = true
+		p.fenced = true
 		op.finish(code)
 	case code.Retriable() && op.attempts < txnMaxAttempts:
-		op.timer.Stop()
-		sleep := des.NewTimer(op.p.sim, func() {
-			if !op.finished {
-				op.start()
-			}
-		})
-		sleep.Reset(txnRetryBackoff)
+		// An earlier issue's retriable answer during the back-off changes
+		// nothing: the re-issue is already scheduled.
+		if !op.backoff {
+			op.backoff = true
+			op.timer.Reset(txnRetryBackoff)
+		}
 	default:
 		op.finish(code)
 	}
 }
 
-func (op *txnOp) timeoutFire() {
-	if op.finished {
-		return
-	}
-	if op.p.killed {
+func (op *txnOp) timerFire() {
+	switch {
+	case op.p.killed:
 		op.abandon()
-		return
-	}
-	if op.attempts >= txnMaxAttempts {
+	case op.backoff || op.attempts < txnMaxAttempts:
+		op.start()
+	default:
 		op.finish(wire.ErrRequestTimedOut)
-		return
 	}
-	op.start()
 }
 
+// finish ends the operation: the op is free for the next one before done
+// runs, so an operation begun from inside done reuses it.
 func (op *txnOp) finish(code wire.ErrorCode) {
-	op.finished = true
-	op.timer.Stop()
-	if op.done != nil {
-		op.done(code)
+	done := op.done
+	op.abandon()
+	op.p.free = append(op.p.free, op)
+	if done != nil {
+		done(code)
 	}
 }
 
@@ -176,17 +313,7 @@ func (op *txnOp) finish(code wire.ErrorCode) {
 // previous holder of the transactional.id left open is aborted by the
 // coordinator before done fires.
 func (p *TxnProducer) Init(done func(wire.ErrorCode)) {
-	p.runOp(func(cb func(wire.ErrorCode)) {
-		p.tc.HandleInitProducerID(wire.InitProducerIDRequest{
-			TransactionalID: p.cfg.TransactionalID,
-			TxnTimeout:      p.cfg.TxnTimeout,
-		}, func(resp wire.InitProducerIDResponse) {
-			if resp.Err == wire.ErrNone {
-				p.pid, p.epoch, p.inited = resp.ProducerID, resp.ProducerEpoch, true
-			}
-			cb(resp.Err)
-		})
-	}, done)
+	p.newOp(done).begin(opInit)
 }
 
 // Begin opens a transaction. Purely client-side, as in Kafka: the
@@ -230,38 +357,9 @@ func (p *TxnProducer) Send(topic string, partition int32, recs []wire.Record, do
 	if p.failFast(done) {
 		return
 	}
-	epoch := p.epoch
-	p.runOp(func(cb func(wire.ErrorCode)) {
-		p.tc.HandleAddPartitionsToTxn(wire.AddPartitionsToTxnRequest{
-			TransactionalID: p.cfg.TransactionalID,
-			ProducerID:      p.pid, ProducerEpoch: epoch,
-			Topic: topic, Partition: partition,
-		}, func(resp wire.AddPartitionsToTxnResponse) { cb(resp.Err) })
-	}, func(code wire.ErrorCode) {
-		if code != wire.ErrNone {
-			if done != nil {
-				done(code)
-			}
-			return
-		}
-		p.seq++
-		seq := p.seq
-		p.runOp(func(cb func(wire.ErrorCode)) {
-			p.clst.HandleProduce(wire.ProduceRequest{
-				Topic:     topic,
-				Partition: partition,
-				Acks:      wire.AcksAll,
-				Batch: wire.RecordBatch{
-					ProducerID:    p.pid,
-					ProducerEpoch: epoch,
-					BaseSequence:  seq,
-					Idempotent:    true,
-					Transactional: true,
-					Records:       recs,
-				},
-			}, func(resp wire.ProduceResponse) { cb(resp.Err) })
-		}, done)
-	})
+	op := p.newOp(done)
+	op.topic, op.partition, op.recs = topic, partition, recs
+	op.begin(opAddPartitions)
 }
 
 // SendOffset stages one consumed offset inside the transaction: the
@@ -271,28 +369,9 @@ func (p *TxnProducer) SendOffset(group, topic string, partition int32, offset in
 	if p.failFast(done) {
 		return
 	}
-	epoch := p.epoch
-	p.runOp(func(cb func(wire.ErrorCode)) {
-		p.tc.HandleAddOffsetsToTxn(wire.AddOffsetsToTxnRequest{
-			TransactionalID: p.cfg.TransactionalID,
-			ProducerID:      p.pid, ProducerEpoch: epoch,
-			Group: group,
-		}, func(resp wire.AddOffsetsToTxnResponse) { cb(resp.Err) })
-	}, func(code wire.ErrorCode) {
-		if code != wire.ErrNone {
-			if done != nil {
-				done(code)
-			}
-			return
-		}
-		p.runOp(func(cb func(wire.ErrorCode)) {
-			p.tc.HandleTxnOffsetCommit(wire.TxnOffsetCommitRequest{
-				TransactionalID: p.cfg.TransactionalID,
-				ProducerID:      p.pid, ProducerEpoch: epoch,
-				Group: group, Topic: topic, Partition: partition, Offset: offset,
-			}, func(resp wire.TxnOffsetCommitResponse) { cb(resp.Err) })
-		}, done)
-	})
+	op := p.newOp(done)
+	op.group, op.topic, op.partition, op.offset = group, topic, partition, offset
+	op.begin(opAddOffsets)
 }
 
 // Commit ends the transaction with a commit decision; done fires once
@@ -309,12 +388,7 @@ func (p *TxnProducer) endTxn(commit bool, done func(wire.ErrorCode)) {
 		return
 	}
 	p.inTxn = false
-	epoch := p.epoch
-	p.runOp(func(cb func(wire.ErrorCode)) {
-		p.tc.HandleEndTxn(wire.EndTxnRequest{
-			TransactionalID: p.cfg.TransactionalID,
-			ProducerID:      p.pid, ProducerEpoch: epoch,
-			Commit: commit,
-		}, func(resp wire.EndTxnResponse) { cb(resp.Err) })
-	}, done)
+	op := p.newOp(done)
+	op.commit = commit
+	op.begin(opEndTxn)
 }

@@ -396,40 +396,66 @@ func (tp *txnProcessor) spawn() *procInstance {
 	}
 	in.p = p
 	in.timer = des.NewTimer(tp.rig.sim, in.wake)
+	in.inited, in.sent, in.offsetSent = in.onInit, in.onSent, in.onOffsetSent
+	in.committed, in.aborted, in.failAborted = in.onCommitted, in.onAborted, in.onFailAborted
+	in.offsetFetched, in.fetched = in.onOffsetFetched, in.onFetched
 	tp.instances = append(tp.instances, in)
 	in.init()
 	return in
 }
 
+// What a sleeping incarnation does when its timer wakes it.
+const (
+	wakeNone int8 = iota
+	wakeInit
+	wakeFetchCommitted
+	wakeLoop
+)
+
 // procInstance is one incarnation: it owns a transactional producer and
 // runs the fetch → transform → produce → commit loop until it drains
-// its partition, is fenced, or dies.
+// its partition, is fenced, or dies. One transaction is in flight at a
+// time, so the loop's position between two answers is fields here — end,
+// attIdx, next — and the callbacks it hands out are bound once, at spawn.
 type procInstance struct {
 	proc       *txnProcessor
 	ord        int
 	p          *producer.TxnProducer
 	pos        int64
+	end        int64 // the open attempt's input end: pos once it commits
 	dead       bool
 	superseded bool // another incarnation completed InitProducerId
 	doneFlag   bool
 	txnsDone   int
 	attIdx     int // open attempt's index in rig.attempts (-1: none)
 	timer      *des.Timer
-	nextFn     func()
+	next       int8          // what wake resumes
+	recs       []wire.Record // the fetched batch, copied out of the fetch answer
+
+	inited, sent, offsetSent        func(wire.ErrorCode)
+	committed, aborted, failAborted func(wire.ErrorCode)
+	offsetFetched                   func(wire.OffsetFetchResponse)
+	fetched                         func(wire.FetchResponse)
 }
 
 func (in *procInstance) wake() {
 	if in.dead {
 		return
 	}
-	if fn := in.nextFn; fn != nil {
-		in.nextFn = nil
-		fn()
+	next := in.next
+	in.next = wakeNone
+	switch next {
+	case wakeInit:
+		in.init()
+	case wakeFetchCommitted:
+		in.fetchCommitted()
+	case wakeLoop:
+		in.loop()
 	}
 }
 
-func (in *procInstance) after(d time.Duration, fn func()) {
-	in.nextFn = fn
+func (in *procInstance) after(d time.Duration, next int8) {
+	in.next = next
 	in.timer.Reset(d)
 }
 
@@ -452,29 +478,31 @@ func (in *procInstance) init() {
 	if in.dead {
 		return
 	}
-	in.p.Init(func(code wire.ErrorCode) {
-		if in.dead {
-			return
-		}
-		switch {
-		case code == wire.ErrNone:
-			// This incarnation now holds the newest epoch: every other
-			// incarnation of the transactional.id is superseded — any
-			// commit they issue from here on must be fenced.
-			for _, other := range in.proc.instances {
-				if other != in {
-					other.superseded = true
-				}
+	in.p.Init(in.inited)
+}
+
+func (in *procInstance) onInit(code wire.ErrorCode) {
+	if in.dead {
+		return
+	}
+	switch {
+	case code == wire.ErrNone:
+		// This incarnation now holds the newest epoch: every other
+		// incarnation of the transactional.id is superseded — any
+		// commit they issue from here on must be fenced.
+		for _, other := range in.proc.instances {
+			if other != in {
+				other.superseded = true
 			}
-			in.superseded = false
-			in.proc.cur = in
-			in.fetchCommitted()
-		case code == wire.ErrProducerFenced:
-			in.stop()
-		default:
-			in.after(txnRetryDelay, in.init)
 		}
-	})
+		in.superseded = false
+		in.proc.cur = in
+		in.fetchCommitted()
+	case code == wire.ErrProducerFenced:
+		in.stop()
+	default:
+		in.after(txnRetryDelay, wakeInit)
+	}
 }
 
 // fetchCommitted resumes from the durable group offset — the atomic
@@ -485,18 +513,20 @@ func (in *procInstance) fetchCommitted() {
 	}
 	in.proc.rig.co.HandleOffsetFetch(wire.OffsetFetchRequest{
 		Group: TxnGroup, Topic: TxnInTopic, Partition: in.proc.part,
-	}, func(resp wire.OffsetFetchResponse) {
-		switch resp.Err {
-		case wire.ErrNone:
-			in.pos = resp.Offset
-		case wire.ErrNoCommittedOffset:
-			in.pos = 0
-		default:
-			in.after(txnPollDelay, in.fetchCommitted)
-			return
-		}
-		in.loop()
-	})
+	}, in.offsetFetched)
+}
+
+func (in *procInstance) onOffsetFetched(resp wire.OffsetFetchResponse) {
+	switch resp.Err {
+	case wire.ErrNone:
+		in.pos = resp.Offset
+	case wire.ErrNoCommittedOffset:
+		in.pos = 0
+	default:
+		in.after(txnPollDelay, wakeFetchCommitted)
+		return
+	}
+	in.loop()
 }
 
 func (in *procInstance) loop() {
@@ -507,34 +537,37 @@ func (in *procInstance) loop() {
 		in.doneFlag = true
 		return
 	}
-	// The fetched records are a view valid only inside the callback, and
-	// the transaction outlives it: take the copy there.
-	var recs []wire.Record
+	in.recs = in.recs[:0]
 	in.proc.rig.clst.HandleFetch(wire.FetchRequest{
 		Topic: TxnInTopic, Partition: in.proc.part,
 		Offset: in.pos, MaxRecords: int32(in.proc.rig.batch),
-	}, func(fr wire.FetchResponse) {
-		if fr.Err == wire.ErrNone {
-			recs = append(recs, fr.Records...)
-		}
-	})
-	if len(recs) == 0 {
-		in.after(txnPollDelay, in.loop)
+	}, in.fetched)
+	if len(in.recs) == 0 {
+		in.after(txnPollDelay, wakeLoop)
 		return
 	}
-	in.attempt(recs)
+	in.attempt()
 }
 
-func (in *procInstance) attempt(recs []wire.Record) {
+// onFetched takes the copy of the fetched records: they are a view valid
+// only inside the callback, and the transaction outlives it.
+func (in *procInstance) onFetched(fr wire.FetchResponse) {
+	if fr.Err == wire.ErrNone {
+		in.recs = append(in.recs, fr.Records...)
+	}
+}
+
+// attempt opens a transaction over the fetched batch.
+func (in *procInstance) attempt() {
 	if err := in.p.Begin(); err != nil {
 		if in.p.Fenced() {
 			in.onFenced()
 		} else {
-			in.after(txnRetryDelay, in.init)
+			in.after(txnRetryDelay, wakeInit)
 		}
 		return
 	}
-	rig := in.proc.rig
+	rig, recs := in.proc.rig, in.recs
 	now := rig.sim.Now()
 	keys := make([]uint64, len(recs))
 	out := make([]wire.Record, len(recs))
@@ -542,96 +575,105 @@ func (in *procInstance) attempt(recs []wire.Record) {
 		keys[i] = rec.Key
 		out[i] = wire.Record{Key: rec.Key, Timestamp: now, Payload: rec.Payload}
 	}
-	end := in.pos + int64(len(recs))
+	in.end = in.pos + int64(len(recs))
 	in.attIdx = len(rig.attempts)
 	rig.attempts = append(rig.attempts, chaos.TxnAttempt{
 		Processor: in.proc.tid, Instance: in.ord, Epoch: in.p.Epoch(),
-		Partition: in.proc.part, InputStart: in.pos, InputEnd: end,
+		Partition: in.proc.part, InputStart: in.pos, InputEnd: in.end,
 		OutputKeys: keys, Outcome: chaos.TxnInFlight,
 	})
-	in.p.Send(TxnOutTopic, in.proc.part, out, func(code wire.ErrorCode) {
-		if in.dead {
-			return
-		}
-		if code != wire.ErrNone {
-			in.fail(code)
-			return
-		}
-		in.p.SendOffset(TxnGroup, TxnInTopic, in.proc.part, end, func(code wire.ErrorCode) {
-			if in.dead {
-				return
-			}
-			if code != wire.ErrNone {
-				in.fail(code)
-				return
-			}
-			in.decide(end)
-		})
-	})
+	in.p.Send(TxnOutTopic, in.proc.part, out, in.sent)
+}
+
+func (in *procInstance) onSent(code wire.ErrorCode) {
+	if in.dead {
+		return
+	}
+	if code != wire.ErrNone {
+		in.fail(code)
+		return
+	}
+	in.p.SendOffset(TxnGroup, TxnInTopic, in.proc.part, in.end, in.offsetSent)
+}
+
+func (in *procInstance) onOffsetSent(code wire.ErrorCode) {
+	if in.dead {
+		return
+	}
+	if code != wire.ErrNone {
+		in.fail(code)
+		return
+	}
+	in.decide()
 }
 
 // decide ends the transaction: a deliberate abort every AbortEvery-th
 // cycle (the batch is reprocessed), otherwise a commit.
-func (in *procInstance) decide(end int64) {
+func (in *procInstance) decide() {
+	att := in.att()
 	if e := in.proc.rig.e; e.AbortEvery > 0 && (in.txnsDone+1)%e.AbortEvery == 0 {
-		if att := in.att(); att != nil {
+		if att != nil {
 			att.Deliberate = true
 		}
-		in.p.Abort(func(code wire.ErrorCode) {
-			if in.dead {
-				return
-			}
-			if code != wire.ErrNone && code != wire.ErrProducerFenced {
-				in.fail(code)
-				return
-			}
-			if att := in.att(); att != nil {
-				att.Outcome = chaos.TxnAborted
-				if code == wire.ErrProducerFenced {
-					att.Outcome = chaos.TxnFenced
-				}
-				in.attIdx = -1
-			}
-			if code == wire.ErrProducerFenced {
-				in.onFenced()
-				return
-			}
-			in.txnsDone++
-			in.loop() // same position: reprocess the batch
-		})
+		in.p.Abort(in.aborted)
+		return
+	}
+	att.CommitIssued = true
+	att.SupersededAtCommit = in.superseded
+	in.p.Commit(in.committed)
+}
+
+// onAborted takes the answer to a deliberate abort.
+func (in *procInstance) onAborted(code wire.ErrorCode) {
+	if in.dead {
+		return
+	}
+	if code != wire.ErrNone && code != wire.ErrProducerFenced {
+		in.fail(code)
+		return
+	}
+	if att := in.att(); att != nil {
+		att.Outcome = chaos.TxnAborted
+		if code == wire.ErrProducerFenced {
+			att.Outcome = chaos.TxnFenced
+		}
+		in.attIdx = -1
+	}
+	if code == wire.ErrProducerFenced {
+		in.onFenced()
+		return
+	}
+	in.txnsDone++
+	in.loop() // same position: reprocess the batch
+}
+
+func (in *procInstance) onCommitted(code wire.ErrorCode) {
+	if in.dead {
 		return
 	}
 	att := in.att()
-	att.CommitIssued = true
-	att.SupersededAtCommit = in.superseded
-	in.p.Commit(func(code wire.ErrorCode) {
-		if in.dead {
-			return
-		}
-		att := in.att()
-		switch code {
-		case wire.ErrNone:
-			if att != nil {
-				att.Outcome = chaos.TxnCommitted
-				in.attIdx = -1
-			}
-			in.pos = end
-			in.txnsDone++
-			in.loop()
-		case wire.ErrProducerFenced:
-			if att != nil {
-				att.Outcome = chaos.TxnFenced
-				in.attIdx = -1
-			}
-			in.onFenced()
-		default:
-			// Commit outcome unknown (answer lost): the attempt stays
-			// in-flight and the incarnation re-initialises — the durable
-			// group offset tells it where to resume.
+	switch code {
+	case wire.ErrNone:
+		if att != nil {
+			att.Outcome = chaos.TxnCommitted
 			in.attIdx = -1
-			in.after(txnRetryDelay, in.init)
 		}
-	})
+		in.pos = in.end
+		in.txnsDone++
+		in.loop()
+	case wire.ErrProducerFenced:
+		if att != nil {
+			att.Outcome = chaos.TxnFenced
+			in.attIdx = -1
+		}
+		in.onFenced()
+	default:
+		// Commit outcome unknown (answer lost): the attempt stays
+		// in-flight and the incarnation re-initialises — the durable
+		// group offset tells it where to resume.
+		in.attIdx = -1
+		in.after(txnRetryDelay, wakeInit)
+	}
 }
 
 // fail handles an error on the transaction's data path: fence is
@@ -654,15 +696,19 @@ func (in *procInstance) fail(code wire.ErrorCode) {
 		in.attIdx = -1
 	}
 	if in.p.InTxn() {
-		in.p.Abort(func(wire.ErrorCode) {
-			if in.dead {
-				return
-			}
-			in.after(txnRetryDelay, in.init)
-		})
+		in.p.Abort(in.failAborted)
 		return
 	}
-	in.after(txnRetryDelay, in.init)
+	in.after(txnRetryDelay, wakeInit)
+}
+
+// onFailAborted re-initialises once the wounded transaction's abort is
+// answered, whatever the answer.
+func (in *procInstance) onFailAborted(wire.ErrorCode) {
+	if in.dead {
+		return
+	}
+	in.after(txnRetryDelay, wakeInit)
 }
 
 // onFenced retires a fenced incarnation. When the fenced incarnation
