@@ -176,9 +176,11 @@ bench-gate:
 ## fig7_sweep when not given — run sequentially at GOMAXPROCS=1 as the
 ## benchmark's headline pass is, at a fixed seed and run count, plus the
 ## top-40 tables of CPU time, allocated bytes and allocated objects
-## (cpu-top.txt / alloc-top.txt / alloc-objects-top.txt). Read the object
-## table too: many small allocations cost mallocgc and GC time that the
-## byte table ranks last.
+## (cpu-top.txt / alloc-top.txt / alloc-objects-top.txt). The two heap
+## tables are exact counts of one further pass run after the CPU profile
+## stopped, with every allocation recorded, not sampled estimates. Read
+## the object table too: many small allocations cost mallocgc and GC time
+## that the byte table ranks last.
 WORKLOAD ?= fig7_sweep
 profile:
 	GOMAXPROCS=1 $(GO) run ./cmd/profile -workload $(WORKLOAD)

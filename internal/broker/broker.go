@@ -720,6 +720,24 @@ func (h Partition) CountFetch() { h.b.stats.FetchRequests++ }
 // those slots, so consume or copy the records before done returns. The
 // record payloads are immutable and stay valid for the life of the log.
 func (h Partition) Fetch(req wire.FetchRequest, done func(wire.FetchResponse)) {
+	h.fetch(req, done, true)
+}
+
+// FetchRuns is Fetch for a reader that takes its records in pieces: the
+// same request, counted once, cut at the same offsets, but where Fetch
+// would stitch the runs of several log segments into scratch, done is
+// called once per run with the log's own slots and nothing is copied.
+// Each call's Records follow the previous call's and its NextOffset is
+// where they end; the last call is the response Fetch would have given,
+// less the records already handed out. How many records one response
+// holds is simulated behaviour for the polling readers, which use Fetch;
+// the end-of-run reconciliation, which reads whole partitions outside
+// simulated time, uses this.
+func (h Partition) FetchRuns(req wire.FetchRequest, done func(wire.FetchResponse)) {
+	h.fetch(req, done, false)
+}
+
+func (h Partition) fetch(req wire.FetchRequest, done func(wire.FetchResponse), stitch bool) {
 	b := h.b
 	if !b.up || done == nil {
 		return
@@ -766,7 +784,7 @@ func (h Partition) Fetch(req wire.FetchRequest, done func(wire.FetchResponse)) {
 	// Cut at the first filtered offset, then take the run where it lies.
 	max = int(ts.firstFiltered(pos, pos+int64(max), req.Isolation) - pos)
 	recs, err := log.View(pos, max)
-	if err == nil && len(recs) < max {
+	if stitch && err == nil && len(recs) < max {
 		// The run ended at a segment boundary with more to serve: stitch
 		// the pieces together in scratch.
 		recs = append(b.fetchRecords[:0], recs...)
@@ -776,6 +794,15 @@ func (h Partition) Fetch(req wire.FetchRequest, done func(wire.FetchResponse)) {
 			recs = append(recs, run...)
 		}
 		b.fetchRecords = recs
+	}
+	for !stitch && err == nil && len(recs) < max {
+		// Hand this run out as it lies and go on from the segment
+		// boundary; the last run leaves with the epilogue below.
+		pos += int64(len(recs))
+		max -= len(recs)
+		resp.Records, resp.NextOffset = recs, pos
+		done(resp)
+		recs, err = log.View(pos, max)
 	}
 	if err != nil {
 		resp.Err = wire.ErrRequestTimedOut

@@ -156,12 +156,56 @@ func TestFetchViewMatchesCopyOut(t *testing.T) {
 					if calls != 1 {
 						t.Fatalf("seed %d off %d: done called %d times", seed, off, calls)
 					}
+					want = copyOutFetch(p, all, req)
+					checkFetchRuns(t, b, p, req, want)
 				}
 			}
 		}
 		if views == 0 || stitched == 0 {
 			t.Errorf("seed %d: %d view answers, %d stitched answers; want both", seed, views, stitched)
 		}
+	}
+}
+
+// checkFetchRuns holds FetchRuns to Fetch's answer (want) handed out in
+// pieces: one counted request, every piece the log's own slots, the
+// pieces end to end making want's records, each NextOffset the end of
+// the records so far, and the last call carrying want's header.
+func checkFetchRuns(t *testing.T, b *Broker, p *part, req wire.FetchRequest, want wire.FetchResponse) {
+	t.Helper()
+	h, _ := b.Partition(req.Topic, req.Partition)
+	counted := b.Stats().FetchRequests
+	n := 0
+	var last wire.FetchResponse
+	h.FetchRuns(req, func(got wire.FetchResponse) {
+		last = got
+		if len(got.Records) == 0 {
+			return
+		}
+		if run, err := p.log.View(req.Offset+int64(n), 1); err != nil || &run[0] != &got.Records[0] {
+			t.Fatalf("off %d iso %d max %d: run at +%d is not a view of the log", req.Offset, req.Isolation, req.MaxRecords, n)
+		}
+		for i, g := range got.Records {
+			if n+i >= len(want.Records) || g.Key != want.Records[n+i].Key {
+				t.Fatalf("off %d iso %d max %d: record %d = %+v, not Fetch's", req.Offset, req.Isolation, req.MaxRecords, n+i, g)
+			}
+		}
+		n += len(got.Records)
+		if n < len(want.Records) && got.NextOffset != req.Offset+int64(n) {
+			t.Fatalf("off %d iso %d max %d: NextOffset %d after %d records", req.Offset, req.Isolation, req.MaxRecords, got.NextOffset, n)
+		}
+	})
+	if got := b.Stats().FetchRequests - counted; got != 1 {
+		t.Fatalf("off %d: FetchRuns counted %d requests", req.Offset, got)
+	}
+	if n != len(want.Records) {
+		t.Fatalf("off %d iso %d max %d: %d records in all, want %d", req.Offset, req.Isolation, req.MaxRecords, n, len(want.Records))
+	}
+	last.Records, want.Records = nil, nil
+	if last.CorrelationID != want.CorrelationID || last.Topic != want.Topic || last.Partition != want.Partition ||
+		last.Err != want.Err || last.NextOffset != want.NextOffset ||
+		last.HighWatermark != want.HighWatermark || last.LastStable != want.LastStable {
+		t.Fatalf("off %d iso %d max %d: last response %+v, want %+v", req.Offset, req.Isolation, req.MaxRecords, last, want)
 	}
 }
 

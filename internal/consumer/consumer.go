@@ -19,53 +19,55 @@ import (
 // consumer calls the cluster directly rather than through the emulated
 // path.
 type Consumer struct {
-	cluster   *cluster.Cluster
-	topic     string
-	partition int32
-	fetchMax  int32
+	part      cluster.Partition
 	isolation wire.IsolationLevel
 }
+
+// fetchMax is the records asked for per fetch. Brokers count fetch
+// requests (broker.Stats.FetchRequests), so it shows in every result.
+const fetchMax = 4096
 
 // SetIsolation selects the fetch isolation level (default
 // ReadUncommitted). At ReadCommitted the drain stops at the last stable
 // offset and skips records from aborted transactions.
 func (c *Consumer) SetIsolation(iso wire.IsolationLevel) { c.isolation = iso }
 
-// New creates a consumer for the topic partition.
+// New creates a consumer for the topic partition, resolving it once.
 func New(c *cluster.Cluster, topic string, partition int32) (*Consumer, error) {
 	if c == nil {
 		return nil, fmt.Errorf("consumer: nil cluster")
 	}
-	if topic == "" {
-		return nil, fmt.Errorf("consumer: empty topic")
+	part, ok := c.Partition(topic, partition)
+	if !ok {
+		return nil, fmt.Errorf("consumer: unknown topic partition %q/%d", topic, partition)
 	}
-	return &Consumer{cluster: c, topic: topic, partition: partition, fetchMax: 4096}, nil
+	return &Consumer{part: part}, nil
 }
 
 // Consume fetches every record currently in the partition and hands each
-// fetched run to fn, in offset order. A run is a view into the broker's
-// log (see broker.HandleFetch): fn must consume or copy it before
-// returning and must not retain the slice.
+// run to fn, in offset order. A run is a view into the leader's log, one
+// log segment's worth at most (broker.Partition.FetchRuns: this reader
+// is indifferent to where its chunks end, so nothing is stitched into
+// scratch for it): fn must consume or copy it before returning and must
+// not retain the slice.
 func (c *Consumer) Consume(fn func([]wire.Record)) error {
+	leader, ok := c.part.Leader()
+	if !ok {
+		return fmt.Errorf("consumer: no response (partition leaderless or its leader down)")
+	}
 	offset := int64(0)
 	for {
 		var resp wire.FetchResponse
-		got := false
-		c.cluster.HandleFetch(wire.FetchRequest{
-			Topic:      c.topic,
-			Partition:  c.partition,
+		leader.FetchRuns(wire.FetchRequest{
 			Offset:     offset,
-			MaxRecords: c.fetchMax,
+			MaxRecords: fetchMax,
 			Isolation:  c.isolation,
 		}, func(r wire.FetchResponse) {
 			if r.Err == wire.ErrNone && len(r.Records) > 0 {
 				fn(r.Records)
 			}
-			resp, got = r, true
+			resp = r
 		})
-		if !got {
-			return fmt.Errorf("consumer: no response (leaderless partition?)")
-		}
 		if resp.Err != wire.ErrNone {
 			return fmt.Errorf("consumer: fetch at offset %d: %s", offset, resp.Err)
 		}

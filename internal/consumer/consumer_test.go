@@ -96,14 +96,25 @@ func TestConsumeEmptyTopic(t *testing.T) {
 	}
 }
 
+// The partition is resolved once, in New, which is where an unknown one
+// is refused; one that has lost its leader is refused by Consume.
 func TestConsumeUnknownTopic(t *testing.T) {
-	c := seededCluster(t, nil)
-	cons, err := New(c, "ghost", 0)
+	c := seededCluster(t, []uint64{1, 2, 3})
+	if _, err := New(c, "ghost", 0); err == nil {
+		t.Error("unknown topic accepted")
+	}
+	if _, err := New(c, "t", 1); err == nil {
+		t.Error("unknown partition accepted")
+	}
+	cons, err := New(c, "t", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := consumeAll(cons); err == nil {
-		t.Error("unknown topic accepted")
+	if err := c.FailBroker(c.Leader("t", 0).ID()); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := consumeAll(cons); err == nil {
+		t.Errorf("leaderless partition drained: %d records", len(got))
 	}
 }
 
@@ -228,9 +239,11 @@ func TestPropertyTallyMatchesMapReconcile(t *testing.T) {
 	}
 }
 
-// Consume hands out views of the leader's log, not copies, one per fetch.
+// Consume hands out views of the leader's log, never copies: one run per
+// log segment (64, 64, 128, ... records), while the fetch requests the
+// broker counts stay the 4096-record ones they always were.
 func TestConsumeHandsOutLogViews(t *testing.T) {
-	keys := make([]uint64, 5000) // two fetches of up to 4096
+	keys := make([]uint64, 5000) // two fetches of up to 4096, then the empty one
 	for i := range keys {
 		keys[i] = uint64(i + 1)
 	}
@@ -247,9 +260,7 @@ func TestConsumeHandsOutLogViews(t *testing.T) {
 		if err != nil || len(stored) != 1 {
 			t.Fatalf("view at %d: %v", next, err)
 		}
-		// A run that spans log segments is stitched in broker scratch;
-		// one that does not is the log's own memory.
-		if whole, _ := log.View(next, len(run)); len(whole) == len(run) && &run[0] != &stored[0] {
+		if &run[0] != &stored[0] {
 			t.Errorf("run at offset %d is a copy, not a view", next)
 		}
 		next += int64(len(run))
@@ -257,7 +268,10 @@ func TestConsumeHandsOutLogViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runs != 2 || next != 5000 {
-		t.Errorf("%d runs covering %d records, want 2 covering 5000", runs, next)
+	if runs != 8 || next != 5000 {
+		t.Errorf("%d runs covering %d records, want 8 (one per segment) covering 5000", runs, next)
+	}
+	if got := c.Leader("t", 0).Stats().FetchRequests; got != 3 {
+		t.Errorf("%d fetch requests counted, want 3", got)
 	}
 }

@@ -21,13 +21,7 @@ import (
 // the event queue drained.
 var ErrStopped = errors.New("des: simulation stopped")
 
-// Event is the cancelable handle returned by Schedule and After.
-type Event struct {
-	fn   func()
-	slot int32 // index into Simulator.slots while pending, else noSlot
-}
-
-// noSlot marks a handle (Event, Timer, Ticker) with nothing pending.
+// noSlot marks a handle (Timer, Ticker) with nothing pending.
 const noSlot = -1
 
 // Simulator owns the virtual clock and the pending-event queue.
@@ -92,8 +86,8 @@ func b2i(b bool) int {
 }
 
 // slot is a pending event's callback. arg doubles as the owner check of
-// the cancelable forms: an *Event, *Timer or *Ticker is pending in a
-// slot exactly while the slot's arg is that handle.
+// the cancelable forms: a *Timer or *Ticker is pending in a slot exactly
+// while the slot's arg is that handle.
 type slot struct {
 	fn  func(any)
 	arg any
@@ -117,9 +111,9 @@ func (s *Simulator) Now() time.Duration { return s.now }
 // queue, sequence counter rewound — while keeping allocated capacity (the
 // heap, the slot table and its free list). A worker can therefore reuse
 // one Simulator across many trials without re-paying the warm-up
-// allocations. Handles to events that were still pending go stale: Cancel
-// and Timer.Stop on them do nothing. Instrument handles are detached; call
-// Instrument again for the next run.
+// allocations. Handles to events that were still pending go stale:
+// Timer.Stop and Ticker.Stop on them do nothing. Instrument handles are
+// detached; call Instrument again for the next run.
 func (s *Simulator) Reset() {
 	for _, it := range s.heap {
 		s.release(it.slot)
@@ -167,7 +161,9 @@ func (s *Simulator) schedule(at time.Duration, fn func(any), arg any) int32 {
 // cancel removes the event pending in slot sl on behalf of owner and
 // reports whether it did. A handle whose event already fired, was
 // canceled, or was dropped by Reset no longer owns its slot (the slot is
-// free or belongs to a later event), so a stale cancel is a no-op.
+// free or belongs to a later event), so a stale cancel is a no-op. owner
+// is a pointer: against a slot holding a Schedule callback the comparison
+// ends at the differing types and never reaches the func value.
 func (s *Simulator) cancel(sl int32, owner any) bool {
 	if sl < 0 || int(sl) >= len(s.slots) || s.slots[sl].arg != owner {
 		return false
@@ -243,42 +239,36 @@ func (s *Simulator) siftDown(i int, it item) {
 	s.pos[it.slot] = int32(i)
 }
 
-// fireEvent runs a Schedule/After event. The handle gives up its slot
-// first, so a Cancel from inside the callback (or any time later)
-// reports false.
-func fireEvent(a any) {
-	e := a.(*Event)
-	e.slot = noSlot
-	e.fn()
-}
+// fireFunc runs a Schedule/After event: the slot's arg is the callback
+// itself (a func value is pointer-shaped, so boxing it allocates nothing).
+func fireFunc(a any) { a.(func())() }
 
 // Schedule runs fn at the absolute virtual time at. Scheduling in the past
 // (before Now) is a programming error and panics: it would silently
-// reorder causality.
-func (s *Simulator) Schedule(at time.Duration, fn func()) *Event {
+// reorder causality. The event cannot be canceled; one that may need to
+// be is a Timer.
+func (s *Simulator) Schedule(at time.Duration, fn func()) {
 	if fn == nil {
 		panic("des: schedule with nil callback")
 	}
-	e := &Event{fn: fn}
-	e.slot = s.schedule(at, fireEvent, e)
-	return e
+	s.schedule(at, fireFunc, fn)
 }
 
 // After runs fn d after the current virtual time. Negative d is clamped to
 // zero so that jittered delays can never schedule into the past.
-func (s *Simulator) After(d time.Duration, fn func()) *Event {
+func (s *Simulator) After(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return s.Schedule(s.now+d, fn)
+	s.Schedule(s.now+d, fn)
 }
 
-// ScheduleFunc runs fn(arg) at the absolute virtual time at. Nothing is
-// allocated in steady state; in exchange there is no handle to Cancel.
-// Passing a pointer-shaped arg (a pointer or a func value) avoids boxing.
-// fn should be a function that outlives the run (a package-level function,
-// not a per-event closure): a recycled slot keeps its last fn until reuse.
-// Use Schedule when the event may need to be canceled.
+// ScheduleFunc runs fn(arg) at the absolute virtual time at: Schedule
+// without the closure, for callers that fire often enough to pool their
+// per-event state. Nothing is allocated in steady state. Passing a
+// pointer-shaped arg (a pointer or a func value) avoids boxing. fn should
+// be a function that outlives the run (a package-level function, not a
+// per-event closure): a recycled slot keeps its last fn until reuse.
 func (s *Simulator) ScheduleFunc(at time.Duration, fn func(any), arg any) {
 	if fn == nil {
 		panic("des: schedule with nil callback")
@@ -287,8 +277,8 @@ func (s *Simulator) ScheduleFunc(at time.Duration, fn func(any), arg any) {
 }
 
 // AfterFunc runs fn(arg) d after the current virtual time, with the same
-// allocation-free, non-cancelable semantics as ScheduleFunc. Negative d is
-// clamped to zero.
+// allocation-free semantics as ScheduleFunc. Negative d is clamped to
+// zero.
 func (s *Simulator) AfterFunc(d time.Duration, fn func(any), arg any) {
 	if fn == nil {
 		panic("des: schedule with nil callback")
@@ -297,16 +287,6 @@ func (s *Simulator) AfterFunc(d time.Duration, fn func(any), arg any) {
 		d = 0
 	}
 	s.schedule(s.now+d, fn, arg)
-}
-
-// Cancel removes a pending event and reports whether it did. Canceling an
-// event that already fired (or was already canceled) returns false.
-func (s *Simulator) Cancel(e *Event) bool {
-	if e == nil || !s.cancel(e.slot, e) {
-		return false
-	}
-	e.slot = noSlot
-	return true
 }
 
 // Run executes events in timestamp order until the queue is empty.

@@ -86,12 +86,17 @@ func TestScheduleNilCallbackPanics(t *testing.T) {
 	sim.Schedule(0, nil)
 }
 
+// Cancellation is a Timer's (or Ticker's) Stop: Schedule and After hand
+// out no handle. The TestCancel* tests drive it through one-shot timers.
+
 func TestCancelPreventsExecution(t *testing.T) {
 	sim := New()
 	fired := false
-	e := sim.Schedule(time.Second, func() { fired = true })
-	if !sim.Cancel(e) {
-		t.Error("Cancel = false for a pending event")
+	tm := NewTimer(sim, func() { fired = true })
+	tm.Reset(time.Second)
+	tm.Stop()
+	if len(sim.heap) != 0 {
+		t.Error("Stop left the pending expiry queued")
 	}
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -103,27 +108,32 @@ func TestCancelPreventsExecution(t *testing.T) {
 
 func TestCancelIsIdempotent(t *testing.T) {
 	sim := New()
-	e := sim.Schedule(time.Second, func() {})
-	sim.Cancel(e)
-	sim.Cancel(e) // must not panic or corrupt the heap
-	sim.Cancel(nil)
+	fired := false
+	tm := NewTimer(sim, func() {})
+	tm.Reset(time.Second)
+	sim.Schedule(time.Second, func() { fired = true })
+	tm.Stop()
+	tm.Stop() // must not panic, corrupt the heap or take the other event
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+	if !fired {
+		t.Error("second Stop removed another event")
 	}
 }
 
 func TestCancelMiddleOfHeapKeepsOrder(t *testing.T) {
 	sim := New()
 	var got []int
-	events := make([]*Event, 0, 10)
+	events := make([]*Timer, 0, 10)
 	for i := 0; i < 10; i++ {
 		i := i
-		events = append(events, sim.Schedule(time.Duration(i)*time.Millisecond, func() {
-			got = append(got, i)
-		}))
+		tm := NewTimer(sim, func() { got = append(got, i) })
+		tm.Reset(time.Duration(i) * time.Millisecond)
+		events = append(events, tm)
 	}
-	sim.Cancel(events[4])
-	sim.Cancel(events[7])
+	events[4].Stop()
+	events[7].Stop()
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -263,17 +273,17 @@ func TestPropertyCancelConsistency(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, 0))
 		sim := New()
 		fired := map[int]bool{}
-		events := map[int]*Event{}
+		events := map[int]*Timer{}
 		canceled := map[int]bool{}
 		total := int(n%64) + 1
 		for i := 0; i < total; i++ {
 			i := i
-			events[i] = sim.Schedule(time.Duration(rng.IntN(1000))*time.Millisecond,
-				func() { fired[i] = true })
+			events[i] = NewTimer(sim, func() { fired[i] = true })
+			events[i].Reset(time.Duration(rng.IntN(1000)) * time.Millisecond)
 		}
 		for i := 0; i < total; i++ {
 			if rng.Float64() < 0.4 {
-				sim.Cancel(events[i])
+				events[i].Stop()
 				canceled[i] = true
 			}
 		}
@@ -367,31 +377,34 @@ func TestTickerNonPositivePeriodPanics(t *testing.T) {
 	NewTicker(New(), 0, func() {})
 }
 
-// Regression (issue 5): Cancel on an already-fired event must report
+// Regression (issue 5): cancel on an already-fired event must report
 // false — it really executed.
 func TestCancelReportsRemoval(t *testing.T) {
 	sim := New()
 	fired := false
-	e := sim.Schedule(time.Second, func() { fired = true })
+	tm := NewTimer(sim, func() { fired = true })
+	tm.Reset(time.Second)
+	sl := tm.slot
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !fired {
-		t.Fatal("event did not fire")
+	if !fired || tm.Armed() {
+		t.Fatalf("fired = %v, armed = %v after the expiry", fired, tm.Armed())
 	}
-	if sim.Cancel(e) {
-		t.Error("Cancel returned true for an already-fired event")
+	if sim.cancel(sl, tm) {
+		t.Error("cancel returned true for an already-fired event")
 	}
 
-	pending := sim.Schedule(2*time.Second, func() {})
-	if !sim.Cancel(pending) {
-		t.Error("Cancel returned false for a pending event")
+	tm.Reset(2 * time.Second)
+	sl = tm.slot
+	if !sim.cancel(sl, tm) {
+		t.Error("cancel returned false for a pending event")
 	}
-	if sim.Cancel(pending) {
-		t.Error("second Cancel returned true")
+	if sim.cancel(sl, tm) {
+		t.Error("second cancel returned true")
 	}
-	if sim.Cancel(nil) {
-		t.Error("Cancel(nil) returned true")
+	if sim.cancel(noSlot, tm) {
+		t.Error("cancel(noSlot) returned true")
 	}
 }
 
@@ -488,6 +501,31 @@ func TestAllocsPerEventSteadyState(t *testing.T) {
 	cycle() // warm the free list and heap backing array
 	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
 		t.Errorf("pooled schedule/fire allocated %.1f per 256-event cycle, want 0", allocs)
+	}
+}
+
+// Schedule and After hand out no handle, so the callback itself is the
+// slot's argument: scheduling a func value that already exists allocates
+// nothing (the closure, where there is one, is the caller's).
+func TestScheduleAllocatesNoHandle(t *testing.T) {
+	sim := New()
+	count := 0
+	fn := func() { count++ }
+	cycle := func() {
+		for j := 0; j < 64; j++ {
+			sim.Schedule(sim.Now()+time.Duration(j%13)*time.Millisecond, fn)
+			sim.After(time.Duration(j%7)*time.Millisecond, fn)
+		}
+		if err := sim.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Errorf("Schedule/After allocated %.1f per 128-event cycle, want 0", allocs)
+	}
+	if count != 12*128 { // the warm-up, AllocsPerRun's own, and its ten
+		t.Errorf("fired %d callbacks, want %d", count, 12*128)
 	}
 }
 

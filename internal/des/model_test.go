@@ -14,8 +14,9 @@ import (
 // by a linear scan, so it shares no logic with the 4-ary heap, the slot
 // table or the free list.
 
-// who names a callback: a one-shot event, its chained child, a timer or
-// a ticker.
+// who names a callback: a one-shot event (scheduled without a handle, or
+// a one-shot Timer when it is to be cancelable), its chained child, a
+// timer or a ticker.
 type who struct {
 	kind byte // 'e' event, 'c' chained child of event n, 't' timer, 'k' ticker
 	n    int
@@ -110,7 +111,7 @@ type harness struct {
 	sim     *Simulator
 	m       *model
 	log     []firing
-	events  map[int]*Event // cancelable handles, fired and stale ones included
+	events  map[int]*Timer // cancelable one-shot events, fired and stale ones included
 	timers  []*Timer
 	rearm   map[int]int // timer n re-arms itself this many more times
 	tickers []*Ticker
@@ -198,18 +199,18 @@ func (h *harness) check(op string) {
 }
 
 // cancelAt cancels whatever cancelable handle owns the given heap
-// index; AfterFunc events have no handle and are left alone.
+// index; Schedule and AfterFunc events have no handle and are left alone.
 func (h *harness) cancelAt(i int) {
 	switch owner := h.sim.slots[h.sim.heap[i].slot].arg.(type) {
-	case *Event:
+	case *Timer:
 		for n, e := range h.events {
 			if e == owner {
-				if !h.sim.Cancel(e) || !h.m.cancel(who{'e', n}) {
+				e.Stop()
+				if e.Armed() || !h.m.cancel(who{'e', n}) {
 					h.t.Fatalf("cancel of pending event %d at heap[%d] failed", n, i)
 				}
 			}
 		}
-	case *Timer:
 		for n, tm := range h.timers {
 			if tm == owner {
 				tm.Stop()
@@ -246,7 +247,7 @@ func TestModelRandomInterleavings(t *testing.T) {
 func modelRandomInterleavings(t *testing.T) (yields uint64) {
 	for seed := uint64(1); seed <= 150; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 12))
-		h := &harness{t: t, sim: New(), events: map[int]*Event{}, rearm: map[int]int{}, ticks: map[int]int{}}
+		h := &harness{t: t, sim: New(), events: map[int]*Timer{}, rearm: map[int]int{}, ticks: map[int]int{}}
 		h.m = &model{chain: map[int]time.Duration{}, rearm: map[int]int{},
 			period: map[int]time.Duration{}, ticks: map[int]int{}, stopped: map[int]bool{}}
 		// Start both event counts just short of a yield, so that one falls
@@ -260,20 +261,33 @@ func modelRandomInterleavings(t *testing.T) (yields uint64) {
 		for op := 0; op < 400; op++ {
 			s, m := h.sim, h.m
 			switch k := rng.IntN(100); {
-			case k < 14: // Schedule, sometimes with a chained child
+			case k < 8: // Schedule, sometimes with a chained child
 				n := h.nextID
 				h.nextID++
 				if rng.IntN(3) == 0 {
 					m.chain[n] = delay()
 				}
 				at := s.Now() + delay()
-				h.events[n] = s.Schedule(at, h.eventFn(n))
+				s.Schedule(at, h.eventFn(n))
 				m.schedule(at, who{'e', n})
-			case k < 24: // After, negative delays clamp to now
+			case k < 14: // After, negative delays clamp to now
 				n := h.nextID
 				h.nextID++
 				d := delay() - 5*time.Millisecond
-				h.events[n] = s.After(d, h.eventFn(n))
+				s.After(d, h.eventFn(n))
+				if d < 0 {
+					d = 0
+				}
+				m.schedule(m.now+d, who{'e', n})
+			case k < 24: // a cancelable one-shot: a Timer armed once, negative delays clamp to now
+				n := h.nextID
+				h.nextID++
+				if rng.IntN(3) == 0 {
+					m.chain[n] = delay()
+				}
+				d := delay() - 5*time.Millisecond
+				h.events[n] = NewTimer(s, h.eventFn(n))
+				h.events[n].Reset(d)
 				if d < 0 {
 					d = 0
 				}
@@ -288,7 +302,7 @@ func modelRandomInterleavings(t *testing.T) (yields uint64) {
 					s.ScheduleFunc(s.Now()+d, h.fireBoxed, &who{'e', n})
 				}
 				m.schedule(m.now+d, who{'e', n})
-			case k < 52: // Cancel any handle ever issued: pending, fired, canceled, stale
+			case k < 52: // Stop any one-shot ever issued: pending, fired, stopped, stale
 				if len(h.events) == 0 {
 					continue
 				}
@@ -298,8 +312,10 @@ func modelRandomInterleavings(t *testing.T) (yields uint64) {
 					continue
 				}
 				want := m.cancel(who{'e', n})
-				if got := s.Cancel(e); got != want {
-					t.Fatalf("seed %d: Cancel(event %d) = %v, model %v", seed, n, got, want)
+				got := e.Armed()
+				e.Stop()
+				if got != want || e.Armed() {
+					t.Fatalf("seed %d: event %d armed = %v before Stop, model %v", seed, n, got, want)
 				}
 			case k < 56: // cancel the heap root
 				if len(s.heap) > 0 {
@@ -367,7 +383,7 @@ func modelRandomInterleavings(t *testing.T) (yields uint64) {
 					m.schedule(d, who{'e', n})
 				}
 				for n, e := range h.events {
-					if s.Cancel(e) {
+					if e.Stop(); len(s.heap) != 6 {
 						t.Fatalf("seed %d: stale handle of event %d canceled something after Reset", seed, n)
 					}
 				}
@@ -391,22 +407,20 @@ func modelRandomInterleavings(t *testing.T) (yields uint64) {
 	return yields
 }
 
-// A handle whose event already fired must not cancel the event that has
-// since taken over its slot.
+// A handle whose event a Reset dropped must not cancel the event that
+// has since taken over its slot.
 func TestStaleHandleCannotCancelSlotSuccessor(t *testing.T) {
 	sim := New()
-	old := sim.Schedule(time.Millisecond, func() {})
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
+	old := NewTimer(sim, func() {})
+	old.Reset(time.Millisecond)
+	sim.Reset()
 	fired := false
-	successor := sim.Schedule(2*time.Millisecond, func() { fired = true })
-	if successor.slot != 0 {
-		t.Fatalf("successor took slot %d, want the recycled slot 0", successor.slot)
+	successor := NewTimer(sim, func() { fired = true })
+	successor.Reset(2 * time.Millisecond)
+	if !old.Armed() || successor.slot != old.slot {
+		t.Fatalf("successor took slot %d, want the recycled slot %d the stale handle still names", successor.slot, old.slot)
 	}
-	if sim.Cancel(old) {
-		t.Error("stale handle canceled its slot's successor")
-	}
+	old.Stop()
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -228,7 +228,11 @@ func (l *Link) Probe() obs.NetProbe {
 // calls fn synchronously. A packet is delivered at most once, so the
 // callback's bool is always true; it stays in the signature because the
 // frozen bench/ passes a func(any, bool) (ROADMAP 5(a)).
-func (l *Link) SendFn(size int, fn func(arg any, last bool), arg any) {
+//
+// The result reports whether the link took the packet: false means it was
+// dropped here (LostRandom or LostOverflow grew), fn will never fire, and
+// whatever arg owns is the caller's to release.
+func (l *Link) SendFn(size int, fn func(arg any, last bool), arg any) bool {
 	if fn == nil {
 		panic("netem: SendFn with nil deliver callback")
 	}
@@ -247,7 +251,7 @@ func (l *Link) SendFn(size int, fn func(arg any, last bool), arg any) {
 		l.cnt.LostRandom++
 		l.cLostRandom.Inc()
 		l.trace.Emit(obs.LayerNetem, obs.EvPktLoss, 0, int64(size), 0, "")
-		return
+		return false
 	}
 
 	// Serialisation, delay and FIFO ordering: a single TCP path through
@@ -260,7 +264,7 @@ func (l *Link) SendFn(size int, fn func(arg any, last bool), arg any) {
 			l.cnt.LostOverflow++
 			l.cLostOverflow.Inc()
 			l.trace.Emit(obs.LayerNetem, obs.EvPktOverflow, 0, int64(size), 0, "")
-			return
+			return false
 		}
 		start := now
 		if l.free > start {
@@ -296,6 +300,7 @@ func (l *Link) SendFn(size int, fn func(arg any, last bool), arg any) {
 	d.fn = fn
 	d.arg = arg
 	l.sim.ScheduleFunc(at, runDelivery, d)
+	return true
 }
 
 // Path is a duplex producer↔cluster connection: a forward (request) and a

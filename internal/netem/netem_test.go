@@ -533,3 +533,63 @@ func TestFaultDelayOverlayAddsToBase(t *testing.T) {
 		t.Errorf("cleared Probe DelayMs = %v, want 10", pr.DelayMs)
 	}
 }
+
+// SendFn's result is the packet's ownership: false exactly when the link
+// dropped it — a loss counter grew and the callback will never run — for
+// each of the three causes, and true exactly when the callback will.
+func TestSendFnReportsWhetherItTookThePacket(t *testing.T) {
+	bernoulli := func(p float64, seed uint64) stats.LossModel {
+		m, err := stats.NewBernoulli(p, rng(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	for _, tc := range []struct {
+		cause   string
+		cfg     Config
+		overlay stats.LossModel
+		counter func(Counters) uint64
+	}{
+		{"base loss model", Config{Loss: bernoulli(0.3, 1)}, nil,
+			func(c Counters) uint64 { return c.LostRandom }},
+		{"fault overlay", Config{}, bernoulli(0.3, 2),
+			func(c Counters) uint64 { return c.LostRandom }},
+		{"queue overflow", Config{Bandwidth: 1e6, QueueLimit: 3}, nil,
+			func(c Counters) uint64 { return c.LostOverflow }},
+	} {
+		sim := des.New()
+		l, err := NewLink(sim, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.SetFaultLoss(tc.overlay)
+		taken, refused, delivered := 0, 0, 0
+		deliver := func(any, bool) { delivered++ }
+		for i := 0; i < 400; i++ {
+			before := l.Counters()
+			took := l.SendFn(1000, deliver, nil)
+			after := l.Counters()
+			dropped := after.LostRandom+after.LostOverflow > before.LostRandom+before.LostOverflow
+			if took == dropped {
+				t.Fatalf("%s, packet %d: SendFn = %v with loss counters %+v -> %+v", tc.cause, i, took, before, after)
+			}
+			if took {
+				taken++
+			} else {
+				refused++
+			}
+			if i%8 == 7 { // let the device queue drain now and then
+				if err := sim.RunUntil(sim.Now() + 20*time.Millisecond); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if taken == 0 || refused == 0 || delivered != taken || tc.counter(l.Counters()) != uint64(refused) {
+			t.Errorf("%s: %d taken, %d refused, %d delivered, counters %+v", tc.cause, taken, refused, delivered, l.Counters())
+		}
+	}
+}

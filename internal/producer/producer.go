@@ -258,6 +258,19 @@ func WithOutcomeLog() Option {
 	return func(p *Producer) { p.outcomes = make([]Outcome, 0, 1024) }
 }
 
+// produceErrorMetrics holds ProduceErrorMetric's names, built once: every
+// producer and every metrics snapshot asks for all of them.
+var produceErrorMetrics = func() (names [wire.NumErrorCodes]string) {
+	for c := range names {
+		names[c] = obs.ProduceErrorMetric(wire.ErrorCode(c).String())
+	}
+	return names
+}()
+
+// ProduceErrorMetric names the counter of produce responses that failed
+// with code (obs.ProduceErrorMetric of the code's string form).
+func ProduceErrorMetric(code wire.ErrorCode) string { return produceErrorMetrics[code] }
+
 // WithObs attaches the per-run observability bundle. Handles are
 // resolved once here; a nil bundle leaves them nil, which disables the
 // instrumentation at the cost of a nil check per site.
@@ -268,7 +281,7 @@ func WithObs(o *obs.Obs) Option {
 		p.cBatchRetry = o.Counter(obs.MBatchRetries)
 		p.cReqTimeouts = o.Counter(obs.MRequestTimeouts)
 		for code := 1; code < wire.NumErrorCodes; code++ {
-			p.cRespErrors[code] = o.Counter(obs.ProduceErrorMetric(wire.ErrorCode(code).String()))
+			p.cRespErrors[code] = o.Counter(ProduceErrorMetric(wire.ErrorCode(code)))
 		}
 		p.hQueueDepth = o.Histogram(obs.MQueueDepth, obs.QueueDepthBounds)
 		p.cDelivered = o.Counter(obs.MRecordsDelivered)
@@ -607,8 +620,14 @@ func (p *Producer) flushUnsent() {
 			}
 			return
 		}
-		p.unsent[0] = nil
-		p.unsent = p.unsent[1:]
+		// Pop by copying down: reslicing off the front would slide the
+		// queue off its backing array and make trySend's next append
+		// allocate. p.unsent is read afresh, not through a local taken
+		// before sendNow: what sendNow resolves can call back into the
+		// producer's owner.
+		n := copy(p.unsent, p.unsent[1:])
+		p.unsent[n] = nil
+		p.unsent = p.unsent[:n]
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"kafkarel/internal/obs"
+	"kafkarel/internal/producer"
 	"kafkarel/internal/wire"
 )
 
@@ -173,7 +174,7 @@ func snapshotMetrics(s obs.Snapshot) MetricsSnapshot {
 		Paused:                spanHist(s, obs.MPausedNs),
 	}
 	for c := 1; c < wire.NumErrorCodes; c++ {
-		m.ProduceErrors[c] = s.Counter(obs.ProduceErrorMetric(wire.ErrorCode(c).String()))
+		m.ProduceErrors[c] = s.Counter(producer.ProduceErrorMetric(wire.ErrorCode(c)))
 	}
 	if h, ok := s.Histogram(obs.MQueueDepth); ok {
 		for i := 0; i < len(m.QueueDepth) && i < len(h.Counts); i++ {

@@ -112,9 +112,13 @@ type Stats struct {
 	RTO             time.Duration
 }
 
-// dataPkt is a pooled in-flight data packet. It is recycled on its final
-// netem delivery (see deliverDataPkt); copies dropped by the network are
-// reclaimed by the garbage collector instead.
+// dataPkt is a pooled in-flight data packet. It owns its payload buffer:
+// every transmission draws its own (pump and retransmit each call
+// bufs.get), and the pair goes back exactly once — the struct when the
+// link drops it (transmit) or delivers it (deliverDataPkt), the buffer at
+// whichever end of life the packet meets: dropped, stale generation,
+// duplicate, displaced from or cleared out of an out-of-order slot, or
+// consumed in order (DESIGN.md §7 "Packet ownership").
 type dataPkt struct {
 	from    *Endpoint
 	gen     uint64
@@ -131,13 +135,15 @@ type ackPkt struct {
 
 // deliverDataPkt fires at the far end of the netem link. Fields are
 // copied out before the packet struct is recycled; the payload buffer
-// itself is recycled separately, by the receiver, once its bytes are
-// consumed in order (see deliver).
+// passes to the receiver, which returns it at the end receiveData picks.
+// A packet of a generation Reset has ended reaches no receiver, so its
+// buffer goes back here.
 func deliverDataPkt(a any, _ bool) {
 	p := a.(*dataPkt)
 	from, gen, seq, payload := p.from, p.gen, p.seq, p.payload
 	from.putDataPkt(p)
 	if from.genSent != gen {
+		from.bufs.put(payload)
 		return
 	}
 	from.peer.receiveData(seq, payload)
@@ -375,6 +381,9 @@ func (e *Endpoint) reset() {
 	e.broken = false
 	e.brokenErr = nil
 	e.rcvNxt = 0
+	for _, payload := range e.ooo {
+		e.bufs.put(payload)
+	}
 	clear(e.ooo)
 	e.lastCwnd = e.cfg.InitialCwnd
 	// Peer receiver state resets on its own endpoint's reset.
@@ -506,7 +515,10 @@ func (e *Endpoint) transmit(m *segMeta, payload []byte) {
 	e.trace.Emit(obs.LayerTransport, obs.EvSegmentSend, uint64(m.seq), int64(m.size), int64(m.retries), e.name)
 	p := e.getDataPkt()
 	p.from, p.gen, p.seq, p.payload = e, e.genSent, m.seq, payload
-	e.out.SendFn(m.size+segmentOverhead, deliverDataPkt, p)
+	if !e.out.SendFn(m.size+segmentOverhead, deliverDataPkt, p) {
+		e.putDataPkt(p)
+		e.bufs.put(payload)
+	}
 }
 
 // retransmit resends the oldest unacked segment. Every in-flight segment
@@ -596,13 +608,20 @@ func (e *Endpoint) receiveData(seq int64, payload []byte) {
 			e.deliver(p)
 		}
 	case seq > e.rcvNxt:
+		// A second copy of a segment already waiting out of order
+		// displaces it; the two hold different buffers. (This sender only
+		// ever resends its oldest unacknowledged segment, which is never
+		// ahead of rcvNxt; the receiver's books do not lean on that.)
+		if old, ok := e.ooo[seq]; ok {
+			e.bufs.put(old)
+		}
 		e.ooo[seq] = payload
 	default:
 		// Duplicate of already-delivered data (a spurious
-		// retransmission): re-ack and drop. The buffer is NOT
-		// returned to the pool — the consumed copy already recycled it (or
-		// will), and a double-put would hand the same buffer to two future
-		// segments.
+		// retransmission): re-ack and drop. Its buffer is its own — the
+		// retransmission drew it, the consumed copy returned a different
+		// one — so it goes back here and nowhere else.
+		e.bufs.put(payload)
 	}
 	e.sendAck()
 }
@@ -613,9 +632,8 @@ func (e *Endpoint) deliver(payload []byte) {
 	if e.onRecv != nil {
 		e.onRecv(payload)
 	}
-	// The in-order copy is consumed exactly once; any duplicate of this
-	// segment arrives with a stale seq and never touches the buffer, so
-	// it is safe to recycle here. The pool is shared with the sender.
+	// The in-order copy is consumed exactly once and onRecv has returned,
+	// so the buffer goes back to the pool the sender draws from.
 	e.bufs.put(payload)
 }
 
@@ -627,7 +645,9 @@ func (e *Endpoint) sendAck() {
 	e.cAcksSent.Inc()
 	p := e.getAckPkt()
 	p.from, p.gen, p.ack = e, e.genSent, e.rcvNxt
-	e.out.SendFn(ackSize, deliverAckPkt, p)
+	if !e.out.SendFn(ackSize, deliverAckPkt, p) {
+		e.putAckPkt(p)
+	}
 }
 
 // receiveAck processes a cumulative ack arriving at this endpoint's

@@ -24,7 +24,6 @@ var reachAllow = map[string]string{
 	"internal/wire": "PR 18 curated this package by hand: what is flagged are the encode/decode partners its fuzz targets round-trip against",
 	"internal/coordinator.TxnCoordinator.MaterializedState": "test oracle: replays the transaction log into the state a restarted coordinator would rebuild, to compare with the live one",
 	"internal/coordinator.decodeTxnStateRecord":             "the decoder that oracle reads the log with, and the round-trip partner of the transaction-state encoder",
-	"internal/des.Simulator.Cancel":                         "the one operation of the *Event that Schedule and After return to every caller; it goes with that handle, which costs each Schedule an allocation, so a measured perf PR removes both (ROADMAP 5)",
 	"internal/testbed.Calibration":                          "the producer-host cost model, the one deployment-like setting; ROADMAP 1(c) recalibrates it",
 	"internal/testbed.Experiment.Calibration":               "carries that Calibration into a run; ROADMAP 1(c) is about to set it",
 	"internal/testbed.Fleet.Calibration":                    "carries that Calibration into a fleet; ROADMAP 1(c) is about to set it",
