@@ -26,6 +26,14 @@
 // bytes — and 44.0 % / 20.9 % after, the workload's objects 5.11 M →
 // 2.05 M).
 //
+// Count discarded work, not only time. A CPU profile says where time
+// goes, not whether what it bought was used: before PR 25, 77.8 % of
+// fig7_sweep's produce attempts were built, CRC'd and framed only for the
+// socket to refuse them (flushUnsent 16 % cumulative, crc32 6.2 % and
+// buildRequest 5.6 % flat), and the profile ranked that as ordinary encode
+// cost. A count of attempts against refusals — a throwaway counter, two
+// lines — is what showed it was waste.
+//
 // What a CPU profile shows of the collector is mostly the write barrier
 // (gcWriteBarrier, bulkBarrierPreWrite, wbBufFlush), and its cost is the
 // time mark phases stay open, not the marking: `make gc-trace

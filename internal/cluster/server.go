@@ -17,9 +17,10 @@ type Server struct {
 	splitter wire.Splitter
 	dec      wire.Decoder
 	// slab owns the one copy every produced batch gets.
-	slab     wire.Slab
-	bodyBuf  []byte // response-encoding scratch
-	frameBuf []byte // frame-encoding scratch; Endpoint.Send copies
+	slab wire.Slab
+	// frameBuf is the response-encoding scratch: a reply is encoded
+	// straight after its frame header (Endpoint.Send copies it).
+	frameBuf []byte
 	// onProduce and onFetch are created once so the per-request dispatch
 	// path builds no response-callback closures.
 	onProduce func(wire.ProduceResponse)
@@ -36,12 +37,10 @@ func NewServer(c *Cluster, ep *transport.Endpoint) (*Server, error) {
 	}
 	s := &Server{cluster: c, ep: ep}
 	s.onProduce = func(resp wire.ProduceResponse) {
-		s.bodyBuf = resp.Encode(s.bodyBuf[:0])
-		s.reply(wire.APIProduce, s.bodyBuf)
+		s.reply(resp.Encode(s.startFrame(wire.APIProduce)))
 	}
 	s.onFetch = func(resp wire.FetchResponse) {
-		s.bodyBuf = resp.Encode(s.bodyBuf[:0])
-		s.reply(wire.APIFetch, s.bodyBuf)
+		s.reply(resp.Encode(s.startFrame(wire.APIFetch)))
 	}
 	ep.OnReceive(s.onBytes)
 	return s, nil
@@ -107,17 +106,20 @@ func (s *Server) dispatch(f wire.FramePart) {
 			s.DroppedFrames++
 			return
 		}
-		resp := s.cluster.Metadata(req)
-		s.bodyBuf = resp.Encode(s.bodyBuf[:0])
-		s.reply(wire.APIMetadata, s.bodyBuf)
+		s.reply(s.cluster.Metadata(req).Encode(s.startFrame(wire.APIMetadata)))
 	default:
 		s.DroppedFrames++
 	}
 }
 
-func (s *Server) reply(api uint16, body []byte) {
+// startFrame begins a reply in the frame scratch; the response is
+// encoded after it and handed to reply.
+func (s *Server) startFrame(api uint16) []byte { return wire.StartFrame(s.frameBuf[:0], api) }
+
+// reply sends a frame begun by startFrame, its body encoded.
+func (s *Server) reply(frame []byte) {
+	s.frameBuf = wire.EndFrame(frame)
 	// A broken server connection means the response is lost; the client's
 	// request timeout covers it, exactly as with a dead TCP socket.
-	s.frameBuf = wire.AppendFrame(s.frameBuf[:0], api, body)
 	_ = s.ep.Send(s.frameBuf)
 }

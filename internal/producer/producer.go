@@ -125,8 +125,7 @@ type Producer struct {
 	// are package-level functions scheduled with des.AfterFunc, and the
 	// fields below park their state between arming and firing.
 	intakePayload []byte        // payload between source.Next and the intake event
-	bodyBuf       []byte        // reused produce-request body encoding
-	frameBuf      []byte        // reused frame encoding (Conn.Send copies it)
+	frameBuf      []byte        // reused framed-request encoding (Conn.Send copies it)
 	encRecords    []wire.Record // reused wire-record scratch for buildRequest
 	decoder       wire.Decoder  // reused response decoding (topic interning)
 	freeReq       []*request
@@ -560,28 +559,30 @@ func (p *Producer) trySend(b *batch) {
 // fully handled (written, or entirely expired) and false when the socket
 // blocked it.
 func (p *Producer) sendNow(b *batch) bool {
-	now := p.sim.Now()
-	if b.attempts == 0 {
-		// First attempt: records that expired while serialised or queued
-		// behind a stalled socket are dropped individually; sending them
-		// would waste degraded bandwidth on dead messages. The batch has
-		// not been exposed to the broker yet, so shrinking it is safe.
-		live := b.records[:0]
-		for _, r := range b.records {
-			if r.deadline <= now {
-				p.resolveLost(r)
-				continue
+	if now := p.sim.Now(); b.minDeadline() <= now {
+		if b.attempts == 0 {
+			// First attempt: records that expired while serialised or
+			// queued behind a stalled socket are dropped individually;
+			// sending them would waste degraded bandwidth on dead messages.
+			// The batch has not been exposed to the broker yet, so
+			// shrinking it is safe.
+			live := b.records[:0]
+			for _, r := range b.records {
+				if r.deadline <= now {
+					p.resolveLost(r)
+					continue
+				}
+				live = append(live, r)
 			}
-			live = append(live, r)
+			b.records = live
+		} else {
+			// A retry whose budget ran out while blocked: the whole batch
+			// fails together (Kafka expires batches, not records).
+			for _, r := range b.records {
+				p.resolveLost(r)
+			}
+			b.records = b.records[:0]
 		}
-		b.records = live
-	} else if b.minDeadline() <= now {
-		// A retry whose budget ran out while blocked: the whole batch
-		// fails together (Kafka expires batches, not records).
-		for _, r := range b.records {
-			p.resolveLost(r)
-		}
-		b.records = b.records[:0]
 	}
 	if len(b.records) == 0 {
 		p.putBatch(b)
@@ -589,18 +590,54 @@ func (p *Producer) sendNow(b *batch) bool {
 		return true
 	}
 
-	req := p.buildRequest(b)
-	p.bodyBuf = req.Encode(p.bodyBuf[:0])
-	p.frameBuf = wire.AppendFrame(p.frameBuf[:0], wire.APIProduce, p.bodyBuf)
-	if err := p.conn.Client.Send(p.frameBuf); err != nil {
-		// ErrBufferFull: socket backpressure — the records' deadlines
-		// keep running, which is how a stalled TCP connection translates
-		// into message loss. ErrBroken: onBroken's reconnect flow will
-		// flush the queue.
+	// Every attempt takes a correlation id, refused or not, so the ids on
+	// the wire are those of a producer that built every attempt.
+	p.corr++
+	// The frame is sized from the batch and offered to the socket before
+	// anything is built: on a stalled connection most attempts are refused,
+	// and a refusal is then one comparison, not an encode, a CRC over every
+	// payload and a copy (DESIGN.md §7 "A refused send does no work"). A
+	// full buffer is socket backpressure — the records' deadlines keep
+	// running, which is how a stalled TCP connection translates into
+	// message loss; a broken socket is left to onBroken's reconnect flow,
+	// which flushes the queue.
+	payload := 0
+	for _, r := range b.records {
+		payload += len(r.payload)
+	}
+	size := wire.ProduceFrameSize(len(p.cfg.Topic), len(b.records), payload)
+	if !p.conn.Client.Accepts(size) {
+		if verifyRefused {
+			p.checkRefused(b, size)
+		}
 		return false
 	}
-	p.afterSend(req.CorrelationID, b)
+	frame := p.encodeFrame(b)
+	if verifyRefused && len(frame) != size {
+		panic(fmt.Sprintf("producer: batch %d (%d records, %d payload bytes) framed to %d bytes, sized as %d", b.seq, len(b.records), payload, len(frame), size))
+	}
+	if p.conn.Client.Send(frame) != nil {
+		// Send decides with the same Accepts, so this takes a frame whose
+		// size the formula got wrong, which race builds rule out above.
+		return false
+	}
+	p.afterSend(p.corr, b)
 	return true
+}
+
+// checkRefused builds and frames the attempt sendNow has just refused
+// unbuilt, and panics unless the frame has the size the refusal was
+// decided on and Send refuses it too. Race builds run it on every refused
+// attempt (verifyRefused); it writes the encode scratch that ordinary
+// builds leave untouched on a refusal, and nothing else.
+func (p *Producer) checkRefused(b *batch, size int) {
+	frame := p.encodeFrame(b)
+	if len(frame) != size {
+		panic(fmt.Sprintf("producer: refused batch %d (%d records) framed to %d bytes, sized as %d", b.seq, len(b.records), len(frame), size))
+	}
+	if p.conn.Client.Send(frame) == nil {
+		panic(fmt.Sprintf("producer: batch %d (%d bytes) was refused unbuilt, but Send took it (%d bytes buffered)", b.seq, size, p.conn.Client.BufferedBytes()))
+	}
 }
 
 func (p *Producer) armSendRetry() {
@@ -648,8 +685,16 @@ func fnv1a64(key uint64) uint64 {
 	return h
 }
 
+// encodeFrame builds the produce request of b's current attempt, under
+// the correlation id sendNow took for it, and encodes it straight into
+// the reused frame buffer (Send copies it).
+func (p *Producer) encodeFrame(b *batch) []byte {
+	req := p.buildRequest(b)
+	p.frameBuf = wire.EndFrame(req.Encode(wire.StartFrame(p.frameBuf[:0], wire.APIProduce)))
+	return p.frameBuf
+}
+
 func (p *Producer) buildRequest(b *batch) wire.ProduceRequest {
-	p.corr++
 	// The producer id is stamped on every batch, not just idempotent
 	// ones: brokers only dedup when the Idempotent flag is set, but the
 	// id keeps per-producer sequence streams apart so the duplicate-

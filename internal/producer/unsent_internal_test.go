@@ -1,6 +1,7 @@
 package producer
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"kafkarel/internal/netem"
 	"kafkarel/internal/stats"
 	"kafkarel/internal/transport"
+	"kafkarel/internal/wire"
 )
 
 type noCosts struct{}
@@ -23,7 +25,7 @@ func (noSource) Next() ([]byte, bool) { return nil, false }
 // buffer holds sendBuffer bytes (0: any number), over a clean 100 µs path
 // to a server that only acknowledges. The tests hand trySend the batches
 // kickSender would.
-func blockedSocketRig(t *testing.T, sendBuffer int) (*des.Simulator, *Producer, *transport.Conn) {
+func blockedSocketRig(t *testing.T, sendBuffer int) (*des.Simulator, *Producer, *transport.Conn, *netem.Path) {
 	t.Helper()
 	sim := des.New()
 	link := netem.Config{Delay: stats.Constant{Value: 0.1}}
@@ -48,7 +50,7 @@ func blockedSocketRig(t *testing.T, sendBuffer int) (*des.Simulator, *Producer, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim, p, conn
+	return sim, p, conn, path
 }
 
 func (p *Producer) testBatch(payload []byte) *batch {
@@ -70,7 +72,7 @@ func (p *Producer) testBatch(payload []byte) *batch {
 func TestBlockedSocketCycleDoesNotAllocate(t *testing.T) {
 	payload := make([]byte, 100)
 	// One frame's size, from a socket that takes anything.
-	_, probe, probeConn := blockedSocketRig(t, 0)
+	_, probe, probeConn, _ := blockedSocketRig(t, 0)
 	probe.trySend(probe.testBatch(payload))
 	frame := probeConn.Client.BufferedBytes()
 	if frame == 0 {
@@ -78,7 +80,7 @@ func TestBlockedSocketCycleDoesNotAllocate(t *testing.T) {
 	}
 
 	const blocked = 8
-	sim, p, conn := blockedSocketRig(t, 2*frame+frame/2) // room for two frames
+	sim, p, conn, _ := blockedSocketRig(t, 2*frame+frame/2) // room for two frames
 	run := func(d time.Duration) {
 		if err := sim.RunUntil(sim.Now() + d); err != nil {
 			t.Fatal(err)
@@ -118,5 +120,98 @@ func TestBlockedSocketCycleDoesNotAllocate(t *testing.T) {
 	cycle() // the second pass settles every free list's capacity
 	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
 		t.Errorf("a blocked-socket cycle of %d batches allocated %.0f times, want 0", 3+blocked, allocs)
+	}
+}
+
+// A refused attempt touches nothing but the correlation counter. The
+// socket holds one frame with a byte to spare and its link is down, so
+// that frame is never acknowledged and every attempt of the next batch is
+// refused: K retry timers leave the encode scratch as they found it (race
+// builds build every refused attempt on purpose, verifyRefused) and take
+// exactly K correlation ids. Once the link is back and the 1 s initial RTO
+// has resent the stranded frame, the server decodes the ids the refusals
+// left their gaps in.
+func TestRefusedAttemptTouchesNothing(t *testing.T) {
+	payload := make([]byte, 100)
+	_, probe, probeConn, _ := blockedSocketRig(t, 0)
+	probe.trySend(probe.testBatch(payload))
+	frame := probeConn.Client.BufferedBytes()
+
+	sim, p, conn, path := blockedSocketRig(t, frame+1)
+	var (
+		split wire.Splitter
+		dec   wire.Decoder
+		ids   []uint32
+	)
+	conn.Server.OnReceive(func(chunk []byte) {
+		frames, err := split.Push(chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range frames {
+			req, err := dec.ProduceRequest(f.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, req.CorrelationID)
+		}
+	})
+	run := func(d time.Duration) {
+		if err := sim.RunUntil(sim.Now() + d); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	path.Fwd.SetFaultLoss(stats.AlwaysLoss{})
+	p.trySend(p.testBatch(payload)) // id 1: taken, lost on the link
+	p.trySend(p.testBatch(payload)) // id 2: refused
+	if len(p.unsent) != 1 || p.corr != 2 || conn.Client.BufferedBytes() != frame {
+		t.Fatalf("%d queued, corr %d, %d bytes buffered; want 1, 2, %d", len(p.unsent), p.corr, conn.Client.BufferedBytes(), frame)
+	}
+	// Poison everything a build would write.
+	const poison = 0xEE
+	frameBuf := p.frameBuf[:cap(p.frameBuf)]
+	for i := range frameBuf {
+		frameBuf[i] = poison
+	}
+	encRecords := p.encRecords[:cap(p.encRecords)]
+	for i := range encRecords {
+		encRecords[i] = wire.Record{Key: poison}
+	}
+
+	const k = 10
+	run(k*2*time.Millisecond + time.Millisecond)
+	if p.corr != 2+k {
+		t.Errorf("%d retry timers advanced corr to %d, want %d", k, p.corr, 2+k)
+	}
+	if len(p.unsent) != 1 || conn.Client.BufferedBytes() != frame || conn.Client.Stats().SegmentsSent != 1 {
+		t.Errorf("after %d refusals: %d queued, %d bytes buffered, %d segments sent", k, len(p.unsent), conn.Client.BufferedBytes(), conn.Client.Stats().SegmentsSent)
+	}
+	if !verifyRefused {
+		if len(p.frameBuf) != frame || len(p.encRecords) != 1 {
+			t.Errorf("scratch resliced: frame buffer %d bytes, %d wire records", len(p.frameBuf), len(p.encRecords))
+		}
+		for i, c := range frameBuf {
+			if c != poison {
+				t.Fatalf("frame buffer byte %d written by a refused attempt", i)
+			}
+		}
+		for i, r := range encRecords {
+			if r.Key != poison || r.Timestamp != 0 || r.Payload != nil {
+				t.Fatalf("wire record %d written by a refused attempt", i)
+			}
+		}
+	}
+
+	path.Fwd.SetFaultLoss(nil)
+	run(2 * time.Second)
+	if len(p.unsent) != 0 || p.counts.Delivered != 2 {
+		t.Fatalf("after the stall: %d queued, counts %+v", len(p.unsent), p.counts)
+	}
+	// Batch 2 was refused at trySend and by the retry timers at 2, 4, …,
+	// 1000 ms — 501 ids — and went out at 1002 ms, once the RTO at 1 s had
+	// resent batch 1 and its acknowledgement had emptied the socket.
+	if want := []uint32{1, 503}; !slices.Equal(ids, want) {
+		t.Errorf("server decoded correlation ids %v, want %v", ids, want)
 	}
 }

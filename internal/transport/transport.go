@@ -439,12 +439,20 @@ func (e *Endpoint) BufferedBytes() int {
 	return int(e.bufBase + int64(len(e.sendBuf)-e.sendHead) - e.sndUna)
 }
 
+// Accepts reports whether Send would take n bytes now: the endpoint is
+// not broken and n more bytes fit under SendBufferLimit. Send decides
+// with it, so a sender that knows a message's size before building it
+// can ask first and skip the build when the answer is no.
+func (e *Endpoint) Accepts(n int) bool {
+	return !e.broken && (e.cfg.SendBufferLimit <= 0 || e.BufferedBytes()+n <= e.cfg.SendBufferLimit)
+}
+
 // Send queues data for reliable delivery to the peer. The data is copied.
 func (e *Endpoint) Send(data []byte) error {
-	if e.broken {
-		return e.brokenErr
-	}
-	if e.cfg.SendBufferLimit > 0 && e.BufferedBytes()+len(data) > e.cfg.SendBufferLimit {
+	if !e.Accepts(len(data)) {
+		if e.broken {
+			return e.brokenErr
+		}
 		return ErrBufferFull
 	}
 	// Compact the acknowledged prefix back to the start of the backing

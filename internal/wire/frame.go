@@ -19,13 +19,30 @@ func EncodeFrame(api uint16, body []byte) []byte {
 	return AppendFrame(make([]byte, 0, frameHeaderSize+len(body)), api, body)
 }
 
-// AppendFrame appends a framed body to dst and returns the result, so
-// hot-path senders can reuse one frame buffer across sends instead of
-// allocating per frame.
+// AppendFrame appends a framed copy of an encoded body to dst and returns
+// the result. Senders that encode as they send use StartFrame/EndFrame,
+// which skip the copy.
 func AppendFrame(dst []byte, api uint16, body []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(body)+2))
-	dst = binary.BigEndian.AppendUint16(dst, api)
-	return append(dst, body...)
+	start := len(dst)
+	dst = append(StartFrame(dst, api), body...)
+	EndFrame(dst[start:])
+	return dst
+}
+
+// StartFrame appends the header of an api frame whose length is not known
+// yet, so a sender can encode the body straight after it — dst =
+// EndFrame(req.Encode(StartFrame(dst[:0], api))) — instead of encoding
+// into a scratch buffer and copying that into a frame.
+func StartFrame(dst []byte, api uint16) []byte {
+	dst = append(dst, 0, 0, 0, 0) // length, patched by EndFrame
+	return binary.BigEndian.AppendUint16(dst, api)
+}
+
+// EndFrame patches the length of a frame begun by StartFrame; frame must
+// start at that header and end with the last byte of the body.
+func EndFrame(frame []byte) []byte {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	return frame
 }
 
 // FrameSize returns the total encoded size of a frame with the given body

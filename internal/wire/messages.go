@@ -167,6 +167,10 @@ func (d *Decoder) decodeString(b []byte) (string, []byte, error) {
 	return string(b[:n]), b[n:], nil
 }
 
+// produceHeaderSize is the produce request body ahead of its topic and
+// batch: correlation id (4), topic length (2), partition (4), acks (2).
+const produceHeaderSize = 12
+
 // Encode serialises the request body (without the frame header).
 func (r ProduceRequest) Encode(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
@@ -178,7 +182,16 @@ func (r ProduceRequest) Encode(dst []byte) []byte {
 
 // EncodedSize returns the wire size of the request body.
 func (r ProduceRequest) EncodedSize() int {
-	return 4 + 2 + len(r.Topic) + 4 + 2 + r.Batch.EncodedSize()
+	return produceHeaderSize + len(r.Topic) + r.Batch.EncodedSize()
+}
+
+// ProduceFrameSize returns the size of the framed produce request Encode
+// and a frame header make of a topic topicLen bytes long and a batch of
+// records records carrying payloadBytes payload bytes in all. It needs
+// nothing the request is built from, so a sender can ask its socket
+// whether the frame fits before building, encoding and checksumming it.
+func ProduceFrameSize(topicLen, records, payloadBytes int) int {
+	return FrameSize(produceHeaderSize + topicLen + batchHeaderSize + records*minRecordSize + payloadBytes)
 }
 
 // ProduceRequest parses a request body produced by Encode, with scratch

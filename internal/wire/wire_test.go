@@ -306,6 +306,41 @@ func TestFrameSize(t *testing.T) {
 	}
 }
 
+// ProduceFrameSize is what a producer admits a request to its socket at
+// before building it, so it must be the framed encoding's length exactly,
+// and the frame StartFrame/EndFrame encode in place must be the one
+// AppendFrame wraps around a separately encoded body: random requests of
+// 0-64 records, each payload empty or 4 KB, topics of 0-300 bytes.
+func TestProduceFrameSizeMatchesEncoding(t *testing.T) {
+	rng := rand.New(rand.NewPCG(25, 1))
+	payloads := [][]byte{nil, bytes.Repeat([]byte{0x5A}, 4096)}
+	var inPlace []byte
+	for i := 0; i < 500; i++ {
+		req := ProduceRequest{
+			CorrelationID: rng.Uint32(),
+			Topic:         string(bytes.Repeat([]byte{'t'}, rng.IntN(301))),
+			Partition:     rng.Int32(),
+			Acks:          RequiredAcks(rng.IntN(3) - 1),
+			Batch:         RecordBatch{ProducerID: rng.Uint64(), BaseSequence: rng.Uint64(), Idempotent: rng.IntN(2) == 0},
+		}
+		payloadBytes := 0
+		for n := rng.IntN(65); n > 0; n-- {
+			p := payloads[rng.IntN(2)]
+			payloadBytes += len(p)
+			req.Batch.Records = append(req.Batch.Records, Record{Key: rng.Uint64(), Timestamp: time.Duration(rng.Int64()), Payload: p})
+		}
+		framed := AppendFrame(nil, APIProduce, req.Encode(nil))
+		if got := ProduceFrameSize(len(req.Topic), len(req.Batch.Records), payloadBytes); got != len(framed) {
+			t.Fatalf("request %d (topic %d bytes, %d records, %d payload bytes): ProduceFrameSize = %d, framed %d",
+				i, len(req.Topic), len(req.Batch.Records), payloadBytes, got, len(framed))
+		}
+		inPlace = EndFrame(req.Encode(StartFrame(inPlace[:0], APIProduce)))
+		if !bytes.Equal(inPlace, framed) {
+			t.Fatalf("request %d: StartFrame/EndFrame encoding differs from AppendFrame's", i)
+		}
+	}
+}
+
 // Property: any batch of random records round-trips exactly, across
 // every combination of the header flags (Idempotent, Transactional,
 // Control) and any producer epoch.
