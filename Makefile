@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race reach fuzz-smoke bench bench-repo bench-pairs bench-seeds bench-json bench-scaling bench-gate profile gc-trace repro chaos-smoke
+.PHONY: check build fmt vet test race reach fuzz-smoke bench-repo bench-pairs bench-seeds profile gc-trace repro chaos-smoke
 
 ## check: the full quality gate — formatting, build, vet, race-enabled
 ## tests, and a fixed-seed chaos campaign.
@@ -46,9 +46,6 @@ reach:
 fuzz-smoke:
 	@for t in FuzzSplitter FuzzDecode FuzzSlabClone; do \
 		$(GO) test ./internal/wire -run '^$$' -fuzz "^$$t\$$" -fuzztime 3s || exit 1; done
-
-bench:
-	$(GO) test -run xxx -bench=. -benchmem
 
 ## bench-repo: the repository benchmark's headline pass (BENCHMARK.json;
 ## bench/README.md says what each number means): host cost per simulated
@@ -124,61 +121,6 @@ bench-seeds:
 	for s in $(CHAOS_SEEDS); do run chaos_mix $$s; done; \
 	for w in fig7_sweep ingest_steady fleet_fanout; do for s in 1 2 45798949; do run $$w $$s; done; done; \
 	exit $$fail
-
-## bench-json: the observability benchmarks (obs overhead, timeline,
-## exprun scaling, fleet) as a machine-readable artefact. EXPERIMENTS.md
-## documents the JSON format.
-bench-json:
-	{ $(GO) test -run xxx -bench 'Observability|Timeline|ExprunScaling|Fleet' -benchmem -benchtime 3x . ; \
-	  $(GO) test -run xxx -bench SpanPath -benchmem -benchtime 200000x . ; \
-	  $(GO) test -run xxx -bench 'CommitPath|Rebalance' -benchmem -benchtime 2000x ./internal/coordinator ; } \
-		| $(GO) run ./cmd/benchjson > BENCH_obs.json
-
-## bench-scaling: wall-time of figure reproduction vs worker count
-## (EXPERIMENTS.md records the results).
-bench-scaling:
-	$(GO) test -run xxx -bench 'ExprunScaling|Fig3SweepScaling' -benchtime 3x .
-
-## bench-gate: the allocation-regression gate. Reruns the fig7 scaling
-## and fleet scaling benchmarks, converts them to JSON, and fails if
-## ns/op or allocs/op regressed more than 20% against the committed
-## BENCH_obs.json baseline. Keeps issue 5's hot-path wins locked in and
-## issue 6's fleet fan-out honest. The fleet workload is ~4x shorter
-## per op than fig7 and proportionally noisier at -benchtime 3x, so its
-## ns gate is wider; its allocs gate is as deterministic as fig7's.
-## CommitPath locks in the coordinator's pooled durable-commit path
-## (2 allocs/op, both the benchmark loop's own; the path's zero is a
-## tier-1 test, TestCommitToAckDoesNotAllocatePerCommit) and, via the
-## same substring,
-## TxnCommitPath — the full transactional begin/produce/send-offset/
-## two-phase-commit cycle (4 allocs/op, the benchmark loop's closures;
-## the cycle's own zero is a tier-1 test,
-## TestTxnCycleAllocatesItsRecordsAndNothingElse); its per-op wall time
-## is ~6us and noisy, so the ns gate is wide while the allocs gate stays
-## tight. SpanPath
-## locks in the per-record latency-span observation (~60ns, 0 allocs);
-## a zero-alloc baseline cannot gate allocations, so
-## TestSpanPathZeroAllocs enforces that half and the gate here watches
-## wall time with a wide bar. Rebalance locks in the coordinator-side
-## generation bump (six cooperative members, sticky assignor, join
-## barrier through sync-to-Stable) — the control-plane path the
-## cooperative protocol takes twice per membership change; like
-## CommitPath its per-op wall time is noisy at the microsecond scale,
-## so the ns gate is wide and the allocs gate does the real work.
-bench-gate:
-	{ $(GO) test -run xxx -bench 'ExprunScaling|FleetScaling' -benchmem -benchtime 3x . ; \
-	  $(GO) test -run xxx -bench SpanPath -benchmem -benchtime 200000x . ; \
-	  $(GO) test -run xxx -bench 'CommitPath|Rebalance' -benchmem -benchtime 2000x ./internal/coordinator ; } \
-		| $(GO) run ./cmd/benchjson > BENCH_fresh.json
-	$(GO) run ./cmd/benchgate -baseline BENCH_obs.json -fresh BENCH_fresh.json -match fig7
-	$(GO) run ./cmd/benchgate -baseline BENCH_obs.json -fresh BENCH_fresh.json -match FleetScaling \
-		-max-regression 0.40
-	$(GO) run ./cmd/benchgate -baseline BENCH_obs.json -fresh BENCH_fresh.json -match CommitPath \
-		-max-regression 0.60
-	$(GO) run ./cmd/benchgate -baseline BENCH_obs.json -fresh BENCH_fresh.json -match SpanPath \
-		-max-regression 0.60
-	$(GO) run ./cmd/benchgate -baseline BENCH_obs.json -fresh BENCH_fresh.json -match Rebalance \
-		-max-regression 0.60
 
 ## profile: CPU + heap profiles (cpu.pprof / heap.pprof) of one
 ## repository-benchmark workload — make profile WORKLOAD=ingest_steady;

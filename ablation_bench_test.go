@@ -13,6 +13,8 @@ import (
 	"kafkarel/internal/testbed"
 )
 
+const benchMessages = 2000
+
 // BenchmarkAblationStalls removes the heavy-tailed send-path stalls: the
 // full-load no-fault loss of Figs. 5-6 should largely disappear,
 // confirming the stalls (not a hidden overload) drive those curves at

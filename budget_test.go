@@ -1,0 +1,213 @@
+package kafkarel_test
+
+// The root package's cost budgets, each a tier-1 test: the observability
+// registry's overhead on a Fig. 7 run, the per-record span path's zero
+// allocations, and the allocation ceilings of two whole runs. Host cost
+// is measured by the repository benchmark (bench/README.md), with repeats
+// and their spread; these are the bars one test run can hold: allocation
+// counts, which are exact, and a wall-clock bar coarse enough for the
+// minimum of a few interleaved rounds.
+
+import (
+	"context"
+	"fmt"
+	"testing"
+	"time"
+
+	"kafkarel"
+	"kafkarel/internal/figures"
+	"kafkarel/internal/obs"
+	"kafkarel/internal/testbed"
+)
+
+func obsBudgetExperiment(seed uint64) kafkarel.Experiment {
+	return kafkarel.Experiment{
+		Features: kafkarel.Features{
+			MessageSize:    200,
+			Timeliness:     5 * time.Second,
+			DelayMs:        10,
+			LossRate:       0.20,
+			Semantics:      kafkarel.AtLeastOnce,
+			BatchSize:      2,
+			MessageTimeout: 500 * time.Millisecond,
+		},
+		Messages: 2000,
+		Seed:     seed,
+	}
+}
+
+// TestObsOverheadBudget asserts the registry's cost bar: with metrics
+// enabled (the default), a Fig. 7 run must finish within 2% of the
+// fully disabled run. Wall-clock on shared CI machines (and under the
+// race detector) is noisy at the ±10% level, so both variants run
+// interleaved and the minimum round — the least scheduler-disturbed
+// observation — is compared against the 2% design bar plus an explicit
+// noise allowance. The regression this guards against is a hot-path
+// mistake (a lock, an allocation, reflection) that would cost 2-10x,
+// far outside any noise band; the repository benchmark's
+// obs.enabled_overhead_ratio measures the precise figure.
+func TestObsOverheadBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing-sensitive")
+	}
+	if raceEnabled {
+		t.Skip("race detector instruments every memory access; the 2% bar applies to production builds")
+	}
+	const rounds = 7
+	const (
+		vDisabled = iota // DisableMetrics: the nil-handle baseline
+		vEnabled         // default registry
+		vTimeline        // registry + timeline sampling every virtual 1 s
+	)
+	run := func(variant int, seed uint64) time.Duration {
+		e := obsBudgetExperiment(seed)
+		switch variant {
+		case vDisabled:
+			e.DisableMetrics = true
+		case vTimeline:
+			e.Timeline = obs.NewTimeline(time.Second)
+		}
+		start := time.Now()
+		if _, err := kafkarel.RunExperiment(e); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	// Warm up every path once so lazy init does not bias round 0.
+	for v := vDisabled; v <= vTimeline; v++ {
+		run(v, 0)
+	}
+	minOf := func(d []time.Duration) time.Duration {
+		m := d[0]
+		for _, v := range d[1:] {
+			if v < m {
+				m = v
+			}
+		}
+		return m
+	}
+	var off, on, tl []time.Duration
+	for r := 0; r < rounds; r++ {
+		off = append(off, run(vDisabled, uint64(r)))
+		on = append(on, run(vEnabled, uint64(r)))
+		tl = append(tl, run(vTimeline, uint64(r)))
+	}
+	base, instr, timeline := minOf(off), minOf(on), minOf(tl)
+	noise := base / 8 // ±12.5% scheduler/frequency jitter allowance
+	if noise < 2*time.Millisecond {
+		noise = 2 * time.Millisecond
+	}
+	budget := base + base/50 + noise // 2% design bar + noise
+	t.Logf("disabled min %v, enabled min %v (delta %+.2f%%), timeline min %v (delta %+.2f%%), budget %v",
+		base, instr, 100*(float64(instr)-float64(base))/float64(base),
+		timeline, 100*(float64(timeline)-float64(base))/float64(base), budget)
+	if instr > budget {
+		t.Errorf("metrics overhead too high: enabled %v > budget %v (disabled %v)", instr, budget, base)
+	}
+	// The timeline samples at virtual ticks, never per event, so even at
+	// 10x the default density it must stay inside the same 2% bar.
+	if timeline > budget {
+		t.Errorf("timeline overhead too high: %v > budget %v (disabled %v)", timeline, budget, base)
+	}
+}
+
+// spanPathObserve plays one delivered record through the full span set
+// of the delivery path — wire send, broker append, replication,
+// producer ack, consumer delivery, durable commit — exactly the
+// histogram writes the instrumented components issue per record.
+func spanPathObserve(lat int64, spans *[6]*obs.Histogram) {
+	for _, h := range spans {
+		h.Observe(lat)
+	}
+}
+
+func spanPathHists(o *obs.Obs) [6]*obs.Histogram {
+	return [6]*obs.Histogram{
+		o.Histogram(obs.MSpanSend, obs.LatencyBounds),
+		o.Histogram(obs.MSpanAppend, obs.LatencyBounds),
+		o.Histogram(obs.MSpanReplicated, obs.LatencyBounds),
+		o.Histogram(obs.MSpanAck, obs.LatencyBounds),
+		o.Histogram(obs.MSpanDelivery, obs.LatencyBounds),
+		o.Histogram(obs.MSpanCommit, obs.LatencyBounds),
+	}
+}
+
+// TestSpanPathZeroAllocs enforces the span hot-path allocation budget:
+// observing a record's spans allocates nothing, enabled or disabled.
+func TestSpanPathZeroAllocs(t *testing.T) {
+	o := &obs.Obs{Registry: obs.NewRegistry()}
+	enabled := spanPathHists(o)
+	disabled := spanPathHists(nil)
+	var lat int64
+	if n := testing.AllocsPerRun(1000, func() {
+		lat += 17
+		spanPathObserve(lat, &enabled)
+	}); n != 0 {
+		t.Errorf("enabled span path allocates %.1f per record", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		lat += 17
+		spanPathObserve(lat, &disabled)
+	}); n != 0 {
+		t.Errorf("disabled span path allocates %.1f per record", n)
+	}
+}
+
+// TestWholeRunAllocationCeilings holds two whole runs, on one worker, to
+// their measured allocation counts plus 20%: Fig. 7 at 600 records per
+// point (88 experiments) and a 32-producer fleet over 8 topic shards with
+// keyed routing and a consumer-group drain. Five runs of each on go1.24
+// read 43225 for Fig. 7 every time and 15525-15527 for the fleet, so the
+// 20% is room for deliberate change, not noise: a cost that grows with
+// the records, even one allocation per record, breaks it. Race builds run
+// extra checks on the producer and consumer paths that allocate, and
+// skip.
+func TestWholeRunAllocationCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race builds allocate in their extra checks")
+	}
+	for _, c := range []struct {
+		name     string
+		measured int
+		run      func() error
+	}{
+		{"fig7", 43225, func() error {
+			points, err := figures.Fig7(figures.Options{Messages: 600, Seed: 1, Workers: 1})
+			if err == nil && len(points) != 88 {
+				err = fmt.Errorf("%d points, want 88", len(points))
+			}
+			return err
+		}},
+		{"fleet", 15527, func() error {
+			res, err := testbed.RunFleetContext(context.Background(), testbed.Fleet{
+				Features: kafkarel.Features{
+					MessageSize:    200,
+					Timeliness:     5 * time.Second,
+					DelayMs:        5,
+					LossRate:       0.02,
+					Semantics:      kafkarel.AtLeastOnce,
+					BatchSize:      2,
+					MessageTimeout: 2 * time.Second,
+				},
+				Producers: 32, Topics: 8, Partitions: 8, Messages: 9600, Seed: 1,
+			}, 1)
+			if err == nil && res.Acquired != 9600 {
+				err = fmt.Errorf("acquired = %d, want 9600", res.Acquired)
+			}
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			allocs := testing.AllocsPerRun(1, func() {
+				if err := c.run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			ceiling := c.measured * 6 / 5
+			t.Logf("%.0f allocations, ceiling %d (%d measured + 20%%)", allocs, ceiling, c.measured)
+			if allocs > float64(ceiling) {
+				t.Errorf("%.0f allocations, want <= %d", allocs, ceiling)
+			}
+		})
+	}
+}

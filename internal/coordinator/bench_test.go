@@ -12,11 +12,10 @@ import (
 // BenchmarkCommitPath measures one steady-state durable offset commit:
 // OffsetCommit into the coordinator, the sequenced offsets-log append
 // replicated at acks=all, the materialised-offset update, and the acked
-// response — plus the simulator events in between. The allocs/op figure
-// is what `make bench-gate` locks in: 2, both this loop's own (the
-// response variable and the callback closing over it). The commit job is
-// pooled and the record is slab-carved, so the path itself allocates
-// nothing per commit; TestCommitToAckDoesNotAllocatePerCommit pins that.
+// response — plus the simulator events in between. It reports 2
+// allocs/op, both this loop's own (the response variable and the callback
+// closing over it): the path itself allocates nothing per commit, which
+// TestCommitToAckDoesNotAllocatePerCommit pins.
 func BenchmarkCommitPath(b *testing.B) {
 	sim := des.New()
 	clst, err := cluster.New(sim, cluster.DefaultConfig())
@@ -71,26 +70,25 @@ func BenchmarkCommitPath(b *testing.B) {
 	}
 }
 
-// BenchmarkRebalance measures one full cooperative rebalance cycle for
-// a six-member group on a twelve-partition topic: every member rejoins
-// carrying its owned partitions, the join barrier batches and closes,
-// the sticky assignor recomputes the (unchanged) assignment, and every
-// member syncs back to Stable. This is the coordinator-side cost of a
-// generation bump — the control-plane path the cooperative protocol
-// takes twice per membership change — so `make bench-gate` watches it
-// alongside the commit path.
-func BenchmarkRebalance(b *testing.B) {
+// rebalanceRig builds a six-member cooperative group on a twelve-partition
+// topic, joined and synced to Stable once. Each call of the returned bump
+// is one full generation bump: every member rejoins carrying its owned
+// partitions, the join barrier batches and closes, the sticky assignor
+// recomputes the (unchanged) assignment, and every member syncs back to
+// Stable — the coordinator-side cost the cooperative protocol pays twice
+// per membership change.
+func rebalanceRig(tb testing.TB) (*Coordinator, func()) {
 	sim := des.New()
 	clst, err := cluster.New(sim, cluster.DefaultConfig())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := clst.CreateTopic("stream", 12, 3); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	co, err := New(sim, clst, Config{SessionTimeout: time.Hour})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	const members = 6
 	type peer struct {
@@ -108,11 +106,11 @@ func BenchmarkRebalance(b *testing.B) {
 	}
 	cycle := func() {
 		if err := sim.RunUntil(sim.Now() + 50*time.Millisecond); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		for i, p := range peers {
 			if join[i].Err != wire.ErrNone {
-				b.Fatalf("join %d: %s", i, join[i].Err)
+				tb.Fatalf("join %d: %s", i, join[i].Err)
 			}
 			p.id = join[i].MemberID
 			var sr wire.SyncGroupResponse
@@ -120,16 +118,13 @@ func BenchmarkRebalance(b *testing.B) {
 				Group: "g", MemberID: p.id, Generation: join[i].Generation,
 			}, func(resp wire.SyncGroupResponse) { sr = resp })
 			if sr.Err != wire.ErrNone {
-				b.Fatalf("sync %d: %s", i, sr.Err)
+				tb.Fatalf("sync %d: %s", i, sr.Err)
 			}
 			p.owned = append(p.owned[:0], sr.Assigned...)
 		}
 	}
 	cycle()
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	bump := func() {
 		for j, p := range peers {
 			r := &join[j]
 			co.HandleJoinGroup(wire.JoinGroupRequest{
@@ -139,13 +134,47 @@ func BenchmarkRebalance(b *testing.B) {
 		}
 		cycle()
 	}
-	b.StopTimer()
-	// Sticky assignment over a stable membership: every cycle is one
-	// generation bump and zero follow-ups.
+	return co, bump
+}
+
+// checkStickyBumps fails unless each of the group's bumps was one
+// generation and no follow-up: sticky assignment over a stable membership
+// revokes nothing.
+func checkStickyBumps(tb testing.TB, co *Coordinator, bumps int) {
 	if got := co.Stats().CoopFollowUps; got != 0 {
-		b.Fatalf("CoopFollowUps = %d, want 0", got)
+		tb.Fatalf("CoopFollowUps = %d, want 0", got)
 	}
-	if got := co.groups["g"].generation; got != int32(b.N+1) {
-		b.Fatalf("generation = %d, want %d", got, b.N+1)
+	if got := co.groups["g"].generation; got != int32(bumps+1) {
+		tb.Fatalf("generation = %d, want %d", got, bumps+1)
 	}
+}
+
+// TestRebalanceAllocationCeiling holds one cooperative generation bump of
+// rebalanceRig's group to the 35 allocations it measures. Six of them are
+// the driver's own: the callback each member hands HandleJoinGroup closes
+// over that member's response slot, and the coordinator keeps it until
+// the barrier closes. The other 29 are the coordinator's: the sticky
+// assignor's ownership map, member lists and per-member partition sorts,
+// and each sync's copy of the member's assignment.
+func TestRebalanceAllocationCeiling(t *testing.T) {
+	co, bump := rebalanceRig(t)
+	const bumps = 2000
+	allocs := testing.AllocsPerRun(bumps, bump)
+	checkStickyBumps(t, co, bumps+1) // AllocsPerRun warms up once
+	if allocs > 35 {
+		t.Fatalf("a generation bump allocates %.0f objects, want <= 35", allocs)
+	}
+}
+
+// BenchmarkRebalance measures rebalanceRig's generation bump; its
+// allocation count is TestRebalanceAllocationCeiling's to hold.
+func BenchmarkRebalance(b *testing.B) {
+	co, bump := rebalanceRig(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bump()
+	}
+	b.StopTimer()
+	checkStickyBumps(b, co, b.N)
 }

