@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race reach fuzz-smoke bench-repo bench-pairs bench-seeds profile gc-trace repro chaos-smoke
+.PHONY: check build fmt vet test race reach fuzz-smoke bench-repo bench-pairs bench-seeds profile gc-trace repro repro-check chaos-smoke
 
 ## check: the full quality gate — formatting, build, vet, race-enabled
-## tests, and a fixed-seed chaos campaign.
-check: fmt build vet race chaos-smoke
+## tests, a fixed-seed chaos campaign, and the committed results/.
+check: fmt build vet race chaos-smoke repro-check
 
 ## fmt: gofmt gate — fails listing any file that is not gofmt-clean.
 fmt:
@@ -164,6 +164,24 @@ gc-trace:
 
 repro:
 	$(GO) run ./cmd/repro -n 20000 all
+
+## repro-check: the committed artefacts in results/ are what this tree
+## prints. Each one is regenerated with `repro -q -n 20000 -seed 1
+## <artefact>` (ann-accuracy is written to ann.txt) and compared byte for
+## byte; a differing file fails the target. After a change that moves
+## simulated behaviour, regenerate the files with the same command and
+## commit them with the change. ~10 s.
+REPRO_ARTEFACTS = fig4 fig5 fig6 fig7 fig8 fig9 table1 table2 ann-accuracy sensitivity
+repro-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; $(GO) build -o $$tmp/repro ./cmd/repro || exit 1; \
+	fail=0; for a in $(REPRO_ARTEFACTS); do \
+		f=$$a; [ $$a = ann-accuracy ] && f=ann; \
+		if ! $$tmp/repro -q -n 20000 -seed 1 $$a > $$tmp/$$f.txt 2> $$tmp/err; then \
+			cat $$tmp/err; echo "repro-check: repro $$a failed"; fail=1; \
+		elif ! cmp -s $$tmp/$$f.txt results/$$f.txt; then \
+			diff results/$$f.txt $$tmp/$$f.txt | head -20; \
+			echo "repro-check: results/$$f.txt differs from repro -q -n 20000 -seed 1 $$a"; fail=1; fi; \
+	done; exit $$fail
 
 ## chaos-smoke: a fixed-seed end-to-end fault-injection campaign (60
 ## trials per mode, exactly-once and at-least-once) with a two-member

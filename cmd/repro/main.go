@@ -24,6 +24,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"kafkarel/internal/core"
 	"kafkarel/internal/dynconf"
 	"kafkarel/internal/exprun"
 	"kafkarel/internal/features"
@@ -274,18 +275,11 @@ func annAccuracy(o figures.Options) error {
 	if err != nil {
 		return err
 	}
-	w := newTab()
-	fmt.Fprintln(w, "semantics\ttrain_n\ttest_n\tMAE\tRMSE\tepochs")
-	for sem, m := range res.Metrics.PerSemantics {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%.4f\t%.4f\t%d\n",
-			semName(sem), m.TrainSamples, m.TestSamples, m.MAE, m.RMSE, m.Epochs)
-	}
-	fmt.Fprintf(w, "pooled\t\t\t%.4f\t%.4f\t\n", res.Metrics.MAE, res.Metrics.RMSE)
-	if err := w.Flush(); err != nil {
+	if err := accuracyTable(res.Metrics); err != nil {
 		return err
 	}
 	fmt.Println("\n# held-out overlay samples (first 20): measured vs predicted Pl")
-	w = newTab()
+	w := newTab()
 	fmt.Fprintln(w, "M\tL\tB\tsemantics\tPl_measured\tPl_predicted")
 	for i, p := range res.Pairs {
 		if i == 20 {
@@ -295,6 +289,23 @@ func annAccuracy(o figures.Options) error {
 			p.X.MessageSize, p.X.LossRate, p.X.BatchSize, semName(p.X.Semantics),
 			p.MeasuredPl, p.PredictedPl)
 	}
+	return w.Flush()
+}
+
+// accuracyTable prints one row per semantics, in ascending semantics
+// order (core.Train accepts no other codes), then the pooled row.
+func accuracyTable(metrics core.Metrics) error {
+	w := newTab()
+	fmt.Fprintln(w, "semantics\ttrain_n\ttest_n\tMAE\tRMSE\tepochs")
+	for sem := features.SemanticsAtMostOnce; sem <= features.SemanticsExactlyOnce; sem++ {
+		m, ok := metrics.PerSemantics[sem]
+		if !ok {
+			continue
+		}
+		fmt.Fprintf(w, "%s\t%d\t%d\t%.4f\t%.4f\t%d\n",
+			semName(sem), m.TrainSamples, m.TestSamples, m.MAE, m.RMSE, m.Epochs)
+	}
+	fmt.Fprintf(w, "pooled\t\t\t%.4f\t%.4f\t\n", metrics.MAE, metrics.RMSE)
 	return w.Flush()
 }
 

@@ -6,6 +6,9 @@ import (
 	"io"
 	"os"
 	"testing"
+
+	"kafkarel/internal/core"
+	"kafkarel/internal/features"
 )
 
 func TestRunValidation(t *testing.T) {
@@ -75,5 +78,23 @@ func TestRunFig7ParallelByteIdentical(t *testing.T) {
 	if !bytes.Equal(outs[0], outs[1]) {
 		t.Errorf("fig7 output differs between -parallel=1 and -parallel=8:\n%s\nvs\n%s",
 			outs[0], outs[1])
+	}
+}
+
+// The accuracy table lists semantics in ascending order, so the same
+// metrics print the same bytes every time (a map range would not).
+func TestAccuracyTableOrderIsStable(t *testing.T) {
+	m := core.Metrics{MAE: 0.02, RMSE: 0.03, PerSemantics: map[int]core.SemanticsMetrics{
+		features.SemanticsExactlyOnce: {TrainSamples: 80, TestSamples: 20, MAE: 0.01, RMSE: 0.02, Epochs: 300},
+		features.SemanticsAtLeastOnce: {TrainSamples: 40, TestSamples: 10, MAE: 0.03, RMSE: 0.04, Epochs: 200},
+	}}
+	first := captureStdout(t, func() error { return accuracyTable(m) })
+	if i, j := bytes.Index(first, []byte("at-least-once")), bytes.Index(first, []byte("exactly-once")); i < 0 || j < i {
+		t.Fatalf("rows not in ascending semantics order:\n%s", first)
+	}
+	for i := 0; i < 20; i++ {
+		if again := captureStdout(t, func() error { return accuracyTable(m) }); !bytes.Equal(again, first) {
+			t.Fatalf("render %d differs:\n%s\nwant:\n%s", i, again, first)
+		}
 	}
 }

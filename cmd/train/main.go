@@ -64,7 +64,12 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	for sem, m := range metrics.PerSemantics {
+	// In ascending semantics order: core.Train accepts no other codes.
+	for sem := features.SemanticsAtMostOnce; sem <= features.SemanticsExactlyOnce; sem++ {
+		m, ok := metrics.PerSemantics[sem]
+		if !ok {
+			continue
+		}
 		fmt.Fprintf(os.Stderr, "semantics %d: train=%d test=%d MAE=%.4f RMSE=%.4f epochs=%d\n",
 			sem, m.TrainSamples, m.TestSamples, m.MAE, m.RMSE, m.Epochs)
 	}

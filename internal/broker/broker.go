@@ -1,5 +1,5 @@
 // Package broker implements a single Kafka-model broker node: it owns
-// partition logs, services produce and fetch requests with a configurable
+// partition logs, services produce and fetch requests with a modelled
 // service time, de-duplicates idempotent-producer batches, and can be
 // stopped and restarted for failure-injection experiments (the paper's
 // future-work scenario).
@@ -15,13 +15,8 @@ import (
 	"kafkarel/internal/wire"
 )
 
-// Config tunes a broker's service behaviour.
+// Config tunes a broker's durability and observability.
 type Config struct {
-	// AppendLatency is the fixed cost of persisting a batch.
-	AppendLatency time.Duration
-	// AppendPerByte is the additional cost per payload byte, modelling
-	// log-write bandwidth.
-	AppendPerByte time.Duration
 	// FlushInterval is the fsync cadence (Kafka's log.flush.interval.ms):
 	// appends become durable at the first append on or after each
 	// interval boundary, together with a snapshot of the idempotent
@@ -35,14 +30,17 @@ type Config struct {
 	Obs *obs.Obs
 }
 
-// DefaultConfig reflects a warm page-cache append path: tens of
-// microseconds fixed cost and ~1 GB/s of sequential write bandwidth.
-func DefaultConfig() Config {
-	return Config{
-		AppendLatency: 50 * time.Microsecond,
-		AppendPerByte: time.Nanosecond,
-	}
-}
+// DefaultConfig is the zero Config: every append immediately durable,
+// no observability.
+func DefaultConfig() Config { return Config{} }
+
+// The service time of persisting a batch reflects a warm page-cache append
+// path: appendLatency fixed cost plus appendPerByte per payload byte
+// (~1 GB/s of sequential write bandwidth).
+const (
+	appendLatency = 50 * time.Microsecond
+	appendPerByte = time.Nanosecond
+)
 
 // producerState supports idempotent de-duplication per producer ID.
 // recent is a ring of the last wire.SeqCacheSize appended batches: with
@@ -192,9 +190,6 @@ type Broker struct {
 func New(id int32, sim *des.Simulator, cfg Config) (*Broker, error) {
 	if sim == nil {
 		return nil, fmt.Errorf("broker: nil simulator")
-	}
-	if cfg.AppendLatency < 0 || cfg.AppendPerByte < 0 {
-		return nil, fmt.Errorf("broker: negative service time")
 	}
 	if cfg.FlushInterval < 0 {
 		return nil, fmt.Errorf("broker: negative flush interval")
@@ -452,7 +447,7 @@ func (b *Broker) serviceTime(batch wire.RecordBatch) time.Duration {
 	for _, r := range batch.Records {
 		bytes += r.EncodedSize()
 	}
-	d := b.cfg.AppendLatency + time.Duration(bytes)*b.cfg.AppendPerByte
+	d := appendLatency + time.Duration(bytes)*appendPerByte
 	if b.slow > 1 {
 		d = time.Duration(float64(d) * b.slow)
 	}

@@ -52,22 +52,34 @@ func TestHandleProduceAppendsAndResponds(t *testing.T) {
 	}
 }
 
+// serviceTimeOf is the append cost of a batch at the broker's constants:
+// the fixed latency plus the per-byte cost of every encoded record.
+func serviceTimeOf(batch wire.RecordBatch) time.Duration {
+	d := appendLatency
+	for _, r := range batch.Records {
+		d += time.Duration(r.EncodedSize()) * appendPerByte
+	}
+	return d
+}
+
 func TestServiceTimeDelaysResponse(t *testing.T) {
 	sim := des.New()
-	cfg := Config{AppendLatency: time.Millisecond, AppendPerByte: 0}
-	b, err := New(1, sim, cfg)
-	if err != nil {
-		t.Fatal(err)
+	b := newBroker(t, sim)
+	var at [2]time.Duration
+	small, large := batch(1, 0, 1), batch(1, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+	for i, bt := range []wire.RecordBatch{small, large} {
+		start := sim.Now()
+		b.Produce(wire.ProduceRequest{Topic: "t", Batch: bt}, false,
+			func(_ any, _ wire.ProduceResponse) { at[i] = sim.Now() - start }, nil)
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	b.CreatePartition("t", 0)
-	var at time.Duration
-	b.Produce(wire.ProduceRequest{Topic: "t", Batch: batch(1, 0, 1)}, false,
-		func(_ any, _ wire.ProduceResponse) { at = sim.Now() }, nil)
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
+	if want := serviceTimeOf(small); at[0] != want {
+		t.Errorf("one record responded after %v, want %v", at[0], want)
 	}
-	if at != time.Millisecond {
-		t.Errorf("responded at %v, want 1ms", at)
+	if want := serviceTimeOf(large); at[1] != want || at[1] <= at[0] {
+		t.Errorf("eight records responded after %v, want %v (> %v)", at[1], want, at[0])
 	}
 }
 
@@ -110,16 +122,11 @@ func TestStoppedBrokerDropsRequests(t *testing.T) {
 
 func TestCrashMidServiceDropsAppend(t *testing.T) {
 	sim := des.New()
-	cfg := Config{AppendLatency: 10 * time.Millisecond}
-	b, err := New(1, sim, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.CreatePartition("t", 0)
+	b := newBroker(t, sim)
 	called := false
 	b.Produce(wire.ProduceRequest{Topic: "t", Batch: batch(1, 0, 1)}, false,
 		func(_ any, _ wire.ProduceResponse) { called = true }, nil)
-	sim.Schedule(5*time.Millisecond, b.Stop)
+	sim.Schedule(appendLatency/2, b.Stop)
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +260,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(1, nil, DefaultConfig()); err == nil {
 		t.Error("nil simulator accepted")
 	}
-	if _, err := New(1, des.New(), Config{AppendLatency: -1}); err == nil {
-		t.Error("negative latency accepted")
+	if _, err := New(1, des.New(), Config{FlushInterval: -1}); err == nil {
+		t.Error("negative flush interval accepted")
 	}
 }

@@ -167,31 +167,28 @@ func TestOutOfOrderPipelinedBatchAppends(t *testing.T) {
 
 func TestSetSlowdownScalesServiceTime(t *testing.T) {
 	sim := des.New()
-	cfg := Config{AppendLatency: time.Millisecond}
-	b, err := New(1, sim, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.CreatePartition("t", 0)
+	b := newBroker(t, sim)
 	b.SetSlowdown(4)
 	var respAt time.Duration
-	b.Produce(wire.ProduceRequest{Topic: "t", Acks: wire.AcksLeader, Batch: batch(1, 1, 1)},
+	first := batch(1, 1, 1)
+	b.Produce(wire.ProduceRequest{Topic: "t", Acks: wire.AcksLeader, Batch: first},
 		false, func(_ any, _ wire.ProduceResponse) { respAt = sim.Now() }, nil)
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if respAt != 4*time.Millisecond {
-		t.Errorf("slowed response at %v, want 4ms", respAt)
+	if want := 4 * serviceTimeOf(first); respAt != want {
+		t.Errorf("slowed response at %v, want %v", respAt, want)
 	}
 	b.SetSlowdown(1)
 	var secondAt time.Duration
 	start := sim.Now()
-	b.Produce(wire.ProduceRequest{Topic: "t", Acks: wire.AcksLeader, Batch: batch(1, 2, 2)},
+	second := batch(1, 2, 2)
+	b.Produce(wire.ProduceRequest{Topic: "t", Acks: wire.AcksLeader, Batch: second},
 		false, func(_ any, _ wire.ProduceResponse) { secondAt = sim.Now() }, nil)
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if secondAt-start != time.Millisecond {
-		t.Errorf("nominal response took %v, want 1ms", secondAt-start)
+	if want := serviceTimeOf(second); secondAt-start != want {
+		t.Errorf("nominal response took %v, want %v", secondAt-start, want)
 	}
 }

@@ -67,10 +67,6 @@ type Config struct {
 	// FlushInterval is the brokers' fsync cadence (default 50 ms): the
 	// unclean-restart loss window.
 	FlushInterval time.Duration
-	// MaxInFlight is the producer pipelining depth (default 1). The
-	// ordering and duplicate-accounting invariants only apply at 1; the
-	// ack/loss/conservation invariants hold at any depth.
-	MaxInFlight int
 	// E2E extends each trial with a consumer group run through the
 	// broker-side coordinator: ConsumerMembers members poll and commit
 	// while the faults fire, generated plans add consumer crash/restart
@@ -98,6 +94,12 @@ type Config struct {
 	Workers int
 	// Progress, when non-nil, receives (done, total) after each trial.
 	Progress func(done, total int)
+
+	// maxInFlight is the producer pipelining depth (0 means 1). The
+	// ordering and duplicate-accounting invariants only apply at 1; the
+	// ack/loss/conservation invariants hold at any depth. Only the
+	// pipelined regression campaign in this package's tests raises it.
+	maxInFlight int
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -126,9 +128,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.FlushInterval <= 0 {
 		c.FlushInterval = 50 * time.Millisecond
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 1
 	}
 	if c.E2E && c.ConsumerMembers <= 0 {
 		c.ConsumerMembers = 2
@@ -296,7 +295,7 @@ func trialExperiment(cfg Config, plan chaos.Plan, workloadSeed uint64, semantics
 		ReplicationFactor:   rf,
 		BrokerFlushInterval: cfg.FlushInterval,
 		CaptureEvidence:     true,
-		MaxInFlight:         cfg.MaxInFlight,
+		MaxInFlight:         max(cfg.maxInFlight, 1),
 		MaxRetries:          8,
 		RequestTimeout:      250 * time.Millisecond,
 		RetryBackoff:        20 * time.Millisecond,
@@ -393,7 +392,7 @@ func runTrial(ctx context.Context, cfg Config, planSeed, workloadSeed uint64) (R
 	}
 	verdict := chaos.Verify(chaos.TrialInput{
 		Semantics:   sem,
-		MaxInFlight: cfg.MaxInFlight,
+		MaxInFlight: max(cfg.maxInFlight, 1),
 		Replication: rf,
 		Plan:        plan,
 		Completed:   res.Completed,

@@ -129,7 +129,7 @@ func TestAtLeastOnceCampaignClassifiesAckedLoss(t *testing.T) {
 // must now hold at depth 5 under every fault mix.
 func TestExactlyOncePipelinedCampaign(t *testing.T) {
 	sc, err := Run(context.Background(), Config{
-		Mode: ModeExactlyOnce, Trials: 60, Seed: 1337, MaxInFlight: 5,
+		Mode: ModeExactlyOnce, Trials: 60, Seed: 1337, maxInFlight: 5,
 	})
 	if err != nil {
 		t.Fatal(err)

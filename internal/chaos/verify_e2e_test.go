@@ -70,6 +70,9 @@ func TestGeneratePlanConsumerFaults(t *testing.T) {
 // TestScheduleConsumerCrash: the fault actually kills and restarts a
 // live group member, and the group still drains the topic.
 func TestScheduleConsumerCrash(t *testing.T) {
+	// Twelve and a half rounds of the consumer's 512-record poll per
+	// partition: the crash at 10 ms lands mid-stream.
+	const perPart = 6400
 	sim := des.New()
 	clst, err := cluster.New(sim, cluster.DefaultConfig())
 	if err != nil {
@@ -79,9 +82,9 @@ func TestScheduleConsumerCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	for p := int32(0); p < 2; p++ {
-		recs := make([]wire.Record, 100)
+		recs := make([]wire.Record, perPart)
 		for i := range recs {
-			recs[i] = wire.Record{Key: uint64(int(p)*100 + i + 1)}
+			recs[i] = wire.Record{Key: uint64(int(p)*perPart + i + 1)}
 		}
 		clst.Leader("t", p).Log("t", p).Append(recs)
 	}
@@ -90,7 +93,7 @@ func TestScheduleConsumerCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, err := consumer.NewGroup(sim, co, clst, consumer.GroupConfig{
-		Topic: "t", Auto: true, Dedup: true, PollMax: 8,
+		Topic: "t", Auto: true, Dedup: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +125,7 @@ func TestScheduleConsumerCrash(t *testing.T) {
 		t.Fatal("group not drained after crash/restart")
 	}
 	rep := consumer.ReconcileRangesKeys(
-		[]consumer.KeyRange{{Base: 0, Count: 100}, {Base: 100, Count: 100}},
+		[]consumer.KeyRange{{Base: 0, Count: perPart}, {Base: perPart, Count: perPart}},
 		g.ConsumedKeys())
 	if rep.NLost != 0 || rep.NDuplicated != 0 {
 		t.Fatalf("lost=%d dup=%d after crash/restart", rep.NLost, rep.NDuplicated)

@@ -21,12 +21,8 @@ import (
 type Config struct {
 	// Brokers is the number of nodes (paper default: 3).
 	Brokers int
-	// Broker configures each node's service times.
+	// Broker configures each node's flush cadence and observability.
 	Broker broker.Config
-	// InterBrokerDelay is the one-way replication network delay between
-	// nodes, which share a datacenter network unaffected by the injected
-	// producer-side faults.
-	InterBrokerDelay time.Duration
 	// MinISR is the minimum number of live replicas (leader included)
 	// required to accept an acks=all produce.
 	MinISR int
@@ -39,12 +35,15 @@ type Config struct {
 // DefaultConfig matches the paper's three-broker Docker testbed.
 func DefaultConfig() Config {
 	return Config{
-		Brokers:          3,
-		Broker:           broker.DefaultConfig(),
-		InterBrokerDelay: 250 * time.Microsecond,
-		MinISR:           1,
+		Brokers: 3,
+		MinISR:  1,
 	}
 }
+
+// interBrokerDelay is the one-way replication network delay between nodes,
+// which share a datacenter network unaffected by the injected
+// producer-side faults.
+const interBrokerDelay = 250 * time.Microsecond
 
 // partitionMeta is one partition's placement. It is allocated once at
 // CreateTopic and never moves; only leader changes afterwards.
@@ -221,9 +220,6 @@ func New(sim *des.Simulator, cfg Config) (*Cluster, error) {
 	}
 	if cfg.MinISR <= 0 {
 		cfg.MinISR = 1
-	}
-	if cfg.InterBrokerDelay < 0 {
-		return nil, fmt.Errorf("cluster: negative inter-broker delay")
 	}
 	c := &Cluster{
 		sim:             sim,
@@ -640,7 +636,7 @@ func allLeaderDone(a any, resp wire.ProduceResponse) {
 		c.trace.Emit(obs.LayerCluster, obs.EvReplicate, j.req.Batch.BaseSequence, int64(j.req.Partition), int64(f.ID()), j.req.Topic)
 		s := c.getSend()
 		s.j, s.f = j, f
-		c.sim.AfterFunc(c.cfg.InterBrokerDelay, allSendFire, s)
+		c.sim.AfterFunc(interBrokerDelay, allSendFire, s)
 	}
 }
 
@@ -678,7 +674,7 @@ func allSendFire(a any) {
 // more inter-broker delay away.
 func allFollowerDone(a any, _ wire.ProduceResponse) {
 	j := a.(*prodJob)
-	j.c.sim.AfterFunc(j.c.cfg.InterBrokerDelay, allAckFire, j)
+	j.c.sim.AfterFunc(interBrokerDelay, allAckFire, j)
 }
 
 // allAckFire counts one follower ack; the last one answers the producer.
@@ -714,7 +710,7 @@ func (c *Cluster) replicate(pm *partitionMeta, src *broker.Broker, req wire.Prod
 		c.trace.Emit(obs.LayerCluster, obs.EvReplicate, req.Batch.BaseSequence, int64(req.Partition), int64(f.ID()), req.Topic)
 		r := c.getRepl()
 		r.src, r.f, r.req, r.idempotent = src, f, req, idempotent
-		c.sim.AfterFunc(c.cfg.InterBrokerDelay, replicateFire, r)
+		c.sim.AfterFunc(interBrokerDelay, replicateFire, r)
 	}
 }
 

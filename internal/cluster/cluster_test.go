@@ -114,30 +114,33 @@ func TestAsyncReplicationReachesFollowers(t *testing.T) {
 	}
 }
 
+// acks=all answers one replication round trip after the followers have
+// appended: leader append, a hop, the follower append, a hop back. An
+// acks=leader produce of the same batch measures what one append costs.
 func TestAcksAllWaitsForFollowers(t *testing.T) {
-	sim := des.New()
-	cfg := DefaultConfig()
-	cfg.InterBrokerDelay = 10 * time.Millisecond
-	c, err := New(sim, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CreateTopic("t", 1, 3); err != nil {
-		t.Fatal(err)
-	}
-	var at time.Duration = -1
-	c.HandleProduce(produceReq(1, wire.AcksAll, 5), func(wire.ProduceResponse) { at = sim.Now() })
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Response must wait at least one replication round trip (20 ms).
-	if at < 20*time.Millisecond {
-		t.Errorf("acks=all responded at %v, want >= 20ms", at)
-	}
-	for id := int32(0); id < 3; id++ {
-		if end := c.Broker(id).Log("t", 0).End(); end != 1 {
-			t.Errorf("broker %d log end = %d, want 1", id, end)
+	respondedAt := func(acks wire.RequiredAcks) time.Duration {
+		sim := des.New()
+		c := newCluster(t, sim)
+		var at time.Duration = -1
+		c.HandleProduce(produceReq(1, acks, 5), func(wire.ProduceResponse) { at = sim.Now() })
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
 		}
+		if acks == wire.AcksAll {
+			for id := int32(0); id < 3; id++ {
+				if end := c.Broker(id).Log("t", 0).End(); end != 1 {
+					t.Errorf("broker %d log end = %d, want 1", id, end)
+				}
+			}
+		}
+		return at
+	}
+	appendCost := respondedAt(wire.AcksLeader)
+	if appendCost <= 0 {
+		t.Fatalf("acks=leader responded at %v", appendCost)
+	}
+	if at, want := respondedAt(wire.AcksAll), 2*appendCost+2*interBrokerDelay; at != want {
+		t.Errorf("acks=all responded at %v, want %v (two appends of %v and two %v hops)", at, want, appendCost, interBrokerDelay)
 	}
 }
 
@@ -290,11 +293,6 @@ func TestFetchFromLeader(t *testing.T) {
 func TestValidationNew(t *testing.T) {
 	if _, err := New(nil, DefaultConfig()); err == nil {
 		t.Error("nil simulator accepted")
-	}
-	cfg := DefaultConfig()
-	cfg.InterBrokerDelay = -1
-	if _, err := New(des.New(), cfg); err == nil {
-		t.Error("negative inter-broker delay accepted")
 	}
 }
 

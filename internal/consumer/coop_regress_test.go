@@ -20,10 +20,12 @@ import (
 // ever dropped, the new generation resumes from stale watermarks and
 // this count goes positive.
 func TestGroupEagerRejoinFlushPinsRedelivery(t *testing.T) {
-	const partitions, perPart = 4, 150
+	// Ten full poll rounds per partition: the second member joins while
+	// the first is still mid-stream.
+	const partitions, perPart = 4, 10 * pollMax
 	r := newGroupRig(t, partitions, perPart)
 	g, err := NewGroup(r.sim, r.co, r.clst, GroupConfig{
-		Topic: "t", Auto: true, Dedup: true, PollMax: 16, CaptureEvidence: true,
+		Topic: "t", Auto: true, Dedup: true, CaptureEvidence: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -103,6 +103,8 @@ type Group struct {
 const (
 	// pollInterval is the driven-mode poll cadence.
 	pollInterval = 2 * time.Millisecond
+	// pollMax caps records per poll round.
+	pollMax = 512
 	// commitRoundTimeout abandons an unacknowledged commit round (the
 	// offsets log can silently swallow acks=all requests while its
 	// partition is leaderless); the next poll round retries.
@@ -122,8 +124,6 @@ type GroupConfig struct {
 	// SessionTimeout is passed to the coordinator on every join
 	// (default: the coordinator's default).
 	SessionTimeout time.Duration
-	// PollMax caps records per poll round (default 512).
-	PollMax int
 	// Cooperative switches members to the incremental rebalance protocol
 	// (KIP-429): they join carrying the partitions they still own, keep
 	// consuming everything they retain across the generation bump, and
@@ -158,9 +158,6 @@ func (c *GroupConfig) applyDefaults(co *coordinator.Coordinator) {
 	}
 	if c.SessionTimeout <= 0 {
 		c.SessionTimeout = co.Config().SessionTimeout
-	}
-	if c.PollMax <= 0 {
-		c.PollMax = 512
 	}
 }
 
@@ -803,7 +800,7 @@ func (m *Member) pollTick() {
 		// that retained coverage is the whole point of KIP-429. Eager
 		// members stop until the new assignment applies.
 		if g.cfg.Cooperative && len(m.assigned) > 0 {
-			m.pollOnce(g.cfg.PollMax, nil)
+			m.pollOnce(pollMax, nil)
 			m.commitDirty()
 			m.pollT.Reset(pollInterval)
 		}
@@ -815,7 +812,7 @@ func (m *Member) pollTick() {
 		// applyAssignment restarts the poll timer.
 		return
 	}
-	m.pollOnce(g.cfg.PollMax, nil)
+	m.pollOnce(pollMax, nil)
 	if m.state != mStable { // a fenced commit mid-round triggered a rejoin
 		return
 	}

@@ -224,10 +224,11 @@ func TestGroupCommittedSurvivesRejoin(t *testing.T) {
 // over its partitions from the committed offsets and drains the topic
 // with nothing lost and (under dedup) nothing double-delivered.
 func TestGroupSessionTimeoutMidPoll(t *testing.T) {
-	const partitions, perPart = 4, 200
+	// Twelve full poll rounds per partition: the crash lands mid-stream.
+	const partitions, perPart = 4, 12 * pollMax
 	r := newGroupRig(t, partitions, perPart)
 	g, err := NewGroup(r.sim, r.co, r.clst, GroupConfig{
-		Topic: "t", Auto: true, Dedup: true, PollMax: 16,
+		Topic: "t", Auto: true, Dedup: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -325,10 +326,12 @@ func TestGroupStaleCommitFenced(t *testing.T) {
 // recorded delivery offsets stay strictly increasing per partition
 // (no gap, no replay) under dedup.
 func TestGroupCooperativeReassignment(t *testing.T) {
-	const partitions, perPart = 4, 150
+	// Ten full poll rounds per partition: the second member joins while
+	// the first is still mid-stream.
+	const partitions, perPart = 4, 10 * pollMax
 	r := newGroupRig(t, partitions, perPart)
 	g, err := NewGroup(r.sim, r.co, r.clst, GroupConfig{
-		Topic: "t", Auto: true, Dedup: true, PollMax: 16, CaptureEvidence: true,
+		Topic: "t", Auto: true, Dedup: true, CaptureEvidence: true,
 	})
 	if err != nil {
 		t.Fatal(err)

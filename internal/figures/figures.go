@@ -1,8 +1,8 @@
 // Package figures pins down the exact experiment behind every figure and
-// table in the paper's evaluation, so the CLI (cmd/repro), the benchmark
-// harness (bench_test.go) and the shape tests all regenerate the same
-// series from one definition. EXPERIMENTS.md records paper-vs-measured
-// values for each.
+// table in the paper's evaluation, so the CLI (cmd/repro), the repository
+// benchmark (bench/) and the shape tests all regenerate the same series
+// from one definition. EXPERIMENTS.md records paper-vs-measured values
+// for each.
 package figures
 
 import (

@@ -37,7 +37,6 @@ type rigOpts struct {
 	msgSize    int
 	partitions int
 	costs      producer.CostModel
-	transport  transport.Config
 }
 
 func buildRig(t testing.TB, cfg producer.Config, n int, o rigOpts, popts ...producer.Option) *rig {
@@ -61,7 +60,7 @@ func buildRig(t testing.TB, cfg producer.Config, n int, o rigOpts, popts ...prod
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := transport.NewConn(sim, path, o.transport)
+	conn, err := transport.NewConn(sim, path, transport.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,21 +418,25 @@ func TestReconfigure(t *testing.T) {
 }
 
 func TestBrokenConnectionRecovery(t *testing.T) {
-	// 100% loss for the first 400 ms breaks the connection; after the
-	// network heals the producer reconnects and delivers.
+	// 100% loss breaks the connection once TCP's retry budget runs out
+	// (16 timeouts, 663 s); the path stays lossy a little past that, and
+	// after it heals the producer reconnects and delivers. The producer's
+	// own budgets outlast the outage.
 	cfg := baseConfig()
-	cfg.MessageTimeout = 30 * time.Second
+	cfg.MessageTimeout = 30 * time.Minute
 	cfg.MaxRetries = 50
-	cfg.RequestTimeout = 200 * time.Millisecond
-	tc := transport.Config{MaxRetries: 2, InitialRTO: 100 * time.Millisecond}
-	r := buildRig(t, cfg, 10, rigOpts{delayMs: 1, transport: tc})
+	cfg.RequestTimeout = time.Minute
+	r := buildRig(t, cfg, 10, rigOpts{delayMs: 1})
 	loss, err := stats.NewBernoulli(1, rand.New(rand.NewPCG(1, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.path.SetLoss(loss)
-	r.sim.Schedule(400*time.Millisecond, func() { r.path.SetLoss(nil) })
+	r.sim.Schedule(670*time.Second, func() { r.path.SetLoss(nil) })
 	rep := r.run(t)
+	if to := r.conn.Client.Stats().Timeouts; to < 16 {
+		t.Errorf("%d transport timeouts: the connection never broke", to)
+	}
 	if rep.NLost != 0 {
 		t.Errorf("lost %d after network healed within budget", rep.NLost)
 	}

@@ -130,7 +130,7 @@ func ownershipRun(t *testing.T, seed uint64, loss, spike float64, queue int, chu
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := NewConn(sim, path, Config{MaxWindow: 16})
+	conn, err := NewConn(sim, path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

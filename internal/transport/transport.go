@@ -33,20 +33,8 @@ var (
 	ErrBufferFull = errors.New("transport: send buffer full")
 )
 
-// Config tunes a connection. The zero value is usable: DefaultConfig
-// values are substituted for zero fields.
+// Config tunes a connection. The zero value is usable.
 type Config struct {
-	// InitialCwnd is the initial congestion window in segments.
-	InitialCwnd int
-	// MaxWindow caps the send window in segments (receiver window).
-	MaxWindow int
-	// MaxRTO and InitialRTO bound the retransmission timeout from above
-	// and seed it (the floor is minRTO).
-	MaxRTO     time.Duration
-	InitialRTO time.Duration
-	// MaxRetries is the per-segment retransmission budget before the
-	// connection is declared broken.
-	MaxRetries int
 	// SendBufferLimit bounds bytes buffered per endpoint (0 = unlimited).
 	SendBufferLimit int
 	// Obs attaches the per-run observability bundle. nil disables
@@ -54,7 +42,7 @@ type Config struct {
 	Obs *obs.Obs
 }
 
-// The parts of the TCP model no run or test varies.
+// The parts of the TCP model no run or test varies, at common Linux values.
 const (
 	// mss is the maximum segment payload in bytes.
 	mss = 1460
@@ -62,43 +50,21 @@ const (
 	// on the wire; ackSize is the wire size of a pure acknowledgement.
 	segmentOverhead = 40
 	ackSize         = 40
-	// minRTO floors the retransmission timeout (Linux's 200 ms).
-	minRTO = 200 * time.Millisecond
+	// initialCwnd is the initial congestion window in segments; maxWindow
+	// caps the send window in segments (the receiver window).
+	initialCwnd = 10
+	maxWindow   = 64
+	// initialRTO seeds the retransmission timeout; minRTO (Linux's 200 ms)
+	// and maxRTO bound it.
+	initialRTO = 1 * time.Second
+	minRTO     = 200 * time.Millisecond
+	maxRTO     = 60 * time.Second
+	// maxRetries is the per-segment retransmission budget before the
+	// connection is declared broken (Linux tcp_retries2).
+	maxRetries = 15
 	// dupAckThreshold triggers fast retransmit (TCP's classic 3).
 	dupAckThreshold = 3
 )
-
-// DefaultConfig mirrors common Linux TCP constants scaled to the
-// experiments' millisecond regime.
-func DefaultConfig() Config {
-	return Config{
-		InitialCwnd: 10,
-		MaxWindow:   64,
-		MaxRTO:      60 * time.Second,
-		InitialRTO:  1 * time.Second,
-		MaxRetries:  15, // Linux tcp_retries2
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.InitialCwnd <= 0 {
-		c.InitialCwnd = d.InitialCwnd
-	}
-	if c.MaxWindow <= 0 {
-		c.MaxWindow = d.MaxWindow
-	}
-	if c.MaxRTO <= 0 {
-		c.MaxRTO = d.MaxRTO
-	}
-	if c.InitialRTO <= 0 {
-		c.InitialRTO = d.InitialRTO
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = d.MaxRetries
-	}
-	return c
-}
 
 // Stats counts transport-level activity on one endpoint.
 type Stats struct {
@@ -272,7 +238,6 @@ func NewConn(sim *des.Simulator, path *netem.Path, cfg Config) (*Conn, error) {
 	if sim == nil || path == nil {
 		return nil, fmt.Errorf("transport: nil simulator or path")
 	}
-	cfg = cfg.withDefaults()
 	client := newEndpoint("client", sim, cfg, path.Fwd)
 	server := newEndpoint("server", sim, cfg, path.Rev)
 	client.peer = server
@@ -331,9 +296,9 @@ func newEndpoint(name string, sim *des.Simulator, cfg Config, out *netem.Link) *
 		sim:      sim,
 		cfg:      cfg,
 		out:      out,
-		cwnd:     float64(cfg.InitialCwnd),
-		ssthresh: float64(cfg.MaxWindow),
-		rto:      cfg.InitialRTO,
+		cwnd:     initialCwnd,
+		ssthresh: maxWindow,
+		rto:      initialRTO,
 		ooo:      make(map[int64][]byte),
 
 		cSegSent:     o.Counter(obs.MSegmentsSent),
@@ -344,7 +309,7 @@ func newEndpoint(name string, sim *des.Simulator, cfg Config, out *netem.Link) *
 		cAcksSent:    o.Counter(obs.MAcksSent),
 		cConnBreaks:  o.Counter(obs.MConnBreaks),
 		trace:        o.Tracer(),
-		lastCwnd:     cfg.InitialCwnd,
+		lastCwnd:     initialCwnd,
 	}
 	e.timer = des.NewTimer(sim, e.onRTO)
 	return e
@@ -372,9 +337,9 @@ func (e *Endpoint) reset() {
 		e.inFlight[i] = nil
 	}
 	e.inFlight = e.inFlight[:0]
-	e.cwnd = float64(e.cfg.InitialCwnd)
-	e.ssthresh = float64(e.cfg.MaxWindow)
-	e.rto = e.cfg.InitialRTO
+	e.cwnd = initialCwnd
+	e.ssthresh = maxWindow
+	e.rto = initialRTO
 	e.srtt, e.rttvar = 0, 0
 	e.backoff = 0
 	e.dupAcks = 0
@@ -385,7 +350,7 @@ func (e *Endpoint) reset() {
 		e.bufs.put(payload)
 	}
 	clear(e.ooo)
-	e.lastCwnd = e.cfg.InitialCwnd
+	e.lastCwnd = initialCwnd
 	// Peer receiver state resets on its own endpoint's reset.
 }
 
@@ -474,8 +439,8 @@ func (e *Endpoint) windowSegs() int {
 	if w < 1 {
 		w = 1
 	}
-	if w > e.cfg.MaxWindow {
-		w = e.cfg.MaxWindow
+	if w > maxWindow {
+		w = maxWindow
 	}
 	return w
 }
@@ -557,8 +522,8 @@ func (e *Endpoint) onRTO() {
 	e.stats.Timeouts++
 	e.cRTOTimeouts.Inc()
 	m := e.inFlight[0]
-	if m.retries >= e.cfg.MaxRetries {
-		e.fail(fmt.Errorf("%w: segment seq=%d exceeded %d retries", ErrBroken, m.seq, e.cfg.MaxRetries))
+	if m.retries >= maxRetries {
+		e.fail(fmt.Errorf("%w: segment seq=%d exceeded %d retries", ErrBroken, m.seq, maxRetries))
 		return
 	}
 	// RFC 5681: ssthresh = max(flight/2, 2 segments); cwnd back to 1.
@@ -569,8 +534,8 @@ func (e *Endpoint) onRTO() {
 	e.cwnd = 1
 	e.backoff++
 	e.rto *= 2
-	if e.rto > e.cfg.MaxRTO {
-		e.rto = e.cfg.MaxRTO
+	if e.rto > maxRTO {
+		e.rto = maxRTO
 	}
 	e.gRTOMax.SetMax(int64(e.rto))
 	e.trace.Emit(obs.LayerTransport, obs.EvRTOBackoff, 0, int64(e.rto), int64(e.backoff), e.name)
@@ -677,8 +642,8 @@ func (e *Endpoint) receiveAck(ack int64) {
 			e.cFastRetrans.Inc()
 			e.trace.Emit(obs.LayerTransport, obs.EvFastRetransmit, uint64(e.inFlight[0].seq), 0, 0, e.name)
 			m := e.inFlight[0]
-			if m.retries >= e.cfg.MaxRetries {
-				e.fail(fmt.Errorf("%w: segment seq=%d exceeded %d retries", ErrBroken, m.seq, e.cfg.MaxRetries))
+			if m.retries >= maxRetries {
+				e.fail(fmt.Errorf("%w: segment seq=%d exceeded %d retries", ErrBroken, m.seq, maxRetries))
 				return
 			}
 			e.ssthresh = e.cwnd / 2
@@ -754,8 +719,8 @@ func (e *Endpoint) receiveAck(ack int64) {
 			e.cwnd += 1 / e.cwnd // congestion avoidance
 		}
 	}
-	if e.cwnd > float64(e.cfg.MaxWindow) {
-		e.cwnd = float64(e.cfg.MaxWindow)
+	if e.cwnd > maxWindow {
+		e.cwnd = maxWindow
 	}
 	e.traceCwnd()
 	if len(e.inFlight) == 0 {
@@ -790,8 +755,8 @@ func (e *Endpoint) recomputeRTO() {
 	if rto < minRTO {
 		rto = minRTO
 	}
-	if rto > e.cfg.MaxRTO {
-		rto = e.cfg.MaxRTO
+	if rto > maxRTO {
+		rto = maxRTO
 	}
 	e.rto = rto
 	e.gRTOMax.SetMax(int64(rto))

@@ -175,11 +175,15 @@ func TestGoodputDegradesWithLoss(t *testing.T) {
 	}
 }
 
+// Under 100 % loss the first segment times out maxRetries+1 times, the
+// timeout doubling from initialRTO up to the maxRTO ceiling, and the last
+// timeout breaks the connection: 1+2+4+8+16+32 s, then ten times 60 s.
 func TestBrokenAfterRetryBudget(t *testing.T) {
 	sim := des.New()
-	conn := testConn(t, sim, 10, 1.0, 6, Config{MaxRetries: 3, MaxRTO: time.Second})
+	conn := testConn(t, sim, 10, 1.0, 6, Config{})
 	var gotErr error
-	conn.Client.OnBroken(func(err error) { gotErr = err })
+	brokeAt := time.Duration(-1)
+	conn.Client.OnBroken(func(err error) { gotErr, brokeAt = err, sim.Now() })
 	if err := conn.Client.Send([]byte("doomed")); err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +199,18 @@ func TestBrokenAfterRetryBudget(t *testing.T) {
 	if err := conn.Client.Send([]byte("more")); !errors.Is(err, ErrBroken) {
 		t.Errorf("Send on broken conn = %v, want ErrBroken", err)
 	}
-	if conn.Client.Stats().Timeouts == 0 {
-		t.Error("no timeouts recorded before breaking")
+	var want time.Duration
+	for i, rto := 0, initialRTO; i <= maxRetries; i, rto = i+1, min(2*rto, maxRTO) {
+		want += rto
+	}
+	if want != 663*time.Second {
+		t.Fatalf("backoff sum = %v, want 663s at the production constants", want)
+	}
+	if brokeAt != want {
+		t.Errorf("connection broke at %v, want %v", brokeAt, want)
+	}
+	if got := conn.Client.Stats().Timeouts; got != maxRetries+1 {
+		t.Errorf("timeouts before breaking = %d, want %d", got, maxRetries+1)
 	}
 }
 
@@ -211,7 +225,7 @@ func TestResetRestoresService(t *testing.T) {
 		t.Fatal(err)
 	}
 	path.SetLoss(loss)
-	conn, err := NewConn(sim, path, Config{MaxRetries: 2, MaxRTO: time.Second})
+	conn, err := NewConn(sim, path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,46 +352,44 @@ func TestAckTrafficCountsOnReverseLink(t *testing.T) {
 	}
 }
 
+// The first flight is the initial window, and slow start then grows the
+// window until maxWindow, not further, bounds what is in flight.
 func TestCongestionWindowCapsInFlight(t *testing.T) {
 	sim := des.New()
-	// Huge RTT so everything the window allows is sent before any ack.
-	conn := testConn(t, sim, 10_000, 0, 19, Config{InitialCwnd: 4, MaxWindow: 8})
+	conn := testConn(t, sim, 50, 0, 19, Config{})
 	conn.Server.OnReceive(func([]byte) {})
-	if err := conn.Client.Send(pattern(100_000, 23)); err != nil {
+	if err := conn.Client.Send(pattern(2_000_000, 23)); err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.RunUntil(900 * time.Millisecond); err != nil { // before the 1s initial RTO
+	if err := sim.RunUntil(90 * time.Millisecond); err != nil { // before the first ack
 		t.Fatal(err)
 	}
-	if sent := conn.Client.Stats().SegmentsSent; sent != 4 {
-		t.Errorf("segments sent before any ack = %d, want initial cwnd 4", sent)
+	if sent := conn.Client.Stats().SegmentsSent; sent != initialCwnd {
+		t.Errorf("segments sent before any ack = %d, want initial cwnd %d", sent, initialCwnd)
 	}
+	peak := 0
+	var probe func()
+	probe = func() {
+		peak = max(peak, len(conn.Client.inFlight))
+		if conn.Client.BufferedBytes() > 0 {
+			sim.After(time.Millisecond, probe)
+		}
+	}
+	probe()
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if peak != maxWindow {
+		t.Errorf("most segments in flight = %d, want the window cap %d", peak, maxWindow)
+	}
+	if st := conn.Client.Stats(); st.Retransmissions != 0 {
+		t.Errorf("%d retransmissions on a lossless path", st.Retransmissions)
 	}
 }
 
 func TestNewConnValidation(t *testing.T) {
 	if _, err := NewConn(nil, nil, Config{}); err == nil {
 		t.Error("nil args accepted")
-	}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	var zero Config
-	got := zero.withDefaults()
-	want := DefaultConfig()
-	if got != want {
-		t.Errorf("withDefaults() = %+v, want %+v", got, want)
-	}
-	// Explicit values survive.
-	custom := Config{MaxWindow: 8, MaxRetries: 3}
-	got = custom.withDefaults()
-	if got.MaxWindow != 8 || got.MaxRetries != 3 {
-		t.Errorf("custom fields overwritten: %+v", got)
-	}
-	if got.InitialCwnd != want.InitialCwnd {
-		t.Errorf("zero fields not defaulted: %+v", got)
 	}
 }
 
@@ -528,26 +540,27 @@ func TestCongestionWindowGrowsAfterAcks(t *testing.T) {
 	// Slow start doubles the window per RTT: the second flight must be
 	// larger than the first.
 	sim := des.New()
-	conn := testConn(t, sim, 50, 0, 31, Config{InitialCwnd: 2, MaxWindow: 64})
+	conn := testConn(t, sim, 50, 0, 31, Config{})
 	conn.Server.OnReceive(func([]byte) {})
 	if err := conn.Client.Send(pattern(300_000, 31)); err != nil {
 		t.Fatal(err)
 	}
-	// First flight: 2 segments before any ack.
+	// First flight: the initial window, before any ack.
 	if err := sim.RunUntil(90 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	first := conn.Client.Stats().SegmentsSent
-	if first != 2 {
-		t.Fatalf("first flight = %d segments, want 2", first)
+	if first != initialCwnd {
+		t.Fatalf("first flight = %d segments, want %d", first, initialCwnd)
 	}
-	// After one RTT of acks, the window must have grown.
+	// One RTT later every ack has opened two segments: the second flight
+	// is twice the first.
 	if err := sim.RunUntil(190 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	second := conn.Client.Stats().SegmentsSent
-	if second < first+3 {
-		t.Errorf("window did not grow in slow start: %d -> %d", first, second)
+	second := conn.Client.Stats().SegmentsSent - first
+	if second != 2*first {
+		t.Errorf("window did not double in slow start: %d -> %d", first, second)
 	}
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)

@@ -31,19 +31,6 @@ var reachAllow = map[string]string{
 	"internal/chaos.GenConfig.Semantics":                    "written by frozen bench/, read by nothing; delete with the next [benchmark] PR (ROADMAP 5(a))",
 	"internal/testbed.TxnExperiment.Isolation":              "written by frozen bench/, read by nothing; delete with the next [benchmark] PR (ROADMAP 5(a))",
 	"internal/dynconf.Options.Predictor":                    "lets a caller that holds a model skip the 270-point training sweep; without it tier-1 trains twelve times (measured 0.34 s -> 5.3 s)",
-	// Regimes: values no run departs from, which a package's own checks
-	// shrink to reach a behaviour within milliseconds of simulated time;
-	// constants once the PR that rewrites those checks lands (ISSUE 22).
-	"internal/transport.Config.InitialCwnd":      "regime: a 2-4 segment window makes slow start and the window cap observable",
-	"internal/transport.Config.MaxWindow":        "regime: an 8-segment cap bounds in-flight data where the cap is the subject",
-	"internal/transport.Config.InitialRTO":       "regime: a 100 ms first timeout lets a dead path break a connection inside a short run",
-	"internal/transport.Config.MaxRTO":           "regime: a 1 s backoff ceiling makes retry exhaustion finite",
-	"internal/transport.Config.MaxRetries":       "regime: a 2-3 retry budget reaches ErrBroken in seconds, not Linux's 15 doublings",
-	"internal/broker.Config.AppendLatency":       "regime: a 1 ms fixed append cost gives service-time arithmetic exact instants",
-	"internal/broker.Config.AppendPerByte":       "regime: zeroed so that the fixed cost is the whole service time",
-	"internal/cluster.Config.InterBrokerDelay":   "regime: a 10 ms replication hop separates leader append from acks=all completion",
-	"internal/consumer.GroupConfig.PollMax":      "regime: 8-16 records per poll forces many rounds and mid-stream rebalances on small topics",
-	"internal/chaos/campaign.Config.MaxInFlight": "regime: depth 5 runs the exactly-once campaign pipelined, where a connection reset reorders in-flight requests",
 }
 
 // TestReachability is the gate on this tree; -v prints the census.
