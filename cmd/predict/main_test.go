@@ -25,7 +25,7 @@ func writeModel(t *testing.T) string {
 			})
 		}
 	}
-	pred, _, err := core.Train(ds, core.TrainConfig{Seed: 1, EpochOverride: 100})
+	pred, _, err := core.Train(ds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

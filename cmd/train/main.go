@@ -1,10 +1,11 @@
 // Command train fits the paper's ANN prediction model (Eq. 1) on a
 // dataset collected by cmd/collect and writes the trained predictor as
-// JSON, reporting held-out accuracy (the paper's bar: MAE < 0.02).
+// JSON, reporting accuracy on the 20 % it held out (the paper's bar:
+// MAE < 0.02).
 //
 // Usage:
 //
-//	train [-arch paper|compact] [-epochs n] [-seed n] -data dataset.csv -o model.json
+//	train [-seed n] -data dataset.csv -o model.json
 package main
 
 import (
@@ -27,10 +28,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("train", flag.ContinueOnError)
 	data := fs.String("data", "", "training CSV (from cmd/collect)")
 	out := fs.String("o", "model.json", "output model path")
-	arch := fs.String("arch", "compact", "network architecture: paper (200/200/200/64, Sec. III-G) or compact")
-	epochs := fs.Int("epochs", 0, "override training epochs (0 = architecture default)")
 	seed := fs.Uint64("seed", 1, "random seed")
-	target := fs.Float64("target-mae", 0.01, "early-stop training MAE (0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -49,18 +47,8 @@ func run(args []string) error {
 		return err
 	}
 
-	cfg := core.TrainConfig{Seed: *seed, TargetMAE: *target, EpochOverride: *epochs}
-	switch *arch {
-	case "paper":
-		cfg.Architecture = core.ArchitecturePaper
-	case "compact":
-		cfg.Architecture = core.ArchitectureCompact
-	default:
-		return fmt.Errorf("unknown architecture %q", *arch)
-	}
-
-	fmt.Fprintf(os.Stderr, "training on %d samples (%s architecture)\n", len(ds), *arch)
-	pred, metrics, err := core.Train(ds, cfg)
+	fmt.Fprintf(os.Stderr, "training on %d samples\n", len(ds))
+	pred, metrics, err := core.Train(ds, *seed)
 	if err != nil {
 		return err
 	}

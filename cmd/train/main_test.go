@@ -55,15 +55,12 @@ func TestRunValidation(t *testing.T) {
 	if err := run([]string{"-data", "/does/not/exist.csv"}); err == nil {
 		t.Error("missing file accepted")
 	}
-	if err := run([]string{"-data", writeDataset(t), "-arch", "bogus"}); err == nil {
-		t.Error("unknown architecture accepted")
-	}
 }
 
 func TestRunTrainsAndSaves(t *testing.T) {
 	data := writeDataset(t)
 	out := filepath.Join(t.TempDir(), "model.json")
-	if err := run([]string{"-data", data, "-o", out, "-epochs", "100"}); err != nil {
+	if err := run([]string{"-data", data, "-o", out}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)

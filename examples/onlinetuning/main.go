@@ -84,7 +84,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pred, metrics, err := kafkarel.TrainPredictor(ds, kafkarel.TrainConfig{Seed: 18, TargetMAE: 0.01})
+	pred, metrics, err := kafkarel.TrainPredictor(ds, 18)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pred, metrics, err := kafkarel.TrainPredictor(ds, kafkarel.TrainConfig{Seed: 2, TargetMAE: 0.01})
+	pred, metrics, err := kafkarel.TrainPredictor(ds, 2)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pred, metrics, err := kafkarel.TrainPredictor(ds, kafkarel.TrainConfig{Seed: 12, TargetMAE: 0.01})
+	pred, metrics, err := kafkarel.TrainPredictor(ds, 12)
 	if err != nil {
 		log.Fatal(err)
 	}

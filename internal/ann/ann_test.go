@@ -34,25 +34,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestPaperConfigShape(t *testing.T) {
-	c := PaperConfig(8, 2)
-	if len(c.Layers) != 5 {
-		t.Fatalf("layers = %d, want 5", len(c.Layers))
-	}
-	wantNeurons := []int{200, 200, 200, 64, 2}
-	for i, l := range c.Layers {
-		if l.Neurons != wantNeurons[i] {
-			t.Errorf("layer %d neurons = %d, want %d", i, l.Neurons, wantNeurons[i])
-		}
-	}
-	if c.LearningRate != 0.5 || c.Epochs != 1000 {
-		t.Errorf("hyperparameters %v/%v, want 0.5/1000", c.LearningRate, c.Epochs)
-	}
-	if c.OutputDim() != 2 {
-		t.Errorf("OutputDim = %d", c.OutputDim())
-	}
-}
-
 func TestActivations(t *testing.T) {
 	if got := Sigmoid.apply(0); got != 0.5 {
 		t.Errorf("sigmoid(0) = %v", got)
@@ -190,7 +171,7 @@ func TestLearnsSmoothSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := n.Train(x, y, WithTargetMAE(0.015))
+	res, err := n.Train(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +204,7 @@ func TestEarlyStopTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := n.Train(x, y, WithTargetMAE(0.05))
+	res, err := n.Train(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,20 +385,6 @@ func TestPropertyOutputsBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkForwardPaperNet(b *testing.B) {
-	n, err := New(PaperConfig(8, 2))
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := n.Forward(x); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

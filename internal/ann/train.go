@@ -15,21 +15,12 @@ type TrainResult struct {
 	TrainMAE  float64
 }
 
-// TrainOption customises training.
-type TrainOption func(*trainOpts)
-
-type trainOpts struct {
-	targetMAE float64
-}
-
-// WithTargetMAE stops training early once the training MAE drops below
-// the target (checked every 10 epochs).
-func WithTargetMAE(mae float64) TrainOption {
-	return func(o *trainOpts) { o.targetMAE = mae }
-}
+// targetMAE stops training early once the training MAE is below it
+// (checked every 10 epochs): half the paper's MAE < 0.02 bar.
+const targetMAE = 0.01
 
 // Train fits the network to (x, y) with mini-batch SGD on MSE loss.
-func (n *Network) Train(x, y [][]float64, opts ...TrainOption) (TrainResult, error) {
+func (n *Network) Train(x, y [][]float64) (TrainResult, error) {
 	if len(x) == 0 || len(x) != len(y) {
 		return TrainResult{}, fmt.Errorf("ann: train with %d inputs, %d targets", len(x), len(y))
 	}
@@ -42,11 +33,6 @@ func (n *Network) Train(x, y [][]float64, opts ...TrainOption) (TrainResult, err
 			return TrainResult{}, fmt.Errorf("ann: target %d has %d dims, want %d", i, len(y[i]), outDim)
 		}
 	}
-	var o trainOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-
 	batch := n.cfg.BatchSize
 	if batch <= 0 {
 		batch = 1
@@ -98,12 +84,12 @@ func (n *Network) Train(x, y [][]float64, opts ...TrainOption) (TrainResult, err
 		loss := lossSum / float64(len(x))
 		res.Epochs = epoch + 1
 		res.FinalLoss = loss
-		if o.targetMAE > 0 && (epoch+1)%10 == 0 {
+		if (epoch+1)%10 == 0 {
 			mae, _, err := n.Evaluate(x, y)
 			if err != nil {
 				return res, err
 			}
-			if mae < o.targetMAE {
+			if mae < targetMAE {
 				break
 			}
 		}

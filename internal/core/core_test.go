@@ -59,7 +59,7 @@ func syntheticDataset(semantics []int) features.Dataset {
 
 func TestTrainReachesPaperMAE(t *testing.T) {
 	ds := syntheticDataset([]int{features.SemanticsAtMostOnce, features.SemanticsAtLeastOnce})
-	p, m, err := Train(ds, TrainConfig{Seed: 3, TargetMAE: 0.01})
+	p, m, err := Train(ds, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,16 +69,27 @@ func TestTrainReachesPaperMAE(t *testing.T) {
 	if len(p.models) != 2 {
 		t.Errorf("semantics models = %d", len(p.models))
 	}
+	heldOut := 0
 	for sem, sm := range m.PerSemantics {
-		if sm.TrainSamples == 0 || sm.TestSamples == 0 {
-			t.Errorf("semantics %d: empty split %+v", sem, sm)
+		if sm.TrainSamples+sm.TestSamples != len(ds)/2 || sm.TestSamples != len(ds)/2/5 {
+			t.Errorf("semantics %d: split %d/%d of %d samples, want 20 %% held out", sem, sm.TrainSamples, sm.TestSamples, len(ds)/2)
+		}
+		heldOut += sm.TestSamples
+	}
+	// HeldOut is exactly the samples the metrics were computed over.
+	if len(m.HeldOut) != heldOut {
+		t.Fatalf("HeldOut has %d samples, metrics count %d", len(m.HeldOut), heldOut)
+	}
+	for i, s := range m.HeldOut {
+		if i > 0 && s.X.Semantics < m.HeldOut[i-1].X.Semantics {
+			t.Fatalf("HeldOut not in ascending semantics order at %d", i)
 		}
 	}
 }
 
 func TestPredictMatchesGroundTruth(t *testing.T) {
 	ds := syntheticDataset([]int{features.SemanticsAtLeastOnce})
-	p, _, err := Train(ds, TrainConfig{Seed: 5, TargetMAE: 0.01})
+	p, _, err := Train(ds, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +129,7 @@ func TestPredictMatchesGroundTruth(t *testing.T) {
 
 func TestAtMostOncePredictsZeroPd(t *testing.T) {
 	ds := syntheticDataset([]int{features.SemanticsAtMostOnce})
-	p, _, err := Train(ds, TrainConfig{Seed: 7})
+	p, _, err := Train(ds, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +145,7 @@ func TestAtMostOncePredictsZeroPd(t *testing.T) {
 
 func TestPredictUnknownSemantics(t *testing.T) {
 	ds := syntheticDataset([]int{features.SemanticsAtMostOnce})
-	p, _, err := Train(ds, TrainConfig{Seed: 1})
+	p, _, err := Train(ds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,26 +161,22 @@ func TestPredictUnknownSemantics(t *testing.T) {
 }
 
 func TestTrainValidation(t *testing.T) {
-	if _, _, err := Train(nil, TrainConfig{}); err == nil {
+	if _, _, err := Train(nil, 1); err == nil {
 		t.Error("empty dataset accepted")
 	}
 	ds := syntheticDataset([]int{features.SemanticsAtMostOnce})
-	if _, _, err := Train(ds, TrainConfig{TestFraction: 1.5}); err == nil {
-		t.Error("bad test fraction accepted")
-	}
-	tiny := ds[:3]
-	if _, _, err := Train(tiny, TrainConfig{}); err == nil {
+	if _, _, err := Train(ds[:4], 1); err == nil {
 		t.Error("undersized per-semantics dataset accepted")
 	}
 	bad := features.Dataset{{X: features.Vector{}, Pl: 0}}
-	if _, _, err := Train(bad, TrainConfig{}); err == nil {
+	if _, _, err := Train(bad, 1); err == nil {
 		t.Error("invalid vector accepted")
 	}
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	ds := syntheticDataset([]int{features.SemanticsAtMostOnce, features.SemanticsAtLeastOnce})
-	p, _, err := Train(ds, TrainConfig{Seed: 9, EpochOverride: 50})
+	p, _, err := Train(ds, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

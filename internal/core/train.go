@@ -9,31 +9,8 @@ import (
 	"kafkarel/internal/features"
 )
 
-// Architecture selects the network size used per semantics model.
-type Architecture int
-
-// Architectures. Paper is Sec. III-G's 200/200/200/64 network; Compact is
-// a small network that reaches the same MAE bar on our training grids in
-// a fraction of the time.
-const (
-	ArchitecturePaper Architecture = iota + 1
-	ArchitectureCompact
-)
-
-// TrainConfig controls predictor training.
-type TrainConfig struct {
-	// Architecture picks the per-semantics network (default Compact).
-	Architecture Architecture
-	// TestFraction is held out for evaluation (default 0.2).
-	TestFraction float64
-	// Seed fixes splits, initialisation and shuffling.
-	Seed uint64
-	// TargetMAE stops training early once reached (0 disables; the paper
-	// reports MAE < 0.02).
-	TargetMAE float64
-	// EpochOverride caps epochs when nonzero (useful for quick runs).
-	EpochOverride int
-}
+// testFraction of each semantics' samples is held out for evaluation.
+const testFraction = 0.2
 
 // Metrics reports per-semantics and overall evaluation results.
 type Metrics struct {
@@ -42,6 +19,9 @@ type Metrics struct {
 	RMSE float64
 	// PerSemantics breaks the evaluation down by delivery semantics.
 	PerSemantics map[int]SemanticsMetrics
+	// HeldOut is the test split itself, in ascending semantics order: the
+	// samples no model was trained on.
+	HeldOut features.Dataset
 }
 
 // SemanticsMetrics is one model's evaluation.
@@ -53,20 +33,13 @@ type SemanticsMetrics struct {
 	Epochs       int
 }
 
-// Train fits one ANN per delivery semantics present in the dataset and
-// returns the routing predictor with held-out evaluation metrics.
-func Train(ds features.Dataset, cfg TrainConfig) (*Predictor, Metrics, error) {
+// Train fits one ANN per delivery semantics present in the dataset on
+// 80 % of that semantics' samples and returns the routing predictor with
+// its metrics on the other 20 %. The seed fixes the split, the weight
+// initialisation and the shuffling.
+func Train(ds features.Dataset, seed uint64) (*Predictor, Metrics, error) {
 	if len(ds) == 0 {
 		return nil, Metrics{}, fmt.Errorf("core: empty dataset")
-	}
-	if cfg.Architecture == 0 {
-		cfg.Architecture = ArchitectureCompact
-	}
-	if cfg.TestFraction == 0 {
-		cfg.TestFraction = 0.2
-	}
-	if cfg.TestFraction < 0 || cfg.TestFraction >= 1 {
-		return nil, Metrics{}, fmt.Errorf("core: test fraction %v outside [0,1)", cfg.TestFraction)
 	}
 
 	bySem := make(map[int]features.Dataset)
@@ -90,36 +63,31 @@ func Train(ds features.Dataset, cfg TrainConfig) (*Predictor, Metrics, error) {
 	sort.Ints(sems)
 
 	for _, sem := range sems {
-		sub := bySem[sem]
-		model, sm, err := trainOne(sem, sub, cfg)
+		model, test, sm, err := trainOne(sem, bySem[sem], seed)
 		if err != nil {
 			return nil, Metrics{}, fmt.Errorf("core: semantics %d: %w", sem, err)
 		}
 		p.models[sem] = model
 		metrics.PerSemantics[sem] = sm
+		metrics.HeldOut = append(metrics.HeldOut, test...)
 		n := sm.TestSamples * model.outputs
 		pooledAE += sm.MAE * float64(n)
 		pooledSE += sm.RMSE * sm.RMSE * float64(n)
 		pooledN += n
 	}
-	if pooledN > 0 {
-		metrics.MAE = pooledAE / float64(pooledN)
-		metrics.RMSE = math.Sqrt(pooledSE / float64(pooledN))
-	}
+	metrics.MAE = pooledAE / float64(pooledN)
+	metrics.RMSE = math.Sqrt(pooledSE / float64(pooledN))
 	return p, metrics, nil
 }
 
-func trainOne(sem int, sub features.Dataset, cfg TrainConfig) (*semModel, SemanticsMetrics, error) {
+func trainOne(sem int, sub features.Dataset, seed uint64) (*semModel, features.Dataset, SemanticsMetrics, error) {
+	// Five samples are the fewest that leave one to test on.
 	if len(sub) < 5 {
-		return nil, SemanticsMetrics{}, fmt.Errorf("only %d samples", len(sub))
+		return nil, nil, SemanticsMetrics{}, fmt.Errorf("only %d samples", len(sub))
 	}
-	train, test, err := sub.Split(cfg.TestFraction, cfg.Seed)
+	train, test, err := sub.Split(testFraction, seed)
 	if err != nil {
-		return nil, SemanticsMetrics{}, err
-	}
-	if len(test) == 0 {
-		// Too few samples for a held-out split: evaluate on train.
-		test = train
+		return nil, nil, SemanticsMetrics{}, err
 	}
 	outs := outputsFor(sem)
 	toXY := func(d features.Dataset) (x, y [][]float64) {
@@ -138,45 +106,32 @@ func trainOne(sem int, sub features.Dataset, cfg TrainConfig) (*semModel, Semant
 
 	norm, err := features.FitNormalizer(trainX)
 	if err != nil {
-		return nil, SemanticsMetrics{}, err
+		return nil, nil, SemanticsMetrics{}, err
 	}
 	normTrainX, err := norm.ApplyAll(trainX)
 	if err != nil {
-		return nil, SemanticsMetrics{}, err
+		return nil, nil, SemanticsMetrics{}, err
 	}
 	normTestX, err := norm.ApplyAll(testX)
 	if err != nil {
-		return nil, SemanticsMetrics{}, err
+		return nil, nil, SemanticsMetrics{}, err
 	}
 
-	var netCfg ann.Config
-	if cfg.Architecture == ArchitecturePaper {
-		netCfg = ann.PaperConfig(inputDim, outs)
-	} else {
-		netCfg = ann.CompactConfig(inputDim, outs)
-	}
-	if cfg.EpochOverride > 0 {
-		netCfg.Epochs = cfg.EpochOverride
-	}
-	netCfg.Seed = cfg.Seed ^ uint64(sem)<<32
-
+	netCfg := ann.CompactConfig(inputDim, outs)
+	netCfg.Seed = seed ^ uint64(sem)<<32
 	net, err := ann.New(netCfg)
 	if err != nil {
-		return nil, SemanticsMetrics{}, err
+		return nil, nil, SemanticsMetrics{}, err
 	}
-	var topts []ann.TrainOption
-	if cfg.TargetMAE > 0 {
-		topts = append(topts, ann.WithTargetMAE(cfg.TargetMAE))
-	}
-	res, err := net.Train(normTrainX, trainY, topts...)
+	res, err := net.Train(normTrainX, trainY)
 	if err != nil {
-		return nil, SemanticsMetrics{}, err
+		return nil, nil, SemanticsMetrics{}, err
 	}
 	mae, rmse, err := net.Evaluate(normTestX, testY)
 	if err != nil {
-		return nil, SemanticsMetrics{}, err
+		return nil, nil, SemanticsMetrics{}, err
 	}
-	return &semModel{net: net, norm: norm, outputs: outs}, SemanticsMetrics{
+	return &semModel{net: net, norm: norm, outputs: outs}, test, SemanticsMetrics{
 		TrainSamples: len(train),
 		TestSamples:  len(test),
 		MAE:          mae,

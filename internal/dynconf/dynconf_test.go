@@ -1,6 +1,7 @@
 package dynconf
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -13,11 +14,20 @@ import (
 	"kafkarel/internal/workload"
 )
 
-// trainedPredictor fits a quick model on a synthetic response surface
+// trainedPredictor returns a model fitted on a synthetic response surface
 // where loss falls with batch size and poll interval, and rises with the
 // network loss rate — the qualitative structure the simulator produces.
+// Training is deterministic, so the package's tests share one fit.
 func trainedPredictor(t *testing.T) *core.Predictor {
 	t.Helper()
+	p, err := fitPredictor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+var fitPredictor = sync.OnceValues(func() (*core.Predictor, error) {
 	var ds features.Dataset
 	for _, sem := range []int{features.SemanticsAtMostOnce, features.SemanticsAtLeastOnce} {
 		for _, l := range []float64{0, 0.08, 0.16, 0.25} {
@@ -55,12 +65,9 @@ func trainedPredictor(t *testing.T) *core.Predictor {
 			}
 		}
 	}
-	p, _, err := core.Train(ds, core.TrainConfig{Seed: 11, TargetMAE: 0.015})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
+	p, _, err := core.Train(ds, 11)
+	return p, err
+})
 
 func evaluator(t *testing.T, w kpi.Weights) *kpi.Evaluator {
 	t.Helper()

@@ -177,7 +177,7 @@ func TableIIContext(ctx context.Context, profiles []workload.Profile, opts Optio
 			if err != nil {
 				return nil, fmt.Errorf("dynconf: %s: %w", profile.Name, err)
 			}
-			pred, _, err = core.Train(ds, core.TrainConfig{Seed: opts.Seed, TargetMAE: 0.01})
+			pred, _, err = core.Train(ds, opts.Seed)
 			if err != nil {
 				return nil, fmt.Errorf("dynconf: %s: %w", profile.Name, err)
 			}

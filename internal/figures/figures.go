@@ -426,8 +426,8 @@ func Table1(o Options) (Table1Result, error) {
 // (the paper reports < 0.02) and sample predicted-vs-measured pairs.
 type AccuracyResult struct {
 	Metrics core.Metrics
-	// Pairs are held-out (measured, predicted) P_l samples for the
-	// overlay plots.
+	// Pairs are (measured, predicted) samples of the held-out split the
+	// metrics are computed over, for the overlay plots.
 	Pairs []AccuracyPair
 }
 
@@ -441,7 +441,7 @@ type AccuracyPair struct {
 }
 
 // Accuracy collects a reduced Fig. 3 sweep, trains the predictor, and
-// evaluates it on the held-out split.
+// pairs each held-out sample with its prediction.
 func Accuracy(o Options) (AccuracyResult, error) {
 	grid := append(sweep.NormalGrid(), sweep.AbnormalGrid()...)
 	ds, err := sweep.CollectContext(o.ctx(), grid, sweep.Options{
@@ -454,19 +454,15 @@ func Accuracy(o Options) (AccuracyResult, error) {
 	if err != nil {
 		return AccuracyResult{}, fmt.Errorf("figures: accuracy sweep: %w", err)
 	}
-	train, test, err := ds.Split(0.2, o.Seed)
-	if err != nil {
-		return AccuracyResult{}, fmt.Errorf("figures: accuracy split: %w", err)
-	}
-	pred, metrics, err := core.Train(train, core.TrainConfig{Seed: o.Seed, TargetMAE: 0.01})
+	pred, metrics, err := core.Train(ds, o.Seed)
 	if err != nil {
 		return AccuracyResult{}, fmt.Errorf("figures: accuracy train: %w", err)
 	}
 	out := AccuracyResult{Metrics: metrics}
-	for _, s := range test {
+	for _, s := range metrics.HeldOut {
 		p, err := pred.Predict(s.X)
 		if err != nil {
-			continue // semantics absent from the training split
+			return AccuracyResult{}, fmt.Errorf("figures: accuracy predict: %w", err)
 		}
 		out.Pairs = append(out.Pairs, AccuracyPair{
 			X:           s.X,
@@ -475,9 +471,6 @@ func Accuracy(o Options) (AccuracyResult, error) {
 			MeasuredPd:  s.Pd,
 			PredictedPd: p.Pd,
 		})
-	}
-	if len(out.Pairs) == 0 {
-		return AccuracyResult{}, fmt.Errorf("figures: accuracy produced no held-out pairs")
 	}
 	return out, nil
 }

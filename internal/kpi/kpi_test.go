@@ -97,7 +97,7 @@ func trainedEvaluator(t *testing.T, w Weights) *Evaluator {
 			ds = append(ds, features.Sample{X: v, Pl: l * 2 / float64(b), Pd: 0.01 * l})
 		}
 	}
-	pred, _, err := core.Train(ds, core.TrainConfig{Seed: 2, EpochOverride: 200})
+	pred, _, err := core.Train(ds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,15 +102,15 @@ func CollectDataset(grid []Features, opts SweepOptions) (Dataset, error) {
 type (
 	// Predictor is the trained Eq. 1 model {P̂_l, P̂_d} = f(features).
 	Predictor = core.Predictor
-	// TrainConfig controls predictor training.
-	TrainConfig = core.TrainConfig
 	// TrainMetrics reports held-out evaluation (the paper: MAE < 0.02).
 	TrainMetrics = core.Metrics
 )
 
-// TrainPredictor fits one ANN per delivery semantics in the dataset.
-func TrainPredictor(ds Dataset, cfg TrainConfig) (*Predictor, TrainMetrics, error) {
-	return core.Train(ds, cfg)
+// TrainPredictor fits one ANN per delivery semantics in the dataset,
+// holding 20 % of each out for evaluation; seed fixes the split and the
+// training.
+func TrainPredictor(ds Dataset, seed uint64) (*Predictor, TrainMetrics, error) {
+	return core.Train(ds, seed)
 }
 
 // KPI (Eq. 2).

@@ -266,7 +266,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatalf("collected %d samples for %d grid points", len(ds), len(grid))
 	}
 
-	pred, metrics, err := kafkarel.TrainPredictor(ds, kafkarel.TrainConfig{Seed: 11, TargetMAE: 0.02})
+	pred, metrics, err := kafkarel.TrainPredictor(ds, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
