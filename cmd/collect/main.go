@@ -1,14 +1,16 @@
 // Command collect runs the paper's Fig. 3 training-data collection
 // sweep (normal and abnormal cases) on the simulated testbed and writes
-// the labelled dataset as CSV. Experiments fan out over a worker pool
-// and rows stream to the output in grid order as soon as each result's
-// prefix has completed, so even very long sweeps need no dataset-sized
-// buffer and a killed run leaves a usable CSV prefix behind.
+// the labelled dataset as CSV. The sweep is figures.Fig3's, so
+// `collect -n N -seed s` writes exactly the samples `repro -n N -seed s
+// ann-accuracy` trains on, and `train -seed s` on that CSV reproduces its
+// metrics. Experiments fan out over a worker pool and rows stream to the
+// output in grid order as soon as each result's prefix has completed, so
+// even very long sweeps need no dataset-sized buffer and a killed run
+// leaves a usable CSV prefix behind.
 //
 // Usage:
 //
-//	collect [-n messages] [-seed n] [-grid normal|abnormal|both] [-stride k] \
-//	        [-parallel workers] [-progress every] -o dataset.csv
+//	collect [-n messages] [-seed n] [-parallel workers] [-progress every] -o dataset.csv
 package main
 
 import (
@@ -20,6 +22,7 @@ import (
 
 	"kafkarel/internal/exprun"
 	"kafkarel/internal/features"
+	"kafkarel/internal/figures"
 	"kafkarel/internal/sweep"
 )
 
@@ -34,37 +37,22 @@ func main() {
 
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("collect", flag.ContinueOnError)
-	messages := fs.Int("n", 10000, "messages per experiment")
-	seed := fs.Uint64("seed", 1, "random seed")
-	gridName := fs.String("grid", "both", "normal, abnormal or both (Fig. 3's two feature subspaces)")
-	stride := fs.Int("stride", 1, "keep every k-th grid point (quick runs)")
+	messages := fs.Int("n", 20000, "figure messages per experiment point, as repro's -n (each sweep experiment runs a quarter)")
+	seed := fs.Uint64("seed", 1, "random seed, as repro's -seed")
 	parallel := fs.Int("parallel", 0, "experiment workers (0 = GOMAXPROCS); results are identical for any value")
 	progress := fs.Int("progress", 25, "print a progress line every N experiments (0 = quiet)")
 	out := fs.String("o", "", "output CSV path (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var grid []features.Vector
-	switch *gridName {
-	case "normal":
-		grid = sweep.NormalGrid()
-	case "abnormal":
-		grid = sweep.AbnormalGrid()
-	case "both":
-		grid = append(sweep.NormalGrid(), sweep.AbnormalGrid()...)
-	default:
-		return fmt.Errorf("unknown grid %q", *gridName)
+	if *messages <= 0 {
+		return fmt.Errorf("-n %d: want a positive message count", *messages)
 	}
-	if *stride > 1 {
-		kept := grid[:0]
-		for i, v := range grid {
-			if i%*stride == 0 {
-				kept = append(kept, v)
-			}
-		}
-		grid = kept
+	grid, opts := figures.Fig3(figures.Options{Messages: *messages, Seed: *seed, Workers: *parallel})
+	if *progress > 0 {
+		opts.Progress = exprun.NewReporter(os.Stderr, "collect", *progress).Progress
 	}
-	fmt.Fprintf(os.Stderr, "collecting %d experiments x %d messages\n", len(grid), *messages)
+	fmt.Fprintf(os.Stderr, "collecting %d experiments x %d messages\n", len(grid), opts.Messages)
 
 	w := os.Stdout
 	if *out != "" {
@@ -82,14 +70,6 @@ func run(ctx context.Context, args []string) error {
 	cw, err := features.NewCSVWriter(w)
 	if err != nil {
 		return err
-	}
-	opts := sweep.Options{
-		Messages: *messages,
-		Seed:     *seed,
-		Workers:  *parallel,
-	}
-	if *progress > 0 {
-		opts.Progress = exprun.NewReporter(os.Stderr, "collect", *progress).Progress
 	}
 	err = sweep.CollectStream(ctx, grid, opts, func(s features.Sample) error {
 		if err := cw.Write(s); err != nil {

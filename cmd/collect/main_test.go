@@ -4,24 +4,27 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"kafkarel/internal/core"
 	"kafkarel/internal/features"
+	"kafkarel/internal/figures"
+	"kafkarel/internal/sweep"
 )
 
 func TestRunValidation(t *testing.T) {
-	if err := run(context.Background(), []string{"-grid", "nosuch"}); err == nil {
-		t.Error("unknown grid accepted")
+	if err := run(context.Background(), []string{"-grid", "normal"}); err == nil {
+		t.Error("unknown flag accepted")
+	}
+	if err := run(context.Background(), []string{"-n", "0"}); err == nil {
+		t.Error("zero message count accepted")
 	}
 }
 
-func TestRunSmallSweepToFile(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "ds.csv")
-	if err := run(context.Background(),
-		[]string{"-n", "200", "-grid", "normal", "-stride", "40", "-o", out}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(out)
+func readCSV(t *testing.T, path string) features.Dataset {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,8 +33,46 @@ func TestRunSmallSweepToFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ds) == 0 {
-		t.Error("empty dataset written")
+	return ds
+}
+
+func TestRunSmallSweepToFile(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "ds.csv")
+	if err := run(context.Background(), []string{"-n", "200", "-progress", "0", "-o", out}); err != nil {
+		t.Fatal(err)
+	}
+	ds := readCSV(t, out)
+	grid := append(sweep.NormalGrid(), sweep.AbnormalGrid()...)
+	if len(ds) != len(grid) {
+		t.Fatalf("%d rows for the %d-point Fig. 3 grid", len(ds), len(grid))
+	}
+	for i := range grid {
+		if ds[i].X != grid[i] {
+			t.Fatalf("row %d is %+v, grid point %+v", i, ds[i].X, grid[i])
+		}
+	}
+}
+
+// TestCollectThenTrainIsAnnAccuracy holds cmd/collect to the dataset
+// `repro ann-accuracy` trains on: training on the CSV with the same seed
+// gives the same metrics, held-out split included.
+func TestCollectThenTrainIsAnnAccuracy(t *testing.T) {
+	const n, seed = 200, 3
+	out := filepath.Join(t.TempDir(), "ds.csv")
+	if err := run(context.Background(), []string{"-n", "200", "-seed", "3", "-progress", "0", "-o", out}); err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := core.Train(readCSV(t, out), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := figures.Accuracy(figures.Options{Messages: n, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want.Metrics) {
+		t.Errorf("collect+train metrics differ from ann-accuracy's:\n got MAE %v %+v\nwant MAE %v %+v",
+			got.MAE, got.PerSemantics, want.Metrics.MAE, want.Metrics.PerSemantics)
 	}
 }
 
@@ -44,8 +85,7 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 	for _, parallel := range []string{"1", "8"} {
 		out := filepath.Join(dir, "ds"+parallel+".csv")
 		err := run(context.Background(), []string{
-			"-n", "150", "-grid", "abnormal", "-stride", "60", "-seed", "9",
-			"-parallel", parallel, "-progress", "0", "-o", out,
+			"-n", "150", "-seed", "9", "-parallel", parallel, "-progress", "0", "-o", out,
 		})
 		if err != nil {
 			t.Fatal(err)

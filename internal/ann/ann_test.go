@@ -8,70 +8,32 @@ import (
 	"testing/quick"
 )
 
-func TestConfigValidate(t *testing.T) {
-	good := CompactConfig(4, 2)
-	if err := good.Validate(); err != nil {
-		t.Errorf("good config rejected: %v", err)
-	}
-	mut := func(f func(*Config)) Config {
-		c := CompactConfig(4, 2)
-		f(&c)
-		return c
-	}
-	bad := []Config{
-		mut(func(c *Config) { c.InputDim = 0 }),
-		mut(func(c *Config) { c.Layers = nil }),
-		mut(func(c *Config) { c.LearningRate = 0 }),
-		mut(func(c *Config) { c.Epochs = 0 }),
-		mut(func(c *Config) { c.Momentum = 1 }),
-		mut(func(c *Config) { c.Layers[0].Neurons = 0 }),
-		mut(func(c *Config) { c.Layers[0].Activation = 99 }),
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
-	}
-}
-
 func TestActivations(t *testing.T) {
-	if got := Sigmoid.apply(0); got != 0.5 {
+	out, hidden := &dense{sigmoid: true}, &dense{}
+	if got := out.activate(0); got != 0.5 {
 		t.Errorf("sigmoid(0) = %v", got)
 	}
-	if got := ReLU.apply(-3); got != 0 {
-		t.Errorf("relu(-3) = %v", got)
-	}
-	if got := ReLU.apply(3); got != 3 {
-		t.Errorf("relu(3) = %v", got)
-	}
-	if got := Tanh.apply(0); got != 0 {
+	if got := hidden.activate(0); got != 0 {
 		t.Errorf("tanh(0) = %v", got)
 	}
-	if got := Identity.apply(7); got != 7 {
-		t.Errorf("identity(7) = %v", got)
-	}
 	// Derivative identities at characteristic points.
-	if got := Sigmoid.derivative(0.5); got != 0.25 {
+	if got := out.derivative(0.5); got != 0.25 {
 		t.Errorf("sigmoid'(v=0.5) = %v", got)
 	}
-	if got := Tanh.derivative(0); got != 1 {
+	if got := hidden.derivative(0); got != 1 {
 		t.Errorf("tanh'(v=0) = %v", got)
 	}
-	if got := ReLU.derivative(0); got != 0 {
-		t.Errorf("relu'(0) = %v", got)
-	}
-	for _, a := range []Activation{Sigmoid, Tanh, ReLU, Identity, 99} {
-		if a.String() == "" {
-			t.Error("empty activation name")
+	// Only the output layer is sigmoid.
+	n := New(3, 2, 0)
+	for li, l := range n.layers {
+		if l.sigmoid != (li == len(n.layers)-1) {
+			t.Errorf("layer %d sigmoid = %v", li, l.sigmoid)
 		}
 	}
 }
 
 func TestForwardDimensions(t *testing.T) {
-	n, err := New(CompactConfig(3, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := New(3, 2, 0)
 	out, err := n.Forward([]float64{0.1, 0.2, 0.3})
 	if err != nil {
 		t.Fatal(err)
@@ -93,13 +55,7 @@ func TestDeterministicInitAndTraining(t *testing.T) {
 	x := [][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
 	y := [][]float64{{0}, {1}, {1}, {0}}
 	train := func() []float64 {
-		cfg := CompactConfig(2, 1)
-		cfg.Epochs = 50
-		cfg.Seed = 42
-		n, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := New(2, 1, 42)
 		if _, err := n.Train(x, y); err != nil {
 			t.Fatal(err)
 		}
@@ -112,43 +68,6 @@ func TestDeterministicInitAndTraining(t *testing.T) {
 	a, b := train(), train()
 	if a[0] != b[0] {
 		t.Errorf("same seed diverged: %v vs %v", a[0], b[0])
-	}
-}
-
-func TestLearnsXOR(t *testing.T) {
-	x := [][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
-	y := [][]float64{{0}, {1}, {1}, {0}}
-	cfg := Config{
-		InputDim: 2,
-		Layers: []LayerSpec{
-			{Neurons: 8, Activation: Tanh},
-			{Neurons: 1, Activation: Sigmoid},
-		},
-		LearningRate: 0.5,
-		Epochs:       2000,
-		BatchSize:    4,
-		Momentum:     0.9,
-		Seed:         3,
-	}
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := n.Train(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TrainMAE > 0.1 {
-		t.Fatalf("XOR not learned: MAE = %v (loss %v)", res.TrainMAE, res.FinalLoss)
-	}
-	for i := range x {
-		out, err := n.Forward(x[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(out[0]-y[i][0]) > 0.3 {
-			t.Errorf("xor(%v) = %v, want %v", x[i], out[0], y[i][0])
-		}
 	}
 }
 
@@ -165,12 +84,7 @@ func TestLearnsSmoothSurface(t *testing.T) {
 		x = append(x, []float64{a, b})
 		y = append(y, []float64{p, q})
 	}
-	cfg := CompactConfig(2, 2)
-	cfg.Seed = 6
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := New(2, 2, 6)
 	res, err := n.Train(x, y)
 	if err != nil {
 		t.Fatal(err)
@@ -198,26 +112,20 @@ func TestLearnsSmoothSurface(t *testing.T) {
 func TestEarlyStopTarget(t *testing.T) {
 	x := [][]float64{{0}, {1}}
 	y := [][]float64{{0}, {1}}
-	cfg := CompactConfig(1, 1)
-	cfg.Epochs = 5000
-	n, err := New(cfg)
+	res, err := New(1, 1, 0).Train(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := n.Train(x, y)
-	if err != nil {
-		t.Fatal(err)
+	if res.Epochs >= epochs || res.Epochs%10 != 0 {
+		t.Errorf("early stop never triggered: %d of %d epochs", res.Epochs, epochs)
 	}
-	if res.Epochs >= 5000 {
-		t.Errorf("early stop never triggered (epochs = %d)", res.Epochs)
+	if res.TrainMAE >= targetMAE {
+		t.Errorf("stopped at train MAE %v, target %v", res.TrainMAE, targetMAE)
 	}
 }
 
 func TestTrainValidation(t *testing.T) {
-	n, err := New(CompactConfig(2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := New(2, 1, 0)
 	if _, err := n.Train(nil, nil); err == nil {
 		t.Error("empty training set accepted")
 	}
@@ -238,12 +146,7 @@ func TestTrainValidation(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	x := [][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
 	y := [][]float64{{0}, {1}, {1}, {1}}
-	cfg := CompactConfig(2, 1)
-	cfg.Epochs = 100
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := New(2, 1, 0)
 	if _, err := n.Train(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -254,6 +157,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	loaded, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if loaded.Inputs() != 2 || loaded.Outputs() != 1 {
+		t.Fatalf("loaded widths %d→%d, want 2→1", loaded.Inputs(), loaded.Outputs())
 	}
 	for _, in := range x {
 		a, err := n.Forward(in)
@@ -271,38 +177,28 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewBufferString("not json")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := Load(bytes.NewBufferString(`{"version":99}`)); err == nil {
-		t.Error("wrong version accepted")
-	}
-	// Valid JSON, inconsistent shapes.
-	if _, err := Load(bytes.NewBufferString(
-		`{"version":1,"config":{"input_dim":2,"layers":[{"neurons":1,"activation":1}],"learning_rate":0.1,"epochs":1},"weights":[],"biases":[]}`)); err == nil {
-		t.Error("shape mismatch accepted")
+	for name, doc := range map[string]string{
+		"not json":        "not json",
+		"wrong version":   `{"version":99}`,
+		"version 1":       `{"version":1,"config":{"input_dim":2,"layers":[{"neurons":1,"activation":1}]}}`,
+		"no inputs":       `{"version":2,"inputs":0,"outputs":1}`,
+		"negative output": `{"version":2,"inputs":2,"outputs":-1}`,
+		"no layers":       `{"version":2,"inputs":2,"outputs":1,"weights":[],"biases":[]}`,
+		"short layer":     `{"version":2,"inputs":2,"outputs":1,"weights":[[1],[1],[1]],"biases":[[1],[1],[1]]}`,
+	} {
+		if _, err := Load(bytes.NewBufferString(doc)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 
 // Property: gradient of the loss matches a numerical finite-difference
-// estimate (the canonical backprop correctness check).
+// estimate (the canonical backprop correctness check), on the
+// production network.
 func TestPropertyGradientCheck(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 7))
-		cfg := Config{
-			InputDim: 3,
-			Layers: []LayerSpec{
-				{Neurons: 4, Activation: Tanh},
-				{Neurons: 2, Activation: Sigmoid},
-			},
-			LearningRate: 0.1,
-			Epochs:       1,
-			Seed:         seed,
-		}
-		n, err := New(cfg)
-		if err != nil {
-			return false
-		}
+		n := New(3, 2, seed)
 		x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 		y := []float64{rng.Float64(), rng.Float64()}
 
@@ -359,12 +255,7 @@ func TestPropertyGradientCheck(t *testing.T) {
 // guarantee.
 func TestPropertyOutputsBounded(t *testing.T) {
 	f := func(seed uint64, raw []float64) bool {
-		cfg := CompactConfig(3, 2)
-		cfg.Seed = seed
-		n, err := New(cfg)
-		if err != nil {
-			return false
-		}
+		n := New(3, 2, seed)
 		x := make([]float64, 3)
 		for i := 0; i < 3 && i < len(raw); i++ {
 			if math.IsNaN(raw[i]) || math.IsInf(raw[i], 0) {
@@ -385,27 +276,5 @@ func TestPropertyOutputsBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkTrainEpochCompact(b *testing.B) {
-	rng := rand.New(rand.NewPCG(1, 1))
-	var x, y [][]float64
-	for i := 0; i < 100; i++ {
-		x = append(x, []float64{rng.Float64(), rng.Float64()})
-		y = append(y, []float64{rng.Float64()})
-	}
-	cfg := CompactConfig(2, 1)
-	cfg.Epochs = 1
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i)
-		n, err := New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := n.Train(x, y); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 	"time"
 
+	"kafkarel/internal/ann"
 	"kafkarel/internal/features"
 )
 
@@ -207,11 +209,74 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewBufferString("junk")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := Load(bytes.NewBufferString(`{"version":2}`)); err == nil {
+	if _, err := Load(bytes.NewBufferString(`{"version":1}`)); err == nil {
 		t.Error("wrong version accepted")
 	}
-	if _, err := Load(bytes.NewBufferString(`{"version":1,"models":{}}`)); err == nil {
+	if _, err := Load(bytes.NewBufferString(`{"version":2,"models":{}}`)); err == nil {
 		t.Error("empty predictor accepted")
+	}
+}
+
+// Each hostile file is a valid save with one part made inconsistent with
+// the semantics that routes to it; Predict would index past a slice on
+// any of them, so Load must refuse them all.
+func TestLoadRejectsHostileFiles(t *testing.T) {
+	ds := syntheticDataset([]int{features.SemanticsAtMostOnce, features.SemanticsAtLeastOnce})
+	p, _, err := Train(ds, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := p.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	var wider bytes.Buffer
+	if err := ann.New(inputDim+1, 1, 0).Save(&wider); err != nil {
+		t.Fatal(err)
+	}
+	seven := `[0,0,0,0,0,0,0]`
+	cases := map[string]func(models, norms map[string]json.RawMessage){
+		"two outputs read from a one-output network": func(m, _ map[string]json.RawMessage) { m["2"] = m["1"] },
+		"one output read from a two-output network":  func(m, _ map[string]json.RawMessage) { m["1"] = m["2"] },
+		"network wider than the encoding":            func(m, _ map[string]json.RawMessage) { m["1"] = wider.Bytes() },
+		"normalizer max shorter than min": func(_, n map[string]json.RawMessage) {
+			n["1"] = json.RawMessage(`{"min":` + seven + `,"max":[1]}`)
+		},
+		"normalizer narrower than the encoding": func(_, n map[string]json.RawMessage) {
+			n["2"] = json.RawMessage(`{"min":[0,0],"max":[1,1]}`)
+		},
+		"normalizer missing": func(_, n map[string]json.RawMessage) { delete(n, "2") },
+		"unknown semantics": func(m, n map[string]json.RawMessage) {
+			m["9"], n["9"] = m["2"], n["2"]
+		},
+	}
+	for name, mutate := range cases {
+		var file map[string]json.RawMessage
+		if err := json.Unmarshal(saved.Bytes(), &file); err != nil {
+			t.Fatal(err)
+		}
+		var models, norms map[string]json.RawMessage
+		if err := json.Unmarshal(file["models"], &models); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(file["normalizers"], &norms); err != nil {
+			t.Fatal(err)
+		}
+		mutate(models, norms)
+		var err error
+		if file["models"], err = json.Marshal(models); err != nil {
+			t.Fatal(err)
+		}
+		if file["normalizers"], err = json.Marshal(norms); err != nil {
+			t.Fatal(err)
+		}
+		doc, err := json.Marshal(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(bytes.NewReader(doc)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

@@ -42,14 +42,14 @@ func encodeInput(v features.Vector) []float64 {
 	return out
 }
 
-// semModel is one semantics' trained network.
+// semModel is one semantics' trained network, whose width is
+// outputsFor(semantics).
 type semModel struct {
 	net  *ann.Network
 	norm *features.Normalizer
-	// outputs is 1 for at-most-once (P̂_l) and 2 otherwise (P̂_l, P̂_d).
-	outputs int
 }
 
+// outputsFor is 1 for at-most-once (P̂_l) and 2 otherwise (P̂_l, P̂_d).
 func outputsFor(semantics int) int {
 	if semantics == features.SemanticsAtMostOnce {
 		return 1
@@ -82,7 +82,7 @@ func (p *Predictor) Predict(v features.Vector) (Prediction, error) {
 		return Prediction{}, fmt.Errorf("core: %w", err)
 	}
 	pred := Prediction{Pl: out[0]}
-	if m.outputs == 2 {
+	if len(out) == 2 {
 		pred.Pd = out[1]
 	}
 	return pred, nil
@@ -94,10 +94,9 @@ type predictorFile struct {
 	Version int                          `json:"version"`
 	Models  map[int]json.RawMessage      `json:"models"`
 	Norms   map[int]*features.Normalizer `json:"normalizers"`
-	Outputs map[int]int                  `json:"outputs"`
 }
 
-const predictorVersion = 1
+const predictorVersion = 2
 
 // Save serialises all per-semantics models as one JSON document.
 func (p *Predictor) Save(w io.Writer) error {
@@ -105,7 +104,6 @@ func (p *Predictor) Save(w io.Writer) error {
 		Version: predictorVersion,
 		Models:  make(map[int]json.RawMessage, len(p.models)),
 		Norms:   make(map[int]*features.Normalizer, len(p.models)),
-		Outputs: make(map[int]int, len(p.models)),
 	}
 	for sem, m := range p.models {
 		var buf bytes.Buffer
@@ -114,7 +112,6 @@ func (p *Predictor) Save(w io.Writer) error {
 		}
 		pf.Models[sem] = json.RawMessage(buf.Bytes())
 		pf.Norms[sem] = m.norm
-		pf.Outputs[sem] = m.outputs
 	}
 	if err := json.NewEncoder(w).Encode(pf); err != nil {
 		return fmt.Errorf("core: save: %w", err)
@@ -122,7 +119,8 @@ func (p *Predictor) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads a predictor written by Save.
+// Load reads a predictor written by Save. Every network and normalizer
+// must have the shape Predict will use it at.
 func Load(r io.Reader) (*Predictor, error) {
 	var pf predictorFile
 	if err := json.NewDecoder(r).Decode(&pf); err != nil {
@@ -133,15 +131,26 @@ func Load(r io.Reader) (*Predictor, error) {
 	}
 	p := &Predictor{models: make(map[int]*semModel, len(pf.Models))}
 	for sem, raw := range pf.Models {
+		if sem < features.SemanticsAtMostOnce || sem > features.SemanticsExactlyOnce {
+			return nil, fmt.Errorf("core: load: unknown semantics %d", sem)
+		}
 		net, err := ann.Load(bytes.NewReader(raw))
 		if err != nil {
 			return nil, fmt.Errorf("core: load semantics %d: %w", sem, err)
+		}
+		if net.Inputs() != inputDim || net.Outputs() != outputsFor(sem) {
+			return nil, fmt.Errorf("core: load semantics %d: network is %d→%d, want %d→%d",
+				sem, net.Inputs(), net.Outputs(), inputDim, outputsFor(sem))
 		}
 		norm, ok := pf.Norms[sem]
 		if !ok || norm == nil {
 			return nil, fmt.Errorf("core: load: missing normalizer for semantics %d", sem)
 		}
-		p.models[sem] = &semModel{net: net, norm: norm, outputs: pf.Outputs[sem]}
+		if len(norm.Min) != inputDim || len(norm.Max) != inputDim {
+			return nil, fmt.Errorf("core: load semantics %d: normalizer has %d minima and %d maxima, want %d",
+				sem, len(norm.Min), len(norm.Max), inputDim)
+		}
+		p.models[sem] = &semModel{net: net, norm: norm}
 	}
 	if len(p.models) == 0 {
 		return nil, fmt.Errorf("core: load: empty predictor")

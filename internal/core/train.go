@@ -70,7 +70,7 @@ func Train(ds features.Dataset, seed uint64) (*Predictor, Metrics, error) {
 		p.models[sem] = model
 		metrics.PerSemantics[sem] = sm
 		metrics.HeldOut = append(metrics.HeldOut, test...)
-		n := sm.TestSamples * model.outputs
+		n := sm.TestSamples * outputsFor(sem)
 		pooledAE += sm.MAE * float64(n)
 		pooledSE += sm.RMSE * sm.RMSE * float64(n)
 		pooledN += n
@@ -117,12 +117,7 @@ func trainOne(sem int, sub features.Dataset, seed uint64) (*semModel, features.D
 		return nil, nil, SemanticsMetrics{}, err
 	}
 
-	netCfg := ann.CompactConfig(inputDim, outs)
-	netCfg.Seed = seed ^ uint64(sem)<<32
-	net, err := ann.New(netCfg)
-	if err != nil {
-		return nil, nil, SemanticsMetrics{}, err
-	}
+	net := ann.New(inputDim, outs, seed^uint64(sem)<<32)
 	res, err := net.Train(normTrainX, trainY)
 	if err != nil {
 		return nil, nil, SemanticsMetrics{}, err
@@ -131,7 +126,7 @@ func trainOne(sem int, sub features.Dataset, seed uint64) (*semModel, features.D
 	if err != nil {
 		return nil, nil, SemanticsMetrics{}, err
 	}
-	return &semModel{net: net, norm: norm, outputs: outs}, test, SemanticsMetrics{
+	return &semModel{net: net, norm: norm}, test, SemanticsMetrics{
 		TrainSamples: len(train),
 		TestSamples:  len(test),
 		MAE:          mae,

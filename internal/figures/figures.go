@@ -440,17 +440,25 @@ type AccuracyPair struct {
 	PredictedPd float64
 }
 
-// Accuracy collects a reduced Fig. 3 sweep, trains the predictor, and
-// pairs each held-out sample with its prediction.
-func Accuracy(o Options) (AccuracyResult, error) {
-	grid := append(sweep.NormalGrid(), sweep.AbnormalGrid()...)
-	ds, err := sweep.CollectContext(o.ctx(), grid, sweep.Options{
+// Fig3 returns the training grid of Fig. 3 — the normal oval, then the
+// abnormal one — and how every trainer collects it: a quarter of the
+// figure message count per experiment, seed o.Seed+1, a 20-minute
+// horizon per experiment.
+func Fig3(o Options) ([]features.Vector, sweep.Options) {
+	return append(sweep.NormalGrid(), sweep.AbnormalGrid()...), sweep.Options{
 		Messages:   o.messages() / 4,
 		Seed:       o.Seed + 1,
 		MaxSimTime: 20 * time.Minute,
 		Workers:    o.Workers,
 		Progress:   o.Progress,
-	})
+	}
+}
+
+// Accuracy collects the Fig. 3 sweep, trains the predictor, and pairs
+// each held-out sample with its prediction.
+func Accuracy(o Options) (AccuracyResult, error) {
+	grid, sweepOpts := Fig3(o)
+	ds, err := sweep.CollectContext(o.ctx(), grid, sweepOpts)
 	if err != nil {
 		return AccuracyResult{}, fmt.Errorf("figures: accuracy sweep: %w", err)
 	}

@@ -35,7 +35,7 @@ func TestCollectDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		o := opts
 		o.Workers = workers
-		got, err := Collect(grid, o)
+		got, err := CollectContext(context.Background(), grid, o)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -54,7 +54,7 @@ func TestCollectDeterministicAcrossWorkers(t *testing.T) {
 func TestCollectStreamMatchesCollect(t *testing.T) {
 	grid := AbnormalGrid()[:6]
 	opts := Options{Messages: 150, Seed: 5, Workers: 4}
-	want, err := Collect(grid, opts)
+	want, err := CollectContext(context.Background(), grid, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,6 +83,27 @@ func AbnormalGrid() []features.Vector {
 	return grid
 }
 
+// CrossProduct is the size of the full grid over the values the given
+// grid takes on each feature axis: the product of the distinct values per
+// axis. For the two Fig. 3 grids together it is the experiment count the
+// normal/abnormal split avoids.
+func CrossProduct(grid []features.Vector) int {
+	distinct := make([]map[float64]bool, features.Dim)
+	for i := range distinct {
+		distinct[i] = make(map[float64]bool)
+	}
+	for _, v := range grid {
+		for i, x := range v.Encode() {
+			distinct[i][x] = true
+		}
+	}
+	n := 1
+	for _, d := range distinct {
+		n *= len(d)
+	}
+	return n
+}
+
 // seedStride separates per-grid-point seed streams (the historical
 // derivation, kept so collected datasets stay byte-identical).
 const seedStride = 7919
@@ -104,13 +125,8 @@ type Options struct {
 	Progress func(done, total int)
 }
 
-// Collect runs one testbed experiment per grid point and returns the
-// labelled dataset.
-func Collect(grid []features.Vector, opts Options) (features.Dataset, error) {
-	return CollectContext(context.Background(), grid, opts)
-}
-
-// CollectContext is Collect with cancellation.
+// CollectContext runs one testbed experiment per grid point and returns
+// the labelled dataset.
 func CollectContext(ctx context.Context, grid []features.Vector, opts Options) (features.Dataset, error) {
 	ds := make(features.Dataset, 0, len(grid))
 	err := CollectStream(ctx, grid, opts, func(s features.Sample) error {

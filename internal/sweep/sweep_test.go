@@ -35,10 +35,13 @@ func TestGridsWellFormed(t *testing.T) {
 		t.Error("abnormal grid injects no loss")
 	}
 	// The split keeps the total experiment count tractable relative to
-	// the full cross product (the point of Fig. 3).
-	full := 2 * 3 * 5 * 4 * 3 * 5 * 4 // semantics×M×To×δ×D×L×B
-	if len(normal)+len(abnormal) >= full/4 {
-		t.Errorf("split saves too little: %d+%d vs full %d", len(normal), len(abnormal), full)
+	// the full cross product (the point of Fig. 3): semantics 2 × M 4 ×
+	// T_o 5 × δ 4 × D 4 × L 6 × B 4 distinct values.
+	if len(normal) != 120 || len(abnormal) != 360 {
+		t.Errorf("grids have %d and %d points, want 120 and 360", len(normal), len(abnormal))
+	}
+	if full := CrossProduct(append(normal, abnormal...)); full != 15360 {
+		t.Errorf("full cross product = %d, want 15360", full)
 	}
 }
 
@@ -55,7 +58,7 @@ func TestCollectSmallGrid(t *testing.T) {
 			MessageTimeout: 500 * time.Millisecond,
 		},
 	}
-	ds, err := Collect(grid, Options{Messages: 300, Seed: 4})
+	ds, err := CollectContext(context.Background(), grid, Options{Messages: 300, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +77,7 @@ func TestCollectSmallGrid(t *testing.T) {
 func TestCollectProgressAndDeterminism(t *testing.T) {
 	grid := NormalGrid()[:2]
 	var calls []int
-	a, err := Collect(grid, Options{Messages: 150, Seed: 8, Progress: func(done, total int) {
+	a, err := CollectContext(context.Background(), grid, Options{Messages: 150, Seed: 8, Progress: func(done, total int) {
 		calls = append(calls, done)
 		if total != 2 {
 			t.Errorf("total = %d", total)
@@ -86,7 +89,7 @@ func TestCollectProgressAndDeterminism(t *testing.T) {
 	if len(calls) != 2 || calls[1] != 2 {
 		t.Errorf("progress calls = %v", calls)
 	}
-	b, err := Collect(grid, Options{Messages: 150, Seed: 8})
+	b, err := CollectContext(context.Background(), grid, Options{Messages: 150, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +101,14 @@ func TestCollectProgressAndDeterminism(t *testing.T) {
 }
 
 func TestCollectValidation(t *testing.T) {
-	if _, err := Collect(nil, Options{Messages: 10}); err == nil {
+	if _, err := CollectContext(context.Background(), nil, Options{Messages: 10}); err == nil {
 		t.Error("empty grid accepted")
 	}
-	if _, err := Collect(NormalGrid()[:1], Options{}); err == nil {
+	if _, err := CollectContext(context.Background(), NormalGrid()[:1], Options{}); err == nil {
 		t.Error("zero messages accepted")
 	}
 	bad := []features.Vector{{}}
-	if _, err := Collect(bad, Options{Messages: 10}); err == nil {
+	if _, err := CollectContext(context.Background(), bad, Options{Messages: 10}); err == nil {
 		t.Error("invalid vector accepted")
 	}
 }

@@ -34,6 +34,7 @@
 package kafkarel
 
 import (
+	"context"
 	"time"
 
 	"kafkarel/internal/core"
@@ -95,7 +96,7 @@ type (
 // points fan out over the experiment worker pool (SweepOptions.Workers);
 // the dataset is identical for every worker count.
 func CollectDataset(grid []Features, opts SweepOptions) (Dataset, error) {
-	return sweep.Collect(grid, opts)
+	return sweep.CollectContext(context.Background(), grid, opts)
 }
 
 // Prediction framework.
