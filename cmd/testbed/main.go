@@ -1,22 +1,24 @@
 // Command testbed runs a testbed experiment (one Docker-testbed run in
 // the paper's methodology) and prints every measured metric. With
-// -producers > 1 the independent per-producer simulations fan out over
-// -parallel workers, and with -fleet N it runs a fleet-scale scenario:
-// N producers spread over -topics topics of -partitions partitions
-// each, keyed routing, consumer groups draining every topic. In every
-// mode the result is identical for any worker count. -metrics prints
-// the observability snapshot; -timeline writes entity-tagged timelines
-// as one merged CSV; -trace writes the structured event stream as JSONL
-// (tracing is the one single-producer-only artefact — it follows one
-// total event order).
+// -fleet N it runs a fleet-scale scenario instead: N producers spread
+// over -topics topics of -partitions partitions each, keyed routing,
+// consumer groups draining every topic, the topics fanned out over
+// -parallel workers with a result identical for any worker count. The
+// paper's Sec. IV-C scaling rule is a fleet with one producer per topic
+// and -users-per-sec fixing the aggregate rate. The fleet-only flags
+// are rejected without -fleet. -metrics prints the observability
+// snapshot; -timeline writes entity-tagged timelines as one merged
+// CSV; -trace writes the structured event stream of a single run as
+// JSONL (it follows one total event order, so fleets reject it).
 //
 // Usage:
 //
 //	testbed [-n messages] [-seed n] -size 200 -loss 0.19 -delay 100 \
 //	        -semantics at-most-once -batch 1 -poll 0ms -timeout 1500ms \
-//	        [-producers n] [-parallel workers] [-metrics] [-trace out.jsonl] \
+//	        [-metrics] [-trace out.jsonl] \
 //	        [-timeline out.csv [-timeline-interval 10s]] \
-//	        [-fleet n -topics t -partitions p -consumers c [-consumer-faults] -users-per-sec r]
+//	        [-fleet n -topics t -partitions p -consumers c -groups g [-cooperative] \
+//	         [-consumer-faults] [-users-per-sec r] [-lag-timeline lag.csv] [-parallel workers]]
 package main
 
 import (
@@ -55,23 +57,33 @@ func run(ctx context.Context, args []string) error {
 	batch := fs.Int("batch", 1, "batch size B")
 	poll := fs.Duration("poll", 0, "polling interval δ (0 = full load)")
 	timeout := fs.Duration("timeout", 1500*time.Millisecond, "message timeout T_o")
-	producers := fs.Int("producers", 1, "scale out across N producers (Sec. IV-C)")
-	parallel := fs.Int("parallel", 0, "simulation workers for scaled and fleet runs (0 = GOMAXPROCS)")
+	parallel := fs.Int("parallel", 0, "fleet mode: simulation workers (0 = GOMAXPROCS)")
 	metrics := fs.Bool("metrics", false, "print the per-run observability snapshot")
-	tracePath := fs.String("trace", "", "write the structured event trace as JSONL to this file (requires -producers 1)")
+	tracePath := fs.String("trace", "", "write the structured event trace as JSONL to this file (single runs only)")
 	timelinePath := fs.String("timeline", "", "write the sim-time timelines as one merged, entity-tagged CSV to this file")
 	timelineIvl := fs.Duration("timeline-interval", 0, "timeline sampling interval (0 = default 10s)")
 	fleet := fs.Int("fleet", 0, "fleet mode: run N producers over -topics topics with keyed routing and consumer groups")
-	topics := fs.Int("topics", 8, "fleet topic count (each topic is one independent shard)")
-	partitions := fs.Int("partitions", 32, "fleet per-topic partition count")
-	consumers := fs.Int("consumers", 1, "fleet consumer-group members per topic (per group with -groups)")
-	groupsN := fs.Int("groups", 1, "fleet consumer-group fan-out per topic (independent groups sharing each shard's coordinator and offsets log)")
+	topics := fs.Int("topics", 8, "fleet mode: topic count (each topic is one independent shard)")
+	partitions := fs.Int("partitions", 32, "fleet mode: per-topic partition count")
+	consumers := fs.Int("consumers", 1, "fleet mode: consumer-group members per topic (per group with -groups)")
+	groupsN := fs.Int("groups", 1, "fleet mode: consumer-group fan-out per topic (independent groups sharing each shard's coordinator and offsets log)")
 	cooperative := fs.Bool("cooperative", false, "fleet mode: run every consumer group under the cooperative incremental rebalance protocol (KIP-429) instead of eager")
 	consumerFaults := fs.Bool("consumer-faults", false, "fleet mode: crash and restart group members mid-stream in every shard (needs -consumers >= 2)")
-	usersPerSec := fs.Float64("users-per-sec", 0, "fleet aggregate offered load in msg/s (0 = full speed)")
+	usersPerSec := fs.Float64("users-per-sec", 0, "fleet mode: aggregate offered load in msg/s, each producer's δ set by the Sec. IV-C scaling rule (0 = -poll)")
 	lagTimeline := fs.String("lag-timeline", "", "fleet mode: write the per-partition consumer-lag timeline as CSV to this file (requires -timeline-interval sampling; implied interval 10s)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *fleet <= 0 {
+		var stray []string
+		fs.Visit(func(f *flag.Flag) {
+			if fleetOnly[f.Name] {
+				stray = append(stray, "-"+f.Name)
+			}
+		})
+		if len(stray) > 0 {
+			return fmt.Errorf("fleet-only flags without -fleet: %s", strings.Join(stray, ", "))
+		}
 	}
 	sem := map[string]int{
 		"at-most-once":  features.SemanticsAtMostOnce,
@@ -118,9 +130,6 @@ func run(ctx context.Context, args []string) error {
 	}
 	var traceFile *os.File
 	if *tracePath != "" {
-		if *producers > 1 {
-			return fmt.Errorf("-trace requires -producers 1 (a trace follows one virtual clock)")
-		}
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			return fmt.Errorf("create trace file: %w", err)
@@ -131,17 +140,14 @@ func run(ctx context.Context, args []string) error {
 		e.Tracer.SetSink(traceFile)
 	}
 	if *timelinePath != "" {
-		// For a scaled run this acts as an interval template: each
-		// producer's simulation samples its own entity-tagged timeline
-		// and the CSV below merges them on the virtual-time axis.
 		e.Timeline = obs.NewTimeline(*timelineIvl)
 	}
-	res, err := testbed.RunScaledContext(ctx, e, *producers, *parallel)
+	res, err := testbed.RunCtx(ctx, e)
 	if err != nil {
 		return err
 	}
 	if e.Timeline != nil {
-		if err := writeMergedTimeline(*timelinePath, res.Timelines); err != nil {
+		if err := writeMergedTimeline(*timelinePath, []*obs.Timeline{res.Timeline}); err != nil {
 			return err
 		}
 	}
@@ -171,6 +177,13 @@ func run(ctx context.Context, args []string) error {
 		fmt.Print(indent(string(res.Metrics.Encode())))
 	}
 	return nil
+}
+
+// fleetOnly names the flags that only shape a fleet run.
+var fleetOnly = map[string]bool{
+	"topics": true, "partitions": true, "consumers": true, "groups": true,
+	"cooperative": true, "consumer-faults": true, "users-per-sec": true,
+	"lag-timeline": true, "parallel": true,
 }
 
 func indent(s string) string {

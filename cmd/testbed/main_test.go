@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"kafkarel/internal/obs"
@@ -26,19 +27,45 @@ func TestRunSmallExperiment(t *testing.T) {
 	}
 }
 
-func TestRunScaled(t *testing.T) {
-	if err := run(context.Background(), []string{"-n", "300", "-producers", "2", "-parallel", "4"}); err != nil {
+// The Sec. IV-C scaling rule from the command line: one producer per
+// topic, with -users-per-sec fixing the aggregate rate.
+func TestRunFleetScaled(t *testing.T) {
+	err := run(context.Background(), []string{
+		"-n", "300", "-fleet", "2", "-topics", "2", "-partitions", "1",
+		"-users-per-sec", "30", "-parallel", "4",
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestTraceRejectsScaledRuns(t *testing.T) {
-	err := run(context.Background(), []string{
-		"-n", "100", "-producers", "2",
-		"-trace", filepath.Join(t.TempDir(), "t.jsonl"),
-	})
-	if err == nil {
-		t.Fatal("-trace with -producers 2 accepted")
+// Flags outside their mode fail with an error naming the flag: the
+// fleet-only flags without -fleet, -trace on a fleet, and the deleted
+// -producers (a fleet with -users-per-sec replaces it).
+func TestRejectsFlagsOutsideTheirMode(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "t.jsonl")
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-topics", "2"}, "-topics"},
+		{[]string{"-partitions", "4"}, "-partitions"},
+		{[]string{"-consumers", "2"}, "-consumers"},
+		{[]string{"-groups", "2"}, "-groups"},
+		{[]string{"-cooperative"}, "-cooperative"},
+		{[]string{"-consumer-faults"}, "-consumer-faults"},
+		{[]string{"-users-per-sec", "30"}, "-users-per-sec"},
+		{[]string{"-lag-timeline", "lag.csv"}, "-lag-timeline"},
+		{[]string{"-parallel", "2"}, "-parallel"},
+		{[]string{"-fleet", "0", "-partitions", "4"}, "-partitions"},
+		{[]string{"-fleet", "2", "-topics", "2", "-trace", trace}, "-trace"},
+		{[]string{"-producers", "2"}, "-producers"},
+	}
+	for _, tc := range cases {
+		err := run(context.Background(), append([]string{"-n", "100"}, tc.args...))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want one naming %s", tc.args, err, tc.want)
+		}
 	}
 }
 

@@ -392,9 +392,7 @@ func NewGroup(sim *des.Simulator, co *coordinator.Coordinator, clst *cluster.Clu
 		g.cDelivered = o.Counter(obs.MConsumerDelivered)
 		g.cRedelivered = o.Counter(obs.MConsumerRedelivered)
 		g.cCommitAcks = o.Counter(obs.MConsumerCommitAcks)
-		// Lag is summed, not maxed, across shards: a drained shard
-		// contributes zero to the fleet-wide backlog.
-		g.gLag = o.GaugeOf(obs.MConsumerLag, obs.GaugeKindSum)
+		g.gLag = o.Gauge(obs.MConsumerLag)
 		g.hSpanE2E = o.Histogram(obs.MSpanDelivery, obs.LatencyBounds)
 		g.hSpanCommit = o.Histogram(obs.MSpanCommit, obs.LatencyBounds)
 		g.hPaused = o.Histogram(obs.MPausedNs, obs.LatencyBounds)

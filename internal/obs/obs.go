@@ -25,9 +25,9 @@
 // goroutine may touch the registry only after the run has finished and
 // that fact has reached it through a synchronising hand-off (the
 // exprun pool's result channel, a WaitGroup): it takes Snapshot() and
-// aggregates the copies with MergeSnapshots / Sharded.Merged(). Parallel
-// runs therefore each get their own registry (Sharded, one shard per
-// simulation), never a shared one; `go test -race` is the enforcement.
+// aggregates the copies (testbed.MetricsSnapshot.Merge). Parallel runs
+// therefore each get their own registry, one per simulation, never a
+// shared one; `go test -race` is the enforcement.
 // Tracer and Timeline carry their own locks and are outside the contract.
 //
 // The package is zero-dependency (stdlib only) and imported by the DES
@@ -205,23 +205,6 @@ func (c *Counter) Value() uint64 {
 	return c.v
 }
 
-// GaugeKind selects how a gauge folds when snapshots merge
-// (MergeSnapshots). The kind is a property of the metric, fixed at
-// registration: a high-water mark (the largest RTO reached) merges as
-// the max over shards, while an instantaneous level (consumer lag)
-// merges as the sum — a drained fleet's lag must fold to 0, which a
-// max-merge would never let it do once any shard peaked above it.
-type GaugeKind uint8
-
-const (
-	// GaugeKindMax merges as the maximum across snapshots (default —
-	// the historical behaviour, right for high-water marks).
-	GaugeKindMax GaugeKind = iota
-	// GaugeKindSum merges as the sum across snapshots (right for
-	// instantaneous levels that partition over shards, like lag).
-	GaugeKindSum
-)
-
 // Gauge is an instantaneous int64 metric (single writer, like Counter).
 // All methods are nil-safe.
 type Gauge struct {
@@ -300,19 +283,17 @@ func (h *Histogram) Max() int64 {
 // zero value is not usable; create with NewRegistry. A nil *Registry is
 // the disabled registry: every lookup returns a nil (no-op) handle.
 type Registry struct {
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	gaugeKinds map[string]GaugeKind
-	hists      map[string]*Histogram
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	hists    map[string]*Histogram
 }
 
 // NewRegistry returns an empty enabled registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		gaugeKinds: make(map[string]GaugeKind),
-		hists:      make(map[string]*Histogram),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
+		hists:    make(map[string]*Histogram),
 	}
 }
 
@@ -330,17 +311,9 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it with the default
-// max-merge kind on first use.
+// Gauge returns the named gauge, creating it on first use. Returns nil
+// (the no-op gauge) on a nil registry.
 func (r *Registry) Gauge(name string) *Gauge {
-	return r.GaugeOf(name, GaugeKindMax)
-}
-
-// GaugeOf returns the named gauge, creating it with the given merge
-// kind on first use. The kind is fixed at first registration; a later
-// registration under a different kind panics — a metric cannot merge
-// two different ways.
-func (r *Registry) GaugeOf(name string, kind GaugeKind) *Gauge {
 	if r == nil {
 		return nil
 	}
@@ -348,9 +321,6 @@ func (r *Registry) GaugeOf(name string, kind GaugeKind) *Gauge {
 	if !ok {
 		g = &Gauge{}
 		r.gauges[name] = g
-		r.gaugeKinds[name] = kind
-	} else if r.gaugeKinds[name] != kind {
-		panic(fmt.Sprintf("obs: gauge %q re-registered with kind %d (was %d)", name, kind, r.gaugeKinds[name]))
 	}
 	return g
 }
@@ -384,13 +354,10 @@ type CounterValue struct {
 	Value uint64
 }
 
-// GaugeValue is one named gauge reading. Kind records how the gauge
-// merges across snapshots (it does not appear in the encoded form —
-// the name implies it).
+// GaugeValue is one named gauge reading.
 type GaugeValue struct {
 	Name  string
 	Value int64
-	Kind  GaugeKind
 }
 
 // HistogramValue is one named histogram reading. Max is the exact
@@ -467,7 +434,7 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Counters = append(s.Counters, CounterValue{Name: name, Value: c.Value()})
 	}
 	for name, g := range r.gauges {
-		s.Gauges = append(s.Gauges, GaugeValue{Name: name, Value: g.Value(), Kind: r.gaugeKinds[name]})
+		s.Gauges = append(s.Gauges, GaugeValue{Name: name, Value: g.Value()})
 	}
 	for name, h := range r.hists {
 		s.Histograms = append(s.Histograms, HistogramValue{
@@ -535,14 +502,6 @@ func (o *Obs) Gauge(name string) *Gauge {
 		return nil
 	}
 	return o.Registry.Gauge(name)
-}
-
-// GaugeOf resolves a gauge handle with an explicit merge kind.
-func (o *Obs) GaugeOf(name string, kind GaugeKind) *Gauge {
-	if o == nil {
-		return nil
-	}
-	return o.Registry.GaugeOf(name, kind)
 }
 
 // Histogram resolves a histogram handle.

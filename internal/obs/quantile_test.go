@@ -3,7 +3,6 @@ package obs
 import (
 	"math"
 	"math/rand/v2"
-	"reflect"
 	"slices"
 	"testing"
 )
@@ -63,59 +62,37 @@ func TestHistogramQuantileExact(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantileMerged checks that quantiles of a histogram
-// merged across shards match the brute-force oracle over the union of
-// all shards' samples — bucket counts add and the max merges, so the
-// merged view must answer exactly like a single histogram that saw
-// every sample.
+// TestHistogramQuantileMerged checks that a histogram folded across
+// shards the way a fleet folds its span histograms — bucket counts add
+// and the max takes the maximum — answers Quantile exactly like the
+// brute-force oracle over the union of all shards' samples.
 func TestHistogramQuantileMerged(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 1))
-	s := NewSharded(3)
+	merged := HistogramValue{Bounds: LatencyBounds, Counts: make([]uint64, LatencyBuckets)}
 	var all []int64
 	for i := 0; i < 3; i++ {
-		h := s.Shard(i).Histogram("h", LatencyBounds)
+		h := NewRegistry().Histogram("h", LatencyBounds)
 		for j := 0; j < 400+100*i; j++ {
 			v := int64(math.Exp(rng.Float64() * math.Log(1.2e11)))
 			all = append(all, v)
 			h.Observe(v)
 		}
+		for b, c := range h.Counts() {
+			merged.Counts[b] += c
+		}
+		merged.Max = max(merged.Max, h.Max())
 	}
 	slices.Sort(all)
-	hv, ok := s.Merged().Histogram("h")
-	if !ok {
-		t.Fatal("merged snapshot lacks histogram")
-	}
-	if got, want := hv.Max, all[len(all)-1]; got != want {
+	if got, want := merged.Max, all[len(all)-1]; got != want {
 		t.Fatalf("merged Max = %d, want %d", got, want)
+	}
+	if got := merged.Total(); got != uint64(len(all)) {
+		t.Fatalf("merged Total = %d, want %d", got, len(all))
 	}
 	for _, q := range []float64{0.50, 0.95, 0.99, 1} {
 		want := quantileOracle(all, LatencyBounds, q)
-		if got := hv.Quantile(q); got != want {
+		if got := merged.Quantile(q); got != want {
 			t.Errorf("merged Quantile(%v) = %d, want %d", q, got, want)
 		}
-	}
-}
-
-// TestGaugeKindMergeAssociative checks that merging snapshots with both
-// gauge kinds is associative and kind-faithful: max-kind gauges take
-// the maximum, sum-kind gauges add.
-func TestGaugeKindMergeAssociative(t *testing.T) {
-	mk := func(maxV, sumV int64) Snapshot {
-		r := NewRegistry()
-		r.Gauge("depth.max").SetMax(maxV)
-		r.GaugeOf("lag.sum", GaugeKindSum).Set(sumV)
-		return r.Snapshot()
-	}
-	a, b, c := mk(5, 10), mk(9, 20), mk(2, 30)
-	left := MergeSnapshots(MergeSnapshots(a, b), c)
-	right := MergeSnapshots(a, MergeSnapshots(b, c))
-	if !reflect.DeepEqual(left, right) {
-		t.Errorf("gauge merge not associative:\n%+v\nvs\n%+v", left, right)
-	}
-	if got := left.Gauge("depth.max"); got != 9 {
-		t.Errorf("max-kind gauge = %d, want 9", got)
-	}
-	if got := left.Gauge("lag.sum"); got != 60 {
-		t.Errorf("sum-kind gauge = %d, want 60", got)
 	}
 }

@@ -156,3 +156,55 @@ func TestTimelineCSV(t *testing.T) {
 		t.Error("repeated renders differ")
 	}
 }
+
+// TestWriteMergedCSV checks the entity column and the deterministic
+// interleaving of several tagged timelines.
+func TestWriteMergedCSV(t *testing.T) {
+	clk := &tlClock{}
+	mkTL := func(entity string, times ...time.Duration) *Timeline {
+		tl := NewTimeline(time.Second)
+		tl.SetEntity(entity)
+		tl.BindClock(clk)
+		for _, at := range times {
+			clk.now = at
+			tl.Sample()
+		}
+		return tl
+	}
+	a := mkTL("t000/p0000", 0, time.Second, 2*time.Second)
+	b := mkTL("t000", 0, 2*time.Second)
+	clk.now = time.Second
+	b.Annotate(AnnBrokerEvent, "fail broker 0")
+
+	var buf bytes.Buffer
+	if err := WriteMergedCSV(&buf, []*Timeline{a, b}); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	if len(lines) != 1+3+2+1 {
+		t.Fatalf("lines = %d:\n%s", len(lines), buf.String())
+	}
+	if !strings.HasPrefix(lines[0], "at_ns,kind,entity,") {
+		t.Fatalf("header = %q", lines[0])
+	}
+	wantOrder := []string{
+		"0,sample,t000/p0000",
+		"0,sample,t000",
+		"1000000000,sample,t000/p0000",
+		"1000000000,broker_event,t000",
+		"2000000000,sample,t000/p0000",
+		"2000000000,sample,t000",
+	}
+	for i, want := range wantOrder {
+		if !strings.HasPrefix(lines[i+1], want) {
+			t.Errorf("line %d = %q, want prefix %q", i+1, lines[i+1], want)
+		}
+	}
+	var buf2 bytes.Buffer
+	if err := WriteMergedCSV(&buf2, []*Timeline{a, b}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+		t.Error("repeated merged renders differ")
+	}
+}

@@ -15,7 +15,7 @@ import (
 //
 // The defaults below were calibrated so the emergent behaviour of the
 // full simulation matches the paper's reported operating points — e.g.
-// the full-load intake rate for 100-byte messages (~300 msg/s) sits far
+// the full-load intake rate for 100-byte messages (~140 msg/s) sits far
 // above the degraded TCP capacity at 19 % loss (driving Fig. 4's 85 % /
 // 63 % losses), while the rate for 1000-byte messages (~1 msg/s) sits
 // below it (both curves < 1 %). See DESIGN.md §5 and EXPERIMENTS.md for

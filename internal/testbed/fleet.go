@@ -83,7 +83,7 @@ type Fleet struct {
 	// probes) and one per topic ("t003": broker probe), all returned in
 	// FleetResult.Timelines in shard-then-producer order.
 	TimelineInterval time.Duration
-	// DisableMetrics switches off the sharded registries.
+	// DisableMetrics switches off the per-shard registries.
 	DisableMetrics bool
 	// FaultPlan injects broker faults (crash, recover, unclean restart,
 	// slowdown) into every shard. Network and connection faults are
@@ -212,7 +212,7 @@ type FleetResult struct {
 	Report consumer.Report
 	// Producer sums the per-topic producer-view counts.
 	Producer producer.Counts
-	// Metrics merges the sharded registries (MergeSnapshots semantics).
+	// Metrics merges the per-topic snapshots (MetricsSnapshot.Merge).
 	Metrics MetricsSnapshot
 	// Latency merges every producer's latency summary.
 	Latency stats.Summary
@@ -284,10 +284,13 @@ func (r FleetResult) fleetProducers() int {
 	return n
 }
 
-// fleetSeedStride separates shard seed streams (a prime well away from
-// scalingSeedStride, which spaces the per-entity streams inside a
-// shard).
-const fleetSeedStride = 32452843
+// fleetSeedStride separates shard seed streams; scalingSeedStride, a
+// prime well away from it, separates the per-producer streams inside a
+// shard.
+const (
+	fleetSeedStride   = 32452843
+	scalingSeedStride = 15485863
+)
 
 // RunFleet executes a fleet with default workers (GOMAXPROCS).
 func RunFleet(f Fleet) (FleetResult, error) {
@@ -370,13 +373,9 @@ func RunFleetContext(ctx context.Context, f Fleet, workers int) (FleetResult, er
 		first += n
 	}
 
-	var sharded *obs.Sharded
-	if !f.DisableMetrics {
-		sharded = obs.NewSharded(f.Topics)
-	}
 	outs, err := exprun.Map(ctx, shards,
-		func(ctx context.Context, i int, sh fleetShard) (fleetShardOut, error) {
-			out, err := runFleetShard(simFor(ctx), sh, cal, sharded.Shard(i))
+		func(ctx context.Context, _ int, sh fleetShard) (fleetShardOut, error) {
+			out, err := runFleetShard(simFor(ctx), sh, cal)
 			if err != nil {
 				return fleetShardOut{}, fmt.Errorf("testbed: topic %s: %w", sh.topic, err)
 			}
@@ -396,19 +395,12 @@ func RunFleetContext(ctx context.Context, f Fleet, workers int) (FleetResult, er
 		res.Report.Add(tr.Report)
 		res.Producer.Add(tr.Producer)
 		res.Latency.Merge(tr.Latency)
+		res.Metrics.Merge(tr.Metrics)
 		res.Throughput += tr.Throughput
 		if tr.Duration > res.Duration {
 			res.Duration = tr.Duration
 		}
 		res.Completed = res.Completed && tr.Completed
-	}
-	if sharded != nil {
-		// One deterministic fold over the shard registries; equal to
-		// merging the per-topic MetricsSnapshots, but exercised through
-		// the sharded-registry path the fleet exists for.
-		res.Metrics = snapshotMetrics(sharded.Merged())
-		res.Metrics.Cases = res.Producer.ByCase
-		res.Metrics.Cases[producer.Case5] = res.Report.NDuplicated
 	}
 	res.Pl, res.Pd = res.Report.Pl(), res.Report.Pd()
 	return res, nil
@@ -418,8 +410,12 @@ func RunFleetContext(ctx context.Context, f Fleet, workers int) (FleetResult, er
 // shard's consumer groups, its producers (each with its own emulated
 // path, transport connection and server endpoint), optional entity
 // timelines, then the per-group range reconciliation and verdicts.
-func runFleetShard(sim *des.Simulator, sh fleetShard, cal Calibration, reg *obs.Registry) (fleetShardOut, error) {
+func runFleetShard(sim *des.Simulator, sh fleetShard, cal Calibration) (fleetShardOut, error) {
 	f := sh.f
+	var reg *obs.Registry
+	if !f.DisableMetrics {
+		reg = obs.NewRegistry()
+	}
 	// Every shard's topic and offsets log run at rf 3, with the rig's
 	// default min-ISR and flush cadence.
 	const rf = 3

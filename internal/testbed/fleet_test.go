@@ -311,3 +311,43 @@ func TestFleetAcceptanceScale(t *testing.T) {
 		t.Errorf("scorecard missing topic t007:\n%s", card)
 	}
 }
+
+// A fleet completed only if every shard drained its source before the
+// horizon. Three messages over two producers on two topics split 2 + 1,
+// and at one user per second each producer polls about every two
+// seconds: at a three-second horizon topic t001 has finished and topic
+// t000 still owes a message.
+func TestFleetCompletedNeedsEveryShard(t *testing.T) {
+	f := Fleet{
+		Features: features.Vector{
+			MessageSize: 200, Timeliness: 5 * time.Second, DelayMs: 10,
+			Semantics: features.SemanticsAtLeastOnce, BatchSize: 1,
+			MessageTimeout: 500 * time.Millisecond,
+		},
+		Producers:   2,
+		Topics:      2,
+		Partitions:  1,
+		Messages:    3,
+		Seed:        7,
+		UsersPerSec: 1,
+		MaxSimTime:  3 * time.Second,
+	}
+	res, err := RunFleet(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Acquired != 2 || res.Producer.Delivered != 2 {
+		t.Fatalf("acquired=%d delivered=%d, want one of t000's two messages and t001's one",
+			res.Acquired, res.Producer.Delivered)
+	}
+	if res.Topics[0].Completed || !res.Topics[1].Completed {
+		t.Errorf("topic completion = %t/%t, want false/true", res.Topics[0].Completed, res.Topics[1].Completed)
+	}
+	if res.Completed {
+		t.Error("Completed = true although one shard was cut off mid-source")
+	}
+	f.MaxSimTime = time.Minute
+	if res, err = RunFleet(f); err != nil || !res.Completed || res.Acquired != 3 {
+		t.Errorf("with room to finish: completed=%t acquired=%d err=%v", res.Completed, res.Acquired, err)
+	}
+}

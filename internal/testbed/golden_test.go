@@ -94,22 +94,6 @@ func TestGoldenOnline(t *testing.T) {
 	goldenCheck(t, "8c626c6e366bfc30f18964d28fd5fe08535fef31df80ac800c8c4f13b64f6df9", timelineCSV(t, res.Timeline), res.Metrics.Encode())
 }
 
-func TestGoldenScaled(t *testing.T) {
-	res, err := RunScaledContext(context.Background(), Experiment{
-		Features: timelineVector(),
-		Messages: 1500,
-		Seed:     22,
-		Timeline: obs.NewTimeline(time.Second),
-	}, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Timelines) != 3 {
-		t.Fatalf("timelines = %d, want 3", len(res.Timelines))
-	}
-	goldenCheck(t, "595ca726a87be491facfa3a06ac89c9f33635bf5f773fe25eca7e0da842e7608", mergedCSV(t, res.Timelines), res.Metrics.Encode())
-}
-
 func TestGoldenFleet(t *testing.T) {
 	f := smallFleet()
 	f.Features.LossRate = 0.02

@@ -13,7 +13,7 @@ import (
 // MetricsSnapshot is the per-run observability summary returned next to
 // {P_l, P_d}. It is a comparable struct of fixed-size scalars and
 // arrays so determinism tests can require byte equality across worker
-// counts, and Merge can aggregate scaled runs deterministically.
+// counts, and Merge can fold a fleet's shards deterministically.
 type MetricsSnapshot struct {
 	// DES kernel.
 	SimEvents uint64
@@ -58,7 +58,7 @@ type MetricsSnapshot struct {
 	BrokerTruncated       uint64
 	BrokerUnclean         uint64
 	Replications          uint64
-	ReplicationFactor     int64 // config-valued gauge; max across shards
+	ReplicationFactor     int64 // config-valued gauge
 
 	// Delivery accounting for the measured KPI.
 	RecordsDelivered  uint64 // producer acks resolved delivered
@@ -69,7 +69,7 @@ type MetricsSnapshot struct {
 	ConsumerDelivered   uint64
 	ConsumerRedelivered uint64
 	ConsumerCommitAcks  uint64
-	ConsumerLagEnd      int64 // lag gauge at snapshot time (sums across shards)
+	ConsumerLagEnd      int64 // lag gauge at snapshot time
 
 	// Per-record latency spans, all timed from producer enqueue except
 	// SpanCommit (commit send → durable ack), Rebalance (prepare →
@@ -184,9 +184,12 @@ func snapshotMetrics(s obs.Snapshot) MetricsSnapshot {
 	return m
 }
 
-// Merge accumulates another run's snapshot into m: counters add,
-// RTOMax takes the maximum. Merging is commutative and associative, so
-// a scaled run's aggregate is identical for every worker count.
+// Merge accumulates another run's snapshot into m. It is the one place
+// the merge policy lives: counters and histogram buckets add, the
+// high-water marks (RTOMax, ReplicationFactor, span maxima) take the
+// maximum, and the end-of-run lag adds, so drained shards fold to 0.
+// Merging is commutative and associative, so a fleet's aggregate is
+// identical for every worker count.
 func (m *MetricsSnapshot) Merge(o MetricsSnapshot) {
 	m.SimEvents += o.SimEvents
 	m.SegmentsSent += o.SegmentsSent
@@ -219,7 +222,7 @@ func (m *MetricsSnapshot) Merge(o MetricsSnapshot) {
 	m.BrokerTruncated += o.BrokerTruncated
 	m.BrokerUnclean += o.BrokerUnclean
 	m.Replications += o.Replications
-	if o.ReplicationFactor > m.ReplicationFactor { // max-kind gauge
+	if o.ReplicationFactor > m.ReplicationFactor {
 		m.ReplicationFactor = o.ReplicationFactor
 	}
 	m.RecordsDelivered += o.RecordsDelivered
@@ -228,7 +231,7 @@ func (m *MetricsSnapshot) Merge(o MetricsSnapshot) {
 	m.ConsumerDelivered += o.ConsumerDelivered
 	m.ConsumerRedelivered += o.ConsumerRedelivered
 	m.ConsumerCommitAcks += o.ConsumerCommitAcks
-	m.ConsumerLagEnd += o.ConsumerLagEnd // sum-kind gauge: backlogs add
+	m.ConsumerLagEnd += o.ConsumerLagEnd
 	m.SpanSend.merge(o.SpanSend)
 	m.SpanAppend.merge(o.SpanAppend)
 	m.SpanReplicated.merge(o.SpanReplicated)

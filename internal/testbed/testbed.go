@@ -107,15 +107,12 @@ type Experiment struct {
 	DisableMetrics bool
 	// Tracer, when non-nil, receives the run's structured event stream
 	// (record lifecycle, transport, broker events). The testbed binds the
-	// tracer to the run's virtual clock. Tracing requires a single
-	// producer: RunScaled rejects a traced experiment.
+	// tracer to the run's virtual clock.
 	Tracer *obs.Tracer
 	// Timeline, when non-nil, samples the run at the timeline's interval
 	// (netem, transport, producer and broker probes) and records config
 	// switches and broker events as annotations; it comes back as
-	// Result.Timeline. Under RunScaled it acts as an interval template:
-	// each sub-simulation samples its own entity-tagged timeline and the
-	// merged Result.Timelines carries all of them.
+	// Result.Timeline.
 	Timeline *obs.Timeline
 	// Overrides for producer plumbing; zero values take the defaults
 	// below.
@@ -164,11 +161,6 @@ type Result struct {
 	// sample taken once the simulation drained (so late broker appends
 	// are covered and column sums equal the Metrics counters).
 	Timeline *obs.Timeline
-	// Timelines collects every timeline the run produced, in producer
-	// order. A single Run yields at most one (== Timeline); RunScaled
-	// yields one per simulated producer, each tagged with its entity
-	// ("p0000", "p0001", ...) for obs.WriteMergedCSV.
-	Timelines []*obs.Timeline
 	// Latency summarises delivered-message T_p in milliseconds.
 	Latency stats.Summary
 	// StaleRate is the fraction of delivered messages with T_p > S.
@@ -443,9 +435,6 @@ func (r *rig) collect(e Experiment) (Result, error) {
 		Acquired:  c.prod.Acquired(),
 		Duration:  r.sim.Now(),
 		Completed: c.prod.Done(),
-	}
-	if e.Timeline != nil {
-		res.Timelines = []*obs.Timeline{e.Timeline}
 	}
 	if c.doneAt >= 0 {
 		res.Duration = c.doneAt

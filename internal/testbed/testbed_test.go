@@ -1,14 +1,17 @@
 package testbed
 
 import (
+	"bytes"
 	"flag"
-
-	"kafkarel/internal/des"
+	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"kafkarel/internal/des"
 	"kafkarel/internal/features"
+	"kafkarel/internal/obs"
 )
 
 var exploreFlag = flag.Bool("explore", false, "run the manual calibration exploration")
@@ -283,5 +286,230 @@ func TestPropertyExperimentInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A single run's MetricsSnapshot must be byte-identical run to run for
+// a fixed seed — the determinism contract extended to the observability
+// layer, with a faulted at-least-once configuration that exercises
+// retries, retransmits and RTO backoff.
+func TestMetricsSnapshotDeterministic(t *testing.T) {
+	e := Experiment{
+		Features: features.Vector{
+			MessageSize: 200, Timeliness: 5 * time.Second, DelayMs: 40,
+			LossRate: 0.12, Semantics: features.SemanticsAtLeastOnce,
+			BatchSize: 2, MessageTimeout: 1500 * time.Millisecond,
+		},
+		Messages: 400,
+		Seed:     11,
+	}
+	ref, err := Run(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Metrics.Retransmits == 0 || ref.Metrics.RTOMax == 0 {
+		t.Errorf("faulted run shows no transport recovery activity: %s", ref.Metrics.Encode())
+	}
+	for i := 0; i < 2; i++ {
+		got, err := Run(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Metrics.Encode(), ref.Metrics.Encode()) {
+			t.Fatalf("rerun %d: metrics not byte-identical:\n%s\nvs\n%s",
+				i, got.Metrics.Encode(), ref.Metrics.Encode())
+		}
+	}
+}
+
+// DisableMetrics must leave Result.Metrics zero while the reliability
+// results stay identical to an instrumented run.
+func TestDisableMetrics(t *testing.T) {
+	e := Experiment{
+		Features: features.Vector{
+			MessageSize: 200, Timeliness: 5 * time.Second, DelayMs: 10,
+			LossRate: 0.05, Semantics: features.SemanticsAtLeastOnce,
+			BatchSize: 1, MessageTimeout: 1 * time.Second,
+		},
+		Messages: 200,
+		Seed:     3,
+	}
+	on, err := Run(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.DisableMetrics = true
+	off, err := Run(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off.Metrics != (MetricsSnapshot{}) {
+		t.Errorf("disabled run returned metrics: %s", off.Metrics.Encode())
+	}
+	if on.Pl != off.Pl || on.Pd != off.Pd || on.Report != off.Report || on.Duration != off.Duration {
+		t.Errorf("metrics toggle changed results: on={Pl %v Pd %v} off={Pl %v Pd %v}",
+			on.Pl, on.Pd, off.Pl, off.Pd)
+	}
+}
+
+// A traced run must produce the same results as an untraced one while
+// capturing the event stream.
+func TestTracerNeutrality(t *testing.T) {
+	e := Experiment{
+		Features: features.Vector{
+			MessageSize: 200, Timeliness: 5 * time.Second, DelayMs: 10,
+			LossRate: 0.05, Semantics: features.SemanticsAtLeastOnce,
+			BatchSize: 1, MessageTimeout: 1 * time.Second,
+		},
+		Messages: 200,
+		Seed:     3,
+	}
+	plain, err := Run(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Tracer = obs.NewTracer(1 << 16)
+	traced, err := Run(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if traced.Pl != plain.Pl || traced.Pd != plain.Pd || traced.Metrics != plain.Metrics {
+		t.Error("attaching a tracer changed run results")
+	}
+	if e.Tracer.Total() == 0 {
+		t.Error("tracer captured no events")
+	}
+	evs := e.Tracer.Events()
+	sawEnqueue, sawSend := false, false
+	for _, ev := range evs {
+		switch ev.Type {
+		case obs.EvRecordEnqueue:
+			sawEnqueue = true
+		case obs.EvSegmentSend:
+			sawSend = true
+		}
+		if ev.At < 0 {
+			t.Fatalf("event with negative timestamp: %+v", ev)
+		}
+	}
+	if !sawEnqueue || !sawSend {
+		t.Errorf("trace missing lifecycle events (enqueue=%v send=%v)", sawEnqueue, sawSend)
+	}
+}
+
+// MetricsSnapshot.Merge holds the one merge policy for a fleet's shards.
+// Each row builds three shard snapshots from registries, the way a
+// fleet shard does, and checks that the fold is associative, that
+// counters and span histograms add (a quantile of the merge is the
+// quantile of the pooled observations), that the high-water marks take
+// the maximum, and that the end-of-run lag adds, so drained shards fold
+// to 0.
+func TestMetricsSnapshotMerge(t *testing.T) {
+	type shard struct {
+		retransmits     uint64
+		rtoMax          time.Duration
+		rf              int64
+		lagPeak, lagEnd int64
+		spans           int // delivery-span observations
+	}
+	cases := []struct {
+		name     string
+		shards   [3]shard
+		wantRTO  time.Duration
+		wantRF   int64
+		wantLag  int64
+		wantSpan uint64
+	}{
+		{
+			name: "drained shards fold to zero lag",
+			shards: [3]shard{
+				{retransmits: 10, rtoMax: 4 * time.Millisecond, rf: 3, lagPeak: 50, spans: 100},
+				{retransmits: 20, rtoMax: 9 * time.Millisecond, rf: 3, lagPeak: 20, spans: 150},
+				{retransmits: 30, rtoMax: time.Millisecond, rf: 3, lagPeak: 80, spans: 200},
+			},
+			wantRTO: 9 * time.Millisecond, wantRF: 3, wantLag: 0, wantSpan: 450,
+		},
+		{
+			name: "backlogs add and high-water marks take the max",
+			shards: [3]shard{
+				{retransmits: 1, rf: 1, lagPeak: 9, lagEnd: 5, spans: 40},
+				{retransmits: 2, rtoMax: 2 * time.Millisecond, rf: 3, lagEnd: 0, spans: 1},
+				{retransmits: 3, rf: 2, lagPeak: 7, lagEnd: 7, spans: 300},
+			},
+			wantRTO: 2 * time.Millisecond, wantRF: 3, wantLag: 12, wantSpan: 341,
+		},
+		{
+			name: "an idle shard is the identity",
+			shards: [3]shard{
+				{retransmits: 6, rtoMax: 3 * time.Millisecond, rf: 3, lagEnd: 4, spans: 250},
+				{},
+				{retransmits: 1, rf: 3, spans: 2},
+			},
+			wantRTO: 3 * time.Millisecond, wantRF: 3, wantLag: 4, wantSpan: 252,
+		},
+	}
+	rng := rand.New(rand.NewPCG(7, 1))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pooled := obs.NewRegistry()
+			var snaps [3]MetricsSnapshot
+			var wantRetransmits uint64
+			for i, sh := range tc.shards {
+				reg := obs.NewRegistry()
+				if sh == (shard{}) {
+					snaps[i] = snapshotMetrics(reg.Snapshot())
+					continue
+				}
+				reg.Counter(obs.MRetransmits).Add(sh.retransmits)
+				reg.Gauge(obs.MRTOMaxNs).SetMax(int64(sh.rtoMax))
+				reg.Gauge(obs.MReplicationFactor).Set(sh.rf)
+				lag := reg.Gauge(obs.MConsumerLag)
+				lag.Set(sh.lagPeak)
+				lag.Set(sh.lagEnd)
+				h := reg.Histogram(obs.MSpanDelivery, obs.LatencyBounds)
+				hp := pooled.Histogram(obs.MSpanDelivery, obs.LatencyBounds)
+				for k := 0; k < sh.spans; k++ {
+					// Log-uniform over [1 ns, 120 s]: every bucket,
+					// overflow included.
+					v := int64(math.Exp(rng.Float64() * math.Log(1.2e11)))
+					h.Observe(v)
+					hp.Observe(v)
+				}
+				snaps[i] = snapshotMetrics(reg.Snapshot())
+				wantRetransmits += sh.retransmits
+			}
+
+			left := snaps[0]
+			left.Merge(snaps[1])
+			left.Merge(snaps[2])
+			bc := snaps[1]
+			bc.Merge(snaps[2])
+			right := snaps[0]
+			right.Merge(bc)
+			if left != right {
+				t.Fatalf("merge not associative:\n%s\nvs\n%s", left.Encode(), right.Encode())
+			}
+
+			if left.Retransmits != wantRetransmits {
+				t.Errorf("retransmits = %d, want %d", left.Retransmits, wantRetransmits)
+			}
+			if left.RTOMax != tc.wantRTO || left.ReplicationFactor != tc.wantRF {
+				t.Errorf("rto_max = %v rf = %d, want the maxima %v and %d",
+					left.RTOMax, left.ReplicationFactor, tc.wantRTO, tc.wantRF)
+			}
+			if left.ConsumerLagEnd != tc.wantLag {
+				t.Errorf("lag_end = %d, want the sum %d", left.ConsumerLagEnd, tc.wantLag)
+			}
+			all := snapshotMetrics(pooled.Snapshot()).SpanDelivery
+			if got := left.SpanDelivery.Total(); got != tc.wantSpan || left.SpanDelivery != all {
+				t.Errorf("merged delivery span (total %d) != pooled observations (total %d, want %d)",
+					got, all.Total(), tc.wantSpan)
+			}
+			for _, q := range []float64{0.50, 0.95, 0.99, 1} {
+				if got, want := left.SpanDelivery.Quantile(q), all.Quantile(q); got != want {
+					t.Errorf("merged Quantile(%v) = %v, pooled %v", q, got, want)
+				}
+			}
+		})
 	}
 }

@@ -1,8 +1,6 @@
 package testbed
 
 import (
-	"bytes"
-	"context"
 	"testing"
 	"time"
 
@@ -101,63 +99,6 @@ func TestRunTimelineWorksWithMetricsDisabled(t *testing.T) {
 	}
 	if acked != res.Producer.Delivered {
 		t.Errorf("Σ acked = %d, want %d with metrics disabled", acked, res.Producer.Delivered)
-	}
-}
-
-// TestRunScaledTimelines checks the lifted constraint: a scaled run
-// treats the experiment's timeline as an interval template and returns
-// one entity-tagged timeline per producer, whose column sums match the
-// merged counters and whose merged CSV is byte-identical at every
-// worker count.
-func TestRunScaledTimelines(t *testing.T) {
-	e := Experiment{
-		Features: timelineVector(),
-		Messages: 1200,
-		Seed:     1,
-		Timeline: obs.NewTimeline(time.Second),
-	}
-	const producers = 3
-	render := func(workers int) ([]byte, Result) {
-		t.Helper()
-		sub := e
-		sub.Timeline = obs.NewTimeline(time.Second)
-		res, err := RunScaledContext(context.Background(), sub, producers, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Timelines) != producers {
-			t.Fatalf("timelines = %d, want one per producer (%d)", len(res.Timelines), producers)
-		}
-		var buf bytes.Buffer
-		if err := obs.WriteMergedCSV(&buf, res.Timelines); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes(), res
-	}
-	csv1, res := render(1)
-	for i, tl := range res.Timelines {
-		if want := []string{"p0000", "p0001", "p0002"}[i]; tl.Entity() != want {
-			t.Errorf("timeline %d entity = %q, want %q", i, tl.Entity(), want)
-		}
-	}
-	var acked, segs uint64
-	for _, tl := range res.Timelines {
-		for _, r := range tl.Rows() {
-			acked += r.Acked
-			segs += r.SegmentsSent
-		}
-	}
-	if acked != res.Producer.Delivered {
-		t.Errorf("Σ acked over all timelines = %d, want merged delivered %d", acked, res.Producer.Delivered)
-	}
-	if segs != res.Metrics.SegmentsSent {
-		t.Errorf("Σ segments = %d, want merged metrics %d", segs, res.Metrics.SegmentsSent)
-	}
-	for _, workers := range []int{4, 8} {
-		csvN, _ := render(workers)
-		if !bytes.Equal(csv1, csvN) {
-			t.Errorf("merged timeline CSV differs between workers=1 and workers=%d", workers)
-		}
 	}
 }
 

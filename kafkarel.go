@@ -79,12 +79,15 @@ type (
 // for one feature vector on the simulated testbed.
 func RunExperiment(e Experiment) (Result, error) { return testbed.Run(e) }
 
-// RunScaledExperiment splits the experiment across n producers following
-// the paper's scaling rule N_p/δ = N_p'/(δ+Δδ) (Sec. IV-C). The
-// per-producer simulations fan out over the experiment worker pool.
-func RunScaledExperiment(e Experiment, producers int) (Result, error) {
-	return testbed.RunScaled(e, producers)
-}
+// Fleet is a multi-producer run: producers spread over topics, each
+// topic an independent simulation. With UsersPerSec set it applies the
+// paper's scaling rule N_p/δ = N_p'/(δ+Δδ) (Sec. IV-C): every producer
+// polls slowly enough that the fleet offers that aggregate rate.
+type Fleet = testbed.Fleet
+
+// RunFleet runs a fleet; its topics fan out over the experiment worker
+// pool and the result is identical for every worker count.
+func RunFleet(f Fleet) (testbed.FleetResult, error) { return testbed.RunFleet(f) }
 
 // Sweep / dataset collection.
 type (

@@ -344,25 +344,31 @@ func TestProducerScalingReducesLoss(t *testing.T) {
 	}
 	// Sec. IV-C: an overloaded producer loses messages; scaling to N
 	// producers at N× the poll interval keeps the aggregate rate but
-	// bounds each producer's queue.
-	e := kafkarel.Experiment{
+	// bounds each producer's queue. The offered rate is one 200 B
+	// producer's full-load intake, so the single producer polls back to
+	// back.
+	f := kafkarel.Fleet{
 		Features: kafkarel.Features{
 			MessageSize:    200,
 			Timeliness:     5 * time.Second,
 			DelayMs:        10,
 			Semantics:      kafkarel.AtMostOnce,
 			BatchSize:      1,
-			PollInterval:   0,
 			MessageTimeout: 500 * time.Millisecond,
 		},
-		Messages: 6000,
-		Seed:     13,
+		Producers:   1,
+		Topics:      1,
+		Partitions:  1,
+		Messages:    6000,
+		Seed:        13,
+		UsersPerSec: testbed.DefaultCalibration().FullLoadRate(200),
 	}
-	single, err := kafkarel.RunExperiment(e)
+	single, err := kafkarel.RunFleet(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaled, err := kafkarel.RunScaledExperiment(e, 4)
+	f.Producers, f.Topics = 4, 4
+	scaled, err := kafkarel.RunFleet(f)
 	if err != nil {
 		t.Fatal(err)
 	}
