@@ -60,14 +60,16 @@ bench-repo:
 ## builds ./bench from a clean export of PARENT and from this tree (into
 ## bench/out/pairs/), runs the two binaries alternately at `-seed 2 -trace 0`
 ## — odd pairs parent first, even pairs change first — and prints every run
-## with its allocs_per_record and alloc_bytes_per_record (its full output
+## with the four end-to-end metrics of BENCHMARK.json (wall_ns_per_record,
+## allocs_per_record, alloc_bytes_per_record, setup_s; its full output
 ## stays in bench/out/pairs/<pair>-<side>.txt), then each side's quartiles
-## (nearest rank), how many pairs each side won, and the change/parent
-## ratio of the wall_ns_per_record medians — a claim's "won >= 9 of 10",
-## "ratio <= x" and "allocations did not move" read off one command. Fails
-## if a run is not correct=true or the fingerprints differ. cpu_s is the
-## process's user+system time: at the default run length (a fixed 20 s of
-## repeats) it says nothing; give REPEATS to compare it.
+## (nearest rank) and, for each of the four metrics, how many pairs each
+## side won (lower wins) and the change/parent ratio of the medians — a
+## claim's "won >= 9 of 10", "ratio <= x" and "nothing else moved" read
+## off one command. Fails if a run is not correct=true or the fingerprints
+## differ. cpu_s is the process's user+system time: at the default run
+## length (a fixed 20 s of repeats) it says nothing; give REPEATS to
+## compare it.
 PAIRS ?= 10
 bench-pairs: SHELL := /bin/bash
 bench-pairs:
@@ -80,25 +82,26 @@ bench-pairs:
 		if [ $$((i % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi; \
 		for side in $$order; do \
 			cpu=$$( { time $$out/$$side -workload $(WORKLOAD) -seed 2 -trace 0 $(if $(REPEATS),-repeats $(REPEATS)) > $$out/$$i-$$side.txt 2>&1; } 2>&1 | awk '{print $$1 + $$2}'); \
-			wall=$$(metric wall_ns_per_record); allocs=$$(metric allocs_per_record); bytes=$$(metric alloc_bytes_per_record); \
+			wall=$$(metric wall_ns_per_record); allocs=$$(metric allocs_per_record); bytes=$$(metric alloc_bytes_per_record); setup=$$(metric setup_s); \
 			fp=$$(sed -n 's/^  sim_fingerprint //p' $$out/$$i-$$side.txt); \
 			ok=$$(grep -o -m1 'correct=[a-z]*' $$out/$$i-$$side.txt); \
-			echo "pair $$i $$side wall_ns_per_record=$$wall allocs_per_record=$$allocs alloc_bytes_per_record=$$bytes cpu_s=$$cpu $$ok sim_fingerprint=$$fp"; \
-			echo "$$i $$side $$wall $$cpu $$fp $$allocs $$bytes" >> $$out/runs.txt; \
+			echo "pair $$i $$side wall_ns_per_record=$$wall allocs_per_record=$$allocs alloc_bytes_per_record=$$bytes setup_s=$$setup cpu_s=$$cpu $$ok sim_fingerprint=$$fp"; \
+			echo "$$i $$side $$wall $$cpu $$fp $$allocs $$bytes $$setup" >> $$out/runs.txt; \
 			[ "$$ok" = correct=true ] || { echo "bench-pairs: $$side run of pair $$i is not correct=true"; fail=1; }; \
 		done; \
 	done; \
 	quart() { sort -n | awk '{a[NR] = $$1} END {print "q1=" a[int((NR + 3) / 4)], "median=" (NR % 2 ? a[(NR + 1) / 2] : (a[NR / 2] + a[NR / 2 + 1]) / 2), "q3=" a[int((3 * NR + 3) / 4)]}'; }; \
 	field() { awk -v s=$$1 -v f=$$2 '$$2 == s {print $$f}' $$out/runs.txt; }; \
+	metrics="wall_ns_per_record:3 allocs_per_record:6 alloc_bytes_per_record:7 setup_s:8"; \
 	for side in parent change; do \
-		echo "$$side wall_ns_per_record $$(field $$side 3 | quart)"; \
-		echo "$$side cpu_s $$(field $$side 4 | quart)"; \
-		echo "$$side allocs_per_record $$(field $$side 6 | quart)"; \
-		echo "$$side alloc_bytes_per_record $$(field $$side 7 | quart)"; \
+		for m in $$metrics cpu_s:4; do echo "$$side $${m%:*} $$(field $$side $${m#*:} | quart)"; done; \
 	done; \
-	awk '{w[$$2, $$1] = $$3} END {for (i = 1; i <= NR / 2; i++) {c += w["change", i] < w["parent", i]; p += w["parent", i] < w["change", i]}; print "pairs won on wall_ns_per_record: change " c + 0 ", parent " p + 0 ", of " NR / 2}' $$out/runs.txt; \
-	median() { field $$1 3 | quart | sed 's/.*median=\([^ ]*\).*/\1/'; }; \
-	awk -v c=$$(median change) -v p=$$(median parent) 'BEGIN {printf "wall_ns_per_record median ratio change/parent: %.4f (%s / %s)\n", c / p, c, p}'; \
+	median() { field $$1 $$2 | quart | sed 's/.*median=\([^ ]*\).*/\1/'; }; \
+	for m in $$metrics; do \
+		f=$${m#*:}; \
+		won=$$(awk -v f=$$f '{v[$$2, $$1] = $$f} END {for (i = 1; i <= NR / 2; i++) {c += v["change", i] < v["parent", i]; p += v["parent", i] < v["change", i]}; printf "change %d, parent %d, of %d", c, p, NR / 2}' $$out/runs.txt); \
+		awk -v m=$${m%:*} -v w="$$won" -v c=$$(median change $$f) -v p=$$(median parent $$f) 'BEGIN {printf "%s: pairs won %s; median ratio change/parent %.4f (%s / %s)\n", m, w, c / p, c, p}'; \
+	done; \
 	[ "$$(awk '{print $$5}' $$out/runs.txt | sort -u | wc -l)" = 1 ] || { echo "bench-pairs: sim_fingerprint differs between runs"; fail=1; }; \
 	exit $$fail
 

@@ -11,6 +11,7 @@ package kafkarel_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -153,32 +154,47 @@ func TestSpanPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestWholeRunAllocationCeilings holds two whole runs, on one worker, to
-// their measured allocation counts plus 20%: Fig. 7 at 600 records per
-// point (88 experiments) and a 32-producer fleet over 8 topic shards with
-// keyed routing and a consumer-group drain. Five runs of each on go1.24
-// read 43225 for Fig. 7 every time and 15525-15527 for the fleet, so the
-// 20% is room for deliberate change, not noise: a cost that grows with
-// the records, even one allocation per record, breaks it. Race builds run
-// extra checks on the producer and consumer paths that allocate, and
-// skip.
+// TestWholeRunAllocationCeilings holds three whole runs, on one worker,
+// to their measured allocation costs plus 20%: the allocation counts of
+// Fig. 7 at 600 records per point (88 experiments) and of a 32-producer
+// fleet over 8 topic shards with keyed routing and a consumer-group drain,
+// and the bytes per record of an ingest-shaped run (the benchmark's
+// ingest_steady at 20000 records: 200 B messages, B = 10, RF 3, four
+// partitions, 1 ms). Five runs of each on go1.24 read 42549 for Fig. 7
+// every time, 14691-14693 for the fleet and 247.7-247.9 B for the ingest
+// run, so the 20% is room for deliberate change, not noise: a cost that
+// grows with the records, even one allocation or one payload copy per
+// record, breaks it. Race builds run extra checks on the producer and
+// consumer paths that allocate, and skip.
 func TestWholeRunAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race builds allocate in their extra checks")
 	}
+	// allocs counts the allocations of one run.
+	allocs := func(run func() error) func(*testing.T) float64 {
+		return func(t *testing.T) float64 {
+			return testing.AllocsPerRun(1, func() {
+				if err := run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+	const ingestRecords = 20000
 	for _, c := range []struct {
 		name     string
-		measured int
-		run      func() error
+		unit     string
+		measured float64
+		measure  func(*testing.T) float64
 	}{
-		{"fig7", 43225, func() error {
+		{"fig7", "allocations", 42549, allocs(func() error {
 			points, err := figures.Fig7(figures.Options{Messages: 600, Seed: 1, Workers: 1})
 			if err == nil && len(points) != 88 {
 				err = fmt.Errorf("%d points, want 88", len(points))
 			}
 			return err
-		}},
-		{"fleet", 15527, func() error {
+		})},
+		{"fleet", "allocations", 14693, allocs(func() error {
 			res, err := testbed.RunFleetContext(context.Background(), testbed.Fleet{
 				Features: kafkarel.Features{
 					MessageSize:    200,
@@ -195,18 +211,37 @@ func TestWholeRunAllocationCeilings(t *testing.T) {
 				err = fmt.Errorf("acquired = %d, want 9600", res.Acquired)
 			}
 			return err
+		})},
+		{"ingest", "B per record", 247.9, func(t *testing.T) float64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := testbed.Run(testbed.Experiment{
+				Features: kafkarel.Features{
+					MessageSize:    200,
+					Timeliness:     5 * time.Second,
+					DelayMs:        1,
+					Semantics:      kafkarel.AtLeastOnce,
+					BatchSize:      10,
+					MessageTimeout: 1500 * time.Millisecond,
+				},
+				Messages: ingestRecords, Seed: 1, Partitions: 4, ReplicationFactor: 3,
+			})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Acquired != ingestRecords {
+				t.Fatalf("acquired = %d, want %d", res.Acquired, ingestRecords)
+			}
+			return float64(after.TotalAlloc-before.TotalAlloc) / ingestRecords
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			allocs := testing.AllocsPerRun(1, func() {
-				if err := c.run(); err != nil {
-					t.Fatal(err)
-				}
-			})
+			got := c.measure(t)
 			ceiling := c.measured * 6 / 5
-			t.Logf("%.0f allocations, ceiling %d (%d measured + 20%%)", allocs, ceiling, c.measured)
-			if allocs > float64(ceiling) {
-				t.Errorf("%.0f allocations, want <= %d", allocs, ceiling)
+			t.Logf("%.1f %s, ceiling %.1f (%g measured + 20%%)", got, c.unit, ceiling, c.measured)
+			if got > ceiling {
+				t.Errorf("%.1f %s, want <= %.1f", got, c.unit, ceiling)
 			}
 		})
 	}

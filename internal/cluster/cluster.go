@@ -130,8 +130,8 @@ type Cluster struct {
 // without per-request closures. The request — batch records included —
 // is retained until the pipeline completes and its payload bytes end up
 // owned by every replica's log, so they must be immutable from here on
-// (the wire server makes the one copy at decode; in-sim callers hand
-// over slab-carved or already-stored bytes).
+// (the wire server copies at decode, once per run of equal payloads;
+// in-sim callers hand over slab-carved or already-stored bytes).
 type prodJob struct {
 	c          *Cluster
 	pm         *partitionMeta

@@ -10,8 +10,9 @@ import (
 )
 
 // These tests pin the record-payload ownership contract (DESIGN.md):
-// Server.dispatch makes the one copy of a produced batch, and every
-// replica log stores those bytes as they are.
+// Server.dispatch makes the one stored copy of a produced payload (one
+// per run of equal payloads), and every replica log stores those bytes as
+// they are.
 
 // ownedServer is a Server without a transport: produce responses land in
 // resps instead of on an endpoint.
@@ -92,7 +93,7 @@ func sameBytes(a, b []byte) bool {
 }
 
 // At RF 3 the leader and both followers store the very bytes dispatch
-// cloned: one copy per produced batch, on both replication paths.
+// cloned: one copy of each payload, on both replication paths.
 func TestReplicasShareOnePayloadCopy(t *testing.T) {
 	for _, acks := range []wire.RequiredAcks{wire.AcksLeader, wire.AcksAll} {
 		sim := des.New()
@@ -204,7 +205,9 @@ func TestUncleanCrashCatchUpKeepsReplicasIdentical(t *testing.T) {
 // neither a batch that lands on a chunk boundary nor one larger than any
 // chunk (which gets its own) may be disturbed by later batches or by the
 // network buffers being reused — and at RF 3 the three logs still share
-// the one copy.
+// the one copy. A run of equal payloads, as a producer of fixed-size
+// messages sends them, shares one copy across its offsets, however many
+// batches and header chunks it spans.
 func TestSlabChunksKeepBatchesApartAcrossBoundaries(t *testing.T) {
 	sim := des.New()
 	c := newCluster(t, sim)
@@ -236,6 +239,16 @@ func TestSlabChunksKeepBatchesApartAcrossBoundaries(t *testing.T) {
 		tag := string(rune('A' + i%26))
 		send(tag+pad, tag+tag+pad, tag+tag+tag+pad)
 	}
+	// Runs of equal payloads, broken once by a differing payload; the
+	// first run's headers cross from the 128- into the 256-record chunk.
+	run := string(bytes.Repeat([]byte("r"), 300))
+	for i := 0; i < 50; i++ {
+		send(run, run, run)
+	}
+	send(run, "between", run)
+	for i := 0; i < 10; i++ {
+		send(run, run)
+	}
 	// Oversized: more bytes than the largest chunk, more records than the
 	// largest header chunk.
 	huge := string(bytes.Repeat([]byte("H"), 40<<10))
@@ -249,8 +262,8 @@ func TestSlabChunksKeepBatchesApartAcrossBoundaries(t *testing.T) {
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(resps) != 43 {
-		t.Fatalf("%d responses, want 43", len(resps))
+	if len(resps) != int(corr) {
+		t.Fatalf("%d responses, want %d", len(resps), corr)
 	}
 	for _, r := range resps {
 		if r.Err != wire.ErrNone {
@@ -273,6 +286,11 @@ func TestSlabChunksKeepBatchesApartAcrossBoundaries(t *testing.T) {
 			if !sameBytes(got[i].Record.Payload, leader[i].Record.Payload) {
 				t.Fatalf("broker %d record %d has its own payload copy", id, i)
 			}
+		}
+	}
+	for i := 1; i < len(want); i++ {
+		if want[i] != "" && want[i] == want[i-1] && !sameBytes(leader[i].Record.Payload, leader[i-1].Record.Payload) {
+			t.Fatalf("record %d repeats record %d's payload in a copy of its own", i, i-1)
 		}
 	}
 }

@@ -16,7 +16,7 @@ type Server struct {
 	ep       *transport.Endpoint
 	splitter wire.Splitter
 	dec      wire.Decoder
-	// slab owns the one copy every produced batch gets.
+	// slab owns the stored copy of every produced payload.
 	slab wire.Slab
 	// frameBuf is the response-encoding scratch: a reply is encoded
 	// straight after its frame header (Endpoint.Send copies it).
@@ -80,10 +80,11 @@ func (s *Server) dispatch(f wire.FramePart) {
 		}
 		// The splitter buffer and the decoder's record scratch are both
 		// reused after this frame, so the batch gets its own storage here,
-		// carved from the server's slab. This is the only copy a produced
-		// payload ever gets: the leader log and every follower log store
-		// these bytes as they are (storage.Log.Append takes ownership), so
-		// nothing downstream may write to them.
+		// carved from the server's slab: one copy per run of byte-equal
+		// payloads, since a payload equal to the last one stored shares
+		// it. The leader log and every follower log store these bytes as
+		// they are (storage.Log.Append takes ownership), so nothing
+		// downstream may write to them.
 		req.Batch.Records = s.slab.Clone(req.Batch.Records)
 		if req.Acks == wire.AcksNone {
 			s.cluster.HandleProduce(req, nil)

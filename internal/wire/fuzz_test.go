@@ -293,10 +293,14 @@ func FuzzSplitter(f *testing.F) {
 // FuzzSlabClone clones records whose payload sizes are read two bytes at a
 // time from shape, perBatch records per Clone call, into one slab — sizes
 // up to 64 KiB, so both sides of every chunk doubling from 1 KiB to the
-// 32 KiB ceiling and the oversized-batch path are reachable. Each clone
-// must equal its source and share storage with nothing: not the source,
-// not any other clone, and with no spare capacity to append into.
+// 32 KiB ceiling and the oversized-payload path are reachable. The size
+// 0xFFFF instead marks a record whose payload repeats the previous
+// record's bytes in a fresh source slice. Each clone must equal its source,
+// share no storage with it and have no spare capacity to append into; a
+// non-empty clone equal to the slab's previous clone must share that
+// clone's bytes, and clones of different content must share nothing.
 func FuzzSlabClone(f *testing.F) {
+	const rep = 0xFFFF // repeat the previous record's bytes
 	sizes := func(ns ...int) []byte {
 		var b []byte
 		for _, n := range ns {
@@ -306,28 +310,40 @@ func FuzzSlabClone(f *testing.F) {
 	}
 	f.Add(sizes(), uint8(0))
 	f.Add(sizes(0, 0, 0), uint8(2))
+	f.Add(sizes(0, rep, 5, 0, rep, rep), uint8(1)) // an empty record between two equal ones
 	for chunk := slabMinBytes; chunk <= slabMaxBytes; chunk *= 2 {
 		f.Add(sizes(chunk-1, 1, 1, chunk, chunk+1, 3), uint8(0))
 		f.Add(sizes(chunk/2, chunk/2, 1, chunk-1, 2), uint8(1))
 		f.Add(sizes(chunk/3, chunk/3, chunk/3, chunk/3), uint8(3))
+		f.Add(sizes(chunk/3, rep, rep, rep, 7, rep, chunk/3, rep), uint8(2))
 	}
-	f.Add(sizes(slabMaxBytes+1, 10, 65535, 10), uint8(0))
+	f.Add(sizes(slabMaxBytes+1, 10, 65534, 10), uint8(0))
+	f.Add(sizes(slabMaxBytes+1, rep, 10, rep, rep), uint8(4))
 	f.Add(bytes.Repeat(sizes(100), 40), uint8(16)) // more headers than the first header chunk holds
+	f.Add(append(sizes(100), bytes.Repeat(sizes(rep), 39)...), uint8(16))
 	f.Fuzz(func(t *testing.T, shape []byte, perBatch uint8) {
 		const maxRecords = 48 // × 64 KiB bounds a case at 3 MiB
 		var slab Slab
 		var sources, clones [][]Record
+		var pristine [][]byte // every source payload, as generated
+		var prev []byte
 		for key := uint64(0); len(shape) >= 2 && key < maxRecords; {
 			var src []Record
 			for i := 0; i <= int(perBatch%17) && len(shape) >= 2 && key < maxRecords; i++ {
-				payload := bytes.Repeat([]byte{byte(key)}, int(binary.BigEndian.Uint16(shape)))
+				payload := append([]byte(nil), prev...)
+				if n := int(binary.BigEndian.Uint16(shape)); n != rep {
+					payload = bytes.Repeat([]byte{byte(key)}, n)
+				}
 				src = append(src, Record{Key: key, Timestamp: time.Duration(key) * time.Millisecond, Payload: payload})
+				pristine = append(pristine, append([]byte(nil), payload...))
+				prev = payload
 				shape = shape[2:]
 				key++
 			}
 			sources = append(sources, src)
 			clones = append(clones, slab.Clone(src))
 		}
+		var last []byte // the previous non-empty clone
 		for b, src := range sources {
 			if len(clones[b]) != len(src) || cap(clones[b]) != len(src) {
 				t.Fatalf("batch %d: clone has len %d cap %d, source %d records", b, len(clones[b]), cap(clones[b]), len(src))
@@ -340,16 +356,32 @@ func FuzzSlabClone(f *testing.F) {
 				if cap(c.Payload) != len(c.Payload) {
 					t.Fatalf("batch %d record %d: payload len %d cap %d, appending would write into the slab", b, i, len(c.Payload), cap(c.Payload))
 				}
+				if len(c.Payload) == 0 {
+					continue
+				}
+				if bytes.Equal(c.Payload, last) && &c.Payload[0] != &last[0] {
+					t.Fatalf("batch %d record %d: a copy of its equal predecessor, not that clone's bytes", b, i)
+				}
+				last = c.Payload
 			}
 		}
-		// Sharing shows as damage: overwrite every clone — header and
-		// payload — with a value of its own, then look at what the sources
-		// and the clones hold.
+		// Sharing shows as damage: overwrite every clone header, and every
+		// distinct stored payload, with a value of its own, then look at
+		// what the sources and the clones hold. Fill values start at 100,
+		// above every source byte (a key below maxRecords).
+		fill := map[*byte]byte{}
 		for _, cl := range clones {
 			for i := range cl {
 				cl[i].Key += 1000
-				for j := range cl[i].Payload {
-					cl[i].Payload[j] = ^byte(cl[i].Key)
+				p := cl[i].Payload
+				if len(p) == 0 {
+					continue
+				}
+				if _, ok := fill[&p[0]]; !ok {
+					fill[&p[0]] = byte(100 + len(fill))
+					for j := range p {
+						p[j] = fill[&p[0]]
+					}
 				}
 			}
 		}
@@ -357,11 +389,12 @@ func FuzzSlabClone(f *testing.F) {
 		key := uint64(0)
 		for b := range sources {
 			for i, r := range sources[b] {
-				if r.Key != key || !filled(r.Payload, byte(key)) {
+				if r.Key != key || !bytes.Equal(r.Payload, pristine[key]) {
 					t.Fatalf("batch %d record %d: writing to the clones changed the source", b, i)
 				}
-				if c := clones[b][i]; c.Key != key+1000 || !filled(c.Payload, ^byte(key+1000)) {
-					t.Fatalf("batch %d record %d: the clone was overwritten through another clone", b, i)
+				c := clones[b][i]
+				if c.Key != key+1000 || len(c.Payload) > 0 && !filled(c.Payload, fill[&c.Payload[0]]) {
+					t.Fatalf("batch %d record %d: the clone was overwritten through a clone of other content", b, i)
 				}
 				key++
 			}

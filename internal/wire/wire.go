@@ -13,6 +13,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -246,12 +247,16 @@ func (b RecordBatch) Encode(dst []byte) []byte {
 // Slab is run-lifetime storage for cloned record batches: Clone carves
 // payload bytes and Record headers out of chunks the slab allocates as it
 // fills, so a long-lived decoder pays a couple of allocations per few
-// hundred records, not per request. Storage handed out is never reused
-// or written again, and a chunk is garbage once nothing cloned from it is
-// referenced. The zero value is ready to use.
+// hundred records, not per request. A payload byte-equal to the one the
+// slab stored last is not stored again: its clone shares that copy, so a
+// producer's fixed-size messages cost one copy per run of equal payloads.
+// Storage handed out is never reused or written again, and a chunk is
+// garbage once nothing cloned from it is referenced. The zero value is
+// ready to use.
 type Slab struct {
 	bytes []byte   // current payload chunk; len is what has been handed out
 	recs  []Record // current header chunk, likewise
+	last  []byte   // the payload stored last, shared by equal successors
 }
 
 // Slab chunk sizes. The first chunk is small because most slabs belong to
@@ -286,20 +291,24 @@ func carve[T any](chunk *[]T, n, lo, hi int) []T {
 // returns the copy. Consumers that retain decoded records beyond the
 // lifetime of the decode source buffer (for example across simulated
 // time, or past the next Splitter.Push) must clone them; see
-// DecodeRecordBatch for the ownership contract. The returned bytes are
+// DecodeRecordBatch for the ownership contract. A cloned payload never
+// shares bytes with its source, but it may share them with an earlier
+// equal clone; an empty payload clones to nil. The returned bytes are
 // immutable from here on: they may end up owned by any number of logs.
 func (s *Slab) Clone(recs []Record) []Record {
-	total := 0
-	for i := range recs {
-		total += len(recs[i].Payload)
-	}
-	buf := carve(&s.bytes, total, slabMinBytes, slabMaxBytes)
 	out := carve(&s.recs, len(recs), slabMinRecords, slabMaxRecords)
 	for i := range recs {
-		n := copy(buf, recs[i].Payload)
 		out[i] = recs[i]
-		out[i].Payload = buf[:n:n]
-		buf = buf[n:]
+		p := recs[i].Payload
+		if len(p) == 0 {
+			out[i].Payload = nil
+			continue
+		}
+		if !bytes.Equal(p, s.last) {
+			s.last = carve(&s.bytes, len(p), slabMinBytes, slabMaxBytes)
+			copy(s.last, p)
+		}
+		out[i].Payload = s.last
 	}
 	return out
 }
