@@ -38,14 +38,16 @@ reach:
 		[ $$n -gt 0 ] && printf 'lines  %6d  %s\n' $$n $$d; done; true
 
 ## fuzz-smoke: a few seconds of native fuzzing on each target of the
-## byte-level protocol (internal/wire/fuzz_test.go) — one invocation per
+## byte-level protocol (internal/wire/fuzz_test.go) and of the replicated
+## log (internal/storage/replica_test.go: three replicas appending,
+## truncating and catching up against a model) — one invocation per
 ## target because `go test -fuzz` takes exactly one, nothing downloaded.
 ## The seed corpus already runs in `make test`; this leg mutates it. A
-## crasher is written to internal/wire/testdata/fuzz/<target>/ and fails
+## crasher is written to internal/<pkg>/testdata/fuzz/<target>/ and fails
 ## the run: commit it with the fix, and it is a regression test from then on.
 fuzz-smoke:
-	@for t in FuzzSplitter FuzzDecode FuzzSlabClone; do \
-		$(GO) test ./internal/wire -run '^$$' -fuzz "^$$t\$$" -fuzztime 3s || exit 1; done
+	@for t in wire:FuzzSplitter wire:FuzzDecode wire:FuzzSlabClone storage:FuzzLogReplicas; do \
+		$(GO) test ./internal/$${t%%:*} -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime 3s || exit 1; done
 
 ## bench-repo: the repository benchmark's headline pass (BENCHMARK.json;
 ## bench/README.md says what each number means): host cost per simulated

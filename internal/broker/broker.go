@@ -183,7 +183,7 @@ type Broker struct {
 	trace       *obs.Tracer
 
 	freeJobs     []*produceJob // recycled produce-service jobs
-	fetchRecords []wire.Record // HandleFetch scratch for a fetch that spans segments
+	fetchRecords []wire.Record // Fetch's scratch: every answer's records are copied out into it
 }
 
 // New creates a running broker with the given node ID.
@@ -582,9 +582,9 @@ func (b *Broker) putJob(j *produceJob) {
 // done and arg replace a per-request closure: callers pass a stable
 // function plus a context value, keeping the hot path allocation-free.
 // The request (batch records included) is retained until the service
-// time elapses and the partition log then takes ownership of the payload
-// bytes (see storage.Log.Append), so they must never change after the
-// call.
+// time elapses and the partition log then takes ownership of the records
+// — headers and payload bytes (see storage.Log.Append) — so they must
+// never change after the call.
 func (b *Broker) Produce(req wire.ProduceRequest, idempotent bool, done func(arg any, resp wire.ProduceResponse), arg any) {
 	if !b.up {
 		return
@@ -708,31 +708,12 @@ func (h Partition) CountFetch() { h.b.stats.FetchRequests++ }
 // past the whole filtered run, so readers keep per-record offsets as
 // req.Offset+i and resume from NextOffset.
 //
-// The response's Records slice is a view, valid only inside done: it is
-// the partition log's own slots (storage.Log.View) or, when the fetch
-// crosses a segment boundary, scratch the next Fetch reuses. An
-// unclean crash that truncates the log followed by new appends overwrites
-// those slots, so consume or copy the records before done returns. The
-// record payloads are immutable and stay valid for the life of the log.
+// The response's Records slice is broker scratch, valid only inside done:
+// the records are copied out of the log (storage.Log.CopyOut) into one
+// slice the next Fetch on this broker reuses, so consume or copy them
+// before done returns. The record payloads are immutable and stay valid
+// for the life of the log.
 func (h Partition) Fetch(req wire.FetchRequest, done func(wire.FetchResponse)) {
-	h.fetch(req, done, true)
-}
-
-// FetchRuns is Fetch for a reader that takes its records in pieces: the
-// same request, counted once, cut at the same offsets, but where Fetch
-// would stitch the runs of several log segments into scratch, done is
-// called once per run with the log's own slots and nothing is copied.
-// Each call's Records follow the previous call's and its NextOffset is
-// where they end; the last call is the response Fetch would have given,
-// less the records already handed out. How many records one response
-// holds is simulated behaviour for the polling readers, which use Fetch;
-// the end-of-run reconciliation, which reads whole partitions outside
-// simulated time, uses this.
-func (h Partition) FetchRuns(req wire.FetchRequest, done func(wire.FetchResponse)) {
-	h.fetch(req, done, false)
-}
-
-func (h Partition) fetch(req wire.FetchRequest, done func(wire.FetchResponse), stitch bool) {
 	b := h.b
 	if !b.up || done == nil {
 		return
@@ -776,29 +757,10 @@ func (h Partition) fetch(req wire.FetchRequest, done func(wire.FetchResponse), s
 		done(resp)
 		return
 	}
-	// Cut at the first filtered offset, then take the run where it lies.
+	// Cut at the first filtered offset and copy the window out.
 	max = int(ts.firstFiltered(pos, pos+int64(max), req.Isolation) - pos)
-	recs, err := log.View(pos, max)
-	if stitch && err == nil && len(recs) < max {
-		// The run ended at a segment boundary with more to serve: stitch
-		// the pieces together in scratch.
-		recs = append(b.fetchRecords[:0], recs...)
-		for len(recs) < max && err == nil {
-			var run []wire.Record
-			run, err = log.View(pos+int64(len(recs)), max-len(recs))
-			recs = append(recs, run...)
-		}
-		b.fetchRecords = recs
-	}
-	for !stitch && err == nil && len(recs) < max {
-		// Hand this run out as it lies and go on from the segment
-		// boundary; the last run leaves with the epilogue below.
-		pos += int64(len(recs))
-		max -= len(recs)
-		resp.Records, resp.NextOffset = recs, pos
-		done(resp)
-		recs, err = log.View(pos, max)
-	}
+	recs, err := log.CopyOut(b.fetchRecords[:0], pos, max)
+	b.fetchRecords = recs
 	if err != nil {
 		resp.Err = wire.ErrRequestTimedOut
 		done(resp)

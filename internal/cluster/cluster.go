@@ -128,10 +128,11 @@ type Cluster struct {
 // prodJob carries one produce request through the cluster's asynchronous
 // routing pipeline (leader append, replication fan-out, ack counting)
 // without per-request closures. The request — batch records included —
-// is retained until the pipeline completes and its payload bytes end up
-// owned by every replica's log, so they must be immutable from here on
-// (the wire server copies at decode, once per run of equal payloads;
-// in-sim callers hand over slab-carved or already-stored bytes).
+// is retained until the pipeline completes, and its records themselves,
+// headers and payload bytes, end up referenced by every replica's log
+// (storage.Log.Append), so they must be immutable from here on (the wire
+// server clones at decode into its slab; in-sim callers hand over
+// slab-carved or freshly built records).
 type prodJob struct {
 	c          *Cluster
 	pm         *partitionMeta
@@ -451,24 +452,15 @@ func (c *Cluster) RecoverBroker(id int32) error {
 				continue
 			}
 			// Catch up from the leader: truncate local divergence and
-			// copy the leader's suffix.
+			// take the leader's suffix, by reference.
 			leader := c.brokers[pm.leader]
 			src := leader.Log(topic, int32(p))
 			dst := b.Log(topic, int32(p))
 			if src == nil || dst == nil || leader.ID() == id {
 				continue
 			}
-			if dst.End() > src.End() {
-				dst.TruncateTo(src.End())
-			}
-			for dst.End() < src.End() {
-				// One leader segment's worth at a time, straight from the
-				// leader's slots into the replica's.
-				run, err := src.View(dst.End(), int(src.End()-dst.End()))
-				if err != nil {
-					return fmt.Errorf("cluster: catch-up read: %w", err)
-				}
-				dst.Append(run)
+			if err := dst.CatchUp(src); err != nil {
+				return fmt.Errorf("cluster: catch-up: %w", err)
 			}
 			// The log now mirrors the leader's, so the idempotent dedupe
 			// state must too — otherwise a retry routed here after a later

@@ -80,11 +80,12 @@ func (s *Server) dispatch(f wire.FramePart) {
 		}
 		// The splitter buffer and the decoder's record scratch are both
 		// reused after this frame, so the batch gets its own storage here,
-		// carved from the server's slab: one copy per run of byte-equal
-		// payloads, since a payload equal to the last one stored shares
-		// it. The leader log and every follower log store these bytes as
-		// they are (storage.Log.Append takes ownership), so nothing
-		// downstream may write to them.
+		// carved from the server's slab: headers, and one copy per run of
+		// byte-equal payloads, since a payload equal to the last one
+		// stored shares it. The leader log and every follower log
+		// reference these records as they are (storage.Log.Append takes
+		// ownership), so nothing downstream may write to the headers or
+		// the bytes.
 		req.Batch.Records = s.slab.Clone(req.Batch.Records)
 		if req.Acks == wire.AcksNone {
 			s.cluster.HandleProduce(req, nil)

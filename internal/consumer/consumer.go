@@ -45,11 +45,9 @@ func New(c *cluster.Cluster, topic string, partition int32) (*Consumer, error) {
 }
 
 // Consume fetches every record currently in the partition and hands each
-// run to fn, in offset order. A run is a view into the leader's log, one
-// log segment's worth at most (broker.Partition.FetchRuns: this reader
-// is indifferent to where its chunks end, so nothing is stitched into
-// scratch for it): fn must consume or copy it before returning and must
-// not retain the slice.
+// fetch's records to fn, in offset order. They are the broker's fetch
+// scratch (broker.Partition.Fetch): fn must consume or copy them before
+// returning and must not retain the slice.
 func (c *Consumer) Consume(fn func([]wire.Record)) error {
 	leader, ok := c.part.Leader()
 	if !ok {
@@ -58,7 +56,7 @@ func (c *Consumer) Consume(fn func([]wire.Record)) error {
 	offset := int64(0)
 	for {
 		var resp wire.FetchResponse
-		leader.FetchRuns(wire.FetchRequest{
+		leader.Fetch(wire.FetchRequest{
 			Offset:     offset,
 			MaxRecords: fetchMax,
 			Isolation:  c.isolation,

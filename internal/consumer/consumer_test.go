@@ -239,10 +239,11 @@ func TestPropertyTallyMatchesMapReconcile(t *testing.T) {
 	}
 }
 
-// Consume hands out views of the leader's log, never copies: one run per
-// log segment (64, 64, 128, ... records), while the fetch requests the
-// broker counts stay the 4096-record ones they always were.
-func TestConsumeHandsOutLogViews(t *testing.T) {
+// Consume hands fn each fetch's records whole, copied out of the leader's
+// log across its segments (64, 64, 128, ... records): one call per
+// 4096-record fetch, in offset order, and the fetch requests the broker
+// counts stay the ones they always were.
+func TestConsumeHandsOutWholeFetches(t *testing.T) {
 	keys := make([]uint64, 5000) // two fetches of up to 4096, then the empty one
 	for i := range keys {
 		keys[i] = uint64(i + 1)
@@ -252,24 +253,22 @@ func TestConsumeHandsOutLogViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := c.Leader("t", 0).Log("t", 0)
-	runs, next := 0, int64(0)
-	err = cons.Consume(func(run []wire.Record) {
-		runs++
-		stored, err := log.View(next, 1)
-		if err != nil || len(stored) != 1 {
-			t.Fatalf("view at %d: %v", next, err)
+	var sizes []int
+	next := 0
+	err = cons.Consume(func(recs []wire.Record) {
+		sizes = append(sizes, len(recs))
+		for i, r := range recs {
+			if r.Key != keys[next+i] {
+				t.Fatalf("record at offset %d has key %d, want %d", next+i, r.Key, keys[next+i])
+			}
 		}
-		if &run[0] != &stored[0] {
-			t.Errorf("run at offset %d is a copy, not a view", next)
-		}
-		next += int64(len(run))
+		next += len(recs)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runs != 8 || next != 5000 {
-		t.Errorf("%d runs covering %d records, want 8 (one per segment) covering 5000", runs, next)
+	if len(sizes) != 2 || sizes[0] != fetchMax || next != 5000 {
+		t.Errorf("fetches of %v records covering %d, want [%d %d] covering 5000", sizes, next, fetchMax, 5000-fetchMax)
 	}
 	if got := c.Leader("t", 0).Stats().FetchRequests; got != 3 {
 		t.Errorf("%d fetch requests counted, want 3", got)

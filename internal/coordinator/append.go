@@ -10,8 +10,9 @@ import (
 // marker — is one record in a batch of its own, produced straight into
 // the cluster, and the bytes stay in a log for the rest of the run. So
 // the payload is encoded into one reused scratch buffer, and what is
-// handed over — the stored payload and the one-record batch — is carved
-// from a slab, a couple of allocations per few hundred appends.
+// handed over — the stored payload and the one-record batch, whose
+// header every replica's log references — is carved from a slab, a
+// couple of allocations per few hundred appends.
 type logAppender struct {
 	clst *cluster.Cluster
 	// seq numbers the batches so the brokers' per-producer sequence
@@ -26,9 +27,9 @@ type logAppender struct {
 }
 
 // append produces rec alone in req's batch under the next batch
-// sequence. The copy it hands over is immutable from here on: the
-// request is held across service and replication delays, and every
-// replica's log ends up owning the payload bytes.
+// sequence. The copy it hands over, header and payload, is immutable
+// from here on: the request is held across service and replication
+// delays, and every replica's log ends up referencing that one record.
 func (a *logAppender) append(req wire.ProduceRequest, rec wire.Record, done func(wire.ProduceResponse)) {
 	a.seq++
 	req.Batch.BaseSequence = a.seq

@@ -17,8 +17,8 @@ import (
 	"kafkarel/internal/obs"
 )
 
-// ErrStopped is returned by RunLimit when the event limit was hit before
-// the event queue drained.
+// ErrStopped is returned by RunLimit and RunUntilLimit when the event
+// limit was hit before the event queue drained.
 var ErrStopped = errors.New("des: simulation stopped")
 
 // noSlot marks a handle (Timer, Ticker) with nothing pending.
@@ -304,6 +304,13 @@ func (s *Simulator) RunUntil(deadline time.Duration) error {
 // tests. It returns ErrStopped if the limit was hit.
 func (s *Simulator) RunLimit(n uint64) error {
 	return s.run(-1, n)
+}
+
+// RunUntilLimit is RunUntil under RunLimit's guard: it executes events
+// with timestamps <= deadline, at most n of them, and returns ErrStopped
+// (leaving the clock where the last event put it) if the limit was hit.
+func (s *Simulator) RunUntilLimit(deadline time.Duration, n uint64) error {
+	return s.run(deadline, n)
 }
 
 // running counts the simulators inside run, process-wide.

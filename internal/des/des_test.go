@@ -203,6 +203,30 @@ func TestRunLimitGuards(t *testing.T) {
 	}
 }
 
+// RunUntilLimit applies both bounds: a zero-delay loop before the
+// deadline stops at the limit, and an ordinary run stops at the deadline
+// with later events still queued.
+func TestRunUntilLimitAppliesBothBounds(t *testing.T) {
+	sim := New()
+	n := 0
+	var loop func()
+	loop = func() {
+		n++
+		sim.After(0, loop)
+	}
+	sim.After(time.Millisecond, loop)
+	if err := sim.RunUntilLimit(time.Hour, 100); !errors.Is(err, ErrStopped) || n != 100 {
+		t.Fatalf("zero-delay loop: err %v after %d events, want ErrStopped after 100", err, n)
+	}
+	sim = New()
+	fired := 0
+	sim.After(time.Second, func() { fired++ })
+	sim.After(3*time.Second, func() { fired++ })
+	if err := sim.RunUntilLimit(2*time.Second, 100); err != nil || fired != 1 || sim.Now() != 2*time.Second {
+		t.Fatalf("bounded run: err %v, %d fired, clock %v; want nil, 1, 2s", err, fired, sim.Now())
+	}
+}
+
 func TestEventsScheduledDuringRunFire(t *testing.T) {
 	sim := New()
 	var got []string

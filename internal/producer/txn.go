@@ -352,7 +352,10 @@ func (p *TxnProducer) failFast(done func(wire.ErrorCode)) bool {
 
 // Send registers the partition with the transaction and produces one
 // transactional batch to it (acks=all, idempotent, epoch-stamped). done
-// fires when the batch is fully replicated or the operation fails.
+// fires when the batch is fully replicated or the operation fails. recs
+// is handed over: every replica's log references those records, so
+// neither their headers nor their payload bytes (nor the slice's backing
+// array) may be written after the call.
 func (p *TxnProducer) Send(topic string, partition int32, recs []wire.Record, done func(wire.ErrorCode)) {
 	if p.failFast(done) {
 		return

@@ -3,18 +3,25 @@
 // exactly the on-disk structure Kafka brokers use, kept in memory here
 // because the testbed is a simulation. Offsets are assigned at append
 // time and never reused; reads address records by offset.
+//
+// A log stores each record once, by reference: a slot is a pointer to
+// the immutable record the producer handed over, so a partition's
+// replicas (and a recovered broker's caught-up copy) index one record.
+// Reads copy records out into the caller's scratch; nothing a reader
+// holds aliases a slot.
 package storage
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"kafkarel/internal/wire"
 )
 
 // Log errors.
 var (
-	// ErrOffsetOutOfRange is returned by Read when the requested offset
+	// ErrOffsetOutOfRange is returned by reads when the requested offset
 	// is negative or past the log end.
 	ErrOffsetOutOfRange = errors.New("storage: offset out of range")
 )
@@ -32,7 +39,10 @@ type Entry struct {
 // of a log can be short of full.
 type segment struct {
 	base    int64
-	records []wire.Record
+	records []*wire.Record
+	// sums holds a hash of each stored record, parallel to records, in
+	// race builds only (verifyShared); it is nil otherwise.
+	sums []uint64
 }
 
 // Log is a single partition's append-only record log. The zero value is
@@ -44,9 +54,9 @@ type Log struct {
 	maxSegment int
 }
 
-// DefaultSegmentRecords is the roll threshold when NewLog is given a
+// defaultSegmentRecords is the roll threshold when NewLog is given a
 // non-positive one.
-const DefaultSegmentRecords = 4096
+const defaultSegmentRecords = 4096
 
 // minSegmentRecords is the capacity of a log's first segments. A short
 // run's log (a few hundred records, thousands of logs per campaign) must
@@ -57,7 +67,7 @@ const minSegmentRecords = 64
 // maxSegmentRecords records.
 func NewLog(maxSegmentRecords int) *Log {
 	if maxSegmentRecords <= 0 {
-		maxSegmentRecords = DefaultSegmentRecords
+		maxSegmentRecords = defaultSegmentRecords
 	}
 	return &Log{maxSegment: maxSegmentRecords}
 }
@@ -78,39 +88,75 @@ func (l *Log) segmentCap() int {
 	return n
 }
 
+// tail returns the last segment and how many more records it holds,
+// rolling a new segment when the last one is full.
+func (l *Log) tail() (*segment, int) {
+	n := len(l.segments)
+	if n == 0 || len(l.segments[n-1].records) == cap(l.segments[n-1].records) {
+		c := l.segmentCap()
+		seg := segment{base: l.end, records: make([]*wire.Record, 0, c)}
+		if verifyShared {
+			seg.sums = make([]uint64, 0, c)
+		}
+		l.segments = append(l.segments, seg)
+		n++
+	}
+	seg := &l.segments[n-1]
+	return seg, cap(seg.records) - len(seg.records)
+}
+
 // Append assigns consecutive offsets to the records and stores them,
 // returning the base offset of the batch. Appending zero records returns
 // the current log end.
 //
-// The log takes ownership of the payload bytes and stores them without
-// copying: they must never change after Append returns. The records slice
-// itself is copied and may be reused. Any number of logs (a partition's
-// replicas) may own the same immutable bytes; a caller holding records
-// decoded zero-copy from a reused buffer clones them once
-// (wire.Slab.Clone) before the first Append.
+// The log stores a reference to each record, not a copy: from the call
+// on, the records — headers and payload bytes alike, and so the backing
+// array of records itself — belong to the log and must never be written
+// again. Any number of logs (a partition's replicas) may hold the same
+// records. A caller holding records decoded zero-copy from a reused
+// buffer clones them once (wire.Slab.Clone) before the first Append.
+// Race builds hash every record here and recheck it on every read, so a
+// write after Append panics naming the log and offset.
 func (l *Log) Append(records []wire.Record) int64 {
 	base := l.end
 	for len(records) > 0 {
-		n := len(l.segments)
-		if n == 0 || len(l.segments[n-1].records) == cap(l.segments[n-1].records) {
-			l.segments = append(l.segments, segment{
-				base:    l.end,
-				records: make([]wire.Record, 0, l.segmentCap()),
-			})
-			n++
+		seg, room := l.tail()
+		fit := records[:min(len(records), room)]
+		for i := range fit {
+			seg.records = append(seg.records, &fit[i])
+			if verifyShared {
+				seg.sums = append(seg.sums, sum(&fit[i]))
+			}
 		}
-		seg := &l.segments[n-1]
-		fit := records
-		if room := cap(seg.records) - len(seg.records); len(fit) > room {
-			fit = fit[:room]
-		}
-		// Within capacity: slots a TruncateTo vacated are overwritten in
-		// place, nothing moves.
-		seg.records = append(seg.records, fit...)
 		l.end += int64(len(fit))
 		records = records[len(fit):]
 	}
 	return base
+}
+
+// CatchUp makes l a replica of leader: it truncates whatever l holds past
+// the leader's end, then appends the leader's records from l's end on, by
+// reference — the two logs then hold the same records. It is an error
+// when l ends before the leader's first stored offset.
+func (l *Log) CatchUp(leader *Log) error {
+	l.TruncateTo(leader.end)
+	n, err := leader.span(l.end, int(leader.end-l.end))
+	if err != nil {
+		return err
+	}
+	for n > 0 {
+		run, sums := leader.run(l.end, n)
+		seg, room := l.tail()
+		run = run[:min(len(run), room)]
+		leader.check(l.end, run, sums)
+		seg.records = append(seg.records, run...)
+		if verifyShared {
+			seg.sums = append(seg.sums, sums[:len(run)]...)
+		}
+		l.end += int64(len(run))
+		n -= len(run)
+	}
+	return nil
 }
 
 // End returns the log end offset (the offset the next record will get).
@@ -135,24 +181,19 @@ func (l *Log) start() int64 {
 	return l.segments[0].base
 }
 
-// View returns the contiguous run of up to max records stored at offset,
-// as a capacity-capped sub-slice of the segment that holds offset: no
-// record is copied. The run ends where that segment does, so it can be
-// shorter than max with more records stored behind it; a reader that
-// wants them calls View again at the next offset. Viewing exactly at the
-// log end returns an empty run; past it is an error.
-//
-// The run aliases the log's own slots. It is valid until the log is next
-// truncated below the run's end and appended to again, which overwrites
-// those slots in place: consume or copy it before handing control back
-// to anything that may do that.
-func (l *Log) View(offset int64, max int) ([]wire.Record, error) {
+// span checks that offset lies in [start, end] and returns how many
+// records a read of up to n from it finds.
+func (l *Log) span(offset int64, n int) (int, error) {
 	if offset < l.start() || offset > l.end {
-		return nil, fmt.Errorf("%w: offset %d, log [%d, %d)", ErrOffsetOutOfRange, offset, l.start(), l.end)
+		return 0, fmt.Errorf("%w: offset %d, log [%d, %d)", ErrOffsetOutOfRange, offset, l.start(), l.end)
 	}
-	if max <= 0 || offset == l.end {
-		return nil, nil
-	}
+	return int(min(int64(max(n, 0)), l.end-offset)), nil
+}
+
+// run returns the references stored from offset to the end of the
+// segment holding it, at most n of them, with their hashes (nil outside
+// race builds). offset must lie in [start, end).
+func (l *Log) run(offset int64, n int) ([]*wire.Record, []uint64) {
 	// Binary search for the segment holding offset: the first whose end
 	// lies beyond it.
 	lo, hi := 0, len(l.segments)
@@ -166,53 +207,65 @@ func (l *Log) View(offset int64, max int) ([]wire.Record, error) {
 		}
 	}
 	seg := &l.segments[lo]
-	run := seg.records[offset-seg.base:]
-	if len(run) > max {
-		run = run[:max]
+	i := int(offset - seg.base)
+	run := seg.records[i:min(len(seg.records), i+n)]
+	if verifyShared {
+		return run, seg.sums[i : i+len(run)]
 	}
-	return run[:len(run):len(run)], nil
+	return run, nil
+}
+
+// CopyOut appends copies of up to max records stored from offset on to
+// dst and returns the extended slice, growing dst at most once; a reader
+// that passes the same scratch back allocates nothing once it has grown.
+// Reading exactly at the log end appends nothing; past it is an error.
+// The copies' payloads are the stored, immutable bytes.
+func (l *Log) CopyOut(dst []wire.Record, offset int64, max int) ([]wire.Record, error) {
+	n, err := l.span(offset, max)
+	if err != nil {
+		return dst, err
+	}
+	dst = slices.Grow(dst, n)
+	for n > 0 {
+		run, sums := l.run(offset, n)
+		l.check(offset, run, sums)
+		for _, r := range run {
+			dst = append(dst, *r)
+		}
+		offset += int64(len(run))
+		n -= len(run)
+	}
+	return dst, nil
 }
 
 // ReadInto returns up to max records starting at offset in a
 // caller-provided scratch slice (reading exactly at the log end returns
 // an empty slice; reading past it is an error): entries are appended to
-// dst[:0], so a steady-state reader allocates nothing once
-// its scratch has grown. Returned entries hold copies of the record
-// headers; their payloads alias the log's stored bytes and stay valid for
-// the life of the log.
+// dst[:0], so a steady-state reader allocates nothing once its scratch
+// has grown. Returned entries hold copies of the records, as CopyOut's;
+// their payloads are the stored bytes.
 func (l *Log) ReadInto(offset int64, max int, dst []Entry) ([]Entry, error) {
-	run, err := l.View(offset, max)
-	if err != nil || len(run) == 0 {
+	n, err := l.span(offset, max)
+	if err != nil || n == 0 {
 		return nil, err
 	}
-	// Size by what is actually available, not the caller's ceiling: a
-	// fetch asking for 2048 records from a near-empty log should not
-	// reserve 2048 entries.
-	if avail := int(l.end - offset); max > avail {
-		max = avail
-	}
-	out := dst[:0]
-	if cap(out) == 0 {
-		out = make([]Entry, 0, max)
-	}
-	for {
-		for i := range run {
-			out = append(out, Entry{Offset: offset + int64(i), Record: run[i]})
+	out := slices.Grow(dst[:0], n)
+	for n > 0 {
+		run, sums := l.run(offset, n)
+		l.check(offset, run, sums)
+		for i, r := range run {
+			out = append(out, Entry{Offset: offset + int64(i), Record: *r})
 		}
 		offset += int64(len(run))
-		if len(out) == max {
-			return out, nil
-		}
-		// The run stopped at a segment boundary; the next one starts there.
-		if run, err = l.View(offset, max-len(out)); err != nil {
-			return nil, err
-		}
+		n -= len(run)
 	}
+	return out, nil
 }
 
 // TruncateTo discards all records at or beyond offset, used by follower
 // replicas reconciling with a new leader. A segment cut short keeps its
-// backing array: later appends refill the vacated slots in place.
+// backing array, which later appends refill; the references it drops are
+// cleared, so a discarded record is not kept alive by its old slot.
 func (l *Log) TruncateTo(offset int64) {
 	if offset >= l.end {
 		return
@@ -226,7 +279,12 @@ func (l *Log) TruncateTo(offset int64) {
 			keep++
 		}
 		last := &l.segments[keep-1]
-		last.records = last.records[:offset-last.base]
+		cut := int(offset - last.base)
+		clear(last.records[cut:])
+		last.records = last.records[:cut]
+		if verifyShared {
+			last.sums = last.sums[:cut]
+		}
 	}
 	// Drop the references so the discarded segments can be collected.
 	for i := keep; i < len(l.segments); i++ {
@@ -241,10 +299,41 @@ func (l *Log) TruncateTo(offset int64) {
 func (l *Log) Scan(fn func(Entry) bool) {
 	for i := range l.segments {
 		seg := &l.segments[i]
-		for j := range seg.records {
-			if !fn(Entry{Offset: seg.base + int64(j), Record: seg.records[j]}) {
+		l.check(seg.base, seg.records, seg.sums)
+		for j, r := range seg.records {
+			if !fn(Entry{Offset: seg.base + int64(j), Record: *r}) {
 				return
 			}
 		}
 	}
+}
+
+// check is the race-build guard on the ownership contract (Append): it
+// panics, naming the log and the offset, when a record of run — stored
+// from offset on — no longer hashes to what it did when it was stored.
+// Ordinary builds compile it away.
+func (l *Log) check(offset int64, run []*wire.Record, sums []uint64) {
+	if !verifyShared {
+		return
+	}
+	for i, r := range run {
+		if sum(r) != sums[i] {
+			panic(fmt.Sprintf("storage: log %p: record at offset %d (key %d) was written after Append", l, offset+int64(i), r.Key))
+		}
+	}
+}
+
+// sum hashes a record's header and payload bytes (FNV-1a).
+func sum(r *wire.Record) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, w := range [3]uint64{r.Key, uint64(r.Timestamp), uint64(len(r.Payload))} {
+		for s := 0; s < 64; s += 8 {
+			h = (h ^ (w >> s & 0xff)) * prime
+		}
+	}
+	for _, b := range r.Payload {
+		h = (h ^ uint64(b)) * prime
+	}
+	return h
 }

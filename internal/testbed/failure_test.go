@@ -1,10 +1,12 @@
 package testbed
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"kafkarel/internal/chaos"
+	"kafkarel/internal/des"
 	"kafkarel/internal/features"
 	"kafkarel/internal/wire"
 )
@@ -116,5 +118,28 @@ func TestBrokerFailureValidation(t *testing.T) {
 	}
 	if _, err := Run(e); err == nil {
 		t.Error("unknown broker accepted")
+	}
+}
+
+// A run with a sim-time horizon is held to the event cap as well: a
+// zero-delay reschedule loop advances no clock, so with only the horizon
+// applied such a run never returned. The cap is lowered for the test.
+func TestHorizonBoundRunawayHitsEventCap(t *testing.T) {
+	defer func(c uint64) { eventCap = c }(eventCap)
+	eventCap = 10_000
+	sim := des.New()
+	r, err := newRig(sim, nil, Calibration{}, 0, 1, 1, 1, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var loop func(any)
+	loop = func(any) { sim.AfterFunc(0, loop, nil) }
+	sim.AfterFunc(time.Second, loop, nil)
+	err = r.run(time.Minute)
+	if err == nil || !strings.Contains(err.Error(), "event cap exceeded") {
+		t.Fatalf("run = %v, want the event cap error", err)
+	}
+	if sim.Now() != time.Second {
+		t.Errorf("clock at %v, want the runaway's 1s", sim.Now())
 	}
 }

@@ -305,16 +305,22 @@ func (r *rig) start() {
 	}
 }
 
-// run drives the simulation to the horizon — or, without one, until the
-// event queue drains under a runaway cap — and reports the first
-// runtime injection error.
+// eventCap bounds the events of every run, with or without a sim-time
+// horizon: a zero-delay reschedule loop advances no clock, so only a
+// count stops it. It is a variable so that tests can lower it.
+var eventCap uint64 = 2_000_000_000
+
+// run drives the simulation to the horizon, or without one until the
+// event queue drains, under the runaway cap either way, and reports the
+// first runtime injection error.
 func (r *rig) run(maxSim time.Duration) error {
-	const eventCap = 2_000_000_000
+	var err error
 	if maxSim > 0 {
-		if err := r.sim.RunUntil(maxSim); err != nil {
-			return fmt.Errorf("run: %w", err)
-		}
-	} else if err := r.sim.RunLimit(eventCap); err != nil {
+		err = r.sim.RunUntilLimit(maxSim, eventCap)
+	} else {
+		err = r.sim.RunLimit(eventCap)
+	}
+	if err != nil {
 		return fmt.Errorf("event cap exceeded (runaway simulation?): %w", err)
 	}
 	if r.cfgErr != nil {

@@ -293,8 +293,9 @@ func carve[T any](chunk *[]T, n, lo, hi int) []T {
 // time, or past the next Splitter.Push) must clone them; see
 // DecodeRecordBatch for the ownership contract. A cloned payload never
 // shares bytes with its source, but it may share them with an earlier
-// equal clone; an empty payload clones to nil. The returned bytes are
-// immutable from here on: they may end up owned by any number of logs.
+// equal clone; an empty payload clones to nil. The returned records —
+// headers and bytes — are immutable from here on: any number of logs may
+// end up referencing them (storage.Log.Append).
 func (s *Slab) Clone(recs []Record) []Record {
 	out := carve(&s.recs, len(recs), slabMinRecords, slabMaxRecords)
 	for i := range recs {
