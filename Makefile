@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race reach fuzz-smoke bench-repo bench-pairs bench-seeds profile gc-trace repro repro-check chaos-smoke
+.PHONY: check build fmt vet test race reach fuzz-smoke bench-repo bench-pairs bench-seeds profile gc-trace repro repro-check repro-seeds chaos-smoke
 
 ## check: the full quality gate — formatting, build, vet, race-enabled
 ## tests, a fixed-seed chaos campaign, and the committed results/.
@@ -187,6 +187,22 @@ repro-check:
 			diff results/$$f.txt $$tmp/$$f.txt | head -20; \
 			echo "repro-check: results/$$f.txt differs from repro -q -n 20000 -seed 1 $$a"; fail=1; fi; \
 	done; exit $$fail
+
+## repro-seeds: one artefact as a distribution over seeds —
+## make repro-seeds A=table2 [SEEDS="1 2 3 4 5 6 7 8"] runs
+## `repro -q -n 20000 -seed s A` per seed and prints every output row
+## prefixed with its seed and a tab, so a verdict is read as a count over
+## seeds (k/8) with its range, not from seed 1 alone. A failing run
+## prints its stderr and fails the target. table2 takes ~32 s on 2 cores.
+SEEDS ?= 1 2 3 4 5 6 7 8
+repro-seeds:
+	@test -n "$(A)" || { echo 'usage: make repro-seeds A=<artefact> [SEEDS="1 2 ... 8"]'; exit 2; }
+	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; $(GO) build -o $$tmp/repro ./cmd/repro || exit 1; \
+	for s in $(SEEDS); do \
+		if ! $$tmp/repro -q -n 20000 -seed $$s $(A) > $$tmp/out 2> $$tmp/err; then \
+			cat $$tmp/err; echo "repro-seeds: repro -seed $$s $(A) failed"; exit 1; fi; \
+		sed "s/^/$$s	/" $$tmp/out; \
+	done
 
 ## chaos-smoke: a fixed-seed end-to-end fault-injection campaign (60
 ## trials per mode, exactly-once and at-least-once) with a two-member

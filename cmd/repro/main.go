@@ -246,7 +246,7 @@ func table2(o figures.Options) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	outcomes, err := dynconf.TableIIContext(ctx, nil, dynconf.Options{
+	outcomes, err := dynconf.TableII(ctx, nil, dynconf.Options{
 		Messages:      o.Messages,
 		Seed:          o.Seed,
 		TrainMessages: o.Messages / 8,

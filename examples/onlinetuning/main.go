@@ -5,7 +5,7 @@
 // producer's own transport statistics — smoothed RTT as the delay
 // estimate, retransmission rate as the loss estimate — feeds the
 // estimates into the trained prediction model, and walks the
-// configuration towards a γ requirement while the experiment runs.
+// configuration uphill in γ while the experiment runs.
 //
 // Run with: go run ./examples/onlinetuning
 package main
@@ -98,11 +98,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	searcher, err := kafkarel.NewSearcher(eval)
+	searcher, err := kafkarel.NewSearcher(eval, grid)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctrl, err := kafkarel.NewOnlineController(searcher, stream, 0.93)
+	ctrl, err := kafkarel.NewOnlineController(searcher, stream)
 	if err != nil {
 		log.Fatal(err)
 	}

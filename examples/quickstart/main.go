@@ -47,7 +47,7 @@ func main() {
 		for _, l := range []float64{0, 0.08, 0.15, 0.25} {
 			for _, b := range []int{1, 2, 5} {
 				for _, delta := range []time.Duration{0, 30 * time.Millisecond} {
-					for _, to := range []time.Duration{500 * time.Millisecond, 1500 * time.Millisecond} {
+					for _, to := range []time.Duration{500 * time.Millisecond, 1500 * time.Millisecond, 3 * time.Second} {
 						v := stream
 						v.Semantics = sem
 						v.LossRate = l
@@ -93,12 +93,12 @@ func main() {
 	}
 	fmt.Printf("γ(current config) = %.3f  (φ=%.3f μ=%.3f)\n", score.Gamma, score.Phi, score.Mu)
 
-	// --- 4. Search for a configuration that meets a γ requirement. ------
-	searcher, err := kafkarel.NewSearcher(eval)
+	// --- 4. Climb γ along the grid the predictor was trained on. -------
+	searcher, err := kafkarel.NewSearcher(eval, grid)
 	if err != nil {
 		log.Fatal(err)
 	}
-	better, bestScore, err := searcher.Improve(stream, 0.95)
+	better, bestScore, err := searcher.Improve(stream)
 	if err != nil {
 		log.Fatal(err)
 	}

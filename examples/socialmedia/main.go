@@ -51,8 +51,8 @@ func main() {
 	o := outcomes[0]
 	fmt.Println("\n            R_l       R_d")
 	fmt.Printf("default    %6.2f%%  %7.3f%%\n", 100*o.DefaultRl, 100*o.DefaultRd)
-	fmt.Printf("dynamic    %6.2f%%  %7.3f%%   (%d reconfigurations, target γ=%.2f)\n",
-		100*o.DynamicRl, 100*o.DynamicRd, o.Reconfigurations, o.Target)
+	fmt.Printf("dynamic    %6.2f%%  %7.3f%%   (%d reconfigurations)\n",
+		100*o.DynamicRl, 100*o.DynamicRd, o.Reconfigurations)
 
 	if o.DynamicRl < o.DefaultRl {
 		fmt.Printf("\ndynamic configuration cut the loss rate by %.1f%% relative — the\n",

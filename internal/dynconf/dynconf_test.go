@@ -1,6 +1,9 @@
 package dynconf
 
 import (
+	"context"
+	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -27,14 +30,17 @@ func trainedPredictor(t *testing.T) *core.Predictor {
 	return p
 }
 
-var fitPredictor = sync.OnceValues(func() (*core.Predictor, error) {
-	var ds features.Dataset
+// fixtureGrid is the feature grid fitPredictor trains on: four batch
+// sizes, three poll intervals and one timeout over both modelled
+// semantics and a (D, L) envelope.
+func fixtureGrid() []features.Vector {
+	var grid []features.Vector
 	for _, sem := range []int{features.SemanticsAtMostOnce, features.SemanticsAtLeastOnce} {
 		for _, l := range []float64{0, 0.08, 0.16, 0.25} {
 			for _, d := range []float64{20, 100, 300} {
 				for _, b := range []int{1, 2, 5, 10} {
 					for _, delta := range []time.Duration{0, 30 * time.Millisecond, 90 * time.Millisecond} {
-						v := features.Vector{
+						grid = append(grid, features.Vector{
 							MessageSize:    200,
 							Timeliness:     5 * time.Second,
 							DelayMs:        d,
@@ -43,27 +49,35 @@ var fitPredictor = sync.OnceValues(func() (*core.Predictor, error) {
 							BatchSize:      b,
 							PollInterval:   delta,
 							MessageTimeout: 1500 * time.Millisecond,
-						}
-						pl := 3 * l / float64(b)
-						if sem == features.SemanticsAtLeastOnce {
-							pl *= 0.6
-						}
-						pl += 0.15 * (1 - float64(delta)/float64(100*time.Millisecond))
-						if pl > 1 {
-							pl = 1
-						}
-						if pl < 0 {
-							pl = 0
-						}
-						pd := 0.0
-						if sem == features.SemanticsAtLeastOnce {
-							pd = 0.02 * l
-						}
-						ds = append(ds, features.Sample{X: v, Pl: pl, Pd: pd})
+						})
 					}
 				}
 			}
 		}
+	}
+	return grid
+}
+
+var fitPredictor = sync.OnceValues(func() (*core.Predictor, error) {
+	var ds features.Dataset
+	for _, v := range fixtureGrid() {
+		l, b, delta := v.LossRate, v.BatchSize, v.PollInterval
+		pl := 3 * l / float64(b)
+		if v.Semantics == features.SemanticsAtLeastOnce {
+			pl *= 0.6
+		}
+		pl += 0.15 * (1 - float64(delta)/float64(100*time.Millisecond))
+		if pl > 1 {
+			pl = 1
+		}
+		if pl < 0 {
+			pl = 0
+		}
+		pd := 0.0
+		if v.Semantics == features.SemanticsAtLeastOnce {
+			pd = 0.02 * l
+		}
+		ds = append(ds, features.Sample{X: v, Pl: pl, Pd: pd})
 	}
 	p, _, err := core.Train(ds, 11)
 	return p, err
@@ -82,6 +96,16 @@ func evaluator(t *testing.T, w kpi.Weights) *kpi.Evaluator {
 	return ev
 }
 
+// searcher walks the fixture predictor's own grid under weights w.
+func searcher(t *testing.T, w kpi.Weights) *Searcher {
+	t.Helper()
+	s, err := NewSearcher(evaluator(t, w), fixtureGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func startVector() features.Vector {
 	return features.Vector{
 		MessageSize:    200,
@@ -97,16 +121,13 @@ func startVector() features.Vector {
 
 func TestImproveRaisesGamma(t *testing.T) {
 	ev := evaluator(t, kpi.Weights{0.1, 0.1, 0.7, 0.1})
-	s, err := NewSearcher(ev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := searcher(t, kpi.Weights{0.1, 0.1, 0.7, 0.1})
 	start := startVector()
 	before, err := ev.Score(start)
 	if err != nil {
 		t.Fatal(err)
 	}
-	improved, after, err := s.Improve(start, 2.0) // unreachable target → walk to a local optimum
+	improved, after, err := s.Improve(start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,57 +143,143 @@ func TestImproveRaisesGamma(t *testing.T) {
 		improved.Semantics == start.Semantics {
 		t.Errorf("implausible walk result: %+v", improved)
 	}
-}
-
-func TestImproveStopsAtTarget(t *testing.T) {
-	ev := evaluator(t, kpi.DefaultWeights())
-	s, err := NewSearcher(ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := startVector()
-	base, err := ev.Score(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Target below the current score: no move at all.
-	got, score, err := s.Improve(start, base.Gamma-0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameConfig(got, start) || score.Gamma != base.Gamma {
-		t.Error("search moved despite target already met")
+	// It stops at a local optimum: no single step from there raises γ.
+	for _, n := range s.neighbours(improved) {
+		if sc, err := ev.Score(n); err == nil && sc.Gamma > after.Gamma {
+			t.Errorf("stopped at γ=%v, but step %+v scores %v", after.Gamma, n, sc.Gamma)
+		}
 	}
 }
 
 func TestImproveValidation(t *testing.T) {
-	if _, err := NewSearcher(nil); err == nil {
+	ev := evaluator(t, kpi.DefaultWeights())
+	if _, err := NewSearcher(nil, fixtureGrid()); err == nil {
 		t.Error("nil evaluator accepted")
 	}
-	ev := evaluator(t, kpi.DefaultWeights())
-	s, err := NewSearcher(ev)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := NewSearcher(ev, nil); err == nil {
+		t.Error("empty grid accepted")
 	}
-	if _, _, err := s.Improve(features.Vector{}, 0.5); err == nil {
+	if _, _, err := searcher(t, kpi.DefaultWeights()).Improve(features.Vector{}); err == nil {
 		t.Error("invalid start accepted")
 	}
 }
 
 func TestImproveSkipsUnmodelledSemantics(t *testing.T) {
-	// The predictor has no exactly-once model; the search must not
-	// propose it or fail when probing it.
-	ev := evaluator(t, kpi.DefaultWeights())
-	s, err := NewSearcher(ev)
+	// The grid offers exactly-once, but the predictor has no model for
+	// it; the search must not select it or fail when scoring it.
+	grid := fixtureGrid()
+	for _, v := range fixtureGrid() {
+		v.Semantics = features.SemanticsExactlyOnce
+		grid = append(grid, v)
+	}
+	s, err := NewSearcher(evaluator(t, kpi.DefaultWeights()), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := s.Improve(startVector(), 2.0)
+	start := startVector()
+	start.Semantics = features.SemanticsAtLeastOnce // exactly-once is one step away
+	got, _, err := s.Improve(start)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Semantics == features.SemanticsExactlyOnce {
 		t.Error("search selected an unmodelled semantics")
+	}
+}
+
+// TestSearchStaysOnGrid is the one-knob-space property: from random
+// starts on and off the grid, every knob value Improve and
+// GenerateSchedule return is a grid value or the start's own value.
+func TestSearchStaysOnGrid(t *testing.T) {
+	s := searcher(t, kpi.Weights{0.1, 0.1, 0.7, 0.1})
+	grid := fixtureGrid()
+	rng := rand.New(rand.NewPCG(15, 3))
+	for i := 0; i < 200; i++ {
+		start := startVector()
+		start.Semantics = features.SemanticsAtMostOnce + rng.IntN(2)
+		start.DelayMs = rng.Float64() * 300
+		start.LossRate = rng.Float64() * 0.25
+		if i%2 == 0 { // off the grid
+			start.BatchSize = 1 + rng.IntN(12)
+			start.PollInterval = time.Duration(rng.IntN(121)) * time.Millisecond
+			start.MessageTimeout = time.Duration(250+rng.IntN(4751)) * time.Millisecond
+		} else {
+			g := grid[rng.IntN(len(grid))]
+			start.BatchSize, start.PollInterval = g.BatchSize, g.PollInterval
+		}
+		got, _, err := s.Improve(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bad := offGrid(grid, start, got); bad != "" {
+			t.Fatalf("Improve from %+v returned %s off the grid: %+v", start, bad, got)
+		}
+		entries, err := GenerateSchedule(s, testTrace(t), start, time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if bad := offGrid(grid, start, e.Config); bad != "" {
+				t.Fatalf("schedule from %+v has %s off the grid at %v: %+v", start, bad, e.At, e.Config)
+			}
+		}
+	}
+}
+
+// offGrid names the first configuration knob of v that is neither a
+// value some grid point has nor start's own value, or returns "".
+func offGrid(grid []features.Vector, start, v features.Vector) string {
+	onGrid := func(knob func(features.Vector) any) bool {
+		if knob(v) == knob(start) {
+			return true
+		}
+		for _, g := range grid {
+			if knob(g) == knob(v) {
+				return true
+			}
+		}
+		return false
+	}
+	switch {
+	case !onGrid(func(x features.Vector) any { return x.Semantics }):
+		return "semantics"
+	case !onGrid(func(x features.Vector) any { return x.BatchSize }):
+		return "B"
+	case !onGrid(func(x features.Vector) any { return x.PollInterval }):
+		return "δ"
+	case !onGrid(func(x features.Vector) any { return x.MessageTimeout }):
+		return "T_o"
+	}
+	return ""
+}
+
+// TestTableIIScheduleIsOnTrainingGrid builds each paper stream's
+// schedule the way TableII does — a searcher over TrainingGrid walking
+// the default Fig. 9 trace from DefaultVector — and requires every
+// entry to be a TrainingGrid configuration.
+func TestTableIIScheduleIsOnTrainingGrid(t *testing.T) {
+	spec := netem.DefaultTraceSpec()
+	for seed := uint64(1); seed <= 3; seed++ {
+		trace, err := spec.Generate(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range workload.Profiles() {
+			grid := TrainingGrid(p.MeanSize, p.Timeliness)
+			s, err := NewSearcher(evaluator(t, kpi.Weights(p.Weights)), grid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries, err := GenerateSchedule(s, trace, DefaultVector(p), 60*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if !slices.ContainsFunc(grid, func(g features.Vector) bool { return sameConfig(g, e.Config) }) {
+					t.Errorf("seed %d %s: entry at %v is not a TrainingGrid point: %+v", seed, p.Name, e.At, e.Config)
+				}
+			}
+		}
 	}
 }
 
@@ -186,13 +293,9 @@ func testTrace(t *testing.T) netem.Trace {
 }
 
 func TestGenerateSchedule(t *testing.T) {
-	ev := evaluator(t, kpi.Weights{0.1, 0.1, 0.7, 0.1})
-	s, err := NewSearcher(ev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := searcher(t, kpi.Weights{0.1, 0.1, 0.7, 0.1})
 	trace := testTrace(t)
-	entries, err := GenerateSchedule(s, trace, startVector(), 0.9, time.Minute)
+	entries, err := GenerateSchedule(s, trace, startVector(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,19 +335,18 @@ func TestGenerateSchedule(t *testing.T) {
 }
 
 func TestGenerateScheduleValidation(t *testing.T) {
-	ev := evaluator(t, kpi.DefaultWeights())
-	s, err := NewSearcher(ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := GenerateSchedule(nil, testTrace(t), startVector(), 0.5, time.Minute); err == nil {
+	s := searcher(t, kpi.DefaultWeights())
+	if _, err := GenerateSchedule(nil, testTrace(t), startVector(), time.Minute); err == nil {
 		t.Error("nil searcher accepted")
 	}
-	if _, err := GenerateSchedule(s, nil, startVector(), 0.5, time.Minute); err == nil {
+	if _, err := GenerateSchedule(s, nil, startVector(), time.Minute); err == nil {
 		t.Error("empty trace accepted")
 	}
-	if _, err := GenerateSchedule(s, testTrace(t), startVector(), 0.5, 0); err == nil {
+	if _, err := GenerateSchedule(s, testTrace(t), startVector(), 0); err == nil {
 		t.Error("zero interval accepted")
+	}
+	if _, err := GenerateSchedule(s, testTrace(t), features.Vector{}, time.Minute); err == nil {
+		t.Error("invalid stream accepted")
 	}
 }
 
@@ -289,7 +391,7 @@ func TestTableIIEndToEnd(t *testing.T) {
 	}
 	pred := trainedPredictor(t)
 	for seed := uint64(1); seed <= 8; seed++ {
-		outcomes, err := TableII([]workload.Profile{workload.WebLogs}, Options{
+		outcomes, err := TableII(context.Background(), []workload.Profile{workload.WebLogs}, Options{
 			Messages:  6000,
 			Seed:      seed,
 			TraceSpec: spec,
@@ -331,12 +433,12 @@ func TestTableIISharedTraceRunsAreIndependent(t *testing.T) {
 		Predictor: trainedPredictor(t),
 		Workers:   2,
 	}
-	first, err := TableII([]workload.Profile{workload.WebLogs}, opts)
+	first, err := TableII(context.Background(), []workload.Profile{workload.WebLogs}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		again, err := TableII([]workload.Profile{workload.WebLogs}, opts)
+		again, err := TableII(context.Background(), []workload.Profile{workload.WebLogs}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,7 +449,7 @@ func TestTableIISharedTraceRunsAreIndependent(t *testing.T) {
 }
 
 func TestTableIIValidation(t *testing.T) {
-	if _, err := TableII(nil, Options{}); err == nil {
+	if _, err := TableII(context.Background(), nil, Options{}); err == nil {
 		t.Error("zero messages accepted")
 	}
 }

@@ -13,17 +13,13 @@ import (
 // interval it estimates the current network condition from the
 // producer's own transport statistics (smoothed RTT → delay,
 // retransmission rate → loss), substitutes the estimate into the
-// prediction model, and walks the configuration towards the γ target —
-// the same stepwise search the offline scheme uses, fed by measurements
-// instead of an oracle.
+// prediction model, and walks the configuration uphill in γ — the same
+// stepwise search the offline scheme uses, fed by measurements instead
+// of an oracle.
 type OnlineController struct {
 	searcher *Searcher
-	target   float64
-	// Smoothing is the EWMA coefficient applied to the probe estimates
-	// (default 0.5): raw per-interval retransmission rates are bursty.
-	Smoothing float64
 	// MinHold is the minimum time between configuration changes
-	// (default one interval) — every change costs coordination overhead
+	// (default: no hold) — every change costs coordination overhead
 	// (Sec. V).
 	MinHold time.Duration
 
@@ -34,21 +30,20 @@ type OnlineController struct {
 	changes    int
 }
 
+// smoothing is the EWMA coefficient applied to the probe estimates: raw
+// per-interval retransmission rates are bursty.
+const smoothing = 0.5
+
 // NewOnlineController builds a controller that starts from the given
-// configuration and pursues the γ target.
-func NewOnlineController(s *Searcher, start features.Vector, target float64) (*OnlineController, error) {
+// configuration.
+func NewOnlineController(s *Searcher, start features.Vector) (*OnlineController, error) {
 	if s == nil {
 		return nil, fmt.Errorf("dynconf: nil searcher")
 	}
 	if err := start.Validate(); err != nil {
 		return nil, fmt.Errorf("dynconf: %w", err)
 	}
-	return &OnlineController{
-		searcher:  s,
-		target:    target,
-		Smoothing: 0.5,
-		cur:       start,
-	}, nil
+	return &OnlineController{searcher: s, cur: start}, nil
 }
 
 // Changes reports how many reconfigurations the controller issued.
@@ -59,9 +54,8 @@ func (c *OnlineController) Current() features.Vector { return c.cur }
 
 // Control is the testbed.Controller hook.
 func (c *OnlineController) Control(probe testbed.NetworkProbe) (features.Vector, bool) {
-	a := c.Smoothing
-	c.estLoss = a*probe.EstLoss + (1-a)*c.estLoss
-	c.estDelayMs = a*probe.EstDelayMs + (1-a)*c.estDelayMs
+	c.estLoss = smoothing*probe.EstLoss + (1-smoothing)*c.estLoss
+	c.estDelayMs = smoothing*probe.EstDelayMs + (1-smoothing)*c.estDelayMs
 
 	if c.MinHold > 0 && c.changes > 0 && probe.At-c.lastChange < c.MinHold {
 		return features.Vector{}, false
@@ -70,7 +64,7 @@ func (c *OnlineController) Control(probe testbed.NetworkProbe) (features.Vector,
 	estimate := c.cur
 	estimate.DelayMs = c.estDelayMs
 	estimate.LossRate = c.estLoss
-	next, _, err := c.searcher.Improve(estimate, c.target)
+	next, _, err := c.searcher.Improve(estimate)
 	if err != nil {
 		return features.Vector{}, false
 	}
@@ -79,10 +73,7 @@ func (c *OnlineController) Control(probe testbed.NetworkProbe) (features.Vector,
 	}
 	// Only the configuration features are applied; M and S stay the
 	// stream's own.
-	c.cur.Semantics = next.Semantics
-	c.cur.BatchSize = next.BatchSize
-	c.cur.PollInterval = next.PollInterval
-	c.cur.MessageTimeout = next.MessageTimeout
+	c.cur = withConfig(c.cur, next)
 	c.lastChange = probe.At
 	c.changes++
 	return c.cur, true

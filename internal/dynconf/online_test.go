@@ -11,28 +11,20 @@ import (
 )
 
 func TestOnlineControllerValidation(t *testing.T) {
-	ev := evaluator(t, kpi.DefaultWeights())
-	s, err := NewSearcher(ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewOnlineController(nil, startVector(), 0.8); err == nil {
+	s := searcher(t, kpi.DefaultWeights())
+	if _, err := NewOnlineController(nil, startVector()); err == nil {
 		t.Error("nil searcher accepted")
 	}
-	if _, err := NewOnlineController(s, features.Vector{}, 0.8); err == nil {
+	if _, err := NewOnlineController(s, features.Vector{}); err == nil {
 		t.Error("invalid start accepted")
 	}
 }
 
 func TestOnlineControllerReactsToLossEstimates(t *testing.T) {
-	ev := evaluator(t, kpi.Weights{0.1, 0.1, 0.7, 0.1})
-	s, err := NewSearcher(ev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := searcher(t, kpi.Weights{0.1, 0.1, 0.7, 0.1})
 	start := startVector()
 	start.LossRate = 0 // the controller must discover loss from probes
-	ctrl, err := NewOnlineController(s, start, 0.95)
+	ctrl, err := NewOnlineController(s, start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +58,8 @@ func TestOnlineControllerReactsToLossEstimates(t *testing.T) {
 }
 
 func TestOnlineControllerMinHold(t *testing.T) {
-	ev := evaluator(t, kpi.Weights{0.1, 0.1, 0.7, 0.1})
-	s, err := NewSearcher(ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := NewOnlineController(s, startVector(), 2.0) // insatiable target
+	s := searcher(t, kpi.Weights{0.1, 0.1, 0.7, 0.1})
+	ctrl, err := NewOnlineController(s, startVector())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,12 +116,8 @@ func TestOnlineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ev := evaluator(t, kpi.Weights{0.1, 0.1, 0.7, 0.1})
-	s, err := NewSearcher(ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := NewOnlineController(s, base, 0.93)
+	s := searcher(t, kpi.Weights{0.1, 0.1, 0.7, 0.1})
+	ctrl, err := NewOnlineController(s, base)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,12 +39,8 @@ func TestOnlineControllerTimelineAnnotations(t *testing.T) {
 	base.LossRate = 0
 	base.DelayMs = 0
 
-	ev := evaluator(t, kpi.Weights{0.1, 0.1, 0.7, 0.1})
-	s, err := NewSearcher(ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := NewOnlineController(s, base, 0.93)
+	s := searcher(t, kpi.Weights{0.1, 0.1, 0.7, 0.1})
+	ctrl, err := NewOnlineController(s, base)
 	if err != nil {
 		t.Fatal(err)
 	}

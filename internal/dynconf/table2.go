@@ -41,8 +41,6 @@ type StreamOutcome struct {
 	DynamicRd float64
 	// Reconfigurations is the number of distinct schedule entries.
 	Reconfigurations int
-	// Target is the γ requirement the schedule was generated for.
-	Target float64
 }
 
 // Options configures the Table II pipeline.
@@ -56,7 +54,9 @@ type Options struct {
 	// Interval is the reconfiguration check period (default 60 s).
 	Interval time.Duration
 	// Predictor, when non-nil, skips training (otherwise TrainMessages
-	// experiments are run per training-grid point).
+	// experiments are run per training-grid point). A supplied model
+	// stands for one trained on TrainingGrid: the search steps along that
+	// grid's knob values whatever the model was fitted on.
 	Predictor *core.Predictor
 	// TrainMessages is the per-experiment message count when training
 	// (default 2000).
@@ -81,10 +81,10 @@ func (o *Options) defaults() {
 	}
 }
 
-// TrainingGrid enumerates the feature region the dynamic-configuration
-// search explores: both semantics, batch sizes, poll intervals and
-// timeouts across the trace's delay/loss envelope, at the given message
-// size.
+// TrainingGrid enumerates the feature region the predictor is trained
+// on: both semantics, batch sizes, poll intervals and timeouts across the
+// trace's delay/loss envelope, at the given message size. Its knob
+// values are also the only ones the search steps through (NewSearcher).
 func TrainingGrid(messageSize int, timeliness time.Duration) []features.Vector {
 	var grid []features.Vector
 	for _, sem := range []int{features.SemanticsAtMostOnce, features.SemanticsAtLeastOnce} {
@@ -110,37 +110,15 @@ func TrainingGrid(messageSize int, timeliness time.Duration) []features.Vector {
 	return grid
 }
 
-// profileTarget returns the γ requirement for a stream profile (the
-// paper: "If γ is less than the user-defined requirement, the parameters
-// should be adjusted"). Completeness-heavy weight profiles need a higher
-// bar, since γ ≈ ω3·(1−P_l) tolerates more loss at a fixed target when ω3
-// dominates: the bar is set so the implied loss tolerance ω3·P_l is
-// comparable across weight profiles.
-func profileTarget(p workload.Profile) float64 {
-	switch p.Name {
-	case workload.WebLogs.Name:
-		return 0.90 // completeness-first: tolerate at most a few % loss
-	case workload.GameTraffic.Name:
-		return 0.80
-	default:
-		return 0.75
-	}
-}
-
 // TableII runs the full dynamic-configuration evaluation for the three
 // paper stream profiles (or any provided ones) and returns one outcome
-// per stream.
-func TableII(profiles []workload.Profile, opts Options) ([]StreamOutcome, error) {
-	return TableIIContext(context.Background(), profiles, opts)
-}
-
-// TableIIContext is TableII with cancellation. Profiles run in sequence
-// (each trains its own predictor and logs coarse progress); within a
-// profile the training sweep fans out over the exprun pool, as do the
-// static-default and dynamic-schedule evaluation runs. The offline
-// schedule search itself stays sequential: each checkpoint's stepwise
-// walk starts from the configuration the previous checkpoint chose.
-func TableIIContext(ctx context.Context, profiles []workload.Profile, opts Options) ([]StreamOutcome, error) {
+// per stream. Profiles run in sequence (each trains its own predictor
+// and logs coarse progress); within a profile the training sweep fans
+// out over the exprun pool, as do the static-default and
+// dynamic-schedule evaluation runs. The offline schedule search itself
+// stays sequential: each checkpoint's stepwise walk starts from the
+// configuration the previous checkpoint chose.
+func TableII(ctx context.Context, profiles []workload.Profile, opts Options) ([]StreamOutcome, error) {
 	if len(profiles) == 0 {
 		profiles = workload.Profiles()
 	}
@@ -164,10 +142,10 @@ func TableIIContext(ctx context.Context, profiles []workload.Profile, opts Optio
 
 	var out []StreamOutcome
 	for pi, profile := range profiles {
+		grid := TrainingGrid(profile.MeanSize, profile.Timeliness)
 		pred := opts.Predictor
 		if pred == nil {
 			say(fmt.Sprintf("training predictor for %s (grid sweep)...", profile.Name))
-			grid := TrainingGrid(profile.MeanSize, profile.Timeliness)
 			ds, err := sweep.CollectContext(ctx, grid, sweep.Options{
 				Messages:   opts.TrainMessages,
 				Seed:       opts.Seed + uint64(pi)*31,
@@ -186,15 +164,14 @@ func TableIIContext(ctx context.Context, profiles []workload.Profile, opts Optio
 		if err != nil {
 			return nil, fmt.Errorf("dynconf: %s: %w", profile.Name, err)
 		}
-		searcher, err := NewSearcher(eval)
+		searcher, err := NewSearcher(eval, grid)
 		if err != nil {
 			return nil, fmt.Errorf("dynconf: %s: %w", profile.Name, err)
 		}
 
-		target := profileTarget(profile)
 		base := DefaultVector(profile)
 		say(fmt.Sprintf("generating schedule for %s...", profile.Name))
-		schedule, err := GenerateSchedule(searcher, trace, base, target, opts.Interval)
+		schedule, err := GenerateSchedule(searcher, trace, base, opts.Interval)
 		if err != nil {
 			return nil, fmt.Errorf("dynconf: %s: %w", profile.Name, err)
 		}
@@ -244,7 +221,6 @@ func TableIIContext(ctx context.Context, profiles []workload.Profile, opts Optio
 			DynamicRl:        dynRes.Pl,
 			DynamicRd:        dynRes.Pd,
 			Reconfigurations: len(schedule),
-			Target:           target,
 		})
 	}
 	return out, nil

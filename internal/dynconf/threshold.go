@@ -20,45 +20,19 @@ import (
 //
 // Only the configuration features (semantics, batch size, poll
 // interval, message timeout) of protective are applied; stream keeps
-// supplying the workload features. Consecutive identical entries are
-// merged, mirroring GenerateSchedule.
+// supplying the workload features. It shares GenerateSchedule's
+// checkpoint loop and merge rule.
 func ThresholdSchedule(trace netem.Trace, stream, protective features.Vector, interval time.Duration, lossBar float64) ([]ScheduleEntry, error) {
-	if len(trace) == 0 {
-		return nil, fmt.Errorf("dynconf: empty trace")
-	}
-	if interval <= 0 {
-		return nil, fmt.Errorf("dynconf: non-positive interval %v", interval)
-	}
 	if lossBar <= 0 || lossBar >= 1 {
 		return nil, fmt.Errorf("dynconf: loss bar %v outside (0, 1)", lossBar)
-	}
-	if err := stream.Validate(); err != nil {
-		return nil, fmt.Errorf("dynconf: stream: %w", err)
 	}
 	if err := protective.Validate(); err != nil {
 		return nil, fmt.Errorf("dynconf: protective: %w", err)
 	}
-	end := trace[len(trace)-1].Start + interval
-	var out []ScheduleEntry
-	for at := time.Duration(0); at < end; at += interval {
-		seg, ok := trace.ConditionAt(at)
-		if !ok {
-			continue
-		}
-		cur := stream
+	return schedule(trace, stream, interval, func(_ features.Vector, seg netem.Segment) (features.Vector, error) {
 		if seg.LossRate >= lossBar {
-			cur.Semantics = protective.Semantics
-			cur.BatchSize = protective.BatchSize
-			cur.PollInterval = protective.PollInterval
-			cur.MessageTimeout = protective.MessageTimeout
+			return protective, nil
 		}
-		if len(out) > 0 && sameConfig(out[len(out)-1].Config, cur) {
-			continue
-		}
-		out = append(out, ScheduleEntry{At: at, Config: cur})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("dynconf: schedule came out empty")
-	}
-	return out, nil
+		return stream, nil
+	})
 }

@@ -282,14 +282,8 @@ const streamTopic = "stream"
 // the one client, the fault plan, the scheduled reconfigurations, the
 // timeline sampler.
 func (e Experiment) assemble(sim *des.Simulator) (*rig, error) {
-	if err := e.Features.Validate(); err != nil {
-		return nil, fmt.Errorf("testbed: %w", err)
-	}
-	if e.Messages <= 0 {
-		return nil, fmt.Errorf("testbed: message count %d <= 0", e.Messages)
-	}
-	if e.Consumers > 0 && e.MaxSimTime <= 0 {
-		return nil, fmt.Errorf("testbed: Consumers > 0 requires MaxSimTime")
+	if err := e.validate(); err != nil {
+		return nil, err
 	}
 	cal, err := e.Calibration.resolved()
 	if err != nil {
@@ -362,6 +356,59 @@ func (e Experiment) assemble(sim *des.Simulator) (*rig, error) {
 		r.sample(e.Timeline, c.prod.Done)
 	}
 	return r, nil
+}
+
+// validate rejects a configuration that would otherwise run degraded
+// with no error: a negative override silently taking its default, a
+// MinISR no partition can meet, or a batch no produce frame can carry
+// (every message would be lost).
+func (e Experiment) validate() error {
+	if err := e.Features.Validate(); err != nil {
+		return fmt.Errorf("testbed: %w", err)
+	}
+	if e.Messages <= 0 {
+		return fmt.Errorf("testbed: message count %d <= 0", e.Messages)
+	}
+	for _, o := range []struct {
+		name     string
+		negative bool
+	}{
+		{"Partitions", e.Partitions < 0},
+		{"ReplicationFactor", e.ReplicationFactor < 0},
+		{"MinISR", e.MinISR < 0},
+		{"Consumers", e.Consumers < 0},
+		{"Groups", e.Groups < 0},
+		{"OffsetsReplication", e.OffsetsReplication < 0},
+		{"QueueLimit", e.QueueLimit < 0},
+		{"MaxInFlight", e.MaxInFlight < 0},
+		{"MaxRetries", e.MaxRetries < 0},
+		{"MaxSimTime", e.MaxSimTime < 0},
+		{"RequestTimeout", e.RequestTimeout < 0},
+		{"RetryBackoff", e.RetryBackoff < 0},
+		{"RetryBackoffMax", e.RetryBackoffMax < 0},
+	} {
+		if o.negative {
+			return fmt.Errorf("testbed: negative %s", o.name)
+		}
+	}
+	if rf := exprun.DefInt(e.ReplicationFactor, 3); e.MinISR > rf {
+		return fmt.Errorf("testbed: MinISR %d exceeds replication factor %d", e.MinISR, rf)
+	}
+	if e.Consumers > 0 && e.MaxSimTime <= 0 {
+		return fmt.Errorf("testbed: Consumers > 0 requires MaxSimTime")
+	}
+	batches := []int{e.Features.BatchSize}
+	for _, c := range e.Schedule {
+		batches = append(batches, c.Features.BatchSize)
+	}
+	m := e.Features.MessageSize
+	for _, b := range batches {
+		if m > wire.MaxFrameSize || b > wire.MaxFrameSize ||
+			wire.ProduceFrameSize(len(streamTopic), b, b*m) > wire.MaxFrameSize {
+			return fmt.Errorf("testbed: a batch of %d records of %d bytes exceeds the %d-byte frame limit", b, m, wire.MaxFrameSize)
+		}
+	}
+	return nil
 }
 
 // describeConfig renders the tunable configuration features of a vector

@@ -64,6 +64,56 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestRunRejectsHostileConfiguration mutates one field of a valid
+// experiment per row. Unchecked, each row would run degraded with no
+// error: a negative override silently takes its default, MinISR above
+// the replication factor fails every acks=all produce, and a batch no
+// frame can carry loses every message.
+func TestRunRejectsHostileConfiguration(t *testing.T) {
+	valid := Experiment{Features: cleanVector(), Messages: 20, Seed: 1, MaxSimTime: time.Minute}
+	if _, err := Run(valid); err != nil {
+		t.Fatalf("the unmutated experiment fails: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Experiment)
+	}{
+		{"negative MaxInFlight", func(e *Experiment) { e.MaxInFlight = -1 }},
+		{"negative RequestTimeout", func(e *Experiment) { e.RequestTimeout = -1 }},
+		{"negative RetryBackoff", func(e *Experiment) { e.RetryBackoff = -time.Second }},
+		{"negative RetryBackoffMax", func(e *Experiment) { e.RetryBackoffMax = -time.Second }},
+		{"negative QueueLimit", func(e *Experiment) { e.QueueLimit = -1 }},
+		{"negative MaxRetries", func(e *Experiment) { e.MaxRetries = -1 }},
+		{"negative Partitions", func(e *Experiment) { e.Partitions = -1 }},
+		{"negative ReplicationFactor", func(e *Experiment) { e.ReplicationFactor = -1 }},
+		{"negative MinISR", func(e *Experiment) { e.MinISR = -1 }},
+		{"negative Consumers", func(e *Experiment) { e.Consumers = -1 }},
+		{"negative Groups", func(e *Experiment) { e.Groups = -1 }},
+		{"negative OffsetsReplication", func(e *Experiment) { e.OffsetsReplication = -1 }},
+		{"negative MaxSimTime", func(e *Experiment) { e.MaxSimTime = -time.Second }},
+		{"MinISR above RF", func(e *Experiment) { e.MinISR = 4 }},
+		{"MinISR above explicit RF", func(e *Experiment) { e.ReplicationFactor, e.MinISR = 1, 2 }},
+		{"message larger than a frame", func(e *Experiment) { e.Features.MessageSize = 100_000_000 }},
+		{"batch larger than a frame", func(e *Experiment) {
+			e.Features.MessageSize, e.Features.BatchSize = 2_000_000, 10
+		}},
+		{"scheduled batch larger than a frame", func(e *Experiment) {
+			v := e.Features
+			v.BatchSize = 100_000
+			e.Schedule = []ConfigChange{{At: time.Second, Features: v}}
+		}},
+	} {
+		e := valid
+		tc.mutate(&e)
+		_, err := Run(e)
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		t.Logf("%s: %v", tc.name, err)
+	}
+}
+
 func TestRunDeterminism(t *testing.T) {
 	e := Experiment{Features: cleanVector(), Messages: 400, Seed: 9}
 	e.Features.LossRate = 0.15

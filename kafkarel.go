@@ -15,9 +15,9 @@
 //     TrainPredictor.
 //   - The weighted KPI γ of Eq. 2 combining reliability with predicted
 //     performance — see NewEvaluator.
-//   - The dynamic-configuration scheme of Sec. V: stepwise configuration
-//     search against a forecast network trace — see NewSearcher and
-//     EvaluateDynamicConfiguration.
+//   - The dynamic-configuration scheme of Sec. V: a stepwise walk over
+//     the predictor's training grid, climbing γ under a forecast network
+//     trace — see NewSearcher and EvaluateDynamicConfiguration.
 //
 // Every evaluation artefact is built from independent, seed-deterministic
 // simulated experiments, which execute on a bounded worker pool (the
@@ -139,7 +139,7 @@ func NewEvaluator(p *Predictor, perf *PerfModel, w Weights) (*Evaluator, error) 
 
 // Dynamic configuration (Sec. V).
 type (
-	// Searcher walks configuration space until γ meets a requirement.
+	// Searcher walks the predictor's training grid uphill in γ.
 	Searcher = dynconf.Searcher
 	// StreamOutcome is one Table II row pair (default vs dynamic R_l/R_d).
 	StreamOutcome = dynconf.StreamOutcome
@@ -149,12 +149,16 @@ type (
 	StreamProfile = workload.Profile
 )
 
-// NewSearcher builds a stepwise configuration searcher.
-func NewSearcher(eval *Evaluator) (*Searcher, error) { return dynconf.NewSearcher(eval) }
+// NewSearcher builds a stepwise configuration searcher over grid, the
+// feature points the evaluator's predictor was trained on: each step
+// moves one of semantics, B, δ or T_o to an adjacent grid value.
+func NewSearcher(eval *Evaluator, grid []Features) (*Searcher, error) {
+	return dynconf.NewSearcher(eval, grid)
+}
 
 // EvaluateDynamicConfiguration runs the full Table II pipeline.
 func EvaluateDynamicConfiguration(profiles []StreamProfile, opts DynConfOptions) ([]StreamOutcome, error) {
-	return dynconf.TableII(profiles, opts)
+	return dynconf.TableII(context.Background(), profiles, opts)
 }
 
 // Online dynamic configuration — the paper's declared future work,
@@ -168,9 +172,9 @@ type (
 )
 
 // NewOnlineController builds an online controller starting from the
-// given configuration and pursuing the γ target.
-func NewOnlineController(s *Searcher, start Features, target float64) (*OnlineController, error) {
-	return dynconf.NewOnlineController(s, start, target)
+// given configuration.
+func NewOnlineController(s *Searcher, start Features) (*OnlineController, error) {
+	return dynconf.NewOnlineController(s, start)
 }
 
 // RunOnlineExperiment executes an experiment while a controller

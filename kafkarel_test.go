@@ -281,13 +281,13 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	searcher, err := kafkarel.NewSearcher(eval)
+	searcher, err := kafkarel.NewSearcher(eval, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := grid[0]
 	start.LossRate = 0.2
-	_, score, err := searcher.Improve(start, 2.0)
+	_, score, err := searcher.Improve(start)
 	if err != nil {
 		t.Fatal(err)
 	}
