@@ -176,7 +176,7 @@ repro:
 ## byte; a differing file fails the target. After a change that moves
 ## simulated behaviour, regenerate the files with the same command and
 ## commit them with the change. ~10 s.
-REPRO_ARTEFACTS = fig4 fig5 fig6 fig7 fig8 fig9 table1 table2 ann-accuracy sensitivity
+REPRO_ARTEFACTS = fig4 fig5 fig6 fig7 fig8 fig9 table1 table2 ann-accuracy sensitivity throughput latency
 repro-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; $(GO) build -o $$tmp/repro ./cmd/repro || exit 1; \
 	fail=0; for a in $(REPRO_ARTEFACTS); do \

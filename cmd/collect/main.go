@@ -3,10 +3,11 @@
 // the labelled dataset as CSV. The sweep is figures.Fig3's, so
 // `collect -n N -seed s` writes exactly the samples `repro -n N -seed s
 // ann-accuracy` trains on, and `train -seed s` on that CSV reproduces its
-// metrics. Experiments fan out over a worker pool and rows stream to the
-// output in grid order as soon as each result's prefix has completed, so
-// even very long sweeps need no dataset-sized buffer and a killed run
-// leaves a usable CSV prefix behind.
+// metrics. Experiments fan out over a worker pool; the CSV is written in
+// grid order once the whole sweep has run. The dataset is 480 rows, so
+// holding it costs nothing, and an interrupted sweep writes no file: the
+// grid lists the normal oval first, so any prefix of it lacks the
+// abnormal (fault-injected) cases and would bias a model trained on it.
 //
 // Usage:
 //
@@ -54,32 +55,20 @@ func run(ctx context.Context, args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "collecting %d experiments x %d messages\n", len(grid), opts.Messages)
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if cerr := f.Close(); cerr != nil {
-				fmt.Fprintln(os.Stderr, "collect: close:", cerr)
-			}
-		}()
-		w = f
-	}
-	cw, err := features.NewCSVWriter(w)
+	ds, err := sweep.CollectContext(ctx, grid, opts)
 	if err != nil {
 		return err
 	}
-	err = sweep.CollectStream(ctx, grid, opts, func(s features.Sample) error {
-		if err := cw.Write(s); err != nil {
-			return err
-		}
-		// Flush per row: an interrupted sweep keeps its completed prefix.
-		return cw.Flush()
-	})
+	if *out == "" {
+		return features.WriteCSV(os.Stdout, ds)
+	}
+	f, err := os.Create(*out)
 	if err != nil {
 		return err
 	}
-	return cw.Flush()
+	werr := features.WriteCSV(f, ds)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	return werr
 }

@@ -18,6 +18,7 @@ import (
 	"kafkarel/internal/features"
 	"kafkarel/internal/kpi"
 	"kafkarel/internal/perfmodel"
+	"kafkarel/internal/producer"
 	"kafkarel/internal/testbed"
 )
 
@@ -49,20 +50,16 @@ func run(args []string) error {
 	if *model == "" {
 		return fmt.Errorf("missing -model")
 	}
-	sem := map[string]int{
-		"at-most-once":  features.SemanticsAtMostOnce,
-		"at-least-once": features.SemanticsAtLeastOnce,
-		"exactly-once":  features.SemanticsExactlyOnce,
-	}[*semantics]
-	if sem == 0 {
-		return fmt.Errorf("unknown semantics %q", *semantics)
+	sem, err := producer.ParseSemantics(*semantics)
+	if err != nil {
+		return err
 	}
 	v := features.Vector{
 		MessageSize:    *size,
 		Timeliness:     *timeliness,
 		DelayMs:        *delay,
 		LossRate:       *loss,
-		Semantics:      sem,
+		Semantics:      int(sem),
 		BatchSize:      *batch,
 		PollInterval:   *poll,
 		MessageTimeout: *timeout,

@@ -18,6 +18,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -32,6 +33,7 @@ import (
 	"kafkarel/internal/kpi"
 	"kafkarel/internal/netem"
 	"kafkarel/internal/obs"
+	"kafkarel/internal/producer"
 	"kafkarel/internal/report"
 	"kafkarel/internal/sweep"
 	"kafkarel/internal/testbed"
@@ -105,18 +107,6 @@ func run(ctx context.Context, args []string) error {
 	return fn(withProgress(opts, name))
 }
 
-func semName(s int) string {
-	switch s {
-	case features.SemanticsAtMostOnce:
-		return "at-most-once"
-	case features.SemanticsAtLeastOnce:
-		return "at-least-once"
-	case features.SemanticsExactlyOnce:
-		return "exactly-once"
-	}
-	return fmt.Sprintf("sem%d", s)
-}
-
 func newTab() *tabwriter.Writer {
 	return tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 }
@@ -142,7 +132,7 @@ func fig4(o figures.Options) error {
 	w := newTab()
 	fmt.Fprintln(w, "M_bytes\tsemantics\tPl\tPd")
 	for _, p := range points {
-		fmt.Fprintf(w, "%d\t%s\t%.4f\t%.4f\n", p.MessageSize, semName(p.Semantics), p.Pl, p.Pd)
+		fmt.Fprintf(w, "%d\t%s\t%.4f\t%.4f\n", p.MessageSize, producer.Semantics(p.Semantics), p.Pl, p.Pd)
 	}
 	return w.Flush()
 }
@@ -156,7 +146,7 @@ func fig5(o figures.Options) error {
 	w := newTab()
 	fmt.Fprintln(w, "To_ms\tsemantics\tPl")
 	for _, p := range points {
-		fmt.Fprintf(w, "%d\t%s\t%.4f\n", p.Timeout/time.Millisecond, semName(p.Semantics), p.Pl)
+		fmt.Fprintf(w, "%d\t%s\t%.4f\n", p.Timeout/time.Millisecond, producer.Semantics(p.Semantics), p.Pl)
 	}
 	return w.Flush()
 }
@@ -184,7 +174,7 @@ func fig7(o figures.Options) error {
 	w := newTab()
 	fmt.Fprintln(w, "L\tB\tsemantics\tPl")
 	for _, p := range points {
-		fmt.Fprintf(w, "%.2f\t%d\t%s\t%.4f\n", p.LossRate, p.BatchSize, semName(p.Semantics), p.Pl)
+		fmt.Fprintf(w, "%.2f\t%d\t%s\t%.4f\n", p.LossRate, p.BatchSize, producer.Semantics(p.Semantics), p.Pl)
 	}
 	return w.Flush()
 }
@@ -285,7 +275,7 @@ func annAccuracy(o figures.Options) error {
 			break
 		}
 		fmt.Fprintf(w, "%d\t%.2f\t%d\t%s\t%.4f\t%.4f\n",
-			p.X.MessageSize, p.X.LossRate, p.X.BatchSize, semName(p.X.Semantics),
+			p.X.MessageSize, p.X.LossRate, p.X.BatchSize, producer.Semantics(p.X.Semantics),
 			p.MeasuredPl, p.PredictedPl)
 	}
 	return w.Flush()
@@ -302,7 +292,7 @@ func accuracyTable(metrics core.Metrics) error {
 			continue
 		}
 		fmt.Fprintf(w, "%s\t%d\t%d\t%.4f\t%.4f\t%d\n",
-			semName(sem), m.TrainSamples, m.TestSamples, m.MAE, m.RMSE, m.Epochs)
+			producer.Semantics(sem), m.TrainSamples, m.TestSamples, m.MAE, m.RMSE, m.Epochs)
 	}
 	fmt.Fprintf(w, "pooled\t\t\t%.4f\t%.4f\t\n", metrics.MAE, metrics.RMSE)
 	return w.Flush()
@@ -343,32 +333,36 @@ func throughput(o figures.Options, csvDir string) error {
 	if csvDir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(csvDir, 0o755); err != nil {
-		return err
-	}
-	write := func(name string, render func(*os.File) error) error {
-		f, err := os.Create(filepath.Join(csvDir, name))
-		if err != nil {
-			return err
-		}
-		werr := render(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("write %s: %w", name, werr)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", filepath.Join(csvDir, name))
-		return nil
-	}
-	if err := write("throughput_vs_batch.csv", func(f *os.File) error {
-		return figures.WriteThroughputBatchCSV(f, batch)
+	if err := writeCSV(csvDir, "throughput_vs_batch.csv", func(w io.Writer) error {
+		return figures.WriteThroughputBatchCSV(w, batch)
 	}); err != nil {
 		return err
 	}
-	return write("throughput_vs_partitions.csv", func(f *os.File) error {
-		return figures.WriteThroughputPartitionsCSV(f, parts)
+	return writeCSV(csvDir, "throughput_vs_partitions.csv", func(w io.Writer) error {
+		return figures.WriteThroughputPartitionsCSV(w, parts)
 	})
+}
+
+// writeCSV renders one CSV artefact into dir, creating dir on demand,
+// and notes the written path on stderr.
+func writeCSV(dir, name string, render func(io.Writer) error) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	path := filepath.Join(dir, name)
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	werr := render(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		return fmt.Errorf("write %s: %w", name, werr)
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+	return nil
 }
 
 // traceRun executes one Fig. 8 configuration with the event tracer
@@ -427,13 +421,6 @@ func traceRun(o figures.Options) error {
 	return w.Flush()
 }
 
-// reportDynamicRun assembles and executes the Table-II-style dynamic
-// run the report renders: the social-media stream over the default
-// 10-minute trace, reconfigured by a rule-based threshold schedule
-// (protective configuration while the forecast segment loses >= 5% of
-// packets), with the timeline sampler and event tracer attached. It is
-// shared with the acceptance test, which cross-checks the report totals
-// against the run's counters.
 // latency prints the end-to-end latency percentile family and, with a
 // -csv directory, writes the percentile and CDF series as artefacts.
 func latency(o figures.Options, csvDir string) error {
@@ -458,7 +445,7 @@ func latency(o figures.Options, csvDir string) error {
 				continue
 			}
 			fmt.Fprintf(w, "%s\t%.2f\t%s\t%d\t%v\t%v\t%v\t%v\n",
-				semName(p.Semantics), p.LossRate, s.name, s.h.Total(),
+				producer.Semantics(p.Semantics), p.LossRate, s.name, s.h.Total(),
 				s.h.Quantile(0.50), s.h.Quantile(0.95), s.h.Quantile(0.99), s.h.Max)
 		}
 	}
@@ -468,30 +455,19 @@ func latency(o figures.Options, csvDir string) error {
 	if csvDir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(csvDir, 0o755); err != nil {
+	if err := writeCSV(csvDir, "latency.csv", func(w io.Writer) error { return figures.WriteLatencyCSV(w, points) }); err != nil {
 		return err
 	}
-	write := func(name string, render func(*os.File) error) error {
-		f, err := os.Create(filepath.Join(csvDir, name))
-		if err != nil {
-			return err
-		}
-		werr := render(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("write %s: %w", name, werr)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", filepath.Join(csvDir, name))
-		return nil
-	}
-	if err := write("latency.csv", func(f *os.File) error { return figures.WriteLatencyCSV(f, points) }); err != nil {
-		return err
-	}
-	return write("latency-cdf.csv", func(f *os.File) error { return figures.WriteLatencyCDFCSV(f, points) })
+	return writeCSV(csvDir, "latency-cdf.csv", func(w io.Writer) error { return figures.WriteLatencyCDFCSV(w, points) })
 }
 
+// reportDynamicRun assembles and executes the Table-II-style dynamic
+// run the report renders: the social-media stream over the default
+// 10-minute trace, reconfigured by a rule-based threshold schedule
+// (protective configuration while the forecast segment loses >= 5% of
+// packets), with the timeline sampler and event tracer attached. It is
+// shared with the acceptance test, which cross-checks the report totals
+// against the run's counters.
 func reportDynamicRun(messages int, seed uint64) (testbed.Result, []obs.Event, error) {
 	profile := workload.SocialMedia
 	spec := netem.DefaultTraceSpec()
@@ -523,7 +499,7 @@ func reportDynamicRun(messages int, seed uint64) (testbed.Result, []obs.Event, e
 		Seed:       seed + 12,
 		Trace:      trace,
 		MaxSimTime: spec.Duration,
-		Schedule:   dynconf.ToConfigChanges(schedule),
+		Schedule:   schedule,
 		Tracer:     tracer,
 		Timeline:   timeline,
 	})

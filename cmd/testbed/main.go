@@ -33,6 +33,7 @@ import (
 	"kafkarel/internal/features"
 	"kafkarel/internal/kpi"
 	"kafkarel/internal/obs"
+	"kafkarel/internal/producer"
 	"kafkarel/internal/testbed"
 )
 
@@ -85,20 +86,16 @@ func run(ctx context.Context, args []string) error {
 			return fmt.Errorf("fleet-only flags without -fleet: %s", strings.Join(stray, ", "))
 		}
 	}
-	sem := map[string]int{
-		"at-most-once":  features.SemanticsAtMostOnce,
-		"at-least-once": features.SemanticsAtLeastOnce,
-		"exactly-once":  features.SemanticsExactlyOnce,
-	}[*semantics]
-	if sem == 0 {
-		return fmt.Errorf("unknown semantics %q", *semantics)
+	sem, err := producer.ParseSemantics(*semantics)
+	if err != nil {
+		return err
 	}
 	v := features.Vector{
 		MessageSize:    *size,
 		Timeliness:     *timeliness,
 		DelayMs:        *delay,
 		LossRate:       *loss,
-		Semantics:      sem,
+		Semantics:      int(sem),
 		BatchSize:      *batch,
 		PollInterval:   *poll,
 		MessageTimeout: *timeout,

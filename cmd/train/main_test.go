@@ -30,16 +30,7 @@ func writeDataset(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := features.NewCSVWriter(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range ds {
-		if err := cw.Write(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cw.Flush(); err != nil {
+	if err := features.WriteCSV(f, ds); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

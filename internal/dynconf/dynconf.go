@@ -138,18 +138,13 @@ func (s *Searcher) Improve(start features.Vector) (features.Vector, kpi.Breakdow
 	}
 }
 
-// ScheduleEntry is one line of the offline configuration file: from At
-// onward the producer runs with Config.
-type ScheduleEntry struct {
-	At     time.Duration
-	Config features.Vector
-}
-
 // GenerateSchedule walks the network trace at the reconfiguration
 // interval (the paper checks γ "every other time interval (i.e. every 60
 // seconds)"), and at each checkpoint searches from the current
-// configuration under the forecast network condition.
-func GenerateSchedule(s *Searcher, trace netem.Trace, stream features.Vector, interval time.Duration) ([]ScheduleEntry, error) {
+// configuration under the forecast network condition. The result is the
+// offline configuration file: from each change's At onward the producer
+// runs with its Features.
+func GenerateSchedule(s *Searcher, trace netem.Trace, stream features.Vector, interval time.Duration) ([]testbed.ConfigChange, error) {
 	if s == nil {
 		return nil, fmt.Errorf("dynconf: nil searcher")
 	}
@@ -168,7 +163,7 @@ func GenerateSchedule(s *Searcher, trace netem.Trace, stream features.Vector, in
 // rest. Consecutive identical configurations are merged, since every
 // configuration change costs coordination overhead (Sec. V).
 func schedule(trace netem.Trace, stream features.Vector, interval time.Duration,
-	choose func(cur features.Vector, seg netem.Segment) (features.Vector, error)) ([]ScheduleEntry, error) {
+	choose func(cur features.Vector, seg netem.Segment) (features.Vector, error)) ([]testbed.ConfigChange, error) {
 	if len(trace) == 0 {
 		return nil, fmt.Errorf("dynconf: empty trace")
 	}
@@ -180,7 +175,7 @@ func schedule(trace netem.Trace, stream features.Vector, interval time.Duration,
 	}
 	end := trace[len(trace)-1].Start + interval
 	cur := stream
-	var out []ScheduleEntry
+	var out []testbed.ConfigChange
 	for at := time.Duration(0); at < end; at += interval {
 		seg, ok := trace.ConditionAt(at)
 		if !ok {
@@ -191,10 +186,10 @@ func schedule(trace netem.Trace, stream features.Vector, interval time.Duration,
 			return nil, fmt.Errorf("dynconf: at %v: %w", at, err)
 		}
 		cur = withConfig(stream, next)
-		if len(out) > 0 && sameConfig(out[len(out)-1].Config, cur) {
+		if len(out) > 0 && sameConfig(out[len(out)-1].Features, cur) {
 			continue
 		}
-		out = append(out, ScheduleEntry{At: at, Config: cur})
+		out = append(out, testbed.ConfigChange{At: at, Features: cur})
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("dynconf: schedule came out empty")
@@ -214,14 +209,4 @@ func withConfig(v, cfg features.Vector) features.Vector {
 
 func sameConfig(a, b features.Vector) bool {
 	return withConfig(a, b) == a
-}
-
-// ToConfigChanges converts schedule entries into testbed reconfiguration
-// events.
-func ToConfigChanges(entries []ScheduleEntry) []testbed.ConfigChange {
-	out := make([]testbed.ConfigChange, 0, len(entries))
-	for _, e := range entries {
-		out = append(out, testbed.ConfigChange{At: e.At, Features: e.Config})
-	}
-	return out
 }

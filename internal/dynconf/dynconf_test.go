@@ -219,8 +219,8 @@ func TestSearchStaysOnGrid(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, e := range entries {
-			if bad := offGrid(grid, start, e.Config); bad != "" {
-				t.Fatalf("schedule from %+v has %s off the grid at %v: %+v", start, bad, e.At, e.Config)
+			if bad := offGrid(grid, start, e.Features); bad != "" {
+				t.Fatalf("schedule from %+v has %s off the grid at %v: %+v", start, bad, e.At, e.Features)
 			}
 		}
 	}
@@ -275,8 +275,8 @@ func TestTableIIScheduleIsOnTrainingGrid(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, e := range entries {
-				if !slices.ContainsFunc(grid, func(g features.Vector) bool { return sameConfig(g, e.Config) }) {
-					t.Errorf("seed %d %s: entry at %v is not a TrainingGrid point: %+v", seed, p.Name, e.At, e.Config)
+				if !slices.ContainsFunc(grid, func(g features.Vector) bool { return sameConfig(g, e.Features) }) {
+					t.Errorf("seed %d %s: entry at %v is not a TrainingGrid point: %+v", seed, p.Name, e.At, e.Features)
 				}
 			}
 		}
@@ -307,7 +307,7 @@ func TestGenerateSchedule(t *testing.T) {
 		if entries[i].At <= entries[i-1].At {
 			t.Errorf("entries out of order at %d", i)
 		}
-		if sameConfig(entries[i].Config, entries[i-1].Config) {
+		if sameConfig(entries[i].Features, entries[i-1].Features) {
 			t.Errorf("consecutive duplicate configs at %d", i)
 		}
 	}
@@ -317,10 +317,10 @@ func TestGenerateSchedule(t *testing.T) {
 	for i := range entries {
 		e := entries[i]
 		if e.At < 2*time.Minute {
-			openCfg = &e.Config
+			openCfg = &e.Features
 		}
 		if e.At >= 2*time.Minute && e.At < 4*time.Minute && midCfg == nil {
-			midCfg = &e.Config
+			midCfg = &e.Features
 		}
 	}
 	if openCfg == nil {
@@ -347,14 +347,6 @@ func TestGenerateScheduleValidation(t *testing.T) {
 	}
 	if _, err := GenerateSchedule(s, testTrace(t), features.Vector{}, time.Minute); err == nil {
 		t.Error("invalid stream accepted")
-	}
-}
-
-func TestToConfigChanges(t *testing.T) {
-	entries := []ScheduleEntry{{At: time.Second, Config: startVector()}}
-	changes := ToConfigChanges(entries)
-	if len(changes) != 1 || changes[0].At != time.Second {
-		t.Errorf("changes = %+v", changes)
 	}
 }
 

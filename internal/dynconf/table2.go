@@ -186,31 +186,20 @@ func TableII(ctx context.Context, profiles []workload.Profile, opts Options) ([]
 		}
 		// The static-default and dynamic-schedule evaluations share the
 		// seed (the comparison must isolate the configuration effect) and
-		// are independent, so they run as one two-task batch.
-		type evalTask struct {
-			name    string
-			changes []testbed.ConfigChange
-		}
+		// are independent, so they run as one two-experiment batch.
 		say(fmt.Sprintf("evaluating %s: static default vs dynamic schedule...", profile.Name))
-		evals, err := exprun.Map(ctx, []evalTask{
-			{name: "default"},
-			{name: "dynamic", changes: ToConfigChanges(schedule)},
-		}, func(ctx context.Context, _ int, t evalTask) (testbed.Result, error) {
-			res, err := testbed.RunCtx(ctx, testbed.Experiment{
-				Features:   base,
-				Messages:   messages,
-				Seed:       opts.Seed + 1000 + uint64(pi),
-				Trace:      trace,
-				MaxSimTime: opts.TraceSpec.Duration,
-				Schedule:   t.changes,
-			})
-			if err != nil {
-				return testbed.Result{}, fmt.Errorf("dynconf: %s %s: %w", profile.Name, t.name, err)
-			}
-			return res, nil
-		}, exprun.Options{Workers: opts.Workers})
+		static := testbed.Experiment{
+			Features:   base,
+			Messages:   messages,
+			Seed:       opts.Seed + 1000 + uint64(pi),
+			Trace:      trace,
+			MaxSimTime: opts.TraceSpec.Duration,
+		}
+		dynamic := static
+		dynamic.Schedule = schedule
+		evals, err := testbed.RunAll(ctx, []testbed.Experiment{static, dynamic}, exprun.Options{Workers: opts.Workers})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("dynconf: %s: %w", profile.Name, err)
 		}
 		defRes, dynRes := evals[0], evals[1]
 

@@ -6,6 +6,7 @@ import (
 
 	"kafkarel/internal/features"
 	"kafkarel/internal/netem"
+	"kafkarel/internal/testbed"
 )
 
 // ThresholdSchedule builds an offline configuration schedule from a
@@ -22,7 +23,7 @@ import (
 // interval, message timeout) of protective are applied; stream keeps
 // supplying the workload features. It shares GenerateSchedule's
 // checkpoint loop and merge rule.
-func ThresholdSchedule(trace netem.Trace, stream, protective features.Vector, interval time.Duration, lossBar float64) ([]ScheduleEntry, error) {
+func ThresholdSchedule(trace netem.Trace, stream, protective features.Vector, interval time.Duration, lossBar float64) ([]testbed.ConfigChange, error) {
 	if lossBar <= 0 || lossBar >= 1 {
 		return nil, fmt.Errorf("dynconf: loss bar %v outside (0, 1)", lossBar)
 	}

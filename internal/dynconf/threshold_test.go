@@ -59,20 +59,20 @@ func TestThresholdScheduleSwitches(t *testing.T) {
 	if len(entries) != 3 {
 		t.Fatalf("entries = %d (%+v), want 3 after merging", len(entries), entries)
 	}
-	if entries[0].At != 0 || !sameConfig(entries[0].Config, stream) {
+	if entries[0].At != 0 || !sameConfig(entries[0].Features, stream) {
 		t.Errorf("entry 0 = %+v, want the stream config at 0", entries[0])
 	}
-	if entries[1].At != 60*time.Second || !sameConfig(entries[1].Config, protective) {
+	if entries[1].At != 60*time.Second || !sameConfig(entries[1].Features, protective) {
 		t.Errorf("entry 1 = %+v, want the protective config at 60s", entries[1])
 	}
-	if entries[2].At != 120*time.Second || !sameConfig(entries[2].Config, stream) {
+	if entries[2].At != 120*time.Second || !sameConfig(entries[2].Features, stream) {
 		t.Errorf("entry 2 = %+v, want the stream config back at 120s", entries[2])
 	}
 	// Workload features always come from the stream, even under the
 	// protective configuration.
-	if entries[1].Config.MessageSize != stream.MessageSize {
+	if entries[1].Features.MessageSize != stream.MessageSize {
 		t.Errorf("protective entry message size = %d, want the stream's %d",
-			entries[1].Config.MessageSize, stream.MessageSize)
+			entries[1].Features.MessageSize, stream.MessageSize)
 	}
 	// A finer checkpoint interval sub-samples segments without changing
 	// the switch points.

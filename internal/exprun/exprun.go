@@ -11,10 +11,8 @@
 //
 //   - callers precompute per-task inputs (including seeds, see seed.go)
 //     before fan-out, so fn(i, task) is a pure function of its arguments;
-//   - Map returns results in input order;
-//   - MapOrdered additionally streams each result to a callback in input
-//     order as soon as its prefix has completed, without buffering the
-//     whole result set;
+//   - Map returns results in input order (testbed.RunAll is the one
+//     Map over experiment lists);
 //   - a failure cancels the tasks still queued, and the lowest-index
 //     error among the tasks that actually ran is returned (cancellation
 //     may keep later-queued tasks from running at all, and which ones
@@ -23,12 +21,11 @@ package exprun
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 )
 
-// Options tunes one Map/MapOrdered call.
+// Options tunes one Map call.
 type Options struct {
 	// Workers bounds the pool (<= 0: GOMAXPROCS). A single worker
 	// degenerates to a plain sequential loop over the tasks.
@@ -57,71 +54,11 @@ func (o Options) workers(tasks int) int {
 // Map runs fn over every task on a bounded worker pool and returns the
 // results in input order. fn must be a pure function of (index, task):
 // it is called at most once per task, from arbitrary goroutines, and
-// must not depend on execution order. On error the slice returned is
-// nil.
+// must not depend on execution order. A failure cancels the tasks still
+// queued; the error returned is then the lowest-index one recorded and
+// the slice is nil. Progress calls are serialised.
 func Map[T, R any](ctx context.Context, tasks []T, fn func(ctx context.Context, index int, task T) (R, error), opts Options) ([]R, error) {
-	results := make([]R, len(tasks))
-	err := run(ctx, len(tasks), func(ctx context.Context, i int) error {
-		r, err := fn(ctx, i, tasks[i])
-		if err != nil {
-			return err
-		}
-		results[i] = r
-		return nil
-	}, opts)
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// MapOrdered runs fn over every task like Map, but instead of returning
-// the result set it streams each result to emit in strict input order as
-// soon as all lower-index tasks have completed. Only the out-of-order
-// completions awaiting their prefix are buffered, so a long sweep can
-// write its output incrementally. emit is always called from a single
-// goroutine; an emit error cancels the run.
-func MapOrdered[T, R any](ctx context.Context, tasks []T, fn func(ctx context.Context, index int, task T) (R, error), emit func(index int, r R) error, opts Options) error {
-	var (
-		mu      sync.Mutex
-		pending = make(map[int]R)
-		next    int
-		emitErr error
-	)
-	err := run(ctx, len(tasks), func(ctx context.Context, i int) error {
-		r, err := fn(ctx, i, tasks[i])
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if emitErr != nil {
-			return emitErr
-		}
-		pending[i] = r
-		for {
-			v, ok := pending[next]
-			if !ok {
-				return nil
-			}
-			delete(pending, next)
-			if err := emit(next, v); err != nil {
-				emitErr = fmt.Errorf("exprun: emit %d: %w", next, err)
-				return emitErr
-			}
-			next++
-		}
-	}, opts)
-	return err
-}
-
-// run is the shared pool: it executes task indices 0..n-1 with bounded
-// workers, cancellation, deterministic error selection and a serialised
-// progress callback.
-func run(ctx context.Context, n int, fn func(ctx context.Context, i int) error, opts Options) error {
-	if n == 0 {
-		return ctx.Err()
-	}
+	n := len(tasks)
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -129,6 +66,7 @@ func run(ctx context.Context, n int, fn func(ctx context.Context, i int) error, 
 	defer cancel()
 
 	var (
+		results  = make([]R, n)
 		mu       sync.Mutex // serialises progress and error state
 		done     int
 		taskErrs map[int]error
@@ -165,7 +103,11 @@ func run(ctx context.Context, n int, fn func(ctx context.Context, i int) error, 
 					// completion is recorded for it.
 					continue
 				}
-				finish(i, fn(wctx, i))
+				r, err := fn(wctx, i, tasks[i])
+				if err == nil {
+					results[i] = r
+				}
+				finish(i, err)
 			}
 		}()
 	}
@@ -181,8 +123,11 @@ func run(ctx context.Context, n int, fn func(ctx context.Context, i int) error, 
 	// running, so "lowest recorded" is the strongest claim available.
 	for i := 0; i < n && len(taskErrs) > 0; i++ {
 		if err, ok := taskErrs[i]; ok {
-			return err
+			return nil, err
 		}
 	}
-	return ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return results, nil
 }

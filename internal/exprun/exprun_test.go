@@ -18,7 +18,7 @@ func ints(n int) []int {
 	return out
 }
 
-func TestMapOrderedResultsAllWorkerCounts(t *testing.T) {
+func TestMapResultsAllWorkerCounts(t *testing.T) {
 	tasks := ints(37)
 	square := func(_ context.Context, i int, v int) (int, error) { return v * v, nil }
 	var want []int
@@ -160,54 +160,6 @@ func TestMapHooksAndProgress(t *testing.T) {
 		if progress[i] != progress[i-1]+1 {
 			t.Errorf("progress not monotone: %v", progress)
 		}
-	}
-}
-
-func TestMapOrderedStreamsInOrder(t *testing.T) {
-	for _, workers := range []int{1, 4, 8} {
-		var emitted []int
-		err := MapOrdered(context.Background(), ints(50), func(_ context.Context, i, v int) (int, error) {
-			// Make later tasks finish first to force reordering.
-			time.Sleep(time.Duration(50-i) * 10 * time.Microsecond)
-			return v * 3, nil
-		}, func(i, r int) error {
-			if r != i*3 {
-				t.Errorf("emit(%d) = %d", i, r)
-			}
-			emitted = append(emitted, i)
-			return nil
-		}, Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(emitted) != 50 {
-			t.Fatalf("workers=%d: emitted %d", workers, len(emitted))
-		}
-		for i, e := range emitted {
-			if e != i {
-				t.Fatalf("workers=%d: emission order %v", workers, emitted)
-			}
-		}
-	}
-}
-
-func TestMapOrderedEmitErrorStops(t *testing.T) {
-	stop := errors.New("writer full")
-	var emitted int
-	err := MapOrdered(context.Background(), ints(100), func(_ context.Context, i, v int) (int, error) {
-		return v, nil
-	}, func(i, r int) error {
-		if i == 5 {
-			return stop
-		}
-		emitted++
-		return nil
-	}, Options{Workers: 4})
-	if !errors.Is(err, stop) {
-		t.Fatalf("err = %v", err)
-	}
-	if emitted != 5 {
-		t.Errorf("emitted %d rows before the failure, want 5", emitted)
 	}
 }
 

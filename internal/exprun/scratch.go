@@ -6,7 +6,7 @@ import "context"
 type scratchKey struct{}
 
 // Scratch is a per-worker slot for reusable trial state. Each worker of
-// a Map/MapOrdered call owns exactly one Scratch for the call's
+// a Map call owns exactly one Scratch for the call's
 // lifetime, and every task the worker runs sees the same slot through
 // its context — so expensive warm state (a reset simulator, grown
 // buffers) survives from one trial to the next without ever being
@@ -34,7 +34,7 @@ func (s *Scratch) Set(v any) {
 }
 
 // ContextScratch returns the calling task's per-worker Scratch, or nil
-// when ctx did not come from a Map/MapOrdered worker.
+// when ctx did not come from a Map worker.
 func ContextScratch(ctx context.Context) *Scratch {
 	if ctx == nil {
 		return nil

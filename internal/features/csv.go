@@ -7,53 +7,35 @@ import (
 	"strconv"
 )
 
-// CSVWriter writes a dataset incrementally: the header row up front,
-// then one row per sample as it arrives. Long sweeps stream their
-// results through it instead of buffering the whole dataset.
-type CSVWriter struct {
-	cw  *csv.Writer
-	row []string
-	n   int
-}
-
-// NewCSVWriter writes the header row and returns the row writer.
-func NewCSVWriter(w io.Writer) (*CSVWriter, error) {
+// WriteCSV writes ds as CSV: a header row of the feature names plus pl
+// and pd, then one row per sample with every value in its shortest
+// round-trip form.
+func WriteCSV(w io.Writer, ds Dataset) error {
 	cw := csv.NewWriter(w)
-	header := append(Names(), "pl", "pd")
-	if err := cw.Write(header); err != nil {
-		return nil, fmt.Errorf("features: write header: %w", err)
+	if err := cw.Write(append(Names(), "pl", "pd")); err != nil {
+		return fmt.Errorf("features: write header: %w", err)
 	}
-	return &CSVWriter{cw: cw, row: make([]string, 0, Dim+2)}, nil
-}
-
-// Write appends one sample row.
-func (w *CSVWriter) Write(s Sample) error {
-	w.row = w.row[:0]
-	for _, v := range s.X.Encode() {
-		w.row = append(w.row, strconv.FormatFloat(v, 'g', -1, 64))
+	row := make([]string, 0, Dim+2)
+	for i, s := range ds {
+		row = row[:0]
+		for _, v := range s.X.Encode() {
+			row = append(row, strconv.FormatFloat(v, 'g', -1, 64))
+		}
+		row = append(row,
+			strconv.FormatFloat(s.Pl, 'g', -1, 64),
+			strconv.FormatFloat(s.Pd, 'g', -1, 64))
+		if err := cw.Write(row); err != nil {
+			return fmt.Errorf("features: write row %d: %w", i, err)
+		}
 	}
-	w.row = append(w.row,
-		strconv.FormatFloat(s.Pl, 'g', -1, 64),
-		strconv.FormatFloat(s.Pd, 'g', -1, 64))
-	if err := w.cw.Write(w.row); err != nil {
-		return fmt.Errorf("features: write row %d: %w", w.n, err)
-	}
-	w.n++
-	return nil
-}
-
-// Flush flushes buffered rows to the underlying writer; call it once
-// after the last Write (it is cheap to call more often, e.g. to make
-// partial output durable during a long sweep).
-func (w *CSVWriter) Flush() error {
-	w.cw.Flush()
-	if err := w.cw.Error(); err != nil {
+	cw.Flush()
+	if err := cw.Error(); err != nil {
 		return fmt.Errorf("features: flush: %w", err)
 	}
 	return nil
 }
 
-// ReadCSV parses a dataset written by a CSVWriter.
+// ReadCSV parses a dataset written by WriteCSV.
 func ReadCSV(r io.Reader) (Dataset, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()

@@ -9,7 +9,8 @@ import (
 )
 
 // Semantics codes, mirroring producer.Semantics numerically so this
-// package stays dependency-free for the ANN tooling.
+// package stays dependency-free for the ANN tooling; a code's name is
+// producer.Semantics(code).String().
 const (
 	SemanticsAtMostOnce  = 1
 	SemanticsAtLeastOnce = 2

@@ -2,7 +2,6 @@ package features
 
 import (
 	"bytes"
-	"io"
 	"math"
 	"testing"
 	"testing/quick"
@@ -68,30 +67,15 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// writeCSV writes ds the way cmd/collect does: row by row, then Flush.
-func writeCSV(t *testing.T, w io.Writer, ds Dataset) {
-	t.Helper()
-	cw, err := NewCSVWriter(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range ds {
-		if err := cw.Write(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	ds := Dataset{
 		{X: sampleVector(), Pl: 0.63, Pd: 0.01},
 		{X: func() Vector { v := sampleVector(); v.MessageSize = 1000; return v }(), Pl: 0.004, Pd: 0},
 	}
 	var buf bytes.Buffer
-	writeCSV(t, &buf, ds)
+	if err := WriteCSV(&buf, ds); err != nil {
+		t.Fatal(err)
+	}
 	got, err := ReadCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +99,9 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	ds := Dataset{{X: sampleVector(), Pl: 0.1, Pd: 0}}
-	writeCSV(t, &buf, ds)
+	if err := WriteCSV(&buf, ds); err != nil {
+		t.Fatal(err)
+	}
 	corrupted := bytes.Replace(buf.Bytes(), []byte("0.19"), []byte("junk"), 1)
 	if _, err := ReadCSV(bytes.NewBuffer(corrupted)); err == nil {
 		t.Error("non-numeric cell accepted")

@@ -65,32 +65,29 @@ func maxSimTime(messages int) time.Duration {
 	return d
 }
 
-// point is one experiment of a figure: a feature vector plus the seed
-// index it has always used.
-type point struct {
-	v   features.Vector
-	idx int
-}
-
-// runBatch executes a figure's experiments on the exprun pool and
-// returns the results in point order; label renders the error context
-// for a failed point.
-func runBatch(o Options, points []point, label func(p point) string) ([]testbed.Result, error) {
+// runBatch runs one figure's experiments and returns the results in
+// vector order. Vector i runs at the seed of index first+i: each figure
+// keeps the disjoint index range it has always used. edit, when
+// non-nil, adjusts each experiment before the batch runs.
+func runBatch(o Options, first int, vectors []features.Vector, edit func(*testbed.Experiment)) ([]testbed.Result, error) {
 	seedAt := exprun.LinearSeeds(o.Seed, seedStride)
-	return exprun.Map(o.ctx(), points,
-		func(ctx context.Context, _ int, p point) (testbed.Result, error) {
-			res, err := testbed.RunCtx(ctx, testbed.Experiment{
-				Features:   p.v,
-				Messages:   o.messages(),
-				Seed:       seedAt(p.idx),
-				MaxSimTime: maxSimTime(o.messages()),
-			})
-			if err != nil {
-				return testbed.Result{}, fmt.Errorf("figures: %s: %w", label(p), err)
-			}
-			return res, nil
-		},
-		exprun.Options{Workers: o.Workers, Progress: o.Progress})
+	exps := make([]testbed.Experiment, len(vectors))
+	for i, v := range vectors {
+		exps[i] = testbed.Experiment{
+			Features:   v,
+			Messages:   o.messages(),
+			Seed:       seedAt(first + i),
+			MaxSimTime: maxSimTime(o.messages()),
+		}
+		if edit != nil {
+			edit(&exps[i])
+		}
+	}
+	results, err := testbed.RunAll(o.ctx(), exps, exprun.Options{Workers: o.Workers, Progress: o.Progress})
+	if err != nil {
+		return nil, fmt.Errorf("figures: %w", err)
+	}
+	return results, nil
 }
 
 // --- Fig. 4 ---------------------------------------------------------------
@@ -123,22 +120,20 @@ func Fig4Vector(messageSize, semantics int) features.Vector {
 
 // Fig4 regenerates the message-size study.
 func Fig4(o Options) ([]Fig4Point, error) {
-	var points []point
+	var vs []features.Vector
 	sems := []int{features.SemanticsAtMostOnce, features.SemanticsAtLeastOnce}
 	for _, m := range Fig4Sizes {
 		for _, sem := range sems {
-			points = append(points, point{v: Fig4Vector(m, sem), idx: len(points)})
+			vs = append(vs, Fig4Vector(m, sem))
 		}
 	}
-	results, err := runBatch(o, points, func(p point) string {
-		return fmt.Sprintf("fig4 M=%d sem=%d", p.v.MessageSize, p.v.Semantics)
-	})
+	results, err := runBatch(o, 0, vs, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Fig4Point, len(points))
-	for i, p := range points {
-		out[i] = Fig4Point{MessageSize: p.v.MessageSize, Semantics: p.v.Semantics,
+	out := make([]Fig4Point, len(vs))
+	for i, v := range vs {
+		out[i] = Fig4Point{MessageSize: v.MessageSize, Semantics: v.Semantics,
 			Pl: results[i].Pl, Pd: results[i].Pd}
 	}
 	return out, nil
@@ -177,22 +172,20 @@ func Fig5Vector(timeout time.Duration, semantics int) features.Vector {
 
 // Fig5 regenerates the message-timeout study.
 func Fig5(o Options) ([]Fig5Point, error) {
-	var points []point
+	var vs []features.Vector
 	sems := []int{features.SemanticsAtMostOnce, features.SemanticsAtLeastOnce}
 	for _, to := range Fig5Timeouts {
 		for _, sem := range sems {
-			points = append(points, point{v: Fig5Vector(to, sem), idx: 100 + len(points)})
+			vs = append(vs, Fig5Vector(to, sem))
 		}
 	}
-	results, err := runBatch(o, points, func(p point) string {
-		return fmt.Sprintf("fig5 To=%v sem=%d", p.v.MessageTimeout, p.v.Semantics)
-	})
+	results, err := runBatch(o, 100, vs, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Fig5Point, len(points))
-	for i, p := range points {
-		out[i] = Fig5Point{Timeout: p.v.MessageTimeout, Semantics: p.v.Semantics, Pl: results[i].Pl}
+	out := make([]Fig5Point, len(vs))
+	for i, v := range vs {
+		out[i] = Fig5Point{Timeout: v.MessageTimeout, Semantics: v.Semantics, Pl: results[i].Pl}
 	}
 	return out, nil
 }
@@ -229,19 +222,17 @@ func Fig6Vector(delta time.Duration) features.Vector {
 
 // Fig6 regenerates the polling-interval study.
 func Fig6(o Options) ([]Fig6Point, error) {
-	var points []point
+	vs := make([]features.Vector, len(Fig6Intervals))
 	for i, delta := range Fig6Intervals {
-		points = append(points, point{v: Fig6Vector(delta), idx: 200 + i})
+		vs[i] = Fig6Vector(delta)
 	}
-	results, err := runBatch(o, points, func(p point) string {
-		return fmt.Sprintf("fig6 δ=%v", p.v.PollInterval)
-	})
+	results, err := runBatch(o, 200, vs, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Fig6Point, len(points))
-	for i, p := range points {
-		out[i] = Fig6Point{PollInterval: p.v.PollInterval, Pl: results[i].Pl}
+	out := make([]Fig6Point, len(vs))
+	for i, v := range vs {
+		out[i] = Fig6Point{PollInterval: v.PollInterval, Pl: results[i].Pl}
 	}
 	return out, nil
 }
@@ -280,25 +271,23 @@ func Fig7Vector(loss float64, batch, semantics int) features.Vector {
 
 // Fig7 regenerates the batching-under-loss study.
 func Fig7(o Options) ([]Fig7Point, error) {
-	var points []point
+	var vs []features.Vector
 	sems := []int{features.SemanticsAtMostOnce, features.SemanticsAtLeastOnce}
 	for _, b := range Fig7Batches {
 		for _, l := range Fig7Losses {
 			for _, sem := range sems {
-				points = append(points, point{v: Fig7Vector(l, b, sem), idx: 300 + len(points)})
+				vs = append(vs, Fig7Vector(l, b, sem))
 			}
 		}
 	}
-	results, err := runBatch(o, points, func(p point) string {
-		return fmt.Sprintf("fig7 L=%v B=%d sem=%d", p.v.LossRate, p.v.BatchSize, p.v.Semantics)
-	})
+	results, err := runBatch(o, 300, vs, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Fig7Point, len(points))
-	for i, p := range points {
-		out[i] = Fig7Point{LossRate: p.v.LossRate, BatchSize: p.v.BatchSize,
-			Semantics: p.v.Semantics, Pl: results[i].Pl}
+	out := make([]Fig7Point, len(vs))
+	for i, v := range vs {
+		out[i] = Fig7Point{LossRate: v.LossRate, BatchSize: v.BatchSize,
+			Semantics: v.Semantics, Pl: results[i].Pl}
 	}
 	return out, nil
 }
@@ -338,21 +327,19 @@ func Fig8Vector(batch int, loss float64) features.Vector {
 
 // Fig8 regenerates the duplicate study.
 func Fig8(o Options) ([]Fig8Point, error) {
-	var points []point
+	var vs []features.Vector
 	for _, l := range Fig8Losses {
 		for _, b := range Fig8Batches {
-			points = append(points, point{v: Fig8Vector(b, l), idx: 600 + len(points)})
+			vs = append(vs, Fig8Vector(b, l))
 		}
 	}
-	results, err := runBatch(o, points, func(p point) string {
-		return fmt.Sprintf("fig8 B=%d L=%v", p.v.BatchSize, p.v.LossRate)
-	})
+	results, err := runBatch(o, 600, vs, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Fig8Point, len(points))
-	for i, p := range points {
-		out[i] = Fig8Point{BatchSize: p.v.BatchSize, LossRate: p.v.LossRate,
+	out := make([]Fig8Point, len(vs))
+	for i, v := range vs {
+		out[i] = Fig8Point{BatchSize: v.BatchSize, LossRate: v.LossRate,
 			Pd: results[i].Pd, Pl: results[i].Pl}
 	}
 	return out, nil

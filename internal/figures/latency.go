@@ -1,14 +1,11 @@
 package figures
 
 import (
-	"context"
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 	"time"
 
-	"kafkarel/internal/exprun"
 	"kafkarel/internal/features"
 	"kafkarel/internal/obs"
 	"kafkarel/internal/testbed"
@@ -66,37 +63,22 @@ func LatencyVector(semantics int, loss float64) features.Vector {
 // producer; points fan out over the worker pool and the series is
 // identical for any Workers value.
 func Latency(o Options) ([]LatencyPoint, error) {
-	var points []point
-	for si, sem := range LatencySemantics {
-		for li, loss := range latencyLosses {
-			points = append(points, point{v: LatencyVector(sem, loss), idx: 1000 + si*len(latencyLosses) + li})
+	var vs []features.Vector
+	for _, sem := range LatencySemantics {
+		for _, loss := range latencyLosses {
+			vs = append(vs, LatencyVector(sem, loss))
 		}
 	}
-	seedAt := exprun.LinearSeeds(o.Seed, seedStride)
-	results, err := exprun.Map(o.ctx(), points,
-		func(ctx context.Context, _ int, p point) (testbed.Result, error) {
-			res, err := testbed.RunCtx(ctx, testbed.Experiment{
-				Features:   p.v,
-				Messages:   o.messages(),
-				Seed:       seedAt(p.idx),
-				MaxSimTime: maxSimTime(o.messages()),
-				Consumers:  1,
-			})
-			if err != nil {
-				return testbed.Result{}, fmt.Errorf("figures: latency sem=%d L=%v: %w", p.v.Semantics, p.v.LossRate, err)
-			}
-			return res, nil
-		},
-		exprun.Options{Workers: o.Workers, Progress: o.Progress})
+	results, err := runBatch(o, 1000, vs, func(e *testbed.Experiment) { e.Consumers = 1 })
 	if err != nil {
 		return nil, err
 	}
-	out := make([]LatencyPoint, len(points))
-	for i, p := range points {
+	out := make([]LatencyPoint, len(vs))
+	for i, v := range vs {
 		out[i] = LatencyPoint{
-			Semantics: p.v.Semantics,
-			DelayMs:   p.v.DelayMs,
-			LossRate:  p.v.LossRate,
+			Semantics: v.Semantics,
+			DelayMs:   v.DelayMs,
+			LossRate:  v.LossRate,
 			Send:      results[i].Metrics.SpanSend,
 			Ack:       results[i].Metrics.SpanAck,
 			Delivery:  results[i].Metrics.SpanDelivery,

@@ -51,20 +51,18 @@ func ThroughputBatchVector(batch int) features.Vector {
 
 // ThroughputVsBatch measures delivered throughput over the batch size.
 func ThroughputVsBatch(o Options) ([]ThroughputBatchPoint, error) {
-	var points []point
+	vs := make([]features.Vector, len(ThroughputBatches))
 	for i, b := range ThroughputBatches {
-		points = append(points, point{v: ThroughputBatchVector(b), idx: 800 + i})
+		vs[i] = ThroughputBatchVector(b)
 	}
-	results, err := runBatch(o, points, func(p point) string {
-		return fmt.Sprintf("tput-batch B=%d", p.v.BatchSize)
-	})
+	results, err := runBatch(o, 800, vs, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ThroughputBatchPoint, len(points))
-	for i, p := range points {
+	out := make([]ThroughputBatchPoint, len(vs))
+	for i, v := range vs {
 		out[i] = ThroughputBatchPoint{
-			BatchSize:            p.v.BatchSize,
+			BatchSize:            v.BatchSize,
 			Throughput:           results[i].Throughput,
 			BandwidthUtilization: results[i].BandwidthUtilization,
 			Pl:                   results[i].Pl,

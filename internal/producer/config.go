@@ -35,6 +35,16 @@ func (s Semantics) String() string {
 	}
 }
 
+// ParseSemantics returns the semantics whose String is name.
+func ParseSemantics(name string) (Semantics, error) {
+	for s := AtMostOnce; s <= ExactlyOnce; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown semantics %q", name)
+}
+
 // Partitioner selects how a multi-partition producer routes batches.
 type Partitioner int
 

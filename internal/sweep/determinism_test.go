@@ -51,31 +51,6 @@ func TestCollectDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestCollectStreamMatchesCollect(t *testing.T) {
-	grid := AbnormalGrid()[:6]
-	opts := Options{Messages: 150, Seed: 5, Workers: 4}
-	want, err := CollectContext(context.Background(), grid, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got features.Dataset
-	err = CollectStream(context.Background(), grid, opts, func(s features.Sample) error {
-		got = append(got, s)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("streamed %d samples, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("streamed sample %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestSensitivityDeterministicAcrossWorkers(t *testing.T) {
 	base := features.Vector{
 		MessageSize: 200, Timeliness: 5_000_000_000, DelayMs: 50, LossRate: 0.18,

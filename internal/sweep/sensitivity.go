@@ -104,47 +104,32 @@ func SensitivityContext(ctx context.Context, base features.Vector, opts Sensitiv
 		return nil, fmt.Errorf("sweep: message count %d <= 0", opts.Messages)
 	}
 	perts := perturbations()
-	// Task 0 is the unperturbed base; tasks 1+2k and 2+2k are parameter
+	// Experiment 0 is the unperturbed base; 1+2k and 2+2k are parameter
 	// k's -50 % and +50 % runs. Every run uses the same seed: the
 	// comparison must isolate the parameter effect from the fault
 	// realisation, especially near the TCP-collapse boundary where runs
 	// are bistable.
-	type task struct {
-		v    features.Vector
-		name string // error label: "base", "<param> low", "<param> high"
-	}
-	tasks := []task{{v: base, name: "base run"}}
+	vs := []features.Vector{base}
 	for _, p := range perts {
-		tasks = append(tasks,
-			task{v: p.apply(base, 0.5), name: p.name + " low"},
-			task{v: p.apply(base, 1.5), name: p.name + " high"})
+		vs = append(vs, p.apply(base, 0.5), p.apply(base, 1.5))
 	}
-	type metrics struct{ pl, pd float64 }
-	runs, err := exprun.Map(ctx, tasks,
-		func(ctx context.Context, _ int, t task) (metrics, error) {
-			res, err := testbed.RunCtx(ctx, testbed.Experiment{
-				Features: t.v,
-				Messages: opts.Messages,
-				Seed:     opts.Seed,
-			})
-			if err != nil {
-				return metrics{}, fmt.Errorf("sweep: %s: %w", t.name, err)
-			}
-			return metrics{res.Pl, res.Pd}, nil
-		},
-		exprun.Options{Workers: opts.Workers})
+	exps := make([]testbed.Experiment, len(vs))
+	for i, v := range vs {
+		exps[i] = testbed.Experiment{Features: v, Messages: opts.Messages, Seed: opts.Seed}
+	}
+	runs, err := testbed.RunAll(ctx, exps, exprun.Options{Workers: opts.Workers})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sweep: %w", err)
 	}
-	basePl, basePd := runs[0].pl, runs[0].pd
+	basePl, basePd := runs[0].Pl, runs[0].Pd
 	var out []SensitivityResult
 	for k, p := range perts {
 		low, high := runs[1+2*k], runs[2+2*k]
 		r := SensitivityResult{
 			Parameter: p.name,
 			BasePl:    basePl, BasePd: basePd,
-			LowPl: low.pl, LowPd: low.pd,
-			HighPl: high.pl, HighPd: high.pd,
+			LowPl: low.Pl, LowPd: low.Pd,
+			HighPl: high.Pl, HighPd: high.Pd,
 		}
 		for _, d := range []float64{
 			abs(r.LowPl - basePl), abs(r.HighPl - basePl),

@@ -126,43 +126,31 @@ type Options struct {
 }
 
 // CollectContext runs one testbed experiment per grid point and returns
-// the labelled dataset.
+// the labelled dataset in grid order.
 func CollectContext(ctx context.Context, grid []features.Vector, opts Options) (features.Dataset, error) {
-	ds := make(features.Dataset, 0, len(grid))
-	err := CollectStream(ctx, grid, opts, func(s features.Sample) error {
-		ds = append(ds, s)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ds, nil
-}
-
-// CollectStream runs the sweep and yields each labelled sample in grid
-// order as soon as its prefix of the grid has completed, so callers can
-// persist long sweeps incrementally instead of buffering the dataset.
-func CollectStream(ctx context.Context, grid []features.Vector, opts Options, yield func(features.Sample) error) error {
 	if len(grid) == 0 {
-		return fmt.Errorf("sweep: empty grid")
+		return nil, fmt.Errorf("sweep: empty grid")
 	}
 	if opts.Messages <= 0 {
-		return fmt.Errorf("sweep: message count %d <= 0", opts.Messages)
+		return nil, fmt.Errorf("sweep: message count %d <= 0", opts.Messages)
 	}
 	seedAt := exprun.LinearSeeds(opts.Seed, seedStride)
-	return exprun.MapOrdered(ctx, grid,
-		func(ctx context.Context, i int, v features.Vector) (features.Sample, error) {
-			res, err := testbed.RunCtx(ctx, testbed.Experiment{
-				Features:   v,
-				Messages:   opts.Messages,
-				Seed:       seedAt(i),
-				MaxSimTime: opts.MaxSimTime,
-			})
-			if err != nil {
-				return features.Sample{}, fmt.Errorf("sweep: grid point %d (%+v): %w", i, v, err)
-			}
-			return features.Sample{X: v, Pl: res.Pl, Pd: res.Pd}, nil
-		},
-		func(_ int, s features.Sample) error { return yield(s) },
-		exprun.Options{Workers: opts.Workers, Progress: opts.Progress})
+	exps := make([]testbed.Experiment, len(grid))
+	for i, v := range grid {
+		exps[i] = testbed.Experiment{
+			Features:   v,
+			Messages:   opts.Messages,
+			Seed:       seedAt(i),
+			MaxSimTime: opts.MaxSimTime,
+		}
+	}
+	results, err := testbed.RunAll(ctx, exps, exprun.Options{Workers: opts.Workers, Progress: opts.Progress})
+	if err != nil {
+		return nil, fmt.Errorf("sweep: %w", err)
+	}
+	ds := make(features.Dataset, len(grid))
+	for i, v := range grid {
+		ds[i] = features.Sample{X: v, Pl: results[i].Pl, Pd: results[i].Pd}
+	}
+	return ds, nil
 }

@@ -118,6 +118,10 @@ func (f Fleet) Validate() error {
 	if err := f.Features.Validate(); err != nil {
 		return fmt.Errorf("testbed: %w", err)
 	}
+	// Topic names grow with the index, so the last one is the longest.
+	if err := checkTopic(fleetTopic(f.Topics-1), f.Partitions, f.Features.MessageSize, f.Features.BatchSize); err != nil {
+		return err
+	}
 	for i, ft := range f.FaultPlan.Faults {
 		switch ft.Kind {
 		case chaos.BrokerCrash, chaos.BrokerRecover, chaos.UncleanRestart, chaos.BrokerSlow:
@@ -324,6 +328,9 @@ type fleetShard struct {
 	seed uint64
 }
 
+// fleetTopic names shard i's topic.
+func fleetTopic(i int) string { return fmt.Sprintf("t%03d", i) }
+
 type fleetShardOut struct {
 	topic     FleetTopicResult
 	timelines []*obs.Timeline
@@ -364,7 +371,7 @@ func RunFleetContext(ctx context.Context, f Fleet, workers int) (FleetResult, er
 		shards[i] = fleetShard{
 			f:         f,
 			index:     i,
-			topic:     fmt.Sprintf("t%03d", i),
+			topic:     fleetTopic(i),
 			first:     first,
 			producers: n,
 			poll:      poll,

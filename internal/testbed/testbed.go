@@ -243,6 +243,21 @@ func RunCtx(ctx context.Context, e Experiment) (Result, error) {
 	return runOn(simFor(ctx), e)
 }
 
+// RunAll runs a batch of independent experiments on one exprun pool and
+// returns their results in input order. Each runs through RunCtx on its
+// worker's warm simulator, and callers fix every seed in the list, so
+// the results equal a sequential loop of Run at any worker count. The
+// error names the failing experiment's index and configuration.
+func RunAll(ctx context.Context, exps []Experiment, opts exprun.Options) ([]Result, error) {
+	return exprun.Map(ctx, exps, func(ctx context.Context, i int, e Experiment) (Result, error) {
+		res, err := RunCtx(ctx, e)
+		if err != nil {
+			return Result{}, fmt.Errorf("experiment %d (%+v, seed %d): %w", i, e.Features, e.Seed, err)
+		}
+		return res, nil
+	}, opts)
+}
+
 // simFor returns the simulator a run should use: the calling exprun
 // worker's warm simulator (reset, keeping its event-heap and free-list
 // capacity) when ctx belongs to a worker pool, or a fresh one
@@ -360,8 +375,7 @@ func (e Experiment) assemble(sim *des.Simulator) (*rig, error) {
 
 // validate rejects a configuration that would otherwise run degraded
 // with no error: a negative override silently taking its default, a
-// MinISR no partition can meet, or a batch no produce frame can carry
-// (every message would be lost).
+// MinISR no partition can meet, or a topic checkTopic refuses.
 func (e Experiment) validate() error {
 	if err := e.Features.Validate(); err != nil {
 		return fmt.Errorf("testbed: %w", err)
@@ -369,10 +383,7 @@ func (e Experiment) validate() error {
 	if e.Messages <= 0 {
 		return fmt.Errorf("testbed: message count %d <= 0", e.Messages)
 	}
-	for _, o := range []struct {
-		name     string
-		negative bool
-	}{
+	err := checkOverrides([]override{
 		{"Partitions", e.Partitions < 0},
 		{"ReplicationFactor", e.ReplicationFactor < 0},
 		{"MinISR", e.MinISR < 0},
@@ -386,10 +397,9 @@ func (e Experiment) validate() error {
 		{"RequestTimeout", e.RequestTimeout < 0},
 		{"RetryBackoff", e.RetryBackoff < 0},
 		{"RetryBackoffMax", e.RetryBackoffMax < 0},
-	} {
-		if o.negative {
-			return fmt.Errorf("testbed: negative %s", o.name)
-		}
+	})
+	if err != nil {
+		return err
 	}
 	if rf := exprun.DefInt(e.ReplicationFactor, 3); e.MinISR > rf {
 		return fmt.Errorf("testbed: MinISR %d exceeds replication factor %d", e.MinISR, rf)
@@ -401,10 +411,43 @@ func (e Experiment) validate() error {
 	for _, c := range e.Schedule {
 		batches = append(batches, c.Features.BatchSize)
 	}
-	m := e.Features.MessageSize
+	return checkTopic(streamTopic, e.Partitions, e.Features.MessageSize, batches...)
+}
+
+// override is one optional numeric field of an entry point's
+// configuration, where zero takes the default and negative is an error.
+type override struct {
+	name     string
+	negative bool
+}
+
+// checkOverrides rejects the first negative override.
+func checkOverrides(overrides []override) error {
+	for _, o := range overrides {
+		if o.negative {
+			return fmt.Errorf("testbed: negative %s", o.name)
+		}
+	}
+	return nil
+}
+
+// maxPartitions caps a topic's partition count at every entry point. The
+// largest count any run here uses is 32; far above it a run only spends
+// host time building partitions (10^6 of them take seconds for a
+// 200-message run).
+const maxPartitions = 1024
+
+// checkTopic is the topic rule every entry point shares: at most
+// maxPartitions partitions, and for each batch size b a produce frame
+// on topic that can carry b records of m bytes (a batch no frame can
+// carry is lost whole, so the run would report P_l = 1 and no error).
+func checkTopic(topic string, partitions, m int, batches ...int) error {
+	if partitions > maxPartitions {
+		return fmt.Errorf("testbed: %d partitions exceed the per-topic cap of %d", partitions, maxPartitions)
+	}
 	for _, b := range batches {
 		if m > wire.MaxFrameSize || b > wire.MaxFrameSize ||
-			wire.ProduceFrameSize(len(streamTopic), b, b*m) > wire.MaxFrameSize {
+			wire.ProduceFrameSize(len(topic), b, b*m) > wire.MaxFrameSize {
 			return fmt.Errorf("testbed: a batch of %d records of %d bytes exceeds the %d-byte frame limit", b, m, wire.MaxFrameSize)
 		}
 	}
@@ -415,31 +458,16 @@ func (e Experiment) validate() error {
 // for timeline annotations — the parameters a schedule entry or an
 // online decision actually applies.
 func describeConfig(v features.Vector) string {
-	sem := fmt.Sprintf("sem%d", v.Semantics)
-	switch v.Semantics {
-	case features.SemanticsAtMostOnce:
-		sem = "at-most-once"
-	case features.SemanticsAtLeastOnce:
-		sem = "at-least-once"
-	case features.SemanticsExactlyOnce:
-		sem = "exactly-once"
-	}
 	return fmt.Sprintf("%s B=%d delta=%v To=%v",
-		sem, v.BatchSize, v.PollInterval, v.MessageTimeout)
+		producer.Semantics(v.Semantics), v.BatchSize, v.PollInterval, v.MessageTimeout)
 }
 
 // producerConfig maps a feature vector plus experiment overrides onto the
-// producer configuration.
+// producer configuration. Online controllers hand it vectors nothing
+// else has validated, so it range-checks the semantics code itself.
 func producerConfig(e Experiment, topic string) (producer.Config, error) {
-	var sem producer.Semantics
-	switch e.Features.Semantics {
-	case features.SemanticsAtMostOnce:
-		sem = producer.AtMostOnce
-	case features.SemanticsAtLeastOnce:
-		sem = producer.AtLeastOnce
-	case features.SemanticsExactlyOnce:
-		sem = producer.ExactlyOnce
-	default:
+	sem := producer.Semantics(e.Features.Semantics)
+	if sem < producer.AtMostOnce || sem > producer.ExactlyOnce {
 		return producer.Config{}, fmt.Errorf("testbed: unknown semantics %d", e.Features.Semantics)
 	}
 	cfg := producer.Config{

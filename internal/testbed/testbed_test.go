@@ -2,14 +2,20 @@ package testbed
 
 import (
 	"bytes"
+	"context"
 	"flag"
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"kafkarel/internal/des"
+	"kafkarel/internal/exprun"
 	"kafkarel/internal/features"
 	"kafkarel/internal/obs"
 )
@@ -111,6 +117,110 @@ func TestRunRejectsHostileConfiguration(t *testing.T) {
 			continue
 		}
 		t.Logf("%s: %v", tc.name, err)
+	}
+}
+
+// TestEntryPointsRejectHostileConfiguration holds the fleet and
+// transactional entry points to the topic and override rules Run
+// enforces. Unchecked, each row runs with no error: a negative override
+// silently takes its default, a partition count far past the cap only
+// burns host time, and a message no frame can carry is lost whole.
+func TestEntryPointsRejectHostileConfiguration(t *testing.T) {
+	fleet := Fleet{Features: cleanVector(), Producers: 2, Topics: 1, Partitions: 1, Messages: 20, Seed: 1, MaxSimTime: time.Minute}
+	txn := TxnExperiment{Seed: 1, Messages: 20}
+	if _, err := RunFleet(fleet); err != nil {
+		t.Fatalf("the unmutated fleet fails: %v", err)
+	}
+	if _, err := RunTxn(txn); err != nil {
+		t.Fatalf("the unmutated transactional run fails: %v", err)
+	}
+	runFleet := func(mutate func(*Fleet)) func() error {
+		return func() error {
+			f := fleet
+			mutate(&f)
+			_, err := RunFleet(f)
+			return err
+		}
+	}
+	runTxn := func(mutate func(*TxnExperiment)) func() error {
+		return func() error {
+			e := txn
+			mutate(&e)
+			_, err := RunTxn(e)
+			return err
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Run partitions above the cap", func() error {
+			_, err := Run(Experiment{Features: cleanVector(), Messages: 20, Seed: 1, Partitions: maxPartitions + 1})
+			return err
+		}},
+		{"fleet message larger than a frame", runFleet(func(f *Fleet) { f.Features.MessageSize = 100_000_000 })},
+		{"fleet batch larger than a frame", runFleet(func(f *Fleet) {
+			f.Features.MessageSize, f.Features.BatchSize = 2_000_000, 10
+		})},
+		{"fleet partitions above the cap", runFleet(func(f *Fleet) { f.Partitions = maxPartitions + 1 })},
+		{"txn negative Partitions", runTxn(func(e *TxnExperiment) { e.Partitions = -1 })},
+		{"txn partitions above the cap", runTxn(func(e *TxnExperiment) { e.Partitions = maxPartitions + 1 })},
+		{"txn negative BatchSize", runTxn(func(e *TxnExperiment) { e.BatchSize = -3 })},
+		{"txn negative AbortEvery", runTxn(func(e *TxnExperiment) { e.AbortEvery = -1 })},
+		{"txn negative ReplicationFactor", runTxn(func(e *TxnExperiment) { e.ReplicationFactor = -1 })},
+		{"txn negative TxnTimeout", runTxn(func(e *TxnExperiment) { e.TxnTimeout = -time.Second })},
+		{"txn negative MaxSimTime", runTxn(func(e *TxnExperiment) { e.MaxSimTime = -time.Second })},
+	} {
+		err := tc.run()
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		t.Logf("%s: %v", tc.name, err)
+	}
+}
+
+// TestRunAllMatchesSequentialRuns holds the batch runner to a plain loop
+// of Run at every worker count, and to an error that names the failing
+// experiment.
+func TestRunAllMatchesSequentialRuns(t *testing.T) {
+	var exps []Experiment
+	for i := 0; i < 6; i++ {
+		v := cleanVector()
+		v.LossRate = 0.05 * float64(i)
+		v.DelayMs = 20
+		v.PollInterval = 0
+		v.MessageTimeout = time.Second
+		exps = append(exps, Experiment{Features: v, Messages: 150, Seed: uint64(40 + i)})
+	}
+	var want []Result
+	for _, e := range exps {
+		res, err := Run(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, res)
+	}
+	for _, workers := range []int{1, 4, 8} {
+		got, err := RunAll(context.Background(), exps, exprun.Options{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: results differ from sequential Run", workers)
+		}
+	}
+
+	bad := slices.Clone(exps)
+	bad[3].Partitions = -1
+	_, err := RunAll(context.Background(), bad, exprun.Options{Workers: 1})
+	if err == nil {
+		t.Fatal("a batch with a failing experiment succeeded")
+	}
+	for _, part := range []string{"experiment 3 ", fmt.Sprintf("%+v", bad[3].Features), "seed 43", "negative Partitions"} {
+		if !strings.Contains(err.Error(), part) {
+			t.Errorf("error %q lacks %q", err, part)
+		}
 	}
 }
 

@@ -123,6 +123,20 @@ func runTxnOn(sim *des.Simulator, e TxnExperiment) (TxnResult, error) {
 	if e.Messages <= 0 {
 		return TxnResult{}, fmt.Errorf("testbed: txn message count %d <= 0", e.Messages)
 	}
+	err := checkOverrides([]override{
+		{"Partitions", e.Partitions < 0},
+		{"BatchSize", e.BatchSize < 0},
+		{"AbortEvery", e.AbortEvery < 0},
+		{"ReplicationFactor", e.ReplicationFactor < 0},
+		{"TxnTimeout", e.TxnTimeout < 0},
+		{"MaxSimTime", e.MaxSimTime < 0},
+	})
+	if err == nil {
+		err = checkTopic(TxnInTopic, e.Partitions, 0)
+	}
+	if err != nil {
+		return TxnResult{}, err
+	}
 	parts := exprun.DefInt(e.Partitions, 2)
 	rf := exprun.DefInt(e.ReplicationFactor, 3)
 	maxSim := exprun.DefDur(e.MaxSimTime, 5*time.Second)
