@@ -38,15 +38,17 @@ reach:
 		[ $$n -gt 0 ] && printf 'lines  %6d  %s\n' $$n $$d; done; true
 
 ## fuzz-smoke: a few seconds of native fuzzing on each target of the
-## byte-level protocol (internal/wire/fuzz_test.go) and of the replicated
+## byte-level protocol (internal/wire/fuzz_test.go), of the replicated
 ## log (internal/storage/replica_test.go: three replicas appending,
-## truncating and catching up against a model) — one invocation per
-## target because `go test -fuzz` takes exactly one, nothing downloaded.
+## truncating and catching up against a model) and of the predictor file
+## reader (internal/core: a file Load accepts predicts a probability) —
+## one invocation per target because `go test -fuzz` takes exactly one,
+## nothing downloaded.
 ## The seed corpus already runs in `make test`; this leg mutates it. A
 ## crasher is written to internal/<pkg>/testdata/fuzz/<target>/ and fails
 ## the run: commit it with the fix, and it is a regression test from then on.
 fuzz-smoke:
-	@for t in wire:FuzzSplitter wire:FuzzDecode wire:FuzzSlabClone storage:FuzzLogReplicas; do \
+	@for t in wire:FuzzSplitter wire:FuzzDecode wire:FuzzSlabClone storage:FuzzLogReplicas core:FuzzPredictorLoad; do \
 		$(GO) test ./internal/$${t%%:*} -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime 3s || exit 1; done
 
 ## bench-repo: the repository benchmark's headline pass (BENCHMARK.json;
@@ -193,7 +195,7 @@ repro-check:
 ## `repro -q -n 20000 -seed s A` per seed and prints every output row
 ## prefixed with its seed and a tab, so a verdict is read as a count over
 ## seeds (k/8) with its range, not from seed 1 alone. A failing run
-## prints its stderr and fails the target. table2 takes ~32 s on 2 cores.
+## prints its stderr and fails the target. table2 takes ~16 s on 2 cores.
 SEEDS ?= 1 2 3 4 5 6 7 8
 repro-seeds:
 	@test -n "$(A)" || { echo 'usage: make repro-seeds A=<artefact> [SEEDS="1 2 ... 8"]'; exit 2; }

@@ -6,6 +6,10 @@
 //
 //	predict -model model.json -size 200 -loss 0.19 -delay 100 \
 //	        -semantics at-least-once -batch 2 -poll 0ms -timeout 1500ms
+//
+// The model file must be one cmd/train wrote in the current format
+// (version 3). A file from an earlier version is refused with
+// "unsupported version": refit it with cmd/train on the same dataset.
 package main
 
 import (

@@ -259,7 +259,7 @@ func table2(o figures.Options) error {
 }
 
 func annAccuracy(o figures.Options) error {
-	fmt.Println("# ANN accuracy: predicted vs measured on the held-out split (paper: MAE < 0.02)")
+	fmt.Println("# Prediction accuracy: predicted vs measured on the held-out split (paper: MAE < 0.02)")
 	res, err := figures.Accuracy(o)
 	if err != nil {
 		return err
@@ -285,16 +285,16 @@ func annAccuracy(o figures.Options) error {
 // order (core.Train accepts no other codes), then the pooled row.
 func accuracyTable(metrics core.Metrics) error {
 	w := newTab()
-	fmt.Fprintln(w, "semantics\ttrain_n\ttest_n\tMAE\tRMSE\tepochs")
+	fmt.Fprintln(w, "semantics\ttrain_n\ttest_n\tMAE\tRMSE")
 	for sem := features.SemanticsAtMostOnce; sem <= features.SemanticsExactlyOnce; sem++ {
 		m, ok := metrics.PerSemantics[sem]
 		if !ok {
 			continue
 		}
-		fmt.Fprintf(w, "%s\t%d\t%d\t%.4f\t%.4f\t%d\n",
-			producer.Semantics(sem), m.TrainSamples, m.TestSamples, m.MAE, m.RMSE, m.Epochs)
+		fmt.Fprintf(w, "%s\t%d\t%d\t%.4f\t%.4f\n",
+			producer.Semantics(sem), m.TrainSamples, m.TestSamples, m.MAE, m.RMSE)
 	}
-	fmt.Fprintf(w, "pooled\t\t\t%.4f\t%.4f\t\n", metrics.MAE, metrics.RMSE)
+	fmt.Fprintf(w, "pooled\t\t\t%.4f\t%.4f\n", metrics.MAE, metrics.RMSE)
 	return w.Flush()
 }
 

@@ -1,5 +1,5 @@
-// Command train fits the paper's ANN prediction model (Eq. 1) on a
-// dataset collected by cmd/collect and writes the trained predictor as
+// Command train fits the paper's prediction model (Eq. 1) on a dataset
+// collected by cmd/collect and writes the trained predictor as
 // JSON, reporting accuracy on the 20 % it held out (the paper's bar:
 // MAE < 0.02).
 //
@@ -58,8 +58,8 @@ func run(args []string) error {
 		if !ok {
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "semantics %d: train=%d test=%d MAE=%.4f RMSE=%.4f epochs=%d\n",
-			sem, m.TrainSamples, m.TestSamples, m.MAE, m.RMSE, m.Epochs)
+		fmt.Fprintf(os.Stderr, "semantics %d: train=%d test=%d MAE=%.4f RMSE=%.4f\n",
+			sem, m.TrainSamples, m.TestSamples, m.MAE, m.RMSE)
 	}
 	fmt.Fprintf(os.Stderr, "pooled held-out MAE=%.4f RMSE=%.4f (paper bar: 0.02)\n", metrics.MAE, metrics.RMSE)
 

@@ -1,7 +1,7 @@
 // Quickstart walks the library's four layers end to end:
 //
 //  1. measure reliability on the simulated testbed,
-//  2. collect a small training sweep and fit the ANN predictor (Eq. 1),
+//  2. collect a small training sweep and fit the predictor (Eq. 1),
 //  3. score configurations with the weighted KPI γ (Eq. 2),
 //  4. let the stepwise search pick a better configuration (Sec. V).
 //

@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand/v2"
+	"strings"
 	"testing"
 	"time"
 
-	"kafkarel/internal/ann"
 	"kafkarel/internal/features"
 )
 
@@ -209,18 +210,17 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewBufferString("junk")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := Load(bytes.NewBufferString(`{"version":1}`)); err == nil {
+	if _, err := Load(bytes.NewBufferString(`{"version":2}`)); err == nil {
 		t.Error("wrong version accepted")
 	}
-	if _, err := Load(bytes.NewBufferString(`{"version":2,"models":{}}`)); err == nil {
+	if _, err := Load(bytes.NewBufferString(`{"version":3,"models":{}}`)); err == nil {
 		t.Error("empty predictor accepted")
 	}
 }
 
-// Each hostile file is a valid save with one part made inconsistent with
-// the semantics that routes to it; Predict would index past a slice on
-// any of them, so Load must refuse them all.
-func TestLoadRejectsHostileFiles(t *testing.T) {
+// savedPredictor is a valid save of a two-semantics predictor.
+func savedPredictor(t testing.TB) []byte {
+	t.Helper()
 	ds := syntheticDataset([]int{features.SemanticsAtMostOnce, features.SemanticsAtLeastOnce})
 	p, _, err := Train(ds, 9)
 	if err != nil {
@@ -230,44 +230,58 @@ func TestLoadRejectsHostileFiles(t *testing.T) {
 	if err := p.Save(&saved); err != nil {
 		t.Fatal(err)
 	}
-	var wider bytes.Buffer
-	if err := ann.New(inputDim+1, 1, 0).Save(&wider); err != nil {
-		t.Fatal(err)
-	}
+	return saved.Bytes()
+}
+
+// Each hostile file is a valid save with one part made inconsistent with
+// the semantics that routes to it, or with bounds under which Predict
+// would not return a finite probability; Predict would index past a
+// slice or overflow on any of them, so Load must refuse them all.
+func TestLoadRejectsHostileFiles(t *testing.T) {
+	saved := savedPredictor(t)
 	seven := `[0,0,0,0,0,0,0]`
-	cases := map[string]func(models, norms map[string]json.RawMessage){
-		"two outputs read from a one-output network": func(m, _ map[string]json.RawMessage) { m["2"] = m["1"] },
-		"one output read from a two-output network":  func(m, _ map[string]json.RawMessage) { m["1"] = m["2"] },
-		"network wider than the encoding":            func(m, _ map[string]json.RawMessage) { m["1"] = wider.Bytes() },
-		"normalizer max shorter than min": func(_, n map[string]json.RawMessage) {
-			n["1"] = json.RawMessage(`{"min":` + seven + `,"max":[1]}`)
+	huge := strings.TrimSuffix(strings.Repeat("1e308,", basisDim), ",")
+	cases := map[string]func(models map[string]map[string]json.RawMessage){
+		"two outputs read from a one-output model": func(m map[string]map[string]json.RawMessage) {
+			m["2"]["weights"] = m["1"]["weights"]
 		},
-		"normalizer narrower than the encoding": func(_, n map[string]json.RawMessage) {
-			n["2"] = json.RawMessage(`{"min":[0,0],"max":[1,1]}`)
+		"one output read from a two-output model": func(m map[string]map[string]json.RawMessage) {
+			m["1"]["weights"] = m["2"]["weights"]
 		},
-		"normalizer missing": func(_, n map[string]json.RawMessage) { delete(n, "2") },
-		"unknown semantics": func(m, n map[string]json.RawMessage) {
-			m["9"], n["9"] = m["2"], n["2"]
+		"weight vector shorter than the basis": func(m map[string]map[string]json.RawMessage) {
+			m["1"]["weights"] = json.RawMessage(`[[0,0,0]]`)
 		},
+		"weights whose sum overflows": func(m map[string]map[string]json.RawMessage) {
+			m["1"]["weights"] = json.RawMessage(`[[` + huge + `]]`)
+		},
+		"weights missing": func(m map[string]map[string]json.RawMessage) { delete(m["2"], "weights") },
+		"normalizer max shorter than min": func(m map[string]map[string]json.RawMessage) {
+			m["1"]["normalizer"] = json.RawMessage(`{"min":` + seven + `,"max":[1]}`)
+		},
+		"normalizer narrower than the encoding": func(m map[string]map[string]json.RawMessage) {
+			m["2"]["normalizer"] = json.RawMessage(`{"min":[0,0],"max":[1,1]}`)
+		},
+		"normalizer bounds inverted": func(m map[string]map[string]json.RawMessage) {
+			m["2"]["normalizer"] = json.RawMessage(`{"min":[0,0,0,0,0,0,1],"max":[1,1,1,1,1,1,0]}`)
+		},
+		"normalizer span overflows": func(m map[string]map[string]json.RawMessage) {
+			m["2"]["normalizer"] = json.RawMessage(`{"min":[0,0,0,0,0,0,-1e308],"max":[1,1,1,1,1,1,1e308]}`)
+		},
+		"normalizer missing": func(m map[string]map[string]json.RawMessage) { delete(m["2"], "normalizer") },
+		"unknown semantics":  func(m map[string]map[string]json.RawMessage) { m["9"] = m["2"] },
 	}
 	for name, mutate := range cases {
 		var file map[string]json.RawMessage
-		if err := json.Unmarshal(saved.Bytes(), &file); err != nil {
+		if err := json.Unmarshal(saved, &file); err != nil {
 			t.Fatal(err)
 		}
-		var models, norms map[string]json.RawMessage
+		var models map[string]map[string]json.RawMessage
 		if err := json.Unmarshal(file["models"], &models); err != nil {
 			t.Fatal(err)
 		}
-		if err := json.Unmarshal(file["normalizers"], &norms); err != nil {
-			t.Fatal(err)
-		}
-		mutate(models, norms)
+		mutate(models)
 		var err error
 		if file["models"], err = json.Marshal(models); err != nil {
-			t.Fatal(err)
-		}
-		if file["normalizers"], err = json.Marshal(norms); err != nil {
 			t.Fatal(err)
 		}
 		doc, err := json.Marshal(file)
@@ -277,6 +291,98 @@ func TestLoadRejectsHostileFiles(t *testing.T) {
 		if _, err := Load(bytes.NewReader(doc)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+	if _, err := Load(bytes.NewReader(saved)); err != nil {
+		t.Fatalf("unmutated save rejected: %v", err)
+	}
+}
+
+// A loaded predictor either fails to load or predicts a finite
+// probability for every valid vector of a semantics it models.
+func FuzzPredictorLoad(f *testing.F) {
+	saved := savedPredictor(f)
+	f.Add(saved)
+	f.Add([]byte(`{"version":3,"models":{"1":{"normalizer":{"min":[0,0,0,0,0,0,0],"max":[1,1,1,1,1,1,1]},"weights":[[]]}}}`))
+	f.Add([]byte(`{"version":3,"models":{"2":null}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for sem := range p.models {
+			for _, v := range []features.Vector{
+				{MessageSize: 1, Timeliness: time.Millisecond, Semantics: sem, BatchSize: 1, MessageTimeout: time.Millisecond},
+				{MessageSize: 1 << 20, Timeliness: time.Hour, DelayMs: 1e4, LossRate: 1, Semantics: sem,
+					BatchSize: 1 << 12, PollInterval: time.Minute, MessageTimeout: time.Hour},
+			} {
+				pred, err := p.Predict(v)
+				if err != nil {
+					t.Fatalf("semantics %d: %v", sem, err)
+				}
+				for _, q := range []float64{pred.Pl, pred.Pd} {
+					if !(q >= 0 && q <= 1) {
+						t.Fatalf("semantics %d: prediction %+v outside [0, 1]", sem, pred)
+					}
+				}
+			}
+		}
+	})
+}
+
+// Two trainings on the same dataset and seed save the same bytes.
+func TestTrainIsDeterministic(t *testing.T) {
+	if a, b := savedPredictor(t), savedPredictor(t); !bytes.Equal(a, b) {
+		t.Fatal("two saves of the same (dataset, seed) differ")
+	}
+}
+
+// The fit is the penalised optimum: at the returned weights the
+// gradient of cross-entropy plus λ/2·|w[1:]|² vanishes, which for a
+// strictly convex objective singles out its minimum.
+func TestFitIsPenalisedOptimum(t *testing.T) {
+	const n, p = 40, 10
+	rng := rand.New(rand.NewPCG(1, 2))
+	x := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range x {
+		x[i] = make([]float64, p)
+		x[i][0] = 1
+		for j := 1; j < p; j++ {
+			x[i][j] = rng.NormFloat64()
+		}
+		y[i] = rng.Float64()
+	}
+	w, err := fitLogistic(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a := 0; a < p; a++ {
+		g := 0.0
+		for i, row := range x {
+			g += (sigmoid(dot(row, w)) - y[i]) * row[a]
+		}
+		if a > 0 {
+			g += lambda * w[a]
+		}
+		if math.Abs(g) > 1e-9 {
+			t.Errorf("gradient[%d] = %g at the fitted weights", a, g)
+		}
+	}
+}
+
+func TestBasisIsEveryMonomialOfDegreeAtMostThree(t *testing.T) {
+	// Distinct primes: every monomial of degree ≤ 3 is a distinct product.
+	x := []float64{2, 3, 5, 7, 11, 13, 17}
+	b := basis(x)
+	if len(b) != basisDim || basisDim != 120 {
+		t.Fatalf("basis has %d terms, basisDim %d, want 120", len(b), basisDim)
+	}
+	seen := make(map[float64]bool, len(b))
+	for _, v := range b {
+		if seen[v] {
+			t.Fatalf("monomial %v appears twice", v)
+		}
+		seen[v] = true
 	}
 }
 

@@ -3,23 +3,25 @@
 //
 //	{P̂_l, P̂_d} = f(M, S, D, L, Confs),
 //
-// an ANN-based model that maps a feature vector (message size,
-// timeliness, network delay, loss rate, and the producer configuration)
-// to the predicted probabilities of message loss and duplication.
+// a learned model that maps a feature vector (message size, timeliness,
+// network delay, loss rate, and the producer configuration) to the
+// predicted probabilities of message loss and duplication.
 //
-// Following Sec. III-G, the framework trains one network per delivery
-// semantics: the at-most-once model has a single output neuron (P̂_l
-// only, since fire-and-forget cannot duplicate) and a reduced input
-// layer, while the acknowledged-semantics models predict both metrics.
+// Following Sec. III-G, the framework fits one model per delivery
+// semantics: the at-most-once model has a single output (P̂_l only,
+// since fire-and-forget cannot duplicate), while the acknowledged-
+// semantics models predict both metrics. Where the paper trains a
+// feed-forward ANN by SGD, each model here is a convex fit: ridge-
+// penalised logistic regression of each output on the degree-≤3
+// monomials of the normalised features.
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
-	"kafkarel/internal/ann"
 	"kafkarel/internal/features"
 )
 
@@ -42,11 +44,11 @@ func encodeInput(v features.Vector) []float64 {
 	return out
 }
 
-// semModel is one semantics' trained network, whose width is
-// outputsFor(semantics).
+// semModel is one semantics' fitted model: the normaliser of its inputs
+// and, per output, the weights over basis(normalised input).
 type semModel struct {
-	net  *ann.Network
-	norm *features.Normalizer
+	Norm    *features.Normalizer `json:"normalizer"`
+	Weights [][]float64          `json:"weights"`
 }
 
 // outputsFor is 1 for at-most-once (P̂_l) and 2 otherwise (P̂_l, P̂_d).
@@ -57,14 +59,27 @@ func outputsFor(semantics int) int {
 	return 2
 }
 
-// Predictor routes feature vectors to per-semantics ANN models.
+// predict returns sigmoid(w·basis(x)) per output for an encoded input.
+func (m *semModel) predict(x []float64) ([]float64, error) {
+	in, err := m.Norm.Apply(x)
+	if err != nil {
+		return nil, err
+	}
+	b := basis(in)
+	out := make([]float64, len(m.Weights))
+	for o, w := range m.Weights {
+		out[o] = sigmoid(dot(b, w))
+	}
+	return out, nil
+}
+
+// Predictor routes feature vectors to per-semantics models.
 type Predictor struct {
 	models map[int]*semModel
 }
 
-// Predict returns P̂_l and P̂_d for the vector. Predictions are clamped
-// to [0, 1] by the sigmoid output layer; at-most-once P̂_d is identically
-// zero.
+// Predict returns P̂_l and P̂_d for the vector. The logistic link keeps
+// predictions inside [0, 1]; at-most-once P̂_d is identically zero.
 func (p *Predictor) Predict(v features.Vector) (Prediction, error) {
 	if err := v.Validate(); err != nil {
 		return Prediction{}, fmt.Errorf("core: %w", err)
@@ -73,11 +88,7 @@ func (p *Predictor) Predict(v features.Vector) (Prediction, error) {
 	if !ok {
 		return Prediction{}, fmt.Errorf("core: no model trained for semantics %d", v.Semantics)
 	}
-	in, err := m.norm.Apply(encodeInput(v))
-	if err != nil {
-		return Prediction{}, fmt.Errorf("core: %w", err)
-	}
-	out, err := m.net.Forward(in)
+	out, err := m.predict(encodeInput(v))
 	if err != nil {
 		return Prediction{}, fmt.Errorf("core: %w", err)
 	}
@@ -91,36 +102,23 @@ func (p *Predictor) Predict(v features.Vector) (Prediction, error) {
 // --- persistence ----------------------------------------------------------
 
 type predictorFile struct {
-	Version int                          `json:"version"`
-	Models  map[int]json.RawMessage      `json:"models"`
-	Norms   map[int]*features.Normalizer `json:"normalizers"`
+	Version int               `json:"version"`
+	Models  map[int]*semModel `json:"models"`
 }
 
-const predictorVersion = 2
+const predictorVersion = 3
 
 // Save serialises all per-semantics models as one JSON document.
 func (p *Predictor) Save(w io.Writer) error {
-	pf := predictorFile{
-		Version: predictorVersion,
-		Models:  make(map[int]json.RawMessage, len(p.models)),
-		Norms:   make(map[int]*features.Normalizer, len(p.models)),
-	}
-	for sem, m := range p.models {
-		var buf bytes.Buffer
-		if err := m.net.Save(&buf); err != nil {
-			return fmt.Errorf("core: save semantics %d: %w", sem, err)
-		}
-		pf.Models[sem] = json.RawMessage(buf.Bytes())
-		pf.Norms[sem] = m.norm
-	}
-	if err := json.NewEncoder(w).Encode(pf); err != nil {
+	if err := json.NewEncoder(w).Encode(predictorFile{Version: predictorVersion, Models: p.models}); err != nil {
 		return fmt.Errorf("core: save: %w", err)
 	}
 	return nil
 }
 
-// Load reads a predictor written by Save. Every network and normalizer
-// must have the shape Predict will use it at.
+// Load reads a predictor written by Save. Every model must have the
+// shape Predict will use it at, and bounds that keep every prediction
+// finite.
 func Load(r io.Reader) (*Predictor, error) {
 	var pf predictorFile
 	if err := json.NewDecoder(r).Decode(&pf); err != nil {
@@ -129,31 +127,52 @@ func Load(r io.Reader) (*Predictor, error) {
 	if pf.Version != predictorVersion {
 		return nil, fmt.Errorf("core: load: unsupported version %d", pf.Version)
 	}
-	p := &Predictor{models: make(map[int]*semModel, len(pf.Models))}
-	for sem, raw := range pf.Models {
+	if len(pf.Models) == 0 {
+		return nil, fmt.Errorf("core: load: empty predictor")
+	}
+	for sem, m := range pf.Models {
 		if sem < features.SemanticsAtMostOnce || sem > features.SemanticsExactlyOnce {
 			return nil, fmt.Errorf("core: load: unknown semantics %d", sem)
 		}
-		net, err := ann.Load(bytes.NewReader(raw))
-		if err != nil {
+		if err := m.check(outputsFor(sem)); err != nil {
 			return nil, fmt.Errorf("core: load semantics %d: %w", sem, err)
 		}
-		if net.Inputs() != inputDim || net.Outputs() != outputsFor(sem) {
-			return nil, fmt.Errorf("core: load semantics %d: network is %d→%d, want %d→%d",
-				sem, net.Inputs(), net.Outputs(), inputDim, outputsFor(sem))
-		}
-		norm, ok := pf.Norms[sem]
-		if !ok || norm == nil {
-			return nil, fmt.Errorf("core: load: missing normalizer for semantics %d", sem)
-		}
-		if len(norm.Min) != inputDim || len(norm.Max) != inputDim {
-			return nil, fmt.Errorf("core: load semantics %d: normalizer has %d minima and %d maxima, want %d",
-				sem, len(norm.Min), len(norm.Max), inputDim)
-		}
-		p.models[sem] = &semModel{net: net, norm: norm}
 	}
-	if len(p.models) == 0 {
-		return nil, fmt.Errorf("core: load: empty predictor")
+	return &Predictor{models: pf.Models}, nil
+}
+
+// check reports a model Predict could not use as it stands: a missing
+// or mis-sized normaliser, one whose span overflows or is negative, a
+// count of outputs other than outs, or a weight vector of another
+// length than basisDim, or one whose absolute sum is not finite. The
+// basis lies in [0, 1] after normalising, so that sum bounds |w·basis|.
+func (m *semModel) check(outs int) error {
+	if m == nil || m.Norm == nil {
+		return fmt.Errorf("missing model or normalizer")
 	}
-	return p, nil
+	n := m.Norm
+	if len(n.Min) != inputDim || len(n.Max) != inputDim {
+		return fmt.Errorf("normalizer has %d minima and %d maxima, want %d", len(n.Min), len(n.Max), inputDim)
+	}
+	for j := range n.Min {
+		if span := n.Max[j] - n.Min[j]; !(span >= 0) || math.IsInf(span, 0) {
+			return fmt.Errorf("normalizer dimension %d spans [%g, %g]", j, n.Min[j], n.Max[j])
+		}
+	}
+	if len(m.Weights) != outs {
+		return fmt.Errorf("%d outputs, want %d", len(m.Weights), outs)
+	}
+	for o, w := range m.Weights {
+		if len(w) != basisDim {
+			return fmt.Errorf("output %d has %d weights, want %d", o, len(w), basisDim)
+		}
+		sum := 0.0
+		for _, v := range w {
+			sum += math.Abs(v)
+		}
+		if math.IsInf(sum, 0) || math.IsNaN(sum) {
+			return fmt.Errorf("output %d: weights are not finite in sum", o)
+		}
+	}
+	return nil
 }

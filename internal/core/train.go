@@ -2,15 +2,19 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
-	"kafkarel/internal/ann"
 	"kafkarel/internal/features"
+	"kafkarel/internal/stats"
 )
 
 // testFraction of each semantics' samples is held out for evaluation.
 const testFraction = 0.2
+
+// targetClamp keeps each fitted probability inside [targetClamp,
+// 1 − targetClamp], so the fit stays finite for an output the training
+// split only ever measures at 0 (or 1): the intercept is not penalised.
+const targetClamp = 1e-3
 
 // Metrics reports per-semantics and overall evaluation results.
 type Metrics struct {
@@ -30,13 +34,12 @@ type SemanticsMetrics struct {
 	TestSamples  int
 	MAE          float64
 	RMSE         float64
-	Epochs       int
 }
 
-// Train fits one ANN per delivery semantics present in the dataset on
+// Train fits one model per delivery semantics present in the dataset on
 // 80 % of that semantics' samples and returns the routing predictor with
-// its metrics on the other 20 %. The seed fixes the split, the weight
-// initialisation and the shuffling.
+// its metrics on the other 20 %. The seed fixes the split; the fit itself
+// is deterministic.
 func Train(ds features.Dataset, seed uint64) (*Predictor, Metrics, error) {
 	if len(ds) == 0 {
 		return nil, Metrics{}, fmt.Errorf("core: empty dataset")
@@ -52,8 +55,7 @@ func Train(ds features.Dataset, seed uint64) (*Predictor, Metrics, error) {
 
 	p := &Predictor{models: make(map[int]*semModel, len(bySem))}
 	metrics := Metrics{PerSemantics: make(map[int]SemanticsMetrics, len(bySem))}
-	var pooledAE, pooledSE float64
-	var pooledN int
+	var pooledPred, pooledTruth []float64
 
 	// Deterministic iteration order.
 	sems := make([]int, 0, len(bySem))
@@ -63,74 +65,96 @@ func Train(ds features.Dataset, seed uint64) (*Predictor, Metrics, error) {
 	sort.Ints(sems)
 
 	for _, sem := range sems {
-		model, test, sm, err := trainOne(sem, bySem[sem], seed)
+		model, train, test, err := trainOne(sem, bySem[sem], seed)
 		if err != nil {
+			return nil, Metrics{}, fmt.Errorf("core: semantics %d: %w", sem, err)
+		}
+		var pred, truth []float64
+		for _, s := range test {
+			out, err := model.predict(encodeInput(s.X))
+			if err != nil {
+				return nil, Metrics{}, fmt.Errorf("core: semantics %d: %w", sem, err)
+			}
+			pred = append(pred, out...)
+			truth = append(truth, targets(s, outputsFor(sem))...)
+		}
+		sm := SemanticsMetrics{TrainSamples: len(train), TestSamples: len(test)}
+		if sm.MAE, sm.RMSE, err = maeRMSE(pred, truth); err != nil {
 			return nil, Metrics{}, fmt.Errorf("core: semantics %d: %w", sem, err)
 		}
 		p.models[sem] = model
 		metrics.PerSemantics[sem] = sm
 		metrics.HeldOut = append(metrics.HeldOut, test...)
-		n := sm.TestSamples * outputsFor(sem)
-		pooledAE += sm.MAE * float64(n)
-		pooledSE += sm.RMSE * sm.RMSE * float64(n)
-		pooledN += n
+		pooledPred = append(pooledPred, pred...)
+		pooledTruth = append(pooledTruth, truth...)
 	}
-	metrics.MAE = pooledAE / float64(pooledN)
-	metrics.RMSE = math.Sqrt(pooledSE / float64(pooledN))
+	var err error
+	if metrics.MAE, metrics.RMSE, err = maeRMSE(pooledPred, pooledTruth); err != nil {
+		return nil, Metrics{}, fmt.Errorf("core: %w", err)
+	}
 	return p, metrics, nil
 }
 
-func trainOne(sem int, sub features.Dataset, seed uint64) (*semModel, features.Dataset, SemanticsMetrics, error) {
+// maeRMSE returns the MAE and RMSE of pred against truth.
+func maeRMSE(pred, truth []float64) (mae, rmse float64, err error) {
+	if mae, err = stats.MAE(pred, truth); err != nil {
+		return 0, 0, err
+	}
+	if rmse, err = stats.RMSE(pred, truth); err != nil {
+		return 0, 0, err
+	}
+	return mae, rmse, nil
+}
+
+// targets is a sample's measured outputs: P_l, then P_d when the
+// semantics can duplicate.
+func targets(s features.Sample, outs int) []float64 {
+	if outs == 1 {
+		return []float64{s.Pl}
+	}
+	return []float64{s.Pl, s.Pd}
+}
+
+// trainOne splits one semantics' samples, fits the normaliser on the
+// training part, and fits each output by ridge-penalised logistic
+// regression on basis(normalised input).
+func trainOne(sem int, sub features.Dataset, seed uint64) (*semModel, features.Dataset, features.Dataset, error) {
 	// Five samples are the fewest that leave one to test on.
 	if len(sub) < 5 {
-		return nil, nil, SemanticsMetrics{}, fmt.Errorf("only %d samples", len(sub))
+		return nil, nil, nil, fmt.Errorf("only %d samples", len(sub))
 	}
 	train, test, err := sub.Split(testFraction, seed)
 	if err != nil {
-		return nil, nil, SemanticsMetrics{}, err
+		return nil, nil, nil, err
 	}
 	outs := outputsFor(sem)
-	toXY := func(d features.Dataset) (x, y [][]float64) {
-		for _, s := range d {
-			x = append(x, encodeInput(s.X))
-			target := []float64{s.Pl}
-			if outs == 2 {
-				target = append(target, s.Pd)
-			}
-			y = append(y, target)
+	raw := make([][]float64, len(train))
+	y := make([][]float64, outs)
+	for o := range y {
+		y[o] = make([]float64, len(train))
+	}
+	for i, s := range train {
+		raw[i] = encodeInput(s.X)
+		for o, v := range targets(s, outs) {
+			y[o][i] = min(max(v, targetClamp), 1-targetClamp)
 		}
-		return x, y
 	}
-	trainX, trainY := toXY(train)
-	testX, testY := toXY(test)
-
-	norm, err := features.FitNormalizer(trainX)
+	norm, err := features.FitNormalizer(raw)
 	if err != nil {
-		return nil, nil, SemanticsMetrics{}, err
+		return nil, nil, nil, err
 	}
-	normTrainX, err := norm.ApplyAll(trainX)
+	x, err := norm.ApplyAll(raw)
 	if err != nil {
-		return nil, nil, SemanticsMetrics{}, err
+		return nil, nil, nil, err
 	}
-	normTestX, err := norm.ApplyAll(testX)
-	if err != nil {
-		return nil, nil, SemanticsMetrics{}, err
+	for i := range x {
+		x[i] = basis(x[i])
 	}
-
-	net := ann.New(inputDim, outs, seed^uint64(sem)<<32)
-	res, err := net.Train(normTrainX, trainY)
-	if err != nil {
-		return nil, nil, SemanticsMetrics{}, err
+	w := make([][]float64, outs)
+	for o := range w {
+		if w[o], err = fitLogistic(x, y[o]); err != nil {
+			return nil, nil, nil, fmt.Errorf("output %d: %w", o, err)
+		}
 	}
-	mae, rmse, err := net.Evaluate(normTestX, testY)
-	if err != nil {
-		return nil, nil, SemanticsMetrics{}, err
-	}
-	return &semModel{net: net, norm: norm}, test, SemanticsMetrics{
-		TrainSamples: len(train),
-		TestSamples:  len(test),
-		MAE:          mae,
-		RMSE:         rmse,
-		Epochs:       res.Epochs,
-	}, nil
+	return &semModel{Norm: norm, Weights: w}, train, test, nil
 }

@@ -17,7 +17,7 @@ import (
 // it is the scheduler of choice for demos and for exercising the
 // dynamic-run machinery (config switches, timelines, run reports) where
 // the interesting part is *that* the configuration changes with the
-// network, not *which* change the ANN would have picked.
+// network, not *which* change the predictor would have picked.
 //
 // Only the configuration features (semantics, batch size, poll
 // interval, message timeout) of protective are applied; stream keeps

@@ -9,7 +9,7 @@ import (
 )
 
 // Semantics codes, mirroring producer.Semantics numerically so this
-// package stays dependency-free for the ANN tooling; a code's name is
+// package stays dependency-free for the model tooling; a code's name is
 // producer.Semantics(code).String().
 const (
 	SemanticsAtMostOnce  = 1
@@ -50,7 +50,7 @@ func Names() []string {
 	}
 }
 
-// Encode renders the vector as ANN inputs (before normalisation).
+// Encode renders the vector as model inputs (before normalisation).
 func (v Vector) Encode() []float64 {
 	return []float64{
 		float64(v.MessageSize),

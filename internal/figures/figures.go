@@ -407,7 +407,7 @@ func Table1(o Options) (Table1Result, error) {
 	}, nil
 }
 
-// --- ANN accuracy (the Figs. 4-6 predicted-vs-measured overlays) -----------
+// --- Prediction accuracy (the Figs. 4-6 predicted-vs-measured overlays) ----
 
 // AccuracyResult reports the prediction-model evaluation: held-out MAE
 // (the paper reports < 0.02) and sample predicted-vs-measured pairs.

@@ -9,7 +9,7 @@
 //     NetEm-style fault injection) that measures the reliability metrics
 //     P_l (probability of message loss) and P_d (probability of message
 //     duplication) for a configuration — see RunExperiment.
-//   - The prediction framework of the paper's Eq. 1: an ANN trained on
+//   - The prediction framework of the paper's Eq. 1: a model fitted on
 //     testbed sweeps that predicts {P̂_l, P̂_d} from the features
 //     (M, S, D, L, semantics, B, δ, T_o) — see CollectDataset and
 //     TrainPredictor.
@@ -110,9 +110,9 @@ type (
 	TrainMetrics = core.Metrics
 )
 
-// TrainPredictor fits one ANN per delivery semantics in the dataset,
-// holding 20 % of each out for evaluation; seed fixes the split and the
-// training.
+// TrainPredictor fits one model per delivery semantics in the dataset,
+// holding 20 % of each out for evaluation; seed fixes the split (the fit
+// itself is deterministic).
 func TrainPredictor(ds Dataset, seed uint64) (*Predictor, TrainMetrics, error) {
 	return core.Train(ds, seed)
 }
