@@ -40,15 +40,19 @@ reach:
 ## fuzz-smoke: a few seconds of native fuzzing on each target of the
 ## byte-level protocol (internal/wire/fuzz_test.go), of the replicated
 ## log (internal/storage/replica_test.go: three replicas appending,
-## truncating and catching up against a model) and of the predictor file
-## reader (internal/core: a file Load accepts predicts a probability) —
+## truncating and catching up against a model), of the predictor file
+## reader (internal/core: a file Load accepts predicts a probability), of
+## the event kernel (internal/des: fuzz bytes drive the model-checked
+## interleavings of heap and lane events) and of the experiment
+## configuration (internal/testbed: one field of a valid experiment
+## mutated; an error or a run bounded by its horizon and the event cap) —
 ## one invocation per target because `go test -fuzz` takes exactly one,
 ## nothing downloaded.
 ## The seed corpus already runs in `make test`; this leg mutates it. A
 ## crasher is written to internal/<pkg>/testdata/fuzz/<target>/ and fails
 ## the run: commit it with the fix, and it is a regression test from then on.
 fuzz-smoke:
-	@for t in wire:FuzzSplitter wire:FuzzDecode wire:FuzzSlabClone storage:FuzzLogReplicas core:FuzzPredictorLoad; do \
+	@for t in wire:FuzzSplitter wire:FuzzDecode wire:FuzzSlabClone storage:FuzzLogReplicas core:FuzzPredictorLoad des:FuzzModel testbed:FuzzExperiment; do \
 		$(GO) test ./internal/$${t%%:*} -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime 3s || exit 1; done
 
 ## bench-repo: the repository benchmark's headline pass (BENCHMARK.json;

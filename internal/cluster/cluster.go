@@ -222,6 +222,7 @@ func New(sim *des.Simulator, cfg Config) (*Cluster, error) {
 	if cfg.MinISR <= 0 {
 		cfg.MinISR = 1
 	}
+	sim.DeclareDelay(interBrokerDelay) // every replication hop and its ack
 	c := &Cluster{
 		sim:             sim,
 		cfg:             cfg,

@@ -364,6 +364,7 @@ func NewGroup(sim *des.Simulator, co *coordinator.Coordinator, clst *cluster.Clu
 		return nil, fmt.Errorf("consumer: topic %q: %s", cfg.Topic, md.Err)
 	}
 	cfg.applyDefaults(co)
+	sim.DeclareDelay(pollInterval) // every member's poll timer (des lanes)
 	n := len(md.Partitions)
 	g := &Group{
 		sim:           sim,

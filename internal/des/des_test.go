@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -95,7 +96,7 @@ func TestCancelPreventsExecution(t *testing.T) {
 	tm := NewTimer(sim, func() { fired = true })
 	tm.Reset(time.Second)
 	tm.Stop()
-	if len(sim.heap) != 0 {
+	if sim.pending() != 0 {
 		t.Error("Stop left the pending expiry queued")
 	}
 	if err := sim.Run(); err != nil {
@@ -164,8 +165,8 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	if sim.Now() != 2*time.Second {
 		t.Errorf("Now = %v, want 2s", sim.Now())
 	}
-	if len(sim.heap) != 1 {
-		t.Errorf("Pending = %d, want 1", len(sim.heap))
+	if sim.pending() != 1 {
+		t.Errorf("Pending = %d, want 1", sim.pending())
 	}
 	// Resume to the end.
 	if err := sim.Run(); err != nil {
@@ -489,13 +490,13 @@ func TestResetRestoresInitialState(t *testing.T) {
 		return got
 	}
 	first := run()
-	if len(sim.heap) != 2 {
-		t.Fatalf("Pending = %d, want 2 before Reset", len(sim.heap))
+	if sim.pending() != 2 {
+		t.Fatalf("Pending = %d, want 2 before Reset", sim.pending())
 	}
 	sim.Reset()
-	if sim.Now() != 0 || sim.fired != 0 || len(sim.heap) != 0 {
+	if sim.Now() != 0 || sim.fired != 0 || sim.pending() != 0 {
 		t.Fatalf("after Reset: now=%v fired=%d pending=%d, want zeros",
-			sim.Now(), sim.fired, len(sim.heap))
+			sim.Now(), sim.fired, sim.pending())
 	}
 	second := run()
 	if len(first) != len(second) {
@@ -553,23 +554,47 @@ func TestScheduleAllocatesNoHandle(t *testing.T) {
 	}
 }
 
-// Timers ride the pooled path: steady-state Reset/fire cycles are
-// allocation-free too.
+// Timers ride the pooled path: steady-state Reset/Stop/fire cycles are
+// allocation-free too, in the heap and in a lane — which keeps its
+// backing array across pops, tombstones and Reset.
 func TestTimerAllocsSteadyState(t *testing.T) {
-	sim := New()
-	fired := 0
-	timer := NewTimer(sim, func() { fired++ })
-	cycle := func() {
-		for j := 0; j < 64; j++ {
-			timer.Reset(time.Millisecond)
-			if err := sim.Run(); err != nil {
-				t.Fatalf("Run: %v", err)
+	for _, laned := range []bool{false, true} {
+		sim := New()
+		if laned {
+			sim.DeclareDelay(time.Millisecond)
+		}
+		fired := 0
+		timers := make([]*Timer, 16)
+		for i := range timers {
+			timers[i] = NewTimer(sim, func() { fired++ })
+		}
+		cycle := func() {
+			for j := 0; j < 64; j++ {
+				for i, tm := range timers {
+					tm.Reset(time.Millisecond)
+					if i%3 == 0 {
+						tm.Stop()
+					} else if i%3 == 1 {
+						tm.Reset(time.Millisecond)
+					}
+				}
+				if err := sim.RunUntil(sim.Now() + time.Millisecond/2); err != nil {
+					t.Fatalf("RunUntil: %v", err)
+				}
+				if j%8 == 7 {
+					sim.Reset() // drops the pending expiries
+				} else if err := sim.Run(); err != nil {
+					t.Fatalf("Run: %v", err)
+				}
 			}
 		}
-	}
-	cycle()
-	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
-		t.Errorf("timer reset/fire allocated %.1f per 64-cycle run, want 0", allocs)
+		cycle()
+		if fired == 0 || laned != (sim.lanes != nil && sim.lanes[0].q != nil) {
+			t.Fatalf("laned=%v: %d fired, lanes %+v", laned, fired, sim.lanes)
+		}
+		if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+			t.Errorf("laned=%v: timer reset/stop/fire allocated %.1f per cycle, want 0", laned, allocs)
+		}
 	}
 }
 
@@ -611,4 +636,38 @@ func BenchmarkFire(b *testing.B) {
 			_ = sim.RunLimit(uint64(b.N))
 		})
 	}
+}
+
+func namedCallback()     {}
+func namedFunc(any)      {}
+func namedTickCallback() {}
+
+// NextEvent names the function the next event will call, looking through
+// the kernel's own trampolines to the caller's callback.
+func TestNextEventNamesTheCallback(t *testing.T) {
+	sim := New()
+	sim.DeclareDelay(time.Millisecond)
+	if _, ok := sim.NextEvent(); ok {
+		t.Fatal("an empty simulator reports a next event")
+	}
+	tm := NewTimer(sim, namedCallback)
+	tk := NewTicker(sim, time.Millisecond, namedTickCallback) // laned
+	for _, tc := range []struct {
+		arm  func()
+		want string
+	}{
+		{func() { sim.Schedule(time.Microsecond, namedCallback) }, "des.namedCallback"},
+		{func() { sim.AfterFunc(time.Microsecond, namedFunc, nil) }, "des.namedFunc"},
+		{func() { tm.Reset(time.Microsecond) }, "des.namedCallback"},
+		{func() {}, "des.namedTickCallback"},
+	} {
+		tc.arm()
+		if name, ok := sim.NextEvent(); !ok || !strings.HasSuffix(name, tc.want) {
+			t.Errorf("NextEvent = %q, %v; want *%s", name, ok, tc.want)
+		}
+		if err := sim.RunLimit(1); err != nil && !errors.Is(err, ErrStopped) {
+			t.Fatal(err)
+		}
+	}
+	tk.Stop()
 }

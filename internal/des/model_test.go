@@ -11,8 +11,8 @@ import (
 // same random interleaving of every scheduling, cancelling and running
 // operation, and requires the same firing log from both. The model keeps
 // pending events in a plain slice and fires the (at, seq) minimum found
-// by a linear scan, so it shares no logic with the 4-ary heap, the slot
-// table or the free list.
+// by a linear scan, so it shares no logic with the 4-ary heap, the lanes,
+// the slot table or the free list.
 
 // who names a callback: a one-shot event (scheduled without a handle, or
 // a one-shot Timer when it is to be cancelable), its chained child, a
@@ -161,13 +161,13 @@ func (h *harness) newTicker(period time.Duration, limit int) {
 	h.m.schedule(h.m.now+period, who{'k', n})
 }
 
-// check compares everything observable and the heap's own invariants.
+// check compares everything observable and the queue's own invariants.
 func (h *harness) check(op string) {
 	h.t.Helper()
 	s, m := h.sim, h.m
-	if s.Now() != m.now || s.fired != m.fired || len(s.heap) != len(m.pending) {
+	if s.Now() != m.now || s.fired != m.fired || s.pending() != len(m.pending) {
 		h.t.Fatalf("%s: now/fired/pending = %v/%d/%d, model %v/%d/%d",
-			op, s.Now(), s.fired, len(s.heap), m.now, m.fired, len(m.pending))
+			op, s.Now(), s.fired, s.pending(), m.now, m.fired, len(m.pending))
 	}
 	if len(h.log) != len(m.log) {
 		h.t.Fatalf("%s: fired %d events, model %d", op, len(h.log), len(m.log))
@@ -188,8 +188,32 @@ func (h *harness) check(op string) {
 		}
 		inUse[it.slot] = true
 	}
-	if len(s.free)+len(s.heap) != len(s.slots) {
-		h.t.Fatalf("%s: %d free + %d pending slots != %d slots", op, len(s.free), len(s.heap), len(s.slots))
+	live := 0
+	for i, l := range s.lanes {
+		dead := 0
+		for j, it := range l.q[l.head:] {
+			if j > 0 && !l.q[l.head+j-1].before(it) {
+				h.t.Fatalf("%s: lane %v out of order at %d", op, l.delay, l.head+j)
+			}
+			if s.seqs[it.slot] != it.seq {
+				dead++
+				continue
+			}
+			if it.at < s.Now() || it.at > s.Now()+l.delay || s.pos[it.slot] != laneRef(i) || inUse[it.slot] {
+				h.t.Fatalf("%s: lane %v item %+v: pos %d, in use twice %v", op, l.delay, it, s.pos[it.slot], inUse[it.slot])
+			}
+			inUse[it.slot] = true
+			live++
+		}
+		if dead != l.dead {
+			h.t.Fatalf("%s: lane %v holds %d tombstones, counts %d", op, l.delay, dead, l.dead)
+		}
+	}
+	if live != s.laned {
+		h.t.Fatalf("%s: %d live lane items, counted %d", op, live, s.laned)
+	}
+	if len(s.free)+s.pending() != len(s.slots) {
+		h.t.Fatalf("%s: %d free + %d pending slots != %d slots", op, len(s.free), s.pending(), len(s.slots))
 	}
 	for _, sl := range s.free {
 		if inUse[sl] || s.slots[sl].arg != nil {
@@ -198,16 +222,16 @@ func (h *harness) check(op string) {
 	}
 }
 
-// cancelAt cancels whatever cancelable handle owns the given heap
-// index; Schedule and AfterFunc events have no handle and are left alone.
-func (h *harness) cancelAt(i int) {
-	switch owner := h.sim.slots[h.sim.heap[i].slot].arg.(type) {
+// cancelAt cancels whatever cancelable handle owns the event in slot
+// sl; Schedule and AfterFunc events have no handle and are left alone.
+func (h *harness) cancelAt(sl int32) {
+	switch owner := h.sim.slots[sl].arg.(type) {
 	case *Timer:
 		for n, e := range h.events {
 			if e == owner {
 				e.Stop()
 				if e.Armed() || !h.m.cancel(who{'e', n}) {
-					h.t.Fatalf("cancel of pending event %d at heap[%d] failed", n, i)
+					h.t.Fatalf("cancel of pending event %d in slot %d failed", n, sl)
 				}
 			}
 		}
@@ -246,165 +270,239 @@ func TestModelRandomInterleavings(t *testing.T) {
 // modelRandomInterleavings returns how many times the simulators yielded.
 func modelRandomInterleavings(t *testing.T) (yields uint64) {
 	for seed := uint64(1); seed <= 150; seed++ {
-		rng := rand.New(rand.NewPCG(seed, 12))
-		h := &harness{t: t, sim: New(), events: map[int]*Timer{}, rearm: map[int]int{}, ticks: map[int]int{}}
-		h.m = &model{chain: map[int]time.Duration{}, rearm: map[int]int{},
-			period: map[int]time.Duration{}, ticks: map[int]int{}, stopped: map[int]bool{}}
-		// Start both event counts just short of a yield, so that one falls
-		// inside the interleaving (a seed fires ~100 events between Resets).
-		h.sim.fired = yieldEvery - 20
-		h.m.fired = h.sim.fired
-		for i := 0; i < 3; i++ {
-			h.newTimer()
-		}
-		delay := func() time.Duration { return time.Duration(rng.IntN(40)) * time.Millisecond }
-		for op := 0; op < 400; op++ {
-			s, m := h.sim, h.m
-			switch k := rng.IntN(100); {
-			case k < 8: // Schedule, sometimes with a chained child
-				n := h.nextID
-				h.nextID++
-				if rng.IntN(3) == 0 {
-					m.chain[n] = delay()
-				}
-				at := s.Now() + delay()
-				s.Schedule(at, h.eventFn(n))
-				m.schedule(at, who{'e', n})
-			case k < 14: // After, negative delays clamp to now
-				n := h.nextID
-				h.nextID++
-				d := delay() - 5*time.Millisecond
-				s.After(d, h.eventFn(n))
-				if d < 0 {
-					d = 0
-				}
-				m.schedule(m.now+d, who{'e', n})
-			case k < 24: // a cancelable one-shot: a Timer armed once, negative delays clamp to now
-				n := h.nextID
-				h.nextID++
-				if rng.IntN(3) == 0 {
-					m.chain[n] = delay()
-				}
-				d := delay() - 5*time.Millisecond
-				h.events[n] = NewTimer(s, h.eventFn(n))
-				h.events[n].Reset(d)
-				if d < 0 {
-					d = 0
-				}
-				m.schedule(m.now+d, who{'e', n})
-			case k < 40: // AfterFunc / ScheduleFunc: no handle
-				n := h.nextID
-				h.nextID++
-				d := delay()
-				if rng.IntN(2) == 0 {
-					s.AfterFunc(d, h.fireBoxed, &who{'e', n})
-				} else {
-					s.ScheduleFunc(s.Now()+d, h.fireBoxed, &who{'e', n})
-				}
-				m.schedule(m.now+d, who{'e', n})
-			case k < 52: // Stop any one-shot ever issued: pending, fired, stopped, stale
-				if len(h.events) == 0 {
-					continue
-				}
-				n := rng.IntN(h.nextID)
-				e := h.events[n]
-				if e == nil {
-					continue
-				}
-				want := m.cancel(who{'e', n})
-				got := e.Armed()
-				e.Stop()
-				if got != want || e.Armed() {
-					t.Fatalf("seed %d: event %d armed = %v before Stop, model %v", seed, n, got, want)
-				}
-			case k < 56: // cancel the heap root
-				if len(s.heap) > 0 {
-					h.cancelAt(0)
-				}
-			case k < 60: // cancel the heap's last element
-				if len(s.heap) > 0 {
-					h.cancelAt(len(s.heap) - 1)
-				}
-			case k < 72: // Timer.Reset, sometimes self re-arming
-				n := rng.IntN(len(h.timers))
-				d := delay()
-				m.cancel(who{'t', n})
-				m.rearm[n] = rng.IntN(3)
-				h.rearm[n] = m.rearm[n]
-				h.timers[n].Reset(d)
-				m.schedule(m.now+d, who{'t', n})
-				if !h.timers[n].Armed() {
-					t.Fatalf("timer %d unarmed after Reset", n)
-				}
-			case k < 78: // Timer.Stop
-				n := rng.IntN(len(h.timers))
-				h.timers[n].Stop()
-				m.cancel(who{'t', n})
-				if h.timers[n].Armed() {
-					t.Fatalf("timer %d armed after Stop", n)
-				}
-			case k < 82: // NewTicker
-				h.newTicker(time.Duration(rng.IntN(9)+1)*time.Millisecond, rng.IntN(6)+1)
-			case k < 85: // Ticker.Stop from outside the callback, repeated Stops included
-				if len(h.tickers) > 0 {
-					n := rng.IntN(len(h.tickers))
-					h.tickers[n].Stop()
-					m.cancel(who{'k', n})
-					m.stopped[n] = true
-				}
-			case k < 92: // RunUntil
-				d := s.Now() + delay()
-				if err := s.RunUntil(d); err != nil {
-					t.Fatal(err)
-				}
-				m.run(d, 0)
-			case k < 96: // RunLimit
-				n := rng.IntN(5) + 1
-				err := s.RunLimit(uint64(n))
-				m.run(-1, n)
-				if (err == ErrStopped) != (len(m.pending) > 0) {
-					t.Fatalf("seed %d: RunLimit err = %v with %d model events pending", seed, err, len(m.pending))
-				}
-			case k < 98: // Run to completion
-				if err := s.Run(); err != nil {
-					t.Fatal(err)
-				}
-				m.run(-1, 0)
-			default: // Reset and reuse: every outstanding handle goes stale
-				s.Reset()
-				*m = model{chain: m.chain, rearm: m.rearm, period: m.period, ticks: m.ticks, stopped: m.stopped}
-				// New events take over the recycled slots first, so a stale
-				// handle that still acted on its old slot would hit them.
-				for i := 0; i < 6; i++ {
-					n := h.nextID
-					h.nextID++
-					d := delay()
-					s.AfterFunc(d, h.fireBoxed, &who{'e', n})
-					m.schedule(d, who{'e', n})
-				}
-				for n, e := range h.events {
-					if e.Stop(); len(s.heap) != 6 {
-						t.Fatalf("seed %d: stale handle of event %d canceled something after Reset", seed, n)
-					}
-				}
-				for _, tm := range h.timers {
-					tm.Stop()
-				}
-				for n, tk := range h.tickers {
-					tk.Stop()
-					m.stopped[n] = true
-				}
-			}
-			h.check("op")
-		}
-		if err := h.sim.Run(); err != nil {
-			t.Fatal(err)
-		}
-		h.m.run(-1, 0)
-		h.check("final run")
-		yields += h.sim.yields
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			yields += runModel(t, rand.New(rand.NewPCG(seed, 12)), 400)
+		})
 	}
 	return yields
+}
+
+// FuzzModel drives the same harness with the fuzzer's bytes as the
+// draws: each byte picks one choice, and the interleaving ends when the
+// bytes do.
+func FuzzModel(f *testing.F) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		b := make([]byte, 300)
+		rng := rand.New(rand.NewPCG(seed, 34))
+		for i := range b {
+			b[i] = byte(rng.IntN(256))
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		runModel(t, &byteDraws{b: b}, min(len(b), 400))
+	})
+}
+
+// draws is where an interleaving takes its choices from.
+type draws interface{ IntN(n int) int }
+
+// byteDraws hands out one byte per choice, then zeros.
+type byteDraws struct{ b []byte }
+
+func (d *byteDraws) IntN(n int) int {
+	if len(d.b) == 0 {
+		return 0
+	}
+	v := int(d.b[0])
+	d.b = d.b[1:]
+	return v % n
+}
+
+// laneDelays are the fixed delays the interleavings declare; delay draws
+// each of them often, so laned and heap events tie and interleave.
+var laneDelays = [2]time.Duration{2 * time.Millisecond, 3 * time.Millisecond}
+
+// runModel plays up to ops random operations on a fresh simulator and
+// the model, checking after each, then drains both. It returns how many
+// times the simulator yielded.
+func runModel(t *testing.T, rng draws, ops int) uint64 {
+	h := &harness{t: t, sim: New(), events: map[int]*Timer{}, rearm: map[int]int{}, ticks: map[int]int{}}
+	h.m = &model{chain: map[int]time.Duration{}, rearm: map[int]int{},
+		period: map[int]time.Duration{}, ticks: map[int]int{}, stopped: map[int]bool{}}
+	// Start both event counts just short of a yield, so that one falls
+	// inside the interleaving (a seed fires ~100 events between Resets).
+	h.sim.fired = yieldEvery - 20
+	h.m.fired = h.sim.fired
+	for i := 0; i < 3; i++ {
+		h.newTimer()
+	}
+	// One lane exists from the start, as a component's would; the other
+	// is declared part-way, over events already waiting at its delay.
+	h.sim.DeclareDelay(laneDelays[0])
+	declareAt := rng.IntN(ops + 1)
+	delay := func() time.Duration {
+		if k := rng.IntN(6); k < len(laneDelays) {
+			return laneDelays[k]
+		}
+		return time.Duration(rng.IntN(40)) * time.Millisecond
+	}
+	for op := 0; op < ops; op++ {
+		s, m := h.sim, h.m
+		if op == declareAt {
+			s.DeclareDelay(laneDelays[1])
+		}
+		switch k := rng.IntN(100); {
+		case k < 8: // Schedule, sometimes with a chained child
+			n := h.nextID
+			h.nextID++
+			if rng.IntN(3) == 0 {
+				m.chain[n] = delay()
+			}
+			at := s.Now() + delay()
+			s.Schedule(at, h.eventFn(n))
+			m.schedule(at, who{'e', n})
+		case k < 14: // After, negative delays clamp to now
+			n := h.nextID
+			h.nextID++
+			d := delay() - 5*time.Millisecond
+			s.After(d, h.eventFn(n))
+			if d < 0 {
+				d = 0
+			}
+			m.schedule(m.now+d, who{'e', n})
+		case k < 24: // a cancelable one-shot: a Timer armed once, negative delays clamp to now
+			n := h.nextID
+			h.nextID++
+			if rng.IntN(3) == 0 {
+				m.chain[n] = delay()
+			}
+			d := delay()
+			if rng.IntN(2) == 0 {
+				d -= 5 * time.Millisecond
+			}
+			h.events[n] = NewTimer(s, h.eventFn(n))
+			h.events[n].Reset(d)
+			if d < 0 {
+				d = 0
+			}
+			m.schedule(m.now+d, who{'e', n})
+		case k < 37: // AfterFunc / ScheduleFunc: no handle
+			n := h.nextID
+			h.nextID++
+			d := delay()
+			if rng.IntN(2) == 0 {
+				s.AfterFunc(d, h.fireBoxed, &who{'e', n})
+			} else {
+				s.ScheduleFunc(s.Now()+d, h.fireBoxed, &who{'e', n})
+			}
+			m.schedule(m.now+d, who{'e', n})
+		case k < 40: // cancel any item of a lane: a tombstone before, at or behind the head
+			if len(s.lanes) == 0 {
+				continue
+			}
+			l := s.lanes[rng.IntN(len(s.lanes))]
+			if n := len(l.q) - l.head; n > 0 {
+				it := l.q[l.head+rng.IntN(n)]
+				if s.seqs[it.slot] == it.seq {
+					h.cancelAt(it.slot)
+				}
+			}
+		case k < 52: // Stop any one-shot ever issued: pending, fired, stopped, stale
+			if len(h.events) == 0 {
+				continue
+			}
+			n := rng.IntN(h.nextID)
+			e := h.events[n]
+			if e == nil {
+				continue
+			}
+			want := m.cancel(who{'e', n})
+			got := e.Armed()
+			e.Stop()
+			if got != want || e.Armed() {
+				t.Fatalf("event %d armed = %v before Stop, model %v", n, got, want)
+			}
+		case k < 56: // cancel the heap root
+			if len(s.heap) > 0 {
+				h.cancelAt(s.heap[0].slot)
+			}
+		case k < 60: // cancel the heap's last element
+			if len(s.heap) > 0 {
+				h.cancelAt(s.heap[len(s.heap)-1].slot)
+			}
+		case k < 72: // Timer.Reset, sometimes self re-arming
+			n := rng.IntN(len(h.timers))
+			d := delay()
+			m.cancel(who{'t', n})
+			m.rearm[n] = rng.IntN(3)
+			h.rearm[n] = m.rearm[n]
+			h.timers[n].Reset(d)
+			m.schedule(m.now+d, who{'t', n})
+			if !h.timers[n].Armed() {
+				t.Fatalf("timer %d unarmed after Reset", n)
+			}
+		case k < 78: // Timer.Stop
+			n := rng.IntN(len(h.timers))
+			h.timers[n].Stop()
+			m.cancel(who{'t', n})
+			if h.timers[n].Armed() {
+				t.Fatalf("timer %d armed after Stop", n)
+			}
+		case k < 82: // NewTicker, its period sometimes a lane delay
+			period := time.Duration(rng.IntN(9)+1) * time.Millisecond
+			if k := rng.IntN(4); k < len(laneDelays) {
+				period = laneDelays[k]
+			}
+			h.newTicker(period, rng.IntN(6)+1)
+		case k < 85: // Ticker.Stop from outside the callback, repeated Stops included
+			if len(h.tickers) > 0 {
+				n := rng.IntN(len(h.tickers))
+				h.tickers[n].Stop()
+				m.cancel(who{'k', n})
+				m.stopped[n] = true
+			}
+		case k < 92: // RunUntil
+			d := s.Now() + delay()
+			if err := s.RunUntil(d); err != nil {
+				t.Fatal(err)
+			}
+			m.run(d, 0)
+		case k < 96: // RunLimit
+			n := rng.IntN(5) + 1
+			err := s.RunLimit(uint64(n))
+			m.run(-1, n)
+			if (err == ErrStopped) != (len(m.pending) > 0) {
+				t.Fatalf("RunLimit err = %v with %d model events pending", err, len(m.pending))
+			}
+		case k < 98: // Run to completion
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			m.run(-1, 0)
+		default: // Reset and reuse: every outstanding handle goes stale
+			s.Reset()
+			*m = model{chain: m.chain, rearm: m.rearm, period: m.period, ticks: m.ticks, stopped: m.stopped}
+			// New events take over the recycled slots first, so a stale
+			// handle that still acted on its old slot would hit them.
+			for i := 0; i < 6; i++ {
+				n := h.nextID
+				h.nextID++
+				d := delay()
+				s.AfterFunc(d, h.fireBoxed, &who{'e', n})
+				m.schedule(d, who{'e', n})
+			}
+			for n, e := range h.events {
+				if e.Stop(); s.pending() != 6 {
+					t.Fatalf("stale handle of event %d canceled something after Reset", n)
+				}
+			}
+			for _, tm := range h.timers {
+				tm.Stop()
+			}
+			for n, tk := range h.tickers {
+				tk.Stop()
+				m.stopped[n] = true
+			}
+		}
+		h.check("op")
+	}
+	if err := h.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	h.m.run(-1, 0)
+	h.check("final run")
+	return h.sim.yields
 }
 
 // A handle whose event a Reset dropped must not cancel the event that

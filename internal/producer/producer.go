@@ -307,6 +307,7 @@ func New(sim *des.Simulator, cfg Config, costs CostModel, conn *transport.Conn, 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	sim.DeclareDelay(sendRetryDelay)
 	p := &Producer{
 		sim:      sim,
 		cfg:      cfg,
@@ -640,12 +641,16 @@ func (p *Producer) checkRefused(b *batch, size int) {
 	}
 }
 
+// sendRetryDelay is how long a send the socket refused waits before the
+// blocked batches are tried again.
+const sendRetryDelay = 2 * time.Millisecond
+
 func (p *Producer) armSendRetry() {
 	if p.sendRetryArmed {
 		return
 	}
 	p.sendRetryArmed = true
-	p.sim.AfterFunc(2*time.Millisecond, sendRetryFire, p)
+	p.sim.AfterFunc(sendRetryDelay, sendRetryFire, p)
 }
 
 // flushUnsent re-attempts blocked batches in order.

@@ -69,6 +69,7 @@ func NewTxnProducer(sim *des.Simulator, clst *cluster.Cluster, tc *coordinator.T
 	if cfg.TransactionalID == "" {
 		return nil, fmt.Errorf("producer: transactional id required")
 	}
+	sim.DeclareDelay(txnRetryBackoff)
 	return &TxnProducer{sim: sim, clst: clst, tc: tc, cfg: cfg}, nil
 }
 

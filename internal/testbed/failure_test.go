@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -136,8 +137,12 @@ func TestHorizonBoundRunawayHitsEventCap(t *testing.T) {
 	loop = func(any) { sim.AfterFunc(0, loop, nil) }
 	sim.AfterFunc(time.Second, loop, nil)
 	err = r.run(time.Minute)
-	if err == nil || !strings.Contains(err.Error(), "event cap exceeded") {
+	if err == nil || !strings.Contains(err.Error(), "event cap exceeded") || !errors.Is(err, des.ErrStopped) {
 		t.Fatalf("run = %v, want the event cap error", err)
+	}
+	// The error names the owner of the loop: this test's closure.
+	if !strings.Contains(err.Error(), "TestHorizonBoundRunawayHitsEventCap") || !strings.Contains(err.Error(), "1s") {
+		t.Errorf("run = %v, want the sim time and the runaway callback named", err)
 	}
 	if sim.Now() != time.Second {
 		t.Errorf("clock at %v, want the runaway's 1s", sim.Now())

@@ -321,7 +321,9 @@ func (r *rig) run(maxSim time.Duration) error {
 		err = r.sim.RunLimit(eventCap)
 	}
 	if err != nil {
-		return fmt.Errorf("event cap exceeded (runaway simulation?): %w", err)
+		// The cap stops a run only while an event is pending: name it.
+		owner, _ := r.sim.NextEvent()
+		return fmt.Errorf("event cap exceeded at sim time %v, next event calls %s (runaway simulation?): %w", r.sim.Now(), owner, err)
 	}
 	if r.cfgErr != nil {
 		return fmt.Errorf("scheduled reconfiguration or fault injection: %w", r.cfgErr)
