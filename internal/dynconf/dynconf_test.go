@@ -360,6 +360,37 @@ func TestDefaultVector(t *testing.T) {
 	}
 }
 
+// TestPerfTermsBarelyMove tabulates γ's performance half, perfmodel's φ
+// and μ, over every configuration the search can reach for each Table II
+// stream, and pins how little of it there is: the 100 Mbit/s link dwarfs
+// every stream, so φ stays below 0.003, and fire-and-forget is never
+// paced by acknowledgements, so μ is 1 for every at-most-once
+// configuration. The φ/μ weights of a stream profile therefore barely
+// reach the search.
+func TestPerfTermsBarelyMove(t *testing.T) {
+	perf, err := perfmodel.New(testbed.Calibration{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range workload.Profiles() {
+		maxPhi := 0.0
+		for _, v := range TrainingGrid(p.MeanSize, p.Timeliness) {
+			pr, err := perf.Predict(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			maxPhi = max(maxPhi, pr.Phi)
+			if v.Semantics == features.SemanticsAtMostOnce && pr.Mu != 1 {
+				t.Errorf("%s: at-most-once μ = %v at %+v, want 1", p.Name, pr.Mu, v)
+			}
+		}
+		t.Logf("%s: max φ = %.5f", p.Name, maxPhi)
+		if maxPhi >= 0.003 {
+			t.Errorf("%s: max φ = %.5f, want < 0.003", p.Name, maxPhi)
+		}
+	}
+}
+
 // TestTableIIEndToEnd runs the full pipeline with a pre-trained
 // predictor and a short trace: the dynamic schedule must cut the loss
 // rate substantially versus the static default (the paper's headline

@@ -15,9 +15,8 @@ import (
 // row, turning end-of-run counters into per-interval series — *when*
 // the run lost, duplicated and reconfigured, not just how much
 // (the paper's Figs. 9-10 are exactly such timelines). Discrete
-// moments — a scheduled config switch, an online-controller decision, a
-// broker failure — are recorded as annotations interleaved with the
-// rows.
+// moments — a scheduled config switch, a broker failure, a chaos fault —
+// are recorded as annotations interleaved with the rows.
 //
 // Like the rest of the obs package, a nil *Timeline is the disabled
 // implementation: every method is a no-op, so instrumented code calls
@@ -247,8 +246,6 @@ type TimelineRow struct {
 const (
 	// AnnConfigSwitch marks a scheduled (offline) configuration change.
 	AnnConfigSwitch = "config_switch"
-	// AnnOnlineDecision marks an OnlineController reconfiguration.
-	AnnOnlineDecision = "online_decision"
 	// AnnBrokerEvent marks an injected broker failure or recovery.
 	AnnBrokerEvent = "broker_event"
 	// AnnFault marks a chaos fault-plan action (partition window, delay

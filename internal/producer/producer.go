@@ -371,9 +371,6 @@ func (p *Producer) Latency() stats.Summary { return p.latency }
 // Stale returns how many delivered messages exceeded the timeliness S.
 func (p *Producer) Stale() uint64 { return p.stale }
 
-// QueueLen returns the number of records waiting in the accumulator.
-func (p *Producer) QueueLen() int { return p.queue.len() }
-
 // Acquired returns how many source messages the producer has taken in so
 // far; it is the ground-truth denominator when an experiment is cut off
 // before the source drains.

@@ -37,10 +37,6 @@ type Phase struct {
 	// Config describes the configuration in force ("initial" for the
 	// stretch before the first switch).
 	Config string
-	// Kind is the annotation kind that opened the phase
-	// (obs.AnnConfigSwitch or obs.AnnOnlineDecision), "" for the
-	// initial phase.
-	Kind string
 
 	Enqueued    uint64
 	Acked       uint64
@@ -135,7 +131,7 @@ func (r *Report) buildPhases() {
 	}
 	r.Phases = []Phase{{Start: 0, End: end, Config: "initial"}}
 	for _, ann := range r.Annotations {
-		if ann.Kind != obs.AnnConfigSwitch && ann.Kind != obs.AnnOnlineDecision {
+		if ann.Kind != obs.AnnConfigSwitch {
 			continue
 		}
 		last := &r.Phases[len(r.Phases)-1]
@@ -143,14 +139,10 @@ func (r *Report) buildPhases() {
 			// A switch at the very moment the previous one fired (or at
 			// t=0) replaces the phase rather than opening an empty one.
 			last.Config = ann.Detail
-			last.Kind = ann.Kind
 			continue
 		}
 		last.End = ann.At
-		r.Phases = append(r.Phases, Phase{
-			Start: ann.At, End: end,
-			Config: ann.Detail, Kind: ann.Kind,
-		})
+		r.Phases = append(r.Phases, Phase{Start: ann.At, End: end, Config: ann.Detail})
 	}
 	for _, row := range r.Rows {
 		p := &r.Phases[0]
@@ -261,7 +253,7 @@ func (r *Report) markerLine(width int) string {
 	}
 	line := []rune(strings.Repeat(" ", width))
 	for _, ann := range r.Annotations {
-		if ann.Kind != obs.AnnConfigSwitch && ann.Kind != obs.AnnOnlineDecision {
+		if ann.Kind != obs.AnnConfigSwitch {
 			continue
 		}
 		c := int(int64(ann.At) * int64(width) / int64(end))

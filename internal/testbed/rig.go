@@ -21,9 +21,8 @@ import (
 )
 
 // rig is the one assembly of the Sec. III-E pipeline. Every entry point
-// — Run/RunCtx, RunOnline, a fleet shard, RunTxn — is a configuration
-// that calls the same build steps, each defined once here, in one
-// canonical order:
+// — Run/RunCtx, a fleet shard, RunTxn — is a configuration that calls
+// the same build steps, each defined once here, in one canonical order:
 //
 //	newRig (cluster, topics) → joinGroups (coordinator, consumer groups)
 //	→ addClient (links, transport, server endpoint, producer)

@@ -455,16 +455,17 @@ func checkTopic(topic string, partitions, m int, batches ...int) error {
 }
 
 // describeConfig renders the tunable configuration features of a vector
-// for timeline annotations — the parameters a schedule entry or an
-// online decision actually applies.
+// for timeline annotations — the parameters a schedule entry actually
+// applies.
 func describeConfig(v features.Vector) string {
 	return fmt.Sprintf("%s B=%d delta=%v To=%v",
 		producer.Semantics(v.Semantics), v.BatchSize, v.PollInterval, v.MessageTimeout)
 }
 
 // producerConfig maps a feature vector plus experiment overrides onto the
-// producer configuration. Online controllers hand it vectors nothing
-// else has validated, so it range-checks the semantics code itself.
+// producer configuration. Schedule entries reach it without
+// Features.Validate having run on them, so it range-checks the semantics
+// code itself.
 func producerConfig(e Experiment, topic string) (producer.Config, error) {
 	sem := producer.Semantics(e.Features.Semantics)
 	if sem < producer.AtMostOnce || sem > producer.ExactlyOnce {

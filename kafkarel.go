@@ -35,7 +35,6 @@ package kafkarel
 
 import (
 	"context"
-	"time"
 
 	"kafkarel/internal/core"
 	"kafkarel/internal/dynconf"
@@ -159,28 +158,6 @@ func NewSearcher(eval *Evaluator, grid []Features) (*Searcher, error) {
 // EvaluateDynamicConfiguration runs the full Table II pipeline.
 func EvaluateDynamicConfiguration(profiles []StreamProfile, opts DynConfOptions) ([]StreamOutcome, error) {
 	return dynconf.TableII(context.Background(), profiles, opts)
-}
-
-// Online dynamic configuration — the paper's declared future work,
-// implemented as an extension: no forecast, the controller estimates the
-// network from the producer's own transport statistics.
-type (
-	// OnlineController reconfigures from live transport probes.
-	OnlineController = dynconf.OnlineController
-	// NetworkProbe is one live network estimate.
-	NetworkProbe = testbed.NetworkProbe
-)
-
-// NewOnlineController builds an online controller starting from the
-// given configuration.
-func NewOnlineController(s *Searcher, start Features) (*OnlineController, error) {
-	return dynconf.NewOnlineController(s, start)
-}
-
-// RunOnlineExperiment executes an experiment while a controller
-// reconfigures the producer from live probes sampled every interval.
-func RunOnlineExperiment(e Experiment, interval time.Duration, ctrl func(NetworkProbe) (Features, bool)) (Result, error) {
-	return testbed.RunOnline(e, interval, ctrl)
 }
 
 // Stream profiles of Table II.
