@@ -1,6 +1,6 @@
 // Command predict loads a trained model and predicts the reliability
-// metrics P̂_l and P̂_d — plus the weighted KPI γ — for one feature
-// vector given on the command line.
+// metrics P̂_l and P̂_d — plus the weighted KPI γ = ω_l·(1 − P̂_l) +
+// ω_d·(1 − P̂_d) — for one feature vector given on the command line.
 //
 // Usage:
 //
@@ -21,9 +21,7 @@ import (
 	"kafkarel/internal/core"
 	"kafkarel/internal/features"
 	"kafkarel/internal/kpi"
-	"kafkarel/internal/perfmodel"
 	"kafkarel/internal/producer"
-	"kafkarel/internal/testbed"
 )
 
 func main() {
@@ -44,10 +42,8 @@ func run(args []string) error {
 	batch := fs.Int("batch", 1, "batch size B")
 	poll := fs.Duration("poll", 0, "polling interval δ")
 	timeout := fs.Duration("timeout", 1500*time.Millisecond, "message timeout T_o")
-	w1 := fs.Float64("w1", 0.3, "KPI weight ω1 (bandwidth utilisation)")
-	w2 := fs.Float64("w2", 0.3, "KPI weight ω2 (service rate)")
-	w3 := fs.Float64("w3", 0.3, "KPI weight ω3 (1-Pl)")
-	w4 := fs.Float64("w4", 0.1, "KPI weight ω4 (1-Pd)")
+	wl := fs.Float64("wl", 0.75, "KPI weight ω_l (1-Pl)")
+	wd := fs.Float64("wd", 0.25, "KPI weight ω_d (1-Pd)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -85,22 +81,12 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	perf, err := perfmodel.New(testbed.Calibration{})
-	if err != nil {
-		return err
-	}
-	pp, err := perf.Predict(v)
-	if err != nil {
-		return err
-	}
-	gamma, err := kpi.Gamma(pp.Phi, pp.Mu, rel.Pl, rel.Pd, kpi.Weights{*w1, *w2, *w3, *w4})
+	gamma, err := kpi.Gamma(rel.Pl, rel.Pd, kpi.Weights{*wl, *wd})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("P_l (message loss):        %.4f\n", rel.Pl)
 	fmt.Printf("P_d (message duplication): %.4f\n", rel.Pd)
-	fmt.Printf("phi (bandwidth util.):     %.4f\n", pp.Phi)
-	fmt.Printf("mu  (norm. service rate):  %.4f\n", pp.Mu)
 	fmt.Printf("gamma (weighted KPI):      %.4f\n", gamma)
 	return nil
 }

@@ -30,7 +30,6 @@ import (
 	"kafkarel/internal/exprun"
 	"kafkarel/internal/features"
 	"kafkarel/internal/figures"
-	"kafkarel/internal/kpi"
 	"kafkarel/internal/netem"
 	"kafkarel/internal/obs"
 	"kafkarel/internal/producer"
@@ -249,9 +248,8 @@ func table2(o figures.Options) error {
 	w := newTab()
 	fmt.Fprintln(w, "stream\tweights\tRl_default\tRl_dynamic\tRd_default\tRd_dynamic\treconfigs")
 	for _, oc := range outcomes {
-		fmt.Fprintf(w, "%s\t%.1f,%.1f,%.1f,%.1f\t%.2f%%\t%.2f%%\t%.2f%%\t%.2f%%\t%d\n",
-			oc.Profile.Name,
-			oc.Profile.Weights[0], oc.Profile.Weights[1], oc.Profile.Weights[2], oc.Profile.Weights[3],
+		fmt.Fprintf(w, "%s\t%.3g,%.3g\t%.2f%%\t%.2f%%\t%.2f%%\t%.2f%%\t%d\n",
+			oc.Profile.Name, oc.Profile.Weights[0], oc.Profile.Weights[1],
 			100*oc.DefaultRl, 100*oc.DynamicRl, 100*oc.DefaultRd, 100*oc.DynamicRd,
 			oc.Reconfigurations)
 	}
@@ -517,17 +515,8 @@ func reportRun(o figures.Options) error {
 	if err != nil {
 		return err
 	}
-	// Predicted γ for the stream's base configuration (performance model
-	// with the clean-network reliability prior) next to the γ measured
-	// from the run's own counters.
-	gamma, err := kpi.CompareRun(dynconf.DefaultVector(workload.SocialMedia), res.Metrics,
-		res.Duration, testbed.DefaultCalibration(), kpi.DefaultWeights())
-	if err != nil {
-		return err
-	}
 	rep, err := report.Build(res, events, report.Options{
 		Title: "Run report: social-media stream, dynamic configuration over the default 10-minute trace",
-		Gamma: &gamma,
 	})
 	if err != nil {
 		return err

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"kafkarel/internal/features"
-	"kafkarel/internal/kpi"
 	"kafkarel/internal/obs"
 	"kafkarel/internal/producer"
 	"kafkarel/internal/testbed"
@@ -291,14 +290,6 @@ func runFleet(ctx context.Context, v features.Vector, ff fleetFlags) error {
 			return err
 		}
 	}
-	// Predicted γ (performance model, clean-network reliability prior)
-	// next to the γ measured from the merged metrics snapshot.
-	gamma, err := kpi.CompareRun(v, res.Metrics, res.Duration,
-		testbed.DefaultCalibration(), kpi.DefaultWeights())
-	if err != nil {
-		return err
-	}
-	res.Gamma = &gamma
 	// The scorecard is the canonical byte surface; its tail already
 	// carries the merged metrics snapshot, so -metrics is implied here.
 	os.Stdout.Write(res.Scorecard())

@@ -21,8 +21,8 @@ import (
 func main() {
 	log.SetFlags(0)
 	profile := kafkarel.GameTraffic
-	fmt.Printf("stream: %s (M≈%dB, S=%v, ω=%v)\n\n",
-		profile.Name, profile.MeanSize, profile.Timeliness, profile.Weights)
+	fmt.Printf("stream: %s (M≈%dB, S=%v, ω_l:ω_d=%.3g:%.3g)\n\n",
+		profile.Name, profile.MeanSize, profile.Timeliness, profile.Weights[0], profile.Weights[1])
 
 	// The game emits events at about what one producer can take in at
 	// full load for 80 B messages (~224 msg/s), so a lone producer polls

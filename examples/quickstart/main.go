@@ -78,12 +78,8 @@ func main() {
 	fmt.Printf("predicted at the measured point: P̂_l=%.3f P̂_d=%.4f\n", p.Pl, p.Pd)
 
 	// --- 3. Score with the weighted KPI. --------------------------------
-	perf, err := kafkarel.NewPerfModel(kafkarel.Calibration{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	weights := kafkarel.Weights{0.1, 0.1, 0.7, 0.1} // completeness first
-	eval, err := kafkarel.NewEvaluator(pred, perf, weights)
+	weights := kafkarel.Weights{0.875, 0.125} // completeness first
+	eval, err := kafkarel.NewEvaluator(pred, weights)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,7 +87,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("γ(current config) = %.3f  (φ=%.3f μ=%.3f)\n", score.Gamma, score.Phi, score.Mu)
+	fmt.Printf("γ(current config) = %.3f\n", score.Gamma)
 
 	// --- 4. Climb γ along the grid the predictor was trained on. -------
 	searcher, err := kafkarel.NewSearcher(eval, grid)

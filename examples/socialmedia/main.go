@@ -20,8 +20,8 @@ import (
 func main() {
 	log.SetFlags(0)
 	profile := kafkarel.SocialMedia
-	fmt.Printf("stream: %s (M≈%dB, S=%v, ω=%v)\n",
-		profile.Name, profile.MeanSize, profile.Timeliness, profile.Weights)
+	fmt.Printf("stream: %s (M≈%dB, S=%v, ω_l:ω_d=%.3g:%.3g)\n",
+		profile.Name, profile.MeanSize, profile.Timeliness, profile.Weights[0], profile.Weights[1])
 
 	// A shortened Fig. 9 network so the example finishes quickly.
 	spec := kafkarel.TraceSpec{

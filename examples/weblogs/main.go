@@ -20,8 +20,8 @@ import (
 func main() {
 	log.SetFlags(0)
 	profile := kafkarel.WebLogs
-	fmt.Printf("stream: %s (M≈%dB, S=%v, ω=%v)\n\n",
-		profile.Name, profile.MeanSize, profile.Timeliness, profile.Weights)
+	fmt.Printf("stream: %s (M≈%dB, S=%v, ω_l:ω_d=%.3g:%.3g)\n\n",
+		profile.Name, profile.MeanSize, profile.Timeliness, profile.Weights[0], profile.Weights[1])
 
 	base := kafkarel.Features{
 		MessageSize:    profile.MeanSize,
@@ -74,11 +74,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	perf, err := kafkarel.NewPerfModel(kafkarel.Calibration{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	eval, err := kafkarel.NewEvaluator(pred, perf, kafkarel.Weights(profile.Weights))
+	eval, err := kafkarel.NewEvaluator(pred, kafkarel.Weights(profile.Weights))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,8 +12,6 @@ import (
 	"kafkarel/internal/features"
 	"kafkarel/internal/kpi"
 	"kafkarel/internal/netem"
-	"kafkarel/internal/perfmodel"
-	"kafkarel/internal/testbed"
 	"kafkarel/internal/workload"
 )
 
@@ -83,23 +81,23 @@ var fitPredictor = sync.OnceValues(func() (*core.Predictor, error) {
 	return p, err
 })
 
+// webLogs weighs completeness first, like the web-logs stream profile.
+var webLogs = kpi.Weights(workload.WebLogs.Weights)
+
 func evaluator(t *testing.T, w kpi.Weights) *kpi.Evaluator {
 	t.Helper()
-	perf, err := perfmodel.New(testbed.Calibration{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := kpi.NewEvaluator(trainedPredictor(t), perf, w)
+	ev, err := kpi.NewEvaluator(trainedPredictor(t), w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ev
 }
 
-// searcher walks the fixture predictor's own grid under weights w.
-func searcher(t *testing.T, w kpi.Weights) *Searcher {
+// searcher walks the fixture predictor's own grid under the web-logs
+// weights.
+func searcher(t *testing.T) *Searcher {
 	t.Helper()
-	s, err := NewSearcher(evaluator(t, w), fixtureGrid())
+	s, err := NewSearcher(evaluator(t, webLogs), fixtureGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +118,8 @@ func startVector() features.Vector {
 }
 
 func TestImproveRaisesGamma(t *testing.T) {
-	ev := evaluator(t, kpi.Weights{0.1, 0.1, 0.7, 0.1})
-	s := searcher(t, kpi.Weights{0.1, 0.1, 0.7, 0.1})
+	ev := evaluator(t, webLogs)
+	s := searcher(t)
 	start := startVector()
 	before, err := ev.Score(start)
 	if err != nil {
@@ -152,14 +150,14 @@ func TestImproveRaisesGamma(t *testing.T) {
 }
 
 func TestImproveValidation(t *testing.T) {
-	ev := evaluator(t, kpi.DefaultWeights())
+	ev := evaluator(t, webLogs)
 	if _, err := NewSearcher(nil, fixtureGrid()); err == nil {
 		t.Error("nil evaluator accepted")
 	}
 	if _, err := NewSearcher(ev, nil); err == nil {
 		t.Error("empty grid accepted")
 	}
-	if _, _, err := searcher(t, kpi.DefaultWeights()).Improve(features.Vector{}); err == nil {
+	if _, _, err := searcher(t).Improve(features.Vector{}); err == nil {
 		t.Error("invalid start accepted")
 	}
 }
@@ -172,7 +170,7 @@ func TestImproveSkipsUnmodelledSemantics(t *testing.T) {
 		v.Semantics = features.SemanticsExactlyOnce
 		grid = append(grid, v)
 	}
-	s, err := NewSearcher(evaluator(t, kpi.DefaultWeights()), grid)
+	s, err := NewSearcher(evaluator(t, webLogs), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +189,7 @@ func TestImproveSkipsUnmodelledSemantics(t *testing.T) {
 // starts on and off the grid, every knob value Improve and
 // GenerateSchedule return is a grid value or the start's own value.
 func TestSearchStaysOnGrid(t *testing.T) {
-	s := searcher(t, kpi.Weights{0.1, 0.1, 0.7, 0.1})
+	s := searcher(t)
 	grid := fixtureGrid()
 	rng := rand.New(rand.NewPCG(15, 3))
 	for i := 0; i < 200; i++ {
@@ -293,7 +291,7 @@ func testTrace(t *testing.T) netem.Trace {
 }
 
 func TestGenerateSchedule(t *testing.T) {
-	s := searcher(t, kpi.Weights{0.1, 0.1, 0.7, 0.1})
+	s := searcher(t)
 	trace := testTrace(t)
 	entries, err := GenerateSchedule(s, trace, startVector(), time.Minute)
 	if err != nil {
@@ -335,7 +333,7 @@ func TestGenerateSchedule(t *testing.T) {
 }
 
 func TestGenerateScheduleValidation(t *testing.T) {
-	s := searcher(t, kpi.DefaultWeights())
+	s := searcher(t)
 	if _, err := GenerateSchedule(nil, testTrace(t), startVector(), time.Minute); err == nil {
 		t.Error("nil searcher accepted")
 	}
@@ -357,37 +355,6 @@ func TestDefaultVector(t *testing.T) {
 	}
 	if v.Semantics != features.SemanticsAtMostOnce || v.BatchSize != 1 || v.PollInterval != 0 {
 		t.Errorf("default vector = %+v", v)
-	}
-}
-
-// TestPerfTermsBarelyMove tabulates γ's performance half, perfmodel's φ
-// and μ, over every configuration the search can reach for each Table II
-// stream, and pins how little of it there is: the 100 Mbit/s link dwarfs
-// every stream, so φ stays below 0.003, and fire-and-forget is never
-// paced by acknowledgements, so μ is 1 for every at-most-once
-// configuration. The φ/μ weights of a stream profile therefore barely
-// reach the search.
-func TestPerfTermsBarelyMove(t *testing.T) {
-	perf, err := perfmodel.New(testbed.Calibration{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range workload.Profiles() {
-		maxPhi := 0.0
-		for _, v := range TrainingGrid(p.MeanSize, p.Timeliness) {
-			pr, err := perf.Predict(v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			maxPhi = max(maxPhi, pr.Phi)
-			if v.Semantics == features.SemanticsAtMostOnce && pr.Mu != 1 {
-				t.Errorf("%s: at-most-once μ = %v at %+v, want 1", p.Name, pr.Mu, v)
-			}
-		}
-		t.Logf("%s: max φ = %.5f", p.Name, maxPhi)
-		if maxPhi >= 0.003 {
-			t.Errorf("%s: max φ = %.5f, want < 0.003", p.Name, maxPhi)
-		}
 	}
 }
 

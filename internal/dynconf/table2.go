@@ -10,7 +10,6 @@ import (
 	"kafkarel/internal/features"
 	"kafkarel/internal/kpi"
 	"kafkarel/internal/netem"
-	"kafkarel/internal/perfmodel"
 	"kafkarel/internal/sweep"
 	"kafkarel/internal/testbed"
 	"kafkarel/internal/workload"
@@ -135,10 +134,6 @@ func TableII(ctx context.Context, profiles []workload.Profile, opts Options) ([]
 	if err != nil {
 		return nil, fmt.Errorf("dynconf: %w", err)
 	}
-	perf, err := perfmodel.New(testbed.Calibration{})
-	if err != nil {
-		return nil, fmt.Errorf("dynconf: %w", err)
-	}
 
 	var out []StreamOutcome
 	for pi, profile := range profiles {
@@ -160,7 +155,7 @@ func TableII(ctx context.Context, profiles []workload.Profile, opts Options) ([]
 				return nil, fmt.Errorf("dynconf: %s: %w", profile.Name, err)
 			}
 		}
-		eval, err := kpi.NewEvaluator(pred, perf, kpi.Weights(profile.Weights))
+		eval, err := kpi.NewEvaluator(pred, kpi.Weights(profile.Weights))
 		if err != nil {
 			return nil, fmt.Errorf("dynconf: %s: %w", profile.Name, err)
 		}

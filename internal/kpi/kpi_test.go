@@ -7,28 +7,37 @@ import (
 
 	"kafkarel/internal/core"
 	"kafkarel/internal/features"
-	"kafkarel/internal/perfmodel"
-	"kafkarel/internal/testbed"
 )
 
+// webLogs weighs completeness first, like the web-logs stream profile.
+var webLogs = Weights{0.875, 0.125}
+
 func TestWeightsValidate(t *testing.T) {
-	if err := DefaultWeights().Validate(); err != nil {
-		t.Errorf("default weights invalid: %v", err)
+	for _, w := range []Weights{webLogs, {0.5, 0.5}, {1, 0}, {2.0 / 3, 1.0 / 3}} {
+		if err := w.Validate(); err != nil {
+			t.Errorf("%v rejected: %v", w, err)
+		}
 	}
-	if err := (Weights{0.4, 0.3, 0.2, 0.1}).Validate(); err != nil {
-		t.Errorf("table-II weights invalid: %v", err)
-	}
-	if err := (Weights{0.5, 0.5, 0.5, 0.5}).Validate(); err == nil {
-		t.Error("non-unit sum accepted")
-	}
-	if err := (Weights{-0.1, 0.5, 0.5, 0.1}).Validate(); err == nil {
-		t.Error("negative weight accepted")
+	for _, tc := range []struct {
+		name string
+		w    Weights
+	}{
+		{"non-unit sum", Weights{0.5, 0.6}},
+		{"negative weight", Weights{-0.1, 1.1}},
+		{"NaN weight", Weights{math.NaN(), 1}},
+		{"NaN beside a unit weight", Weights{1, math.NaN()}},
+		{"+Inf weight", Weights{math.Inf(1), 0}},
+		{"-Inf weight", Weights{math.Inf(-1), math.Inf(1)}},
+	} {
+		if err := tc.w.Validate(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
 func TestGammaKnownValues(t *testing.T) {
 	// Perfect system: γ = 1 regardless of weights.
-	g, err := Gamma(1, 1, 0, 0, DefaultWeights())
+	g, err := Gamma(0, 0, webLogs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +45,7 @@ func TestGammaKnownValues(t *testing.T) {
 		t.Errorf("γ = %v, want 1", g)
 	}
 	// Worst system: γ = 0.
-	g, err = Gamma(0, 0, 1, 1, DefaultWeights())
+	g, err = Gamma(1, 1, webLogs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,40 +53,59 @@ func TestGammaKnownValues(t *testing.T) {
 		t.Errorf("γ = %v, want 0", g)
 	}
 	// Hand-computed mid point.
-	g, err = Gamma(0.5, 0.8, 0.1, 0.02, Weights{0.3, 0.3, 0.3, 0.1})
+	g, err = Gamma(0.1, 0.02, Weights{0.75, 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 0.3*0.5 + 0.3*0.8 + 0.3*0.9 + 0.1*0.98
+	want := 0.75*0.9 + 0.25*0.98
 	if math.Abs(g-want) > 1e-12 {
 		t.Errorf("γ = %v, want %v", g, want)
 	}
 }
 
 func TestGammaValidation(t *testing.T) {
-	if _, err := Gamma(2, 0, 0, 0, DefaultWeights()); err == nil {
-		t.Error("phi > 1 accepted")
-	}
-	if _, err := Gamma(0, 0, -0.1, 0, DefaultWeights()); err == nil {
-		t.Error("negative pl accepted")
-	}
-	if _, err := Gamma(0, 0, 0, 0, Weights{1, 1, 1, 1}); err == nil {
-		t.Error("bad weights accepted")
+	for _, tc := range []struct {
+		name   string
+		pl, pd float64
+		w      Weights
+	}{
+		{"pl > 1", 2, 0, webLogs},
+		{"negative pl", -0.1, 0, webLogs},
+		{"pd > 1", 0, 1.5, webLogs},
+		{"NaN pl", math.NaN(), 0, webLogs},
+		{"NaN pd", 0, math.NaN(), webLogs},
+		{"+Inf pl", math.Inf(1), 0, webLogs},
+		{"-Inf pd", 0, math.Inf(-1), webLogs},
+		{"bad weights", 0, 0, Weights{1, 1}},
+		{"NaN weight", 0, 0, Weights{math.NaN(), 0.5}},
+	} {
+		if g, err := Gamma(tc.pl, tc.pd, tc.w); err == nil {
+			t.Errorf("%s accepted: γ = %v", tc.name, g)
+		}
 	}
 }
 
 func TestGammaRewardsReliability(t *testing.T) {
-	w := Weights{0.1, 0.1, 0.7, 0.1} // web-logs profile: completeness first
-	lossy, err := Gamma(0.9, 0.9, 0.5, 0, w)
+	// Completeness-first weights prefer fewer losses even at many more
+	// duplicates.
+	lossy, err := Gamma(0.2, 0, webLogs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reliable, err := Gamma(0.3, 0.3, 0.01, 0, w)
+	reliable, err := Gamma(0.01, 0.5, webLogs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reliable <= lossy {
 		t.Errorf("completeness weights prefer the lossy config: %v vs %v", reliable, lossy)
+	}
+	// Duplicates still cost something.
+	dup, err := Gamma(0.01, 0.6, webLogs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dup >= reliable {
+		t.Errorf("more duplicates did not lower γ: %v vs %v", dup, reliable)
 	}
 }
 
@@ -101,11 +129,7 @@ func trainedEvaluator(t *testing.T, w Weights) *Evaluator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perf, err := perfmodel.New(testbed.Calibration{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := NewEvaluator(pred, perf, w)
+	ev, err := NewEvaluator(pred, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +137,7 @@ func trainedEvaluator(t *testing.T, w Weights) *Evaluator {
 }
 
 func TestEvaluatorScore(t *testing.T) {
-	ev := trainedEvaluator(t, DefaultWeights())
+	ev := trainedEvaluator(t, webLogs)
 	v := features.Vector{
 		MessageSize:    200,
 		Timeliness:     5 * time.Second,
@@ -129,9 +153,15 @@ func TestEvaluatorScore(t *testing.T) {
 	if b.Gamma <= 0 || b.Gamma > 1 {
 		t.Errorf("γ = %v", b.Gamma)
 	}
-	// Reliability-driven ordering: lower loss rate must score higher
-	// under completeness-heavy weights.
-	ev.weights = Weights{0.05, 0.05, 0.85, 0.05}
+	// The score is γ of the predicted components.
+	want, err := Gamma(b.Pl, b.Pd, webLogs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Gamma != want {
+		t.Errorf("γ = %v, want γ(P̂_l=%v, P̂_d=%v) = %v", b.Gamma, b.Pl, b.Pd, want)
+	}
+	// Reliability-driven ordering: lower loss rate must score higher.
 	clean := v
 	clean.LossRate = 0
 	bClean, err := ev.Score(clean)
@@ -150,11 +180,11 @@ func TestEvaluatorScore(t *testing.T) {
 }
 
 func TestEvaluatorValidation(t *testing.T) {
-	if _, err := NewEvaluator(nil, nil, DefaultWeights()); err == nil {
-		t.Error("nil models accepted")
+	if _, err := NewEvaluator(nil, webLogs); err == nil {
+		t.Error("nil predictor accepted")
 	}
-	ev := trainedEvaluator(t, DefaultWeights())
-	if _, err := NewEvaluator(ev.predictor, ev.perf, Weights{2, 0, 0, 0}); err == nil {
+	ev := trainedEvaluator(t, webLogs)
+	if _, err := NewEvaluator(ev.predictor, Weights{2, 0}); err == nil {
 		t.Error("bad weights accepted")
 	}
 	if _, err := ev.Score(features.Vector{}); err == nil {

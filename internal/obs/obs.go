@@ -85,8 +85,8 @@ const (
 	MReplications     = "cluster.replications"
 	// MReplicationFactor is a config-valued gauge (kind max): the
 	// replication factor of the run's data topics. Observability-only
-	// consumers (the measured KPI) use it to normalize per-replica
-	// counters such as duplicate appends down to per-copy values.
+	// readers use it to normalize per-replica counters such as duplicate
+	// appends down to per-copy values.
 	MReplicationFactor = "cluster.replication_factor"
 
 	// Record-latency spans. Each is a sim-time histogram (LatencyBounds,

@@ -23,10 +23,6 @@ import (
 type Options struct {
 	// Title heads the report ("Run report" when empty).
 	Title string
-	// Gamma, when set (callers fill it via the kpi package), adds a
-	// "KPI (Eq. 2)" section with the predicted and measured γ side by
-	// side.
-	Gamma *testbed.GammaComparison
 }
 
 // Phase is a stretch of the run under one configuration: from a
@@ -83,9 +79,6 @@ type Report struct {
 	// send → timeout → retry → double append) found in the event trace;
 	// empty when the trace has none or no trace was attached.
 	DuplicateChain []obs.Event
-
-	// Gamma echoes Options.Gamma.
-	Gamma *testbed.GammaComparison
 }
 
 // sparklineWidth is the resampled width of each sparkline, in cells.
@@ -102,7 +95,6 @@ func Build(res testbed.Result, events []obs.Event, opts Options) (*Report, error
 		Result:      res,
 		Rows:        res.Timeline.Rows(),
 		Annotations: res.Timeline.Annotations(),
-		Gamma:       opts.Gamma,
 	}
 	if r.Title == "" {
 		r.Title = "Run report"
@@ -316,19 +308,6 @@ func (r *Report) Render(w io.Writer) error {
 				res.GroupLag, res.Metrics.ConsumerCommitAcks, res.Metrics.ConsumerRedelivered)
 		}
 		fmt.Fprintln(w)
-	}
-
-	if r.Gamma != nil {
-		c := *r.Gamma
-		fmt.Fprintf(w, "## KPI (Eq. 2)\n\n")
-		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "\tγ\tφ\tμ\tP_l\tP_d")
-		fmt.Fprintf(tw, "predicted\t%.4f\t%.4f\t%.4f\t%.6f\t%.6f\n",
-			c.Predicted.Gamma, c.Predicted.Phi, c.Predicted.Mu, c.Predicted.Pl, c.Predicted.Pd)
-		fmt.Fprintf(tw, "measured\t%.4f\t%.4f\t%.4f\t%.6f\t%.6f\n",
-			c.Measured.Gamma, c.Measured.Phi, c.Measured.Mu, c.Measured.Pl, c.Measured.Pd)
-		tw.Flush()
-		fmt.Fprintf(w, "\ndelta (measured − predicted): %+.4f\n\n", c.Delta())
 	}
 
 	fmt.Fprintf(w, "## Phases\n\n")

@@ -234,10 +234,6 @@ type FleetResult struct {
 	// order (nil unless Fleet.TimelineInterval was set). Render with
 	// obs.WriteMergedCSV.
 	Timelines []*obs.Timeline
-	// Gamma, when set (cmd/testbed fills it via the kpi package), puts
-	// the predicted γ next to the γ measured from the merged metrics on
-	// the scorecard.
-	Gamma *GammaComparison
 }
 
 // fleetG renders a float in the canonical form shared with the
@@ -272,9 +268,6 @@ func (r FleetResult) Scorecard() []byte {
 	fmt.Fprintf(&b, "total acquired=%d distinct=%d lost=%d dup=%d foreign=%d pl=%s pd=%s throughput=%s completed=%t\n",
 		r.Acquired, r.Report.Distinct, r.Report.NLost, r.Report.NDuplicated,
 		r.Report.Foreign, fleetG(r.Pl), fleetG(r.Pd), fleetG(r.Throughput), r.Completed)
-	if r.Gamma != nil {
-		b.WriteString(r.Gamma.Render())
-	}
 	b.WriteString("metrics:\n")
 	b.Write(r.Metrics.Encode())
 	return []byte(b.String())

@@ -46,6 +46,19 @@ var experimentFields = []struct {
 		f.BatchSize = int(v % 1_000_000)
 		e.Schedule = []ConfigChange{{At: time.Second, Features: f}}
 	}},
+	{"ScheduledAt", func(e *Experiment, v int64) {
+		e.Schedule = []ConfigChange{{At: fuzzMillis(v), Features: e.Features}}
+	}},
+	{"ScheduledPollInterval", func(e *Experiment, v int64) {
+		f := e.Features
+		f.PollInterval = fuzzMillis(v)
+		e.Schedule = []ConfigChange{{At: time.Second, Features: f}}
+	}},
+	{"ScheduledMessageTimeout", func(e *Experiment, v int64) {
+		f := e.Features
+		f.MessageTimeout = fuzzMillis(v)
+		e.Schedule = []ConfigChange{{At: time.Second, Features: f}}
+	}},
 }
 
 func fuzzMillis(v int64) time.Duration { return time.Duration(v%100_000) * time.Millisecond }
@@ -80,6 +93,8 @@ func FuzzExperiment(f *testing.F) {
 		{"MessageSize", 100_000_000},
 		{"MessageSize", 2_000_000}, {"BatchSize", 10},
 		{"ScheduledBatchSize", 100_000},
+		{"ScheduledAt", -1000}, {"ScheduledMessageTimeout", 0},
+		{"ScheduledPollInterval", -1}, {"ScheduledBatchSize", 0},
 	} {
 		f.Add(fuzzField(f, row.field), row.v)
 	}

@@ -60,7 +60,7 @@ type MetricsSnapshot struct {
 	Replications          uint64
 	ReplicationFactor     int64 // config-valued gauge
 
-	// Delivery accounting for the measured KPI.
+	// Delivery accounting: μ, P_l and φ of a run read off its counters.
 	RecordsDelivered  uint64 // producer acks resolved delivered
 	RecordsLost       uint64 // producer records resolved lost
 	NetBytesDelivered uint64 // payload bytes the network delivered

@@ -375,7 +375,9 @@ func (e Experiment) assemble(sim *des.Simulator) (*rig, error) {
 
 // validate rejects a configuration that would otherwise run degraded
 // with no error: a negative override silently taking its default, a
-// MinISR no partition can meet, or a topic checkTopic refuses.
+// MinISR no partition can meet, or a topic checkTopic refuses. It also
+// rejects a schedule entry that would fail only when it fires, mid-run,
+// or that des would refuse to schedule.
 func (e Experiment) validate() error {
 	if err := e.Features.Validate(); err != nil {
 		return fmt.Errorf("testbed: %w", err)
@@ -408,7 +410,13 @@ func (e Experiment) validate() error {
 		return fmt.Errorf("testbed: Consumers > 0 requires MaxSimTime")
 	}
 	batches := []int{e.Features.BatchSize}
-	for _, c := range e.Schedule {
+	for i, c := range e.Schedule {
+		if c.At < 0 {
+			return fmt.Errorf("testbed: schedule entry %d: negative At %v", i, c.At)
+		}
+		if err := c.Features.Validate(); err != nil {
+			return fmt.Errorf("testbed: schedule entry %d: %w", i, err)
+		}
 		batches = append(batches, c.Features.BatchSize)
 	}
 	return checkTopic(streamTopic, e.Partitions, e.Features.MessageSize, batches...)

@@ -74,7 +74,9 @@ func TestRunValidation(t *testing.T) {
 // experiment per row. Unchecked, each row would run degraded with no
 // error: a negative override silently takes its default, MinISR above
 // the replication factor fails every acks=all produce, and a batch no
-// frame can carry loses every message.
+// frame can carry loses every message. Every row must be rejected
+// before the run starts: a schedule entry at a negative time panics in
+// des, and one with invalid features would fail only once it fires.
 func TestRunRejectsHostileConfiguration(t *testing.T) {
 	valid := Experiment{Features: cleanVector(), Messages: 20, Seed: 1, MaxSimTime: time.Minute}
 	if _, err := Run(valid); err != nil {
@@ -108,12 +110,39 @@ func TestRunRejectsHostileConfiguration(t *testing.T) {
 			v.BatchSize = 100_000
 			e.Schedule = []ConfigChange{{At: time.Second, Features: v}}
 		}},
+		{"schedule entry at negative time", func(e *Experiment) {
+			e.Schedule = []ConfigChange{{At: -time.Second, Features: e.Features}}
+		}},
+		{"scheduled zero message timeout", func(e *Experiment) {
+			v := e.Features
+			v.MessageTimeout = 0
+			e.Schedule = []ConfigChange{{At: time.Second, Features: v}}
+		}},
+		{"scheduled negative poll interval", func(e *Experiment) {
+			v := e.Features
+			v.PollInterval = -time.Millisecond
+			e.Schedule = []ConfigChange{{At: time.Second, Features: v}}
+		}},
+		{"scheduled zero batch size", func(e *Experiment) {
+			v := e.Features
+			v.BatchSize = 0
+			e.Schedule = []ConfigChange{{At: time.Second, Features: v}}
+		}},
+		{"second schedule entry invalid", func(e *Experiment) {
+			v := e.Features
+			v.MessageTimeout = 0
+			e.Schedule = []ConfigChange{{At: time.Second, Features: e.Features}, {At: 2 * time.Second, Features: v}}
+		}},
 	} {
 		e := valid
 		tc.mutate(&e)
 		_, err := Run(e)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if e.validate() == nil {
+			t.Errorf("%s: rejected only once the run was under way: %v", tc.name, err)
 			continue
 		}
 		t.Logf("%s: %v", tc.name, err)

@@ -40,16 +40,16 @@ func (s *FixedSource) Next() ([]byte, bool) {
 
 // Profile describes one of the application streams in Table II: its
 // message-size regime, its timeliness requirement S, and the suggested
-// KPI weights (ω1..ω4).
+// KPI weights (ω_l, ω_d).
 type Profile struct {
 	Name string
 	// MeanSize is the typical message size M in bytes.
 	MeanSize int
 	// Timeliness is the validity window S of a message.
 	Timeliness time.Duration
-	// Weights are the suggested ω1..ω4 (throughput, service rate,
-	// 1-P_l, 1-P_d), summing to 1.
-	Weights [4]float64
+	// Weights are the suggested ω_l and ω_d (1-P_l, 1-P_d), summing to
+	// 1: the paper's ω3:ω4 ratio for the stream, rescaled.
+	Weights [2]float64
 }
 
 // The three Table II stream profiles.
@@ -60,7 +60,7 @@ var (
 		Name:       "social-media",
 		MeanSize:   250,
 		Timeliness: 5 * time.Second,
-		Weights:    [4]float64{0.4, 0.3, 0.2, 0.1},
+		Weights:    [2]float64{2.0 / 3, 1.0 / 3},
 	}
 	// WebLogs: access records (~200 B) with lax timeliness but strict
 	// completeness; duplicates are acceptable (idempotent processing).
@@ -68,7 +68,7 @@ var (
 		Name:       "web-logs",
 		MeanSize:   200,
 		Timeliness: 60 * time.Second,
-		Weights:    [4]float64{0.1, 0.1, 0.7, 0.1},
+		Weights:    [2]float64{0.875, 0.125},
 	}
 	// GameTraffic: small (<100 B) real-time messages that must arrive
 	// accurately and immediately.
@@ -76,7 +76,7 @@ var (
 		Name:       "game-traffic",
 		MeanSize:   80,
 		Timeliness: 500 * time.Millisecond,
-		Weights:    [4]float64{0.2, 0.4, 0.2, 0.2},
+		Weights:    [2]float64{0.5, 0.5},
 	}
 )
 

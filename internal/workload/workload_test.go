@@ -64,14 +64,16 @@ func TestProfilesWellFormed(t *testing.T) {
 		}
 	}
 	// Table II orderings: game traffic is the smallest and most urgent;
-	// web logs weigh completeness (ω3) highest.
+	// web logs weigh completeness (ω_l) highest.
 	if GameTraffic.MeanSize >= WebLogs.MeanSize {
 		t.Error("game traffic not smaller than web logs")
 	}
 	if GameTraffic.Timeliness >= WebLogs.Timeliness {
 		t.Error("game traffic not more urgent than web logs")
 	}
-	if WebLogs.Weights[2] <= SocialMedia.Weights[2] {
-		t.Error("web logs do not prioritise completeness")
+	for _, p := range ps {
+		if p != WebLogs && WebLogs.Weights[0] <= p.Weights[0] {
+			t.Errorf("web logs do not weigh completeness above %s", p.Name)
+		}
 	}
 }

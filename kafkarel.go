@@ -13,8 +13,8 @@
 //     testbed sweeps that predicts {P̂_l, P̂_d} from the features
 //     (M, S, D, L, semantics, B, δ, T_o) — see CollectDataset and
 //     TrainPredictor.
-//   - The weighted KPI γ of Eq. 2 combining reliability with predicted
-//     performance — see NewEvaluator.
+//   - The weighted KPI γ, the reliability half of Eq. 2: predicted loss
+//     and duplication weighed by the stream — see NewEvaluator.
 //   - The dynamic-configuration scheme of Sec. V: a stepwise walk over
 //     the predictor's training grid, climbing γ under a forecast network
 //     trace — see NewSearcher and EvaluateDynamicConfiguration.
@@ -41,7 +41,6 @@ import (
 	"kafkarel/internal/features"
 	"kafkarel/internal/kpi"
 	"kafkarel/internal/netem"
-	"kafkarel/internal/perfmodel"
 	"kafkarel/internal/sweep"
 	"kafkarel/internal/testbed"
 	"kafkarel/internal/workload"
@@ -70,8 +69,6 @@ type (
 	Experiment = testbed.Experiment
 	// Result carries the measured reliability and performance metrics.
 	Result = testbed.Result
-	// Calibration holds the producer-host cost constants.
-	Calibration = testbed.Calibration
 )
 
 // RunExperiment measures P_l and P_d (and throughput, latency, staleness)
@@ -118,22 +115,15 @@ func TrainPredictor(ds Dataset, seed uint64) (*Predictor, TrainMetrics, error) {
 
 // KPI (Eq. 2).
 type (
-	// Weights are ω1..ω4 for φ, μ, (1-P_l), (1-P_d).
+	// Weights are ω_l and ω_d for (1-P_l) and (1-P_d).
 	Weights = kpi.Weights
 	// Evaluator scores configurations with γ.
 	Evaluator = kpi.Evaluator
-	// PerfModel predicts φ and μ (the ref. [6] stand-in).
-	PerfModel = perfmodel.Model
 )
 
-// NewPerfModel builds the performance predictor; a zero calibration
-// takes the defaults.
-func NewPerfModel(cal Calibration) (*PerfModel, error) { return perfmodel.New(cal) }
-
-// NewEvaluator combines the reliability predictor and performance model
-// into a γ scorer.
-func NewEvaluator(p *Predictor, perf *PerfModel, w Weights) (*Evaluator, error) {
-	return kpi.NewEvaluator(p, perf, w)
+// NewEvaluator turns the reliability predictor into a γ scorer.
+func NewEvaluator(p *Predictor, w Weights) (*Evaluator, error) {
+	return kpi.NewEvaluator(p, w)
 }
 
 // Dynamic configuration (Sec. V).

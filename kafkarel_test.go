@@ -273,11 +273,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if metrics.MAE > 0.15 {
 		t.Errorf("tiny-grid MAE = %v; training is broken", metrics.MAE)
 	}
-	perf, err := kafkarel.NewPerfModel(kafkarel.Calibration{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eval, err := kafkarel.NewEvaluator(pred, perf, kafkarel.Weights{0.3, 0.3, 0.3, 0.1})
+	eval, err := kafkarel.NewEvaluator(pred, kafkarel.Weights{0.75, 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
