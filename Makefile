@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race reach fuzz-smoke bench-repo bench-pairs bench-seeds profile gc-trace repro repro-check repro-seeds chaos-smoke
+.PHONY: check build fmt vet test race reach live fuzz-smoke bench-repo bench-pairs bench-seeds profile gc-trace repro repro-check repro-seeds chaos-smoke
 
 ## check: the full quality gate — formatting, build, vet, race-enabled
 ## tests, a fixed-seed chaos campaign, and the committed results/.
@@ -36,6 +36,31 @@ reach:
 	@for d in . $$(find cmd examples internal bench -type d -not -path 'bench/out*' | sort); do \
 		n=$$(cat /dev/null $$(ls $$d/*.go 2>/dev/null | grep -v _test.go) | grep -cv '^[[:space:]]*//\|^[[:space:]]*$$'); \
 		[ $$n -gt 0 ] && printf 'lines  %6d  %s\n' $$n $$d; done; true
+
+## live: dynamic reachability (ROADMAP 12) — which statements the runs a
+## user can start actually execute, where `reach` asks which ones some
+## root could call. Builds every cmd/* and examples/* main with -cover
+## -coverpkg=kafkarel/..., runs each line of testdata/live-fixtures.txt
+## (the CI invocations, every repro artefact at -n 4000 and the three
+## chaos-smoke campaigns) in order in one scratch directory, merges their
+## coverage counters with `go tool covdata`, and prints the statements run
+## per package, then every function no fixture ran (0.0% in `go tool cover
+## -func`). A failing fixture fails the target; the percentages gate
+## nothing. Leaves no file in the tree; CI archives the listing.
+live: SHELL := /bin/bash
+live:
+	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; mkdir -p $$tmp/bin $$tmp/cov $$tmp/run; \
+	for d in cmd/* examples/*; do \
+		$(GO) build -cover -coverpkg=kafkarel/... -o $$tmp/bin/$${d#*/} ./$$d || exit 1; \
+	done; \
+	while read -r main args; do \
+		case "$$main" in ''|'#'*) continue;; esac; \
+		if ! (cd $$tmp/run && GOCOVERDIR=$$tmp/cov $$tmp/bin/$$main $$args < /dev/null > /dev/null 2> $$tmp/err); then \
+			cat $$tmp/err; echo "live: $$main $$args failed"; exit 1; fi; \
+	done < testdata/live-fixtures.txt; \
+	$(GO) tool covdata percent -i=$$tmp/cov | sort -k1,1 || exit 1; \
+	$(GO) tool covdata textfmt -i=$$tmp/cov -o $$tmp/cov.txt && \
+	$(GO) tool cover -func=$$tmp/cov.txt | awk '$$NF == "0.0%" {print "never run  " $$1 " " $$2}'
 
 ## fuzz-smoke: a few seconds of native fuzzing on each target of the
 ## byte-level protocol (internal/wire/fuzz_test.go), of the replicated

@@ -492,7 +492,7 @@ func (c *Cluster) StatsAll() []broker.Stats {
 
 // Metadata answers a metadata request for one topic.
 func (c *Cluster) Metadata(req wire.MetadataRequest) wire.MetadataResponse {
-	resp := wire.MetadataResponse{CorrelationID: req.CorrelationID, Topic: req.Topic}
+	resp := wire.MetadataResponse{Topic: req.Topic}
 	tm, ok := c.topics[req.Topic]
 	if !ok {
 		resp.Err = wire.ErrUnknownTopicOrPartition

@@ -297,11 +297,12 @@ func TestValidationNew(t *testing.T) {
 }
 
 // TestServerOverTransport exercises the full request path: client
-// endpoint → frames over lossy-capable transport → server dispatch →
-// cluster → response frames back. The lossy case is the only test that
-// drives the server's Fetch reply through a link that drops segments:
-// its reply spans some 45 of them, so at 5 % loss the transport has to
-// retransmit part of it and the frame must still reassemble intact.
+// endpoint → produce frame over lossy-capable transport → server dispatch
+// → cluster → response frame back. In the lossy case the request spans
+// some 45 segments, so at 5 % loss the transport retransmits part of it
+// and the frame must still reassemble intact, and the reply link — the
+// produce response and the transport's acks — drops some of its segments
+// too.
 func TestServerOverTransport(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -339,9 +340,6 @@ func TestServerOverTransport(t *testing.T) {
 			}
 
 			var produce wire.ProduceResponse
-			var fetch wire.FetchResponse
-			var fetched []uint64 // keys, copied out: the records alias the splitter's buffer
-			var md wire.MetadataResponse
 			var split wire.Splitter
 			conn.Client.OnReceive(func(b []byte) {
 				frames, err := split.Push(b)
@@ -350,74 +348,46 @@ func TestServerOverTransport(t *testing.T) {
 					return
 				}
 				for _, f := range frames {
-					switch f.API {
-					case wire.APIProduce:
-						r, err := (*wire.Decoder)(nil).ProduceResponse(f.Body)
-						if err != nil {
-							t.Errorf("decode produce response: %v", err)
-							continue
-						}
-						produce = r
-						// Chain a fetch once produce is acked.
-						fr := wire.FetchRequest{CorrelationID: 2, Topic: "t", Partition: 0, Offset: 0, MaxRecords: int32(tc.records)}
-						if err := conn.Client.Send(wire.EncodeFrame(wire.APIFetch, fr.Encode(nil))); err != nil {
-							t.Errorf("send fetch: %v", err)
-						}
-					case wire.APIFetch:
-						r, err := (*wire.Decoder)(nil).FetchResponse(f.Body)
-						if err != nil {
-							t.Errorf("decode fetch response: %v", err)
-							continue
-						}
-						fetch = r
-						for _, rec := range r.Records {
-							if len(rec.Payload) != tc.payload {
-								t.Errorf("record %d payload is %d bytes, want %d", rec.Key, len(rec.Payload), tc.payload)
-							}
-							fetched = append(fetched, rec.Key)
-						}
-					case wire.APIMetadata:
-						r, err := wire.DecodeMetadataResponse(f.Body)
-						if err != nil {
-							t.Errorf("decode metadata response: %v", err)
-							continue
-						}
-						md = r
+					if f.API != wire.APIProduce {
+						t.Errorf("reply frame with API key %d", f.API)
+						continue
 					}
+					r, err := (*wire.Decoder)(nil).ProduceResponse(f.Body)
+					if err != nil {
+						t.Errorf("decode produce response: %v", err)
+						continue
+					}
+					produce = r
 				}
 			})
 
-			mreq := wire.MetadataRequest{CorrelationID: 9, Topic: "t"}
-			if err := conn.Client.Send(wire.EncodeFrame(wire.APIMetadata, mreq.Encode(nil))); err != nil {
-				t.Fatal(err)
-			}
 			preq := wire.ProduceRequest{CorrelationID: 1, Topic: "t", Partition: 0, Acks: wire.AcksLeader}
 			for i := 0; i < tc.records; i++ {
 				preq.Batch.Records = append(preq.Batch.Records,
 					wire.Record{Key: uint64(100 + i), Payload: make([]byte, tc.payload)})
 			}
-			if err := conn.Client.Send(wire.EncodeFrame(wire.APIProduce, preq.Encode(nil))); err != nil {
+			if err := conn.Client.Send(wire.AppendFrame(nil, wire.APIProduce, preq.Encode(nil))); err != nil {
 				t.Fatal(err)
 			}
 			if err := sim.RunLimit(10_000_000); err != nil {
 				t.Fatal(err)
 			}
-			if md.CorrelationID != 9 || len(md.Partitions) != 1 {
-				t.Errorf("metadata = %+v", md)
-			}
 			if produce.CorrelationID != 1 || produce.Err != wire.ErrNone {
 				t.Errorf("produce = %+v", produce)
 			}
-			if fetch.CorrelationID != 2 || fetch.Err != wire.ErrNone || len(fetched) != tc.records {
-				t.Fatalf("fetch: correlation %d err %v, %d records, want %d", fetch.CorrelationID, fetch.Err, len(fetched), tc.records)
+			var fetch wire.FetchResponse
+			c.HandleFetch(wire.FetchRequest{Topic: "t", MaxRecords: int32(tc.records)}, func(r wire.FetchResponse) { fetch = r })
+			if fetch.Err != wire.ErrNone || len(fetch.Records) != tc.records {
+				t.Fatalf("fetch: err %v, %d records, want %d", fetch.Err, len(fetch.Records), tc.records)
 			}
-			for i, k := range fetched {
-				if k != uint64(100+i) {
-					t.Fatalf("fetched record %d has key %d, want %d", i, k, 100+i)
+			for i, rec := range fetch.Records {
+				if rec.Key != uint64(100+i) || len(rec.Payload) != tc.payload {
+					t.Fatalf("stored record %d has key %d and a %d-byte payload, want key %d and %d bytes",
+						i, rec.Key, len(rec.Payload), 100+i, tc.payload)
 				}
 			}
 			if lost := path.Rev.Counters().LostRandom; tc.loss > 0 && lost == 0 {
-				t.Error("the reply link dropped nothing: the case did not exercise a lossy Fetch reply")
+				t.Error("the reply link dropped nothing: the case did not exercise a lossy reply path")
 			}
 		})
 	}
@@ -438,19 +408,23 @@ func TestServerDropsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A syntactically valid frame with an unknown API.
-	if err := conn.Client.Send(wire.EncodeFrame(250, []byte("junk"))); err != nil {
-		t.Fatal(err)
+	// Syntactically valid frames with API keys the server does not
+	// dispatch: one nothing ever used, and Kafka's Fetch key, which no
+	// client sends over the network (fetches are in-process calls).
+	for _, api := range []uint16{250, 1} {
+		if err := conn.Client.Send(wire.AppendFrame(nil, api, []byte("junk"))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// A produce frame with a corrupt body.
-	if err := conn.Client.Send(wire.EncodeFrame(wire.APIProduce, []byte{1, 2})); err != nil {
+	if err := conn.Client.Send(wire.AppendFrame(nil, wire.APIProduce, []byte{1, 2})); err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if srv.DroppedFrames != 2 {
-		t.Errorf("DroppedFrames = %d, want 2", srv.DroppedFrames)
+	if srv.DroppedFrames != 3 {
+		t.Errorf("DroppedFrames = %d, want 3", srv.DroppedFrames)
 	}
 }
 

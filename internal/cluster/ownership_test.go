@@ -29,7 +29,7 @@ func produceFrame(corr uint32, acks wire.RequiredAcks, payloads ...string) []byt
 			wire.Record{Key: uint64(corr)*10 + uint64(i), Payload: []byte(p)})
 	}
 	req.Batch.BaseSequence = uint64(corr)
-	return wire.EncodeFrame(wire.APIProduce, req.Encode(nil))
+	return wire.AppendFrame(nil, wire.APIProduce, req.Encode(nil))
 }
 
 func payloadsOf(t *testing.T, c *Cluster, id int32) []string {

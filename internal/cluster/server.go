@@ -8,9 +8,11 @@ import (
 )
 
 // Server binds a cluster to the server side of a transport connection:
-// it splits the inbound byte stream into frames, dispatches requests to
-// the cluster, and writes responses back. One Server serves one
-// connection, as one Kafka broker socket does.
+// it splits the inbound byte stream into frames, dispatches produce
+// requests to the cluster, and writes their responses back. One Server
+// serves one connection, as one Kafka broker socket does. Produce is the
+// only exchange that crosses the emulated network: fetch and metadata
+// are in-process calls into the cluster.
 type Server struct {
 	cluster  *Cluster
 	ep       *transport.Endpoint
@@ -21,12 +23,12 @@ type Server struct {
 	// frameBuf is the response-encoding scratch: a reply is encoded
 	// straight after its frame header (Endpoint.Send copies it).
 	frameBuf []byte
-	// onProduce and onFetch are created once so the per-request dispatch
-	// path builds no response-callback closures.
+	// onProduce is reply, bound once so the per-request dispatch path
+	// builds no response-callback closure.
 	onProduce func(wire.ProduceResponse)
-	onFetch   func(wire.FetchResponse)
-	// DroppedFrames counts undecodable requests (corrupt after transport
-	// reassembly should be impossible; this guards protocol bugs).
+	// DroppedFrames counts undecodable requests and frames of any other
+	// API (corrupt after transport reassembly should be impossible; this
+	// guards protocol bugs).
 	DroppedFrames uint64
 }
 
@@ -36,12 +38,7 @@ func NewServer(c *Cluster, ep *transport.Endpoint) (*Server, error) {
 		return nil, fmt.Errorf("cluster: NewServer with nil cluster or endpoint")
 	}
 	s := &Server{cluster: c, ep: ep}
-	s.onProduce = func(resp wire.ProduceResponse) {
-		s.reply(resp.Encode(s.startFrame(wire.APIProduce)))
-	}
-	s.onFetch = func(resp wire.FetchResponse) {
-		s.reply(resp.Encode(s.startFrame(wire.APIFetch)))
-	}
+	s.onProduce = s.reply
 	ep.OnReceive(s.onBytes)
 	return s, nil
 }
@@ -66,61 +63,40 @@ func (s *Server) onBytes(chunk []byte) {
 }
 
 func (s *Server) dispatch(f wire.FramePart) {
-	switch f.API {
-	case wire.APIProduce:
-		req, err := s.dec.ProduceRequest(f.Body)
-		if err != nil {
-			s.DroppedFrames++
-			return
-		}
-		// Interning hint: after the first request, topic strings decode
-		// without allocating.
-		if s.dec.Topic == "" {
-			s.dec.Topic = req.Topic
-		}
-		// The splitter buffer and the decoder's record scratch are both
-		// reused after this frame, so the batch gets its own storage here,
-		// carved from the server's slab: headers, and one copy per run of
-		// byte-equal payloads, since a payload equal to the last one
-		// stored shares it. The leader log and every follower log
-		// reference these records as they are (storage.Log.Append takes
-		// ownership), so nothing downstream may write to the headers or
-		// the bytes.
-		req.Batch.Records = s.slab.Clone(req.Batch.Records)
-		if req.Acks == wire.AcksNone {
-			s.cluster.HandleProduce(req, nil)
-			return
-		}
-		s.cluster.HandleProduce(req, s.onProduce)
-	case wire.APIFetch:
-		req, err := s.dec.FetchRequest(f.Body)
-		if err != nil {
-			s.DroppedFrames++
-			return
-		}
-		// Fetch handling is synchronous and the response is encoded into
-		// the reply scratch inside the callback, so the broker's reused
-		// record scratch is never retained.
-		s.cluster.HandleFetch(req, s.onFetch)
-	case wire.APIMetadata:
-		req, err := wire.DecodeMetadataRequest(f.Body)
-		if err != nil {
-			s.DroppedFrames++
-			return
-		}
-		s.reply(s.cluster.Metadata(req).Encode(s.startFrame(wire.APIMetadata)))
-	default:
+	if f.API != wire.APIProduce {
 		s.DroppedFrames++
+		return
 	}
+	req, err := s.dec.ProduceRequest(f.Body)
+	if err != nil {
+		s.DroppedFrames++
+		return
+	}
+	// Interning hint: after the first request, topic strings decode
+	// without allocating.
+	if s.dec.Topic == "" {
+		s.dec.Topic = req.Topic
+	}
+	// The splitter buffer and the decoder's record scratch are both
+	// reused after this frame, so the batch gets its own storage here,
+	// carved from the server's slab: headers, and one copy per run of
+	// byte-equal payloads, since a payload equal to the last one
+	// stored shares it. The leader log and every follower log
+	// reference these records as they are (storage.Log.Append takes
+	// ownership), so nothing downstream may write to the headers or
+	// the bytes.
+	req.Batch.Records = s.slab.Clone(req.Batch.Records)
+	if req.Acks == wire.AcksNone {
+		s.cluster.HandleProduce(req, nil)
+		return
+	}
+	s.cluster.HandleProduce(req, s.onProduce)
 }
 
-// startFrame begins a reply in the frame scratch; the response is
-// encoded after it and handed to reply.
-func (s *Server) startFrame(api uint16) []byte { return wire.StartFrame(s.frameBuf[:0], api) }
-
-// reply sends a frame begun by startFrame, its body encoded.
-func (s *Server) reply(frame []byte) {
-	s.frameBuf = wire.EndFrame(frame)
+// reply encodes a produce response straight after its frame header in
+// the frame scratch and sends it.
+func (s *Server) reply(resp wire.ProduceResponse) {
+	s.frameBuf = wire.EndFrame(resp.Encode(wire.StartFrame(s.frameBuf[:0], wire.APIProduce)))
 	// A broken server connection means the response is lost; the client's
 	// request timeout covers it, exactly as with a dead TCP socket.
 	_ = s.ep.Send(s.frameBuf)

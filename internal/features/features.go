@@ -5,6 +5,7 @@ package features
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -81,16 +82,18 @@ func Decode(x []float64) (Vector, error) {
 	}, nil
 }
 
-// Validate reports the first out-of-domain field.
+// Validate reports the first out-of-domain field. NaN is out of every
+// domain: the checks are written so that a comparison with NaN, which is
+// always false, fails them.
 func (v Vector) Validate() error {
 	switch {
 	case v.MessageSize <= 0:
 		return fmt.Errorf("features: message size %d <= 0", v.MessageSize)
 	case v.Timeliness < 0:
 		return fmt.Errorf("features: negative timeliness")
-	case v.DelayMs < 0:
-		return fmt.Errorf("features: negative delay")
-	case v.LossRate < 0 || v.LossRate > 1:
+	case !(v.DelayMs >= 0 && v.DelayMs < math.Inf(1)):
+		return fmt.Errorf("features: delay %v ms is not a finite non-negative number", v.DelayMs)
+	case !(v.LossRate >= 0 && v.LossRate <= 1):
 		return fmt.Errorf("features: loss rate %v outside [0,1]", v.LossRate)
 	case v.Semantics < SemanticsAtMostOnce || v.Semantics > SemanticsExactlyOnce:
 		return fmt.Errorf("features: unknown semantics %d", v.Semantics)

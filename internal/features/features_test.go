@@ -59,6 +59,9 @@ func TestValidate(t *testing.T) {
 		func() Vector { v := sampleVector(); v.PollInterval = -1; return v }(),
 		func() Vector { v := sampleVector(); v.DelayMs = -2; return v }(),
 		func() Vector { v := sampleVector(); v.Timeliness = -1; return v }(),
+		func() Vector { v := sampleVector(); v.LossRate = math.NaN(); return v }(),
+		func() Vector { v := sampleVector(); v.DelayMs = math.Inf(1); return v }(),
+		func() Vector { v := sampleVector(); v.DelayMs = math.NaN(); return v }(),
 	}
 	for i, v := range bad {
 		if err := v.Validate(); err == nil {

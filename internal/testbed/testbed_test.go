@@ -101,6 +101,9 @@ func TestRunRejectsHostileConfiguration(t *testing.T) {
 		{"negative MaxSimTime", func(e *Experiment) { e.MaxSimTime = -time.Second }},
 		{"MinISR above RF", func(e *Experiment) { e.MinISR = 4 }},
 		{"MinISR above explicit RF", func(e *Experiment) { e.ReplicationFactor, e.MinISR = 1, 2 }},
+		{"NaN LossRate", func(e *Experiment) { e.Features.LossRate = math.NaN() }},
+		{"infinite DelayMs", func(e *Experiment) { e.Features.DelayMs = math.Inf(1) }},
+		{"NaN DelayMs", func(e *Experiment) { e.Features.DelayMs = math.NaN() }},
 		{"message larger than a frame", func(e *Experiment) { e.Features.MessageSize = 100_000_000 }},
 		{"batch larger than a frame", func(e *Experiment) {
 			e.Features.MessageSize, e.Features.BatchSize = 2_000_000, 10

@@ -731,22 +731,41 @@ func (in *procInstance) onFailAborted(wire.ErrorCode) {
 func (in *procInstance) onFenced() {
 	wasCurrent := in.proc.cur == in && !in.dead
 	in.kill()
-	if wasCurrent && !in.proc.chaosDown {
-		tp := in.proc
-		tp.rig.sim.Schedule(tp.rig.sim.Now()+txnRespawnDelay, func() {
-			if tp.chaosDown {
-				return
-			}
-			if cur := tp.cur; cur != nil && !cur.dead {
-				return
-			}
-			tp.spawn()
-		})
+	if wasCurrent {
+		in.proc.respawn()
 	}
 }
 
-// stop retires an incarnation whose init was fenced: a newer
-// incarnation already took over.
+// stop retires an incarnation whose init was fenced. Usually a newer
+// incarnation took over. When none is alive, the fence came from this
+// incarnation's own re-issued InitProducerId: the coordinator parks an
+// init until it can persist the new epoch, and a re-issue of it
+// supersedes — fences — the parked copy, whose answer carries the same
+// correlation id. Nobody holds the processor then, so supervision
+// restarts it.
 func (in *procInstance) stop() {
 	in.kill()
+	for _, other := range in.proc.instances {
+		if !other.dead {
+			return
+		}
+	}
+	in.proc.respawn()
+}
+
+// respawn starts a fresh incarnation after txnRespawnDelay, unless chaos
+// holds the processor down or a current incarnation is alive by then.
+func (tp *txnProcessor) respawn() {
+	if tp.chaosDown {
+		return
+	}
+	tp.rig.sim.Schedule(tp.rig.sim.Now()+txnRespawnDelay, func() {
+		if tp.chaosDown {
+			return
+		}
+		if cur := tp.cur; cur != nil && !cur.dead {
+			return
+		}
+		tp.spawn()
+	})
 }

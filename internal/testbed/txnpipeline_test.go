@@ -218,3 +218,63 @@ func TestTxnPipelineReadUncommittedResidueClassified(t *testing.T) {
 		t.Error("read_uncommitted residue was not classified as configuration-expected")
 	}
 }
+
+// The pipeline's wait-and-retry machinery, which a healthy run never
+// needs: every wait goes through the incarnation's timer (after → wake).
+// In "one broker's partitions offline" each broker alone holds its
+// partitions (ReplicationFactor 1) and broker 0 also the transaction and
+// offsets logs. Broker 2 goes down while the filler is still writing, so
+// its produce goes unanswered and the re-issue timer fires
+// (txnFiller.fire). Broker 1 goes down for 2 s in the middle of a
+// transaction's send: the send times out, the processor aborts the
+// wounded transaction and re-initialises once the abort is answered
+// (onFailAborted), and its fetches come back empty while its input is
+// offline (the empty-fetch wait in loop). In "whole cluster down" no
+// request can succeed for 300 ms. In both, InitProducerId waits on a
+// resolution that cannot finish while a broker is down, so the
+// incarnation's own re-issue fences its parked first copy, and only
+// supervision restarting the processor lets the pipeline finish —
+// exactly once — after the brokers return.
+func TestTxnPipelineRetriesThroughBrokerOutages(t *testing.T) {
+	crash := func(b int32, at, d time.Duration) chaos.Fault {
+		return chaos.Fault{Kind: chaos.BrokerCrash, At: at, Duration: d, Broker: b}
+	}
+	for _, tc := range []struct {
+		name string
+		e    TxnExperiment
+	}{
+		{"one broker's partitions offline", TxnExperiment{
+			Seed: 8, Messages: 400, Partitions: 3, ReplicationFactor: 1, TxnTimeout: 5 * time.Second,
+			FaultPlan: chaos.Plan{Faults: []chaos.Fault{
+				crash(2, 100*time.Microsecond, 50*time.Millisecond),
+				crash(1, 10300*time.Microsecond, 2*time.Second),
+			}},
+		}},
+		{"whole cluster down", TxnExperiment{
+			Seed: 8, Messages: 400, TxnTimeout: 150 * time.Millisecond,
+			FaultPlan: chaos.Plan{Faults: []chaos.Fault{
+				crash(0, 40*time.Millisecond, 300*time.Millisecond),
+				crash(1, 40*time.Millisecond, 300*time.Millisecond),
+				crash(2, 40*time.Millisecond, 300*time.Millisecond),
+			}},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.e.MaxSimTime = 20 * time.Second
+			r, err := RunTxn(tc.e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r.Completed {
+				t.Fatalf("pipeline did not finish after the outage: committed offsets %v, incarnations %v",
+					r.CommittedOffsets, r.Incarnations)
+			}
+			verifyTxnRun(t, tc.e, r)
+			for p, keys := range r.InputKeys {
+				if !reflect.DeepEqual(r.OutputCommitted[p], keys) {
+					t.Errorf("partition %d: committed output != input after the outage", p)
+				}
+			}
+		})
+	}
+}

@@ -14,11 +14,6 @@ const frameHeaderSize = 6
 // corrupt rather than allocating unbounded memory.
 const MaxFrameSize = 16 << 20
 
-// EncodeFrame wraps an encoded body in a frame header.
-func EncodeFrame(api uint16, body []byte) []byte {
-	return AppendFrame(make([]byte, 0, frameHeaderSize+len(body)), api, body)
-}
-
 // AppendFrame appends a framed copy of an encoded body to dst and returns
 // the result. Senders that encode as they send use StartFrame/EndFrame,
 // which skip the copy.
@@ -99,9 +94,6 @@ func (s *Splitter) Push(chunk []byte) ([]FramePart, error) {
 		out = append(out, FramePart{API: api, Body: body})
 	}
 }
-
-// Buffered returns the number of bytes waiting for frame completion.
-func (s *Splitter) Buffered() int { return len(s.buf) - s.off }
 
 // FramePart is one complete frame split from a stream.
 type FramePart struct {

@@ -9,7 +9,7 @@ import (
 )
 
 // The native fuzz targets of the byte-level protocol: the frame splitter,
-// the seven decoders that exist, and Slab.Clone. Their seed corpora — f.Add
+// the four decoders that exist, and Slab.Clone. Their seed corpora — f.Add
 // below plus any crasher committed under testdata/fuzz/ — run as ordinary
 // tests in `go test`; `make fuzz-smoke` mutates each for a few seconds.
 
@@ -49,17 +49,10 @@ var decodeTargets = func() []decodeTarget {
 		CorrelationID: 3, Topic: "events", Partition: 1, HighWatermark: 99, NextOffset: 42, LastStable: 77,
 		Records: sampleBatch().Records,
 	}
-	metadata := MetadataResponse{
-		CorrelationID: 5, Topic: "logs",
-		Partitions: []PartitionMetadata{
-			{Partition: 0, Leader: 1, Replicas: []int32{1, 2, 3}},
-			{Partition: 1, Leader: -1},
-		},
-	}
 	return []decodeTarget{
 		{
 			name:  "ProduceRequest",
-			valid: [][]byte{validProduceRequest, ProduceRequest{Topic: "other", Acks: AcksAll}.Encode(nil)},
+			valid: [][]byte{validProduceRequest, ProduceRequest{Topic: "other", Acks: AcksAll}.Encode(nil), txnProduce.Encode(nil)},
 			decode: func(t *testing.T, d *Decoder, b []byte) (int, []byte, error) {
 				r, err := d.ProduceRequest(b)
 				if d == nil {
@@ -79,42 +72,12 @@ var decodeTargets = func() []decodeTarget {
 			},
 		},
 		{
-			name: "FetchRequest",
-			valid: [][]byte{
-				FetchRequest{CorrelationID: 1, Topic: "x", Offset: 555, MaxRecords: 100, Isolation: ReadCommitted}.Encode(nil),
-			},
-			decode: func(t *testing.T, d *Decoder, b []byte) (int, []byte, error) {
-				r, err := d.FetchRequest(b)
-				return len(b), r.Encode(nil), err
-			},
-		},
-		{
 			name:  "FetchResponse",
-			valid: [][]byte{fetched.Encode(nil), FetchResponse{Topic: "t", Err: ErrNotLeader}.Encode(nil)},
+			valid: [][]byte{fetched.Encode(nil), FetchResponse{Topic: "t", Err: ErrNotLeader}.Encode(nil), openTxnFetch.Encode(nil)},
 			decode: func(t *testing.T, d *Decoder, b []byte) (int, []byte, error) {
 				r, err := d.FetchResponse(b)
 				if d == nil {
 					capWithin(t, "fetch records", cap(r.Records), len(b), minRecordSize)
-				}
-				return len(b), r.Encode(nil), err
-			},
-		},
-		{
-			name:  "MetadataRequest",
-			valid: [][]byte{MetadataRequest{CorrelationID: 5, Topic: "logs"}.Encode(nil)},
-			decode: func(t *testing.T, _ *Decoder, b []byte) (int, []byte, error) {
-				r, err := DecodeMetadataRequest(b)
-				return len(b), r.Encode(nil), err
-			},
-		},
-		{
-			name:  "MetadataResponse",
-			valid: [][]byte{metadata.Encode(nil), MetadataResponse{Topic: "ghost", Err: ErrUnknownTopicOrPartition}.Encode(nil)},
-			decode: func(t *testing.T, _ *Decoder, b []byte) (int, []byte, error) {
-				r, err := DecodeMetadataResponse(b)
-				capWithin(t, "metadata partitions", cap(r.Partitions), len(b), 12)
-				for _, p := range r.Partitions {
-					capWithin(t, "metadata replicas", cap(p.Replicas), len(b), 4)
 				}
 				return len(b), r.Encode(nil), err
 			},
@@ -137,6 +100,24 @@ var validProduceRequest = ProduceRequest{
 	CorrelationID: 42, Topic: "events", Partition: 2, Acks: AcksAll, Batch: sampleBatch(),
 }.Encode(nil)
 
+// txnProduce is a transactional processor's produce: an epoch-stamped,
+// idempotent, transactional one-record batch. openTxnFetch is a fetch
+// answered while a transaction holds the last stable offset below the
+// high watermark. Their every cut seeds FuzzDecode as well.
+var (
+	txnProduce = ProduceRequest{
+		CorrelationID: 7, Topic: "txn-out", Partition: 1, Acks: AcksAll,
+		Batch: RecordBatch{
+			ProducerID: 3, ProducerEpoch: 2, BaseSequence: 9, Idempotent: true, Transactional: true,
+			Records: []Record{{Key: 11, Timestamp: 5 * time.Millisecond, Payload: []byte("v")}},
+		},
+	}
+	openTxnFetch = FetchResponse{
+		CorrelationID: 4, Topic: "txn-in", Partition: 2, HighWatermark: 10, NextOffset: 8, LastStable: 6,
+		Records: []Record{{Key: 7, Timestamp: 3 * time.Millisecond, Payload: []byte("ab")}},
+	}
+)
+
 // lyingCount is a header-only message whose count field claims 2³¹−1
 // elements; there is one per decoder that preallocates from a count it read.
 type lyingCount struct {
@@ -150,11 +131,9 @@ var lyingCounts = func() []lyingCount {
 		return enc
 	}
 	fetch := FetchResponse{Topic: "t"}.Encode(nil)
-	metadata := MetadataResponse{Topic: "t"}.Encode(nil)
 	return []lyingCount{
 		{"RecordBatch", lie(RecordBatch{}.Encode(nil), 21)},
 		{"FetchResponse", lie(fetch, len(fetch)-4)},
-		{"MetadataResponse", lie(metadata, len(metadata)-4)},
 	}
 }()
 
@@ -167,7 +146,8 @@ func targetIndex(name string) int {
 	panic("no decode target " + name)
 }
 
-// FuzzDecode hands arbitrary bytes to one of the seven decoders. None may
+// FuzzDecode hands arbitrary bytes to one of the four decoders — produce
+// request and response, fetch response, record batch. None may
 // panic or allocate beyond what its input could hold; the nil decoder and a
 // primed one must agree; every error is one of the three decoding errors;
 // what decodes re-encodes to exactly the bytes consumed (one spelling per
@@ -225,7 +205,7 @@ func FuzzDecode(f *testing.F) {
 func FuzzSplitter(f *testing.F) {
 	var stream []byte
 	for i, body := range [][]byte{[]byte("first"), nil, bytes.Repeat([]byte{7}, 300), validProduceRequest} {
-		stream = append(stream, EncodeFrame(uint16(i), body)...)
+		stream = AppendFrame(stream, uint16(i), body)
 	}
 	badSize := append(bytes.Clone(stream), 0, 0, 0, 1, 0xFF) // a frame too short to hold its API key
 	for _, s := range [][]byte{stream, badSize, stream[:len(stream)-1], {0xFF, 0xFF, 0xFF, 0xFF}, nil} {
@@ -272,8 +252,8 @@ func FuzzSplitter(f *testing.F) {
 			for _, p := range parts {
 				framed += frameHeaderSize + len(p.Body)
 			}
-			if s.Buffered() != pushed-framed {
-				t.Fatalf("after %d bytes pushed and %d returned as frames the splitter buffers %d", pushed, framed, s.Buffered())
+			if buffered := len(s.buf) - s.off; buffered != pushed-framed {
+				t.Fatalf("after %d bytes pushed and %d returned as frames the splitter buffers %d", pushed, framed, buffered)
 			}
 		}
 		if (gotErr == nil) != (wantErr == nil) {

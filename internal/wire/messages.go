@@ -107,8 +107,7 @@ type FetchResponse struct {
 
 // MetadataRequest asks which broker leads each partition of a topic.
 type MetadataRequest struct {
-	CorrelationID uint32
-	Topic         string
+	Topic string
 }
 
 // PartitionMetadata describes one partition's leadership.
@@ -120,19 +119,14 @@ type PartitionMetadata struct {
 
 // MetadataResponse lists partition leadership for a topic.
 type MetadataResponse struct {
-	CorrelationID uint32
-	Topic         string
-	Err           ErrorCode
-	Partitions    []PartitionMetadata
+	Topic      string
+	Err        ErrorCode
+	Partitions []PartitionMetadata
 }
 
 func appendString(b []byte, s string) []byte {
 	b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
 	return append(b, s...)
-}
-
-func decodeString(b []byte) (string, []byte, error) {
-	return (*Decoder)(nil).decodeString(b)
 }
 
 // Decoder decodes messages with per-connection scratch reuse: topic
@@ -143,7 +137,7 @@ func decodeString(b []byte) (string, []byte, error) {
 // Ownership: the Records slice of a ProduceRequest or FetchResponse
 // decoded through the same Decoder reuses one backing array — consume or
 // copy (Slab.Clone) the records before the next decode on this
-// Decoder. Payloads follow the DecodeRecordBatch aliasing contract. A
+// Decoder. Payloads follow the recordBatch aliasing contract. A
 // nil *Decoder is valid and decodes without any reuse.
 type Decoder struct {
 	Topic   string // expected topic; matching decodes return this string
@@ -178,11 +172,6 @@ func (r ProduceRequest) Encode(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(r.Partition))
 	dst = binary.BigEndian.AppendUint16(dst, uint16(r.Acks))
 	return r.Batch.Encode(dst)
-}
-
-// EncodedSize returns the wire size of the request body.
-func (r ProduceRequest) EncodedSize() int {
-	return produceHeaderSize + len(r.Topic) + r.Batch.EncodedSize()
 }
 
 // ProduceFrameSize returns the size of the framed produce request Encode
@@ -234,9 +223,6 @@ func (r ProduceResponse) Encode(dst []byte) []byte {
 	return binary.BigEndian.AppendUint16(dst, uint16(r.Err))
 }
 
-// EncodedSize returns the wire size of the response body.
-func (r ProduceResponse) EncodedSize() int { return 4 + 2 + len(r.Topic) + 4 + 8 + 2 }
-
 // ProduceResponse parses a response body produced by Encode, with topic
 // interning.
 func (d *Decoder) ProduceResponse(b []byte) (ProduceResponse, error) {
@@ -257,40 +243,6 @@ func (d *Decoder) ProduceResponse(b []byte) (ProduceResponse, error) {
 	r.Partition = int32(binary.BigEndian.Uint32(b))
 	r.BaseOffset = int64(binary.BigEndian.Uint64(b[4:]))
 	r.Err = ErrorCode(binary.BigEndian.Uint16(b[12:]))
-	return r, nil
-}
-
-// Encode serialises the request body.
-func (r FetchRequest) Encode(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
-	dst = appendString(dst, r.Topic)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(r.Partition))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(r.Offset))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(r.MaxRecords))
-	return append(dst, byte(r.Isolation))
-}
-
-// FetchRequest parses a request body produced by Encode, with topic
-// interning.
-func (d *Decoder) FetchRequest(b []byte) (FetchRequest, error) {
-	var r FetchRequest
-	if len(b) < 4 {
-		return r, fmt.Errorf("fetch correlation id: %w", ErrShortBuffer)
-	}
-	r.CorrelationID = binary.BigEndian.Uint32(b)
-	b = b[4:]
-	topic, b, err := d.decodeString(b)
-	if err != nil {
-		return r, fmt.Errorf("fetch topic: %w", err)
-	}
-	r.Topic = topic
-	if len(b) != 17 {
-		return r, fmt.Errorf("fetch tail: %w", ErrBadFrame)
-	}
-	r.Partition = int32(binary.BigEndian.Uint32(b))
-	r.Offset = int64(binary.BigEndian.Uint64(b[4:]))
-	r.MaxRecords = int32(binary.BigEndian.Uint32(b[12:]))
-	r.Isolation = IsolationLevel(b[16])
 	return r, nil
 }
 
@@ -368,91 +320,4 @@ func (d *Decoder) keepRecordScratch(recs []Record) {
 	if d != nil {
 		d.records = recs
 	}
-}
-
-// Encode serialises the request body.
-func (r MetadataRequest) Encode(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
-	return appendString(dst, r.Topic)
-}
-
-// DecodeMetadataRequest parses a request body produced by Encode.
-func DecodeMetadataRequest(b []byte) (MetadataRequest, error) {
-	var r MetadataRequest
-	if len(b) < 4 {
-		return r, fmt.Errorf("metadata correlation id: %w", ErrShortBuffer)
-	}
-	r.CorrelationID = binary.BigEndian.Uint32(b)
-	topic, rest, err := decodeString(b[4:])
-	if err != nil {
-		return r, fmt.Errorf("metadata topic: %w", err)
-	}
-	if len(rest) != 0 {
-		return r, fmt.Errorf("metadata trailing bytes: %w", ErrBadFrame)
-	}
-	r.Topic = topic
-	return r, nil
-}
-
-// Encode serialises the response body.
-func (r MetadataResponse) Encode(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.CorrelationID)
-	dst = appendString(dst, r.Topic)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(r.Err))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Partitions)))
-	for _, p := range r.Partitions {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(p.Partition))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(p.Leader))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(p.Replicas)))
-		for _, rep := range p.Replicas {
-			dst = binary.BigEndian.AppendUint32(dst, uint32(rep))
-		}
-	}
-	return dst
-}
-
-// DecodeMetadataResponse parses a response body produced by Encode.
-func DecodeMetadataResponse(b []byte) (MetadataResponse, error) {
-	var r MetadataResponse
-	if len(b) < 4 {
-		return r, fmt.Errorf("metadata-response correlation id: %w", ErrShortBuffer)
-	}
-	r.CorrelationID = binary.BigEndian.Uint32(b)
-	topic, b, err := decodeString(b[4:])
-	if err != nil {
-		return r, fmt.Errorf("metadata-response topic: %w", err)
-	}
-	r.Topic = topic
-	if len(b) < 6 {
-		return r, fmt.Errorf("metadata-response header: %w", ErrShortBuffer)
-	}
-	r.Err = ErrorCode(binary.BigEndian.Uint16(b))
-	count := int(binary.BigEndian.Uint32(b[2:]))
-	b = b[6:]
-	// Sized by what b can hold (12 bytes is a partition with no replicas):
-	// a lying count must fail as ErrShortBuffer below, not allocate first.
-	r.Partitions = make([]PartitionMetadata, 0, min(count, len(b)/12))
-	for i := 0; i < count; i++ {
-		if len(b) < 12 {
-			return r, fmt.Errorf("metadata-response partition %d: %w", i, ErrShortBuffer)
-		}
-		var p PartitionMetadata
-		p.Partition = int32(binary.BigEndian.Uint32(b))
-		p.Leader = int32(binary.BigEndian.Uint32(b[4:]))
-		nrep := int(binary.BigEndian.Uint32(b[8:]))
-		b = b[12:]
-		if len(b) < 4*nrep {
-			return r, fmt.Errorf("metadata-response replicas %d: %w", i, ErrShortBuffer)
-		}
-		p.Replicas = make([]int32, 0, nrep)
-		for j := 0; j < nrep; j++ {
-			p.Replicas = append(p.Replicas, int32(binary.BigEndian.Uint32(b)))
-			b = b[4:]
-		}
-		r.Partitions = append(r.Partitions, p)
-	}
-	if len(b) != 0 {
-		return r, fmt.Errorf("metadata-response trailing bytes: %w", ErrBadFrame)
-	}
-	return r, nil
 }

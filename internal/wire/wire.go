@@ -1,15 +1,18 @@
 // Package wire defines the Kafka-style binary protocol spoken across the
-// emulated network between a client and the broker model: length-prefixed
-// frames, correlation IDs, and CRC-protected record batches, carrying the
-// Produce, Fetch and Metadata exchanges. The encoding is a simplified but
-// faithful analogue of Kafka's protocol — big-endian fixed width integers,
-// size-prefixed byte blobs — so that message sizes on the emulated network
-// carry realistic framing overhead.
+// emulated network between a producer and the broker model:
+// length-prefixed frames, correlation IDs, and CRC-protected record
+// batches, carrying the one exchange that crosses that network — Produce
+// and its response. The encoding is a simplified but faithful analogue of
+// Kafka's protocol — big-endian fixed width integers, size-prefixed byte
+// blobs — so that message sizes on the emulated network carry realistic
+// framing overhead.
 //
-// The group, offset and transaction messages (group.go, txn.go) are
-// request/response structs only: the control plane is an in-process call
-// into the coordinator — the testbed injects faults on the producer's
-// link alone (Sec. III-E) — so they have no byte format to keep in step.
+// The testbed injects faults on the producer's link alone (Sec. III-E),
+// so everything else is an in-process call: fetch and metadata into the
+// cluster, and the group, offset and transaction messages (group.go,
+// txn.go) into the coordinator. Their types here are request/response
+// structs only, with no byte format to keep in step — except
+// FetchResponse's codec, which the repository benchmark times.
 package wire
 
 import (
@@ -21,24 +24,9 @@ import (
 	"time"
 )
 
-// API keys identify request types, mirroring Kafka's ApiKey field (the
-// group-coordination keys use Kafka's real numbering).
-const (
-	APIProduce            uint16 = 0
-	APIFetch              uint16 = 1
-	APIMetadata           uint16 = 3
-	APIOffsetCommit       uint16 = 8
-	APIOffsetFetch        uint16 = 9
-	APIJoinGroup          uint16 = 11
-	APIHeartbeat          uint16 = 12
-	APILeaveGroup         uint16 = 13
-	APISyncGroup          uint16 = 14
-	APIInitProducerID     uint16 = 22
-	APIAddPartitionsToTxn uint16 = 24
-	APIAddOffsetsToTxn    uint16 = 25
-	APIEndTxn             uint16 = 26
-	APITxnOffsetCommit    uint16 = 28
-)
+// APIProduce is the API key of a produce frame, mirroring Kafka's ApiKey
+// field: the one request type that crosses the emulated network.
+const APIProduce uint16 = 0
 
 // ErrorCode is the broker-reported outcome of a request, mirroring
 // Kafka's error_code response field.
@@ -149,7 +137,7 @@ func (r Record) encode(b []byte) []byte {
 
 // decodeRecord parses one record. The returned payload is a zero-copy
 // alias into b (capacity-capped so appends cannot scribble past it); see
-// DecodeRecordBatch for the ownership contract.
+// recordBatch for the ownership contract.
 func decodeRecord(b []byte) (Record, []byte, error) {
 	if len(b) < minRecordSize {
 		return Record{}, nil, fmt.Errorf("record header: %w", ErrShortBuffer)
@@ -205,15 +193,6 @@ const (
 // batchHeaderSize is the fixed batch header: producer id (8), producer
 // epoch (4), base sequence (8), flags (1), record count (4), CRC (4).
 const batchHeaderSize = 29
-
-// EncodedSize returns the wire size of the batch in bytes.
-func (b RecordBatch) EncodedSize() int {
-	n := batchHeaderSize
-	for _, r := range b.Records {
-		n += r.EncodedSize()
-	}
-	return n
-}
 
 // Encode appends the batch encoding to dst and returns the result. The
 // records are encoded directly into dst and the CRC is patched in
@@ -291,7 +270,7 @@ func carve[T any](chunk *[]T, n, lo, hi int) []T {
 // returns the copy. Consumers that retain decoded records beyond the
 // lifetime of the decode source buffer (for example across simulated
 // time, or past the next Splitter.Push) must clone them; see
-// DecodeRecordBatch for the ownership contract. A cloned payload never
+// Decoder.recordBatch for the ownership contract. A cloned payload never
 // shares bytes with its source, but it may share them with an earlier
 // equal clone; an empty payload clones to nil. The returned records —
 // headers and bytes — are immutable from here on: any number of logs may
@@ -314,8 +293,9 @@ func (s *Slab) Clone(recs []Record) []Record {
 	return out
 }
 
-// DecodeRecordBatch parses a batch and verifies its CRC, returning the
-// remaining bytes.
+// recordBatch parses a batch and verifies its CRC, returning the
+// remaining bytes. Records are decoded into the decoder's reused scratch
+// slice (see Decoder in messages.go).
 //
 // Ownership: record payloads are zero-copy aliases into b. They remain
 // valid exactly as long as b's bytes do — callers that decode from a
@@ -323,12 +303,6 @@ func (s *Slab) Clone(recs []Record) []Record {
 // (Slab.Clone). In particular, frame bodies returned by Splitter.Push
 // are valid only until the next Push, so records decoded from split
 // frames and retained past the current callback must be cloned.
-func DecodeRecordBatch(b []byte) (RecordBatch, []byte, error) {
-	return (*Decoder)(nil).recordBatch(b)
-}
-
-// recordBatch is DecodeRecordBatch decoding records into the decoder's
-// reused scratch slice (see Decoder in messages.go).
 func (d *Decoder) recordBatch(b []byte) (RecordBatch, []byte, error) {
 	if len(b) < batchHeaderSize {
 		return RecordBatch{}, nil, fmt.Errorf("batch header: %w", ErrShortBuffer)

@@ -28,11 +28,7 @@ func sampleBatch() RecordBatch {
 
 func TestRecordBatchRoundTrip(t *testing.T) {
 	b := sampleBatch()
-	enc := b.Encode(nil)
-	if len(enc) != b.EncodedSize() {
-		t.Errorf("EncodedSize = %d, actual %d", b.EncodedSize(), len(enc))
-	}
-	got, rest, err := DecodeRecordBatch(enc)
+	got, rest, err := (*Decoder)(nil).recordBatch(b.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +55,7 @@ func TestRecordBatchCRCDetectsCorruption(t *testing.T) {
 	enc := sampleBatch().Encode(nil)
 	// Flip a record bit (after the 29-byte header).
 	enc[35] ^= 0x01
-	if _, _, err := DecodeRecordBatch(enc); !errors.Is(err, ErrBadCRC) {
+	if _, _, err := (*Decoder)(nil).recordBatch(enc); !errors.Is(err, ErrBadCRC) {
 		t.Errorf("err = %v, want ErrBadCRC", err)
 	}
 }
@@ -67,16 +63,16 @@ func TestRecordBatchCRCDetectsCorruption(t *testing.T) {
 func TestRecordBatchShortBuffer(t *testing.T) {
 	enc := sampleBatch().Encode(nil)
 	for _, cut := range []int{0, 10, 23, 28, 34, len(enc) - 1} {
-		if _, _, err := DecodeRecordBatch(enc[:cut]); err == nil {
+		if _, _, err := (*Decoder)(nil).recordBatch(enc[:cut]); err == nil {
 			t.Errorf("truncation to %d bytes accepted", cut)
 		}
 	}
 }
 
 // A count field is hostile input like any other byte: a header-only
-// message claiming 2³¹−1 records or partitions must fail as a short buffer
-// having allocated next to nothing — sizing the slice from the claim asks
-// the runtime for tens of gigabytes, which is fatal, not a panic.
+// message claiming 2³¹−1 records must fail as a short buffer having
+// allocated next to nothing — sizing the slice from the claim asks the
+// runtime for tens of gigabytes, which is fatal, not a panic.
 func TestLyingCountFailsShortWithoutAllocating(t *testing.T) {
 	for _, lc := range lyingCounts {
 		t.Run(lc.target, func(t *testing.T) {
@@ -99,7 +95,7 @@ func TestLyingCountFailsShortWithoutAllocating(t *testing.T) {
 
 func TestEmptyBatchRoundTrip(t *testing.T) {
 	b := RecordBatch{ProducerID: 1}
-	got, rest, err := DecodeRecordBatch(b.Encode(nil))
+	got, rest, err := (*Decoder)(nil).recordBatch(b.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,9 +113,6 @@ func TestProduceRequestRoundTrip(t *testing.T) {
 		Batch:         sampleBatch(),
 	}
 	enc := req.Encode(nil)
-	if len(enc) != req.EncodedSize() {
-		t.Errorf("EncodedSize = %d, actual %d", req.EncodedSize(), len(enc))
-	}
 	got, err := (*Decoder)(nil).ProduceRequest(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -147,9 +140,6 @@ func TestProduceResponseRoundTrip(t *testing.T) {
 		Err:           ErrRequestTimedOut,
 	}
 	enc := resp.Encode(nil)
-	if len(enc) != resp.EncodedSize() {
-		t.Errorf("EncodedSize = %d, actual %d", resp.EncodedSize(), len(enc))
-	}
 	got, err := (*Decoder)(nil).ProduceResponse(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -159,17 +149,6 @@ func TestProduceResponseRoundTrip(t *testing.T) {
 	}
 	if _, err := (*Decoder)(nil).ProduceResponse(enc[:7]); err == nil {
 		t.Error("truncated response accepted")
-	}
-}
-
-func TestFetchRequestRoundTrip(t *testing.T) {
-	req := FetchRequest{CorrelationID: 1, Topic: "x", Partition: 0, Offset: 555, MaxRecords: 100, Isolation: ReadCommitted}
-	got, err := (*Decoder)(nil).FetchRequest(req.Encode(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, req) {
-		t.Errorf("got %+v, want %+v", got, req)
 	}
 }
 
@@ -198,32 +177,6 @@ func TestFetchResponseRoundTrip(t *testing.T) {
 	enc := resp.Encode(nil)
 	if _, err := (*Decoder)(nil).FetchResponse(enc[:len(enc)-1]); err == nil {
 		t.Error("truncated response accepted")
-	}
-}
-
-func TestMetadataRoundTrip(t *testing.T) {
-	req := MetadataRequest{CorrelationID: 5, Topic: "logs"}
-	gotReq, err := DecodeMetadataRequest(req.Encode(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotReq != req {
-		t.Errorf("got %+v, want %+v", gotReq, req)
-	}
-	resp := MetadataResponse{
-		CorrelationID: 5,
-		Topic:         "logs",
-		Partitions: []PartitionMetadata{
-			{Partition: 0, Leader: 1, Replicas: []int32{1, 2, 3}},
-			{Partition: 1, Leader: 2, Replicas: []int32{2, 3}},
-		},
-	}
-	gotResp, err := DecodeMetadataResponse(resp.Encode(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotResp, resp) {
-		t.Errorf("got %+v, want %+v", gotResp, resp)
 	}
 }
 
@@ -258,7 +211,7 @@ func TestAcksString(t *testing.T) {
 func TestFrameRoundTripViaSplitter(t *testing.T) {
 	body1 := []byte("first")
 	body2 := []byte("second body")
-	stream := append(EncodeFrame(APIProduce, body1), EncodeFrame(APIFetch, body2)...)
+	stream := AppendFrame(AppendFrame(nil, APIProduce, body1), 7, body2)
 	var s Splitter
 	var frames []FramePart
 	// Feed one byte at a time to exercise partial-frame buffering.
@@ -280,11 +233,11 @@ func TestFrameRoundTripViaSplitter(t *testing.T) {
 	if frames[0].API != APIProduce || !bytes.Equal(frames[0].Body, body1) {
 		t.Errorf("frame 0 = %+v", frames[0])
 	}
-	if frames[1].API != APIFetch || !bytes.Equal(frames[1].Body, body2) {
+	if frames[1].API != 7 || !bytes.Equal(frames[1].Body, body2) {
 		t.Errorf("frame 1 = %+v", frames[1])
 	}
-	if s.Buffered() != 0 {
-		t.Errorf("Buffered = %d, want 0", s.Buffered())
+	if n := len(s.buf) - s.off; n != 0 {
+		t.Errorf("%d bytes still buffered, want 0", n)
 	}
 }
 
@@ -301,7 +254,7 @@ func TestSplitterRejectsBadSize(t *testing.T) {
 
 func TestFrameSize(t *testing.T) {
 	body := []byte("abc")
-	if got := len(EncodeFrame(0, body)); got != FrameSize(len(body)) {
+	if got := len(AppendFrame(nil, 0, body)); got != FrameSize(len(body)) {
 		t.Errorf("FrameSize = %d, actual %d", FrameSize(len(body)), got)
 	}
 }
@@ -367,7 +320,7 @@ func TestPropertyBatchRoundTrip(t *testing.T) {
 				Payload:   payload,
 			})
 		}
-		got, rest, err := DecodeRecordBatch(b.Encode(nil))
+		got, rest, err := (*Decoder)(nil).recordBatch(b.Encode(nil))
 		if err != nil || len(rest) != 0 {
 			return false
 		}
@@ -405,7 +358,7 @@ func TestPropertySplitterChunking(t *testing.T) {
 				body[j] = byte(rng.UintN(256))
 			}
 			bodies = append(bodies, body)
-			stream = append(stream, EncodeFrame(uint16(i), body)...)
+			stream = AppendFrame(stream, uint16(i), body)
 		}
 		var s Splitter
 		var frames []FramePart
@@ -441,7 +394,7 @@ func TestPropertySplitterChunking(t *testing.T) {
 
 func BenchmarkBatchEncode(b *testing.B) {
 	batch := sampleBatch()
-	buf := make([]byte, 0, batch.EncodedSize())
+	buf := batch.Encode(nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf = batch.Encode(buf[:0])
@@ -452,7 +405,7 @@ func BenchmarkBatchDecode(b *testing.B) {
 	enc := sampleBatch().Encode(nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := DecodeRecordBatch(enc); err != nil {
+		if _, _, err := (*Decoder)(nil).recordBatch(enc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -494,7 +447,7 @@ func TestDecoderSteadyStateAllocs(t *testing.T) {
 // cloning, scribbling over the source buffer cannot reach the records.
 func TestCloneRecordsSeversSourceAliases(t *testing.T) {
 	enc := sampleBatch().Encode(nil)
-	batch, _, err := DecodeRecordBatch(enc)
+	batch, _, err := (*Decoder)(nil).recordBatch(enc)
 	if err != nil {
 		t.Fatal(err)
 	}

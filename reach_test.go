@@ -21,7 +21,6 @@ import (
 // An entry that covers no finding fails the gate as stale. "A test calls
 // it" is not a reason.
 var reachAllow = map[string]string{
-	"internal/wire": "PR 18 curated this package by hand: what is flagged are the encode/decode partners its fuzz targets round-trip against",
 	"internal/coordinator.TxnCoordinator.MaterializedState": "test oracle: replays the transaction log into the state a restarted coordinator would rebuild, to compare with the live one",
 	"internal/coordinator.decodeTxnStateRecord":             "the decoder that oracle reads the log with, and the round-trip partner of the transaction-state encoder",
 	"internal/testbed.Calibration":                          "the producer-host cost model, the one deployment-like setting; ROADMAP 1(c) recalibrates it",
