@@ -162,10 +162,15 @@ func TestSpanPathZeroAllocs(t *testing.T) {
 // the replicated offsets log), and the bytes per record of an
 // ingest-shaped run (the benchmark's ingest_steady at 20000 records:
 // 200 B messages, B = 10, RF 3, four partitions, 1 ms). On go1.24 the two
-// counts were pinned at 42549 and 14693 and read 42637-42638 and
-// 14722-14724 since fetches copy out into a per-broker scratch; three
-// runs read 474.6-475.1 B for the fleet's bytes and 116.4 B for the
-// ingest run. So the 20% is room for deliberate change, not noise: a cost
+// counts were pinned at 42549 and 14693, and read 42637-42638 and
+// 14722-14724 once fetches copied out into a per-broker scratch; since
+// pooled jobs and metric handles come in blocks (des.FreeList, the
+// obs.Registry's blocks) they read 23080-23081 and 11230-11232 and are
+// pinned there, so the ceiling no longer lets the counts drift back to the
+// old ones. Three runs read 474.6-475.1 B for the fleet's bytes before the
+// blocks and 483.3-483.4 B after (a block's unused tail); its pin stays at
+// the older 475.1 on purpose, a tighter ceiling the new reading sits well
+// under. The ingest run reads 116.4 B. So the 20% is room for deliberate change, not noise: a cost
 // that grows with the records, even one allocation or one header copy per
 // record, breaks it. Race builds run extra checks on the producer,
 // consumer and storage paths that allocate, and skip.
@@ -222,14 +227,14 @@ func TestWholeRunAllocationCeilings(t *testing.T) {
 		measured float64
 		measure  func(*testing.T) float64
 	}{
-		{"fig7", "allocations", 42549, allocs(func() error {
+		{"fig7", "allocations", 23081, allocs(func() error {
 			points, err := figures.Fig7(figures.Options{Messages: 600, Seed: 1, Workers: 1})
 			if err == nil && len(points) != 88 {
 				err = fmt.Errorf("%d points, want 88", len(points))
 			}
 			return err
 		})},
-		{"fleet", "allocations", 14693, allocs(fleet)},
+		{"fleet", "allocations", 11232, allocs(fleet)},
 		{"fleet-bytes", "B per record", 475.1, bytes(fleetRecords, fleet)},
 		{"ingest", "B per record", 116.4, bytes(ingestRecords, func() error {
 			res, err := testbed.Run(testbed.Experiment{
@@ -252,7 +257,7 @@ func TestWholeRunAllocationCeilings(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			got := c.measure(t)
 			ceiling := c.measured * 6 / 5
-			t.Logf("%.1f %s, ceiling %.1f (%g measured + 20%%)", got, c.unit, ceiling, c.measured)
+			t.Logf("%.1f %s, ceiling %.1f (%g pinned + 20%%)", got, c.unit, ceiling, c.measured)
 			if got > ceiling {
 				t.Errorf("%.1f %s, want <= %.1f", got, c.unit, ceiling)
 			}

@@ -182,8 +182,8 @@ type Broker struct {
 	cUnclean    *obs.Counter
 	trace       *obs.Tracer
 
-	freeJobs     []*produceJob // recycled produce-service jobs
-	fetchRecords []wire.Record // Fetch's scratch: every answer's records are copied out into it
+	jobs         des.FreeList[produceJob] // recycled produce-service jobs
+	fetchRecords []wire.Record            // Fetch's scratch: every answer's records are copied out into it
 }
 
 // New creates a running broker with the given node ID.
@@ -548,7 +548,7 @@ func (b *Broker) Append(topic string, partition int32, batch wire.RecordBatch, i
 }
 
 // produceJob parks one produce request across the append service time.
-// Jobs are recycled through Broker.freeJobs, so the steady-state produce
+// Jobs are recycled through Broker.jobs, so the steady-state produce
 // path schedules no per-request closures or events.
 type produceJob struct {
 	b          *Broker
@@ -559,18 +559,15 @@ type produceJob struct {
 }
 
 func (b *Broker) getJob() *produceJob {
-	if n := len(b.freeJobs); n > 0 {
-		j := b.freeJobs[n-1]
-		b.freeJobs = b.freeJobs[:n-1]
-		return j
-	}
-	return &produceJob{b: b}
+	j := b.jobs.Get()
+	j.b = b
+	return j
 }
 
 func (b *Broker) putJob(j *produceJob) {
 	j.req = wire.ProduceRequest{}
 	j.done, j.arg = nil, nil
-	b.freeJobs = append(b.freeJobs, j)
+	b.jobs.Put(j)
 }
 
 // Produce services a produce request after the append service time and

@@ -120,9 +120,9 @@ type Cluster struct {
 	trace           *obs.Tracer
 	topoHooks       []func() // run after every broker fail/crash/recover
 
-	freeProd []*prodJob // recycled produce-routing jobs
-	freeRepl []*replJob // recycled replication-delay jobs
-	freeSend []*sendJob // recycled acks=all follower-send jobs
+	prods des.FreeList[prodJob] // recycled produce-routing jobs
+	repls des.FreeList[replJob] // recycled replication-delay jobs
+	sends des.FreeList[sendJob] // recycled acks=all follower-send jobs
 }
 
 // prodJob carries one produce request through the cluster's asynchronous
@@ -146,12 +146,9 @@ type prodJob struct {
 }
 
 func (c *Cluster) getProd() *prodJob {
-	if n := len(c.freeProd); n > 0 {
-		j := c.freeProd[n-1]
-		c.freeProd = c.freeProd[:n-1]
-		return j
-	}
-	return &prodJob{c: c}
+	j := c.prods.Get()
+	j.c = c
+	return j
 }
 
 func (c *Cluster) putProd(j *prodJob) {
@@ -163,7 +160,7 @@ func (c *Cluster) putProd(j *prodJob) {
 		j.followers[i] = nil
 	}
 	j.followers = j.followers[:0]
-	c.freeProd = append(c.freeProd, j)
+	c.prods.Put(j)
 }
 
 // replJob parks one follower copy across the inter-broker delay.
@@ -176,18 +173,15 @@ type replJob struct {
 }
 
 func (c *Cluster) getRepl() *replJob {
-	if n := len(c.freeRepl); n > 0 {
-		r := c.freeRepl[n-1]
-		c.freeRepl = c.freeRepl[:n-1]
-		return r
-	}
-	return &replJob{c: c}
+	r := c.repls.Get()
+	r.c = c
+	return r
 }
 
 func (c *Cluster) putRepl(r *replJob) {
 	r.src, r.f = nil, nil
 	r.req = wire.ProduceRequest{}
-	c.freeRepl = append(c.freeRepl, r)
+	c.repls.Put(r)
 }
 
 // sendJob parks one acks=all follower send across the inter-broker
@@ -197,18 +191,9 @@ type sendJob struct {
 	f *broker.Broker
 }
 
-func (c *Cluster) getSend() *sendJob {
-	if n := len(c.freeSend); n > 0 {
-		s := c.freeSend[n-1]
-		c.freeSend = c.freeSend[:n-1]
-		return s
-	}
-	return &sendJob{}
-}
-
 func (c *Cluster) putSend(s *sendJob) {
 	s.j, s.f = nil, nil
-	c.freeSend = append(c.freeSend, s)
+	c.sends.Put(s)
 }
 
 // New builds a cluster of cfg.Brokers running nodes.
@@ -627,7 +612,7 @@ func allLeaderDone(a any, resp wire.ProduceResponse) {
 	for _, f := range j.followers[1:] {
 		c.cReplications.Inc()
 		c.trace.Emit(obs.LayerCluster, obs.EvReplicate, j.req.Batch.BaseSequence, int64(j.req.Partition), int64(f.ID()), j.req.Topic)
-		s := c.getSend()
+		s := c.sends.Get()
 		s.j, s.f = j, f
 		c.sim.AfterFunc(interBrokerDelay, allSendFire, s)
 	}

@@ -83,7 +83,7 @@ type Group struct {
 	lastProgress time.Duration
 	gaveUp       bool
 
-	freeCommits []*commitReq
+	commits des.FreeList[commitReq]
 
 	// elided counts the poll visits answered without a fetch (pollOnce).
 	// Tests read it; it is in no output.
@@ -335,19 +335,16 @@ type commitReq struct {
 }
 
 func (g *Group) getCommitReq() *commitReq {
-	if n := len(g.freeCommits); n > 0 {
-		j := g.freeCommits[n-1]
-		g.freeCommits = g.freeCommits[:n-1]
-		return j
+	j := g.commits.Get()
+	if j.fire == nil {
+		j.fire = j.done
 	}
-	j := &commitReq{}
-	j.fire = j.done
 	return j
 }
 
 func (g *Group) putCommitReq(j *commitReq) {
 	j.m = nil
-	g.freeCommits = append(g.freeCommits, j)
+	g.commits.Put(j)
 }
 
 // NewGroup creates a group over the topic. The topic must exist; its

@@ -194,7 +194,7 @@ type Coordinator struct {
 	regressions []OffsetRegression
 	log         logAppender // offsets-log appends
 
-	freeCommit []*commitJob // recycled commit pipeline jobs
+	commits des.FreeList[commitJob] // recycled commit pipeline jobs
 
 	hRebalance *obs.Histogram // rebalance duration span (nil-safe)
 }
@@ -212,13 +212,11 @@ type commitJob struct {
 }
 
 func (co *Coordinator) getCommit() *commitJob {
-	if n := len(co.freeCommit); n > 0 {
-		j := co.freeCommit[n-1]
-		co.freeCommit = co.freeCommit[:n-1]
-		return j
+	j := co.commits.Get()
+	if j.fire == nil {
+		j.co = co
+		j.fire = j.produceDone
 	}
-	j := &commitJob{co: co}
-	j.fire = j.produceDone
 	return j
 }
 
@@ -226,7 +224,7 @@ func (co *Coordinator) putCommit(j *commitJob) {
 	j.done = nil
 	j.key = offsetKey{}
 	j.rec = commitRecord{}
-	co.freeCommit = append(co.freeCommit, j)
+	co.commits.Put(j)
 }
 
 // New builds a coordinator over the cluster, creating the internal

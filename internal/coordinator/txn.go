@@ -132,7 +132,7 @@ type TxnCoordinator struct {
 	log     logAppender // state-log appends and control markers
 	stats   TxnStats
 
-	freeJobs []*txnJob // recycled write jobs
+	jobs des.FreeList[txnJob] // recycled write jobs
 }
 
 // What a txnJob's answer is for.
@@ -154,7 +154,7 @@ const (
 // coordinator are bound once per pooled job. A job goes back to the free
 // list only from its own answer (DESIGN.md §7, "Control-plane
 // requests"): a write a dead leader swallowed is never answered, and its
-// job is left to the collector, exactly as the cluster leaves a prodJob.
+// job stays behind in its block, exactly as the cluster leaves a prodJob.
 type txnJob struct {
 	tc   *TxnCoordinator
 	t    *txn
@@ -176,12 +176,9 @@ type txnJob struct {
 }
 
 func (tc *TxnCoordinator) getJob(t *txn, kind int8) *txnJob {
-	var j *txnJob
-	if n := len(tc.freeJobs); n > 0 {
-		j = tc.freeJobs[n-1]
-		tc.freeJobs = tc.freeJobs[:n-1]
-	} else {
-		j = &txnJob{tc: tc}
+	j := tc.jobs.Get()
+	if j.produced == nil {
+		j.tc = tc
 		j.produced = j.onProduced
 		j.forwarded = j.onForwarded
 	}
@@ -219,13 +216,20 @@ func (j *txnJob) answer(code wire.ErrorCode) {
 		}
 	}
 	j.t, j.addedPartition, j.addedOffsets, j.stagedOffset = nil, nil, nil, nil
-	tc.freeJobs = append(tc.freeJobs, j)
+	tc.jobs.Put(j)
 }
 
 // driveAnswer counts one ack of the current drive pass and advances the
 // resolution.
 func (tc *TxnCoordinator) driveAnswer(j *txnJob, code wire.ErrorCode) {
 	t := j.t
+	if code != wire.ErrNone && j.kind == jobOffset {
+		// A refused offset leaves the pass open for the retry timer. The
+		// group coordinator refuses synchronously while the offsets log
+		// has no leader, and driving again from here would forward it
+		// again at once, without bound.
+		return
+	}
 	t.pending--
 	if code == wire.ErrNone {
 		switch j.kind {

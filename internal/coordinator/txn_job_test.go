@@ -120,8 +120,10 @@ func TestLateAnswerOfSupersededDrivePassIsDropped(t *testing.T) {
 	if *second != wire.ErrNone || st.TxnsCommitted != 2 || st.MarkersWritten != 2 || st.Redrives != 2 || r.t.pending != 0 {
 		t.Fatalf("second EndTxn: %s, pending=%d, stats %+v; want two commits, one marker each, one re-drive each", *second, r.t.pending, st)
 	}
+	// Drain the free list: a recycled job is bound, and the first unbound
+	// one is fresh from a block, past the last job the list held.
 	seen := map[*txnJob]bool{}
-	for _, j := range r.tc.freeJobs {
+	for j := r.tc.jobs.Get(); j.produced != nil; j = r.tc.jobs.Get() {
 		if seen[j] {
 			t.Fatal("a job is on the free list twice")
 		}

@@ -67,10 +67,10 @@ type Link struct {
 	cLostOverflow *obs.Counter
 	trace         *obs.Tracer
 
-	// freeDel recycles delivery jobs: a packet in flight costs no
+	// deliveries recycles delivery jobs: a packet in flight costs no
 	// allocation in steady state. Jobs are recycled when they fire; jobs
 	// for dropped packets are never created.
-	freeDel []*delivery
+	deliveries des.FreeList[delivery]
 }
 
 // delivery is one scheduled packet working its way to the far end.
@@ -81,19 +81,9 @@ type delivery struct {
 	arg  any
 }
 
-func (l *Link) getDelivery() *delivery {
-	if n := len(l.freeDel); n > 0 {
-		d := l.freeDel[n-1]
-		l.freeDel[n-1] = nil
-		l.freeDel = l.freeDel[:n-1]
-		return d
-	}
-	return &delivery{}
-}
-
 func (l *Link) putDelivery(d *delivery) {
 	*d = delivery{}
-	l.freeDel = append(l.freeDel, d)
+	l.deliveries.Put(d)
 }
 
 // runDelivery fires when a packet reaches the far end. The job is
@@ -294,7 +284,7 @@ func (l *Link) SendFn(size int, fn func(arg any, last bool), arg any) bool {
 		at = l.last
 	}
 	l.last = at
-	d := l.getDelivery()
+	d := l.deliveries.Get()
 	d.l = l
 	d.size = size
 	d.fn = fn

@@ -20,7 +20,7 @@
 //
 // Single-writer contract. A Registry and every handle resolved from it
 // belong to the one goroutine running its simulation: that goroutine
-// alone registers metrics, writes them, and reads them (Value, Counts,
+// alone registers metrics, writes them, and reads them (Value, Max,
 // Snapshot) while the run is live. Nothing here is synchronised. Another
 // goroutine may touch the registry only after the run has finished and
 // that fact has reached it through a synchronising hand-off (the
@@ -36,7 +36,8 @@ package obs
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -262,14 +263,6 @@ func (h *Histogram) Observe(v int64) {
 	}
 }
 
-// Counts returns a copy of the bucket counts (nil when disabled).
-func (h *Histogram) Counts() []uint64 {
-	if h == nil {
-		return nil
-	}
-	return append([]uint64(nil), h.counts...)
-}
-
 // Max returns the largest observed value (0 when disabled or empty).
 func (h *Histogram) Max() int64 {
 	if h == nil {
@@ -286,15 +279,47 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+
+	// The blocks new handles, bounds and bucket counts are carved from
+	// (carve): a run registers its few dozen metrics in a handful of
+	// allocations instead of one to three each.
+	counterBlock []Counter
+	gaugeBlock   []Gauge
+	histBlock    []Histogram
+	boundBlock   []int64
+	countBlock   []uint64
 }
+
+// Sizes of the registry's maps and blocks: one testbed run registers
+// about 40 counters, 4 gauges and 5–9 histograms with 80–150 bounds.
+// Presizing the maps saves three allocations per run over growing them.
+const (
+	counterBlock = 48
+	gaugeBlock   = 8
+	histBlock    = 16
+	bucketBlock  = 128
+)
 
 // NewRegistry returns an empty enabled registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
+		counters: make(map[string]*Counter, counterBlock),
+		gauges:   make(map[string]*Gauge, gaugeBlock),
+		hists:    make(map[string]*Histogram, histBlock),
 	}
+}
+
+// carve takes n zero values from the front of *block, first replacing
+// the block with a fresh one of max(n, size) values when fewer than n
+// are left. The result's capacity is n, so appending to it never
+// reaches into the block.
+func carve[T any](block *[]T, n, size int) []T {
+	if len(*block) < n {
+		*block = make([]T, max(n, size))
+	}
+	v := (*block)[:n:n]
+	*block = (*block)[n:]
+	return v
 }
 
 // Counter returns the named counter, creating it on first use. Returns
@@ -305,7 +330,7 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	c, ok := r.counters[name]
 	if !ok {
-		c = &Counter{}
+		c = &carve(&r.counterBlock, 1, counterBlock)[0]
 		r.counters[name] = c
 	}
 	return c
@@ -319,7 +344,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	g, ok := r.gauges[name]
 	if !ok {
-		g = &Gauge{}
+		g = &carve(&r.gaugeBlock, 1, gaugeBlock)[0]
 		r.gauges[name] = g
 	}
 	return g
@@ -339,10 +364,10 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 				panic(fmt.Sprintf("obs: histogram %q bounds not ascending: %v", name, bounds))
 			}
 		}
-		h = &Histogram{
-			bounds: append([]int64(nil), bounds...),
-			counts: make([]uint64, len(bounds)+1),
-		}
+		h = &carve(&r.histBlock, 1, histBlock)[0]
+		h.bounds = carve(&r.boundBlock, len(bounds), bucketBlock)
+		copy(h.bounds, bounds)
+		h.counts = carve(&r.countBlock, len(bounds)+1, bucketBlock)
 		r.hists[name] = h
 	}
 	return h
@@ -430,24 +455,40 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
+	s.Counters = presized[CounterValue](len(r.counters))
 	for name, c := range r.counters {
 		s.Counters = append(s.Counters, CounterValue{Name: name, Value: c.Value()})
 	}
+	s.Gauges = presized[GaugeValue](len(r.gauges))
 	for name, g := range r.gauges {
 		s.Gauges = append(s.Gauges, GaugeValue{Name: name, Value: g.Value()})
 	}
-	for name, h := range r.hists {
-		s.Histograms = append(s.Histograms, HistogramValue{
-			Name:   name,
-			Bounds: append([]int64(nil), h.bounds...),
-			Counts: h.Counts(),
-			Max:    h.Max(),
-		})
+	// Every histogram's copies are carved from one array per kind.
+	var nb int
+	for _, h := range r.hists {
+		nb += len(h.bounds)
 	}
-	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
-	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
+	bounds, counts := make([]int64, nb), make([]uint64, nb+len(r.hists))
+	s.Histograms = presized[HistogramValue](len(r.hists))
+	for name, h := range r.hists {
+		b, c := carve(&bounds, len(h.bounds), 0), carve(&counts, len(h.counts), 0)
+		copy(b, h.bounds)
+		copy(c, h.counts)
+		s.Histograms = append(s.Histograms, HistogramValue{Name: name, Bounds: b, Counts: c, Max: h.Max()})
+	}
+	slices.SortFunc(s.Counters, func(a, b CounterValue) int { return strings.Compare(a.Name, b.Name) })
+	slices.SortFunc(s.Gauges, func(a, b GaugeValue) int { return strings.Compare(a.Name, b.Name) })
+	slices.SortFunc(s.Histograms, func(a, b HistogramValue) int { return strings.Compare(a.Name, b.Name) })
 	return s
+}
+
+// presized returns an empty slice with room for n, or nil for n == 0:
+// an empty registry's snapshot keeps its nil slices.
+func presized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
 }
 
 // Counter returns the named counter's value (0 when absent).

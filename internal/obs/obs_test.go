@@ -18,7 +18,7 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	g.Set(3)
 	g.SetMax(9)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Counts() != nil {
+	if c.Value() != 0 || g.Value() != 0 || h.Max() != 0 {
 		t.Error("nil handles recorded values")
 	}
 	if got := r.Snapshot(); len(got.Counters)+len(got.Gauges)+len(got.Histograms) != 0 {
@@ -77,7 +77,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 		h.Observe(v)
 	}
 	want := []uint64{1, 2, 2, 2} // <=0, <=2, <=4, overflow
-	got := h.Counts()
+	got := h.counts
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("bucket %d = %d, want %d (all: %v)", i, got[i], want[i], got)

@@ -77,7 +77,7 @@ func TestHistogramQuantileMerged(t *testing.T) {
 			all = append(all, v)
 			h.Observe(v)
 		}
-		for b, c := range h.Counts() {
+		for b, c := range h.counts {
 			merged.Counts[b] += c
 		}
 		merged.Max = max(merged.Max, h.Max())

@@ -121,17 +121,17 @@ type Producer struct {
 	trace        *obs.Tracer
 
 	// Hot-path scratch and free lists. The producer is single-threaded
-	// (one simulator drives it), so plain slices suffice; event callbacks
+	// (one simulator drives it), so nothing here is locked; event callbacks
 	// are package-level functions scheduled with des.AfterFunc, and the
 	// fields below park their state between arming and firing.
 	intakePayload []byte        // payload between source.Next and the intake event
 	frameBuf      []byte        // reused framed-request encoding (Conn.Send copies it)
 	encRecords    []wire.Record // reused wire-record scratch for buildRequest
 	decoder       wire.Decoder  // reused response decoding (topic interning)
-	freeReq       []*request
-	freeBatch     []*batch
-	freeRec       []*record
-	freeJob       []*batchJob
+	reqs          des.FreeList[request]
+	batches       des.FreeList[batch]
+	recs          des.FreeList[record]
+	jobs          des.FreeList[batchJob]
 }
 
 // Event callbacks, scheduled via des.AfterFunc with the producer (or a
@@ -177,22 +177,9 @@ func retryFire(a any) {
 // double resolution, which the message state machine already forbids.
 
 func (p *Producer) getRecord() *record {
-	if n := len(p.freeRec); n > 0 {
-		r := p.freeRec[n-1]
-		p.freeRec = p.freeRec[:n-1]
-		*r = record{}
-		return r
-	}
-	return new(record)
-}
-
-func (p *Producer) getBatch() *batch {
-	if n := len(p.freeBatch); n > 0 {
-		b := p.freeBatch[n-1]
-		p.freeBatch = p.freeBatch[:n-1]
-		return b
-	}
-	return new(batch)
+	r := p.recs.Get()
+	*r = record{}
+	return r
 }
 
 func (p *Producer) putBatch(b *batch) {
@@ -201,39 +188,33 @@ func (p *Producer) putBatch(b *batch) {
 	}
 	b.records = b.records[:0]
 	b.seq, b.attempts, b.lastBackoff = 0, 0, 0
-	p.freeBatch = append(p.freeBatch, b)
+	p.batches.Put(b)
 }
 
 func (p *Producer) getRequest() *request {
-	if n := len(p.freeReq); n > 0 {
-		rq := p.freeReq[n-1]
-		p.freeReq = p.freeReq[:n-1]
-		return rq
+	rq := p.reqs.Get()
+	if rq.timer == nil {
+		rq.p = p
+		rq.timer = des.NewTimer(p.sim, func() { rq.p.onRequestTimeout(rq.corr) })
 	}
-	rq := &request{p: p}
-	rq.timer = des.NewTimer(p.sim, func() { rq.p.onRequestTimeout(rq.corr) })
 	return rq
 }
 
 func (p *Producer) putRequest(rq *request) {
 	rq.timer.Stop()
 	rq.batch = nil
-	p.freeReq = append(p.freeReq, rq)
+	p.reqs.Put(rq)
 }
 
 func (p *Producer) getJob(b *batch) *batchJob {
-	if n := len(p.freeJob); n > 0 {
-		j := p.freeJob[n-1]
-		p.freeJob = p.freeJob[:n-1]
-		j.b = b
-		return j
-	}
-	return &batchJob{p: p, b: b}
+	j := p.jobs.Get()
+	j.p, j.b = p, b
+	return j
 }
 
 func (p *Producer) putJob(j *batchJob) {
 	j.b = nil
-	p.freeJob = append(p.freeJob, j)
+	p.jobs.Put(j)
 }
 
 // Option customises a Producer.
@@ -465,7 +446,7 @@ func (p *Producer) kickSender() {
 	if p.cfg.Semantics != AtMostOnce && len(p.inFlight)+p.retryBatches >= p.cfg.MaxInFlight {
 		return
 	}
-	b := p.getBatch()
+	b := p.batches.Get()
 	b.records = p.collectRecords(b.records)
 	if len(b.records) == 0 {
 		p.putBatch(b)
@@ -988,7 +969,7 @@ func (p *Producer) record(r *record) {
 	// Resolution is a record's unique terminal sink: every owner (queue,
 	// batch) relinquishes the record on the path that resolves it, so it
 	// can be recycled here. It is zeroed again on reuse.
-	p.freeRec = append(p.freeRec, r)
+	p.recs.Put(r)
 }
 
 func (p *Producer) maybeComplete() {

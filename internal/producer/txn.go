@@ -55,8 +55,8 @@ type TxnProducer struct {
 	fenced bool
 	killed bool
 
-	corr uint32   // the last correlation id handed out
-	free []*txnOp // finished operations, for reuse
+	corr uint32              // the last correlation id handed out
+	ops  des.FreeList[txnOp] // finished operations, for reuse
 }
 
 // NewTxnProducer builds a transactional producer over direct handles to
@@ -149,12 +149,9 @@ type txnOp struct {
 
 // newOp returns an idle op for an operation that ends in done.
 func (p *TxnProducer) newOp(done func(wire.ErrorCode)) *txnOp {
-	var op *txnOp
-	if n := len(p.free); n > 0 {
-		op = p.free[n-1]
-		p.free = p.free[:n-1]
-	} else {
-		op = &txnOp{p: p}
+	op := p.ops.Get()
+	if op.timer == nil {
+		op.p = p
 		op.timer = des.NewTimer(p.sim, op.timerFire)
 		op.initDone = op.onInit
 		op.addPartitionsDone = func(r wire.AddPartitionsToTxnResponse) { op.complete(r.CorrelationID, r.Err) }
@@ -304,7 +301,7 @@ func (op *txnOp) timerFire() {
 func (op *txnOp) finish(code wire.ErrorCode) {
 	done := op.done
 	op.abandon()
-	op.p.free = append(op.p.free, op)
+	op.p.ops.Put(op)
 	if done != nil {
 		done(code)
 	}

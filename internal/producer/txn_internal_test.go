@@ -52,10 +52,19 @@ func newTxnClientRig(t *testing.T) *txnClientRig {
 	code := pendingCode
 	p.Init(func(c wire.ErrorCode) { code = c })
 	r.until(t, "init answered", func() bool { return code != pendingCode })
-	if code != wire.ErrNone || len(p.free) != 1 {
-		t.Fatalf("init: %s, %d free ops", code, len(p.free))
+	if code != wire.ErrNone {
+		t.Fatalf("init: %s", code)
 	}
-	r.op = p.free[0]
+	// A recycled op is bound (its timer set) and a fresh one is not, so
+	// these two Gets require exactly one op on the list.
+	r.op = p.ops.Get()
+	if r.op.timer == nil {
+		t.Fatal("init left no op behind")
+	}
+	if next := p.ops.Get(); next.timer != nil {
+		t.Fatal("init left more than one op behind")
+	}
+	p.ops.Put(r.op)
 	return r
 }
 
@@ -82,9 +91,9 @@ func (r *txnClientRig) everyBroker(t *testing.T, do func(int32) error) {
 	}
 }
 
-// busy reports whether the rig's op is the one running the current
-// operation: off the free list with a request outstanding.
-func (r *txnClientRig) busy() bool { return r.op.corr != 0 && len(r.p.free) == 0 }
+// busy reports whether the rig's op is running an operation: a request
+// is outstanding (finish clears corr before the op goes back to the list).
+func (r *txnClientRig) busy() bool { return r.op.corr != 0 }
 
 // follower returns a broker that leads neither the data partition nor
 // the transaction log: slowing it delays acks=all answers and nothing
@@ -147,7 +156,7 @@ func TestLateAnswerDoesNotCompleteRecycledOp(t *testing.T) {
 		var committedAtDone uint64
 		r.p.Commit(func(c wire.ErrorCode) { committed, committedAtDone = c, r.tc.Stats().TxnsCommitted })
 		if !r.busy() || r.op.kind != opEndTxn {
-			t.Fatalf("commit does not run on the recycled op: kind=%d corr=%d free=%d", r.op.kind, r.op.corr, len(r.p.free))
+			t.Fatalf("commit does not run on the recycled op: kind=%d corr=%d", r.op.kind, r.op.corr)
 		}
 		r.until(t, "commit answered", func() bool { return committed != pendingCode })
 		if lateDuringEndTxn != 1 {

@@ -54,7 +54,7 @@ func blockedSocketRig(t *testing.T, sendBuffer int) (*des.Simulator, *Producer, 
 }
 
 func (p *Producer) testBatch(payload []byte) *batch {
-	b := p.getBatch()
+	b := p.batches.Get()
 	r := p.getRecord()
 	p.nextKey++
 	r.key, r.payload, r.arrived, r.deadline = p.nextKey, payload, p.sim.Now(), p.sim.Now()+p.cfg.MessageTimeout

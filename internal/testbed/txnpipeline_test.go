@@ -1,7 +1,9 @@
 package testbed
 
 import (
+	"context"
 	"reflect"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -277,4 +279,33 @@ func TestTxnPipelineRetriesThroughBrokerOutages(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTxnOffsetForwardRefusedWaitsForRetry crashes the only replica of
+// the offsets log while a transaction commits with staged offsets. The
+// group coordinator refuses each forwarded offset synchronously
+// (COORDINATOR_NOT_AVAILABLE) until the broker is back; the refusal must
+// leave the drive pass to the retry timer, not forward again at once,
+// which recursed without bound and died of a stack overflow that recover
+// cannot catch. The lowered stack ceiling makes that death immediate.
+func TestTxnOffsetForwardRefusedWaitsForRetry(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(16 << 20))
+	e := TxnExperiment{
+		Seed: 8, Messages: 400, Partitions: 3, ReplicationFactor: 1,
+		TxnTimeout: 5 * time.Second, MaxSimTime: 60 * time.Second,
+		FaultPlan: chaos.Plan{Faults: []chaos.Fault{
+			{Kind: chaos.BrokerCrash, At: 5 * time.Millisecond, Duration: 50 * time.Millisecond, Broker: 0},
+		}},
+	}
+	r, err := RunTxnCtx(context.Background(), e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Duration > e.MaxSimTime {
+		t.Fatalf("run ended at %v, past its %v horizon", r.Duration, e.MaxSimTime)
+	}
+	if !r.Completed || r.TxnStats.Redrives == 0 {
+		t.Fatalf("completed=%v after %d re-drives: the retry timer did not carry the commit through", r.Completed, r.TxnStats.Redrives)
+	}
+	verifyTxnRun(t, e, r)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 	"time"
 
@@ -47,6 +48,18 @@ type ledger struct {
 	dataLost                     uint64
 }
 
+// pooled is the number of values waiting in l; des keeps the list's slice
+// to itself, and the audit only reads its length through reflection, by
+// the field's name (des.FreeList.free carries a note saying so).
+func pooled[T any](t *testing.T, l *des.FreeList[T]) int {
+	t.Helper()
+	f := reflect.ValueOf(l).Elem().FieldByName("free")
+	if f.Kind() != reflect.Slice {
+		t.Fatal("des.FreeList has no slice field \"free\" to count pooled values from")
+	}
+	return f.Len()
+}
+
 func inFlight(l *netem.Link) int {
 	c := l.Counters()
 	return int(c.Offered - c.Delivered - c.LostRandom - c.LostOverflow)
@@ -87,8 +100,8 @@ func (g *ledger) check() {
 		last, peak   *int
 	}{
 		{"payload buffer", aliveBufs, aliveBufs + len(pool.free), &g.bufs, &g.peakBufs},
-		{"dataPkt", inFlight(g.path.Fwd), inFlight(g.path.Fwd) + len(client.freeData), &g.data, &g.peakPkts},
-		{"ackPkt", inFlight(g.path.Rev), inFlight(g.path.Rev) + len(server.freeAck), &g.acks, &g.peakAcks},
+		{"dataPkt", inFlight(g.path.Fwd), inFlight(g.path.Fwd) + pooled(g.t, &client.datas), &g.data, &g.peakPkts},
+		{"ackPkt", inFlight(g.path.Rev), inFlight(g.path.Rev) + pooled(g.t, &server.acks), &g.acks, &g.peakAcks},
 	} {
 		if c.total < *c.last {
 			g.t.Fatalf("t=%v: %d %s(s) alive or pooled, %d a moment ago: one met its end without being put back",
@@ -99,7 +112,7 @@ func (g *ledger) check() {
 			*c.peak = c.alive
 		}
 	}
-	if len(server.freeData) != 0 || len(client.freeAck) != 0 {
+	if pooled(g.t, &server.datas) != 0 || pooled(g.t, &client.acks) != 0 {
 		g.t.Fatalf("a packet went back to the wrong endpoint's free list")
 	}
 }

@@ -180,10 +180,10 @@ type Endpoint struct {
 	sndNxt    int64 // next byte to segment
 	bufBase   int64 // byte offset of sendBuf[sendHead]
 	inFlight  []*segMeta
-	freeMeta  []*segMeta // segMeta free list
-	freeData  []*dataPkt // dataPkt free list
-	freeAck   []*ackPkt  // ackPkt free list
-	bufs      *bufPool   // payload buffers, shared with the peer
+	metas     des.FreeList[segMeta] // in-flight segment records
+	datas     des.FreeList[dataPkt] // data packets, back from the link
+	acks      des.FreeList[ackPkt]  // acknowledgements, back from the link
+	bufs      *bufPool              // payload buffers, shared with the peer
 	cwnd      float64
 	ssthresh  float64
 	rto       time.Duration
@@ -249,44 +249,19 @@ func NewConn(sim *des.Simulator, path *netem.Path, cfg Config) (*Conn, error) {
 }
 
 func (e *Endpoint) getMeta() *segMeta {
-	if n := len(e.freeMeta); n > 0 {
-		m := e.freeMeta[n-1]
-		e.freeMeta[n-1] = nil
-		e.freeMeta = e.freeMeta[:n-1]
-		*m = segMeta{}
-		return m
-	}
-	return &segMeta{}
+	m := e.metas.Get()
+	*m = segMeta{}
+	return m
 }
 
-func (e *Endpoint) putMeta(m *segMeta) { e.freeMeta = append(e.freeMeta, m) }
 func (e *Endpoint) putDataPkt(p *dataPkt) {
 	*p = dataPkt{}
-	e.freeData = append(e.freeData, p)
+	e.datas.Put(p)
 }
+
 func (e *Endpoint) putAckPkt(p *ackPkt) {
 	*p = ackPkt{}
-	e.freeAck = append(e.freeAck, p)
-}
-
-func (e *Endpoint) getDataPkt() *dataPkt {
-	if n := len(e.freeData); n > 0 {
-		p := e.freeData[n-1]
-		e.freeData[n-1] = nil
-		e.freeData = e.freeData[:n-1]
-		return p
-	}
-	return &dataPkt{}
-}
-
-func (e *Endpoint) getAckPkt() *ackPkt {
-	if n := len(e.freeAck); n > 0 {
-		p := e.freeAck[n-1]
-		e.freeAck[n-1] = nil
-		e.freeAck = e.freeAck[:n-1]
-		return p
-	}
-	return &ackPkt{}
+	e.acks.Put(p)
 }
 
 func newEndpoint(name string, sim *des.Simulator, cfg Config, out *netem.Link) *Endpoint {
@@ -333,7 +308,7 @@ func (e *Endpoint) reset() {
 	e.sendHead = 0
 	e.sndUna, e.sndNxt, e.bufBase = 0, 0, 0
 	for i, m := range e.inFlight {
-		e.putMeta(m)
+		e.metas.Put(m)
 		e.inFlight[i] = nil
 	}
 	e.inFlight = e.inFlight[:0]
@@ -486,7 +461,7 @@ func (e *Endpoint) transmit(m *segMeta, payload []byte) {
 	e.stats.SegmentsSent++
 	e.cSegSent.Inc()
 	e.trace.Emit(obs.LayerTransport, obs.EvSegmentSend, uint64(m.seq), int64(m.size), int64(m.retries), e.name)
-	p := e.getDataPkt()
+	p := e.datas.Get()
 	p.from, p.gen, p.seq, p.payload = e, e.genSent, m.seq, payload
 	if !e.out.SendFn(m.size+segmentOverhead, deliverDataPkt, p) {
 		e.putDataPkt(p)
@@ -554,7 +529,7 @@ func (e *Endpoint) fail(err error) {
 	}
 	e.timer.Stop()
 	for i, m := range e.inFlight {
-		e.putMeta(m)
+		e.metas.Put(m)
 		e.inFlight[i] = nil
 	}
 	e.inFlight = e.inFlight[:0]
@@ -616,7 +591,7 @@ func (e *Endpoint) deliver(payload []byte) {
 func (e *Endpoint) sendAck() {
 	e.stats.AcksSent++
 	e.cAcksSent.Inc()
-	p := e.getAckPkt()
+	p := e.acks.Get()
 	p.from, p.gen, p.ack = e, e.genSent, e.rcvNxt
 	if !e.out.SendFn(ackSize, deliverAckPkt, p) {
 		e.putAckPkt(p)
@@ -681,7 +656,7 @@ func (e *Endpoint) receiveAck(ack int64) {
 		if m.rttEligible && m.sentAt > sampleAt {
 			sampleAt = m.sentAt
 		}
-		e.putMeta(m)
+		e.metas.Put(m)
 		acked++
 	}
 	if acked > 0 {
