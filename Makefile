@@ -68,16 +68,18 @@ live:
 ## truncating and catching up against a model), of the predictor file
 ## reader (internal/core: a file Load accepts predicts a probability), of
 ## the event kernel (internal/des: fuzz bytes drive the model-checked
-## interleavings of heap and lane events) and of the experiment
+## interleavings of heap and lane events), of the experiment
 ## configuration (internal/testbed: one field of a valid experiment
-## mutated; an error or a run bounded by its horizon and the event cap) —
+## mutated; an error or a run bounded by its horizon and the event cap)
+## and of the dense key tally (internal/consumer: range sets with gaps,
+## empty ranges, key 0 and foreign keys, against a map reconciler) —
 ## one invocation per target because `go test -fuzz` takes exactly one,
 ## nothing downloaded.
 ## The seed corpus already runs in `make test`; this leg mutates it. A
 ## crasher is written to internal/<pkg>/testdata/fuzz/<target>/ and fails
 ## the run: commit it with the fix, and it is a regression test from then on.
 fuzz-smoke:
-	@for t in wire:FuzzSplitter wire:FuzzDecode wire:FuzzSlabClone storage:FuzzLogReplicas core:FuzzPredictorLoad des:FuzzModel testbed:FuzzExperiment; do \
+	@for t in wire:FuzzSplitter wire:FuzzDecode wire:FuzzSlabClone storage:FuzzLogReplicas core:FuzzPredictorLoad des:FuzzModel testbed:FuzzExperiment consumer:FuzzKeyRanges; do \
 		$(GO) test ./internal/$${t%%:*} -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime 3s || exit 1; done
 
 ## bench-repo: the repository benchmark's headline pass (BENCHMARK.json;

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"kafkarel"
+	"kafkarel/internal/chaos/campaign"
 	"kafkarel/internal/figures"
 	"kafkarel/internal/obs"
 	"kafkarel/internal/testbed"
@@ -154,26 +155,32 @@ func TestSpanPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestWholeRunAllocationCeilings holds three whole runs, on one worker,
+// TestWholeRunAllocationCeilings holds five whole runs, on one worker,
 // to their measured allocation costs plus 20%: the allocation counts of
 // Fig. 7 at 600 records per point (88 experiments), the allocation count
 // and the bytes per record of a 32-producer fleet over 8 topic shards
 // with keyed routing and a consumer-group drain (its offset commits ride
-// the replicated offsets log), and the bytes per record of an
-// ingest-shaped run (the benchmark's ingest_steady at 20000 records:
-// 200 B messages, B = 10, RF 3, four partitions, 1 ms). On go1.24 the two
-// counts were pinned at 42549 and 14693, and read 42637-42638 and
-// 14722-14724 once fetches copied out into a per-broker scratch; since
-// pooled jobs and metric handles come in blocks (des.FreeList, the
-// obs.Registry's blocks) they read 23080-23081 and 11230-11232 and are
-// pinned there, so the ceiling no longer lets the counts drift back to the
-// old ones. Three runs read 474.6-475.1 B for the fleet's bytes before the
-// blocks and 483.3-483.4 B after (a block's unused tail); its pin stays at
-// the older 475.1 on purpose, a tighter ceiling the new reading sits well
-// under. The ingest run reads 116.4 B. So the 20% is room for deliberate change, not noise: a cost
-// that grows with the records, even one allocation or one header copy per
-// record, breaks it. Race builds run extra checks on the producer,
-// consumer and storage paths that allocate, and skip.
+// the replicated offsets log), the bytes per record of an ingest-shaped
+// run (the benchmark's ingest_steady at 20000 records: 200 B messages,
+// B = 10, RF 3, four partitions, 1 ms), and the bytes per acquired record
+// of an eight-trial exactly-once chaos campaign with consumer groups and
+// the end-to-end verifier (the first campaign of the benchmark's
+// chaos_mix). On go1.24 the two counts were pinned at 42549 and 14693,
+// and read 42637-42638 and 14722-14724 once fetches copied out into a
+// per-broker scratch; since pooled jobs and metric handles come in blocks
+// (des.FreeList, the obs.Registry's blocks) they read 23080-23081 and
+// 11230-11232 and are pinned there, so the ceiling no longer lets the
+// counts drift back to the old ones; a free list's first block sized by
+// its value's bytes reads 23236-23237 and 11152-11153. Three runs read
+// 474.6-475.1 B for the fleet's bytes before the blocks and 483.3-483.4 B
+// after (a block's unused tail); since the verifiers count keys in dense
+// arrays and read the group's logs in place it reads 448.4-448.6 B and is
+// pinned there. The campaign read 1334.2-1335.0 B with hash-map key sets
+// and copied evidence, 956.7-957.0 B after. The ingest run reads 116.4 B.
+// So the 20% is room for deliberate change, not noise: a cost that grows
+// with the records, even one allocation or one header copy per record,
+// breaks it. Race builds run extra checks on the producer, consumer and
+// storage paths that allocate, and skip.
 func TestWholeRunAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race builds allocate in their extra checks")
@@ -235,7 +242,7 @@ func TestWholeRunAllocationCeilings(t *testing.T) {
 			return err
 		})},
 		{"fleet", "allocations", 11232, allocs(fleet)},
-		{"fleet-bytes", "B per record", 475.1, bytes(fleetRecords, fleet)},
+		{"fleet-bytes", "B per record", 448.5, bytes(fleetRecords, fleet)},
 		{"ingest", "B per record", 116.4, bytes(ingestRecords, func() error {
 			res, err := testbed.Run(testbed.Experiment{
 				Features: kafkarel.Features{
@@ -253,6 +260,25 @@ func TestWholeRunAllocationCeilings(t *testing.T) {
 			}
 			return err
 		})},
+		{"chaos-bytes", "B per record", 957.0, func(t *testing.T) float64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sc, err := campaign.Run(context.Background(), campaign.Config{
+				Mode: campaign.ModeExactlyOnce, E2E: true, Trials: 8, Seed: 1, Workers: 1,
+			})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sc.Failed > 0 {
+				t.Fatalf("%d of %d trials failed verification", sc.Failed, sc.Trials)
+			}
+			var records uint64
+			for _, row := range sc.Rows {
+				records += row.Acquired
+			}
+			return float64(after.TotalAlloc-before.TotalAlloc) / float64(records)
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			got := c.measure(t)

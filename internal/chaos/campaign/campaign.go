@@ -408,12 +408,7 @@ func runTrial(ctx context.Context, cfg Config, planSeed, workloadSeed uint64) (R
 	})
 	if cfg.E2E {
 		in, _ := res.GroupRuns[0].VerifierInputs(sem, rf, plan, res.OffsetRegressions)
-		in.AckedKeys = make(map[uint64]bool, len(res.Outcomes))
-		for _, o := range res.Outcomes {
-			if o.State == producer.StateDelivered || o.State == producer.StateDuplicated {
-				in.AckedKeys[o.Key] = true
-			}
-		}
+		in.Acked = chaos.AckedTally(res.Outcomes)
 		verdict.Merge(chaos.VerifyE2E(in))
 	}
 	row := newRow(cfg, planSeed, workloadSeed, plan, res.BrokerStats, verdict)

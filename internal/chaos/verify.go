@@ -92,18 +92,20 @@ func (v *Verdict) note(format string, args ...any) {
 func Verify(in TrialInput) Verdict {
 	var v Verdict
 
-	// 1. Conservation and outcome-log consistency.
+	// 1. Conservation and outcome-log consistency. Every key set below
+	// is a consumer.Tally over the outcome keys' span: a consumed key
+	// outside it has no outcome, and only such a key reaches a map.
+	span := []consumer.KeyRange{outcomeSpan(in.Outcomes)}
+	outcome := consumer.NewRangeTally(span) // ackedKey | lostKey bits
 	var nDelivered, nLost, nOther uint64
-	acked := make(map[uint64]bool, len(in.Outcomes))
-	lost := make(map[uint64]bool)
 	for _, o := range in.Outcomes {
 		switch o.State {
 		case producer.StateDelivered, producer.StateDuplicated:
 			nDelivered++
-			acked[o.Key] = true
+			outcome.Set(o.Key, outcome.Get(o.Key)|ackedKey)
 		case producer.StateLost:
 			nLost++
-			lost[o.Key] = true
+			outcome.Set(o.Key, outcome.Get(o.Key)|lostKey)
 		default:
 			nOther++
 		}
@@ -132,24 +134,26 @@ func Verify(in TrialInput) Verdict {
 		v.fail("%d foreign keys in the log", in.Report.Foreign)
 	}
 
-	// Consumed key set and per-partition ordering.
-	seen := make(map[uint64]bool)
+	// Consumed key set and per-partition ordering. seenIn holds p+1 for
+	// the last partition p a key appeared in: partitions are read one
+	// after another, so a key whose value is already p+1 is a copy
+	// replayed within p, and a value other than 0 means consumed.
+	seenIn := consumer.NewRangeTally(span)
 	for p, keys := range in.Consumed {
 		var lastNew uint64
-		inPart := make(map[uint64]bool, len(keys))
+		mark := uint32(p + 1)
 		for _, k := range keys {
-			seen[k] = true
-			if inPart[k] {
+			if seenIn.Get(k) == mark {
 				continue // replayed copy; first appearance already ordered
 			}
-			inPart[k] = true
+			seenIn.Set(k, mark)
 			// 5. Ordering at max-in-flight 1: with the retrying batch
 			// holding its in-flight slot (Kafka's partition muting), a new
 			// key can never appear before an earlier one. Records the
 			// producer resolved lost are exempt: a timed-out batch
 			// releases its slot, so its zombie copy (Case 3: the attempt
 			// landed after the give-up) may appear anywhere in the log.
-			if lost[k] {
+			if outcome.Get(k)&lostKey != 0 {
 				continue
 			}
 			if in.MaxInFlight == 1 && k <= lastNew {
@@ -162,13 +166,19 @@ func Verify(in TrialInput) Verdict {
 		}
 	}
 
-	// 3. Acked ⇒ appended.
-	var ackedLost uint64
-	for k := range acked {
-		if !seen[k] {
+	// 3. Acked ⇒ appended. Producer-lost records that still appear are
+	// the paper's Case 3/5 ambiguity (a timed-out attempt's copy landed
+	// anyway): expected under retries, never a violation.
+	var ackedLost, lostButAppeared uint64
+	outcome.Each(func(k uint64, bits uint32) {
+		seen := seenIn.Get(k) != 0
+		if bits&ackedKey != 0 && !seen {
 			ackedLost++
 		}
-	}
+		if bits&lostKey != 0 && seen {
+			lostButAppeared++
+		}
+	})
 	if ackedLost > 0 {
 		switch {
 		case in.Semantics == producer.ExactlyOnce:
@@ -178,16 +188,6 @@ func Verify(in TrialInput) Verdict {
 		default:
 			v.note("%d acked records lost to broker outage under %v (expected acks=1 loss)",
 				ackedLost, in.Semantics)
-		}
-	}
-
-	// Producer-lost records that still appear: the paper's Case 3/5
-	// ambiguity (a timed-out attempt's copy landed anyway). Expected
-	// under retries; never a violation.
-	var lostButAppeared uint64
-	for k := range lost {
-		if seen[k] {
-			lostButAppeared++
 		}
 	}
 	if lostButAppeared > 0 {
@@ -248,4 +248,30 @@ func Verify(in TrialInput) Verdict {
 	}
 
 	return v
+}
+
+// The bits chaos.Verify keeps per outcome key.
+const (
+	ackedKey uint32 = 1 << iota // some outcome delivered or duplicated it
+	lostKey                     // some outcome lost it
+)
+
+// outcomeSpan is the key range min..max of the outcome log's keys.
+func outcomeSpan(outcomes []producer.Outcome) consumer.KeyRange {
+	lo, hi := ^uint64(0), uint64(0)
+	for _, o := range outcomes {
+		if o.Key != 0 {
+			lo, hi = min(lo, o.Key), max(hi, o.Key)
+		}
+	}
+	return keyRange(lo, hi)
+}
+
+// keyRange is the range of keys lo..hi, or no range when hi is 0: key 0
+// is outside every range, so a set of keys with no other spans nothing.
+func keyRange(lo, hi uint64) consumer.KeyRange {
+	if hi == 0 {
+		return consumer.KeyRange{}
+	}
+	return consumer.KeyRange{Base: lo - 1, Count: hi - lo + 1}
 }

@@ -32,9 +32,40 @@ type E2EInput struct {
 	// Regressions are committed watermarks the offsets log lost across
 	// unclean restarts (coordinator rematerialization evidence).
 	Regressions []coordinator.OffsetRegression
-	// AckedKeys, when non-nil, is the set of keys the producer counts
-	// acknowledged — the coverage obligation a drained group must meet.
+	// Acked, when non-nil, holds a non-zero value for each key the
+	// producer counts acknowledged (AckedTally builds it from the outcome
+	// log) — the coverage obligation a drained group must meet.
+	Acked *consumer.Tally
+	// AckedKeys is the same obligation as a key set, for a caller that
+	// holds one; it is read only when Acked is nil.
 	AckedKeys map[uint64]bool
+}
+
+// AckedTally is E2EInput.Acked for a producer's outcome log: the keys it
+// resolved delivered or duplicated, over the span of its keys.
+func AckedTally(outcomes []producer.Outcome) *consumer.Tally {
+	acked := consumer.NewRangeTally([]consumer.KeyRange{outcomeSpan(outcomes)})
+	for _, o := range outcomes {
+		if o.State == producer.StateDelivered || o.State == producer.StateDuplicated {
+			acked.Set(o.Key, 1)
+		}
+	}
+	return acked
+}
+
+// ackedSetTally is E2EInput.Acked for a key set: every key in it.
+func ackedSetTally(set map[uint64]bool) *consumer.Tally {
+	lo, hi := ^uint64(0), uint64(0)
+	for k := range set {
+		if k != 0 {
+			lo, hi = min(lo, k), max(hi, k)
+		}
+	}
+	acked := consumer.NewRangeTally([]consumer.KeyRange{keyRange(lo, hi)})
+	for k := range set {
+		acked.Set(k, 1)
+	}
+	return acked
 }
 
 // VerifyE2E checks the consumer-group invariants of one trial. The
@@ -145,23 +176,26 @@ func VerifyE2E(in E2EInput) Verdict {
 		}
 	}
 
-	// 5. Acked-key coverage.
-	if in.AckedKeys != nil {
+	// 5. Acked-key coverage: clear each delivered key in a copy of the
+	// acked keys; what stays set was never delivered.
+	acked := in.Acked
+	if acked == nil && in.AckedKeys != nil {
+		acked = ackedSetTally(in.AckedKeys)
+	}
+	if acked != nil {
 		if !ev.Drained {
 			v.note("e2e: group did not drain cleanly; coverage not checkable")
 		} else {
-			delivered := make(map[uint64]bool)
+			pending := acked.Clone()
 			for _, keys := range in.ConsumedKeys {
 				for _, k := range keys {
-					delivered[k] = true
+					if pending.Get(k) != 0 {
+						pending.Set(k, 0)
+					}
 				}
 			}
 			missing := 0
-			for k := range in.AckedKeys {
-				if !delivered[k] {
-					missing++
-				}
-			}
+			pending.Each(func(uint64, uint32) { missing++ })
 			if missing > 0 {
 				switch {
 				case eo:

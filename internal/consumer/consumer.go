@@ -7,8 +7,10 @@
 package consumer
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"kafkarel/internal/cluster"
 	"kafkarel/internal/wire"
@@ -93,8 +95,9 @@ type Report struct {
 	NDuplicated uint64
 	// ExtraCopies is the total number of redundant record copies.
 	ExtraCopies uint64
-	// Foreign counts records with keys outside 1..N (corruption guard;
-	// always zero in a healthy run).
+	// Foreign counts records with keys outside 1..N, or outside every
+	// range of a multi-producer source (corruption guard; always zero in
+	// a healthy run).
 	Foreign uint64
 }
 
@@ -137,85 +140,182 @@ type KeyRange struct {
 
 // ReconcileRangesKeys reconciles the keys of records produced by several
 // producers into one topic, each owning a disjoint KeyRange — one key
-// slice per partition, as produced by Group.ConsumedKeys. It is Tally
-// generalised from the single span 1..N to a union of spans: a key
-// inside some range counts toward Distinct/NDuplicated, a key outside
-// every range is Foreign, and NLost is the total range size minus the
-// distinct keys seen. Ranges must be disjoint; order does not matter.
+// slice per partition, as produced by Group.ConsumedKeys. A key inside
+// some range counts toward Distinct/NDuplicated, a key outside every
+// range is Foreign, and NLost is the total range size minus the distinct
+// keys seen. Ranges must be disjoint; order does not matter.
 func ReconcileRangesKeys(ranges []KeyRange, keys [][]uint64) Report {
-	sorted := make([]KeyRange, 0, len(ranges))
-	var rep Report
-	for _, r := range ranges {
-		rep.SourceCount += r.Count
-		if r.Count > 0 {
-			sorted = append(sorted, r)
-		}
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Base < sorted[j].Base })
-	inRange := func(k uint64) bool {
-		// Find the last range with Base < k; k belongs to it iff
-		// k <= Base+Count.
-		i := sort.Search(len(sorted), func(i int) bool { return sorted[i].Base >= k })
-		if i == 0 {
-			return false
-		}
-		r := sorted[i-1]
-		return k <= r.Base+r.Count
-	}
-	total := 0
+	t := NewRangeTally(ranges)
 	for _, ks := range keys {
-		total += len(ks)
+		t.AddKeys(ks)
 	}
-	seen := make(map[uint64]uint64, total)
-	for _, ks := range keys {
-		for _, k := range ks {
-			if k == 0 || !inRange(k) {
-				rep.Foreign++
-				continue
-			}
-			seen[k]++
-		}
-	}
-	rep.Distinct = uint64(len(seen))
-	rep.NLost = rep.SourceCount - rep.Distinct
-	for _, n := range seen {
-		if n > 1 {
-			rep.NDuplicated++
-			rep.ExtraCopies += n - 1
-		}
-	}
-	return rep
+	return t.Report()
 }
 
-// Tally reconciles a stream of consumed records against the contiguous
-// source key space 1..sourceCount without holding the records: one
-// counter per source key, so verifying a run costs four bytes per message
-// produced however many copies the topic holds.
+// Tally holds one uint32 per key of a union of disjoint KeyRanges, and
+// finds a key's value without hashing: the ranges' keys, concatenated in
+// key order, index one slice, so key k of the range based at B whose
+// first key sits at index s has index s+k-B-1. A key outside every range
+// (key 0, a gap between ranges, past the last) goes to an overflow map;
+// such a key is foreign, itself a violation, and a healthy run never
+// allocates the map.
+//
+// As a counter (Add, AddKeys, Report) it reconciles a stream of consumed
+// records against the source without holding the records: verifying a
+// run costs four bytes per key produced however many copies the topic
+// holds. Get and Set read and write the same values as a table indexed
+// by key.
 type Tally struct {
-	copies  []uint32 // copies[k-1] counts deliveries of source key k
-	foreign uint64
+	// spans holds the non-empty ranges in key order when there are two
+	// or more; hot is the one that held the last key found (keys come in
+	// runs), and the only one when spans is nil.
+	spans []keySpan
+	hot   keySpan
+	vals  []uint32
+	over  map[uint64]uint32 // keys outside every range
 }
 
-// NewTally creates an empty tally over source keys 1..sourceCount.
+// keySpan is a non-empty KeyRange and the index of its first key.
+type keySpan struct {
+	KeyRange
+	start int
+}
+
+// has reports whether k is one of the span's keys.
+func (s *keySpan) has(k uint64) bool { return k > s.Base && k-s.Base <= s.Count }
+
+// NewTally creates an empty tally over source keys 1..sourceCount. It
+// does not go through NewRangeTally so that it inlines: a caller's Tally
+// can then live on its stack.
 func NewTally(sourceCount uint64) *Tally {
-	return &Tally{copies: make([]uint32, sourceCount)}
+	return &Tally{hot: keySpan{KeyRange: KeyRange{Count: sourceCount}}, vals: make([]uint32, sourceCount)}
 }
 
-// Add counts a run of consumed records.
+// NewRangeTally creates an empty tally over the union of ranges, which
+// must be disjoint and may come in any order. It holds four bytes per
+// key of the union.
+func NewRangeTally(ranges []KeyRange) *Tally {
+	var one [1]keySpan // one range, the common case, allocates no spans
+	spans := one[:0]
+	for _, r := range ranges {
+		if r.Count > 0 {
+			spans = append(spans, keySpan{KeyRange: r})
+		}
+	}
+	slices.SortFunc(spans, func(a, b keySpan) int { return cmp.Compare(a.Base, b.Base) })
+	n := 0
+	for i := range spans {
+		spans[i].start = n
+		n += int(spans[i].Count)
+	}
+	t := &Tally{vals: make([]uint32, n)}
+	if len(spans) > 0 {
+		t.hot = spans[0]
+	}
+	if len(spans) > 1 {
+		t.spans = slices.Clone(spans)
+	}
+	return t
+}
+
+// index returns k's slot in vals, or false for a key outside every range.
+func (t *Tally) index(k uint64) (int, bool) {
+	if !t.hot.has(k) {
+		// Only the last span based below k can hold it.
+		s := t.spans
+		i, _ := slices.BinarySearchFunc(s, k, func(sp keySpan, k uint64) int { return cmp.Compare(sp.Base, k) })
+		if i == 0 || !s[i-1].has(k) {
+			return 0, false
+		}
+		t.hot = s[i-1]
+	}
+	return t.hot.start + int(k-t.hot.Base-1), true
+}
+
+// Add counts a run of consumed records. A key of the hot span, nearly
+// every key, is counted in the loop itself, with no call: counting a
+// record costs what it did when a tally held only the span 1..N.
 func (t *Tally) Add(records []wire.Record) {
 	for i := range records {
-		if k := records[i].Key - 1; k < uint64(len(t.copies)) { // key 0 wraps past the end
-			t.copies[k]++
+		if k := records[i].Key; t.hot.has(k) {
+			t.vals[t.hot.start+int(k-t.hot.Base-1)]++
 		} else {
-			t.foreign++
+			t.incCold(k)
 		}
 	}
 }
 
-// Report returns the reconciliation of everything added so far.
+// AddKeys counts a run of consumed keys, as Add does.
+func (t *Tally) AddKeys(keys []uint64) {
+	for _, k := range keys {
+		if t.hot.has(k) {
+			t.vals[t.hot.start+int(k-t.hot.Base-1)]++
+		} else {
+			t.incCold(k)
+		}
+	}
+}
+
+// incCold counts a key outside the hot span.
+func (t *Tally) incCold(k uint64) {
+	if i, ok := t.index(k); ok {
+		t.vals[i]++
+		return
+	}
+	t.Set(k, t.over[k]+1)
+}
+
+// Get returns k's value: how often it was counted, or what Set stored.
+func (t *Tally) Get(k uint64) uint32 {
+	if i, ok := t.index(k); ok {
+		return t.vals[i]
+	}
+	return t.over[k]
+}
+
+// Set stores v as k's value.
+func (t *Tally) Set(k uint64, v uint32) {
+	if i, ok := t.index(k); ok {
+		t.vals[i] = v
+		return
+	}
+	if t.over == nil {
+		t.over = make(map[uint64]uint32)
+	}
+	t.over[k] = v
+}
+
+// Clone returns a copy of the tally whose values change independently.
+// The two share their spans, which never change after NewRangeTally.
+func (t *Tally) Clone() *Tally {
+	return &Tally{spans: t.spans, hot: t.hot, vals: slices.Clone(t.vals), over: maps.Clone(t.over)}
+}
+
+// Each calls fn with every key whose value is not zero: the ranges' keys
+// in key order, then the foreign ones in no particular order.
+func (t *Tally) Each(fn func(k uint64, v uint32)) {
+	spans := t.spans
+	if spans == nil {
+		spans = []keySpan{t.hot}
+	}
+	for _, s := range spans {
+		for i, v := range t.vals[s.start : s.start+int(s.Count)] {
+			if v != 0 {
+				fn(s.Base+1+uint64(i), v)
+			}
+		}
+	}
+	for k, v := range t.over {
+		if v != 0 {
+			fn(k, v)
+		}
+	}
+}
+
+// Report returns the reconciliation of everything counted so far.
 func (t *Tally) Report() Report {
-	rep := Report{SourceCount: uint64(len(t.copies)), Foreign: t.foreign}
-	for _, n := range t.copies {
+	rep := Report{SourceCount: uint64(len(t.vals))}
+	for _, n := range t.vals {
 		if n > 0 {
 			rep.Distinct++
 		}
@@ -223,6 +323,9 @@ func (t *Tally) Report() Report {
 			rep.NDuplicated++
 			rep.ExtraCopies += uint64(n - 1)
 		}
+	}
+	for _, n := range t.over {
+		rep.Foreign += uint64(n)
 	}
 	rep.NLost = rep.SourceCount - rep.Distinct
 	return rep

@@ -448,21 +448,27 @@ func (g *Group) member(name string) (*Member, error) {
 	return m, nil
 }
 
-// Evidence returns a copy of the group's delivery evidence. Ownership
-// spans still open and partitions still paused are closed at the
-// snapshot time in the copy (the live state is untouched).
+// Evidence returns the group's delivery evidence at this instant.
+// Ownership spans still open and partitions still paused are closed at
+// the snapshot time in the result (the live state is untouched): the
+// ownership spans are a copy, since closing one rewrites it, and the
+// open pauses are appended to a view of the closed ones. Deliveries,
+// CommitAcks and PauseSpans are views of the group's append-only logs,
+// capped at their length, so neither the group's later appends nor a
+// caller's append reach the other; a caller must not write their
+// elements.
 func (g *Group) Evidence() Evidence {
 	now := g.sim.Now()
 	ev := g.ev
-	ev.Deliveries = append([]Delivery(nil), g.ev.Deliveries...)
-	ev.CommitAcks = append([]CommitAck(nil), g.ev.CommitAcks...)
-	ev.OwnershipSpans = append([]OwnershipSpan(nil), g.ev.OwnershipSpans...)
+	ev.Deliveries = capped(g.ev.Deliveries)
+	ev.CommitAcks = capped(g.ev.CommitAcks)
+	ev.OwnershipSpans = slices.Clone(g.ev.OwnershipSpans)
 	for i := range ev.OwnershipSpans {
 		if ev.OwnershipSpans[i].To < 0 {
 			ev.OwnershipSpans[i].To = now
 		}
 	}
-	ev.PauseSpans = append([]PauseSpan(nil), g.ev.PauseSpans...)
+	ev.PauseSpans = capped(g.ev.PauseSpans)
 	for p := range g.pausedAt {
 		if g.pausedAt[p] >= 0 {
 			ev.PausedNs += uint64(now - g.pausedAt[p])
@@ -477,14 +483,19 @@ func (g *Group) Evidence() Evidence {
 }
 
 // ConsumedKeys returns, per partition, the keys delivered to the
-// application in delivery order.
+// application in delivery order: capped views of the group's
+// append-only key logs, as Evidence's. A caller must not write them.
 func (g *Group) ConsumedKeys() [][]uint64 {
 	out := make([][]uint64, len(g.consumed))
 	for p, ks := range g.consumed {
-		out[p] = append([]uint64(nil), ks...)
+		out[p] = capped(ks)
 	}
 	return out
 }
+
+// capped is a view of an append-only log that no append can write
+// through: its capacity is its length, so appending to it copies.
+func capped[T any](s []T) []T { return s[:len(s):len(s)] }
 
 // ---- ownership & pause accounting ----
 

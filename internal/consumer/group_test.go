@@ -2,6 +2,8 @@ package consumer
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -428,4 +430,106 @@ func TestGroupValidation(t *testing.T) {
 	if err := g.Restart("c0"); err == nil {
 		t.Fatal("restart of live member succeeded")
 	}
+}
+
+// TestEvidenceViewsStayApart: Evidence and ConsumedKeys hand out views of
+// the group's append-only logs, not copies. Appending to a view must not
+// reach the group's next snapshot, and the group's later appends must not
+// reach a view taken earlier.
+func TestEvidenceViewsStayApart(t *testing.T) {
+	const partitions, perPart, more = 2, 200, 50
+	r := newGroupRig(t, partitions, perPart)
+	g, err := NewGroup(r.sim, r.co, r.clst, GroupConfig{Topic: "t", Auto: true, CaptureEvidence: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain := false
+	g.SetDrainCheck(func() bool { return drain })
+	for _, name := range []string{"c0", "c1"} {
+		if err := g.Join(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.pump(t, 100*time.Millisecond)
+	ev, keys := g.Evidence(), g.ConsumedKeys()
+	if len(ev.Deliveries) == 0 || len(ev.CommitAcks) == 0 || len(ev.PauseSpans) == 0 {
+		t.Fatalf("snapshot holds %d deliveries, %d commit acks, %d pause spans; want some of each",
+			len(ev.Deliveries), len(ev.CommitAcks), len(ev.PauseSpans))
+	}
+	before := cloneEvidence(ev)
+	beforeKeys := make([][]uint64, len(keys))
+	for p, ks := range keys {
+		beforeKeys[p] = slices.Clone(ks)
+	}
+
+	// Append through every view; the group's snapshot at this instant is
+	// the one taken before.
+	ev.Deliveries = append(ev.Deliveries, Delivery{Partition: 99})
+	ev.CommitAcks = append(ev.CommitAcks, CommitAck{Partition: 99})
+	ev.OwnershipSpans = append(ev.OwnershipSpans, OwnershipSpan{Partition: 99})
+	ev.PauseSpans = append(ev.PauseSpans, PauseSpan{Partition: 99})
+	for p := range keys {
+		keys[p] = append(keys[p], 0)
+	}
+	if again := g.Evidence(); !reflect.DeepEqual(again, before) {
+		t.Fatal("appending to an Evidence view changed the group's next snapshot")
+	}
+	if again := g.ConsumedKeys(); !reflect.DeepEqual(again, beforeKeys) {
+		t.Fatal("appending to a ConsumedKeys view changed the group's next snapshot")
+	}
+
+	// Give the group more to deliver, let it drain, then read both sides
+	// again.
+	key := uint64(partitions * perPart)
+	for p := int32(0); p < partitions; p++ {
+		recs := make([]wire.Record, more)
+		for i := range recs {
+			key++
+			recs[i] = wire.Record{Key: key}
+		}
+		r.clst.Leader("t", p).Log("t", p).Append(recs)
+	}
+	drain = true
+	r.pump(t, 2*time.Second)
+	after, afterKeys := g.Evidence(), g.ConsumedKeys()
+	if len(after.Deliveries) != partitions*(perPart+more) || !after.Drained {
+		t.Fatalf("%d deliveries after the drain (drained %v), want %d", len(after.Deliveries), after.Drained, partitions*(perPart+more))
+	}
+	n, c := len(before.Deliveries), len(before.CommitAcks)
+	if !slices.Equal(ev.Deliveries[:n], before.Deliveries) || ev.Deliveries[n].Partition != 99 ||
+		!slices.Equal(ev.CommitAcks[:c], before.CommitAcks) || ev.CommitAcks[c].Partition != 99 {
+		t.Fatal("the group's later appends reached an earlier view")
+	}
+	if !slices.Equal(after.Deliveries[:n], before.Deliveries) || after.Deliveries[n].Partition == 99 ||
+		!slices.Equal(after.CommitAcks[:c], before.CommitAcks) || after.CommitAcks[c].Partition == 99 {
+		t.Fatal("the next snapshot lost a delivery or holds one appended to an earlier view")
+	}
+	for _, s := range after.OwnershipSpans {
+		if s.Partition == 99 {
+			t.Fatal("the next snapshot holds an ownership span appended to an earlier view")
+		}
+	}
+	for _, s := range after.PauseSpans {
+		if s.Partition == 99 {
+			t.Fatal("the next snapshot holds a pause span appended to an earlier view")
+		}
+	}
+	for p, ks := range afterKeys {
+		m := len(beforeKeys[p])
+		if !slices.Equal(ks[:m], beforeKeys[p]) || len(ks) != perPart+more || slices.Contains(ks, 0) {
+			t.Fatalf("partition %d: the next key snapshot lost a key or holds one appended to an earlier view", p)
+		}
+		if !slices.Equal(keys[p][:m], beforeKeys[p]) || keys[p][m] != 0 {
+			t.Fatalf("partition %d: the group's later deliveries reached an earlier key view", p)
+		}
+	}
+}
+
+// cloneEvidence is a deep copy of ev.
+func cloneEvidence(ev Evidence) Evidence {
+	ev.Deliveries = slices.Clone(ev.Deliveries)
+	ev.CommitAcks = slices.Clone(ev.CommitAcks)
+	ev.OwnershipSpans = slices.Clone(ev.OwnershipSpans)
+	ev.PauseSpans = slices.Clone(ev.PauseSpans)
+	return ev
 }

@@ -11,8 +11,10 @@ type pooled struct {
 	next *pooled
 }
 
-// TestFreeListBlocks pins the block schedule — 8, 8, then as large as
-// everything made so far — and that every value is zero on its first Get.
+// TestFreeListBlocks pins the block schedule — b, b, then as large as
+// everything made so far, where b is 8 for a value of up to 128 B and
+// what fits in 1 KiB, at least one, for a larger one — and that every
+// value is zero on its first Get.
 func TestFreeListBlocks(t *testing.T) {
 	var l FreeList[pooled]
 	var sizes []int
@@ -33,6 +35,30 @@ func TestFreeListBlocks(t *testing.T) {
 	if l.made != 256 {
 		t.Fatalf("made %d, want 256", l.made)
 	}
+	if got, want := blockSizes[[128]byte](64), []int{8, 8, 16, 32}; !slices.Equal(got, want) {
+		t.Errorf("128 B values: block sizes %v, want %v", got, want)
+	}
+	if got, want := blockSizes[[300]byte](48), []int{3, 3, 6, 12, 24}; !slices.Equal(got, want) {
+		t.Errorf("300 B values: block sizes %v, want %v", got, want)
+	}
+	if got, want := blockSizes[[4096]byte](8), []int{1, 1, 2, 4}; !slices.Equal(got, want) {
+		t.Errorf("4 KiB values: block sizes %v, want %v", got, want)
+	}
+}
+
+// blockSizes takes n values from a new FreeList[T] and returns the sizes
+// of the blocks it carved.
+func blockSizes[T any](n int) []int {
+	var l FreeList[T]
+	var sizes []int
+	for i := 0; i < n; i++ {
+		fresh := len(l.block) == 0
+		l.Get()
+		if fresh {
+			sizes = append(sizes, len(l.block)+1)
+		}
+	}
+	return sizes
 }
 
 // TestFreeListReusesLastPut checks Put→Get order: the value put back last

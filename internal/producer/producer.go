@@ -233,9 +233,10 @@ func WithTimeliness(s time.Duration) Option {
 }
 
 // WithOutcomeLog enables per-record outcome recording (memory-heavy for
-// large experiments; aggregates are always kept).
-func WithOutcomeLog() Option {
-	return func(p *Producer) { p.outcomes = make([]Outcome, 0, 1024) }
+// large experiments; aggregates are always kept), with room for capacity
+// outcomes before the log grows: one per record the source holds.
+func WithOutcomeLog(capacity int) Option {
+	return func(p *Producer) { p.outcomes = make([]Outcome, 0, capacity) }
 }
 
 // produceErrorMetrics holds ProduceErrorMetric's names, built once: every

@@ -359,7 +359,7 @@ func TestExactlyOnceSuppressesDuplicates(t *testing.T) {
 
 func TestOutcomeLogAndLatency(t *testing.T) {
 	cfg := baseConfig()
-	r := buildRig(t, cfg, 25, rigOpts{delayMs: 10}, producer.WithOutcomeLog(),
+	r := buildRig(t, cfg, 25, rigOpts{delayMs: 10}, producer.WithOutcomeLog(25),
 		producer.WithTimeliness(time.Millisecond))
 	rep := r.run(t)
 	if rep.NLost != 0 {

@@ -40,6 +40,9 @@ type rig struct {
 	co      *coordinator.Coordinator
 	groups  []*consumer.Group // every group, in join order
 	clients []*client
+	// finished counts the clients whose producer has finished, so
+	// allDone, asked on every member's poll tick, is one comparison.
+	finished int
 	// timelines holds every sampled timeline in sampler order; run takes
 	// their final samples.
 	timelines []*obs.Timeline
@@ -213,12 +216,15 @@ func (r *rig) addClient(s clientSpec) (*client, error) {
 	c := &client{path: path, conn: conn, doneAt: -1}
 	opts := []producer.Option{
 		producer.WithTimeliness(s.v.Timeliness),
-		producer.WithCompletion(func() { c.doneAt = r.sim.Now() }),
+		producer.WithCompletion(func() {
+			c.doneAt = r.sim.Now()
+			r.finished++
+		}),
 		producer.WithObs(r.o),
 		producer.WithRetryRand(rand.New(rand.NewPCG(s.seed, 0x03))),
 	}
 	if s.outcomes {
-		opts = append(opts, producer.WithOutcomeLog())
+		opts = append(opts, producer.WithOutcomeLog(s.messages))
 	}
 	costs := newCostModel(r.cal, rand.New(rand.NewPCG(s.seed, 0x02)))
 	c.prod, err = producer.New(r.sim, s.cfg, costs, conn, src, opts...)
@@ -232,12 +238,17 @@ func (r *rig) addClient(s clientSpec) (*client, error) {
 // allDone reports whether every client's producer finished — the
 // groups' drain predicate and the shared samplers' stop condition.
 func (r *rig) allDone() bool {
-	for _, c := range r.clients {
-		if !c.prod.Done() {
-			return false
+	done := r.finished == len(r.clients)
+	if verifyFinished {
+		walked := true
+		for _, c := range r.clients {
+			walked = walked && c.prod.Done()
+		}
+		if walked != done {
+			panic(fmt.Sprintf("testbed: %d of %d producers counted finished, but walking them says all done = %v", r.finished, len(r.clients), walked))
 		}
 	}
-	return true
+	return done
 }
 
 // injectFaults registers a fault plan against the rig. The caller
