@@ -148,14 +148,30 @@ bench-pairs:
 ## CHAOS_SEEDS; the other three workloads at 1, 2 and 45798949 (the seed
 ## that exposed the recovered-replica bug). Fails on any correct=false
 ## and, at seed 1, on a fingerprint that left bench/golden.json.
+## make bench-seeds PARENT=<git ref> also builds ./bench from a clean
+## export of PARENT (into bench/out/seeds/, as bench-pairs does), runs it
+## at every same workload and seed, and fails on any seed whose
+## sim_fingerprint differs from the parent's: "simulated behaviour
+## unchanged at all sixteen chaos seeds" as one command, for a change to
+## the recovery path or any other change that must not move a run.
 CHAOS_SEEDS = 1 2 45798949 3 5 7 11 13 17 101 202 4242 65537 20260806 271828182 3141592653
+bench-seeds: SHELL := /bin/bash
 bench-seeds:
 	@mkdir -p bench/out && $(GO) build -o bench/out/bench-seeds ./bench
+	@$(if $(PARENT),out=bench/out/seeds; rm -rf $$out && mkdir -p $$out/src && git archive $(PARENT) | tar -x -C $$out/src && \
+		(cd $$out/src && $(GO) build -o ../parent ./bench) || exit 1)
 	@fail=0; \
+	fingerprint() { sed -n 's/^  sim_fingerprint //p' <<< "$$1"; }; \
 	run() { out="$$(bench/out/bench-seeds -workload $$1 -seed $$2 -trace 0 -repeats 1 2>&1)"; \
 		echo "$$out" | grep -E '^workload|FAILED' | sed "s/^/seed $$2: /"; \
 		if echo "$$out" | grep -qE 'correct=false|sim_stats_changed: true' || ! echo "$$out" | grep -q 'correct=true'; then \
-			echo "bench-seeds: $$1 at seed $$2 failed"; fail=1; fi; }; \
+			echo "bench-seeds: $$1 at seed $$2 failed"; fail=1; fi; \
+		if [ -n "$(PARENT)" ]; then \
+			fp=$$(fingerprint "$$out"); pfp=$$(fingerprint "$$(bench/out/seeds/parent -workload $$1 -seed $$2 -trace 0 -repeats 1 2>&1)"); \
+			if [ -z "$$fp" ] || [ "$$fp" != "$$pfp" ]; then \
+				echo "bench-seeds: $$1 at seed $$2: sim_fingerprint $$fp, $(PARENT) has $$pfp"; fail=1; \
+			else echo "seed $$2: sim_fingerprint equals $(PARENT)'s"; fi; \
+		fi; }; \
 	for s in $(CHAOS_SEEDS); do run chaos_mix $$s; done; \
 	for w in fig7_sweep ingest_steady fleet_fanout; do for s in 1 2 45798949; do run $$w $$s; done; done; \
 	exit $$fail

@@ -48,14 +48,14 @@ const (
 // order, so a batch is a duplicate only if its base sequence matches a
 // remembered batch — a bare high-water comparison would drop (and
 // falsely ack) a *new* batch that arrives after a later-sequence one.
-// The fields are all values (fixed array), so the struct copies taken
-// by flush snapshots stay deep.
+// The fields are all values (fixed array), so a struct copy — a flush
+// checkpoint, a crash restore, a catch-up from the leader — is deep.
 type producerState struct {
 	epoch        uint32
 	lastSequence uint64
 	lastOffset   int64
 	seen         bool
-	recent       [wire.SeqCacheSize]BatchMeta
+	recent       [wire.SeqCacheSize]batchMeta
 	nRecent      int
 	head         int
 }
@@ -73,10 +73,10 @@ func (st *producerState) lookup(seq uint64) (int64, bool) {
 // remember records an appended batch and advances the high-water.
 func (st *producerState) remember(seq uint64, offset int64) {
 	if st.nRecent < len(st.recent) {
-		st.recent[(st.head+st.nRecent)%len(st.recent)] = BatchMeta{seq, offset}
+		st.recent[(st.head+st.nRecent)%len(st.recent)] = batchMeta{seq, offset}
 		st.nRecent++
 	} else {
-		st.recent[st.head] = BatchMeta{seq, offset}
+		st.recent[st.head] = batchMeta{seq, offset}
 		st.head = (st.head + 1) % len(st.recent)
 	}
 	if !st.seen || seq > st.lastSequence {
@@ -86,40 +86,20 @@ func (st *producerState) remember(seq uint64, offset int64) {
 	st.seen = true
 }
 
-// batches exports the remembered ring, oldest first.
-func (st *producerState) batches() []BatchMeta {
-	out := make([]BatchMeta, 0, st.nRecent)
-	for i := 0; i < st.nRecent; i++ {
-		out = append(out, st.recent[(st.head+i)%len(st.recent)])
-	}
-	return out
-}
-
-// BatchMeta identifies one appended batch for idempotent de-duplication.
-type BatchMeta struct {
+// batchMeta identifies one remembered batch for idempotent de-duplication.
+type batchMeta struct {
 	Sequence uint64
 	Offset   int64
 }
 
-// SeqState is the exported form of the per-producer sequence state, used
-// when a recovering replica adopts the leader's state during catch-up
-// (Kafka rebuilds producer state from the replicated log).
-type SeqState struct {
-	// Epoch is the producer epoch the sequence state belongs to; a
-	// higher epoch starts a fresh sequence space.
-	Epoch        uint32
-	LastSequence uint64
-	LastOffset   int64
-	// Recent is the remembered-batch ring, oldest first; without it a
-	// recovered leader would re-append (duplicate) any still-in-flight
-	// retry of a batch that survived in the replicated log.
-	Recent []BatchMeta
-}
-
 // part is one topic partition hosted on this broker: its log plus
-// the idempotent producer state, live and as of the last flush.
+// the idempotent producer state, live and as of the last flush. Every
+// field is held by value and its zero value is an empty partition, so a
+// broker carves a topic's parts as one block (CreatePartitions); the two
+// producer-state maps are made by their first write, as txnState's are,
+// because most replicas of a short run never see a producer's batch.
 type part struct {
-	log  *storage.Log
+	log  storage.Log
 	prod map[uint64]*producerState
 	// flushedProd is the producer-state snapshot persisted with the last
 	// flush. An unclean crash restores it: a stale snapshot must not
@@ -131,8 +111,22 @@ type part struct {
 	// offsets, producer epochs); flushedTxn is its snapshot as of the
 	// last flush, restored together with flushedProd on unclean crashes
 	// so the transaction view never describes truncated offsets.
-	txn        *txnState
-	flushedTxn *txnState
+	txn        txnState
+	flushedTxn txnState
+}
+
+// state returns the live sequence state of a producer, making it (and
+// the map) on first use.
+func (p *part) state(pid uint64) *producerState {
+	st := p.prod[pid]
+	if st == nil {
+		if p.prod == nil {
+			p.prod = make(map[uint64]*producerState)
+		}
+		st = new(producerState)
+		p.prod[pid] = st
+	}
+	return st
 }
 
 // Stats counts broker activity.
@@ -163,13 +157,12 @@ type Broker struct {
 	sim *des.Simulator
 	cfg Config
 	// topics indexes the hosted partitions by topic, then by partition
-	// number; parts lists them in creation order. topics is a slice that
+	// number (each walks them all). topics is a slice that
 	// resolve scans, not a map: a broker hosts a handful of topics (the
 	// data topic, __consumer_offsets, __transaction_state), appends
 	// alternate between them, and comparing a few names is far cheaper
-	// than hashing one on every fetch and append. New sizes it for four.
+	// than hashing one on every fetch and append. newSet sizes it for four.
 	topics []topicParts
-	parts  []*part
 	up     bool
 	slow   float64 // service-time multiplier; <= 1 means nominal
 	stats  Stats
@@ -182,12 +175,30 @@ type Broker struct {
 	cUnclean    *obs.Counter
 	trace       *obs.Tracer
 
-	jobs         des.FreeList[produceJob] // recycled produce-service jobs
-	fetchRecords []wire.Record            // Fetch's scratch: every answer's records are copied out into it
+	// jobs recycles produce-service jobs. The brokers of one NewSet share
+	// one list: a job names its broker, and the brokers run on one
+	// simulation, each holding one or two jobs at a time.
+	jobs         *des.FreeList[produceJob]
+	fetchRecords []wire.Record // Fetch's scratch: every answer's records are copied out into it
 }
 
 // New creates a running broker with the given node ID.
 func New(id int32, sim *des.Simulator, cfg Config) (*Broker, error) {
+	bs, err := newSet(id, 1, sim, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return bs[0], nil
+}
+
+// NewSet creates n running brokers with node IDs 0 to n-1, as a cluster
+// does: they are allocated as one block and share one produce-job free
+// list.
+func NewSet(n int, sim *des.Simulator, cfg Config) ([]*Broker, error) {
+	return newSet(0, n, sim, cfg)
+}
+
+func newSet(first int32, n int, sim *des.Simulator, cfg Config) ([]*Broker, error) {
 	if sim == nil {
 		return nil, fmt.Errorf("broker: nil simulator")
 	}
@@ -195,20 +206,30 @@ func New(id int32, sim *des.Simulator, cfg Config) (*Broker, error) {
 		return nil, fmt.Errorf("broker: negative flush interval")
 	}
 	o := cfg.Obs
-	return &Broker{
-		id:          id,
-		sim:         sim,
-		cfg:         cfg,
-		topics:      make([]topicParts, 0, 4),
-		up:          true,
-		cProduce:    o.Counter(obs.MBrokerProduce),
-		cAppends:    o.Counter(obs.MBrokerAppends),
-		cDuplicates: o.Counter(obs.MBrokerDuplicates),
-		cDupAppends: o.Counter(obs.MBrokerDupAppends),
-		cTruncated:  o.Counter(obs.MBrokerTruncated),
-		cUnclean:    o.Counter(obs.MBrokerUnclean),
-		trace:       o.Tracer(),
-	}, nil
+	const topics = 4
+	jobs := new(des.FreeList[produceJob])
+	block := make([]Broker, n)
+	tps := make([]topicParts, n*topics)
+	bs := make([]*Broker, n)
+	for i := range block {
+		block[i] = Broker{
+			id:          first + int32(i),
+			sim:         sim,
+			cfg:         cfg,
+			topics:      tps[i*topics : i*topics : (i+1)*topics],
+			up:          true,
+			cProduce:    o.Counter(obs.MBrokerProduce),
+			cAppends:    o.Counter(obs.MBrokerAppends),
+			cDuplicates: o.Counter(obs.MBrokerDuplicates),
+			cDupAppends: o.Counter(obs.MBrokerDupAppends),
+			cTruncated:  o.Counter(obs.MBrokerTruncated),
+			cUnclean:    o.Counter(obs.MBrokerUnclean),
+			trace:       o.Tracer(),
+			jobs:        jobs,
+		}
+		bs[i] = &block[i]
+	}
+	return bs, nil
 }
 
 // ID returns the broker's node ID.
@@ -223,9 +244,7 @@ func (b *Broker) Up() bool { return b.up }
 func (b *Broker) Stop() {
 	b.up = false
 	if b.cfg.FlushInterval > 0 {
-		for _, p := range b.parts {
-			b.flushPart(p, b.boundary(b.sim.Now()))
-		}
+		b.each(func(p *part) { b.flushPart(p, b.boundary(b.sim.Now())) })
 	}
 }
 
@@ -244,7 +263,7 @@ func (b *Broker) CrashUnclean() {
 	}
 	var lost uint64
 	now := b.sim.Now()
-	for _, p := range b.parts {
+	b.each(func(p *part) {
 		// A flush boundary crossed since the last append is still honoured:
 		// everything currently stored was appended before it.
 		if bd := b.boundary(now); bd > p.lastFlush {
@@ -254,9 +273,9 @@ func (b *Broker) CrashUnclean() {
 			p.log.TruncateTo(p.log.Flushed())
 			lost += uint64(tail)
 		}
-		p.prod = restoreStates(p.flushedProd)
-		p.txn.copyFrom(p.flushedTxn)
-	}
+		p.restoreProd(p.flushedProd)
+		p.txn.copyFrom(&p.flushedTxn)
+	})
 	b.stats.RecordsTruncated += lost
 	b.cTruncated.Add(lost)
 	b.trace.Emit(obs.LayerBroker, obs.EvUncleanCrash, lost, 0, int64(b.id), "")
@@ -277,29 +296,49 @@ func (b *Broker) Stats() Stats { return b.stats }
 // CreatePartition provisions an empty log for the topic partition.
 // Creating an existing partition is a no-op.
 func (b *Broker) CreatePartition(topic string, partition int32) {
-	if partition < 0 {
-		return
-	}
+	b.CreatePartitions(topic, partition)
+}
+
+// CreatePartitions provisions empty logs for the topic's partitions, the
+// new ones carved from one block: a replica costs no allocation of its
+// own. Negative and existing partitions are skipped.
+func (b *Broker) CreatePartitions(topic string, partitions ...int32) {
 	tp := b.topic(topic)
 	if tp == nil {
 		b.topics = append(b.topics, topicParts{name: topic})
 		tp = &b.topics[len(b.topics)-1]
 	}
-	for int(partition) >= len(tp.parts) {
-		tp.parts = append(tp.parts, nil)
+	fresh, n := 0, len(tp.parts)
+	for _, pn := range partitions {
+		if pn >= 0 && (int(pn) >= len(tp.parts) || tp.parts[pn] == nil) {
+			fresh++
+			n = max(n, int(pn)+1)
+		}
 	}
-	if tp.parts[partition] != nil {
+	if fresh == 0 {
 		return
 	}
-	p := &part{
-		log:         storage.NewLog(0),
-		prod:        make(map[uint64]*producerState),
-		flushedProd: make(map[uint64]producerState),
-		txn:         new(txnState),
-		flushedTxn:  new(txnState),
+	if n > len(tp.parts) {
+		tp.parts = append(tp.parts, make([]*part, n-len(tp.parts))...)
 	}
-	tp.parts[partition] = p
-	b.parts = append(b.parts, p)
+	block := make([]part, fresh)
+	for _, pn := range partitions {
+		if pn < 0 || tp.parts[pn] != nil {
+			continue
+		}
+		tp.parts[pn], block = &block[0], block[1:]
+	}
+}
+
+// each calls fn for every hosted partition.
+func (b *Broker) each(fn func(*part)) {
+	for i := range b.topics {
+		for _, p := range b.topics[i].parts {
+			if p != nil {
+				fn(p)
+			}
+		}
+	}
 }
 
 // topicParts is one hosted topic's partitions by partition number, nil
@@ -337,51 +376,41 @@ func (b *Broker) Log(topic string, partition int32) *storage.Log {
 	if p == nil {
 		return nil
 	}
-	return p.log
+	return &p.log
 }
 
-// ProducerStateSnapshot exports the partition's live producer-sequence
-// state (nil if the partition is absent).
-func (b *Broker) ProducerStateSnapshot(topic string, partition int32) map[uint64]SeqState {
-	p := b.resolve(topic, partition)
-	if p == nil {
+// CatchUpFrom makes this broker's replica of the topic partition a copy
+// of leader's: the log catches up by reference (storage.Log.CatchUp), the
+// leader's producer-sequence states and transaction view are copied into
+// the replica's own maps, and the result is flushed — the replica's log
+// now mirrors the leader's, so its dedupe state and durability checkpoint
+// must too. Without the producer states a retry routed here after a later
+// leadership change could re-append a batch the cluster already
+// acknowledged (Kafka rebuilds them from the replicated log); without the
+// transaction view, which the by-reference copy carries no batch headers
+// to rebuild, read_committed fetches would see aborted records. It does
+// nothing when either broker holds no replica or leader is b.
+func (b *Broker) CatchUpFrom(leader *Broker, topic string, partition int32) error {
+	p, lp := b.resolve(topic, partition), leader.resolve(topic, partition)
+	if p == nil || lp == nil || p == lp {
 		return nil
 	}
-	out := make(map[uint64]SeqState, len(p.prod))
-	for id, st := range p.prod {
+	if err := p.log.CatchUp(&lp.log); err != nil {
+		return err
+	}
+	for id := range p.prod {
+		if st := lp.prod[id]; st == nil || !st.seen {
+			delete(p.prod, id)
+		}
+	}
+	for id, st := range lp.prod {
 		if st.seen {
-			out[id] = SeqState{
-				Epoch:        st.epoch,
-				LastSequence: st.lastSequence,
-				LastOffset:   st.lastOffset,
-				Recent:       st.batches(),
-			}
+			*p.state(id) = *st
 		}
 	}
-	return out
-}
-
-// RestoreProducerState replaces the partition's producer-sequence state,
-// marks the log flushed, and snapshots the state as durable — the end of
-// a catch-up: the replica's log now mirrors the leader's, so its dedupe
-// state and durability checkpoint must too.
-func (b *Broker) RestoreProducerState(topic string, partition int32, st map[uint64]SeqState) {
-	p := b.resolve(topic, partition)
-	if p == nil {
-		return
-	}
-	p.prod = make(map[uint64]*producerState, len(st))
-	for id, s := range st {
-		ps := &producerState{epoch: s.Epoch, lastSequence: s.LastSequence, lastOffset: s.LastOffset, seen: true}
-		for _, bm := range s.Recent {
-			ps.remember(bm.Sequence, bm.Offset)
-		}
-		// remember advanced the high-water as it replayed; restore the
-		// leader's explicit values last in case Recent is a partial view.
-		ps.lastSequence, ps.lastOffset = s.LastSequence, s.LastOffset
-		p.prod[id] = ps
-	}
+	p.txn.copyFrom(&lp.txn)
 	b.flushPart(p, b.boundary(b.sim.Now()))
+	return nil
 }
 
 // boundary returns the latest flush-interval boundary at or before t.
@@ -403,18 +432,21 @@ func (b *Broker) flushPart(p *part, bd time.Duration) {
 	// Assigning to a key already present reuses the entry; a producerState
 	// is too large for a map to store inline, so clear + refill would
 	// allocate one per producer.
+	if p.flushedProd == nil && len(p.prod) > 0 {
+		p.flushedProd = make(map[uint64]producerState, len(p.prod))
+	}
 	for id, st := range p.prod {
 		p.flushedProd[id] = *st
 	}
 	if len(p.flushedProd) > len(p.prod) {
-		// A catch-up replaced prod with a leader's smaller set.
+		// A catch-up dropped producers the leader has not seen.
 		for id := range p.flushedProd {
 			if p.prod[id] == nil {
 				delete(p.flushedProd, id)
 			}
 		}
 	}
-	p.flushedTxn.copyFrom(p.txn)
+	p.flushedTxn.copyFrom(&p.txn)
 	p.lastFlush = bd
 }
 
@@ -432,13 +464,18 @@ func (b *Broker) maybeFlush(p *part) {
 	}
 }
 
-func restoreStates(snap map[uint64]producerState) map[uint64]*producerState {
-	out := make(map[uint64]*producerState, len(snap))
-	for id, st := range snap {
-		cp := st
-		out[id] = &cp
+// restoreProd rolls the live producer states back to the flush
+// checkpoint snap, in place: states the checkpoint holds are overwritten,
+// the others dropped.
+func (p *part) restoreProd(snap map[uint64]producerState) {
+	for id := range p.prod {
+		if _, ok := snap[id]; !ok {
+			delete(p.prod, id)
+		}
 	}
-	return out
+	for id, st := range snap {
+		*p.state(id) = st
+	}
 }
 
 // serviceTime returns the simulated cost of persisting a batch.
@@ -487,11 +524,7 @@ func (b *Broker) Append(topic string, partition int32, batch wire.RecordBatch, i
 		return base, false, wire.ErrNone
 	}
 	if idempotent {
-		st := p.prod[batch.ProducerID]
-		if st == nil {
-			st = &producerState{}
-			p.prod[batch.ProducerID] = st
-		}
+		st := p.state(batch.ProducerID)
 		if batch.ProducerEpoch > st.epoch {
 			// A bumped epoch starts a fresh sequence space (Kafka resets
 			// producer sequence tracking on epoch bump): the previous
@@ -529,11 +562,7 @@ func (b *Broker) Append(topic string, partition int32, batch wire.RecordBatch, i
 	// sequences are monotone per producer and retries pin their
 	// partition, so a sequence at or below the high-water is a retry of a
 	// batch this broker already appended.
-	st := p.prod[batch.ProducerID]
-	if st == nil {
-		st = &producerState{}
-		p.prod[batch.ProducerID] = st
-	}
+	st := p.state(batch.ProducerID)
 	if st.seen && batch.BaseSequence <= st.lastSequence {
 		b.stats.DuplicateAppends++
 		b.stats.DuplicateRecords += uint64(len(batch.Records))
@@ -622,7 +651,7 @@ func produceFire(a any) {
 // time. The handle is good for the broker's life — a hosted partition is
 // never dropped or moved — and caches nothing about the log: every method
 // reads the log and the transaction view as they are now (an unclean
-// crash and a catch-up both replace the transaction view).
+// crash and a catch-up both rewrite the transaction view).
 type Partition struct {
 	b *Broker
 	p *part
@@ -722,8 +751,8 @@ func (h Partition) Fetch(req wire.FetchRequest, done func(wire.FetchResponse)) {
 		Partition:     req.Partition,
 		NextOffset:    req.Offset,
 	}
-	log := h.p.log
-	ts := h.p.txn
+	log := &h.p.log
+	ts := &h.p.txn
 	resp.HighWatermark = log.End()
 	lso := ts.lso(log.End())
 	resp.LastStable = lso

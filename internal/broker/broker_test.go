@@ -251,8 +251,10 @@ func TestResolveAcrossTopicCreation(t *testing.T) {
 	if b.resolve("absent", 0) != nil {
 		t.Error("an absent topic resolved")
 	}
-	if got := len(b.parts); got != 7 {
-		t.Errorf("%d partitions listed, want 7", got)
+	n := 0
+	b.each(func(*part) { n++ })
+	if n != 7 {
+		t.Errorf("%d partitions walked, want 7", n)
 	}
 }
 

@@ -50,8 +50,8 @@ func checkCheckpoint(t *testing.T, when string, p *part, ref refCheckpoint) {
 	if !maps.Equal(p.flushedProd, ref.prod) {
 		t.Fatalf("%s: flushedProd = %v, reference %v", when, p.flushedProd, ref.prod)
 	}
-	if !sameTxn(p.flushedTxn, ref.txn) {
-		t.Fatalf("%s: flushedTxn = %+v, reference %+v", when, *p.flushedTxn, *ref.txn)
+	if !sameTxn(&p.flushedTxn, ref.txn) {
+		t.Fatalf("%s: flushedTxn = %+v, reference %+v", when, p.flushedTxn, *ref.txn)
 	}
 	if p.log.Flushed() != ref.flushed {
 		t.Fatalf("%s: flushed offset = %d, reference %d", when, p.log.Flushed(), ref.flushed)
@@ -70,8 +70,8 @@ func checkLive(t *testing.T, when string, p *part, ref refCheckpoint) {
 			t.Fatalf("%s: producer %d = %+v, reference %+v", when, id, *st, ref.prod[id])
 		}
 	}
-	if !sameTxn(p.txn, ref.txn) {
-		t.Fatalf("%s: txn = %+v, reference %+v", when, *p.txn, *ref.txn)
+	if !sameTxn(&p.txn, ref.txn) {
+		t.Fatalf("%s: txn = %+v, reference %+v", when, p.txn, *ref.txn)
 	}
 	if p.log.End() != ref.flushed {
 		t.Fatalf("%s: log end = %d, reference %d", when, p.log.End(), ref.flushed)
@@ -81,7 +81,7 @@ func checkLive(t *testing.T, when string, p *part, ref refCheckpoint) {
 // TestFlushCheckpointMatchesDeepCopyModel drives one partition through
 // generated sequences of idempotent, transactional and plain appends,
 // commit and abort markers, epoch bumps, retries, clean stops, catch-up
-// restores and unclean crashes, at times that wander across flush
+// from a leader and unclean crashes, at times that wander across flush
 // boundaries. The model takes a deep copy of the live state wherever the
 // broker flushes; the stored checkpoint must equal it after every step
 // (so nothing written to live state since may show through), and the
@@ -99,8 +99,16 @@ func TestFlushCheckpointMatchesDeepCopyModel(t *testing.T) {
 		}
 		b.CreatePartition("t", 0)
 		p := b.resolve("t", 0)
-		p.log = storage.NewLog(16) // small segments: checkpoints cross many
+		p.log = *storage.NewLog(16) // small segments: checkpoints cross many
 		ref := deepCheckpoint(p)
+		// leader is the broker a catch-up copies from; each catch-up first
+		// makes its partition a thinned copy of b's.
+		leader, err := New(2, sim, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leader.CreatePartition("t", 0)
+		lp := leader.resolve("t", 0)
 
 		nextSeq := map[uint64]uint64{}
 		epoch := map[uint64]uint32{}
@@ -147,16 +155,20 @@ func TestFlushCheckpointMatchesDeepCopyModel(t *testing.T) {
 				b.Stop()
 				ref = deepCheckpoint(p)
 				b.Start()
-			case op < 93: // catch-up: adopt a leader's (here: a thinned own) state
-				prod := b.ProducerStateSnapshot("t", 0)
-				for id := range prod {
+			case op < 93: // catch-up from a leader holding a thinned copy of b's state
+				if err := lp.log.CatchUp(&p.log); err != nil {
+					t.Fatal(err)
+				}
+				clear(lp.prod)
+				for id, st := range p.prod {
 					if rng.Intn(2) == 0 {
-						delete(prod, id)
+						*lp.state(id) = *st
 					}
 				}
-				txn := b.TxnStateSnapshot("t", 0)
-				b.RestoreTxnState("t", 0, txn)
-				b.RestoreProducerState("t", 0, prod)
+				lp.txn.copyFrom(&p.txn)
+				if err := b.CatchUpFrom(leader, "t", 0); err != nil {
+					t.Fatal(err)
+				}
 				ref = deepCheckpoint(p)
 			default: // unclean crash
 				flushIfDue()
@@ -233,8 +245,7 @@ func TestFlushCheckpointDoesNotAliasLiveState(t *testing.T) {
 	if len(big.prod) < 3 || len(big.txn.aborted) < 1 || len(big.txn.control) < 2 || len(big.txn.epoch) < 3 {
 		t.Fatalf("large state too small to shrink: %+v %+v", big.prod, *big.txn)
 	}
-	// Shrink live state the way a catch-up from a shorter leader does,
-	// without replacing the checkpoint's storage as RestoreTxnState would.
+	// Shrink live state the way a catch-up from a shorter leader does.
 	for id := range p.prod {
 		if id != 1 {
 			delete(p.prod, id)
@@ -269,7 +280,7 @@ func TestSteadyStateFlushDoesNotAllocate(t *testing.T) {
 		b.Append("t", 0, txnBatch(pid, 0, 20, pid), true) // left open
 	}
 	if len(p.txn.ongoing) != 8 || len(p.txn.aborted) == 0 || len(p.txn.control) == 0 {
-		t.Fatalf("state not populated: %+v", *p.txn)
+		t.Fatalf("state not populated: %+v", p.txn)
 	}
 	bd := b.boundary(sim.Now())
 	allocs := testing.AllocsPerRun(100, func() {

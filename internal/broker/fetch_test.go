@@ -59,7 +59,7 @@ func randomTxnPartition(t *testing.T, rng *rand.Rand) (*Broker, *part) {
 		t.Fatal(err)
 	}
 	b.CreatePartition("t", 0)
-	b.resolve("t", 0).log = storage.NewLog(100)
+	b.resolve("t", 0).log = *storage.NewLog(100)
 	key := uint64(100)
 	seq := map[uint64]uint64{}
 	open := map[uint64]bool{}

@@ -121,24 +121,35 @@ func TestZeroFlushIntervalMakesUncleanCrashClean(t *testing.T) {
 	}
 }
 
-func TestRestoreProducerStateAdoptsLeaderState(t *testing.T) {
+func TestCatchUpFromAdoptsLeaderProducerState(t *testing.T) {
 	sim := des.New()
 	b := flushBroker(t, sim)
-	b.RestoreProducerState("t", 0, map[uint64]SeqState{7: {
-		LastSequence: 5, LastOffset: 4,
-		Recent: []BatchMeta{{Sequence: 3, Offset: 2}, {Sequence: 5, Offset: 4}},
-	}})
-	if off, dup, _ := b.Append("t", 0, batch(7, 5, 9), true); !dup || off != 4 {
-		t.Errorf("retry of adopted batch: dup=%v off=%d, want dedupe at 4", dup, off)
+	leader := flushBroker(t, sim)
+	// The leader holds producer 7's batches 3 and 5; sequence 4 is a
+	// pipelined batch that had not landed yet.
+	leader.Append("t", 0, batch(7, 3, 1, 2), true)
+	leader.Append("t", 0, batch(7, 5, 3, 4, 5), true)
+	// A producer only the stale replica saw is dropped by the catch-up.
+	b.Append("t", 0, batch(8, 0, 9), true)
+	if err := b.CatchUpFrom(leader, "t", 0); err != nil {
+		t.Fatal(err)
+	}
+	if end, flushed := b.Log("t", 0).End(), b.Log("t", 0).Flushed(); end != 5 || flushed != 5 {
+		t.Fatalf("caught-up log end %d flushed %d, want 5 and 5", end, flushed)
+	}
+	if off, dup, _ := b.Append("t", 0, batch(7, 5, 9), true); !dup || off != 2 {
+		t.Errorf("retry of adopted batch: dup=%v off=%d, want dedupe at 2", dup, off)
 	}
 	if _, dup, _ := b.Append("t", 0, batch(7, 6, 10), true); dup {
 		t.Error("batch past adopted high-water was deduplicated")
 	}
-	// Sequence 4 is below the high-water but was never appended (a
-	// pipelined batch that had not landed when the snapshot was taken):
-	// it must append, not be dropped off the high-water.
+	// Sequence 4 is below the high-water but was never appended: it must
+	// append, not be dropped off the high-water.
 	if _, dup, _ := b.Append("t", 0, batch(7, 4, 11), true); dup {
 		t.Error("unseen out-of-order batch was falsely deduplicated")
+	}
+	if _, dup, _ := b.Append("t", 0, batch(8, 0, 12), true); dup {
+		t.Error("a producer the leader never saw kept its stale dedupe state")
 	}
 }
 

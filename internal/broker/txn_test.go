@@ -148,35 +148,37 @@ func TestTxnAbortedRangeSkippedAtReadCommitted(t *testing.T) {
 	}
 }
 
-func TestTxnStateSurvivesUncleanCrashViaSnapshot(t *testing.T) {
+func TestTxnStateSurvivesUncleanCrashViaCatchUp(t *testing.T) {
 	sim := des.New()
 	cfg := DefaultConfig()
 	// A long flush interval keeps the open-transaction state out of the
-	// durable snapshot unless RestoreTxnState is exercised.
+	// durable checkpoint unless the catch-up copies it.
 	cfg.FlushInterval = 10 * time.Second
-	b, err := New(1, sim, cfg)
+	bs, err := NewSet(2, sim, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.CreatePartition("t", 0)
-	b.Append("t", 0, txnBatch(9, 3, 1, 1, 2), true)
-	b.Append("t", 0, marker(9, 3, true), false)
-	snap := b.TxnStateSnapshot("t", 0)
-	seqs := b.ProducerStateSnapshot("t", 0)
-	if seqs[9].Epoch != 3 {
-		t.Fatalf("snapshot epoch = %d, want 3", seqs[9].Epoch)
+	b, leader := bs[0], bs[1]
+	for _, br := range bs {
+		br.CreatePartition("t", 0)
+		br.Append("t", 0, txnBatch(9, 3, 1, 1, 2), true)
+		br.Append("t", 0, marker(9, 3, true), false)
 	}
 
 	b.CrashUnclean()
 	b.Start()
-	// Catch-up from the leader restores both views (cluster.RecoverBroker
-	// path): fencing and the committed ranges must hold afterwards.
-	b.RestoreTxnState("t", 0, snap)
-	b.RestoreProducerState("t", 0, seqs)
+	if _, _, code := b.Append("t", 0, txnBatch(9, 2, 5, 9), true); code == wire.ErrProducerFenced {
+		t.Fatal("the crash kept an epoch it never flushed")
+	}
+	// Catch-up from the leader (cluster.RecoverBroker path) restores both
+	// views: fencing and the committed ranges must hold afterwards.
+	if err := b.CatchUpFrom(leader, "t", 0); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, code := b.Append("t", 0, txnBatch(9, 2, 5, 9), true); code != wire.ErrProducerFenced {
-		t.Fatalf("stale epoch after restore = %s, want PRODUCER_FENCED", code)
+		t.Fatalf("stale epoch after catch-up = %s, want PRODUCER_FENCED", code)
 	}
 	if _, dup, code := b.Append("t", 0, txnBatch(9, 3, 1, 1, 2), true); code != wire.ErrNone || !dup {
-		t.Fatalf("retry after restore = (dup=%v, %s), want dedupe", dup, code)
+		t.Fatalf("retry after catch-up = (dup=%v, %s), want dedupe", dup, code)
 	}
 }

@@ -228,13 +228,13 @@ func Verify(in TrialInput) Verdict {
 	// 6. Timeline column sums.
 	if in.Timeline != nil {
 		var sumAcked, sumLost, sumDup, sumPkts, sumRetrans uint64
-		for _, row := range in.Timeline.Rows() {
+		in.Timeline.EachRow(func(row obs.TimelineRow) {
 			sumAcked += row.Acked
 			sumLost += row.Lost
 			sumDup += row.DupAppends
 			sumPkts += row.PktsLost
 			sumRetrans += row.Retransmits
-		}
+		})
 		check := func(col string, got, want uint64) {
 			if got != want {
 				v.fail("timeline %s column sums to %d, counter says %d", col, got, want)

@@ -45,8 +45,9 @@ func DefaultConfig() Config {
 // producer-side faults.
 const interBrokerDelay = 250 * time.Microsecond
 
-// partitionMeta is one partition's placement. It is allocated once at
-// CreateTopic and never moves; only leader changes afterwards.
+// partitionMeta is one partition's placement. CreateTopic allocates a
+// topic's placements as one block, which never moves; only leader
+// changes afterwards.
 type partitionMeta struct {
 	leader   int32
 	replicas []int32
@@ -98,7 +99,7 @@ func (h Partition) Fetch(req wire.FetchRequest, done func(wire.FetchResponse)) {
 }
 
 type topicMeta struct {
-	partitions []*partitionMeta
+	partitions []partitionMeta
 }
 
 // Cluster is a set of brokers plus topic metadata. Not safe for
@@ -218,13 +219,11 @@ func New(sim *des.Simulator, cfg Config) (*Cluster, error) {
 		hSpanReplicated: cfg.Obs.Histogram(obs.MSpanReplicated, obs.LatencyBounds),
 		trace:           cfg.Obs.Tracer(),
 	}
-	for i := 0; i < cfg.Brokers; i++ {
-		b, err := broker.New(int32(i), sim, cfg.Broker)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: broker %d: %w", i, err)
-		}
-		c.brokers = append(c.brokers, b)
+	brokers, err := broker.NewSet(cfg.Brokers, sim, cfg.Broker)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
+	c.brokers = brokers
 	return c, nil
 }
 
@@ -270,21 +269,37 @@ func (c *Cluster) CreateTopic(name string, partitions, replicationFactor int) er
 	if replicationFactor <= 0 || replicationFactor > len(c.brokers) {
 		return fmt.Errorf("cluster: replication factor %d outside [1, %d]", replicationFactor, len(c.brokers))
 	}
-	tm := &topicMeta{}
+	// The placements, their replica lists and their replica handles are
+	// carved from one block each.
+	n := len(c.brokers)
+	tm := &topicMeta{partitions: make([]partitionMeta, partitions)}
+	replicas := make([]int32, partitions*replicationFactor)
+	hosted := make([]broker.Partition, partitions*n)
 	internal := strings.HasPrefix(name, "__")
-	for p := 0; p < partitions; p++ {
-		pm := &partitionMeta{
-			leader:   int32(p % len(c.brokers)),
-			hosted:   make([]broker.Partition, len(c.brokers)),
-			internal: internal,
+	for p := range tm.partitions {
+		pm := &tm.partitions[p]
+		pm.leader = int32(p % n)
+		pm.replicas, replicas = replicas[:replicationFactor:replicationFactor], replicas[replicationFactor:]
+		pm.hosted, hosted = hosted[:n:n], hosted[n:]
+		pm.internal = internal
+		for r := range pm.replicas {
+			pm.replicas[r] = int32((p + r) % n)
 		}
-		for r := 0; r < replicationFactor; r++ {
-			id := int32((p + r) % len(c.brokers))
-			pm.replicas = append(pm.replicas, id)
-			c.brokers[id].CreatePartition(name, int32(p))
-			pm.hosted[id], _ = c.brokers[id].Partition(name, int32(p))
+	}
+	// Each broker creates the partitions it hosts in one call, so it
+	// carves their state as one block.
+	var buf [64]int32
+	for id, b := range c.brokers {
+		mine := buf[:0]
+		for p := range tm.partitions {
+			if slices.Contains(tm.partitions[p].replicas, int32(id)) {
+				mine = append(mine, int32(p))
+			}
 		}
-		tm.partitions = append(tm.partitions, pm)
+		b.CreatePartitions(name, mine...)
+		for _, p := range mine {
+			tm.partitions[p].hosted[id], _ = b.Partition(name, p)
+		}
 	}
 	c.topics[name] = tm
 	// Internal topics (the offsets log) keep their own replication; the
@@ -343,7 +358,7 @@ func (c *Cluster) partition(topic string, partition int32) *partitionMeta {
 	if partition < 0 || int(partition) >= len(c.lastMeta.partitions) {
 		return nil
 	}
-	return c.lastMeta.partitions[partition]
+	return &c.lastMeta.partitions[partition]
 }
 
 // liveReplicasInto appends the running replicas of a partition to dst,
@@ -397,7 +412,8 @@ func (c *Cluster) CrashBrokerUnclean(id int32) error {
 // demote moves leadership off a dead node, partition by partition.
 func (c *Cluster) demote(id int32) {
 	for _, tm := range c.topics {
-		for _, pm := range tm.partitions {
+		for i := range tm.partitions {
+			pm := &tm.partitions[i]
 			if pm.leader != id {
 				continue
 			}
@@ -422,44 +438,21 @@ func (c *Cluster) RecoverBroker(id int32) error {
 	}
 	b.Start()
 	for topic, tm := range c.topics {
-		for p, pm := range tm.partitions {
-			holdsReplica := false
-			for _, rid := range pm.replicas {
-				if rid == id {
-					holdsReplica = true
-					break
-				}
-			}
-			if !holdsReplica {
+		for p := range tm.partitions {
+			pm := &tm.partitions[p]
+			if !slices.Contains(pm.replicas, id) {
 				continue
 			}
 			if pm.leader == -1 {
 				pm.leader = id
 				continue
 			}
-			// Catch up from the leader: truncate local divergence and
-			// take the leader's suffix, by reference.
-			leader := c.brokers[pm.leader]
-			src := leader.Log(topic, int32(p))
-			dst := b.Log(topic, int32(p))
-			if src == nil || dst == nil || leader.ID() == id {
-				continue
-			}
-			if err := dst.CatchUp(src); err != nil {
+			// Catch up from the leader: truncate local divergence, take
+			// the leader's suffix by reference, and adopt its producer and
+			// transaction state.
+			if err := b.CatchUpFrom(c.brokers[pm.leader], topic, int32(p)); err != nil {
 				return fmt.Errorf("cluster: catch-up: %w", err)
 			}
-			// The log now mirrors the leader's, so the idempotent dedupe
-			// state must too — otherwise a retry routed here after a later
-			// leadership change could re-append a batch the cluster already
-			// acknowledged. Kafka gets this for free by rebuilding producer
-			// state from the replicated log.
-			b.RestoreProducerState(topic, int32(p),
-				leader.ProducerStateSnapshot(topic, int32(p)))
-			// The raw-record copy above carries no batch headers, so the
-			// replica cannot rebuild transaction state from it; adopt the
-			// leader's view wholesale, like the producer state.
-			b.RestoreTxnState(topic, int32(p),
-				leader.TxnStateSnapshot(topic, int32(p)))
 		}
 	}
 	c.topologyChanged()
@@ -483,7 +476,8 @@ func (c *Cluster) Metadata(req wire.MetadataRequest) wire.MetadataResponse {
 		resp.Err = wire.ErrUnknownTopicOrPartition
 		return resp
 	}
-	for p, pm := range tm.partitions {
+	for p := range tm.partitions {
+		pm := &tm.partitions[p]
 		resp.Partitions = append(resp.Partitions, wire.PartitionMetadata{
 			Partition: int32(p),
 			Leader:    pm.leader,

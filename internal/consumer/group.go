@@ -77,6 +77,8 @@ type Group struct {
 	// coverage (-1 = covered). The paused-partition span measures the
 	// rebalance cost the cooperative protocol exists to remove.
 	pausedAt []time.Duration
+	// lag is Probe's per-partition answer, refilled by every call.
+	lag []int64
 
 	ev           Evidence
 	drainCheck   func() bool
@@ -1219,10 +1221,17 @@ func (g *Group) LagByPartition() ([]int64, error) {
 // built from the group's own durable facts (observed high watermarks
 // vs acknowledged commits), so it is safe to call mid-chaos — a
 // leaderless partition reports its last known backlog instead of an
-// error. It also refreshes the consumer lag gauge.
+// error. It also refreshes the consumer lag gauge. LagByPartition is the
+// group's buffer, valid until the next Probe: a caller that keeps it
+// copies it (obs.Timeline.Sample does).
 func (g *Group) Probe() obs.GroupProbe {
+	if g.lag == nil {
+		g.lag = make([]int64, g.partitions)
+	} else {
+		clear(g.lag)
+	}
 	pr := obs.GroupProbe{
-		LagByPartition: make([]int64, g.partitions),
+		LagByPartition: g.lag,
 		Delivered:      g.ev.Delivered,
 		Redelivered:    g.ev.Redelivered,
 		CommitAcks:     g.ev.CommitsAcked,

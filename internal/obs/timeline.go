@@ -44,6 +44,7 @@ type Timeline struct {
 	brokFn   func() BrokerProbe
 	groupFn  func() GroupProbe
 	rows     []TimelineRow
+	lags     []int64 // the current chunk the rows' LagParts are carved from
 	anns     []TimelineAnnotation
 	prevNet  NetProbe
 	prevTr   TransportProbe
@@ -161,7 +162,8 @@ type BrokerProbe struct {
 // GroupProbe is the instantaneous consumer-group state plus cumulative
 // delivery counters. Lag is the summed committed-to-high-watermark gap
 // over the partitions; LagByPartition breaks it down in partition
-// order (nil when the group has no partition view yet).
+// order (nil when the group has no partition view yet). The probe may
+// hand out the same storage on every call: Sample copies it.
 type GroupProbe struct {
 	Lag            int64
 	LagByPartition []int64
@@ -333,7 +335,7 @@ func (t *Timeline) Sample() {
 	if t.groupFn != nil {
 		cur := t.groupFn()
 		row.Lag = cur.Lag
-		row.LagParts = append([]int64(nil), cur.LagByPartition...)
+		row.LagParts = t.keepLags(cur.LagByPartition)
 		row.GroupDelivered = cur.Delivered - t.prevGr.Delivered
 		row.GroupRedelivered = cur.Redelivered - t.prevGr.Redelivered
 		row.CommitAcks = cur.CommitAcks - t.prevGr.CommitAcks
@@ -343,7 +345,25 @@ func (t *Timeline) Sample() {
 	t.rows = append(t.rows, row)
 }
 
-// Rows returns a copy of the samples in time order.
+// keepLags copies a probe's per-partition lags into the timeline's
+// storage: rows carve them from shared chunks, the first with room for
+// eight samples and each later one twice the last, so a run's samples
+// cost O(log n) allocations, not one each. An empty input keeps nil.
+func (t *Timeline) keepLags(lags []int64) []int64 {
+	n := len(lags)
+	if n == 0 {
+		return nil
+	}
+	if cap(t.lags)-len(t.lags) < n {
+		t.lags = make([]int64, 0, max(8*n, 2*cap(t.lags)))
+	}
+	start := len(t.lags)
+	t.lags = append(t.lags, lags...)
+	return t.lags[start : start+n : start+n]
+}
+
+// Rows returns a copy of the samples in time order, for a caller that
+// keeps them; EachRow reads them in place.
 func (t *Timeline) Rows() []TimelineRow {
 	if t == nil {
 		return nil
@@ -351,6 +371,20 @@ func (t *Timeline) Rows() []TimelineRow {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]TimelineRow(nil), t.rows...)
+}
+
+// EachRow calls fn with every sample in time order, without copying the
+// rows. fn must not call back into the timeline, and must not write to
+// or keep a row's LagParts, which the timeline owns.
+func (t *Timeline) EachRow(fn func(TimelineRow)) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range t.rows {
+		fn(t.rows[i])
+	}
 }
 
 // Annotations returns a copy of the annotations in emission order.

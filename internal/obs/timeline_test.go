@@ -18,6 +18,7 @@ func TestNilTimelineIsNoOp(t *testing.T) {
 	tl.SetProbes(nil, nil, nil, nil)
 	tl.Annotate(AnnConfigSwitch, "x")
 	tl.Sample()
+	tl.EachRow(func(TimelineRow) { t.Error("nil timeline has a row") })
 	if tl.Interval() != 0 {
 		t.Errorf("nil timeline interval = %v, want 0", tl.Interval())
 	}
@@ -206,5 +207,56 @@ func TestWriteMergedCSV(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Error("repeated merged renders differ")
+	}
+}
+
+// TestSampleKeepsReusedLagBuffer: a group probe hands out the same lag
+// buffer on every call, and each row must keep the values of its own
+// sample across the chunks they are carved from. EachRow reads the same
+// rows Rows copies, and a probe without partitions leaves LagParts nil.
+func TestSampleKeepsReusedLagBuffer(t *testing.T) {
+	clk := &tlClock{}
+	tl := NewTimeline(time.Second)
+	tl.BindClock(clk)
+	buf := make([]int64, 3)
+	tl.SetGroupProbe(func() GroupProbe { return GroupProbe{LagByPartition: buf} })
+	const samples = 40 // several chunks
+	for i := 0; i < samples; i++ {
+		clk.now = time.Duration(i) * time.Second
+		for p := range buf {
+			buf[p] = int64(10*i + p)
+		}
+		tl.Sample()
+	}
+	rows := tl.Rows()
+	if len(rows) != samples {
+		t.Fatalf("%d rows, want %d", len(rows), samples)
+	}
+	for i, r := range rows {
+		for p, lag := range r.LagParts {
+			if lag != int64(10*i+p) {
+				t.Fatalf("row %d partition %d lag %d, want %d", i, p, lag, 10*i+p)
+			}
+		}
+		if len(r.LagParts) != 3 || cap(r.LagParts) != 3 {
+			t.Fatalf("row %d LagParts len %d cap %d, want a capped view of 3", i, len(r.LagParts), cap(r.LagParts))
+		}
+	}
+	i := 0
+	tl.EachRow(func(r TimelineRow) {
+		if r.At != rows[i].At || r.LagParts[2] != rows[i].LagParts[2] {
+			t.Fatalf("EachRow row %d = %+v, Rows has %+v", i, r, rows[i])
+		}
+		i++
+	})
+	if i != samples {
+		t.Fatalf("EachRow visited %d rows, want %d", i, samples)
+	}
+
+	empty := NewTimeline(time.Second)
+	empty.SetGroupProbe(func() GroupProbe { return GroupProbe{LagByPartition: []int64{}} })
+	empty.Sample()
+	if r := empty.Rows()[0]; r.LagParts != nil {
+		t.Fatalf("empty probe LagParts = %#v, want nil", r.LagParts)
 	}
 }

@@ -46,7 +46,8 @@ type segment struct {
 }
 
 // Log is a single partition's append-only record log. The zero value is
-// not usable; create logs with NewLog.
+// an empty log rolling segments at defaultSegmentRecords, so a log can
+// live by value inside its owner; NewLog sets another roll threshold.
 type Log struct {
 	segments   []segment
 	end        int64 // log end offset: next offset to assign
@@ -82,11 +83,18 @@ func (l *Log) segmentCap() int {
 	if n < minSegmentRecords {
 		n = minSegmentRecords
 	}
-	if n > l.maxSegment {
-		n = l.maxSegment
+	limit := l.maxSegment
+	if limit == 0 {
+		limit = defaultSegmentRecords
 	}
-	return n
+	return min(n, limit)
 }
+
+// firstSegments is the capacity of a log's segment list when it makes its
+// first segment: the schedule in segmentCap holds the records of a short
+// run's log (a few hundred) in four segments, which would otherwise take
+// the list through three appends that each copy it.
+const firstSegments = 4
 
 // tail returns the last segment and how many more records it holds,
 // rolling a new segment when the last one is full.
@@ -97,6 +105,9 @@ func (l *Log) tail() (*segment, int) {
 		seg := segment{base: l.end, records: make([]*wire.Record, 0, c)}
 		if verifyShared {
 			seg.sums = make([]uint64, 0, c)
+		}
+		if l.segments == nil {
+			l.segments = make([]segment, 0, firstSegments)
 		}
 		l.segments = append(l.segments, seg)
 		n++

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"kafkarel/internal/chaos"
@@ -378,7 +379,7 @@ func (r *rig) groupRuns() ([]GroupRun, error) {
 		if lags, err := grp.LagByPartition(); err == nil {
 			gr.Lag = lags
 		} else {
-			gr.Lag = grp.Probe().LagByPartition
+			gr.Lag = slices.Clone(grp.Probe().LagByPartition)
 		}
 		runs = append(runs, gr)
 	}
