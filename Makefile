@@ -65,7 +65,10 @@ live:
 ## fuzz-smoke: a few seconds of native fuzzing on each target of the
 ## byte-level protocol (internal/wire/fuzz_test.go), of the replicated
 ## log (internal/storage/replica_test.go: three replicas appending,
-## truncating and catching up against a model), of the predictor file
+## truncating and catching up against a model), of a partition's producer
+## and transaction state (internal/broker: appends, markers, crashes and
+## catch-ups with producer ids in any order, against a map model of the
+## flush checkpoint), of the predictor file
 ## reader (internal/core: a file Load accepts predicts a probability), of
 ## the event kernel (internal/des: fuzz bytes drive the model-checked
 ## interleavings of heap and lane events), of the experiment
@@ -79,7 +82,7 @@ live:
 ## crasher is written to internal/<pkg>/testdata/fuzz/<target>/ and fails
 ## the run: commit it with the fix, and it is a regression test from then on.
 fuzz-smoke:
-	@for t in wire:FuzzSplitter wire:FuzzDecode wire:FuzzSlabClone storage:FuzzLogReplicas core:FuzzPredictorLoad des:FuzzModel testbed:FuzzExperiment consumer:FuzzKeyRanges; do \
+	@for t in wire:FuzzSplitter wire:FuzzDecode wire:FuzzSlabClone storage:FuzzLogReplicas broker:FuzzPartitionState core:FuzzPredictorLoad des:FuzzModel testbed:FuzzExperiment consumer:FuzzKeyRanges; do \
 		$(GO) test ./internal/$${t%%:*} -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime 3s || exit 1; done
 
 ## bench-repo: the repository benchmark's headline pass (BENCHMARK.json;

@@ -182,6 +182,12 @@ func TestSpanPathZeroAllocs(t *testing.T) {
 // (23236-23237 before), the fleet 9165-9167 (11150-11153) and the campaign
 // 4586-4588 (6212-6214), and the three counts are pinned there; the
 // fleet's bytes read 441.4-441.5 B and the campaign's 881.7-881.9 B.
+// Since a partition's producer and transaction state lives in pid-ordered
+// slices, Fig. 7 reads 19881-19882 allocations, the fleet 8343 and the
+// campaign 4158-4161, and its bytes 869.6-869.9 B; the four are pinned
+// there. The fleet's bytes read 453.3-453.9 B, above their 448.5 B pin
+// and inside its ceiling: a table grows by doubling where a map added one
+// state at a time, and that pin is kept.
 // So the 20% is room for deliberate change, not noise: a cost that grows
 // with the records, even one allocation or one header copy per record,
 // breaks it. Race builds run extra checks on the producer, consumer and
@@ -256,14 +262,14 @@ func TestWholeRunAllocationCeilings(t *testing.T) {
 		measured float64
 		measure  func(*testing.T) float64
 	}{
-		{"fig7", "allocations", 20409, allocs(func() error {
+		{"fig7", "allocations", 19882, allocs(func() error {
 			points, err := figures.Fig7(figures.Options{Messages: 600, Seed: 1, Workers: 1})
 			if err == nil && len(points) != 88 {
 				err = fmt.Errorf("%d points, want 88", len(points))
 			}
 			return err
 		})},
-		{"fleet", "allocations", 9167, allocs(fleet)},
+		{"fleet", "allocations", 8343, allocs(fleet)},
 		{"fleet-bytes", "B per record", 448.5, bytes(fleetRecords, fleet)},
 		{"ingest", "B per record", 116.4, bytes(ingestRecords, func() error {
 			res, err := testbed.Run(testbed.Experiment{
@@ -282,11 +288,11 @@ func TestWholeRunAllocationCeilings(t *testing.T) {
 			}
 			return err
 		})},
-		{"chaos-allocs", "allocations", 4588, allocs(func() error {
+		{"chaos-allocs", "allocations", 4161, allocs(func() error {
 			_, err := chaos()
 			return err
 		})},
-		{"chaos-bytes", "B per record", 957.0, func(t *testing.T) float64 {
+		{"chaos-bytes", "B per record", 869.9, func(t *testing.T) float64 {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			records, err := chaos()

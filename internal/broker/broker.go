@@ -7,6 +7,7 @@ package broker
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"kafkarel/internal/des"
@@ -49,21 +50,22 @@ const (
 // remembered batch — a bare high-water comparison would drop (and
 // falsely ack) a *new* batch that arrives after a later-sequence one.
 // The fields are all values (fixed array), so a struct copy — a flush
-// checkpoint, a crash restore, a catch-up from the leader — is deep.
+// checkpoint, a crash restore, a catch-up from the leader — is deep. The
+// ring's indices are bytes, packed beside epoch and seen, so a pid table
+// entry fills a 288-byte allocation size class exactly.
 type producerState struct {
-	epoch        uint32
-	lastSequence uint64
-	lastOffset   int64
-	seen         bool
-	recent       [wire.SeqCacheSize]batchMeta
-	nRecent      int
-	head         int
+	epoch         uint32
+	seen          bool
+	nRecent, head uint8
+	lastSequence  uint64
+	lastOffset    int64
+	recent        [wire.SeqCacheSize]batchMeta
 }
 
 // lookup returns the base offset of a remembered batch.
 func (st *producerState) lookup(seq uint64) (int64, bool) {
-	for i := 0; i < st.nRecent; i++ {
-		if e := st.recent[(st.head+i)%len(st.recent)]; e.Sequence == seq {
+	for i := range int(st.nRecent) {
+		if e := st.recent[(int(st.head)+i)%len(st.recent)]; e.Sequence == seq {
 			return e.Offset, true
 		}
 	}
@@ -72,12 +74,12 @@ func (st *producerState) lookup(seq uint64) (int64, bool) {
 
 // remember records an appended batch and advances the high-water.
 func (st *producerState) remember(seq uint64, offset int64) {
-	if st.nRecent < len(st.recent) {
-		st.recent[(st.head+st.nRecent)%len(st.recent)] = batchMeta{seq, offset}
+	if int(st.nRecent) < len(st.recent) {
+		st.recent[(int(st.head)+int(st.nRecent))%len(st.recent)] = batchMeta{seq, offset}
 		st.nRecent++
 	} else {
 		st.recent[st.head] = batchMeta{seq, offset}
-		st.head = (st.head + 1) % len(st.recent)
+		st.head = uint8((int(st.head) + 1) % len(st.recent))
 	}
 	if !st.seen || seq > st.lastSequence {
 		st.lastSequence = seq
@@ -92,20 +94,65 @@ type batchMeta struct {
 	Offset   int64
 }
 
+// pidTable is per-partition state keyed by producer id: its entries in
+// pid order in one slice. A partition sees a handful of producers, so a
+// lookup is a short scan, and copying a table — a flush checkpoint, a
+// crash restore, a catch-up — is one append of values into the
+// destination's storage, deep because every entry is a value. A pointer
+// get or getOrAdd returns is good only until the next insert into the
+// same table.
+type pidTable[V any] []pidEntry[V]
+
+type pidEntry[V any] struct {
+	pid uint64
+	v   V
+}
+
+// search returns the index of pid's entry, or where it would go.
+func (t pidTable[V]) search(pid uint64) (int, bool) {
+	i := 0
+	for i < len(t) && t[i].pid < pid {
+		i++
+	}
+	return i, i < len(t) && t[i].pid == pid
+}
+
+// get returns pid's entry, nil if absent.
+func (t pidTable[V]) get(pid uint64) *V {
+	if i, ok := t.search(pid); ok {
+		return &t[i].v
+	}
+	return nil
+}
+
+// getOrAdd returns pid's entry, inserting a zero one if absent.
+func (t *pidTable[V]) getOrAdd(pid uint64) *V {
+	i, ok := t.search(pid)
+	if !ok {
+		*t = slices.Insert(*t, i, pidEntry[V]{pid: pid})
+	}
+	return &(*t)[i].v
+}
+
+// del removes pid's entry, if any.
+func (t *pidTable[V]) del(pid uint64) {
+	if i, ok := t.search(pid); ok {
+		*t = slices.Delete(*t, i, i+1)
+	}
+}
+
 // part is one topic partition hosted on this broker: its log plus
 // the idempotent producer state, live and as of the last flush. Every
 // field is held by value and its zero value is an empty partition, so a
-// broker carves a topic's parts as one block (CreatePartitions); the two
-// producer-state maps are made by their first write, as txnState's are,
-// because most replicas of a short run never see a producer's batch.
+// broker carves a topic's parts as one block (CreatePartitions).
 type part struct {
 	log  storage.Log
-	prod map[uint64]*producerState
+	prod pidTable[producerState]
 	// flushedProd is the producer-state snapshot persisted with the last
 	// flush. An unclean crash restores it: a stale snapshot must not
 	// dedupe-and-ack a retry of a truncated batch, and a fresh one must
 	// not re-append a batch that survived the crash.
-	flushedProd map[uint64]producerState
+	flushedProd pidTable[producerState]
 	lastFlush   time.Duration // interval boundary of the last flush
 	// txn is the live transaction view (ongoing/aborted ranges, control
 	// offsets, producer epochs); flushedTxn is its snapshot as of the
@@ -113,20 +160,6 @@ type part struct {
 	// so the transaction view never describes truncated offsets.
 	txn        txnState
 	flushedTxn txnState
-}
-
-// state returns the live sequence state of a producer, making it (and
-// the map) on first use.
-func (p *part) state(pid uint64) *producerState {
-	st := p.prod[pid]
-	if st == nil {
-		if p.prod == nil {
-			p.prod = make(map[uint64]*producerState)
-		}
-		st = new(producerState)
-		p.prod[pid] = st
-	}
-	return st
 }
 
 // Stats counts broker activity.
@@ -273,7 +306,7 @@ func (b *Broker) CrashUnclean() {
 			p.log.TruncateTo(p.log.Flushed())
 			lost += uint64(tail)
 		}
-		p.restoreProd(p.flushedProd)
+		p.prod = append(p.prod[:0], p.flushedProd...)
 		p.txn.copyFrom(&p.flushedTxn)
 	})
 	b.stats.RecordsTruncated += lost
@@ -381,10 +414,10 @@ func (b *Broker) Log(topic string, partition int32) *storage.Log {
 
 // CatchUpFrom makes this broker's replica of the topic partition a copy
 // of leader's: the log catches up by reference (storage.Log.CatchUp), the
-// leader's producer-sequence states and transaction view are copied into
-// the replica's own maps, and the result is flushed — the replica's log
-// now mirrors the leader's, so its dedupe state and durability checkpoint
-// must too. Without the producer states a retry routed here after a later
+// leader's seen producer-sequence states and transaction view are copied
+// into the replica's own tables, and the result is flushed — the
+// replica's log now mirrors the leader's, so its dedupe state and
+// durability checkpoint must too. Without the producer states a retry routed here after a later
 // leadership change could re-append a batch the cluster already
 // acknowledged (Kafka rebuilds them from the replicated log); without the
 // transaction view, which the by-reference copy carries no batch headers
@@ -398,14 +431,10 @@ func (b *Broker) CatchUpFrom(leader *Broker, topic string, partition int32) erro
 	if err := p.log.CatchUp(&lp.log); err != nil {
 		return err
 	}
-	for id := range p.prod {
-		if st := lp.prod[id]; st == nil || !st.seen {
-			delete(p.prod, id)
-		}
-	}
-	for id, st := range lp.prod {
-		if st.seen {
-			*p.state(id) = *st
+	p.prod = p.prod[:0]
+	for i := range lp.prod {
+		if lp.prod[i].v.seen {
+			p.prod = append(p.prod, lp.prod[i])
 		}
 	}
 	p.txn.copyFrom(&lp.txn)
@@ -429,23 +458,7 @@ func (b *Broker) boundary(t time.Duration) time.Duration {
 // restores from it by copy.
 func (b *Broker) flushPart(p *part, bd time.Duration) {
 	p.log.Flush()
-	// Assigning to a key already present reuses the entry; a producerState
-	// is too large for a map to store inline, so clear + refill would
-	// allocate one per producer.
-	if p.flushedProd == nil && len(p.prod) > 0 {
-		p.flushedProd = make(map[uint64]producerState, len(p.prod))
-	}
-	for id, st := range p.prod {
-		p.flushedProd[id] = *st
-	}
-	if len(p.flushedProd) > len(p.prod) {
-		// A catch-up dropped producers the leader has not seen.
-		for id := range p.flushedProd {
-			if p.prod[id] == nil {
-				delete(p.flushedProd, id)
-			}
-		}
-	}
+	p.flushedProd = append(p.flushedProd[:0], p.prod...)
 	p.flushedTxn.copyFrom(&p.txn)
 	p.lastFlush = bd
 }
@@ -461,20 +474,6 @@ func (b *Broker) maybeFlush(p *part) {
 	}
 	if bd := b.boundary(b.sim.Now()); bd > p.lastFlush {
 		b.flushPart(p, bd)
-	}
-}
-
-// restoreProd rolls the live producer states back to the flush
-// checkpoint snap, in place: states the checkpoint holds are overwritten,
-// the others dropped.
-func (p *part) restoreProd(snap map[uint64]producerState) {
-	for id := range p.prod {
-		if _, ok := snap[id]; !ok {
-			delete(p.prod, id)
-		}
-	}
-	for id, st := range snap {
-		*p.state(id) = st
 	}
 }
 
@@ -524,7 +523,8 @@ func (b *Broker) Append(topic string, partition int32, batch wire.RecordBatch, i
 		return base, false, wire.ErrNone
 	}
 	if idempotent {
-		st := p.state(batch.ProducerID)
+		// st points into p.prod: nothing below inserts into that table.
+		st := p.prod.getOrAdd(batch.ProducerID)
 		if batch.ProducerEpoch > st.epoch {
 			// A bumped epoch starts a fresh sequence space (Kafka resets
 			// producer sequence tracking on epoch bump): the previous
@@ -562,7 +562,7 @@ func (b *Broker) Append(topic string, partition int32, batch wire.RecordBatch, i
 	// sequences are monotone per producer and retries pin their
 	// partition, so a sequence at or below the high-water is a retry of a
 	// batch this broker already appended.
-	st := p.state(batch.ProducerID)
+	st := p.prod.getOrAdd(batch.ProducerID)
 	if st.seen && batch.BaseSequence <= st.lastSequence {
 		b.stats.DuplicateAppends++
 		b.stats.DuplicateRecords += uint64(len(batch.Records))

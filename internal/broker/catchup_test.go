@@ -128,8 +128,20 @@ func sameAsLeader(t *testing.T, when string, l, f *part, nextSeq map[uint64]uint
 	if f.log.End() != end || f.log.Flushed() != end {
 		t.Fatalf("%s: follower log end %d flushed %d, leader end %d", when, f.log.End(), f.log.Flushed(), end)
 	}
+	// Every offset holds the leader's record, not only the suffix the
+	// catch-up copied: a batch only the follower took is gone.
+	lrecs, lerr := l.log.CopyOut(nil, 0, int(end))
+	frecs, ferr := f.log.CopyOut(nil, 0, int(end))
+	if lerr != nil || ferr != nil {
+		t.Fatalf("%s: reading logs: %v, %v", when, lerr, ferr)
+	}
+	for off, r := range lrecs {
+		if fr := frecs[off]; fr.Key != r.Key || string(fr.Payload) != string(r.Payload) {
+			t.Fatalf("%s: offset %d: follower holds key %d, leader key %d", when, off, fr.Key, r.Key)
+		}
+	}
 	for pid, next := range nextSeq {
-		ls, fs := l.prod[pid], f.prod[pid]
+		ls, fs := l.prod.get(pid), f.prod.get(pid)
 		if (ls == nil || !ls.seen) != (fs == nil) {
 			t.Fatalf("%s: producer %d: leader state %+v, follower %+v", when, pid, ls, fs)
 		}
@@ -157,17 +169,17 @@ func sameAsLeader(t *testing.T, when string, l, f *part, nextSeq map[uint64]uint
 			}
 		}
 	}
-	if !sameTxn(&f.flushedTxn, &l.txn) {
+	if !sameTxn(t, &f.flushedTxn, modelTxn(t, &l.txn)) {
 		t.Fatalf("%s: follower checkpoint txn %+v, leader %+v", when, f.flushedTxn, l.txn)
 	}
 	seen := map[uint64]producerState{}
-	for pid, st := range l.prod {
-		if st.seen {
-			seen[pid] = *st
+	for _, e := range l.prod {
+		if e.v.seen {
+			seen[e.pid] = e.v
 		}
 	}
-	if !maps.EqualFunc(f.flushedProd, seen, sameProducerState) {
-		t.Fatalf("%s: follower checkpoint producers %+v, leader %+v", when, f.flushedProd, seen)
+	if got := f.flushedProd.toMap(t); !maps.EqualFunc(got, seen, sameProducerState) {
+		t.Fatalf("%s: follower checkpoint producers %+v, leader %+v", when, got, seen)
 	}
 }
 
@@ -176,8 +188,8 @@ func sameProducerState(a, b producerState) bool {
 	if a.epoch != b.epoch || a.lastSequence != b.lastSequence || a.lastOffset != b.lastOffset || a.seen != b.seen || a.nRecent != b.nRecent {
 		return false
 	}
-	for i := 0; i < a.nRecent; i++ {
-		if a.recent[(a.head+i)%len(a.recent)] != b.recent[(b.head+i)%len(b.recent)] {
+	for i := range int(a.nRecent) {
+		if a.recent[(int(a.head)+i)%len(a.recent)] != b.recent[(int(b.head)+i)%len(b.recent)] {
 			return false
 		}
 	}

@@ -20,12 +20,12 @@ type TxnRange struct {
 }
 
 // txnState is one partition's live transaction view. The zero value is
-// an empty view, and its maps are made by the first write: most
-// partitions of most runs never see a transactional batch.
+// an empty view, and every field is a slice of values, so copyFrom is a
+// deep copy into the destination's storage.
 type txnState struct {
-	// ongoing maps producer id -> the open (undecided) transaction's
+	// ongoing holds per producer id the open (undecided) transaction's
 	// offset range. Its minimum First is the partition's LSO.
-	ongoing map[uint64]TxnRange
+	ongoing pidTable[TxnRange]
 	// aborted holds decided-aborted data ranges, sorted by First. Records
 	// inside them are invisible at read_committed.
 	aborted []TxnRange
@@ -34,43 +34,30 @@ type txnState struct {
 	control []int64
 	// epoch is the highest producer epoch seen per producer id; batches
 	// carrying a lower epoch are zombies and are fenced.
-	epoch map[uint64]uint32
-}
-
-func (ts *txnState) setOngoing(pid uint64, rng TxnRange) {
-	if ts.ongoing == nil {
-		ts.ongoing = make(map[uint64]TxnRange)
-	}
-	ts.ongoing[pid] = rng
-}
-
-func (ts *txnState) setEpoch(pid uint64, epoch uint32) {
-	if ts.epoch == nil {
-		ts.epoch = make(map[uint64]uint32)
-	}
-	ts.epoch[pid] = epoch
+	epoch pidTable[uint32]
 }
 
 // fence checks a transactional batch's epoch against the highest seen
 // for its producer id, recording a new high. It reports whether the
 // batch is a fenced zombie.
 func (ts *txnState) fence(pid uint64, epoch uint32) bool {
-	if prev, ok := ts.epoch[pid]; ok && epoch < prev {
+	prev := ts.epoch.getOrAdd(pid)
+	if epoch < *prev {
 		return true
 	}
-	ts.setEpoch(pid, epoch)
+	*prev = epoch
 	return false
 }
 
 // extend opens or extends the producer's ongoing range with a data batch
 // appended at [base, base+n).
 func (ts *txnState) extend(pid uint64, base int64, n int) {
-	rng, ok := ts.ongoing[pid]
-	if !ok {
+	rng := ts.ongoing.get(pid)
+	if rng == nil {
+		rng = ts.ongoing.getOrAdd(pid)
 		rng.First = base
 	}
 	rng.Next = base + int64(n)
-	ts.setOngoing(pid, rng)
 }
 
 // applyMarker records a control marker appended at offset and closes the
@@ -80,11 +67,12 @@ func (ts *txnState) extend(pid uint64, base int64, n int) {
 // control offset — re-driving markers is idempotent by construction.
 func (ts *txnState) applyMarker(pid uint64, offset int64, commit bool) {
 	ts.control = append(ts.control, offset)
-	rng, ok := ts.ongoing[pid]
-	if !ok {
+	open := ts.ongoing.get(pid)
+	if open == nil {
 		return
 	}
-	delete(ts.ongoing, pid)
+	rng := *open
+	ts.ongoing.del(pid)
 	if commit {
 		return
 	}
@@ -96,14 +84,9 @@ func (ts *txnState) applyMarker(pid uint64, offset int64, commit bool) {
 
 // lso returns the last stable offset: everything below it is decided.
 func (ts *txnState) lso(logEnd int64) int64 {
-	if len(ts.ongoing) == 0 {
-		return logEnd // every fetch asks; skip starting a map iteration
-	}
 	lso := logEnd
-	for _, rng := range ts.ongoing {
-		if rng.First < lso {
-			lso = rng.First
-		}
+	for i := range ts.ongoing {
+		lso = min(lso, ts.ongoing[i].v.First)
 	}
 	return lso
 }
@@ -151,20 +134,12 @@ func (ts *txnState) firstFiltered(from, to int64, iso wire.IsolationLevel) int64
 	return to
 }
 
-// copyFrom makes ts a deep copy of src, reusing ts's maps and slices:
-// the flush checkpoint, a crash restore and a catch-up from the leader
-// rewrite the view in place, not reallocate it. The loops
-// are spelled out because maps.Copy is not free here (measured: +0.03
-// allocations per record on the chaos_mix benchmark workload).
+// copyFrom makes ts a deep copy of src in ts's own storage: the flush
+// checkpoint, a crash restore and a catch-up from the leader rewrite the
+// view in place, not reallocate it.
 func (ts *txnState) copyFrom(src *txnState) {
-	clear(ts.ongoing)
-	for pid, rng := range src.ongoing {
-		ts.setOngoing(pid, rng)
-	}
-	clear(ts.epoch)
-	for pid, e := range src.epoch {
-		ts.setEpoch(pid, e)
-	}
+	ts.ongoing = append(ts.ongoing[:0], src.ongoing...)
+	ts.epoch = append(ts.epoch[:0], src.epoch...)
 	ts.aborted = append(ts.aborted[:0], src.aborted...)
 	ts.control = append(ts.control[:0], src.control...)
 }

@@ -14,9 +14,10 @@
 package chaos
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"time"
 
 	"kafkarel/internal/cluster"
@@ -327,7 +328,7 @@ func (p Plan) Validate(brokers int) error {
 	}
 
 	checkOverlap := func(wins []win, what string) error {
-		sort.Slice(wins, func(a, b int) bool { return wins[a].start < wins[b].start })
+		slices.SortFunc(wins, func(a, b win) int { return cmp.Compare(a.start, b.start) })
 		for i := 1; i < len(wins); i++ {
 			if wins[i].start < wins[i-1].end {
 				return fmt.Errorf("chaos: overlapping %s windows ([%v,%v) and [%v,%v))",
@@ -384,7 +385,7 @@ func (p Plan) Validate(brokers int) error {
 		}
 	}
 	replay := func(evs []ev, what string, id int32) error {
-		sort.SliceStable(evs, func(a, b int) bool { return evs[a].at < evs[b].at })
+		slices.SortStableFunc(evs, func(a, b ev) int { return cmp.Compare(a.at, b.at) })
 		down := false
 		for _, e := range evs {
 			if e.crash == down {

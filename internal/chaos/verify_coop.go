@@ -1,7 +1,8 @@
 package chaos
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"kafkarel/internal/consumer"
 	"kafkarel/internal/coordinator"
@@ -69,10 +70,10 @@ func VerifyCoop(in CoopInput) Verdict {
 	for p := range byPart {
 		parts = append(parts, p)
 	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i] < parts[j] })
+	slices.Sort(parts)
 	for _, p := range parts {
 		spans := byPart[p]
-		sort.SliceStable(spans, func(i, j int) bool { return spans[i].From < spans[j].From })
+		slices.SortStableFunc(spans, func(a, b consumer.OwnershipSpan) int { return cmp.Compare(a.From, b.From) })
 		for i := 1; i < len(spans); i++ {
 			prev, cur := spans[i-1], spans[i]
 			if cur.From < prev.To {

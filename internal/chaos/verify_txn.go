@@ -1,8 +1,9 @@
 package chaos
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"kafkarel/internal/wire"
 )
@@ -204,7 +205,7 @@ func VerifyTxn(in TxnInput) Verdict {
 				v.fail("txn: partition %d: durable offset %d matches no commit-issued attempt boundary", p, cp)
 			}
 		}
-		sort.Slice(confirmed, func(i, j int) bool { return confirmed[i].InputStart < confirmed[j].InputStart })
+		slices.SortFunc(confirmed, func(a, b *TxnAttempt) int { return cmp.Compare(a.InputStart, b.InputStart) })
 		for i := 1; i < len(confirmed); i++ {
 			if confirmed[i].InputStart < confirmed[i-1].InputEnd {
 				v.fail("txn: partition %d: confirmed commits overlap ([%d,%d) and [%d,%d)) — input range processed twice",

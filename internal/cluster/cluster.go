@@ -468,23 +468,14 @@ func (c *Cluster) StatsAll() []broker.Stats {
 	return out
 }
 
-// Metadata answers a metadata request for one topic.
-func (c *Cluster) Metadata(req wire.MetadataRequest) wire.MetadataResponse {
-	resp := wire.MetadataResponse{Topic: req.Topic}
-	tm, ok := c.topics[req.Topic]
+// PartitionCount returns how many partitions the topic has; ok is false
+// when the topic is unknown.
+func (c *Cluster) PartitionCount(topic string) (n int, ok bool) {
+	tm, ok := c.topics[topic]
 	if !ok {
-		resp.Err = wire.ErrUnknownTopicOrPartition
-		return resp
+		return 0, false
 	}
-	for p := range tm.partitions {
-		pm := &tm.partitions[p]
-		resp.Partitions = append(resp.Partitions, wire.PartitionMetadata{
-			Partition: int32(p),
-			Leader:    pm.leader,
-			Replicas:  append([]int32(nil), pm.replicas...),
-		})
-	}
-	return resp
+	return len(tm.partitions), true
 }
 
 // HandleProduce routes a produce request to the partition leader,

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -42,18 +43,37 @@ func TestCreateTopicPlacement(t *testing.T) {
 	if err := c.CreateTopic("multi", 6, 2); err != nil {
 		t.Fatal(err)
 	}
-	md := c.Metadata(wire.MetadataRequest{Topic: "multi"})
-	if md.Err != wire.ErrNone || len(md.Partitions) != 6 {
-		t.Fatalf("metadata = %+v", md)
+	if n, ok := c.PartitionCount("multi"); !ok || n != 6 {
+		t.Fatalf("PartitionCount = %d, %v; want 6, true", n, ok)
+	}
+	if _, ok := c.PartitionCount("absent"); ok {
+		t.Error("PartitionCount found an absent topic")
+	}
+	if _, ok := c.Partition("multi", 6); ok {
+		t.Error("partition 6 of a 6-partition topic resolved")
 	}
 	leaders := map[int32]int{}
-	for _, p := range md.Partitions {
-		leaders[p.Leader]++
-		if len(p.Replicas) != 2 {
-			t.Errorf("partition %d has %d replicas", p.Partition, len(p.Replicas))
+	for p := int32(0); p < 6; p++ {
+		h, ok := c.Partition("multi", p)
+		if !ok {
+			t.Fatalf("partition %d did not resolve", p)
 		}
-		if p.Replicas[0] != p.Leader {
-			t.Errorf("partition %d leader %d not first replica %v", p.Partition, p.Leader, p.Replicas)
+		leader := c.Leader("multi", p)
+		leaders[leader.ID()]++
+		// The handle routes to the leader's replica, which is the first
+		// of the partition's two consecutive brokers.
+		lp, up := h.Leader()
+		if want, _ := leader.Partition("multi", p); !up || lp != want {
+			t.Errorf("partition %d: handle leader %+v up=%v, want broker %d's replica", p, lp, up, leader.ID())
+		}
+		var hosts []int32
+		for id := int32(0); id < int32(c.Brokers()); id++ {
+			if _, ok := c.Broker(id).Partition("multi", p); ok {
+				hosts = append(hosts, id)
+			}
+		}
+		if len(hosts) != 2 || !slices.Contains(hosts, (leader.ID()+1)%3) {
+			t.Errorf("partition %d led by %d is hosted on %v, want it and the next broker", p, leader.ID(), hosts)
 		}
 	}
 	// Round-robin across 3 brokers → each leads 2 of 6 partitions.

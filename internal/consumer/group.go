@@ -350,7 +350,7 @@ func (g *Group) putCommitReq(j *commitReq) {
 }
 
 // NewGroup creates a group over the topic. The topic must exist; its
-// partition count is taken from cluster metadata.
+// partition count is taken from the cluster.
 func NewGroup(sim *des.Simulator, co *coordinator.Coordinator, clst *cluster.Cluster, cfg GroupConfig) (*Group, error) {
 	if sim == nil || co == nil || clst == nil {
 		return nil, fmt.Errorf("consumer: nil simulator, coordinator or cluster")
@@ -358,13 +358,12 @@ func NewGroup(sim *des.Simulator, co *coordinator.Coordinator, clst *cluster.Clu
 	if cfg.Topic == "" {
 		return nil, fmt.Errorf("consumer: empty topic")
 	}
-	md := clst.Metadata(wire.MetadataRequest{Topic: cfg.Topic})
-	if md.Err != wire.ErrNone {
-		return nil, fmt.Errorf("consumer: topic %q: %s", cfg.Topic, md.Err)
+	n, ok := clst.PartitionCount(cfg.Topic)
+	if !ok {
+		return nil, fmt.Errorf("consumer: topic %q: %s", cfg.Topic, wire.ErrUnknownTopicOrPartition)
 	}
 	cfg.applyDefaults(co)
 	sim.DeclareDelay(pollInterval) // every member's poll timer (des lanes)
-	n := len(md.Partitions)
 	g := &Group{
 		sim:           sim,
 		co:            co,

@@ -20,8 +20,10 @@
 package coordinator
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"kafkarel/internal/cluster"
@@ -302,16 +304,16 @@ func (co *Coordinator) HandleJoinGroup(req wire.JoinGroupRequest, done func(wire
 	g, ok := co.groups[req.Group]
 	if !ok {
 		// A new group binds to the topic of its first join.
-		md := co.clst.Metadata(wire.MetadataRequest{Topic: req.Topic})
-		if md.Err != wire.ErrNone {
-			fail(md.Err)
+		n, ok := co.clst.PartitionCount(req.Topic)
+		if !ok {
+			fail(wire.ErrUnknownTopicOrPartition)
 			return
 		}
 		g = &group{
 			co:         co,
 			id:         req.Group,
 			topic:      req.Topic,
-			partitions: int32(len(md.Partitions)),
+			partitions: int32(n),
 			members:    make(map[string]*member),
 		}
 		co.groups[req.Group] = g
@@ -677,15 +679,8 @@ func (co *Coordinator) Rematerialize() {
 	for k := range co.offsets {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.group != b.group {
-			return a.group < b.group
-		}
-		if a.topic != b.topic {
-			return a.topic < b.topic
-		}
-		return a.partition < b.partition
+	slices.SortFunc(keys, func(a, b offsetKey) int {
+		return cmp.Or(strings.Compare(a.group, b.group), strings.Compare(a.topic, b.topic), cmp.Compare(a.partition, b.partition))
 	})
 	for _, k := range keys {
 		old := co.offsets[k]

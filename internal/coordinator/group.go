@@ -1,7 +1,7 @@
 package coordinator
 
 import (
-	"sort"
+	"slices"
 
 	"kafkarel/internal/des"
 	"kafkarel/internal/wire"
@@ -75,7 +75,7 @@ func (g *group) completeJoin() {
 	for id := range g.members {
 		ids = append(ids, id)
 	}
-	sort.Strings(ids)
+	slices.Sort(ids)
 	kept := ids[:0]
 	for _, id := range ids {
 		m := g.members[id]
@@ -174,7 +174,7 @@ func (g *group) completeJoin() {
 		}
 		for _, id := range kept {
 			a := g.members[id].assigned
-			sort.Slice(a, func(x, y int) bool { return a[x] < a[y] })
+			slices.Sort(a)
 		}
 	} else {
 		next := int32(0)

@@ -145,12 +145,14 @@ func (l *Log) Append(records []wire.Record) int64 {
 	return base
 }
 
-// CatchUp makes l a replica of leader: it truncates whatever l holds past
-// the leader's end, then appends the leader's records from l's end on, by
-// reference — the two logs then hold the same records. It is an error
-// when l ends before the leader's first stored offset.
+// CatchUp makes l a replica of leader: it truncates l at the first offset
+// whose record is not the leader's (or at the leader's end), then appends
+// the leader's records from there on, by reference — the two logs then
+// hold the same records. Replicas share record references, so a record a
+// stale leader wrote to l alone differs from the leader's by pointer. It
+// is an error when l ends before the leader's first stored offset.
 func (l *Log) CatchUp(leader *Log) error {
-	l.TruncateTo(leader.end)
+	l.TruncateTo(l.sharedEnd(leader))
 	n, err := leader.span(l.end, int(leader.end-l.end))
 	if err != nil {
 		return err
@@ -168,6 +170,23 @@ func (l *Log) CatchUp(leader *Log) error {
 		n -= len(run)
 	}
 	return nil
+}
+
+// sharedEnd returns the first offset at which l and leader hold different
+// records, or the lower of their ends where they agree throughout.
+func (l *Log) sharedEnd(leader *Log) int64 {
+	off, end := max(l.start(), leader.start()), min(l.end, leader.end)
+	for off < end {
+		mine, _ := l.run(off, int(end-off))
+		theirs, _ := leader.run(off, len(mine))
+		for i, r := range theirs {
+			if mine[i] != r {
+				return off + int64(i)
+			}
+		}
+		off += int64(len(theirs))
+	}
+	return end
 }
 
 // End returns the log end offset (the offset the next record will get).

@@ -82,7 +82,11 @@ func (r *replicas) step(op, arg byte) error {
 		if err := r.logs[i].CatchUp(r.logs[j]); err != nil {
 			return fmt.Errorf("catch-up %d from %d: %w", i, j, err)
 		}
-		cut := min(len(r.model[i]), len(r.model[j]))
+		// i keeps the prefix it shares with j, record for record.
+		cut := 0
+		for cut < min(len(r.model[i]), len(r.model[j])) && r.model[i][cut].rec == r.model[j][cut].rec {
+			cut++
+		}
 		r.model[i] = append(slices.Clip(r.model[i][:cut]), r.model[j][cut:]...)
 	}
 	return r.check()

@@ -105,25 +105,6 @@ type FetchResponse struct {
 	Records       []Record
 }
 
-// MetadataRequest asks which broker leads each partition of a topic.
-type MetadataRequest struct {
-	Topic string
-}
-
-// PartitionMetadata describes one partition's leadership.
-type PartitionMetadata struct {
-	Partition int32
-	Leader    int32
-	Replicas  []int32
-}
-
-// MetadataResponse lists partition leadership for a topic.
-type MetadataResponse struct {
-	Topic      string
-	Err        ErrorCode
-	Partitions []PartitionMetadata
-}
-
 func appendString(b []byte, s string) []byte {
 	b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
 	return append(b, s...)
