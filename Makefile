@@ -46,7 +46,11 @@ reach:
 ## coverage counters with `go tool covdata`, and prints the statements run
 ## per package, then every function no fixture ran (0.0% in `go tool cover
 ## -func`). A failing fixture fails the target; the percentages gate
-## nothing. Leaves no file in the tree; CI archives the listing.
+## nothing. The never-run listing is a ratchet (ROADMAP 25): it must equal
+## testdata/never-run.txt as a sorted multiset of `<path>/<file>.go
+## <func>` lines, so the target also fails on a never-run function the
+## list lacks and on a listed function that now runs, naming each.
+## Leaves no file in the tree; CI archives the listing.
 live: SHELL := /bin/bash
 live:
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; mkdir -p $$tmp/bin $$tmp/cov $$tmp/run; \
@@ -60,7 +64,14 @@ live:
 	done < testdata/live-fixtures.txt; \
 	$(GO) tool covdata percent -i=$$tmp/cov | sort -k1,1 || exit 1; \
 	$(GO) tool covdata textfmt -i=$$tmp/cov -o $$tmp/cov.txt && \
-	$(GO) tool cover -func=$$tmp/cov.txt | awk '$$NF == "0.0%" {print "never run  " $$1 " " $$2}'
+	$(GO) tool cover -func=$$tmp/cov.txt | awk '$$NF == "0.0%"' > $$tmp/never || exit 1; \
+	awk '{print "never run  " $$1 " " $$2}' $$tmp/never; \
+	export LC_ALL=C; \
+	awk '{sub(/^kafkarel\//, "", $$1); sub(/:[0-9]+:$$/, "", $$1); print $$1 " " $$2}' $$tmp/never | sort > $$tmp/found; \
+	grep -v '^#' testdata/never-run.txt | grep . | sort > $$tmp/listed; \
+	comm -23 $$tmp/found $$tmp/listed | sed 's|^|live: never run, and not in testdata/never-run.txt: |' > $$tmp/diff; \
+	comm -13 $$tmp/found $$tmp/listed | sed 's|^|live: in testdata/never-run.txt, but now run (remove the line): |' >> $$tmp/diff; \
+	if [ -s $$tmp/diff ]; then cat $$tmp/diff; exit 1; fi
 
 ## fuzz-smoke: a few seconds of native fuzzing on each target of the
 ## byte-level protocol (internal/wire/fuzz_test.go), of the replicated
@@ -73,8 +84,9 @@ live:
 ## the event kernel (internal/des: fuzz bytes drive the model-checked
 ## interleavings of heap and lane events), of the experiment
 ## configuration (internal/testbed: one field of a valid experiment
-## mutated; an error or a run bounded by its horizon and the event cap)
-## and of the dense key tally (internal/consumer: range sets with gaps,
+## mutated; an error or a run bounded by its horizon and the event cap),
+## of the fleet configuration (internal/testbed: the same oracle, one
+## field of a small fleet mutated) and of the dense key tally (internal/consumer: range sets with gaps,
 ## empty ranges, key 0 and foreign keys, against a map reconciler) —
 ## one invocation per target because `go test -fuzz` takes exactly one,
 ## nothing downloaded.
@@ -82,7 +94,7 @@ live:
 ## crasher is written to internal/<pkg>/testdata/fuzz/<target>/ and fails
 ## the run: commit it with the fix, and it is a regression test from then on.
 fuzz-smoke:
-	@for t in wire:FuzzSplitter wire:FuzzDecode wire:FuzzSlabClone storage:FuzzLogReplicas broker:FuzzPartitionState core:FuzzPredictorLoad des:FuzzModel testbed:FuzzExperiment consumer:FuzzKeyRanges; do \
+	@for t in wire:FuzzSplitter wire:FuzzDecode wire:FuzzSlabClone storage:FuzzLogReplicas broker:FuzzPartitionState core:FuzzPredictorLoad des:FuzzModel testbed:FuzzExperiment testbed:FuzzFleet consumer:FuzzKeyRanges; do \
 		$(GO) test ./internal/$${t%%:*} -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime 3s || exit 1; done
 
 ## bench-repo: the repository benchmark's headline pass (BENCHMARK.json;

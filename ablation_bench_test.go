@@ -2,7 +2,9 @@ package kafkarel_test
 
 // Ablation benchmarks isolate the mechanisms DESIGN.md §5 credits for
 // the paper's figure shapes: remove one mechanism, re-run the relevant
-// operating point, and report the metric with and without it.
+// operating point, and report the metric with and without it. The
+// send-path stall knock-out asserts its result instead:
+// internal/testbed's TestSendPathStallsDriveFullLoadLoss.
 
 import (
 	"testing"
@@ -10,44 +12,9 @@ import (
 
 	"kafkarel"
 	"kafkarel/internal/chaos"
-	"kafkarel/internal/testbed"
 )
 
 const benchMessages = 2000
-
-// BenchmarkAblationStalls removes the heavy-tailed send-path stalls: the
-// full-load no-fault loss of Figs. 5-6 should largely disappear,
-// confirming the stalls (not a hidden overload) drive those curves at
-// M=200B.
-func BenchmarkAblationStalls(b *testing.B) {
-	v := kafkarel.Features{
-		MessageSize:    200,
-		Timeliness:     5 * time.Second,
-		DelayMs:        10,
-		Semantics:      kafkarel.AtMostOnce,
-		BatchSize:      1,
-		PollInterval:   0,
-		MessageTimeout: 500 * time.Millisecond,
-	}
-	noStalls := testbed.DefaultCalibration()
-	noStalls.StallProb = 1e-12 // effectively off (0 would mean "use defaults")
-	for i := 0; i < b.N; i++ {
-		with, err := kafkarel.RunExperiment(kafkarel.Experiment{
-			Features: v, Messages: benchMessages, Seed: uint64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		without, err := kafkarel.RunExperiment(kafkarel.Experiment{
-			Features: v, Messages: benchMessages, Seed: uint64(i), Calibration: noStalls,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(with.Pl, "Pl_with_stalls")
-		b.ReportMetric(without.Pl, "Pl_without_stalls")
-	}
-}
 
 // BenchmarkAblationBackpressure removes at-least-once intake pacing by
 // inflating the queue limit: the bounded-buffer backpressure is what

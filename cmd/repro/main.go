@@ -485,7 +485,7 @@ func reportDynamicRun(messages int, seed uint64) (testbed.Result, []obs.Event, e
 	}
 	// Enough messages to keep the source alive across the whole trace
 	// (capped by the caller's budget so -n still bounds the run).
-	needed := int(testbed.DefaultCalibration().FullLoadRate(profile.MeanSize) * spec.Duration.Seconds() * 1.1)
+	needed := int(testbed.FullLoadRate(profile.MeanSize) * spec.Duration.Seconds() * 1.1)
 	if messages > 0 && messages < needed {
 		needed = messages
 	}

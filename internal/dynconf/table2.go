@@ -173,7 +173,7 @@ func TableII(ctx context.Context, profiles []workload.Profile, opts Options) ([]
 
 		// The stream must span the whole trace: offer full-load input for
 		// the trace duration, bounded by the caller's message budget.
-		needed := int(testbed.DefaultCalibration().FullLoadRate(profile.MeanSize) *
+		needed := int(testbed.FullLoadRate(profile.MeanSize) *
 			opts.TraceSpec.Duration.Seconds() * 1.1)
 		messages := opts.Messages
 		if needed < messages {

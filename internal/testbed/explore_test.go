@@ -11,8 +11,8 @@ import (
 //
 //	go test ./internal/testbed/ -run TestExploreShapes -v -explore
 //
-// It prints the operating points behind Figs. 4-8 so the Calibration
-// constants can be tuned. It is skipped in normal runs.
+// It prints the operating points behind Figs. 4-8 so the hostCalibration
+// constants (calibration.go) can be tuned. It is skipped in normal runs.
 func TestExploreShapes(t *testing.T) {
 	if !*exploreFlag {
 		t.Skip("pass -explore to run")

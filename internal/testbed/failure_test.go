@@ -129,7 +129,7 @@ func TestHorizonBoundRunawayHitsEventCap(t *testing.T) {
 	defer func(c uint64) { eventCap = c }(eventCap)
 	eventCap = 10_000
 	sim := des.New()
-	r, err := newRig(sim, nil, Calibration{}, 0, 1, 1, 1, "t")
+	r, err := newRig(sim, nil, 0, 1, 1, 1, "t")
 	if err != nil {
 		t.Fatal(err)
 	}

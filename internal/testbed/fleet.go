@@ -76,8 +76,6 @@ type Fleet struct {
 	ConsumerFaults bool
 	// MaxSimTime caps each shard's virtual duration (0 = none).
 	MaxSimTime time.Duration
-	// Calibration overrides the host cost constants (zero value: default).
-	Calibration Calibration
 	// TimelineInterval, when positive, samples entity-tagged timelines:
 	// one per producer ("t003/p0007": netem, transport and producer
 	// probes) and one per topic ("t003": broker probe), all returned in
@@ -105,12 +103,16 @@ func (f Fleet) Validate() error {
 		return fmt.Errorf("testbed: fleet partition count %d <= 0", f.Partitions)
 	case f.Messages < f.Producers:
 		return fmt.Errorf("testbed: %d messages across %d producers", f.Messages, f.Producers)
-	case f.UsersPerSec < 0:
-		return fmt.Errorf("testbed: negative users/sec")
-	case f.ConsumersPerTopic < 0:
-		return fmt.Errorf("testbed: negative consumers per topic")
-	case f.Groups < 0:
-		return fmt.Errorf("testbed: negative consumer-group count")
+	}
+	err := checkOverrides([]override{
+		{"UsersPerSec", f.UsersPerSec < 0},
+		{"ConsumersPerTopic", f.ConsumersPerTopic < 0},
+		{"Groups", f.Groups < 0},
+		{"MaxSimTime", f.MaxSimTime < 0},
+		{"TimelineInterval", f.TimelineInterval < 0},
+	})
+	if err != nil {
+		return err
 	}
 	if f.ConsumerFaults && exprun.DefInt(f.ConsumersPerTopic, 1) < 2 {
 		return fmt.Errorf("testbed: consumer faults need at least 2 consumers per topic")
@@ -338,17 +340,13 @@ func RunFleetContext(ctx context.Context, f Fleet, workers int) (FleetResult, er
 	if err := f.Validate(); err != nil {
 		return FleetResult{}, err
 	}
-	cal, err := f.Calibration.resolved()
-	if err != nil {
-		return FleetResult{}, err
-	}
 
 	poll := f.Features.PollInterval
 	if f.UsersPerSec > 0 {
 		// Sec. IV-C scaling rule, solved for δ: each producer's arrival
 		// period io + δ must be Producers/UsersPerSec for the aggregate
 		// offered rate to hit the target.
-		ioMean := time.Duration(float64(time.Second) / cal.FullLoadRate(f.Features.MessageSize))
+		ioMean := time.Duration(float64(time.Second) / FullLoadRate(f.Features.MessageSize))
 		period := time.Duration(float64(f.Producers) * float64(time.Second) / f.UsersPerSec)
 		poll = period - ioMean
 		if poll < 0 {
@@ -375,7 +373,7 @@ func RunFleetContext(ctx context.Context, f Fleet, workers int) (FleetResult, er
 
 	outs, err := exprun.Map(ctx, shards,
 		func(ctx context.Context, _ int, sh fleetShard) (fleetShardOut, error) {
-			out, err := runFleetShard(simFor(ctx), sh, cal)
+			out, err := runFleetShard(simFor(ctx), sh)
 			if err != nil {
 				return fleetShardOut{}, fmt.Errorf("testbed: topic %s: %w", sh.topic, err)
 			}
@@ -410,7 +408,7 @@ func RunFleetContext(ctx context.Context, f Fleet, workers int) (FleetResult, er
 // shard's consumer groups, its producers (each with its own emulated
 // path, transport connection and server endpoint), optional entity
 // timelines, then the per-group range reconciliation and verdicts.
-func runFleetShard(sim *des.Simulator, sh fleetShard, cal Calibration) (fleetShardOut, error) {
+func runFleetShard(sim *des.Simulator, sh fleetShard) (fleetShardOut, error) {
 	f := sh.f
 	var reg *obs.Registry
 	if !f.DisableMetrics {
@@ -419,7 +417,7 @@ func runFleetShard(sim *des.Simulator, sh fleetShard, cal Calibration) (fleetSha
 	// Every shard's topic and offsets log run at rf 3, with the rig's
 	// default min-ISR and flush cadence.
 	const rf = 3
-	r, err := newRig(sim, &obs.Obs{Registry: reg}, cal, 0, 0, f.Partitions, rf, sh.topic)
+	r, err := newRig(sim, &obs.Obs{Registry: reg}, 0, 0, f.Partitions, rf, sh.topic)
 	if err != nil {
 		return fleetShardOut{}, err
 	}

@@ -175,6 +175,9 @@ func TestFleetValidation(t *testing.T) {
 		"messages < fleet":   func(f *Fleet) { f.Messages = f.Producers - 1 },
 		"negative users/sec": func(f *Fleet) { f.UsersPerSec = -1 },
 		"negative consumers": func(f *Fleet) { f.ConsumersPerTopic = -1 },
+		"negative groups":    func(f *Fleet) { f.Groups = -1 },
+		"negative horizon":   func(f *Fleet) { f.MaxSimTime = -time.Second },
+		"negative timeline":  func(f *Fleet) { f.TimelineInterval = -time.Second },
 		"consumer faults need 2 members": func(f *Fleet) {
 			f.ConsumerFaults = true
 			f.ConsumersPerTopic = 1

@@ -1,21 +1,48 @@
 package testbed
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
 
+	"kafkarel/internal/chaos"
 	"kafkarel/internal/des"
+	"kafkarel/internal/features"
 )
 
-// experimentFields are the fields FuzzExperiment mutates, one per input.
-// Counts are folded below a bound a 200-message run finishes within in
-// milliseconds, and durations are whole milliseconds up to ±100 s, so an
-// input can be hostile but not merely large; the sign always survives.
-var experimentFields = []struct {
+// fuzzSetter mutates one field of a T from a fuzzed integer. Counts are
+// folded below a bound a small run finishes within in milliseconds, and
+// durations are whole milliseconds up to ±100 s, so an input can be
+// hostile but not merely large; the sign always survives.
+type fuzzSetter[T any] struct {
 	name string
-	set  func(e *Experiment, v int64)
-}{
+	set  func(x *T, v int64)
+}
+
+// vectorFields are the feature-vector mutations FuzzExperiment and
+// FuzzFleet share.
+var vectorFields = []fuzzSetter[features.Vector]{
+	{"MessageSize", func(f *features.Vector, v int64) { f.MessageSize = int(v % 200_000_000) }},
+	{"Timeliness", func(f *features.Vector, v int64) { f.Timeliness = fuzzMillis(v) }},
+	{"DelayMs", func(f *features.Vector, v int64) { f.DelayMs = float64(v%1_000_000) / 10 }},
+	{"LossRate", func(f *features.Vector, v int64) { f.LossRate = float64(v%2000) / 1000 }},
+	{"Semantics", func(f *features.Vector, v int64) { f.Semantics = int(v % 8) }},
+	{"BatchSize", func(f *features.Vector, v int64) { f.BatchSize = int(v % 1_000_000) }},
+	{"PollInterval", func(f *features.Vector, v int64) { f.PollInterval = fuzzMillis(v) }},
+	{"MessageTimeout", func(f *features.Vector, v int64) { f.MessageTimeout = fuzzMillis(v) }},
+}
+
+// withVector appends vectorFields, applied to the vector inside a T.
+func withVector[T any](fields []fuzzSetter[T], vec func(*T) *features.Vector) []fuzzSetter[T] {
+	for _, vf := range vectorFields {
+		fields = append(fields, fuzzSetter[T]{vf.name, func(x *T, v int64) { vf.set(vec(x), v) }})
+	}
+	return fields
+}
+
+// experimentFields are the fields FuzzExperiment mutates, one per input.
+var experimentFields = withVector([]fuzzSetter[Experiment]{
 	{"Messages", func(e *Experiment, v int64) { e.Messages = int(v % 5000) }},
 	{"Seed", func(e *Experiment, v int64) { e.Seed = uint64(v) }},
 	{"Partitions", func(e *Experiment, v int64) { e.Partitions = int(v % 2048) }},
@@ -33,14 +60,6 @@ var experimentFields = []struct {
 	{"RetryBackoff", func(e *Experiment, v int64) { e.RetryBackoff = fuzzMillis(v) }},
 	{"RetryBackoffMax", func(e *Experiment, v int64) { e.RetryBackoffMax = fuzzMillis(v) }},
 	{"MaxSimTime", func(e *Experiment, v int64) { e.MaxSimTime = fuzzMillis(v) }},
-	{"MessageSize", func(e *Experiment, v int64) { e.Features.MessageSize = int(v % 200_000_000) }},
-	{"Timeliness", func(e *Experiment, v int64) { e.Features.Timeliness = fuzzMillis(v) }},
-	{"DelayMs", func(e *Experiment, v int64) { e.Features.DelayMs = float64(v%1_000_000) / 10 }},
-	{"LossRate", func(e *Experiment, v int64) { e.Features.LossRate = float64(v%2000) / 1000 }},
-	{"Semantics", func(e *Experiment, v int64) { e.Features.Semantics = int(v % 8) }},
-	{"BatchSize", func(e *Experiment, v int64) { e.Features.BatchSize = int(v % 1_000_000) }},
-	{"PollInterval", func(e *Experiment, v int64) { e.Features.PollInterval = fuzzMillis(v) }},
-	{"MessageTimeout", func(e *Experiment, v int64) { e.Features.MessageTimeout = fuzzMillis(v) }},
 	{"ScheduledBatchSize", func(e *Experiment, v int64) {
 		f := e.Features
 		f.BatchSize = int(v % 1_000_000)
@@ -59,13 +78,49 @@ var experimentFields = []struct {
 		f.MessageTimeout = fuzzMillis(v)
 		e.Schedule = []ConfigChange{{At: time.Second, Features: f}}
 	}},
+}, func(e *Experiment) *features.Vector { return &e.Features })
+
+// fleetFault sets a one-fault plan, a 1 s crash of broker 0 at 1 s,
+// after mutate changed one of its fields. Slowdown is set for when the
+// kind becomes BrokerSlow.
+func fleetFault(f *Fleet, mutate func(*chaos.Fault)) {
+	ft := chaos.Fault{Kind: chaos.BrokerCrash, At: time.Second, Duration: time.Second, Slowdown: 2}
+	mutate(&ft)
+	f.FaultPlan = chaos.Plan{Faults: []chaos.Fault{ft}}
 }
+
+// fleetFields are the fields FuzzFleet mutates, one per input.
+var fleetFields = withVector([]fuzzSetter[Fleet]{
+	{"Producers", func(f *Fleet, v int64) { f.Producers = int(v % 64) }},
+	{"Topics", func(f *Fleet, v int64) { f.Topics = int(v % 16) }},
+	{"Partitions", func(f *Fleet, v int64) { f.Partitions = int(v % 2048) }},
+	{"Messages", func(f *Fleet, v int64) { f.Messages = int(v % 5000) }},
+	{"Seed", func(f *Fleet, v int64) { f.Seed = uint64(v) }},
+	{"UsersPerSec", func(f *Fleet, v int64) { f.UsersPerSec = float64(v%1_000_000) / 10 }},
+	{"ConsumersPerTopic", func(f *Fleet, v int64) { f.ConsumersPerTopic = int(v % 8) }},
+	{"Groups", func(f *Fleet, v int64) { f.Groups = int(v % 4) }},
+	{"Cooperative", func(f *Fleet, v int64) { f.Cooperative = v%2 != 0 }},
+	{"ConsumerFaults", func(f *Fleet, v int64) { f.ConsumerFaults = v%2 != 0 }},
+	{"MaxSimTime", func(f *Fleet, v int64) { f.MaxSimTime = fuzzMillis(v) }},
+	{"TimelineInterval", func(f *Fleet, v int64) { f.TimelineInterval = fuzzMillis(v) }},
+	{"DisableMetrics", func(f *Fleet, v int64) { f.DisableMetrics = v%2 != 0 }},
+	{"FaultKind", func(f *Fleet, v int64) { fleetFault(f, func(ft *chaos.Fault) { ft.Kind = chaos.Kind(v % 16) }) }},
+	{"FaultAt", func(f *Fleet, v int64) { fleetFault(f, func(ft *chaos.Fault) { ft.At = fuzzMillis(v) }) }},
+	{"FaultDuration", func(f *Fleet, v int64) { fleetFault(f, func(ft *chaos.Fault) { ft.Duration = fuzzMillis(v) }) }},
+	{"FaultBroker", func(f *Fleet, v int64) { fleetFault(f, func(ft *chaos.Fault) { ft.Broker = int32(v % 8) }) }},
+	{"FaultMember", func(f *Fleet, v int64) {
+		fleetFault(f, func(ft *chaos.Fault) { ft.Kind, ft.Member = chaos.ConsumerCrash, int32(v%8) })
+	}},
+	{"FaultGroup", func(f *Fleet, v int64) {
+		fleetFault(f, func(ft *chaos.Fault) { ft.Kind, ft.Group = chaos.ConsumerCrash, int32(v%8) })
+	}},
+}, func(f *Fleet) *features.Vector { return &f.Features })
 
 func fuzzMillis(v int64) time.Duration { return time.Duration(v%100_000) * time.Millisecond }
 
-// fuzzField is the index of the named experimentFields entry.
-func fuzzField(t testing.TB, name string) uint8 {
-	for i, f := range experimentFields {
+// fuzzIndex is the index of the named entry of fields.
+func fuzzIndex[T any](t testing.TB, fields []fuzzSetter[T], name string) uint8 {
+	for i, f := range fields {
 		if f.name == name {
 			return uint8(i)
 		}
@@ -96,7 +151,7 @@ func FuzzExperiment(f *testing.F) {
 		{"ScheduledAt", -1000}, {"ScheduledMessageTimeout", 0},
 		{"ScheduledPollInterval", -1}, {"ScheduledBatchSize", 0},
 	} {
-		f.Add(fuzzField(f, row.field), row.v)
+		f.Add(fuzzIndex(f, experimentFields, row.field), row.v)
 	}
 	// A runaway must stop in a fraction of a second, not after 2·10⁹
 	// events; no valid mutation comes near this many.
@@ -114,6 +169,44 @@ func FuzzExperiment(f *testing.F) {
 			return
 		case e.MaxSimTime > 0 && res.Duration > e.MaxSimTime:
 			t.Fatalf("%s = %d: ran %v past the %v horizon", fld.name, v, res.Duration, e.MaxSimTime)
+		}
+	})
+}
+
+// FuzzFleet mutates one field of smallFleet, given a one-minute horizon,
+// per input and requires RunFleet to reject it with an error, or to
+// finish every shard within the horizon and under the event cap. The
+// seed corpus is TestFleetValidation's rows; a row that sets two fields
+// seeds each of them.
+func FuzzFleet(f *testing.F) {
+	for _, row := range []struct {
+		field string
+		v     int64
+	}{
+		{"Producers", 0}, {"Topics", 0}, {"Topics", 10}, {"Partitions", 0},
+		{"Messages", 8}, {"UsersPerSec", -10}, {"ConsumersPerTopic", -1},
+		{"Groups", -1}, {"MaxSimTime", -1000}, {"TimelineInterval", -1000},
+		{"ConsumerFaults", 1}, {"ConsumersPerTopic", 1},
+		{"FaultMember", 5}, {"FaultKind", int64(chaos.LossBurst)},
+		{"FaultBroker", 99},
+	} {
+		f.Add(fuzzIndex(f, fleetFields, row.field), row.v)
+	}
+	defer func(c uint64) { eventCap = c }(eventCap)
+	eventCap = 5_000_000
+	f.Fuzz(func(t *testing.T, field uint8, v int64) {
+		fl := smallFleet()
+		fl.MaxSimTime = time.Minute
+		fld := fleetFields[int(field)%len(fleetFields)]
+		fld.set(&fl, v)
+		res, err := RunFleetContext(context.Background(), fl, 1)
+		switch {
+		case errors.Is(err, des.ErrStopped):
+			t.Fatalf("%s = %d: %v", fld.name, v, err)
+		case err != nil:
+			return
+		case fl.MaxSimTime > 0 && res.Duration > fl.MaxSimTime:
+			t.Fatalf("%s = %d: ran %v past the %v horizon", fld.name, v, res.Duration, fl.MaxSimTime)
 		}
 	})
 }

@@ -36,7 +36,7 @@ import (
 type rig struct {
 	sim     *des.Simulator
 	o       *obs.Obs
-	cal     Calibration
+	cal     calibration
 	clst    *cluster.Cluster
 	co      *coordinator.Coordinator
 	groups  []*consumer.Group // every group, in join order
@@ -52,8 +52,9 @@ type rig struct {
 
 // newRig instruments the simulator and builds the three-broker cluster
 // with its topics, each with the same partition count and replication
-// factor.
-func newRig(sim *des.Simulator, o *obs.Obs, cal Calibration, flush time.Duration, minISR, partitions, rf int, topics ...string) (*rig, error) {
+// factor. Its clients run on hostCalibration unless the caller replaces
+// r.cal before adding them.
+func newRig(sim *des.Simulator, o *obs.Obs, flush time.Duration, minISR, partitions, rf int, topics ...string) (*rig, error) {
 	sim.Instrument(o)
 	cfg := cluster.DefaultConfig()
 	cfg.Obs = o
@@ -69,7 +70,7 @@ func newRig(sim *des.Simulator, o *obs.Obs, cal Calibration, flush time.Duration
 			return nil, err
 		}
 	}
-	return &rig{sim: sim, o: o, cal: cal, clst: clst}, nil
+	return &rig{sim: sim, o: o, cal: hostCalibration, clst: clst}, nil
 }
 
 // fail records the first runtime error of a scheduled reconfiguration
@@ -162,7 +163,7 @@ type client struct {
 // linkConfig is one direction of a client's path. Under a trace the
 // trace owns delay and loss.
 func (r *rig) linkConfig(s clientSpec, seed uint64) (netem.Config, error) {
-	cfg := netem.Config{Bandwidth: r.cal.Bandwidth, QueueLimit: 1000, Obs: r.o}
+	cfg := netem.Config{Bandwidth: r.cal.bandwidth, QueueLimit: 1000, Obs: r.o}
 	if len(s.trace) > 0 {
 		return cfg, nil
 	}
@@ -200,7 +201,7 @@ func (r *rig) addClient(s clientSpec) (*client, error) {
 			return nil, err
 		}
 	}
-	conn, err := transport.NewConn(r.sim, path, transport.Config{SendBufferLimit: r.cal.SocketBuffer, Obs: r.o})
+	conn, err := transport.NewConn(r.sim, path, transport.Config{SendBufferLimit: r.cal.socketBuffer, Obs: r.o})
 	if err != nil {
 		return nil, err
 	}

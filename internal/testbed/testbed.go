@@ -39,8 +39,6 @@ type Experiment struct {
 	// producer round-robins batches across partitions and the consumer
 	// reconciles all of them.
 	Partitions int
-	// Calibration overrides the host cost constants (zero value: default).
-	Calibration Calibration
 	// Trace, when non-empty, drives a time-varying network instead of the
 	// constant Features.DelayMs / Features.LossRate.
 	Trace netem.Trace
@@ -126,6 +124,10 @@ type Experiment struct {
 	// jitter draws from a PCG stream derived from Seed, so runs stay
 	// deterministic.
 	RetryBackoffMax time.Duration
+
+	// cal, when non-nil, replaces hostCalibration for this run. Only this
+	// package's tests set it, to knock a host mechanism out.
+	cal *calibration
 }
 
 // ConfigChange is one scheduled reconfiguration.
@@ -300,10 +302,6 @@ func (e Experiment) assemble(sim *des.Simulator) (*rig, error) {
 	if err := e.validate(); err != nil {
 		return nil, err
 	}
-	cal, err := e.Calibration.resolved()
-	if err != nil {
-		return nil, err
-	}
 	pcfg, err := producerConfig(e, streamTopic)
 	if err != nil {
 		return nil, err
@@ -315,10 +313,13 @@ func (e Experiment) assemble(sim *des.Simulator) (*rig, error) {
 	e.Tracer.BindClock(sim)
 	e.Timeline.BindClock(sim)
 
-	r, err := newRig(sim, o, cal, e.BrokerFlushInterval, e.MinISR,
+	r, err := newRig(sim, o, e.BrokerFlushInterval, e.MinISR,
 		exprun.DefInt(e.Partitions, 1), exprun.DefInt(e.ReplicationFactor, 3), streamTopic)
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
+	}
+	if e.cal != nil {
+		r.cal = *e.cal
 	}
 	if e.Consumers > 0 {
 		err := r.joinGroups(groupSpec{
@@ -572,7 +573,7 @@ func (r *rig) collect(e Experiment) (Result, error) {
 	}
 	if d := res.Duration.Seconds(); d > 0 {
 		res.Throughput = float64(res.Report.Distinct) / d
-		res.BandwidthUtilization = float64(c.path.Fwd.Counters().BytesDelivery*8) / (r.cal.Bandwidth * d)
+		res.BandwidthUtilization = float64(c.path.Fwd.Counters().BytesDelivery*8) / (r.cal.bandwidth * d)
 	}
 	if res.Producer.Delivered > 0 {
 		res.StaleRate = float64(c.prod.Stale()) / float64(res.Producer.Delivered)

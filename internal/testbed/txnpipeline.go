@@ -144,7 +144,7 @@ func runTxnOn(sim *des.Simulator, e TxnExperiment) (TxnResult, error) {
 	// The rig's cluster and coordinator steps, with two topics and no
 	// consumer groups: the processors are the consumers here, and the
 	// pipeline runs unobserved (no registry, no tracer).
-	base, err := newRig(sim, nil, Calibration{}, e.BrokerFlushInterval, 0, parts, rf, TxnInTopic, TxnOutTopic)
+	base, err := newRig(sim, nil, e.BrokerFlushInterval, 0, parts, rf, TxnInTopic, TxnOutTopic)
 	if err != nil {
 		return TxnResult{}, fmt.Errorf("testbed: %w", err)
 	}

@@ -357,7 +357,7 @@ func TestProducerScalingReducesLoss(t *testing.T) {
 		Partitions:  1,
 		Messages:    6000,
 		Seed:        13,
-		UsersPerSec: testbed.DefaultCalibration().FullLoadRate(200),
+		UsersPerSec: testbed.FullLoadRate(200),
 	}
 	single, err := kafkarel.RunFleet(f)
 	if err != nil {

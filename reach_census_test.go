@@ -261,7 +261,7 @@ func (c *reachCensus) declarations() (out []reachFinding) {
 }
 
 // fields reports, for the exported fields of every *Config, *Options,
-// *Experiment, Fleet and Calibration struct, (b) one that no non-test
+// *Experiment and Fleet struct, (b) one that no non-test
 // code sets and (c) one that is set but never read — not counting the
 // struct's own package's defaults and validation functions.
 func (c *reachCensus) fields() (out []reachFinding) {
@@ -282,7 +282,7 @@ func (c *reachCensus) fields() (out []reachFinding) {
 				name := ts.Name.Name
 				st, ok := p.info.Defs[ts.Name].Type().Underlying().(*types.Struct)
 				if ok && (strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") ||
-					strings.HasSuffix(name, "Experiment") || name == "Fleet" || name == "Calibration") {
+					strings.HasSuffix(name, "Experiment") || name == "Fleet") {
 					for i := 0; i < st.NumFields(); i++ {
 						if f := st.Field(i); f.Exported() {
 							use[f], order = &usage{p: p, name: name + "." + f.Name()}, append(order, f)

@@ -23,9 +23,6 @@ import (
 var reachAllow = map[string]string{
 	"internal/coordinator.TxnCoordinator.MaterializedState": "test oracle: replays the transaction log into the state a restarted coordinator would rebuild, to compare with the live one",
 	"internal/coordinator.decodeTxnStateRecord":             "the decoder that oracle reads the log with, and the round-trip partner of the transaction-state encoder",
-	"internal/testbed.Calibration":                          "the producer-host cost model, the one deployment-like setting; ROADMAP 1(c) recalibrates it",
-	"internal/testbed.Experiment.Calibration":               "carries that Calibration into a run; ROADMAP 1(c) is about to set it",
-	"internal/testbed.Fleet.Calibration":                    "carries that Calibration into a fleet; ROADMAP 1(c) is about to set it",
 	"internal/testbed.Fleet.FaultPlan":                      "the only way to put broker faults into a fleet shard (testbed's pinned golden fleet does); ConsumerFaults rides its path",
 	"internal/chaos.GenConfig.Semantics":                    "written by frozen bench/, read by nothing; delete with the next [benchmark] PR (ROADMAP 5(a))",
 	"internal/testbed.TxnExperiment.Isolation":              "written by frozen bench/, read by nothing; delete with the next [benchmark] PR (ROADMAP 5(a))",
