@@ -114,9 +114,11 @@ bench-repo:
 ## allocs_per_record, alloc_bytes_per_record, setup_s; its full output
 ## stays in bench/out/pairs/<pair>-<side>.txt), then each side's quartiles
 ## (nearest rank) and, for each of the four metrics, how many pairs each
-## side won (lower wins) and the change/parent ratio of the medians — a
-## claim's "won >= 9 of 10", "ratio <= x" and "nothing else moved" read
-## off one command. Fails if a run is not correct=true or the fingerprints
+## side won (lower wins), the change/parent ratio of the medians, the
+## median of the per-pair change/parent ratios, and the exact one-sided
+## sign-test p that the change is lower, over the pairs that are not ties
+## (9 of 10 → 0.011, 10 of 10 → 0.001) — a claim's "won >= 9 of 10",
+## "ratio <= x" and "nothing else moved" read off one command. Fails if a run is not correct=true or the fingerprints
 ## differ. cpu_s is the process's user+system time: at the default run
 ## length (a fixed 20 s of repeats) it says nothing; give REPEATS to
 ## compare it.
@@ -149,8 +151,17 @@ bench-pairs:
 	median() { field $$1 $$2 | quart | sed 's/.*median=\([^ ]*\).*/\1/'; }; \
 	for m in $$metrics; do \
 		f=$${m#*:}; \
-		won=$$(awk -v f=$$f '{v[$$2, $$1] = $$f} END {for (i = 1; i <= NR / 2; i++) {c += v["change", i] < v["parent", i]; p += v["parent", i] < v["change", i]}; printf "change %d, parent %d, of %d", c, p, NR / 2}' $$out/runs.txt); \
-		awk -v m=$${m%:*} -v w="$$won" -v c=$$(median change $$f) -v p=$$(median parent $$f) 'BEGIN {printf "%s: pairs won %s; median ratio change/parent %.4f (%s / %s)\n", m, w, c / p, c, p}'; \
+		awk -v m=$${m%:*} -v f=$$f -v mc=$$(median change $$f) -v mp=$$(median parent $$f) '{v[$$2, $$1] = $$f} END { \
+			n = NR / 2; k = 0; \
+			for (i = 1; i <= n; i++) { \
+				c += v["change", i] < v["parent", i]; p += v["parent", i] < v["change", i]; \
+				if (v["parent", i] != 0) { r = v["change", i] / v["parent", i]; for (j = k++; j > 0 && rs[j] > r; j--) rs[j + 1] = rs[j]; rs[j + 1] = r } \
+			} \
+			pr = k % 2 ? rs[(k + 1) / 2] : (rs[k / 2] + rs[k / 2 + 1]) / 2; \
+			u = c + p; tail = 0; comb = 1; \
+			for (j = 0; j <= u; j++) { if (j >= c) tail += comb; comb = comb * (u - j) / (j + 1) } \
+			printf "%s: pairs won change %d, parent %d, of %d; median ratio change/parent %.4f (%s / %s); median per-pair ratio %.4f; sign-test p %.3f (change lower in %d of %d untied pairs)\n", m, c, p, n, mc / mp, mc, mp, pr, tail / 2 ^ u, c, u \
+		}' $$out/runs.txt; \
 	done; \
 	[ "$$(awk '{print $$5}' $$out/runs.txt | sort -u | wc -l)" = 1 ] || { echo "bench-pairs: sim_fingerprint differs between runs"; fail=1; }; \
 	exit $$fail

@@ -1,8 +1,9 @@
 // Command chaos runs randomised fault-injection campaigns against the
 // simulated Kafka stack and verifies delivery invariants on every
-// trial. It emits a JSON scorecard (one row per trial: seeds, faults,
-// reliability metrics, classified anomalies, violations) and exits
-// non-zero if any trial violated an invariant.
+// trial. It writes each campaign's JSON scorecard (one row per trial:
+// seeds, faults, reliability metrics, classified anomalies, violations),
+// one document per mode in mode order, and exits non-zero if any trial
+// violated an invariant.
 //
 // Usage:
 //
@@ -123,14 +124,11 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(struct {
-		Campaigns  []campaign.Scorecard `json:"campaigns"`
-		Violations int                  `json:"violations"`
-	}{cards, violations}); err != nil {
-		fmt.Fprintln(os.Stderr, "chaos:", err)
-		os.Exit(2)
+	for _, sc := range cards {
+		if err := sc.WriteJSON(w); err != nil {
+			fmt.Fprintln(os.Stderr, "chaos:", err)
+			os.Exit(2)
+		}
 	}
 	if violations > 0 {
 		os.Exit(1)

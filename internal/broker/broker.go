@@ -26,8 +26,8 @@ type Config struct {
 	// Zero (the default) makes every append immediately durable, so an
 	// unclean crash behaves exactly like a clean stop.
 	FlushInterval time.Duration
-	// Obs attaches the per-run observability bundle. nil disables
-	// metrics and tracing for this broker.
+	// Obs attaches the per-run observability bundle; the broker uses its
+	// tracer. nil disables tracing for this broker (Stats always count).
 	Obs *obs.Obs
 }
 
@@ -199,14 +199,7 @@ type Broker struct {
 	up     bool
 	slow   float64 // service-time multiplier; <= 1 means nominal
 	stats  Stats
-
-	cProduce    *obs.Counter
-	cAppends    *obs.Counter
-	cDuplicates *obs.Counter
-	cDupAppends *obs.Counter
-	cTruncated  *obs.Counter
-	cUnclean    *obs.Counter
-	trace       *obs.Tracer
+	trace  *obs.Tracer
 
 	// jobs recycles produce-service jobs. The brokers of one NewSet share
 	// one list: a job names its broker, and the brokers run on one
@@ -238,7 +231,6 @@ func newSet(first int32, n int, sim *des.Simulator, cfg Config) ([]*Broker, erro
 	if cfg.FlushInterval < 0 {
 		return nil, fmt.Errorf("broker: negative flush interval")
 	}
-	o := cfg.Obs
 	const topics = 4
 	jobs := new(des.FreeList[produceJob])
 	block := make([]Broker, n)
@@ -246,19 +238,13 @@ func newSet(first int32, n int, sim *des.Simulator, cfg Config) ([]*Broker, erro
 	bs := make([]*Broker, n)
 	for i := range block {
 		block[i] = Broker{
-			id:          first + int32(i),
-			sim:         sim,
-			cfg:         cfg,
-			topics:      tps[i*topics : i*topics : (i+1)*topics],
-			up:          true,
-			cProduce:    o.Counter(obs.MBrokerProduce),
-			cAppends:    o.Counter(obs.MBrokerAppends),
-			cDuplicates: o.Counter(obs.MBrokerDuplicates),
-			cDupAppends: o.Counter(obs.MBrokerDupAppends),
-			cTruncated:  o.Counter(obs.MBrokerTruncated),
-			cUnclean:    o.Counter(obs.MBrokerUnclean),
-			trace:       o.Tracer(),
-			jobs:        jobs,
+			id:     first + int32(i),
+			sim:    sim,
+			cfg:    cfg,
+			topics: tps[i*topics : i*topics : (i+1)*topics],
+			up:     true,
+			trace:  cfg.Obs.Tracer(),
+			jobs:   jobs,
 		}
 		bs[i] = &block[i]
 	}
@@ -290,7 +276,6 @@ func (b *Broker) Stop() {
 func (b *Broker) CrashUnclean() {
 	b.up = false
 	b.stats.UncleanCrashes++
-	b.cUnclean.Inc()
 	if b.cfg.FlushInterval <= 0 {
 		return
 	}
@@ -310,7 +295,6 @@ func (b *Broker) CrashUnclean() {
 		p.txn.copyFrom(&p.flushedTxn)
 	})
 	b.stats.RecordsTruncated += lost
-	b.cTruncated.Add(lost)
 	b.trace.Emit(obs.LayerBroker, obs.EvUncleanCrash, lost, 0, int64(b.id), "")
 }
 
@@ -514,12 +498,9 @@ func (b *Broker) Append(topic string, partition int32, batch wire.RecordBatch, i
 		// producer's ongoing range. Markers bypass idempotent dedupe —
 		// the coordinator may re-drive them, and applyMarker makes the
 		// replay a no-op on the transaction view.
-		base := p.log.Append(batch.Records)
+		base := b.appendLog(p, topic, &batch)
 		commit := len(batch.Records) > 0 && batch.Records[0].Key == wire.ControlKeyCommit
 		p.txn.applyMarker(batch.ProducerID, base, commit)
-		b.stats.RecordsAppended += uint64(len(batch.Records))
-		b.cAppends.Add(uint64(len(batch.Records)))
-		b.trace.Emit(obs.LayerBroker, obs.EvAppend, batch.BaseSequence, base, int64(b.id), topic)
 		return base, false, wire.ErrNone
 	}
 	if idempotent {
@@ -537,26 +518,20 @@ func (b *Broker) Append(topic string, partition int32, batch wire.RecordBatch, i
 			// offset and succeed without appending (Kafka's idempotent
 			// producer semantics).
 			b.stats.DuplicatesDropped++
-			b.cDuplicates.Inc()
 			b.trace.Emit(obs.LayerBroker, obs.EvDuplicateDrop, batch.BaseSequence, offset, int64(b.id), topic)
 			return offset, true, wire.ErrNone
 		}
-		base := p.log.Append(batch.Records)
+		base := b.appendLog(p, topic, &batch)
 		st.remember(batch.BaseSequence, base)
 		if batch.Transactional {
 			p.txn.extend(batch.ProducerID, base, len(batch.Records))
 		}
-		b.stats.RecordsAppended += uint64(len(batch.Records))
-		b.cAppends.Add(uint64(len(batch.Records)))
-		b.trace.Emit(obs.LayerBroker, obs.EvAppend, batch.BaseSequence, base, int64(b.id), topic)
 		return base, false, wire.ErrNone
 	}
-	base := p.log.Append(batch.Records)
+	base := b.appendLog(p, topic, &batch)
 	if batch.Transactional {
 		p.txn.extend(batch.ProducerID, base, len(batch.Records))
 	}
-	b.stats.RecordsAppended += uint64(len(batch.Records))
-	b.cAppends.Add(uint64(len(batch.Records)))
 	// Track the per-producer sequence high-water even without idempotence
 	// so duplicate appends (the Case-5 mechanism) are observable: batch
 	// sequences are monotone per producer and retries pin their
@@ -566,14 +541,21 @@ func (b *Broker) Append(topic string, partition int32, batch wire.RecordBatch, i
 	if st.seen && batch.BaseSequence <= st.lastSequence {
 		b.stats.DuplicateAppends++
 		b.stats.DuplicateRecords += uint64(len(batch.Records))
-		b.cDupAppends.Inc()
 	} else {
 		st.seen = true
 		st.lastSequence = batch.BaseSequence
 		st.lastOffset = base
 	}
-	b.trace.Emit(obs.LayerBroker, obs.EvAppend, batch.BaseSequence, base, int64(b.id), topic)
 	return base, false, wire.ErrNone
+}
+
+// appendLog appends the batch's records to p's log, counting and tracing
+// the append, and returns the base offset.
+func (b *Broker) appendLog(p *part, topic string, batch *wire.RecordBatch) int64 {
+	base := p.log.Append(batch.Records)
+	b.stats.RecordsAppended += uint64(len(batch.Records))
+	b.trace.Emit(obs.LayerBroker, obs.EvAppend, batch.BaseSequence, base, int64(b.id), topic)
+	return base
 }
 
 // produceJob parks one produce request across the append service time.
@@ -616,7 +598,6 @@ func (b *Broker) Produce(req wire.ProduceRequest, idempotent bool, done func(arg
 		return
 	}
 	b.stats.ProduceRequests++
-	b.cProduce.Inc()
 	j := b.getJob()
 	j.req, j.idempotent, j.done, j.arg = req, idempotent, done, arg
 	b.sim.AfterFunc(b.serviceTime(req.Batch), produceFire, j)

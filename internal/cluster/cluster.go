@@ -114,7 +114,7 @@ type Cluster struct {
 	lastTopic string
 	lastMeta  *topicMeta
 
-	cReplications   *obs.Counter
+	replications    uint64 // follower copies sent, for Replications
 	gReplication    *obs.Gauge
 	hSpanAppend     *obs.Histogram
 	hSpanReplicated *obs.Histogram
@@ -213,7 +213,6 @@ func New(sim *des.Simulator, cfg Config) (*Cluster, error) {
 		sim:             sim,
 		cfg:             cfg,
 		topics:          make(map[string]*topicMeta),
-		cReplications:   cfg.Obs.Counter(obs.MReplications),
 		gReplication:    cfg.Obs.Gauge(obs.MReplicationFactor),
 		hSpanAppend:     cfg.Obs.Histogram(obs.MSpanAppend, obs.LatencyBounds),
 		hSpanReplicated: cfg.Obs.Histogram(obs.MSpanReplicated, obs.LatencyBounds),
@@ -468,6 +467,10 @@ func (c *Cluster) StatsAll() []broker.Stats {
 	return out
 }
 
+// Replications returns how many follower copies the cluster has sent,
+// over both the leader-ack and the acks=all paths.
+func (c *Cluster) Replications() uint64 { return c.replications }
+
 // PartitionCount returns how many partitions the topic has; ok is false
 // when the topic is unknown.
 func (c *Cluster) PartitionCount(topic string) (n int, ok bool) {
@@ -595,8 +598,7 @@ func allLeaderDone(a any, resp wire.ProduceResponse) {
 	j.resp = resp
 	j.pending = len(j.followers) - 1
 	for _, f := range j.followers[1:] {
-		c.cReplications.Inc()
-		c.trace.Emit(obs.LayerCluster, obs.EvReplicate, j.req.Batch.BaseSequence, int64(j.req.Partition), int64(f.ID()), j.req.Topic)
+		c.sendCopy(&j.req, f)
 		s := c.sends.Get()
 		s.j, s.f = j, f
 		c.sim.AfterFunc(interBrokerDelay, allSendFire, s)
@@ -656,6 +658,12 @@ func allAckFire(a any) {
 	}
 }
 
+// sendCopy counts and traces one follower copy of req on its way to f.
+func (c *Cluster) sendCopy(req *wire.ProduceRequest, f *broker.Broker) {
+	c.replications++
+	c.trace.Emit(obs.LayerCluster, obs.EvReplicate, req.Batch.BaseSequence, int64(req.Partition), int64(f.ID()), req.Topic)
+}
+
 // replicate copies a batch to live followers asynchronously. Delivery is
 // gated on the source broker still being up when the inter-broker delay
 // elapses: replication is pull-based in Kafka, and a leader that crashed
@@ -669,8 +677,7 @@ func (c *Cluster) replicate(pm *partitionMeta, src *broker.Broker, req wire.Prod
 		if !f.Up() {
 			continue
 		}
-		c.cReplications.Inc()
-		c.trace.Emit(obs.LayerCluster, obs.EvReplicate, req.Batch.BaseSequence, int64(req.Partition), int64(f.ID()), req.Topic)
+		c.sendCopy(&req, f)
 		r := c.getRepl()
 		r.src, r.f, r.req, r.idempotent = src, f, req, idempotent
 		c.sim.AfterFunc(interBrokerDelay, replicateFire, r)

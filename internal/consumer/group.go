@@ -93,13 +93,9 @@ type Group struct {
 
 	// Observability handles, resolved once from GroupConfig.Obs (all
 	// nil-safe no-ops when unset).
-	cDelivered   *obs.Counter
-	cRedelivered *obs.Counter
-	cCommitAcks  *obs.Counter
-	gLag         *obs.Gauge
-	hSpanE2E     *obs.Histogram
-	hSpanCommit  *obs.Histogram
-	hPaused      *obs.Histogram
+	hSpanE2E    *obs.Histogram
+	hSpanCommit *obs.Histogram
+	hPaused     *obs.Histogram
 }
 
 const (
@@ -149,8 +145,8 @@ type GroupConfig struct {
 	// group-wide delivery progress once the drain predicate holds —
 	// the escape hatch for permanently unservable partitions.
 	IdleGiveUp time.Duration
-	// Obs receives delivery/commit-ack counters, the end-to-end and
-	// commit latency spans, and the lag gauge. Nil disables them all.
+	// Obs receives the end-to-end and commit latency spans and the
+	// pause histogram. Nil disables them all (Evidence always counts).
 	Obs *obs.Obs
 }
 
@@ -388,10 +384,6 @@ func NewGroup(sim *des.Simulator, co *coordinator.Coordinator, clst *cluster.Clu
 	g.ev.Group = cfg.ID
 	g.ev.Dedup = cfg.Dedup
 	if o := cfg.Obs; o != nil {
-		g.cDelivered = o.Counter(obs.MConsumerDelivered)
-		g.cRedelivered = o.Counter(obs.MConsumerRedelivered)
-		g.cCommitAcks = o.Counter(obs.MConsumerCommitAcks)
-		g.gLag = o.Gauge(obs.MConsumerLag)
 		g.hSpanE2E = o.Histogram(obs.MSpanDelivery, obs.LatencyBounds)
 		g.hSpanCommit = o.Histogram(obs.MSpanCommit, obs.LatencyBounds)
 		g.hPaused = o.Histogram(obs.MPausedNs, obs.LatencyBounds)
@@ -949,13 +941,11 @@ func (m *Member) deliver(p int32, pos int64, fr wire.FetchResponse, collect *[]w
 		if fresh {
 			g.deliveredNext[p] = off + 1
 			g.ev.Delivered++
-			g.cDelivered.Inc()
 			// End-to-end span: exactly one sample per offset the
 			// application accepts, timed from producer enqueue.
 			g.hSpanE2E.Observe(int64(g.sim.Now() - rec.Timestamp))
 		} else {
 			g.ev.Redelivered++
-			g.cRedelivered.Inc()
 			if g.cfg.Dedup {
 				continue // exactly-once: suppress the redelivery
 			}
@@ -1068,7 +1058,6 @@ func (j *commitReq) done(resp wire.OffsetCommitResponse) {
 			g.commitHi[p] = off
 		}
 		g.ev.CommitsAcked++
-		g.cCommitAcks.Inc()
 		g.hSpanCommit.Observe(int64(g.sim.Now() - sentAt))
 		if g.cfg.CaptureEvidence {
 			g.ev.CommitAcks = append(g.ev.CommitAcks, CommitAck{
@@ -1220,9 +1209,8 @@ func (g *Group) LagByPartition() ([]int64, error) {
 // built from the group's own durable facts (observed high watermarks
 // vs acknowledged commits), so it is safe to call mid-chaos — a
 // leaderless partition reports its last known backlog instead of an
-// error. It also refreshes the consumer lag gauge. LagByPartition is the
-// group's buffer, valid until the next Probe: a caller that keeps it
-// copies it (obs.Timeline.Sample does).
+// error. LagByPartition is the group's buffer, valid until the next
+// Probe: a caller that keeps it copies it (obs.Timeline.Sample does).
 func (g *Group) Probe() obs.GroupProbe {
 	if g.lag == nil {
 		g.lag = make([]int64, g.partitions)
@@ -1249,7 +1237,6 @@ func (g *Group) Probe() obs.GroupProbe {
 			pr.Lag += l
 		}
 	}
-	g.gLag.Set(pr.Lag)
 	return pr
 }
 

@@ -22,8 +22,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
-
-	"kafkarel/internal/obs"
 )
 
 // ErrStopped is returned by RunLimit and RunUntilLimit when the event
@@ -80,9 +78,6 @@ type Simulator struct {
 	// event is popped or canceled, so the callback's own rescheduling
 	// reuses it and a steady-state run allocates nothing.
 	free []int32
-
-	cFired    *obs.Counter
-	gQueueMax *obs.Gauge
 
 	yields uint64 // Gosched calls made by run; the tests read it
 }
@@ -161,16 +156,11 @@ func (l *lane) pop() {
 // New returns an empty simulator whose clock starts at zero.
 func New() *Simulator { return &Simulator{} }
 
-// Instrument attaches observability handles. The handles are nil-safe,
-// so passing a nil *obs.Obs (or never calling Instrument) keeps the run
-// loop free of metric updates beyond a nil check.
-func (s *Simulator) Instrument(o *obs.Obs) {
-	s.cFired = o.Counter(obs.MSimEvents)
-	s.gQueueMax = o.Gauge(obs.MSimQueueMax)
-}
-
 // Now returns the current virtual time.
 func (s *Simulator) Now() time.Duration { return s.now }
+
+// Fired returns how many events have fired since New or the last Reset.
+func (s *Simulator) Fired() uint64 { return s.fired }
 
 // DeclareDelay gives d a lane: from now on every event scheduled exactly
 // d after the current virtual time waits in a FIFO instead of the heap,
@@ -190,10 +180,6 @@ func (s *Simulator) DeclareDelay(d time.Duration) {
 	s.lanes = append(s.lanes, lane{delay: d})
 }
 
-// pending is the number of events waiting to fire, in the heap and in
-// the lanes.
-func (s *Simulator) pending() int { return len(s.heap) + s.laned }
-
 // Reset returns the simulator to its initial state — clock at zero, empty
 // queue, sequence counter rewound — while keeping allocated capacity (the
 // heap, the declared lanes and their arrays, the slot table and its free
@@ -201,8 +187,7 @@ func (s *Simulator) pending() int { return len(s.heap) + s.laned }
 // without re-paying the warm-up allocations; the lanes stay declared,
 // since a delay's lane only says where its events wait. Handles to events
 // that were still pending go stale: Timer.Stop and Ticker.Stop on them do
-// nothing. Instrument handles are detached; call Instrument again for the
-// next run.
+// nothing.
 func (s *Simulator) Reset() {
 	for _, it := range s.heap {
 		s.release(it.slot)
@@ -221,8 +206,6 @@ func (s *Simulator) Reset() {
 	s.now = 0
 	s.seq = 0
 	s.fired = 0
-	s.cFired = nil
-	s.gQueueMax = nil
 }
 
 // release returns a slot to the free list. Only arg is cleared: it is
@@ -511,9 +494,6 @@ func (s *Simulator) run(deadline time.Duration, limit uint64) error {
 	running.Add(1)
 	defer running.Add(-1) // deferred: a panicking callback must not leak the count
 	executed := uint64(0)
-	// Track the queue high-water mark in a local and publish it once at
-	// the end: one store per run instead of one per event.
-	qmax := s.pending()
 	var err error
 	for {
 		// With no live laned event the heap root is next, as it was
@@ -521,9 +501,6 @@ func (s *Simulator) run(deadline time.Duration, limit uint64) error {
 		next, from, ok := s.peek()
 		if !ok {
 			break
-		}
-		if n := s.pending(); n > qmax {
-			qmax = n
 		}
 		if limit > 0 && executed >= limit {
 			err = ErrStopped
@@ -546,7 +523,6 @@ func (s *Simulator) run(deadline time.Duration, limit uint64) error {
 		s.now = next.at
 		s.fired++
 		executed++
-		s.cFired.Inc()
 		fn(arg)
 		// A simulation never blocks, so when simulations hold every P the
 		// GC's mark worker waits for sysmon's 10 ms preemption and the
@@ -560,6 +536,5 @@ func (s *Simulator) run(deadline time.Duration, limit uint64) error {
 	if err == nil && deadline >= 0 && deadline > s.now {
 		s.now = deadline
 	}
-	s.gQueueMax.SetMax(int64(qmax))
 	return err
 }

@@ -10,6 +10,10 @@ import (
 	"time"
 )
 
+// pending is the number of events waiting to fire, in the heap and in
+// the lanes.
+func (s *Simulator) pending() int { return len(s.heap) + s.laned }
+
 func TestRunExecutesInTimeOrder(t *testing.T) {
 	sim := New()
 	var got []int
@@ -254,8 +258,8 @@ func TestFiredCounts(t *testing.T) {
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if sim.fired != 7 {
-		t.Errorf("Fired = %d, want 7", sim.fired)
+	if sim.Fired() != 7 {
+		t.Errorf("Fired = %d, want 7", sim.Fired())
 	}
 }
 

@@ -38,8 +38,8 @@ type Config struct {
 	// QueueLimit bounds the number of packets waiting for serialisation
 	// when Bandwidth > 0. 0 means unlimited.
 	QueueLimit int
-	// Obs attaches the per-run observability bundle. nil disables
-	// metrics and tracing for this link.
+	// Obs attaches the per-run observability bundle; the link uses its
+	// tracer. nil disables tracing for this link (Counters always count).
 	Obs *obs.Obs
 }
 
@@ -60,12 +60,7 @@ type Link struct {
 	faultLoss  stats.LossModel
 	faultDelay stats.Sampler
 
-	cOffered      *obs.Counter
-	cDelivered    *obs.Counter
-	cBytes        *obs.Counter
-	cLostRandom   *obs.Counter
-	cLostOverflow *obs.Counter
-	trace         *obs.Tracer
+	trace *obs.Tracer
 
 	// deliveries recycles delivery jobs: a packet in flight costs no
 	// allocation in steady state. Jobs are recycled when they fire; jobs
@@ -96,8 +91,6 @@ func runDelivery(a any) {
 	l.putDelivery(d)
 	l.cnt.Delivered++
 	l.cnt.BytesDelivery += uint64(size)
-	l.cDelivered.Inc()
-	l.cBytes.Add(uint64(size))
 	fn(arg, true)
 }
 
@@ -115,17 +108,7 @@ func NewLink(sim *des.Simulator, cfg Config) (*Link, error) {
 	if cfg.QueueLimit < 0 {
 		return nil, fmt.Errorf("netem: negative queue limit %d", cfg.QueueLimit)
 	}
-	o := cfg.Obs
-	return &Link{
-		sim:           sim,
-		cfg:           cfg,
-		cOffered:      o.Counter(obs.MNetOffered),
-		cDelivered:    o.Counter(obs.MNetDelivered),
-		cBytes:        o.Counter(obs.MNetBytesDelivered),
-		cLostRandom:   o.Counter(obs.MNetLostRandom),
-		cLostOverflow: o.Counter(obs.MNetLostOverflow),
-		trace:         o.Tracer(),
-	}, nil
+	return &Link{sim: sim, cfg: cfg, trace: cfg.Obs.Tracer()}, nil
 }
 
 // Counters returns a snapshot of the link statistics.
@@ -231,7 +214,6 @@ func (l *Link) SendFn(size int, fn func(arg any, last bool), arg any) bool {
 	}
 	l.cnt.Offered++
 	l.cnt.BytesOffered += uint64(size)
-	l.cOffered.Inc()
 
 	// Fault overlay first: a partition window drops everything without
 	// advancing the base model's chain. Overlay drops land in LostRandom
@@ -239,7 +221,6 @@ func (l *Link) SendFn(size int, fn func(arg any, last bool), arg any) bool {
 	if (l.faultLoss != nil && l.faultLoss.Drop()) ||
 		(l.cfg.Loss != nil && l.cfg.Loss.Drop()) {
 		l.cnt.LostRandom++
-		l.cLostRandom.Inc()
 		l.trace.Emit(obs.LayerNetem, obs.EvPktLoss, 0, int64(size), 0, "")
 		return false
 	}
@@ -252,7 +233,6 @@ func (l *Link) SendFn(size int, fn func(arg any, last bool), arg any) bool {
 	if l.cfg.Bandwidth > 0 {
 		if l.cfg.QueueLimit > 0 && l.q >= l.cfg.QueueLimit {
 			l.cnt.LostOverflow++
-			l.cLostOverflow.Inc()
 			l.trace.Emit(obs.LayerNetem, obs.EvPktOverflow, 0, int64(size), 0, "")
 			return false
 		}

@@ -12,17 +12,15 @@ import (
 // snapshots in one place, testbed.MetricsSnapshot.Merge. These tests
 // check that fold from the producing side: registries written one per
 // shard, read back through Snapshot and folded, give what the merge
-// policy promises.
+// policy promises. A shard's counts come from its layers, not from the
+// registry, so the tests set them on the snapshot directly.
 
-// metrics reads the metrics these tests write out of an obs snapshot,
-// field for field as a run's MetricsSnapshot carries them.
+// metrics reads the gauges and histograms these tests write out of an
+// obs snapshot, field for field as a run's MetricsSnapshot carries them.
 func metrics(s obs.Snapshot) testbed.MetricsSnapshot {
 	m := testbed.MetricsSnapshot{
-		Retransmits:       s.Counter(obs.MRetransmits),
-		BrokerAppends:     s.Counter(obs.MBrokerAppends),
 		RTOMax:            time.Duration(s.Gauge(obs.MRTOMaxNs)),
 		ReplicationFactor: s.Gauge(obs.MReplicationFactor),
-		ConsumerLagEnd:    s.Gauge(obs.MConsumerLag),
 	}
 	if h, ok := s.Histogram(obs.MSpanDelivery); ok {
 		copy(m.SpanDelivery.Counts[:], h.Counts)
@@ -40,7 +38,7 @@ func fold(snaps ...testbed.MetricsSnapshot) testbed.MetricsSnapshot {
 }
 
 // TestShardedMerge checks that three shard registries fold to what one
-// flat registry that saw every update records: counters sum, the RTO
+// flat registry that saw every update records: counts sum, the RTO
 // high-water mark takes the maximum, histogram buckets sum, and a
 // metric only one shard touched still appears.
 func TestShardedMerge(t *testing.T) {
@@ -49,14 +47,15 @@ func TestShardedMerge(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		r := obs.NewRegistry()
 		for _, reg := range []*obs.Registry{r, flat} {
-			reg.Counter(obs.MBrokerAppends).Add(uint64(10 * (i + 1)))
 			reg.Gauge(obs.MRTOMaxNs).SetMax(int64(100 * (i + 1)))
 			reg.Histogram(obs.MSpanDelivery, obs.LatencyBounds).Observe(int64(1000 * (i + 1)))
-			if i == 1 {
-				reg.Counter(obs.MRetransmits).Add(7)
-			}
 		}
-		shards = append(shards, metrics(r.Snapshot()))
+		m := metrics(r.Snapshot())
+		m.BrokerAppends = uint64(10 * (i + 1))
+		if i == 1 {
+			m.Retransmits = 7
+		}
+		shards = append(shards, m)
 	}
 
 	got := fold(shards...)
@@ -72,7 +71,9 @@ func TestShardedMerge(t *testing.T) {
 	if n := got.SpanDelivery.Total(); n != 3 {
 		t.Errorf("histogram observations = %d, want 3", n)
 	}
-	if want := metrics(flat.Snapshot()); got != want {
+	want := metrics(flat.Snapshot())
+	want.BrokerAppends, want.Retransmits = 60, 7
+	if got != want {
 		t.Errorf("sharded merge != flat registry:\n%s\nvs\n%s", got.Encode(), want.Encode())
 	}
 }
@@ -81,14 +82,14 @@ func TestShardedMerge(t *testing.T) {
 // the property that makes a fleet's aggregate the same for every
 // worker count.
 func TestMergeSnapshotsAssociative(t *testing.T) {
-	mk := func(name string, v uint64) testbed.MetricsSnapshot {
+	mk := func(appends, v uint64) testbed.MetricsSnapshot {
 		r := obs.NewRegistry()
-		r.Counter(name).Add(v)
-		r.Counter(obs.MRetransmits).Add(v)
 		r.Histogram(obs.MSpanDelivery, obs.LatencyBounds).Observe(int64(v) * int64(time.Second))
-		return metrics(r.Snapshot())
+		m := metrics(r.Snapshot())
+		m.BrokerAppends, m.Retransmits = appends, v
+		return m
 	}
-	a, b, c := mk(obs.MBrokerAppends, 1), mk("unread", 2), mk(obs.MBrokerAppends, 3)
+	a, b, c := mk(1, 1), mk(0, 2), mk(3, 3)
 	left, right := fold(fold(a, b), c), fold(a, fold(b, c))
 	if left != right {
 		t.Errorf("merge not associative:\n%s\nvs\n%s", left.Encode(), right.Encode())
@@ -110,9 +111,10 @@ func TestGaugeKindMergeAssociative(t *testing.T) {
 	mk := func(rto, rf, lag int64) testbed.MetricsSnapshot {
 		r := obs.NewRegistry()
 		r.Gauge(obs.MRTOMaxNs).SetMax(rto)
-		r.Gauge(obs.MReplicationFactor).Set(rf)
-		r.Gauge(obs.MConsumerLag).Set(lag)
-		return metrics(r.Snapshot())
+		r.Gauge(obs.MReplicationFactor).SetMax(rf)
+		m := metrics(r.Snapshot())
+		m.ConsumerLagEnd = lag
+		return m
 	}
 	a, b, c := mk(5, 1, 10), mk(9, 3, 20), mk(2, 2, 30)
 	left, right := fold(fold(a, b), c), fold(a, fold(b, c))

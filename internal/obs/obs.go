@@ -1,17 +1,23 @@
 // Package obs is the simulation-time observability subsystem: a
-// registry of named counters, gauges and fixed-bucket histograms plus a
+// registry of named gauges and fixed-bucket histograms plus a
 // structured event tracer (trace.go), both reading the des virtual
 // clock instead of the wall clock.
+//
+// Counts of events are not registered here. Each layer keeps the only
+// copy of its own counters in plain fields (netem.Counters,
+// transport.Stats, producer.Stats, broker.Stats, ...), and the testbed
+// sums them into a run's MetricsSnapshot. The registry's Counter is a
+// general-purpose handle that no layer uses.
 //
 // Design constraints, in order:
 //
 //   - Cheap enough to stay on by default. Handles are resolved once at
 //     construction time; the hot path is a nil check plus a plain
-//     integer add (or compare-and-store), with no atomic operation, no
-//     allocation and no map lookup.
+//     compare-and-store (or bucket increment), with no atomic
+//     operation, no allocation and no map lookup.
 //   - A no-op implementation when disabled. Every handle method has a
 //     nil receiver fast path, so instrumented code calls
-//     counter.Inc() unconditionally and a nil *Registry (or nil *Obs)
+//     hist.Observe() unconditionally and a nil *Registry (or nil *Obs)
 //     turns the whole subsystem into dead branches.
 //   - Deterministic output. Snapshots list metrics in sorted name
 //     order and encode to a canonical byte form, so two runs with the
@@ -30,8 +36,8 @@
 // shared one; `go test -race` is the enforcement.
 // Tracer and Timeline carry their own locks and are outside the contract.
 //
-// The package is zero-dependency (stdlib only) and imported by the DES
-// kernel and every protocol layer; it must never import them back.
+// The package is zero-dependency (stdlib only) and imported by every
+// protocol layer; it must never import them back.
 package obs
 
 import (
@@ -46,44 +52,19 @@ type Clock interface {
 	Now() time.Duration
 }
 
-// Canonical metric names. Instrumented subsystems register under these
-// so that snapshots and the testbed's MetricsSnapshot agree on one
-// stable schema.
+// Canonical metric names of the registry's gauges and histograms.
+// Instrumented subsystems register under these so that snapshots and the
+// testbed's MetricsSnapshot agree on one stable schema. Counts of events
+// are not here: each layer keeps the only copy of its own counters
+// (netem.Counters, transport.Stats, producer.Stats, broker.Stats, ...),
+// and the testbed sums them into its MetricsSnapshot.
 const (
-	// DES kernel.
-	MSimEvents   = "des.events_fired"
-	MSimQueueMax = "des.queue_max"
+	// Transport: the largest RTO any endpoint reached (kind max).
+	MRTOMaxNs = "transport.rto_max_ns"
 
-	// Network emulation.
-	MNetOffered      = "netem.offered"
-	MNetDelivered    = "netem.delivered"
-	MNetLostRandom   = "netem.lost_random"
-	MNetLostOverflow = "netem.lost_overflow"
+	// Producer accumulator depth at each enqueue (QueueDepthBounds).
+	MQueueDepth = "producer.queue_depth"
 
-	// Transport.
-	MSegmentsSent    = "transport.segments_sent"
-	MRetransmits     = "transport.retransmits"
-	MFastRetransmits = "transport.fast_retransmits"
-	MRTOTimeouts     = "transport.rto_timeouts"
-	MRTOMaxNs        = "transport.rto_max_ns"
-	MAcksSent        = "transport.acks_sent"
-	MConnBreaks      = "transport.conn_breaks"
-
-	// Producer.
-	MRecordsEnqueued = "producer.records_enqueued"
-	MBatchesSent     = "producer.batches_sent"
-	MBatchRetries    = "producer.batch_retries"
-	MRequestTimeouts = "producer.request_timeouts"
-	MQueueDepth      = "producer.queue_depth"
-
-	// Broker / cluster.
-	MBrokerProduce    = "broker.produce_requests"
-	MBrokerAppends    = "broker.appends"
-	MBrokerDuplicates = "broker.duplicates_dropped"
-	MBrokerDupAppends = "broker.duplicate_appends"
-	MBrokerTruncated  = "broker.records_truncated"
-	MBrokerUnclean    = "broker.unclean_restarts"
-	MReplications     = "cluster.replications"
 	// MReplicationFactor is a config-valued gauge (kind max): the
 	// replication factor of the run's data topics. Observability-only
 	// readers use it to normalize per-replica counters such as duplicate
@@ -101,18 +82,6 @@ const (
 	MSpanDelivery   = "span.enqueue_to_delivery"
 	MSpanCommit     = "span.commit"
 
-	// Producer delivery outcomes (denominators of the span histograms).
-	MRecordsDelivered = "producer.records_delivered"
-	MRecordsLost      = "producer.records_lost"
-
-	// Network payload volume (the measured-φ numerator).
-	MNetBytesDelivered = "netem.bytes_delivered"
-
-	// Consumer group.
-	MConsumerDelivered   = "consumer.delivered"
-	MConsumerRedelivered = "consumer.redelivered"
-	MConsumerCommitAcks  = "consumer.commit_acks"
-	MConsumerLag         = "consumer.lag"
 	// MPausedNs histograms per-partition pause windows: sim-time a
 	// partition spent without active polling coverage (each sample is
 	// one pause interval). Eager rebalances pause every partition for
@@ -122,13 +91,6 @@ const (
 	// Coordinator.
 	MRebalanceNs = "coordinator.rebalance_ns"
 )
-
-// ProduceErrorMetric names the per-error-code produce failure counter
-// for a wire error code's string form (e.g. "NOT_LEADER" →
-// "producer.produce_error.NOT_LEADER").
-func ProduceErrorMetric(code string) string {
-	return "producer.produce_error." + code
-}
 
 // QueueDepthBounds are the fixed bucket upper bounds of the producer
 // accumulator-depth histogram (records). The last bucket is the
@@ -191,32 +153,10 @@ func (c *Counter) Inc() {
 	}
 }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// Value returns the current count (0 when disabled).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
 // Gauge is an instantaneous int64 metric (single writer, like Counter).
 // All methods are nil-safe.
 type Gauge struct {
 	v int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v = v
-	}
 }
 
 // SetMax stores v only if it exceeds the current value — a running
@@ -290,11 +230,13 @@ type Registry struct {
 	countBlock   []uint64
 }
 
-// Sizes of the registry's maps and blocks: one testbed run registers
-// about 40 counters, 4 gauges and 5–9 histograms with 80–150 bounds.
-// Presizing the maps saves three allocations per run over growing them.
+// Sizes of the registry's maps and blocks: one testbed run registers no
+// counter (a run's counts live in its layers), 2 gauges and 5–9
+// histograms with 80–150 bounds. Presizing the gauge and histogram maps
+// saves allocations per run over growing them; the counter map is made
+// on the first counter.
 const (
-	counterBlock = 48
+	counterBlock = 8
 	gaugeBlock   = 8
 	histBlock    = 16
 	bucketBlock  = 128
@@ -303,9 +245,8 @@ const (
 // NewRegistry returns an empty enabled registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter, counterBlock),
-		gauges:   make(map[string]*Gauge, gaugeBlock),
-		hists:    make(map[string]*Histogram, histBlock),
+		gauges: make(map[string]*Gauge, gaugeBlock),
+		hists:  make(map[string]*Histogram, histBlock),
 	}
 }
 
@@ -330,6 +271,9 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	c, ok := r.counters[name]
 	if !ok {
+		if r.counters == nil {
+			r.counters = make(map[string]*Counter, counterBlock)
+		}
 		c = &carve(&r.counterBlock, 1, counterBlock)[0]
 		r.counters[name] = c
 	}
@@ -457,7 +401,7 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	s.Counters = presized[CounterValue](len(r.counters))
 	for name, c := range r.counters {
-		s.Counters = append(s.Counters, CounterValue{Name: name, Value: c.Value()})
+		s.Counters = append(s.Counters, CounterValue{Name: name, Value: c.v})
 	}
 	s.Gauges = presized[GaugeValue](len(r.gauges))
 	for name, g := range r.gauges {
@@ -491,16 +435,6 @@ func presized[T any](n int) []T {
 	return make([]T, 0, n)
 }
 
-// Counter returns the named counter's value (0 when absent).
-func (s Snapshot) Counter(name string) uint64 {
-	for _, c := range s.Counters {
-		if c.Name == name {
-			return c.Value
-		}
-	}
-	return 0
-}
-
 // Gauge returns the named gauge's value (0 when absent).
 func (s Snapshot) Gauge(name string) int64 {
 	for _, g := range s.Gauges {
@@ -527,14 +461,6 @@ func (s Snapshot) Histogram(name string) (HistogramValue, bool) {
 type Obs struct {
 	Registry *Registry
 	Trace    *Tracer
-}
-
-// Counter resolves a counter handle (nil-safe at every level).
-func (o *Obs) Counter(name string) *Counter {
-	if o == nil {
-		return nil
-	}
-	return o.Registry.Counter(name)
 }
 
 // Gauge resolves a gauge handle.

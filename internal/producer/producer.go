@@ -72,6 +72,17 @@ type batchJob struct {
 	b *batch
 }
 
+// Stats counts the producer's send-path activity. Records enqueued are
+// Acquired, and their outcomes are Counts.
+type Stats struct {
+	BatchesSent     uint64 // batch sends, retries included
+	BatchRetries    uint64 // batch sends beyond a batch's first attempt
+	RequestTimeouts uint64 // produce requests that timed out unanswered
+	// ProduceErrors counts failed produce responses by wire error code
+	// (index 0, ErrNone, stays zero).
+	ProduceErrors [wire.NumErrorCodes]uint64
+}
+
 // Producer drives messages from a Source into the cluster over a
 // transport connection. Create with New; run by starting the simulator.
 type Producer struct {
@@ -87,7 +98,7 @@ type Producer struct {
 	corr      uint32
 	splitter  wire.Splitter
 	batchSeq  uint64
-	retries   uint64 // batch (re)sends beyond the first attempt, for Probe
+	stats     Stats
 	outcomes  []Outcome
 	counts    Counts
 	latency   stats.Summary
@@ -108,17 +119,10 @@ type Producer struct {
 	onComplete     func()
 
 	// Observability (nil-safe handles; see internal/obs).
-	cEnqueued    *obs.Counter
-	cBatchesSent *obs.Counter
-	cBatchRetry  *obs.Counter
-	cReqTimeouts *obs.Counter
-	cDelivered   *obs.Counter
-	cLost        *obs.Counter
-	cRespErrors  [wire.NumErrorCodes]*obs.Counter
-	hQueueDepth  *obs.Histogram
-	hSpanSend    *obs.Histogram
-	hSpanAck     *obs.Histogram
-	trace        *obs.Tracer
+	hQueueDepth *obs.Histogram
+	hSpanSend   *obs.Histogram
+	hSpanAck    *obs.Histogram
+	trace       *obs.Tracer
 
 	// Hot-path scratch and free lists. The producer is single-threaded
 	// (one simulator drives it), so nothing here is locked; event callbacks
@@ -239,34 +243,12 @@ func WithOutcomeLog(capacity int) Option {
 	return func(p *Producer) { p.outcomes = make([]Outcome, 0, capacity) }
 }
 
-// produceErrorMetrics holds ProduceErrorMetric's names, built once: every
-// producer and every metrics snapshot asks for all of them.
-var produceErrorMetrics = func() (names [wire.NumErrorCodes]string) {
-	for c := range names {
-		names[c] = obs.ProduceErrorMetric(wire.ErrorCode(c).String())
-	}
-	return names
-}()
-
-// ProduceErrorMetric names the counter of produce responses that failed
-// with code (obs.ProduceErrorMetric of the code's string form).
-func ProduceErrorMetric(code wire.ErrorCode) string { return produceErrorMetrics[code] }
-
 // WithObs attaches the per-run observability bundle. Handles are
 // resolved once here; a nil bundle leaves them nil, which disables the
 // instrumentation at the cost of a nil check per site.
 func WithObs(o *obs.Obs) Option {
 	return func(p *Producer) {
-		p.cEnqueued = o.Counter(obs.MRecordsEnqueued)
-		p.cBatchesSent = o.Counter(obs.MBatchesSent)
-		p.cBatchRetry = o.Counter(obs.MBatchRetries)
-		p.cReqTimeouts = o.Counter(obs.MRequestTimeouts)
-		for code := 1; code < wire.NumErrorCodes; code++ {
-			p.cRespErrors[code] = o.Counter(ProduceErrorMetric(wire.ErrorCode(code)))
-		}
 		p.hQueueDepth = o.Histogram(obs.MQueueDepth, obs.QueueDepthBounds)
-		p.cDelivered = o.Counter(obs.MRecordsDelivered)
-		p.cLost = o.Counter(obs.MRecordsLost)
 		p.hSpanSend = o.Histogram(obs.MSpanSend, obs.LatencyBounds)
 		p.hSpanAck = o.Histogram(obs.MSpanAck, obs.LatencyBounds)
 		p.trace = o.Tracer()
@@ -343,6 +325,9 @@ func (p *Producer) Reconfigure(cfg Config) error {
 // Counts returns the producer-view terminal-state aggregates.
 func (p *Producer) Counts() Counts { return p.counts }
 
+// Stats returns the producer's send-path counters.
+func (p *Producer) Stats() Stats { return p.stats }
+
 // Outcomes returns per-record outcomes when WithOutcomeLog was set.
 func (p *Producer) Outcomes() []Outcome { return p.outcomes }
 
@@ -369,7 +354,7 @@ func (p *Producer) Probe() obs.ProducerProbe {
 		Enqueued:        p.nextKey,
 		Acked:           p.counts.Delivered,
 		Lost:            p.counts.Lost,
-		BatchRetries:    p.retries,
+		BatchRetries:    p.stats.BatchRetries,
 	}
 }
 
@@ -410,7 +395,6 @@ func (p *Producer) intakeArrived() {
 	r.deadline = now + p.cfg.MessageTimeout
 	r.state = StateReady
 	p.queue.pushBack(r)
-	p.cEnqueued.Inc()
 	p.hQueueDepth.Observe(int64(p.queue.len()))
 	p.trace.Emit(obs.LayerProducer, obs.EvRecordEnqueue, r.key, int64(p.queue.len()), 0, "")
 	p.kickSender()
@@ -741,10 +725,9 @@ func (p *Producer) afterSend(corr uint32, b *batch) {
 			p.hSpanSend.Observe(int64(now - r.arrived))
 		}
 	}
-	p.cBatchesSent.Inc()
+	p.stats.BatchesSent++
 	if b.attempts > 1 {
-		p.retries++
-		p.cBatchRetry.Inc()
+		p.stats.BatchRetries++
 	}
 	p.trace.Emit(obs.LayerProducer, obs.EvBatchSend, b.seq, int64(len(b.records)), int64(b.attempts), "")
 	if p.cfg.Semantics == AtMostOnce {
@@ -805,8 +788,8 @@ func (p *Producer) onResponse(resp wire.ProduceResponse) {
 		p.kickSender()
 		return
 	}
-	if int(resp.Err) < len(p.cRespErrors) {
-		p.cRespErrors[resp.Err].Inc()
+	if int(resp.Err) < len(p.stats.ProduceErrors) {
+		p.stats.ProduceErrors[resp.Err]++
 	}
 	if resp.Err.Retriable() {
 		p.retryOrFail(b)
@@ -827,7 +810,7 @@ func (p *Producer) onRequestTimeout(corr uint32) {
 		return
 	}
 	delete(p.inFlight, corr)
-	p.cReqTimeouts.Inc()
+	p.stats.RequestTimeouts++
 	p.trace.Emit(obs.LayerProducer, obs.EvRequestTimeout, rq.batch.seq, int64(corr), 0, "")
 	b := rq.batch
 	p.putRequest(rq)
@@ -932,7 +915,6 @@ func (p *Producer) resolveDelivered(r *record) {
 		p.stale++
 	}
 	p.counts.Delivered++
-	p.cDelivered.Inc()
 	p.hSpanAck.Observe(int64(lat))
 	p.trace.Emit(obs.LayerProducer, obs.EvRecordDelivered, r.key, int64(r.attempts), int64(r.caseNum), "")
 	p.record(r)
@@ -950,7 +932,6 @@ func (p *Producer) resolveLost(r *record) {
 	}
 	r.resolved = p.sim.Now()
 	p.counts.Lost++
-	p.cLost.Inc()
 	p.trace.Emit(obs.LayerProducer, obs.EvRecordLost, r.key, int64(r.attempts), int64(r.caseNum), "")
 	p.record(r)
 }

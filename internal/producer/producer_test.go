@@ -10,11 +10,9 @@ import (
 	"kafkarel/internal/consumer"
 	"kafkarel/internal/des"
 	"kafkarel/internal/netem"
-	"kafkarel/internal/obs"
 	"kafkarel/internal/producer"
 	"kafkarel/internal/stats"
 	"kafkarel/internal/transport"
-	"kafkarel/internal/wire"
 	"kafkarel/internal/workload"
 )
 
@@ -549,19 +547,5 @@ func TestAccountingInvariants(t *testing.T) {
 				t.Errorf("consumer has more keys than source")
 			}
 		})
-	}
-}
-
-// The per-error-code counter names are built once, not once per producer
-// and per metrics snapshot, and are the names obs defines.
-func TestProduceErrorMetricNamesAreBuiltOnce(t *testing.T) {
-	for c := 0; c < wire.NumErrorCodes; c++ {
-		code := wire.ErrorCode(c)
-		if got, want := producer.ProduceErrorMetric(code), obs.ProduceErrorMetric(code.String()); got != want {
-			t.Errorf("code %d: %q, want %q", c, got, want)
-		}
-	}
-	if allocs := testing.AllocsPerRun(100, func() { _ = producer.ProduceErrorMetric(wire.ErrNotLeader) }); allocs != 0 {
-		t.Errorf("naming a counter allocated %.0f times", allocs)
 	}
 }

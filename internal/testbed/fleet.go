@@ -562,9 +562,7 @@ func runFleetShard(sim *des.Simulator, sh fleetShard) (fleetShardOut, error) {
 	}
 	tr.Expirations = r.co.Stats().SessionExpirations
 	if reg != nil {
-		tr.Metrics = snapshotMetrics(reg.Snapshot())
-		tr.Metrics.Cases = tr.Producer.ByCase
-		tr.Metrics.Cases[producer.Case5] = tr.Report.NDuplicated
+		tr.Metrics = snapshotMetrics(r, runs, tr.Report.NDuplicated)
 	}
 	if d := tr.Duration.Seconds(); d > 0 {
 		tr.Throughput = float64(tr.Report.Distinct) / d

@@ -5,8 +5,10 @@ import (
 	"strings"
 	"time"
 
+	"kafkarel/internal/netem"
 	"kafkarel/internal/obs"
 	"kafkarel/internal/producer"
+	"kafkarel/internal/transport"
 	"kafkarel/internal/wire"
 )
 
@@ -69,7 +71,7 @@ type MetricsSnapshot struct {
 	ConsumerDelivered   uint64
 	ConsumerRedelivered uint64
 	ConsumerCommitAcks  uint64
-	ConsumerLagEnd      int64 // lag gauge at snapshot time
+	ConsumerLagEnd      int64 // summed end-of-run lag of every group
 
 	// Per-record latency spans, all timed from producer enqueue except
 	// SpanCommit (commit send → durable ack), Rebalance (prepare →
@@ -133,48 +135,80 @@ func (s SpanHist) encode(b *strings.Builder, name string) {
 		name, s.Total(), s.Quantile(0.50), s.Quantile(0.95), s.Quantile(0.99), s.Max)
 }
 
-// snapshotMetrics converts a registry snapshot into the fixed struct.
-func snapshotMetrics(s obs.Snapshot) MetricsSnapshot {
-	m := MetricsSnapshot{
-		SimEvents:             s.Counter(obs.MSimEvents),
-		SegmentsSent:          s.Counter(obs.MSegmentsSent),
-		Retransmits:           s.Counter(obs.MRetransmits),
-		FastRetransmits:       s.Counter(obs.MFastRetransmits),
-		RTOTimeouts:           s.Counter(obs.MRTOTimeouts),
-		RTOMax:                time.Duration(s.Gauge(obs.MRTOMaxNs)),
-		AcksSent:              s.Counter(obs.MAcksSent),
-		PacketsLostRandom:     s.Counter(obs.MNetLostRandom),
-		PacketsLostOverflow:   s.Counter(obs.MNetLostOverflow),
-		RecordsEnqueued:       s.Counter(obs.MRecordsEnqueued),
-		BatchesSent:           s.Counter(obs.MBatchesSent),
-		BatchRetries:          s.Counter(obs.MBatchRetries),
-		RequestTimeouts:       s.Counter(obs.MRequestTimeouts),
-		BrokerProduceRequests: s.Counter(obs.MBrokerProduce),
-		BrokerAppends:         s.Counter(obs.MBrokerAppends),
-		BrokerDuplicates:      s.Counter(obs.MBrokerDuplicates),
-		BrokerDupAppends:      s.Counter(obs.MBrokerDupAppends),
-		BrokerTruncated:       s.Counter(obs.MBrokerTruncated),
-		BrokerUnclean:         s.Counter(obs.MBrokerUnclean),
-		Replications:          s.Counter(obs.MReplications),
-		ReplicationFactor:     s.Gauge(obs.MReplicationFactor),
-		RecordsDelivered:      s.Counter(obs.MRecordsDelivered),
-		RecordsLost:           s.Counter(obs.MRecordsLost),
-		NetBytesDelivered:     s.Counter(obs.MNetBytesDelivered),
-		ConsumerDelivered:     s.Counter(obs.MConsumerDelivered),
-		ConsumerRedelivered:   s.Counter(obs.MConsumerRedelivered),
-		ConsumerCommitAcks:    s.Counter(obs.MConsumerCommitAcks),
-		ConsumerLagEnd:        s.Gauge(obs.MConsumerLag),
-		SpanSend:              spanHist(s, obs.MSpanSend),
-		SpanAppend:            spanHist(s, obs.MSpanAppend),
-		SpanReplicated:        spanHist(s, obs.MSpanReplicated),
-		SpanAck:               spanHist(s, obs.MSpanAck),
-		SpanDelivery:          spanHist(s, obs.MSpanDelivery),
-		SpanCommit:            spanHist(s, obs.MSpanCommit),
-		Rebalance:             spanHist(s, obs.MRebalanceNs),
-		Paused:                spanHist(s, obs.MPausedNs),
+// snapshotMetrics fills the run's MetricsSnapshot. Every count is read
+// from the one layer that keeps it: the simulator, each client's two
+// links, two endpoints and producer, the brokers and the cluster, and
+// the consumer groups' end-of-run summaries (runs, whose lags sum to
+// ConsumerLagEnd). Case 5 of Cases is duplicated, which only the
+// reconciled consumer side knows. The histograms and the RTOMax and
+// ReplicationFactor gauges come from the registry.
+func snapshotMetrics(r *rig, runs []GroupRun, duplicated uint64) MetricsSnapshot {
+	m := registryMetrics(r.o.Registry.Snapshot())
+	m.SimEvents = r.sim.Fired()
+	for _, c := range r.clients {
+		for _, l := range [...]*netem.Link{c.path.Fwd, c.path.Rev} {
+			n := l.Counters()
+			m.PacketsLostRandom += n.LostRandom
+			m.PacketsLostOverflow += n.LostOverflow
+			m.NetBytesDelivered += n.BytesDelivery
+		}
+		for _, e := range [...]*transport.Endpoint{c.conn.Client, c.conn.Server} {
+			st := e.Stats()
+			m.SegmentsSent += st.SegmentsSent
+			m.Retransmits += st.Retransmissions
+			m.FastRetransmits += st.FastRetransmits
+			m.RTOTimeouts += st.Timeouts
+			m.AcksSent += st.AcksSent
+		}
+		ps, counts := c.prod.Stats(), c.prod.Counts()
+		m.RecordsEnqueued += c.prod.Acquired()
+		m.BatchesSent += ps.BatchesSent
+		m.BatchRetries += ps.BatchRetries
+		m.RequestTimeouts += ps.RequestTimeouts
+		for code, n := range ps.ProduceErrors {
+			m.ProduceErrors[code] += n
+		}
+		m.RecordsDelivered += counts.Delivered
+		m.RecordsLost += counts.Lost
+		for i, n := range counts.ByCase {
+			m.Cases[i] += n
+		}
 	}
-	for c := 1; c < wire.NumErrorCodes; c++ {
-		m.ProduceErrors[c] = s.Counter(producer.ProduceErrorMetric(wire.ErrorCode(c)))
+	m.Cases[producer.Case5] = duplicated
+	for _, b := range r.clst.StatsAll() {
+		m.BrokerProduceRequests += b.ProduceRequests
+		m.BrokerAppends += b.RecordsAppended
+		m.BrokerDuplicates += b.DuplicatesDropped
+		m.BrokerDupAppends += b.DuplicateAppends
+		m.BrokerTruncated += b.RecordsTruncated
+		m.BrokerUnclean += b.UncleanCrashes
+	}
+	m.Replications = r.clst.Replications()
+	for _, g := range runs {
+		m.ConsumerDelivered += g.Evidence.Delivered
+		m.ConsumerRedelivered += g.Evidence.Redelivered
+		m.ConsumerCommitAcks += g.Evidence.CommitsAcked
+		for _, lag := range g.Lag {
+			m.ConsumerLagEnd += lag
+		}
+	}
+	return m
+}
+
+// registryMetrics reads the registry's gauges and histograms into the
+// fixed struct; every count stays zero.
+func registryMetrics(s obs.Snapshot) MetricsSnapshot {
+	m := MetricsSnapshot{
+		RTOMax:            time.Duration(s.Gauge(obs.MRTOMaxNs)),
+		ReplicationFactor: s.Gauge(obs.MReplicationFactor),
+		SpanSend:          spanHist(s, obs.MSpanSend),
+		SpanAppend:        spanHist(s, obs.MSpanAppend),
+		SpanReplicated:    spanHist(s, obs.MSpanReplicated),
+		SpanAck:           spanHist(s, obs.MSpanAck),
+		SpanDelivery:      spanHist(s, obs.MSpanDelivery),
+		SpanCommit:        spanHist(s, obs.MSpanCommit),
+		Rebalance:         spanHist(s, obs.MRebalanceNs),
+		Paused:            spanHist(s, obs.MPausedNs),
 	}
 	if h, ok := s.Histogram(obs.MQueueDepth); ok {
 		for i := 0; i < len(m.QueueDepth) && i < len(h.Counts); i++ {

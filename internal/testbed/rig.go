@@ -50,12 +50,10 @@ type rig struct {
 	cfgErr    error
 }
 
-// newRig instruments the simulator and builds the three-broker cluster
-// with its topics, each with the same partition count and replication
+// newRig builds the three-broker cluster with its topics, each with the same partition count and replication
 // factor. Its clients run on hostCalibration unless the caller replaces
 // r.cal before adding them.
 func newRig(sim *des.Simulator, o *obs.Obs, flush time.Duration, minISR, partitions, rf int, topics ...string) (*rig, error) {
-	sim.Instrument(o)
 	cfg := cluster.DefaultConfig()
 	cfg.Obs = o
 	cfg.Broker.Obs = o
@@ -278,11 +276,9 @@ func (r *rig) timeline(interval time.Duration, entity string) *obs.Timeline {
 }
 
 // probes points a timeline at the client (and, optionally, a broker
-// probe). The transport probe
-// shows the client's gauges (cwnd, SRTT, RTO, in-flight) but sums the
-// counters over both endpoints: they feed the same registry counters,
-// and the cross-check against the metrics snapshot requires the
-// timeline to match them.
+// probe). The transport probe shows the client's gauges (cwnd, SRTT,
+// RTO, in-flight) but sums the counters over both endpoints, as the
+// metrics snapshot does, so the timeline's columns sum to it.
 func (c *client) probes(tl *obs.Timeline, broker func() obs.BrokerProbe) {
 	tl.SetProbes(c.path.Probe, func() obs.TransportProbe {
 		p := c.conn.Client.Probe()

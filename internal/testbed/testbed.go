@@ -100,8 +100,9 @@ type Experiment struct {
 	// vectors are ignored.
 	Schedule []ConfigChange
 	// DisableMetrics switches off the per-run obs.Registry; Result.Metrics
-	// then stays zero. Metrics are on by default (they are cheap: plain
-	// integer updates with handles resolved at build time).
+	// then stays zero. Metrics are on by default: the counts are the
+	// layers' own fields, summed once after the run, and the registry
+	// holds only histograms and gauges.
 	DisableMetrics bool
 	// Tracer, when non-nil, receives the run's structured event stream
 	// (record lifecycle, transport, broker events). The testbed binds the
@@ -566,10 +567,7 @@ func (r *rig) collect(e Experiment) (Result, error) {
 	res.Pl = res.Report.Pl()
 	res.Pd = res.Report.Pd()
 	if r.o.Registry != nil {
-		res.Metrics = snapshotMetrics(r.o.Registry.Snapshot())
-		res.Metrics.Cases = res.Producer.ByCase
-		// Case 5 (duplicated) is only observable at the consumer.
-		res.Metrics.Cases[producer.Case5] = res.Report.NDuplicated
+		res.Metrics = snapshotMetrics(r, res.GroupRuns, res.Report.NDuplicated)
 	}
 	if d := res.Duration.Seconds(); d > 0 {
 		res.Throughput = float64(res.Report.Distinct) / d

@@ -589,19 +589,20 @@ func TestTracerNeutrality(t *testing.T) {
 }
 
 // MetricsSnapshot.Merge holds the one merge policy for a fleet's shards.
-// Each row builds three shard snapshots from registries, the way a
-// fleet shard does, and checks that the fold is associative, that
+// Each row builds three shard snapshots the way a fleet shard does —
+// gauges and histograms from a registry, counts and the end-of-run lag
+// from the layers — and checks that the fold is associative, that
 // counters and span histograms add (a quantile of the merge is the
 // quantile of the pooled observations), that the high-water marks take
 // the maximum, and that the end-of-run lag adds, so drained shards fold
 // to 0.
 func TestMetricsSnapshotMerge(t *testing.T) {
 	type shard struct {
-		retransmits     uint64
-		rtoMax          time.Duration
-		rf              int64
-		lagPeak, lagEnd int64
-		spans           int // delivery-span observations
+		retransmits uint64
+		rtoMax      time.Duration
+		rf          int64
+		lagEnd      int64
+		spans       int // delivery-span observations
 	}
 	cases := []struct {
 		name     string
@@ -614,18 +615,18 @@ func TestMetricsSnapshotMerge(t *testing.T) {
 		{
 			name: "drained shards fold to zero lag",
 			shards: [3]shard{
-				{retransmits: 10, rtoMax: 4 * time.Millisecond, rf: 3, lagPeak: 50, spans: 100},
-				{retransmits: 20, rtoMax: 9 * time.Millisecond, rf: 3, lagPeak: 20, spans: 150},
-				{retransmits: 30, rtoMax: time.Millisecond, rf: 3, lagPeak: 80, spans: 200},
+				{retransmits: 10, rtoMax: 4 * time.Millisecond, rf: 3, spans: 100},
+				{retransmits: 20, rtoMax: 9 * time.Millisecond, rf: 3, spans: 150},
+				{retransmits: 30, rtoMax: time.Millisecond, rf: 3, spans: 200},
 			},
 			wantRTO: 9 * time.Millisecond, wantRF: 3, wantLag: 0, wantSpan: 450,
 		},
 		{
 			name: "backlogs add and high-water marks take the max",
 			shards: [3]shard{
-				{retransmits: 1, rf: 1, lagPeak: 9, lagEnd: 5, spans: 40},
+				{retransmits: 1, rf: 1, lagEnd: 5, spans: 40},
 				{retransmits: 2, rtoMax: 2 * time.Millisecond, rf: 3, lagEnd: 0, spans: 1},
-				{retransmits: 3, rf: 2, lagPeak: 7, lagEnd: 7, spans: 300},
+				{retransmits: 3, rf: 2, lagEnd: 7, spans: 300},
 			},
 			wantRTO: 2 * time.Millisecond, wantRF: 3, wantLag: 12, wantSpan: 341,
 		},
@@ -648,15 +649,11 @@ func TestMetricsSnapshotMerge(t *testing.T) {
 			for i, sh := range tc.shards {
 				reg := obs.NewRegistry()
 				if sh == (shard{}) {
-					snaps[i] = snapshotMetrics(reg.Snapshot())
+					snaps[i] = registryMetrics(reg.Snapshot())
 					continue
 				}
-				reg.Counter(obs.MRetransmits).Add(sh.retransmits)
 				reg.Gauge(obs.MRTOMaxNs).SetMax(int64(sh.rtoMax))
-				reg.Gauge(obs.MReplicationFactor).Set(sh.rf)
-				lag := reg.Gauge(obs.MConsumerLag)
-				lag.Set(sh.lagPeak)
-				lag.Set(sh.lagEnd)
+				reg.Gauge(obs.MReplicationFactor).SetMax(sh.rf)
 				h := reg.Histogram(obs.MSpanDelivery, obs.LatencyBounds)
 				hp := pooled.Histogram(obs.MSpanDelivery, obs.LatencyBounds)
 				for k := 0; k < sh.spans; k++ {
@@ -666,7 +663,9 @@ func TestMetricsSnapshotMerge(t *testing.T) {
 					h.Observe(v)
 					hp.Observe(v)
 				}
-				snaps[i] = snapshotMetrics(reg.Snapshot())
+				snaps[i] = registryMetrics(reg.Snapshot())
+				snaps[i].Retransmits = sh.retransmits
+				snaps[i].ConsumerLagEnd = sh.lagEnd
 				wantRetransmits += sh.retransmits
 			}
 
@@ -691,7 +690,7 @@ func TestMetricsSnapshotMerge(t *testing.T) {
 			if left.ConsumerLagEnd != tc.wantLag {
 				t.Errorf("lag_end = %d, want the sum %d", left.ConsumerLagEnd, tc.wantLag)
 			}
-			all := snapshotMetrics(pooled.Snapshot()).SpanDelivery
+			all := registryMetrics(pooled.Snapshot()).SpanDelivery
 			if got := left.SpanDelivery.Total(); got != tc.wantSpan || left.SpanDelivery != all {
 				t.Errorf("merged delivery span (total %d) != pooled observations (total %d, want %d)",
 					got, all.Total(), tc.wantSpan)

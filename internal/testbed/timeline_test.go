@@ -131,3 +131,51 @@ func TestBrokerEventAnnotations(t *testing.T) {
 		t.Fatalf("broker_event annotations = %v, want fail + recover", kinds)
 	}
 }
+
+// TestLagEndIndependentOfTimeline checks Metrics.ConsumerLagEnd is the
+// run's own end-of-run backlog, the sum of every group's per-partition
+// lag, whether or not a timeline watched the run. The horizon cuts the
+// run with a backlog left; with two groups both backlogs count.
+func TestLagEndIndependentOfTimeline(t *testing.T) {
+	v := features.Vector{
+		MessageSize:    200,
+		Timeliness:     5 * time.Second,
+		DelayMs:        5,
+		Semantics:      features.SemanticsAtLeastOnce,
+		BatchSize:      2,
+		MessageTimeout: 1500 * time.Millisecond,
+	}
+	for _, groups := range []int{1, 2} {
+		for _, watched := range []bool{false, true} {
+			e := Experiment{
+				Features:   v,
+				Messages:   20000,
+				Seed:       3,
+				Partitions: 4,
+				Consumers:  2,
+				Groups:     groups,
+				MaxSimTime: 61 * time.Millisecond,
+			}
+			if watched {
+				e.Timeline = obs.NewTimeline(10 * time.Millisecond)
+			}
+			res, err := Run(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var lag int64
+			for _, gr := range res.GroupRuns {
+				for _, l := range gr.Lag {
+					lag += l
+				}
+			}
+			if lag == 0 {
+				t.Fatalf("groups=%d timeline=%v: the run drained; the horizon must leave a backlog", groups, watched)
+			}
+			if res.Metrics.ConsumerLagEnd != lag {
+				t.Errorf("groups=%d timeline=%v: lag_end = %d, want the groups' summed lag %d",
+					groups, watched, res.Metrics.ConsumerLagEnd, lag)
+			}
+		}
+	}
+}

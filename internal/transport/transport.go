@@ -204,15 +204,9 @@ type Endpoint struct {
 	genSent uint64 // connection generation, bumped by Reset to kill stale timers
 
 	// Observability (nil-safe handles; see internal/obs).
-	cSegSent     *obs.Counter
-	cRetransmits *obs.Counter
-	cFastRetrans *obs.Counter
-	cRTOTimeouts *obs.Counter
-	gRTOMax      *obs.Gauge
-	cAcksSent    *obs.Counter
-	cConnBreaks  *obs.Counter
-	trace        *obs.Tracer
-	lastCwnd     int // last traced integer cwnd, to emit cwnd_change on transitions only
+	gRTOMax  *obs.Gauge
+	trace    *obs.Tracer
+	lastCwnd int // last traced integer cwnd, to emit cwnd_change on transitions only
 }
 
 // Conn is a duplex connection: the Client endpoint sends on path.Fwd and
@@ -276,15 +270,9 @@ func newEndpoint(name string, sim *des.Simulator, cfg Config, out *netem.Link) *
 		rto:      initialRTO,
 		ooo:      make(map[int64][]byte),
 
-		cSegSent:     o.Counter(obs.MSegmentsSent),
-		cRetransmits: o.Counter(obs.MRetransmits),
-		cFastRetrans: o.Counter(obs.MFastRetransmits),
-		cRTOTimeouts: o.Counter(obs.MRTOTimeouts),
-		gRTOMax:      o.Gauge(obs.MRTOMaxNs),
-		cAcksSent:    o.Counter(obs.MAcksSent),
-		cConnBreaks:  o.Counter(obs.MConnBreaks),
-		trace:        o.Tracer(),
-		lastCwnd:     initialCwnd,
+		gRTOMax:  o.Gauge(obs.MRTOMaxNs),
+		trace:    o.Tracer(),
+		lastCwnd: initialCwnd,
 	}
 	e.timer = des.NewTimer(sim, e.onRTO)
 	return e
@@ -459,7 +447,6 @@ func (e *Endpoint) traceCwnd() {
 
 func (e *Endpoint) transmit(m *segMeta, payload []byte) {
 	e.stats.SegmentsSent++
-	e.cSegSent.Inc()
 	e.trace.Emit(obs.LayerTransport, obs.EvSegmentSend, uint64(m.seq), int64(m.size), int64(m.retries), e.name)
 	p := e.datas.Get()
 	p.from, p.gen, p.seq, p.payload = e, e.genSent, m.seq, payload
@@ -480,7 +467,6 @@ func (e *Endpoint) retransmit(m *segMeta) {
 	}
 	m.sentAt = e.sim.Now()
 	e.stats.Retransmissions++
-	e.cRetransmits.Inc()
 	e.trace.Emit(obs.LayerTransport, obs.EvSegmentRetransmit, uint64(m.seq), int64(m.size), int64(m.retries), e.name)
 	off := e.sendHead + int(m.seq-e.bufBase)
 	payload := e.bufs.get(m.size)
@@ -495,7 +481,6 @@ func (e *Endpoint) onRTO() {
 		return
 	}
 	e.stats.Timeouts++
-	e.cRTOTimeouts.Inc()
 	m := e.inFlight[0]
 	if m.retries >= maxRetries {
 		e.fail(fmt.Errorf("%w: segment seq=%d exceeded %d retries", ErrBroken, m.seq, maxRetries))
@@ -523,7 +508,6 @@ func (e *Endpoint) onRTO() {
 func (e *Endpoint) fail(err error) {
 	e.broken = true
 	e.brokenErr = err
-	e.cConnBreaks.Inc()
 	if e.trace != nil {
 		e.trace.Emit(obs.LayerTransport, obs.EvConnBroken, 0, 0, 0, e.name+": "+err.Error())
 	}
@@ -590,7 +574,6 @@ func (e *Endpoint) deliver(payload []byte) {
 // bandwidth-preemption effect Sec. IV-A describes.
 func (e *Endpoint) sendAck() {
 	e.stats.AcksSent++
-	e.cAcksSent.Inc()
 	p := e.acks.Get()
 	p.from, p.gen, p.ack = e, e.genSent, e.rcvNxt
 	if !e.out.SendFn(ackSize, deliverAckPkt, p) {
@@ -614,7 +597,6 @@ func (e *Endpoint) receiveAck(ack int64) {
 			// Fast retransmit + multiplicative decrease (simplified Reno:
 			// no explicit fast-recovery inflation).
 			e.stats.FastRetransmits++
-			e.cFastRetrans.Inc()
 			e.trace.Emit(obs.LayerTransport, obs.EvFastRetransmit, uint64(e.inFlight[0].seq), 0, 0, e.name)
 			m := e.inFlight[0]
 			if m.retries >= maxRetries {
