@@ -212,7 +212,8 @@ func writeMergedTimeline(path string, timelines []*obs.Timeline) error {
 }
 
 // writeLagTimeline renders the consumer-lag series of every sampled
-// timeline (the topic entities carry the group probes) as one CSV.
+// timeline (the topic and group entities carry the group columns) as
+// one CSV.
 func writeLagTimeline(path string, timelines []*obs.Timeline) error {
 	f, err := os.Create(path)
 	if err != nil {

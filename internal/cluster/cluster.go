@@ -19,8 +19,6 @@ import (
 
 // Config tunes the cluster.
 type Config struct {
-	// Brokers is the number of nodes (paper default: 3).
-	Brokers int
 	// Broker configures each node's flush cadence and observability.
 	Broker broker.Config
 	// MinISR is the minimum number of live replicas (leader included)
@@ -32,13 +30,13 @@ type Config struct {
 	Obs *obs.Obs
 }
 
-// DefaultConfig matches the paper's three-broker Docker testbed.
+// DefaultConfig is the paper's testbed configuration.
 func DefaultConfig() Config {
-	return Config{
-		Brokers: 3,
-		MinISR:  1,
-	}
+	return Config{MinISR: 1}
 }
+
+// nodes is the cluster size: the paper's three-broker Docker testbed.
+const nodes = 3
 
 // interBrokerDelay is the one-way replication network delay between nodes,
 // which share a datacenter network unaffected by the injected
@@ -115,7 +113,6 @@ type Cluster struct {
 	lastMeta  *topicMeta
 
 	replications    uint64 // follower copies sent, for Replications
-	gReplication    *obs.Gauge
 	hSpanAppend     *obs.Histogram
 	hSpanReplicated *obs.Histogram
 	trace           *obs.Tracer
@@ -197,13 +194,10 @@ func (c *Cluster) putSend(s *sendJob) {
 	c.sends.Put(s)
 }
 
-// New builds a cluster of cfg.Brokers running nodes.
+// New builds a cluster of three running nodes.
 func New(sim *des.Simulator, cfg Config) (*Cluster, error) {
 	if sim == nil {
 		return nil, fmt.Errorf("cluster: nil simulator")
-	}
-	if cfg.Brokers <= 0 {
-		cfg.Brokers = DefaultConfig().Brokers
 	}
 	if cfg.MinISR <= 0 {
 		cfg.MinISR = 1
@@ -213,12 +207,11 @@ func New(sim *des.Simulator, cfg Config) (*Cluster, error) {
 		sim:             sim,
 		cfg:             cfg,
 		topics:          make(map[string]*topicMeta),
-		gReplication:    cfg.Obs.Gauge(obs.MReplicationFactor),
 		hSpanAppend:     cfg.Obs.Histogram(obs.MSpanAppend, obs.LatencyBounds),
 		hSpanReplicated: cfg.Obs.Histogram(obs.MSpanReplicated, obs.LatencyBounds),
 		trace:           cfg.Obs.Tracer(),
 	}
-	brokers, err := broker.NewSet(cfg.Brokers, sim, cfg.Broker)
+	brokers, err := broker.NewSet(nodes, sim, cfg.Broker)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
@@ -301,39 +294,24 @@ func (c *Cluster) CreateTopic(name string, partitions, replicationFactor int) er
 		}
 	}
 	c.topics[name] = tm
-	// Internal topics (the offsets log) keep their own replication; the
-	// gauge records the data topics' factor for per-copy normalization.
-	if !internal {
-		c.gReplication.SetMax(int64(replicationFactor))
-	}
 	return nil
 }
 
-// Probe returns the cluster-wide broker state for a timeline sampler:
-// the topic's leader log end offsets summed over its partitions (the
-// consumer-visible log length) plus cumulative append and
-// duplicate-append counts over every broker — followers included, so
-// the counts reconcile against the run's broker metrics, which
-// replication also feeds.
-func (c *Cluster) Probe(topic string) obs.BrokerProbe {
-	var pr obs.BrokerProbe
+// LogEnd returns the topic's leader log end offsets summed over its
+// partitions — the consumer-visible log length — skipping leaderless
+// partitions (0 for an unknown topic).
+func (c *Cluster) LogEnd(topic string) int64 {
+	var end int64
 	if tm, ok := c.topics[topic]; ok {
 		for p := range tm.partitions {
-			leader := c.Leader(topic, int32(p))
-			if leader == nil {
-				continue
-			}
-			if log := leader.Log(topic, int32(p)); log != nil {
-				pr.LogEnd += log.End()
+			if leader := c.Leader(topic, int32(p)); leader != nil {
+				if log := leader.Log(topic, int32(p)); log != nil {
+					end += log.End()
+				}
 			}
 		}
 	}
-	for _, b := range c.brokers {
-		st := b.Stats()
-		pr.Appends += st.RecordsAppended
-		pr.DupAppends += st.DuplicateAppends
-	}
-	return pr
+	return end
 }
 
 // Leader returns the broker currently leading the partition, or nil when

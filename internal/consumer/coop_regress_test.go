@@ -60,11 +60,11 @@ func TestGroupEagerRejoinFlushPinsRedelivery(t *testing.T) {
 }
 
 // TestGroupLagProbeFencedToLiveOwnership pins the probe-fencing bugfix:
-// Lag, LagByPartition and Probe must charge backlog only to partitions
-// owned in the current generation. A partition mid-handoff (its owner
-// crashed, the rebalance not yet complete) has no member accountable
-// for it; charging its backlog to the group double counts it the moment
-// the new owner's first commit lands. Once the rebalance completes the
+// Lag, LagByPartition and FencedLag must charge backlog only to
+// partitions owned in the current generation. A partition mid-handoff
+// (its owner crashed, the rebalance not yet complete) has no member
+// accountable for it; charging its backlog to the group double counts
+// it the moment the new owner's first commit lands. Once the rebalance completes the
 // partitions are owned again and their backlog reappears.
 func TestGroupLagProbeFencedToLiveOwnership(t *testing.T) {
 	const partitions, perPart = 4, 8
@@ -110,8 +110,10 @@ func TestGroupLagProbeFencedToLiveOwnership(t *testing.T) {
 			t.Fatalf("mid-handoff LagByPartition[%d] = %d, want 0 (fenced: c0 partitions drained, c1 partitions ownerless)", p, l)
 		}
 	}
-	if pr := g.Probe(); pr.Lag != 0 {
-		t.Fatalf("mid-handoff Probe().Lag = %d, want 0", pr.Lag)
+	for p, l := range g.FencedLag() {
+		if l != 0 {
+			t.Fatalf("mid-handoff FencedLag()[%d] = %d, want 0", p, l)
+		}
 	}
 
 	// Session expiry hands c1's partitions to c0; the backlog is again

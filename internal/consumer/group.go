@@ -77,7 +77,7 @@ type Group struct {
 	// coverage (-1 = covered). The paused-partition span measures the
 	// rebalance cost the cooperative protocol exists to remove.
 	pausedAt []time.Duration
-	// lag is Probe's per-partition answer, refilled by every call.
+	// lag is FencedLag's answer, refilled by every call.
 	lag []int64
 
 	ev           Evidence
@@ -1204,25 +1204,18 @@ func (g *Group) LagByPartition() ([]int64, error) {
 	return lags, nil
 }
 
-// Probe snapshots the group for a timeline sample: per-partition and
-// total lag plus the delivery/commit counters. It is a pure observer
-// built from the group's own durable facts (observed high watermarks
-// vs acknowledged commits), so it is safe to call mid-chaos — a
+// FencedLag returns the group's per-partition lag from its own durable
+// facts (observed high watermarks vs acknowledged commits), fenced as
+// LagByPartition is. It is a pure observer, safe to call mid-chaos — a
 // leaderless partition reports its last known backlog instead of an
-// error. LagByPartition is the group's buffer, valid until the next
-// Probe: a caller that keeps it copies it (obs.Timeline.Sample does).
-func (g *Group) Probe() obs.GroupProbe {
+// error — and allocates nothing after its first call: the result is
+// the group's buffer, valid until the next call, so a caller that
+// keeps it copies it.
+func (g *Group) FencedLag() []int64 {
 	if g.lag == nil {
 		g.lag = make([]int64, g.partitions)
 	} else {
 		clear(g.lag)
-	}
-	pr := obs.GroupProbe{
-		LagByPartition: g.lag,
-		Delivered:      g.ev.Delivered,
-		Redelivered:    g.ev.Redelivered,
-		CommitAcks:     g.ev.CommitsAcked,
-		Rebalances:     g.ev.Rebalances,
 	}
 	fence := g.anyOwned()
 	for p := int32(0); p < g.partitions; p++ {
@@ -1233,11 +1226,19 @@ func (g *Group) Probe() obs.GroupProbe {
 			continue // never fetched: backlog unknown, count as zero
 		}
 		if l := g.hwm[p] - g.commitHi[p]; l > 0 {
-			pr.LagByPartition[p] = l
-			pr.Lag += l
+			g.lag[p] = l
 		}
 	}
-	return pr
+	return g.lag
+}
+
+// Counts returns the group's Evidence counters as of now without its
+// logs and spans, and with PausedNs counting closed pauses only: the
+// allocation-free read a timeline sample makes.
+func (g *Group) Counts() Evidence {
+	ev := g.ev
+	ev.Deliveries, ev.CommitAcks, ev.OwnershipSpans, ev.PauseSpans = nil, nil, nil, nil
+	return ev
 }
 
 // ---- leave / crash / restart ----

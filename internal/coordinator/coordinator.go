@@ -45,9 +45,10 @@ const rebalanceDelay = 5 * time.Millisecond
 // Config tunes the coordinator.
 type Config struct {
 	// OffsetsReplication is the offsets topic's replication factor
-	// (default: min(3, brokers), Kafka's offsets.topic.replication.factor
-	// spirit). Running it at 1 under unclean restarts is how committed
-	// offsets get lost — deliberately configurable for chaos campaigns.
+	// (default 3, every broker of the cluster: Kafka's
+	// offsets.topic.replication.factor spirit). Running it at 1 under
+	// unclean restarts is how committed offsets get lost — deliberately
+	// configurable for chaos campaigns.
 	OffsetsReplication int
 	// SessionTimeout is the default member session timeout when a join
 	// does not specify one (default 150ms of virtual time).
@@ -57,12 +58,9 @@ type Config struct {
 	Obs *obs.Obs
 }
 
-func (c *Config) applyDefaults(brokers int) {
+func (c *Config) applyDefaults() {
 	if c.OffsetsReplication <= 0 {
 		c.OffsetsReplication = 3
-		if brokers < 3 {
-			c.OffsetsReplication = brokers
-		}
 	}
 	if c.SessionTimeout <= 0 {
 		c.SessionTimeout = 150 * time.Millisecond
@@ -239,7 +237,7 @@ func New(sim *des.Simulator, clst *cluster.Cluster, cfg Config) (*Coordinator, e
 	if clst == nil {
 		return nil, fmt.Errorf("coordinator: nil cluster")
 	}
-	cfg.applyDefaults(clst.Brokers())
+	cfg.applyDefaults()
 	if err := clst.CreateTopic(offsetsTopic, 1, cfg.OffsetsReplication); err != nil {
 		return nil, fmt.Errorf("coordinator: offsets topic: %w", err)
 	}

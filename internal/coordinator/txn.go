@@ -42,8 +42,8 @@ const txnProducerIDBase = 1 << 32
 // TxnConfig tunes the transaction coordinator.
 type TxnConfig struct {
 	// TxnReplication is the state topic's replication factor (default
-	// min(3, brokers), Kafka's transaction.state.log.replication.factor
-	// spirit).
+	// 3, every broker of the cluster: Kafka's
+	// transaction.state.log.replication.factor spirit).
 	TxnReplication int
 	// DefaultTxnTimeout bounds how long a transaction may stay open
 	// before the coordinator aborts it (default 100ms of virtual time);
@@ -51,12 +51,9 @@ type TxnConfig struct {
 	DefaultTxnTimeout time.Duration
 }
 
-func (c *TxnConfig) applyDefaults(brokers int) {
+func (c *TxnConfig) applyDefaults() {
 	if c.TxnReplication <= 0 {
 		c.TxnReplication = 3
-		if brokers < 3 {
-			c.TxnReplication = brokers
-		}
 	}
 	if c.DefaultTxnTimeout <= 0 {
 		c.DefaultTxnTimeout = 100 * time.Millisecond
@@ -260,7 +257,7 @@ func NewTxn(sim *des.Simulator, clst *cluster.Cluster, groupCo *Coordinator, cfg
 	if clst == nil {
 		return nil, fmt.Errorf("coordinator: nil cluster")
 	}
-	cfg.applyDefaults(clst.Brokers())
+	cfg.applyDefaults()
 	if err := clst.CreateTopic(txnTopic, 1, cfg.TxnReplication); err != nil {
 		return nil, fmt.Errorf("coordinator: txn topic: %w", err)
 	}

@@ -144,54 +144,41 @@ func (l *Link) LossRate() float64 {
 	return 1 - (1-l.cfg.Loss.Rate())*(1-l.faultLoss.Rate())
 }
 
-// Probe returns the link's instantaneous state for a timeline sampler.
-// It never draws from the configured models' random sources — that
-// would perturb the run being observed — so the delay is reported only
-// when the sampler is deterministic (stats.Constant; -1 otherwise) and
-// the chain state only when the loss model is a Gilbert-Elliot chain
-// (-1 otherwise; the Fig. 9 traces resample the chain per segment into
-// Bernoulli models, which have no instantaneous state).
-func (l *Link) Probe() obs.NetProbe {
-	pr := obs.NetProbe{
-		GEState:      -1,
-		DelayMs:      -1,
-		Offered:      l.cnt.Offered,
-		Delivered:    l.cnt.Delivered,
-		LostRandom:   l.cnt.LostRandom,
-		LostOverflow: l.cnt.LostOverflow,
-	}
-	// Delay is reported when every active sampler is deterministic; a
-	// fault-overlay spike adds onto the configured delay.
-	pr.DelayMs = 0
+// State returns the link's instantaneous state for a timeline sampler:
+// the loss chain's state (0 good, 1 bad), the propagation delay in
+// milliseconds and the configured long-run loss rate (LossRate). It
+// never draws from the configured models' random sources — that would
+// perturb the run being observed — so the delay is reported only when
+// every active sampler is deterministic (stats.Constant; -1 otherwise)
+// and the chain state only when the loss model is a Gilbert-Elliot
+// chain (-1 otherwise; the Fig. 9 traces resample the chain per segment
+// into Bernoulli models, which have no instantaneous state).
+func (l *Link) State() (geState int, delayMs, cfgLoss float64) {
+	// A fault-overlay spike adds onto the configured delay.
 	known := true
-	add := func(d stats.Sampler) {
-		if d == nil {
-			return
-		}
+	for _, d := range [...]stats.Sampler{l.cfg.Delay, l.faultDelay} {
 		if c, ok := d.(stats.Constant); ok {
-			pr.DelayMs += c.Value
-		} else {
+			delayMs += c.Value
+		} else if d != nil {
 			known = false
 		}
 	}
-	add(l.cfg.Delay)
-	add(l.faultDelay)
 	if !known {
-		pr.DelayMs = -1
+		delayMs = -1
 	}
-	pr.CfgLoss = l.LossRate()
 	// Chain state: a fault overlay's burst chain takes precedence over a
 	// configured one (at most one is expected to be a GE model at a time).
-	for _, m := range []stats.LossModel{l.faultLoss, l.cfg.Loss} {
+	geState = -1
+	for _, m := range [...]stats.LossModel{l.faultLoss, l.cfg.Loss} {
 		if ge, ok := m.(*stats.GilbertElliot); ok {
-			pr.GEState = 0
+			geState = 0
 			if ge.Bad() {
-				pr.GEState = 1
+				geState = 1
 			}
 			break
 		}
 	}
-	return pr
+	return geState, delayMs, l.LossRate()
 }
 
 // SendFn offers a packet of size bytes to the link. If the packet
@@ -307,18 +294,4 @@ func (p *Path) SetDelay(d stats.Sampler) {
 func (p *Path) SetLoss(m stats.LossModel) {
 	p.Fwd.SetLoss(m)
 	p.Rev.SetLoss(m)
-}
-
-// Probe returns the duplex path's state for a timeline sampler: the
-// forward (data) direction's configured delay, loss rate and chain
-// state, with the packet counters summed over both directions so they
-// reconcile against the run's netem metrics, which count both links.
-func (p *Path) Probe() obs.NetProbe {
-	pr := p.Fwd.Probe()
-	rev := p.Rev.Probe()
-	pr.Offered += rev.Offered
-	pr.Delivered += rev.Delivered
-	pr.LostRandom += rev.LostRandom
-	pr.LostOverflow += rev.LostOverflow
-	return pr
 }

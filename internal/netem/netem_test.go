@@ -517,8 +517,8 @@ func TestFaultDelayOverlayAddsToBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.SetFaultDelay(stats.Constant{Value: 25})
-	if pr := l.Probe(); pr.DelayMs != 35 {
-		t.Errorf("Probe DelayMs = %v, want 35", pr.DelayMs)
+	if _, delayMs, _ := l.State(); delayMs != 35 {
+		t.Errorf("State delay = %v ms, want 35", delayMs)
 	}
 	var at time.Duration
 	send(l, 10, func() { at = sim.Now() })
@@ -529,8 +529,8 @@ func TestFaultDelayOverlayAddsToBase(t *testing.T) {
 		t.Errorf("delivered at %v, want 35ms", at)
 	}
 	l.SetFaultDelay(nil)
-	if pr := l.Probe(); pr.DelayMs != 10 {
-		t.Errorf("cleared Probe DelayMs = %v, want 10", pr.DelayMs)
+	if _, delayMs, _ := l.State(); delayMs != 10 {
+		t.Errorf("cleared State delay = %v ms, want 10", delayMs)
 	}
 }
 

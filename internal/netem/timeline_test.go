@@ -45,9 +45,9 @@ func TestLinkLossRate(t *testing.T) {
 	}
 }
 
-// TestLinkProbePureObserver pins the probe contract: probing must not
-// consume randomness or advance the loss chain, so a run observed by a
-// timeline is the same run.
+// TestLinkProbePureObserver pins the probe contract: reading the link's
+// State must not consume randomness or advance the loss chain, so a run
+// observed by a timeline is the same run.
 func TestLinkProbePureObserver(t *testing.T) {
 	sim := des.New()
 	rng := rand.New(rand.NewPCG(3, 4))
@@ -59,9 +59,10 @@ func TestLinkProbePureObserver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pr obs.NetProbe
+	var geState int
+	var delayMs float64
 	for i := 0; i < 1000; i++ {
-		pr = link.Probe()
+		geState, delayMs, _ = link.State()
 	}
 	// The chain has not advanced and the next draws are untouched: the
 	// first Drop must behave exactly as on a fresh identically-seeded
@@ -72,19 +73,19 @@ func TestLinkProbePureObserver(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		if got, want := ge.Drop(), fresh.Drop(); got != want {
-			t.Fatalf("draw %d after probing = %v, fresh model = %v: Probe consumed randomness", i, got, want)
+			t.Fatalf("draw %d after probing = %v, fresh model = %v: State consumed randomness", i, got, want)
 		}
 	}
-	if pr.GEState != 0 {
-		t.Errorf("GEState = %d, want 0 (chain starts good and must not advance)", pr.GEState)
+	if geState != 0 {
+		t.Errorf("GE state = %d, want 0 (chain starts good and must not advance)", geState)
 	}
-	if pr.DelayMs != 7 {
-		t.Errorf("DelayMs = %v, want the configured constant 7", pr.DelayMs)
+	if delayMs != 7 {
+		t.Errorf("delay = %v ms, want the configured constant 7", delayMs)
 	}
 }
 
 // TestGEStatePhasesViaTimeline drives a steady packet stream through a
-// Gilbert-Elliot link while a timeline samples the probe, then splits
+// Gilbert-Elliot link while a timeline samples it, then splits
 // the sampled intervals by chain state: bad-state intervals must lose
 // at roughly 1-H, good-state intervals at roughly 1-K, and the fraction
 // of bad samples must approach the stationary π_bad = p/(p+r). State
@@ -107,7 +108,11 @@ func TestGEStatePhasesViaTimeline(t *testing.T) {
 	}
 	tl := obs.NewTimeline(20 * time.Millisecond) // 20 packets per interval
 	tl.BindClock(sim)
-	tl.SetProbes(link.Probe, nil, nil, nil)
+	tl.SetProbe(func() obs.TimelineRow {
+		n := link.Counters()
+		geState, _, _ := link.State()
+		return obs.TimelineRow{GEState: geState, PktsOffered: n.Offered, PktsLost: n.LostRandom + n.LostOverflow}
+	})
 
 	const packets = 400_000
 	for i := 0; i < packets; i++ {

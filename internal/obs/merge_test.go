@@ -12,16 +12,14 @@ import (
 // snapshots in one place, testbed.MetricsSnapshot.Merge. These tests
 // check that fold from the producing side: registries written one per
 // shard, read back through Snapshot and folded, give what the merge
-// policy promises. A shard's counts come from its layers, not from the
-// registry, so the tests set them on the snapshot directly.
+// policy promises. A shard's counts and high-water marks come from its
+// layers and its rig, not from the registry, so the tests set them on
+// the snapshot directly.
 
-// metrics reads the gauges and histograms these tests write out of an
-// obs snapshot, field for field as a run's MetricsSnapshot carries them.
+// metrics reads the histogram these tests write out of an obs snapshot,
+// field for field as a run's MetricsSnapshot carries it.
 func metrics(s obs.Snapshot) testbed.MetricsSnapshot {
-	m := testbed.MetricsSnapshot{
-		RTOMax:            time.Duration(s.Gauge(obs.MRTOMaxNs)),
-		ReplicationFactor: s.Gauge(obs.MReplicationFactor),
-	}
+	var m testbed.MetricsSnapshot
 	if h, ok := s.Histogram(obs.MSpanDelivery); ok {
 		copy(m.SpanDelivery.Counts[:], h.Counts)
 		m.SpanDelivery.Max = time.Duration(h.Max)
@@ -47,10 +45,10 @@ func TestShardedMerge(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		r := obs.NewRegistry()
 		for _, reg := range []*obs.Registry{r, flat} {
-			reg.Gauge(obs.MRTOMaxNs).SetMax(int64(100 * (i + 1)))
 			reg.Histogram(obs.MSpanDelivery, obs.LatencyBounds).Observe(int64(1000 * (i + 1)))
 		}
 		m := metrics(r.Snapshot())
+		m.RTOMax = time.Duration(100 * (i + 1))
 		m.BrokerAppends = uint64(10 * (i + 1))
 		if i == 1 {
 			m.Retransmits = 7
@@ -72,7 +70,7 @@ func TestShardedMerge(t *testing.T) {
 		t.Errorf("histogram observations = %d, want 3", n)
 	}
 	want := metrics(flat.Snapshot())
-	want.BrokerAppends, want.Retransmits = 60, 7
+	want.RTOMax, want.BrokerAppends, want.Retransmits = 300, 60, 7
 	if got != want {
 		t.Errorf("sharded merge != flat registry:\n%s\nvs\n%s", got.Encode(), want.Encode())
 	}
@@ -103,18 +101,13 @@ func TestMergeSnapshotsAssociative(t *testing.T) {
 	}
 }
 
-// TestGaugeKindMergeAssociative checks that gauges fold by what they
-// measure, and associatively: the high-water marks (RTO max,
-// replication factor) take the maximum, the end-of-run consumer lag
-// adds.
+// TestGaugeKindMergeAssociative checks that the snapshot's gauges fold
+// by what they measure, and associatively: the high-water marks (RTO
+// max, replication factor) take the maximum, the end-of-run consumer
+// lag adds.
 func TestGaugeKindMergeAssociative(t *testing.T) {
 	mk := func(rto, rf, lag int64) testbed.MetricsSnapshot {
-		r := obs.NewRegistry()
-		r.Gauge(obs.MRTOMaxNs).SetMax(rto)
-		r.Gauge(obs.MReplicationFactor).SetMax(rf)
-		m := metrics(r.Snapshot())
-		m.ConsumerLagEnd = lag
-		return m
+		return testbed.MetricsSnapshot{RTOMax: time.Duration(rto), ReplicationFactor: rf, ConsumerLagEnd: lag}
 	}
 	a, b, c := mk(5, 1, 10), mk(9, 3, 20), mk(2, 2, 30)
 	left, right := fold(fold(a, b), c), fold(a, fold(b, c))

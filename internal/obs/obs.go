@@ -1,13 +1,14 @@
 // Package obs is the simulation-time observability subsystem: a
-// registry of named gauges and fixed-bucket histograms plus a
-// structured event tracer (trace.go), both reading the des virtual
-// clock instead of the wall clock.
+// registry of named fixed-bucket histograms, a structured event tracer
+// (trace.go) and the per-interval timeline (timeline.go), all reading
+// the des virtual clock instead of the wall clock.
 //
-// Counts of events are not registered here. Each layer keeps the only
-// copy of its own counters in plain fields (netem.Counters,
-// transport.Stats, producer.Stats, broker.Stats, ...), and the testbed
-// sums them into a run's MetricsSnapshot. The registry's Counter is a
-// general-purpose handle that no layer uses.
+// Counts of events and instantaneous state are not registered here.
+// Each layer keeps the only copy of its own counters and state in plain
+// fields (netem.Counters, transport.Stats, producer.Stats, broker.Stats,
+// ...), and the testbed reads them into a run's MetricsSnapshot and its
+// timeline rows. The registry's Counter is a general-purpose handle
+// that no layer uses.
 //
 // Design constraints, in order:
 //
@@ -26,8 +27,8 @@
 //
 // Single-writer contract. A Registry and every handle resolved from it
 // belong to the one goroutine running its simulation: that goroutine
-// alone registers metrics, writes them, and reads them (Value, Max,
-// Snapshot) while the run is live. Nothing here is synchronised. Another
+// alone registers metrics, writes them, and reads them (Max, Snapshot)
+// while the run is live. Nothing here is synchronised. Another
 // goroutine may touch the registry only after the run has finished and
 // that fact has reached it through a synchronising hand-off (the
 // exprun pool's result channel, a WaitGroup): it takes Snapshot() and
@@ -52,24 +53,12 @@ type Clock interface {
 	Now() time.Duration
 }
 
-// Canonical metric names of the registry's gauges and histograms.
-// Instrumented subsystems register under these so that snapshots and the
-// testbed's MetricsSnapshot agree on one stable schema. Counts of events
-// are not here: each layer keeps the only copy of its own counters
-// (netem.Counters, transport.Stats, producer.Stats, broker.Stats, ...),
-// and the testbed sums them into its MetricsSnapshot.
+// Canonical metric names of the registry's histograms. Instrumented
+// subsystems register under these so that snapshots and the testbed's
+// MetricsSnapshot agree on one stable schema.
 const (
-	// Transport: the largest RTO any endpoint reached (kind max).
-	MRTOMaxNs = "transport.rto_max_ns"
-
 	// Producer accumulator depth at each enqueue (QueueDepthBounds).
 	MQueueDepth = "producer.queue_depth"
-
-	// MReplicationFactor is a config-valued gauge (kind max): the
-	// replication factor of the run's data topics. Observability-only
-	// readers use it to normalize per-replica counters such as duplicate
-	// appends down to per-copy values.
-	MReplicationFactor = "cluster.replication_factor"
 
 	// Record-latency spans. Each is a sim-time histogram (LatencyBounds,
 	// nanoseconds) of the cumulative latency from produce-enqueue to the
@@ -153,28 +142,6 @@ func (c *Counter) Inc() {
 	}
 }
 
-// Gauge is an instantaneous int64 metric (single writer, like Counter).
-// All methods are nil-safe.
-type Gauge struct {
-	v int64
-}
-
-// SetMax stores v only if it exceeds the current value — a running
-// maximum (e.g. the largest RTO reached during a run).
-func (g *Gauge) SetMax(v int64) {
-	if g != nil && v > g.v {
-		g.v = v
-	}
-}
-
-// Value returns the current value (0 when disabled).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
 // Histogram counts observations into fixed buckets: counts[i] holds
 // observations v <= bounds[i], and the final count is the overflow
 // bucket. The exact maximum is tracked alongside the buckets so the
@@ -217,37 +184,30 @@ func (h *Histogram) Max() int64 {
 // the disabled registry: every lookup returns a nil (no-op) handle.
 type Registry struct {
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 
 	// The blocks new handles, bounds and bucket counts are carved from
 	// (carve): a run registers its few dozen metrics in a handful of
 	// allocations instead of one to three each.
 	counterBlock []Counter
-	gaugeBlock   []Gauge
 	histBlock    []Histogram
 	boundBlock   []int64
 	countBlock   []uint64
 }
 
 // Sizes of the registry's maps and blocks: one testbed run registers no
-// counter (a run's counts live in its layers), 2 gauges and 5–9
-// histograms with 80–150 bounds. Presizing the gauge and histogram maps
-// saves allocations per run over growing them; the counter map is made
-// on the first counter.
+// counter (a run's counts live in its layers) and 5–9 histograms with
+// 80–150 bounds. Presizing the histogram map saves allocations per run
+// over growing it; the counter map is made on the first counter.
 const (
 	counterBlock = 8
-	gaugeBlock   = 8
 	histBlock    = 16
 	bucketBlock  = 128
 )
 
 // NewRegistry returns an empty enabled registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		gauges: make(map[string]*Gauge, gaugeBlock),
-		hists:  make(map[string]*Histogram, histBlock),
-	}
+	return &Registry{hists: make(map[string]*Histogram, histBlock)}
 }
 
 // carve takes n zero values from the front of *block, first replacing
@@ -280,20 +240,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use. Returns nil
-// (the no-op gauge) on a nil registry.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &carve(&r.gaugeBlock, 1, gaugeBlock)[0]
-		r.gauges[name] = g
-	}
-	return g
-}
-
 // Histogram returns the named histogram, creating it with the given
 // bucket upper bounds on first use. Bounds must be ascending; later
 // registrations of the same name reuse the original bounds.
@@ -321,12 +267,6 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 type CounterValue struct {
 	Name  string
 	Value uint64
-}
-
-// GaugeValue is one named gauge reading.
-type GaugeValue struct {
-	Name  string
-	Value int64
 }
 
 // HistogramValue is one named histogram reading. Max is the exact
@@ -387,7 +327,6 @@ func (h HistogramValue) Quantile(q float64) int64 {
 // so it is deterministic and directly comparable across runs.
 type Snapshot struct {
 	Counters   []CounterValue
-	Gauges     []GaugeValue
 	Histograms []HistogramValue
 }
 
@@ -403,10 +342,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, c := range r.counters {
 		s.Counters = append(s.Counters, CounterValue{Name: name, Value: c.v})
 	}
-	s.Gauges = presized[GaugeValue](len(r.gauges))
-	for name, g := range r.gauges {
-		s.Gauges = append(s.Gauges, GaugeValue{Name: name, Value: g.Value()})
-	}
 	// Every histogram's copies are carved from one array per kind.
 	var nb int
 	for _, h := range r.hists {
@@ -421,7 +356,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms = append(s.Histograms, HistogramValue{Name: name, Bounds: b, Counts: c, Max: h.Max()})
 	}
 	slices.SortFunc(s.Counters, func(a, b CounterValue) int { return strings.Compare(a.Name, b.Name) })
-	slices.SortFunc(s.Gauges, func(a, b GaugeValue) int { return strings.Compare(a.Name, b.Name) })
 	slices.SortFunc(s.Histograms, func(a, b HistogramValue) int { return strings.Compare(a.Name, b.Name) })
 	return s
 }
@@ -433,16 +367,6 @@ func presized[T any](n int) []T {
 		return nil
 	}
 	return make([]T, 0, n)
-}
-
-// Gauge returns the named gauge's value (0 when absent).
-func (s Snapshot) Gauge(name string) int64 {
-	for _, g := range s.Gauges {
-		if g.Name == name {
-			return g.Value
-		}
-	}
-	return 0
 }
 
 // Histogram returns the named histogram reading and whether it exists.
@@ -461,14 +385,6 @@ func (s Snapshot) Histogram(name string) (HistogramValue, bool) {
 type Obs struct {
 	Registry *Registry
 	Trace    *Tracer
-}
-
-// Gauge resolves a gauge handle.
-func (o *Obs) Gauge(name string) *Gauge {
-	if o == nil {
-		return nil
-	}
-	return o.Registry.Gauge(name)
 }
 
 // Histogram resolves a histogram handle.

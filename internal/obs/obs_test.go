@@ -11,19 +11,16 @@ import (
 func TestNilHandlesAreNoOps(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")
-	g := r.Gauge("y")
 	h := r.Histogram("z", QueueDepthBounds)
 	c.Inc()
-	g.SetMax(9)
 	h.Observe(1)
-	if c != nil || g.Value() != 0 || h.Max() != 0 {
+	if c != nil || h.Max() != 0 {
 		t.Error("nil handles recorded values")
 	}
-	if got := r.Snapshot(); len(got.Counters)+len(got.Gauges)+len(got.Histograms) != 0 {
+	if got := r.Snapshot(); len(got.Counters)+len(got.Histograms) != 0 {
 		t.Errorf("nil registry snapshot not empty: %+v", got)
 	}
 	var o *Obs
-	o.Gauge("y").SetMax(1)
 	o.Histogram("z", QueueDepthBounds).Observe(1)
 	o.Tracer().Emit(LayerDES, "whatever", 0, 0, 0, "")
 }
@@ -31,12 +28,10 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 func TestHotPathDoesNotAllocate(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
-	g := r.Gauge(MRTOMaxNs)
 	h := r.Histogram(MQueueDepth, QueueDepthBounds)
 	var nilC *Counter
 	for name, fn := range map[string]func(){
 		"counter-inc":  func() { c.Inc() },
-		"gauge-setmax": func() { g.SetMax(5) },
 		"hist-observe": func() { h.Observe(7) },
 		"nil-counter":  func() { nilC.Inc() },
 	} {
@@ -46,7 +41,7 @@ func TestHotPathDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestCounterGaugeHistogram(t *testing.T) {
+func TestCounterHistogram(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
 	for i := 0; i < 5; i++ {
@@ -57,13 +52,6 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 	if r.Counter("c") != c {
 		t.Error("counter handle not cached by name")
-	}
-
-	g := r.Gauge("g")
-	g.SetMax(10)
-	g.SetMax(3)
-	if g.Value() != 10 {
-		t.Errorf("gauge max = %d, want 10", g.Value())
 	}
 
 	h := r.Histogram("h", []int64{0, 2, 4})
@@ -86,7 +74,6 @@ func TestSnapshotDeterministicEncoding(t *testing.T) {
 		r.Counter("b").Inc()
 		r.Counter("a").Inc()
 		r.Counter("b").Inc()
-		r.Gauge("z").SetMax(7)
 		r.Histogram("q", []int64{1, 2}).Observe(2)
 		return r.Snapshot()
 	}
@@ -94,7 +81,6 @@ func TestSnapshotDeterministicEncoding(t *testing.T) {
 		r := NewRegistry()
 		// …and the reverse order; the snapshot must not care.
 		r.Histogram("q", []int64{1, 2}).Observe(2)
-		r.Gauge("z").SetMax(7)
 		r.Counter("b").Inc()
 		r.Counter("a").Inc()
 		r.Counter("b").Inc()
@@ -104,14 +90,14 @@ func TestSnapshotDeterministicEncoding(t *testing.T) {
 		t.Errorf("snapshot depends on registration order:\n%+v\nvs\n%+v", build(), build2())
 	}
 	s := build()
-	if want := []CounterValue{{"a", 1}, {"b", 2}}; !reflect.DeepEqual(s.Counters, want) || s.Gauge("z") != 7 {
+	if want := []CounterValue{{"a", 1}, {"b", 2}}; !reflect.DeepEqual(s.Counters, want) {
 		t.Errorf("snapshot readings wrong: %+v", s)
 	}
 	if _, ok := s.Histogram("q"); !ok {
 		t.Error("histogram q missing from snapshot")
 	}
-	if s.Gauge("missing") != 0 {
-		t.Error("missing gauge not 0")
+	if _, ok := s.Histogram("missing"); ok {
+		t.Error("missing histogram in snapshot")
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // Timeline is the sim-time sampler of one run: at a fixed virtual
-// interval it polls the registered probes and records one fixed-schema
+// interval it polls the registered probe and records one fixed-schema
 // row, turning end-of-run counters into per-interval series — *when*
 // the run lost, duplicated and reconfigured, not just how much
 // (the paper's Figs. 9-10 are exactly such timelines). Discrete
@@ -20,12 +20,12 @@ import (
 //
 // Like the rest of the obs package, a nil *Timeline is the disabled
 // implementation: every method is a no-op, so instrumented code calls
-// unconditionally. Probes must be pure observers: they read state but
-// never draw from a model's random source (a probe that consumed
+// unconditionally. The probe must be a pure observer: it reads state
+// but never draws from a model's random source (a probe that consumed
 // randomness would perturb the simulation it is watching). Rows store
-// interval deltas for the cumulative inputs, so summing a column over
-// all rows reproduces the end-of-run counter exactly — the invariant
-// the run-report cross-check leans on.
+// interval deltas of the probe's cumulative counts, so summing a column
+// over all rows reproduces the end-of-run counter exactly — the
+// invariant the run-report cross-check leans on.
 //
 // A timeline observes exactly one simulation (one virtual clock). A
 // fleet or scaled run therefore carries one timeline per observed
@@ -38,19 +38,11 @@ type Timeline struct {
 	interval time.Duration
 	entity   string
 	clock    Clock
-	netFn    func() NetProbe
-	transFn  func() TransportProbe
-	prodFn   func() ProducerProbe
-	brokFn   func() BrokerProbe
-	groupFn  func() GroupProbe
+	probe    func() TimelineRow
+	prev     TimelineRow // the probe's previous answer
 	rows     []TimelineRow
 	lags     []int64 // the current chunk the rows' LagParts are carved from
 	anns     []TimelineAnnotation
-	prevNet  NetProbe
-	prevTr   TransportProbe
-	prevPr   ProducerProbe
-	prevBr   BrokerProbe
-	prevGr   GroupProbe
 }
 
 // DefaultTimelineInterval is the sampling interval when NewTimeline gets
@@ -87,16 +79,6 @@ func (t *Timeline) SetEntity(entity string) {
 	t.entity = entity
 }
 
-// Entity returns the entity tag ("" when untagged or disabled).
-func (t *Timeline) Entity() string {
-	if t == nil {
-		return ""
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.entity
-}
-
 // BindClock attaches the virtual clock rows and annotations are stamped
 // with. Samples taken with no clock bound carry At = 0.
 func (t *Timeline) BindClock(c Clock) {
@@ -108,92 +90,20 @@ func (t *Timeline) BindClock(c Clock) {
 	t.clock = c
 }
 
-// NetProbe is the instantaneous network-emulation state a probe
-// returns: the loss chain's current state and configured rates
-// (read without consuming randomness) plus cumulative packet counters.
-type NetProbe struct {
-	// GEState is the Gilbert-Elliot chain state: 0 good, 1 bad, -1 when
-	// the loss model is not a chain (e.g. per-segment Bernoulli traces).
-	GEState int
-	// DelayMs is the configured propagation delay; -1 when the delay
-	// model is not deterministic (probing it would consume randomness).
-	DelayMs float64
-	// CfgLoss is the configured model's long-run loss probability.
-	CfgLoss float64
-	// Cumulative packet counters (both directions of the path).
-	Offered      uint64
-	Delivered    uint64
-	LostRandom   uint64
-	LostOverflow uint64
-}
-
-// TransportProbe is the instantaneous sender state plus cumulative
-// transport counters.
-type TransportProbe struct {
-	Cwnd         float64
-	SRTT         time.Duration
-	RTO          time.Duration
-	InFlight     int
-	SegmentsSent uint64
-	Retransmits  uint64
-	RTOTimeouts  uint64
-}
-
-// ProducerProbe is the instantaneous accumulator state plus cumulative
-// record outcomes.
-type ProducerProbe struct {
-	QueueDepth      int
-	InFlightBatches int
-	Enqueued        uint64
-	Acked           uint64
-	Lost            uint64
-	BatchRetries    uint64
-}
-
-// BrokerProbe is the cluster-wide broker state: summed leader log end
-// offsets plus cumulative append counters over every broker (followers
-// included, so replication-factor many copies of each append count).
-type BrokerProbe struct {
-	LogEnd     int64
-	Appends    uint64
-	DupAppends uint64
-}
-
-// GroupProbe is the instantaneous consumer-group state plus cumulative
-// delivery counters. Lag is the summed committed-to-high-watermark gap
-// over the partitions; LagByPartition breaks it down in partition
-// order (nil when the group has no partition view yet). The probe may
-// hand out the same storage on every call: Sample copies it.
-type GroupProbe struct {
-	Lag            int64
-	LagByPartition []int64
-	Delivered      uint64
-	Redelivered    uint64
-	CommitAcks     uint64
-	Rebalances     uint64
-}
-
-// SetProbes registers the four subsystem probes. Any probe may be nil;
-// its columns then stay zero (GEState/DelayMs -1).
-func (t *Timeline) SetProbes(net func() NetProbe, trans func() TransportProbe, prod func() ProducerProbe, brok func() BrokerProbe) {
+// SetProbe registers the function Sample reads: the observed entity's
+// row as of now, with every count cumulative since the run began and
+// every gauge instantaneous (GEState and DelayMs -1 where the entity
+// has no such state). Sample turns the counts into interval deltas and
+// derives LossRate. The probe may hand out the same LagParts storage on
+// every call: Sample copies it. Without a probe every column stays zero
+// (GEState and DelayMs -1).
+func (t *Timeline) SetProbe(probe func() TimelineRow) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.netFn, t.transFn, t.prodFn, t.brokFn = net, trans, prod, brok
-}
-
-// SetGroupProbe registers the consumer-group probe (separate from
-// SetProbes so existing four-probe callers stay untouched). A nil
-// probe keeps the group columns at zero.
-func (t *Timeline) SetGroupProbe(group func() GroupProbe) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.groupFn = group
+	t.probe = probe
 }
 
 // TimelineRow is one fixed-schema sample. Gauges (GE state, delay,
@@ -234,8 +144,8 @@ type TimelineRow struct {
 	DupAppends uint64
 
 	// Consumer group. Lag and LagParts are instantaneous (LagParts in
-	// partition order, nil without a group probe); the counts are
-	// interval deltas like every other count column.
+	// partition order, nil without a group); the counts are interval
+	// deltas like every other count column.
 	Lag              int64
 	LagParts         []int64
 	GroupDelivered   uint64
@@ -277,9 +187,9 @@ func (t *Timeline) Annotate(kind, detail string) {
 	t.anns = append(t.anns, ann)
 }
 
-// Sample polls every registered probe and appends one row. The testbed
-// drives it from a virtual-time ticker and takes one final sample after
-// the simulation drains, so late events (a spurious retry's first copy
+// Sample polls the probe and appends one row. The testbed drives it
+// from a virtual-time ticker and takes one final sample after the
+// simulation drains, so late events (a spurious retry's first copy
 // landing after the producer finished) are still covered by a row.
 func (t *Timeline) Sample() {
 	if t == nil {
@@ -287,65 +197,38 @@ func (t *Timeline) Sample() {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	row := TimelineRow{GEState: -1, DelayMs: -1}
+	cur := TimelineRow{GEState: -1, DelayMs: -1}
+	if t.probe != nil {
+		cur = t.probe()
+	}
+	row, prev := cur, &t.prev
 	if t.clock != nil {
 		row.At = t.clock.Now()
 	}
-	if t.netFn != nil {
-		cur := t.netFn()
-		row.GEState = cur.GEState
-		row.DelayMs = cur.DelayMs
-		row.CfgLoss = cur.CfgLoss
-		row.PktsOffered = cur.Offered - t.prevNet.Offered
-		row.PktsLost = (cur.LostRandom - t.prevNet.LostRandom) +
-			(cur.LostOverflow - t.prevNet.LostOverflow)
-		if row.PktsOffered > 0 {
-			row.LossRate = float64(row.PktsLost) / float64(row.PktsOffered)
-		}
-		t.prevNet = cur
+	row.PktsOffered -= prev.PktsOffered
+	row.PktsLost -= prev.PktsLost
+	if row.PktsOffered > 0 {
+		row.LossRate = float64(row.PktsLost) / float64(row.PktsOffered)
 	}
-	if t.transFn != nil {
-		cur := t.transFn()
-		row.Cwnd = cur.Cwnd
-		row.SRTT = cur.SRTT
-		row.RTO = cur.RTO
-		row.InFlightSegs = cur.InFlight
-		row.SegmentsSent = cur.SegmentsSent - t.prevTr.SegmentsSent
-		row.Retransmits = cur.Retransmits - t.prevTr.Retransmits
-		row.RTOTimeouts = cur.RTOTimeouts - t.prevTr.RTOTimeouts
-		t.prevTr = cur
-	}
-	if t.prodFn != nil {
-		cur := t.prodFn()
-		row.QueueDepth = cur.QueueDepth
-		row.InFlightBatches = cur.InFlightBatches
-		row.Enqueued = cur.Enqueued - t.prevPr.Enqueued
-		row.Acked = cur.Acked - t.prevPr.Acked
-		row.Lost = cur.Lost - t.prevPr.Lost
-		row.BatchRetries = cur.BatchRetries - t.prevPr.BatchRetries
-		t.prevPr = cur
-	}
-	if t.brokFn != nil {
-		cur := t.brokFn()
-		row.LogEnd = cur.LogEnd
-		row.Appends = cur.Appends - t.prevBr.Appends
-		row.DupAppends = cur.DupAppends - t.prevBr.DupAppends
-		t.prevBr = cur
-	}
-	if t.groupFn != nil {
-		cur := t.groupFn()
-		row.Lag = cur.Lag
-		row.LagParts = t.keepLags(cur.LagByPartition)
-		row.GroupDelivered = cur.Delivered - t.prevGr.Delivered
-		row.GroupRedelivered = cur.Redelivered - t.prevGr.Redelivered
-		row.CommitAcks = cur.CommitAcks - t.prevGr.CommitAcks
-		row.Rebalances = cur.Rebalances - t.prevGr.Rebalances
-		t.prevGr = cur
-	}
+	row.SegmentsSent -= prev.SegmentsSent
+	row.Retransmits -= prev.Retransmits
+	row.RTOTimeouts -= prev.RTOTimeouts
+	row.Enqueued -= prev.Enqueued
+	row.Acked -= prev.Acked
+	row.Lost -= prev.Lost
+	row.BatchRetries -= prev.BatchRetries
+	row.Appends -= prev.Appends
+	row.DupAppends -= prev.DupAppends
+	row.GroupDelivered -= prev.GroupDelivered
+	row.GroupRedelivered -= prev.GroupRedelivered
+	row.CommitAcks -= prev.CommitAcks
+	row.Rebalances -= prev.Rebalances
+	row.LagParts = t.keepLags(cur.LagParts)
+	t.prev = cur
 	t.rows = append(t.rows, row)
 }
 
-// keepLags copies a probe's per-partition lags into the timeline's
+// keepLags copies the probe's per-partition lags into the timeline's
 // storage: rows carve them from shared chunks, the first with room for
 // eight samples and each later one twice the last, so a run's samples
 // cost O(log n) allocations, not one each. An empty input keeps nil.
@@ -438,64 +321,60 @@ func writeAnnRecord(cw *csv.Writer, entity string, a TimelineAnnotation) error {
 	return cw.Write(rec)
 }
 
+// timelineEntry is one sample (row set) or annotation (ann set) of an
+// entity's timeline.
+type timelineEntry struct {
+	at     time.Duration
+	entity string
+	row    *TimelineRow
+	ann    *TimelineAnnotation
+}
+
+// merged interleaves several timelines' annotations and samples by
+// timestamp, reading both in place. Ties are broken by the timelines'
+// input order and, within one timeline, annotations come before samples
+// at equal times. Callers pass the timelines in a deterministic order
+// (the fleet emits them in shard-then-producer order), so the order is
+// identical at any worker count. No timeline may be sampled or
+// annotated while its entries are in use.
+func merged(timelines []*Timeline) []timelineEntry {
+	var entries []timelineEntry
+	for _, t := range timelines {
+		if t == nil {
+			continue
+		}
+		t.mu.Lock()
+		i, j := 0, 0
+		for i < len(t.rows) || j < len(t.anns) {
+			if j < len(t.anns) && (i == len(t.rows) || t.anns[j].At <= t.rows[i].At) {
+				entries = append(entries, timelineEntry{at: t.anns[j].At, entity: t.entity, ann: &t.anns[j]})
+				j++
+			} else {
+				entries = append(entries, timelineEntry{at: t.rows[i].At, entity: t.entity, row: &t.rows[i]})
+				i++
+			}
+		}
+		t.mu.Unlock()
+	}
+	// Appended in (timeline, position) order, so a stable sort by time
+	// breaks its ties by both.
+	sort.SliceStable(entries, func(a, b int) bool { return entries[a].at < entries[b].at })
+	return entries
+}
+
 // WriteMergedCSV renders several timelines — a fleet run's per-entity
-// series — as one CSV in the same fixed schema, interleaved by
-// timestamp. Ties are broken by the timelines' input order and, within
-// one timeline, annotations come before samples
-// at equal times). Callers pass the timelines in a deterministic order
-// (the fleet emits them in shard-then-producer order), so the merged
-// bytes are identical at any worker count.
+// series — as one CSV in the same fixed schema, in merged order.
 func WriteMergedCSV(w io.Writer, timelines []*Timeline) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(timelineHeader); err != nil {
 		return fmt.Errorf("obs: write merged timeline: %w", err)
 	}
-	type entry struct {
-		at     time.Duration
-		tl     int
-		seq    int
-		isAnn  bool
-		row    TimelineRow
-		ann    TimelineAnnotation
-		entity string
-	}
-	var entries []entry
-	for ti, t := range timelines {
-		if t == nil {
-			continue
-		}
-		rows := t.Rows()
-		anns := t.Annotations()
-		entity := t.Entity()
-		seq := 0
-		i, j := 0, 0
-		for i < len(rows) || j < len(anns) {
-			takeAnn := j < len(anns) && (i == len(rows) || anns[j].At <= rows[i].At)
-			if takeAnn {
-				entries = append(entries, entry{at: anns[j].At, tl: ti, seq: seq, isAnn: true, ann: anns[j], entity: entity})
-				j++
-			} else {
-				entries = append(entries, entry{at: rows[i].At, tl: ti, seq: seq, row: rows[i], entity: entity})
-				i++
-			}
-			seq++
-		}
-	}
-	sort.Slice(entries, func(a, b int) bool {
-		if entries[a].at != entries[b].at {
-			return entries[a].at < entries[b].at
-		}
-		if entries[a].tl != entries[b].tl {
-			return entries[a].tl < entries[b].tl
-		}
-		return entries[a].seq < entries[b].seq
-	})
-	for _, e := range entries {
+	for _, e := range merged(timelines) {
 		var err error
-		if e.isAnn {
-			err = writeAnnRecord(cw, e.entity, e.ann)
+		if e.ann != nil {
+			err = writeAnnRecord(cw, e.entity, *e.ann)
 		} else {
-			err = writeSampleRecord(cw, e.entity, e.row)
+			err = writeSampleRecord(cw, e.entity, *e.row)
 		}
 		if err != nil {
 			return fmt.Errorf("obs: write merged timeline: %w", err)
@@ -512,46 +391,19 @@ func WriteMergedCSV(w io.Writer, timelines []*Timeline) error {
 var lagHeader = []string{"at_ns", "entity", "partition", "lag"}
 
 // WriteLagCSV renders the consumer-lag projection of several timelines
-// as one CSV: for every sample of a timeline carrying a group probe,
-// one row per partition (partition index, instantaneous lag) plus an
-// aggregate row with partition -1. Rows interleave by timestamp with
-// ties broken by timeline input order, so like the merged timeline the
-// bytes are identical at any worker count.
+// as one CSV: for every sample of a timeline observing a group, one row
+// per partition (partition index, instantaneous lag) plus an aggregate
+// row with partition -1, in merged order, so like the merged timeline
+// the bytes are identical at any worker count.
 func WriteLagCSV(w io.Writer, timelines []*Timeline) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(lagHeader); err != nil {
 		return fmt.Errorf("obs: write lag timeline: %w", err)
 	}
-	type entry struct {
-		at     time.Duration
-		tl     int
-		seq    int
-		entity string
-		row    TimelineRow
-	}
-	var entries []entry
-	for ti, t := range timelines {
-		if t == nil {
+	for _, e := range merged(timelines) {
+		if e.row == nil || e.row.LagParts == nil {
 			continue
 		}
-		entity := t.Entity()
-		for seq, row := range t.Rows() {
-			if row.LagParts == nil {
-				continue
-			}
-			entries = append(entries, entry{at: row.At, tl: ti, seq: seq, entity: entity, row: row})
-		}
-	}
-	sort.Slice(entries, func(a, b int) bool {
-		if entries[a].at != entries[b].at {
-			return entries[a].at < entries[b].at
-		}
-		if entries[a].tl != entries[b].tl {
-			return entries[a].tl < entries[b].tl
-		}
-		return entries[a].seq < entries[b].seq
-	})
-	for _, e := range entries {
 		if err := cw.Write([]string{itoa(int64(e.at)), e.entity, "-1", itoa(e.row.Lag)}); err != nil {
 			return fmt.Errorf("obs: write lag timeline: %w", err)
 		}

@@ -15,7 +15,7 @@ func (c *tlClock) Now() time.Duration { return c.now }
 func TestNilTimelineIsNoOp(t *testing.T) {
 	var tl *Timeline
 	tl.BindClock(&tlClock{})
-	tl.SetProbes(nil, nil, nil, nil)
+	tl.SetProbe(nil)
 	tl.Annotate(AnnConfigSwitch, "x")
 	tl.Sample()
 	tl.EachRow(func(TimelineRow) { t.Error("nil timeline has a row") })
@@ -42,22 +42,16 @@ func TestNewTimelineDefaultInterval(t *testing.T) {
 	}
 }
 
-// TestTimelineIntervalDeltas drives synthetic cumulative probes and
+// TestTimelineIntervalDeltas drives a synthetic cumulative probe and
 // checks rows hold per-interval deltas whose column sums reproduce the
-// final cumulative values — the invariant the run report verifies.
+// final cumulative values — the invariant the run report verifies —
+// while gauges pass through as sampled.
 func TestTimelineIntervalDeltas(t *testing.T) {
 	clk := &tlClock{}
 	tl := NewTimeline(time.Second)
 	tl.BindClock(clk)
-	var net NetProbe
-	var pr ProducerProbe
-	var br BrokerProbe
-	tl.SetProbes(
-		func() NetProbe { return net },
-		nil,
-		func() ProducerProbe { return pr },
-		func() BrokerProbe { return br },
-	)
+	var cur TimelineRow
+	tl.SetProbe(func() TimelineRow { return cur })
 
 	steps := []struct {
 		offered, lost, enq, acked, dup uint64
@@ -70,9 +64,10 @@ func TestTimelineIntervalDeltas(t *testing.T) {
 	tl.Sample() // t=0 anchor row
 	for i, s := range steps {
 		clk.now = time.Duration(i+1) * time.Second
-		net.Offered, net.LostRandom = s.offered, s.lost
-		pr.Enqueued, pr.Acked = s.enq, s.acked
-		br.DupAppends = s.dup
+		cur.PktsOffered, cur.PktsLost = s.offered, s.lost
+		cur.Enqueued, cur.Acked = s.enq, s.acked
+		cur.DupAppends = s.dup
+		cur.LogEnd = int64(s.acked)
 		tl.Sample()
 	}
 	rows := tl.Rows()
@@ -94,6 +89,11 @@ func TestTimelineIntervalDeltas(t *testing.T) {
 	if rows[3].PktsOffered != 0 || rows[3].LossRate != 0 {
 		t.Errorf("idle interval = %+v, want zero packets and rate", rows[3])
 	}
+	for i, row := range rows[1:] {
+		if row.LogEnd != int64(steps[i].acked) {
+			t.Errorf("row %d log end = %d, want the sampled gauge %d", i+1, row.LogEnd, steps[i].acked)
+		}
+	}
 	for _, row := range rows {
 		cum.offered += row.PktsOffered
 		cum.lost += row.PktsLost
@@ -106,7 +106,7 @@ func TestTimelineIntervalDeltas(t *testing.T) {
 		cum.enq != last.enq || cum.acked != last.acked || cum.dup != last.dup {
 		t.Errorf("column sums %+v != final cumulative %+v", cum, last)
 	}
-	// No net probe state: GEState/DelayMs default to -1.
+	// No probe: GEState/DelayMs default to -1.
 	tl2 := NewTimeline(time.Second)
 	tl2.Sample()
 	if r := tl2.Rows()[0]; r.GEState != -1 || r.DelayMs != -1 {
@@ -210,7 +210,7 @@ func TestWriteMergedCSV(t *testing.T) {
 	}
 }
 
-// TestSampleKeepsReusedLagBuffer: a group probe hands out the same lag
+// TestSampleKeepsReusedLagBuffer: the probe hands out the same lag
 // buffer on every call, and each row must keep the values of its own
 // sample across the chunks they are carved from. EachRow reads the same
 // rows Rows copies, and a probe without partitions leaves LagParts nil.
@@ -219,7 +219,7 @@ func TestSampleKeepsReusedLagBuffer(t *testing.T) {
 	tl := NewTimeline(time.Second)
 	tl.BindClock(clk)
 	buf := make([]int64, 3)
-	tl.SetGroupProbe(func() GroupProbe { return GroupProbe{LagByPartition: buf} })
+	tl.SetProbe(func() TimelineRow { return TimelineRow{LagParts: buf} })
 	const samples = 40 // several chunks
 	for i := 0; i < samples; i++ {
 		clk.now = time.Duration(i) * time.Second
@@ -254,7 +254,7 @@ func TestSampleKeepsReusedLagBuffer(t *testing.T) {
 	}
 
 	empty := NewTimeline(time.Second)
-	empty.SetGroupProbe(func() GroupProbe { return GroupProbe{LagByPartition: []int64{}} })
+	empty.SetProbe(func() TimelineRow { return TimelineRow{LagParts: []int64{}} })
 	empty.Sample()
 	if r := empty.Rows()[0]; r.LagParts != nil {
 		t.Fatalf("empty probe LagParts = %#v, want nil", r.LagParts)

@@ -75,12 +75,11 @@ func (p Partitioner) String() string {
 // Config carries every producer parameter the paper's prediction model
 // treats as a feature, plus the fixed plumbing parameters.
 type Config struct {
-	Topic     string
-	Partition int32
+	Topic string
 	// Partitions, when above 1, spreads batches over the partitions
-	// [Partition, Partition+Partitions) using the Partitioner mode. The
-	// testbed's reliability metrics are partition-agnostic (the consumer
-	// reconciles the whole topic).
+	// [0, Partitions) using the Partitioner mode; otherwise every batch
+	// goes to partition 0. The testbed's reliability metrics are
+	// partition-agnostic (the consumer reconciles the whole topic).
 	Partitions int32
 	// Partitioner is the routing mode for Partitions > 1 (default
 	// round-robin, the historical behaviour).

@@ -304,11 +304,11 @@ func (p *Producer) Config() Config { return p.cfg }
 // Reconfigure swaps the tunable parameters (semantics, batch size, poll
 // interval, message timeout, retries, request timeout) at runtime — the
 // paper's dynamic-configuration mechanism (Sec. V). Structural fields
-// (topic, partition, producer ID) cannot change. Records already in
-// flight or queued keep the deadlines they were admitted with.
+// (topic, partitions, routing, key base, producer ID) cannot change.
+// Records already in flight or queued keep the deadlines they were
+// admitted with.
 func (p *Producer) Reconfigure(cfg Config) error {
 	cfg.Topic = p.cfg.Topic
-	cfg.Partition = p.cfg.Partition
 	cfg.Partitions = p.cfg.Partitions
 	cfg.Partitioner = p.cfg.Partitioner
 	cfg.KeyBase = p.cfg.KeyBase
@@ -343,20 +343,10 @@ func (p *Producer) Stale() uint64 { return p.stale }
 // before the source drains.
 func (p *Producer) Acquired() uint64 { return p.nextKey }
 
-// Probe returns the producer state a timeline sampler reads: the
-// instantaneous accumulator depth and in-flight batch count plus
-// cumulative record outcomes. It works independently of the obs
-// registry, so a timeline stays usable on a metrics-disabled run.
-func (p *Producer) Probe() obs.ProducerProbe {
-	return obs.ProducerProbe{
-		QueueDepth:      p.queue.len(),
-		InFlightBatches: len(p.inFlight),
-		Enqueued:        p.nextKey,
-		Acked:           p.counts.Delivered,
-		Lost:            p.counts.Lost,
-		BatchRetries:    p.stats.BatchRetries,
-	}
-}
+// Backlog returns the records waiting in the accumulator and the
+// batches in flight: the producer's instantaneous state a timeline
+// sampler reads.
+func (p *Producer) Backlog() (queued, inFlight int) { return p.queue.len(), len(p.inFlight) }
 
 // --- intake -------------------------------------------------------------
 
@@ -692,7 +682,7 @@ func (p *Producer) buildRequest(b *batch) wire.ProduceRequest {
 	case ExactlyOnce:
 		acks = wire.AcksAll
 	}
-	partition := p.cfg.Partition
+	var partition int32
 	if p.cfg.Partitions > 1 {
 		// Pinned per batch so retries land on the same partition
 		// (idempotent sequences are tracked per partition by the broker):
@@ -700,9 +690,9 @@ func (p *Producer) buildRequest(b *batch) wire.ProduceRequest {
 		// the first record key, both stable across resends.
 		switch p.cfg.Partitioner {
 		case PartitionKeyed:
-			partition += int32(fnv1a64(b.records[0].key) % uint64(p.cfg.Partitions))
+			partition = int32(fnv1a64(b.records[0].key) % uint64(p.cfg.Partitions))
 		default:
-			partition += int32(b.seq % uint64(p.cfg.Partitions))
+			partition = int32(b.seq % uint64(p.cfg.Partitions))
 		}
 	}
 	return wire.ProduceRequest{

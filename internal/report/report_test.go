@@ -23,11 +23,8 @@ func buildResult(t *testing.T) testbed.Result {
 	clk := &fakeClock{}
 	tl := obs.NewTimeline(5 * time.Second)
 	tl.BindClock(clk)
-	var pr obs.ProducerProbe
-	var br obs.BrokerProbe
-	tl.SetProbes(nil, nil,
-		func() obs.ProducerProbe { return pr },
-		func() obs.BrokerProbe { return br })
+	var cur obs.TimelineRow
+	tl.SetProbe(func() obs.TimelineRow { return cur })
 
 	tl.Sample() // t=0 anchor
 	type step struct {
@@ -47,8 +44,7 @@ func buildResult(t *testing.T) testbed.Result {
 		if s.ann != "" {
 			tl.Annotate(obs.AnnConfigSwitch, s.ann)
 		}
-		pr.Acked = s.acked
-		br.DupAppends = s.dup
+		cur.Acked, cur.DupAppends = s.acked, s.dup
 		tl.Sample()
 	}
 	return testbed.Result{

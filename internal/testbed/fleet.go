@@ -78,8 +78,10 @@ type Fleet struct {
 	MaxSimTime time.Duration
 	// TimelineInterval, when positive, samples entity-tagged timelines:
 	// one per producer ("t003/p0007": netem, transport and producer
-	// probes) and one per topic ("t003": broker probe), all returned in
-	// FleetResult.Timelines in shard-then-producer order.
+	// columns), one per topic ("t003": broker columns, and the group's
+	// with one group) and, with several groups, one per group
+	// ("t003/g01"), all returned in FleetResult.Timelines in
+	// shard-then-producer order.
 	TimelineInterval time.Duration
 	// DisableMetrics switches off the per-shard registries.
 	DisableMetrics bool
@@ -474,15 +476,15 @@ func runFleetShard(sim *des.Simulator, sh fleetShard) (fleetShardOut, error) {
 		// The topic entity samples the broker side once per interval —
 		// per-producer appends are not separable at the broker, so the
 		// shard's broker series lives on the topic entity and the
-		// per-producer series carry the client-side probes.
-		topicTL.SetProbes(nil, nil, nil, func() obs.BrokerProbe { return r.clst.Probe(sh.topic) })
+		// per-producer series carry the client side.
+		var g *consumer.Group
 		if nGroups == 1 {
 			// The consumer-group series (per-partition lag, deliveries,
 			// commit acks, rebalances) also lives on the topic entity;
 			// multi-group shards move them to the per-group entities.
-			topicTL.SetGroupProbe(r.groups[0].Probe)
+			g = r.groups[0]
 		}
-		r.sample(topicTL, r.allDone)
+		r.sample(topicTL, r.probe(nil, sh.topic, g), r.allDone)
 		if nGroups > 1 {
 			// Multi-group shards put each group's series (lag, deliveries,
 			// commits, rebalances, paused time) on its own tagged entity so
@@ -490,14 +492,12 @@ func runFleetShard(sim *des.Simulator, sh fleetShard) (fleetShardOut, error) {
 			// only the broker side.
 			for gi, g := range r.groups {
 				tl := r.timeline(f.TimelineInterval, fmt.Sprintf("%s/g%02d", sh.topic, gi))
-				tl.SetGroupProbe(g.Probe)
-				r.sample(tl, r.allDone)
+				r.sample(tl, r.probe(nil, "", g), r.allDone)
 			}
 		}
 		for j, c := range r.clients {
 			tl := r.timeline(f.TimelineInterval, fmt.Sprintf("%s/p%04d", sh.topic, sh.first+j))
-			c.probes(tl, nil)
-			r.sample(tl, c.prod.Done)
+			r.sample(tl, r.probe(c, "", nil), c.prod.Done)
 		}
 	}
 

@@ -60,7 +60,7 @@ type MetricsSnapshot struct {
 	BrokerTruncated       uint64
 	BrokerUnclean         uint64
 	Replications          uint64
-	ReplicationFactor     int64 // config-valued gauge
+	ReplicationFactor     int64 // the data topics' replication factor
 
 	// Delivery accounting: μ, P_l and φ of a run read off its counters.
 	RecordsDelivered  uint64 // producer acks resolved delivered
@@ -137,14 +137,16 @@ func (s SpanHist) encode(b *strings.Builder, name string) {
 
 // snapshotMetrics fills the run's MetricsSnapshot. Every count is read
 // from the one layer that keeps it: the simulator, each client's two
-// links, two endpoints and producer, the brokers and the cluster, and
-// the consumer groups' end-of-run summaries (runs, whose lags sum to
-// ConsumerLagEnd). Case 5 of Cases is duplicated, which only the
-// reconciled consumer side knows. The histograms and the RTOMax and
-// ReplicationFactor gauges come from the registry.
+// links, two endpoints (RTOMax is the largest of theirs) and producer,
+// the brokers and the cluster, and the consumer groups' end-of-run
+// summaries (runs, whose lags sum to ConsumerLagEnd). Case 5 of Cases
+// is duplicated, which only the reconciled consumer side knows.
+// ReplicationFactor is the rig's own setting, and the histograms come
+// from the registry.
 func snapshotMetrics(r *rig, runs []GroupRun, duplicated uint64) MetricsSnapshot {
 	m := registryMetrics(r.o.Registry.Snapshot())
 	m.SimEvents = r.sim.Fired()
+	m.ReplicationFactor = int64(r.rf)
 	for _, c := range r.clients {
 		for _, l := range [...]*netem.Link{c.path.Fwd, c.path.Rev} {
 			n := l.Counters()
@@ -159,6 +161,7 @@ func snapshotMetrics(r *rig, runs []GroupRun, duplicated uint64) MetricsSnapshot
 			m.FastRetransmits += st.FastRetransmits
 			m.RTOTimeouts += st.Timeouts
 			m.AcksSent += st.AcksSent
+			m.RTOMax = max(m.RTOMax, st.RTOMax)
 		}
 		ps, counts := c.prod.Stats(), c.prod.Counts()
 		m.RecordsEnqueued += c.prod.Acquired()
@@ -195,20 +198,18 @@ func snapshotMetrics(r *rig, runs []GroupRun, duplicated uint64) MetricsSnapshot
 	return m
 }
 
-// registryMetrics reads the registry's gauges and histograms into the
-// fixed struct; every count stays zero.
+// registryMetrics reads the registry's histograms into the fixed
+// struct; every other field stays zero.
 func registryMetrics(s obs.Snapshot) MetricsSnapshot {
 	m := MetricsSnapshot{
-		RTOMax:            time.Duration(s.Gauge(obs.MRTOMaxNs)),
-		ReplicationFactor: s.Gauge(obs.MReplicationFactor),
-		SpanSend:          spanHist(s, obs.MSpanSend),
-		SpanAppend:        spanHist(s, obs.MSpanAppend),
-		SpanReplicated:    spanHist(s, obs.MSpanReplicated),
-		SpanAck:           spanHist(s, obs.MSpanAck),
-		SpanDelivery:      spanHist(s, obs.MSpanDelivery),
-		SpanCommit:        spanHist(s, obs.MSpanCommit),
-		Rebalance:         spanHist(s, obs.MRebalanceNs),
-		Paused:            spanHist(s, obs.MPausedNs),
+		SpanSend:       spanHist(s, obs.MSpanSend),
+		SpanAppend:     spanHist(s, obs.MSpanAppend),
+		SpanReplicated: spanHist(s, obs.MSpanReplicated),
+		SpanAck:        spanHist(s, obs.MSpanAck),
+		SpanDelivery:   spanHist(s, obs.MSpanDelivery),
+		SpanCommit:     spanHist(s, obs.MSpanCommit),
+		Rebalance:      spanHist(s, obs.MRebalanceNs),
+		Paused:         spanHist(s, obs.MPausedNs),
 	}
 	if h, ok := s.Histogram(obs.MQueueDepth); ok {
 		for i := 0; i < len(m.QueueDepth) && i < len(h.Counts); i++ {

@@ -38,6 +38,7 @@ type rig struct {
 	o       *obs.Obs
 	cal     calibration
 	clst    *cluster.Cluster
+	rf      int // the data topics' replication factor
 	co      *coordinator.Coordinator
 	groups  []*consumer.Group // every group, in join order
 	clients []*client
@@ -68,7 +69,7 @@ func newRig(sim *des.Simulator, o *obs.Obs, flush time.Duration, minISR, partiti
 			return nil, err
 		}
 	}
-	return &rig{sim: sim, o: o, cal: hostCalibration, clst: clst}, nil
+	return &rig{sim: sim, o: o, cal: hostCalibration, clst: clst, rf: rf}, nil
 }
 
 // fail records the first runtime error of a scheduled reconfiguration
@@ -275,26 +276,64 @@ func (r *rig) timeline(interval time.Duration, entity string) *obs.Timeline {
 	return tl
 }
 
-// probes points a timeline at the client (and, optionally, a broker
-// probe). The transport probe shows the client's gauges (cwnd, SRTT,
-// RTO, in-flight) but sums the counters over both endpoints, as the
-// metrics snapshot does, so the timeline's columns sum to it.
-func (c *client) probes(tl *obs.Timeline, broker func() obs.BrokerProbe) {
-	tl.SetProbes(c.path.Probe, func() obs.TransportProbe {
-		p := c.conn.Client.Probe()
-		s := c.conn.Server.Probe()
-		p.SegmentsSent += s.SegmentsSent
-		p.Retransmits += s.Retransmits
-		p.RTOTimeouts += s.RTOTimeouts
-		return p
-	}, c.prod.Probe, broker)
+// probe returns the timeline probe of one entity: client c's network,
+// transport and producer columns, the brokers' columns for topic and
+// group g's columns, each part left out when c is nil, topic is "" or g
+// is nil. A count is summed as snapshotMetrics sums it — both links and
+// both endpoints of the client, every broker, followers included — so
+// the columns sum to the run's metrics; the network and transport
+// gauges are the client side's.
+func (r *rig) probe(c *client, topic string, g *consumer.Group) func() obs.TimelineRow {
+	return func() obs.TimelineRow {
+		row := obs.TimelineRow{GEState: -1, DelayMs: -1}
+		if c != nil {
+			row.GEState, row.DelayMs, row.CfgLoss = c.path.Fwd.State()
+			for _, l := range [...]*netem.Link{c.path.Fwd, c.path.Rev} {
+				n := l.Counters()
+				row.PktsOffered += n.Offered
+				row.PktsLost += n.LostRandom + n.LostOverflow
+			}
+			st := c.conn.Client.Stats()
+			row.Cwnd, row.SRTT, row.RTO, row.InFlightSegs = st.Cwnd, st.SRTT, st.RTO, st.InFlight
+			for _, e := range [...]*transport.Endpoint{c.conn.Client, c.conn.Server} {
+				st := e.Stats()
+				row.SegmentsSent += st.SegmentsSent
+				row.Retransmits += st.Retransmissions
+				row.RTOTimeouts += st.Timeouts
+			}
+			counts := c.prod.Counts()
+			row.QueueDepth, row.InFlightBatches = c.prod.Backlog()
+			row.Enqueued, row.Acked, row.Lost = c.prod.Acquired(), counts.Delivered, counts.Lost
+			row.BatchRetries = c.prod.Stats().BatchRetries
+		}
+		if topic != "" {
+			row.LogEnd = r.clst.LogEnd(topic)
+			for id := range r.clst.Brokers() {
+				st := r.clst.Broker(int32(id)).Stats()
+				row.Appends += st.RecordsAppended
+				row.DupAppends += st.DuplicateAppends
+			}
+		}
+		if g != nil {
+			row.LagParts = g.FencedLag()
+			for _, lag := range row.LagParts {
+				row.Lag += lag
+			}
+			ev := g.Counts()
+			row.GroupDelivered, row.GroupRedelivered = ev.Delivered, ev.Redelivered
+			row.CommitAcks, row.Rebalances = ev.CommitsAcked, ev.Rebalances
+		}
+		return row
+	}
 }
 
-// sample starts a timeline's sampler. Row 0 anchors the series at t=0;
-// the ticker adds one row per interval and stops itself once done()
-// holds, so the event queue can drain (run takes the final sample).
-func (r *rig) sample(tl *obs.Timeline, done func() bool) {
+// sample starts a timeline's sampler reading probe. Row 0 anchors the
+// series at t=0; the ticker adds one row per interval and stops itself
+// once done() holds, so the event queue can drain (run takes the final
+// sample).
+func (r *rig) sample(tl *obs.Timeline, probe func() obs.TimelineRow, done func() bool) {
 	r.timelines = append(r.timelines, tl)
+	tl.SetProbe(probe)
 	tl.Sample()
 	var tick *des.Ticker
 	tick = des.NewTicker(r.sim, tl.Interval(), func() {
@@ -376,7 +415,7 @@ func (r *rig) groupRuns() ([]GroupRun, error) {
 		if lags, err := grp.LagByPartition(); err == nil {
 			gr.Lag = lags
 		} else {
-			gr.Lag = slices.Clone(grp.Probe().LagByPartition)
+			gr.Lag = slices.Clone(grp.FencedLag())
 		}
 		runs = append(runs, gr)
 	}

@@ -102,16 +102,16 @@ type Experiment struct {
 	// DisableMetrics switches off the per-run obs.Registry; Result.Metrics
 	// then stays zero. Metrics are on by default: the counts are the
 	// layers' own fields, summed once after the run, and the registry
-	// holds only histograms and gauges.
+	// holds only histograms.
 	DisableMetrics bool
 	// Tracer, when non-nil, receives the run's structured event stream
 	// (record lifecycle, transport, broker events). The testbed binds the
 	// tracer to the run's virtual clock.
 	Tracer *obs.Tracer
 	// Timeline, when non-nil, samples the run at the timeline's interval
-	// (netem, transport, producer and broker probes) and records config
-	// switches and broker events as annotations; it comes back as
-	// Result.Timeline.
+	// (netem, transport, producer, broker and, with consumers, group
+	// columns) and records config switches and broker events as
+	// annotations; it comes back as Result.Timeline.
 	Timeline *obs.Timeline
 	// Overrides for producer plumbing; zero values take the defaults
 	// below.
@@ -356,7 +356,7 @@ func (e Experiment) assemble(sim *des.Simulator) (*rig, error) {
 			return nil, fmt.Errorf("testbed: schedule entry %d: %w", i, err)
 		}
 		sim.Schedule(change.At, func() {
-			// Reconfigure pins topic/partition/producer ID itself; a
+			// Reconfigure pins topic/partitions/producer ID itself; a
 			// schedule entry can only carry tunable parameters.
 			if err := c.prod.Reconfigure(ncfg); err != nil {
 				r.fail(err)
@@ -366,11 +366,11 @@ func (e Experiment) assemble(sim *des.Simulator) (*rig, error) {
 		})
 	}
 	if e.Timeline != nil {
-		c.probes(e.Timeline, func() obs.BrokerProbe { return r.clst.Probe(streamTopic) })
+		var g *consumer.Group
 		if len(r.groups) > 0 {
-			e.Timeline.SetGroupProbe(r.groups[0].Probe)
+			g = r.groups[0]
 		}
-		r.sample(e.Timeline, c.prod.Done)
+		r.sample(e.Timeline, r.probe(c, streamTopic, g), c.prod.Done)
 	}
 	return r, nil
 }

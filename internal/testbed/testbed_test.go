@@ -590,12 +590,12 @@ func TestTracerNeutrality(t *testing.T) {
 
 // MetricsSnapshot.Merge holds the one merge policy for a fleet's shards.
 // Each row builds three shard snapshots the way a fleet shard does —
-// gauges and histograms from a registry, counts and the end-of-run lag
-// from the layers — and checks that the fold is associative, that
-// counters and span histograms add (a quantile of the merge is the
-// quantile of the pooled observations), that the high-water marks take
-// the maximum, and that the end-of-run lag adds, so drained shards fold
-// to 0.
+// histograms from a registry, counts, high-water marks and the
+// end-of-run lag set as the layers and the rig give them — and checks
+// that the fold is associative, that counters and span histograms add
+// (a quantile of the merge is the quantile of the pooled observations),
+// that the high-water marks take the maximum, and that the end-of-run
+// lag adds, so drained shards fold to 0.
 func TestMetricsSnapshotMerge(t *testing.T) {
 	type shard struct {
 		retransmits uint64
@@ -652,8 +652,6 @@ func TestMetricsSnapshotMerge(t *testing.T) {
 					snaps[i] = registryMetrics(reg.Snapshot())
 					continue
 				}
-				reg.Gauge(obs.MRTOMaxNs).SetMax(int64(sh.rtoMax))
-				reg.Gauge(obs.MReplicationFactor).SetMax(sh.rf)
 				h := reg.Histogram(obs.MSpanDelivery, obs.LatencyBounds)
 				hp := pooled.Histogram(obs.MSpanDelivery, obs.LatencyBounds)
 				for k := 0; k < sh.spans; k++ {
@@ -665,6 +663,7 @@ func TestMetricsSnapshotMerge(t *testing.T) {
 				}
 				snaps[i] = registryMetrics(reg.Snapshot())
 				snaps[i].Retransmits = sh.retransmits
+				snaps[i].RTOMax, snaps[i].ReplicationFactor = sh.rtoMax, sh.rf
 				snaps[i].ConsumerLagEnd = sh.lagEnd
 				wantRetransmits += sh.retransmits
 			}

@@ -22,16 +22,18 @@ func timelineVector() features.Vector {
 }
 
 // TestRunTimelineSumsMatchCounters pins the tentpole invariant on a
-// plain static run: summing the timeline's interval deltas reproduces
-// the end-of-run counters exactly, including the tail past the last
-// ticker sample (collect's final sample).
+// plain static run with a consumer group: summing every count column's
+// interval deltas reproduces the end-of-run counter exactly, including
+// the tail past the last ticker sample (the run's final sample).
 func TestRunTimelineSumsMatchCounters(t *testing.T) {
 	tl := obs.NewTimeline(time.Second)
 	res, err := Run(Experiment{
-		Features: timelineVector(),
-		Messages: 1500,
-		Seed:     7,
-		Timeline: tl,
+		Features:   timelineVector(),
+		Messages:   1500,
+		Seed:       7,
+		Consumers:  2,
+		MaxSimTime: time.Minute,
+		Timeline:   tl,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,32 +45,50 @@ func TestRunTimelineSumsMatchCounters(t *testing.T) {
 	if len(rows) < 3 {
 		t.Fatalf("rows = %d, want a multi-interval run", len(rows))
 	}
-	var acked, lost, segs, retrans, pktsLost, appends uint64
+	var sum obs.TimelineRow
 	for _, r := range rows {
-		acked += r.Acked
-		lost += r.Lost
-		segs += r.SegmentsSent
-		retrans += r.Retransmits
-		pktsLost += r.PktsLost
-		appends += r.Appends
+		sum.PktsLost += r.PktsLost
+		sum.SegmentsSent += r.SegmentsSent
+		sum.Retransmits += r.Retransmits
+		sum.RTOTimeouts += r.RTOTimeouts
+		sum.Enqueued += r.Enqueued
+		sum.Acked += r.Acked
+		sum.Lost += r.Lost
+		sum.BatchRetries += r.BatchRetries
+		sum.Appends += r.Appends
+		sum.DupAppends += r.DupAppends
+		sum.GroupDelivered += r.GroupDelivered
+		sum.GroupRedelivered += r.GroupRedelivered
+		sum.CommitAcks += r.CommitAcks
+		sum.Rebalances += r.Rebalances
 	}
-	if acked != res.Producer.Delivered {
-		t.Errorf("Σ acked = %d, want producer delivered %d", acked, res.Producer.Delivered)
+	m := res.Metrics
+	if len(res.GroupRuns) != 1 || sum.GroupDelivered == 0 || sum.Rebalances == 0 {
+		t.Fatalf("groups = %d, Σ delivered = %d, Σ rebalances = %d: want one group that consumed and rebalanced",
+			len(res.GroupRuns), sum.GroupDelivered, sum.Rebalances)
 	}
-	if lost != res.Producer.Lost {
-		t.Errorf("Σ lost = %d, want producer lost %d", lost, res.Producer.Lost)
-	}
-	if segs != res.Metrics.SegmentsSent {
-		t.Errorf("Σ segments = %d, want metrics %d", segs, res.Metrics.SegmentsSent)
-	}
-	if retrans != res.Metrics.Retransmits {
-		t.Errorf("Σ retransmits = %d, want metrics %d", retrans, res.Metrics.Retransmits)
-	}
-	if want := res.Metrics.PacketsLostRandom + res.Metrics.PacketsLostOverflow; pktsLost != want {
-		t.Errorf("Σ packets lost = %d, want metrics %d", pktsLost, want)
-	}
-	if appends != res.Metrics.BrokerAppends {
-		t.Errorf("Σ appends = %d, want metrics %d", appends, res.Metrics.BrokerAppends)
+	for _, c := range []struct {
+		col       string
+		got, want uint64
+	}{
+		{"pkts_lost", sum.PktsLost, m.PacketsLostRandom + m.PacketsLostOverflow},
+		{"segs_sent", sum.SegmentsSent, m.SegmentsSent},
+		{"retransmits", sum.Retransmits, m.Retransmits},
+		{"rto_timeouts", sum.RTOTimeouts, m.RTOTimeouts},
+		{"enqueued", sum.Enqueued, m.RecordsEnqueued},
+		{"acked", sum.Acked, res.Producer.Delivered},
+		{"lost", sum.Lost, res.Producer.Lost},
+		{"batch_retries", sum.BatchRetries, m.BatchRetries},
+		{"appends", sum.Appends, m.BrokerAppends},
+		{"dup_appends", sum.DupAppends, m.BrokerDupAppends},
+		{"group_delivered", sum.GroupDelivered, m.ConsumerDelivered},
+		{"group_redelivered", sum.GroupRedelivered, m.ConsumerRedelivered},
+		{"commit_acks", sum.CommitAcks, m.ConsumerCommitAcks},
+		{"rebalances", sum.Rebalances, res.GroupRuns[0].Evidence.Rebalances},
+	} {
+		if c.got != c.want {
+			t.Errorf("Σ %s = %d, want the counter's %d", c.col, c.got, c.want)
+		}
 	}
 	// Rows are stamped by the virtual clock at the sampling interval.
 	for i := 1; i < len(rows)-1; i++ {

@@ -37,8 +37,8 @@ var (
 type Config struct {
 	// SendBufferLimit bounds bytes buffered per endpoint (0 = unlimited).
 	SendBufferLimit int
-	// Obs attaches the per-run observability bundle. nil disables
-	// metrics and tracing for this connection.
+	// Obs attaches the per-run observability bundle, whose tracer the
+	// connection emits to. nil disables tracing for this connection.
 	Obs *obs.Obs
 }
 
@@ -66,7 +66,8 @@ const (
 	dupAckThreshold = 3
 )
 
-// Stats counts transport-level activity on one endpoint.
+// Stats counts transport-level activity on one endpoint, beside its
+// sender's instantaneous state (SRTT, RTO, Cwnd, InFlight).
 type Stats struct {
 	SegmentsSent    uint64
 	Retransmissions uint64
@@ -76,6 +77,11 @@ type Stats struct {
 	BytesDelivered  uint64
 	SRTT            time.Duration
 	RTO             time.Duration
+	// RTOMax is the largest RTO the endpoint reached; a connection reset
+	// does not clear it.
+	RTOMax   time.Duration
+	Cwnd     float64 // congestion window, segments
+	InFlight int     // segments sent and not yet acknowledged
 }
 
 // dataPkt is a pooled in-flight data packet. It owns its payload buffer:
@@ -204,7 +210,6 @@ type Endpoint struct {
 	genSent uint64 // connection generation, bumped by Reset to kill stale timers
 
 	// Observability (nil-safe handles; see internal/obs).
-	gRTOMax  *obs.Gauge
 	trace    *obs.Tracer
 	lastCwnd int // last traced integer cwnd, to emit cwnd_change on transitions only
 }
@@ -259,7 +264,6 @@ func (e *Endpoint) putAckPkt(p *ackPkt) {
 }
 
 func newEndpoint(name string, sim *des.Simulator, cfg Config, out *netem.Link) *Endpoint {
-	o := cfg.Obs
 	e := &Endpoint{
 		name:     name,
 		sim:      sim,
@@ -269,9 +273,7 @@ func newEndpoint(name string, sim *des.Simulator, cfg Config, out *netem.Link) *
 		ssthresh: maxWindow,
 		rto:      initialRTO,
 		ooo:      make(map[int64][]byte),
-
-		gRTOMax:  o.Gauge(obs.MRTOMaxNs),
-		trace:    o.Tracer(),
+		trace:    cfg.Obs.Tracer(),
 		lastCwnd: initialCwnd,
 	}
 	e.timer = des.NewTimer(sim, e.onRTO)
@@ -339,27 +341,11 @@ func (e *Endpoint) InjectFailure(reason string) {
 	e.fail(fmt.Errorf("%w: injected reset: %s", ErrBroken, reason))
 }
 
-// Stats returns a snapshot including the current SRTT and RTO.
+// Stats returns a snapshot including the sender's current state.
 func (e *Endpoint) Stats() Stats {
 	s := e.stats
-	s.SRTT = e.srtt
-	s.RTO = e.rto
+	s.SRTT, s.RTO, s.Cwnd, s.InFlight = e.srtt, e.rto, e.cwnd, len(e.inFlight)
 	return s
-}
-
-// Probe returns the sender state a timeline sampler reads: the
-// instantaneous congestion window, RTT estimate and in-flight count
-// plus cumulative segment counters.
-func (e *Endpoint) Probe() obs.TransportProbe {
-	return obs.TransportProbe{
-		Cwnd:         e.cwnd,
-		SRTT:         e.srtt,
-		RTO:          e.rto,
-		InFlight:     len(e.inFlight),
-		SegmentsSent: e.stats.SegmentsSent,
-		Retransmits:  e.stats.Retransmissions,
-		RTOTimeouts:  e.stats.Timeouts,
-	}
 }
 
 // BufferedBytes returns bytes accepted by Send but not yet acknowledged.
@@ -497,7 +483,7 @@ func (e *Endpoint) onRTO() {
 	if e.rto > maxRTO {
 		e.rto = maxRTO
 	}
-	e.gRTOMax.SetMax(int64(e.rto))
+	e.stats.RTOMax = max(e.stats.RTOMax, e.rto)
 	e.trace.Emit(obs.LayerTransport, obs.EvRTOBackoff, 0, int64(e.rto), int64(e.backoff), e.name)
 	e.traceCwnd()
 	e.dupAcks = 0
@@ -716,5 +702,5 @@ func (e *Endpoint) recomputeRTO() {
 		rto = maxRTO
 	}
 	e.rto = rto
-	e.gRTOMax.SetMax(int64(rto))
+	e.stats.RTOMax = max(e.stats.RTOMax, rto)
 }
